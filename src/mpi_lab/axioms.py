@@ -12,18 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .context import Fixture, as_fixture, what  # noqa: F401 (re-exports what)
 from .tensor import (
     RANK_TOL,
     RESIDUAL_TOL,
     LegMismatchError,
     Operator,
-    TensorSpace,
-    all_left_slices,
-    all_right_slices,
-    chain,
+    leg_word,
+    numerical_rank,
     op_residual,
     rel_residual,
-    swap_legs,
 )
 
 MPI_AXIOMS = ("mpi1", "mpi2", "mpi3", "mpi4")
@@ -36,8 +34,6 @@ class MpiVerdict:
     pi_residual: float
     mpi_residuals: dict[str, float]
     derived_residuals: dict[str, float]
-    E: Operator
-    G: Operator
     passed: bool
 
 
@@ -63,11 +59,6 @@ def _two_h_legs(w: Operator) -> int:
     return legs[0].dim
 
 
-def what(w: Operator) -> Operator:
-    """The dual candidate W-hat = Sigma W* Sigma."""
-    return swap_legs(w.adj)
-
-
 def is_partial_isometry(w: Operator, tol: float = RESIDUAL_TOL) -> tuple[bool, float]:
     """Residual of W W* W = W."""
     m = w.matrix
@@ -75,85 +66,59 @@ def is_partial_isometry(w: Operator, tol: float = RESIDUAL_TOL) -> tuple[bool, f
     return res < tol, res
 
 
-def three_leg_space(w: Operator) -> TensorSpace:
-    leg = w.space.legs[0]
-    return TensorSpace((leg, leg, leg))
+# The ten leg identities as (left, right) words on H (x) H (x) H, in the
+# notation of tensor.leg_word: "W23 W12 W*23" is W_23 W_12 W*_23.
+IDENTITY_WORDS = {
+    "mpi1": ("W23 W12 W*23", "W12 W13"),
+    "mpi2": ("W*12 W23 W12", "W13 W23"),
+    "mpi3": ("W*23 W23 W12", "W12 W*23 W23"),
+    "mpi4": ("W12 W*12 W23", "W23 W12 W*12"),
+    "mpi5": ("W12 W13 W23", "W23 W12"),
+    "mpi6": ("W*12 W12 W13", "W13 W23 W*23"),
+    "mpi7": ("W12 W*23", "W*23 W12 W13"),
+    "mpi8": ("W*12 W23", "W13 W23 W*12"),
+    "mpi9": ("W*13 W13 W23", "W23 W*12 W12"),
+    "mpi10": ("W12 W13 W*13", "W23 W*23 W12"),
+}
 
 
-def mpi_identity_sides(w: Operator, name: str) -> tuple[Operator, Operator]:
+def mpi_identity_sides(w: Operator | Fixture, name: str) -> tuple[Operator, Operator]:
     """Left and right side of one of the ten leg identities."""
-    amb = three_leg_space(w)
-    ws = w.adj
-
-    def c(*factors):
-        return chain(amb, *factors)
-
-    if name == "mpi1":
-        return c((w, [2, 3]), (w, [1, 2]), (ws, [2, 3])), c((w, [1, 2]), (w, [1, 3]))
-    if name == "mpi2":
-        return c((ws, [1, 2]), (w, [2, 3]), (w, [1, 2])), c((w, [1, 3]), (w, [2, 3]))
-    if name == "mpi3":
-        return (
-            c((ws, [2, 3]), (w, [2, 3]), (w, [1, 2])),
-            c((w, [1, 2]), (ws, [2, 3]), (w, [2, 3])),
-        )
-    if name == "mpi4":
-        return (
-            c((w, [1, 2]), (ws, [1, 2]), (w, [2, 3])),
-            c((w, [2, 3]), (w, [1, 2]), (ws, [1, 2])),
-        )
-    if name == "mpi5":
-        return c((w, [1, 2]), (w, [1, 3]), (w, [2, 3])), c((w, [2, 3]), (w, [1, 2]))
-    if name == "mpi6":
-        return (
-            c((ws, [1, 2]), (w, [1, 2]), (w, [1, 3])),
-            c((w, [1, 3]), (w, [2, 3]), (ws, [2, 3])),
-        )
-    if name == "mpi7":
-        return c((w, [1, 2]), (ws, [2, 3])), c((ws, [2, 3]), (w, [1, 2]), (w, [1, 3]))
-    if name == "mpi8":
-        return c((ws, [1, 2]), (w, [2, 3])), c((w, [1, 3]), (w, [2, 3]), (ws, [1, 2]))
-    if name == "mpi9":
-        return (
-            c((ws, [1, 3]), (w, [1, 3]), (w, [2, 3])),
-            c((w, [2, 3]), (ws, [1, 2]), (w, [1, 2])),
-        )
-    if name == "mpi10":
-        return (
-            c((w, [1, 2]), (w, [1, 3]), (ws, [1, 3])),
-            c((w, [2, 3]), (ws, [2, 3]), (w, [1, 2])),
-        )
-    raise KeyError(f"unknown identity {name!r}")
+    if name not in IDENTITY_WORDS:
+        raise KeyError(f"unknown identity {name!r}")
+    fx = as_fixture(w)
+    ops = {"W": fx.w, "W*": fx.ws}
+    lhs, rhs = (leg_word(fx.three_leg, ops, word) for word in IDENTITY_WORDS[name])
+    return lhs, rhs
 
 
-def identity_residual(w: Operator, name: str) -> float:
+def identity_residual(w: Operator | Fixture, name: str) -> float:
     lhs, rhs = mpi_identity_sides(w, name)
     return op_residual(lhs, rhs)
 
 
-def check_derived_identities(w: Operator) -> dict[str, float]:
+def check_derived_identities(w: Operator | Fixture) -> dict[str, float]:
     """Residuals of mpi5-mpi10 (not enforced, just measured)."""
-    return {name: identity_residual(w, name) for name in DERIVED_IDENTITIES}
+    fx = as_fixture(w)
+    return {name: identity_residual(fx, name) for name in DERIVED_IDENTITIES}
 
 
-def check_mpi_axioms(w: Operator, tol: float = RESIDUAL_TOL) -> MpiVerdict:
+def check_mpi_axioms(w: Operator | Fixture, tol: float = RESIDUAL_TOL) -> MpiVerdict:
     """Full multiplicativity verdict: partial isometry plus mpi1-mpi4,
     with the derived residuals mpi5-mpi10 reported alongside."""
-    _two_h_legs(w)
-    ok_pi, res_pi = is_partial_isometry(w, tol)
-    axioms = {name: identity_residual(w, name) for name in MPI_AXIOMS}
-    derived = check_derived_identities(w)
-    e = w.adj @ w
-    g = w @ w.adj
+    fx = as_fixture(w)
+    _two_h_legs(fx.w)
+    ok_pi, res_pi = is_partial_isometry(fx.w, tol)
+    axioms = {name: identity_residual(fx, name) for name in MPI_AXIOMS}
+    derived = check_derived_identities(fx)
     passed = ok_pi and all(r < tol for r in axioms.values())
-    return MpiVerdict(ok_pi, res_pi, axioms, derived, e, g, passed)
+    return MpiVerdict(ok_pi, res_pi, axioms, derived, passed)
 
 
-def projection_residuals(w: Operator) -> dict[str, float]:
+def projection_residuals(w: Operator | Fixture) -> dict[str, float]:
     """E, G idempotent/self-adjoint and the initial/final space relations."""
-    e = (w.adj @ w).matrix
-    g = (w @ w.adj).matrix
-    m = w.matrix
+    fx = as_fixture(w)
+    e, g, m = fx.e.matrix, fx.g.matrix, fx.w.matrix
     return {
         "E_idempotent": rel_residual(e @ e, e),
         "E_selfadjoint": rel_residual(e.conj().T, e),
@@ -166,12 +131,12 @@ def projection_residuals(w: Operator) -> dict[str, float]:
 
 def _matrix_rank(stack: np.ndarray, rank_tol: float = RANK_TOL) -> int:
     s = np.linalg.svd(stack.reshape(stack.shape[0], -1), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return numerical_rank(s, rank_tol)
 
 
-def assess_fullness(w: Operator, rank_tol: float = RANK_TOL) -> FullnessVerdict:
+def assess_fullness(
+    w: Operator | Fixture, rank_tol: float = RANK_TOL
+) -> FullnessVerdict:
     """Evaluate both fullness readings.
 
     The literal flags ask whether w -> (id (x) w)(W) (resp. the left
@@ -180,9 +145,10 @@ def assess_fullness(w: Operator, rank_tol: float = RANK_TOL) -> FullnessVerdict:
     flags ask whether the slice spaces act with dense range and trivial
     common kernel.
     """
-    n = _two_h_legs(w)
-    rights = all_right_slices(w)  # span A
-    lefts = all_left_slices(w)  # span A-hat
+    fx = as_fixture(w)
+    n = _two_h_legs(fx.w)
+    rights = fx.right_slices  # span A
+    lefts = fx.left_slices  # span A-hat
     right_rank = _matrix_rank(rights, rank_tol)
     left_rank = _matrix_rank(lefts, rank_tol)
     # injectivity of the right slice map = rank n^2 of its image

@@ -12,27 +12,33 @@ which gives a second route to gamma_N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .context import Fixture, as_fixture
 from .tensor import (
     PD_TOL,
     RANK_TOL,
     RESIDUAL_TOL,
+    LstsqSolver,
     Operator,
     OperatorSubspace,
-    TensorSpace,
+    PositiveEig,
     all_left_slices,
     all_right_slices,
+    antimultiplicativity,
     kron,
     lsq_solve,
+    numerical_rank,
     op_residual,
-    pos_power,
     rel_residual,
+    slice_matrix,
     span_matrices,
+    star_preservation,
     tensor_subspace,
+    transpose_grid,
 )
-from .axioms import what
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,17 @@ class WeightData:
     def value(self, x: Operator) -> complex:
         return complex(np.trace(x.matrix @ self.density.matrix))
 
+    @cached_property
+    def modular(self) -> PositiveEig:
+        """Eigendecomposition of D padded by the identity off the
+        algebra's support (positive definiteness is only required on
+        the support); every sigma_z of this weight is taken from it."""
+        d = self.density.matrix
+        supp = self.support
+        full = np.eye(d.shape[0], dtype=complex)
+        pad = d + (full - supp @ supp.conj().T) if supp.shape[1] < d.shape[0] else d
+        return PositiveEig(pad)
+
 
 @dataclass(frozen=True)
 class BaseAntiIso:
@@ -76,36 +93,29 @@ class BaseAntiIso:
     codomain: OperatorSubspace
     matrix: np.ndarray  # (codomain.dim, domain.dim)
     inverse: np.ndarray
-    membership_residual: float
-    invertibility: float  # smallest singular value of the coordinate matrix
+    membership_residual: float  # of the unprojected images in the codomain
+    image_span: OperatorSubspace  # span of the unprojected images
 
     def apply(self, x: Operator) -> Operator:
-        c = self.domain.coefficients(x)
-        d = self.codomain.space.total_dim
-        out = (self.matrix @ c) @ self.codomain.basis_matrix
-        return Operator(self.codomain.space, out.reshape(d, d))
+        return _transport(self.matrix, self.domain, self.codomain, x)
 
     def apply_inverse(self, y: Operator) -> Operator:
-        c = self.codomain.coefficients(y)
-        d = self.domain.space.total_dim
-        out = (self.inverse @ c) @ self.domain.basis_matrix
-        return Operator(self.domain.space, out.reshape(d, d))
+        return _transport(self.inverse, self.codomain, self.domain, y)
 
 
-def _slice_span(sp: TensorSpace, stack: np.ndarray) -> OperatorSubspace:
-    return span_matrices(sp, stack.reshape(stack.shape[0], -1))
+def _transport(
+    m: np.ndarray, src: OperatorSubspace, dst: OperatorSubspace, x: Operator
+) -> Operator:
+    d = dst.space.total_dim
+    out = (m @ src.coefficients(x)) @ dst.basis_matrix
+    return Operator(dst.space, out.reshape(d, d))
 
 
-def base_spans(w: Operator) -> BaseSpans:
-    """N, L from slices of E; N-hat, L-hat from slices of G (flipped)."""
-    leg_sp = TensorSpace((w.space.legs[0],))
-    e = w.adj @ w
-    g = w @ w.adj
-    n_sub = _slice_span(leg_sp, all_right_slices(e))
-    l_sub = _slice_span(leg_sp, all_left_slices(e))
-    # N-hat = right slices of E-hat = left slices of G, and vice versa
-    nhat_sub = _slice_span(leg_sp, all_left_slices(g))
-    lhat_sub = _slice_span(leg_sp, all_right_slices(g))
+def base_spans(w: Operator | Fixture) -> BaseSpans:
+    """N, L from slices of E; N-hat, L-hat from slices of E-hat (the
+    dual's N and L, i.e. the left and right slices of G)."""
+    fx = as_fixture(w)
+    n_sub, l_sub, nhat_sub, lhat_sub = fx.N, fx.L, fx.dual.N, fx.dual.L
 
     def max_comm(a_sub, b_sub):
         return max(
@@ -120,18 +130,11 @@ def base_spans(w: Operator) -> BaseSpans:
     comm = max_comm(n_sub, l_sub)
     hat_comm = max_comm(nhat_sub, lhat_sub)
     _, l_res = l_sub.equals(lhat_sub)
-    _, e_res = tensor_subspace(n_sub, l_sub).contains(e)
-    _, ehat_res = tensor_subspace(nhat_sub, lhat_sub).contains(
-        what(w).adj @ what(w)
-    )
-    star = {}
-    prod = {}
-    for name, sub in (("N", n_sub), ("L", l_sub), ("Nhat", nhat_sub), ("Lhat", lhat_sub)):
-        star[name] = sub.contains_all(b.adj for b in sub.basis)
-        prod[name] = max(
-            (sub.contains(x @ y)[1] for x in sub.basis for y in sub.basis),
-            default=0.0,
-        )
+    _, e_res = tensor_subspace(n_sub, l_sub).contains(fx.e)
+    _, ehat_res = tensor_subspace(nhat_sub, lhat_sub).contains(fx.dual.e)
+    subs = {"N": n_sub, "L": l_sub, "Nhat": nhat_sub, "Lhat": lhat_sub}
+    star = {name: sub.star_residual() for name, sub in subs.items()}
+    prod = {name: sub.products_residual(sub.basis, sub.basis) for name, sub in subs.items()}
     return BaseSpans(
         N=n_sub,
         L=l_sub,
@@ -157,48 +160,32 @@ def base_spans(w: Operator) -> BaseSpans:
 class KappaSolver:
     """Reusable minimum-norm solver for E(b (x) 1) = E(1 (x) x).
 
-    The map x -> E(1 (x) x) and its SVD are computed once; each solve
-    is then two small products.  Nullity 0 means solutions are unique;
-    a residual above tolerance flags b as outside the solvable domain.
+    E(1 (x) x)[r, (i, l)] = sum_m E[r, (i, m)] x[m, l], so the n^4 x n^2
+    map x -> E(1 (x) x) is T (x) 1 for the n^3 x n matrix
+    T[(r, i), m] = E[r, (i, m)]: its singular values are T's, each n
+    times, and the minimum-norm solve is T^+ applied column by column.
+    T is factored once; each solve is then two small products.  Nullity 0
+    means solutions are unique; a residual above tolerance flags b as
+    outside the solvable domain.
     """
 
-    def __init__(self, w: Operator, rank_tol: float = RANK_TOL):
-        self.leg = TensorSpace((w.space.legs[0],))
-        self.n = w.space.legs[0].dim
-        self.e = (w.adj @ w).matrix
-        n = self.n
-        cols = np.empty((n**4, n * n), dtype=complex)
-        k = 0
-        eye1 = np.eye(n)
-        for mm in range(n):
-            for ll in range(n):
-                u = np.zeros((n, n))
-                u[mm, ll] = 1.0
-                cols[:, k] = (self.e @ np.kron(eye1, u)).ravel()
-                k += 1
-        self.map = cols
-        u_f, s, vh = np.linalg.svd(cols, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0:
-            rank = 0
-        else:
-            rank = int(np.sum(s > rank_tol * s[0]))
-        self._u = u_f[:, :rank]
-        self._sinv = 1.0 / s[:rank] if rank else np.empty(0)
-        self._vh = vh[:rank]
-        self.nullity = n * n - rank
+    def __init__(self, w: Operator | Fixture, rank_tol: float = RANK_TOL):
+        fx = as_fixture(w)
+        self.leg, self.n, self.e = fx.leg_space, fx.n, fx.e.matrix
+        self._solver = LstsqSolver(self.e.reshape(self.n**3, self.n), rank_tol)
+        self.nullity = self.n * self._solver.nullity
 
     def solve(self, b: Operator) -> tuple[Operator, float, int]:
         if b.space.nlegs != 1 or b.space.legs[0].dim != self.n:
             raise ValueError("b must be a single-leg operator matching W's legs")
         n = self.n
-        rhs = (self.e @ np.kron(b.matrix, np.eye(n))).ravel()
-        x = self._vh.conj().T @ ((self._u.conj().T @ rhs) * self._sinv)
-        residual = float(np.linalg.norm(self.map @ x - rhs))
-        return Operator(self.leg, x.reshape(n, n)), residual, self.nullity
+        rhs = (self.e @ np.kron(b.matrix, np.eye(n))).reshape(n**3, n)
+        x, residual = self._solver.solve(rhs)
+        return Operator(self.leg, x), residual, self.nullity
 
 
 def kappa_solve(
-    w: Operator, b: Operator, rank_tol: float = RANK_TOL
+    w: Operator | Fixture, b: Operator, rank_tol: float = RANK_TOL
 ) -> tuple[Operator, float, int]:
     """Minimum-norm solution x of E(b (x) 1) = E(1 (x) x)."""
     return KappaSolver(w, rank_tol).solve(b)
@@ -214,11 +201,13 @@ class KappaMap:
 
 
 def kappa_map(
-    w: Operator, n_sub: OperatorSubspace, solver: KappaSolver | None = None
+    w: Operator | Fixture,
+    n_sub: OperatorSubspace,
+    solver: KappaSolver | None = None,
 ) -> KappaMap:
     """kappa on a basis of N, plus the anti-multiplicativity residual
     over basis pairs (products solved independently)."""
-    solver = solver or KappaSolver(w)
+    solver = solver or as_fixture(w).kappa_solver
     basis = n_sub.basis
     values, residuals = [], []
     for b in basis:
@@ -248,8 +237,8 @@ def _hermitian_basis(sub: OperatorSubspace) -> list[np.ndarray]:
         cands.append((b + b.conj().T) / 2.0)
         cands.append((b - b.conj().T) / 2.0j)
     stack = np.array([np.concatenate([c.real.ravel(), c.imag.ravel()]) for c in cands])
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
-    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    rank = numerical_rank(s)
     d = sub.space.total_dim
     out = []
     for row in vh[:rank]:
@@ -269,22 +258,11 @@ def support_projection(sub: OperatorSubspace) -> np.ndarray:
         return np.zeros((d, 0), dtype=complex)
     stacked = np.hstack([row.reshape(d, d) for row in sub.basis_matrix])
     u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-    return u[:, :rank]
-
-
-def _left_slice_with_density(e: np.ndarray, n1: int, n2: int, dens: np.ndarray) -> np.ndarray:
-    t = e.reshape(n1, n2, n1, n2)
-    return np.einsum("ikjl,ji->kl", t, dens)
-
-
-def _right_slice_with_density(e: np.ndarray, n1: int, n2: int, dens: np.ndarray) -> np.ndarray:
-    t = e.reshape(n1, n2, n1, n2)
-    return np.einsum("ikjl,lk->ij", t, dens)
+    return u[:, : numerical_rank(s)]
 
 
 def find_distinguished_weight(
-    w: Operator,
+    w: Operator | Fixture,
     base: str = "N",
     pd_tol: float = PD_TOL,
     rank_tol: float = RANK_TOL,
@@ -298,27 +276,37 @@ def find_distinguished_weight(
     dimension, an alternating-projection repair onto the positive cone
     is attempted before reporting failure.
     """
-    if base == "N":
-        e_op = w.adj @ w
-    elif base == "Nhat":
-        wh = what(w)
-        e_op = wh.adj @ wh
-    else:
+    if base not in ("N", "Nhat"):
         raise ValueError("base must be 'N' or 'Nhat'")
-    leg_sp = TensorSpace((w.space.legs[0],))
-    sub = _slice_span(leg_sp, all_right_slices(e_op))
-    n = leg_sp.legs[0].dim
+    fx = as_fixture(w)
+    if base == "Nhat":
+        fx = fx.dual
+    sub, e, n = fx.N, fx.e.matrix, fx.n
     herm = _hermitian_basis(sub)
     if not herm:
         raise ValueError("base span is empty")
     # real system: sum_j t_j leftslice_{h_j}(E) = I
     cols = []
     for h in herm:
-        sl = _left_slice_with_density(e_op.matrix, n, n, h)
+        sl = slice_matrix(e, n, n, "left", h)
         cols.append(np.concatenate([sl.real.ravel(), sl.imag.ravel()]))
-    a = np.array(cols).T
-    eye = np.eye(n)
-    rhs = np.concatenate([eye.ravel(), np.zeros(n * n)])
+    rhs = np.concatenate([np.eye(n).ravel(), np.zeros(n * n)])
+    return _weight(sub, herm, np.array(cols).T, rhs, pd_tol, rank_tol, repair=True)
+
+
+def _weight(
+    sub: OperatorSubspace,
+    herm: list[np.ndarray],
+    a: np.ndarray,
+    rhs: np.ndarray,
+    pd_tol: float = PD_TOL,
+    rank_tol: float = RANK_TOL,
+    repair: bool = False,
+) -> WeightData:
+    """The density sum_j t_j h_j for the minimum-norm real solution t of
+    a t = rhs, with its smallest eigenvalue on the support of ``sub``.
+    With ``repair``, an indefinite density is moved along the solution
+    space towards the positive cone, leaving the residual unchanged."""
     t, residual, nullity = lsq_solve(a, rhs, rank_tol)
     t = t.real
     d_mat = sum(tj * hj for tj, hj in zip(t, herm))
@@ -330,28 +318,20 @@ def find_distinguished_weight(
         return float(np.linalg.eigvalsh(supp.conj().T @ mat @ supp).min())
 
     me = min_eig(d_mat)
-    if me <= pd_tol and nullity > 0:
-        # the repair moves only along the solution space, so the
-        # normalization residual is unchanged
+    if repair and me <= pd_tol and nullity > 0:
         d_mat = _positivity_repair(a, rhs, t, herm, supp, rank_tol)
         me = min_eig(d_mat)
     found = residual < 1e-7 and me > pd_tol
     return WeightData(
-        algebra=sub,
-        density=Operator(leg_sp, d_mat),
-        min_eigenvalue=me,
-        solution_space_dim=nullity,
-        normalization_residual=residual,
-        support=supp,
-        found=found,
+        sub, Operator(sub.space, d_mat), me, nullity, residual, supp, found
     )
 
 
 def _positivity_repair(a, rhs, t0, herm, supp, rank_tol, iters: int = 300):
     """Alternate between the affine solution set of the normalization
     system and the positive cone on the support."""
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = numerical_rank(s, rank_tol)
     null_basis = vh[rank:]  # rows span the solution-space directions
     t = t0.copy()
     floor = 1e-6
@@ -375,17 +355,9 @@ def _positivity_repair(a, rhs, t0, herm, supp, rank_tol, iters: int = 300):
 
 
 def modular_conjugate(weight: WeightData, z: complex, x: Operator) -> Operator:
-    """sigma_z(x) = D^{iz} x D^{-iz}, with D padded by the identity off
-    the algebra's support (positive definiteness is only required on
-    the support)."""
-    d = weight.density.matrix
-    supp = weight.support
-    full = np.eye(d.shape[0], dtype=complex)
-    pad = d + (full - supp @ supp.conj().T) if supp.shape[1] < d.shape[0] else d
-    p = Operator(weight.density.space, pad)
-    left = pos_power(p, 1j * z)
-    right = pos_power(p, -1j * z)
-    return left @ x @ right
+    """sigma_z(x) = D^{iz} x D^{-iz}, D padded as in WeightData.modular."""
+    eig = weight.modular
+    return Operator(x.space, eig.power(1j * z) @ x.matrix @ eig.power(-1j * z))
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +365,12 @@ def modular_conjugate(weight: WeightData, z: complex, x: Operator) -> Operator:
 # ---------------------------------------------------------------------------
 
 
-def gamma_n_apply(w: Operator, nu: WeightData, b: Operator) -> Operator:
+def gamma_n_apply(w: Operator | Fixture, nu: WeightData, b: Operator) -> Operator:
     """gamma_N(b) = (nu (x) id)(E (b (x) 1))."""
-    e = (w.adj @ w).matrix
-    n = w.space.legs[0].dim
-    prod = e @ np.kron(b.matrix, np.eye(n))
-    out = _left_slice_with_density(prod, n, n, nu.density.matrix)
-    return Operator(b.space, out)
+    fx = as_fixture(w)
+    n = fx.n
+    prod = fx.e.matrix @ np.kron(b.matrix, np.eye(n))
+    return Operator(b.space, slice_matrix(prod, n, n, "left", nu.density.matrix))
 
 
 @dataclass(frozen=True)
@@ -415,24 +386,26 @@ class BaseStructure:
 
 
 def gamma_and_rtilde(
-    w: Operator, nu: WeightData, l_sub: OperatorSubspace
+    w: Operator | Fixture, nu: WeightData, l_sub: OperatorSubspace
 ) -> tuple[list[Operator], BaseAntiIso, WeightData, list[Operator]]:
     """Assemble gamma_N on the N basis, Rtilde = gamma_N o sigma_{-i/2},
     the weight mu = nu o Rtilde^{-1} on L, and gamma_L."""
+    fx = as_fixture(w)
     n_sub = nu.algebra
     leg_sp = n_sub.space
-    gamma_vals = [gamma_n_apply(w, nu, b) for b in n_sub.basis]
+    gamma_vals = [gamma_n_apply(fx, nu, b) for b in n_sub.basis]
     rt_vals = [
-        gamma_n_apply(w, nu, modular_conjugate(nu, -0.5j, b)) for b in n_sub.basis
+        gamma_n_apply(fx, nu, modular_conjugate(nu, -0.5j, b)) for b in n_sub.basis
     ]
     membership = l_sub.contains_all(rt_vals)
+    images = span_matrices(leg_sp, np.array([v.matrix.ravel() for v in rt_vals]))
     mat = np.array([l_sub.coefficients(v) for v in rt_vals]).T  # (dimL, dimN)
     sv = np.linalg.svd(mat, compute_uv=False)
     invertibility = float(sv.min()) if sv.size else 0.0
     if mat.shape[0] != mat.shape[1] or invertibility <= RANK_TOL * (sv.max() if sv.size else 1.0):
         raise ValueError("Rtilde is not invertible between the base spans")
     inv = np.linalg.inv(mat)
-    rtilde = BaseAntiIso(n_sub, l_sub, mat, inv, membership, invertibility)
+    rtilde = BaseAntiIso(n_sub, l_sub, mat, inv, membership, images)
 
     # mu = nu o Rtilde^{-1}: density inside L solving trace(l_j D) = mu(l_j)
     herm = _hermitian_basis(l_sub)
@@ -443,39 +416,29 @@ def gamma_and_rtilde(
     for h in herm:
         vals = np.array([np.trace(lj.matrix @ h) for lj in l_sub.basis])
         cols.append(np.concatenate([vals.real, vals.imag]))
-    a = np.array(cols).T
-    rhs = np.concatenate([targets.real, targets.imag])
-    t, residual, nullity = lsq_solve(a, rhs)
-    d_mu = sum(tj * hj for tj, hj in zip(t.real, herm))
-    supp = support_projection(l_sub)
-    me = (
-        float(np.linalg.eigvalsh(supp.conj().T @ d_mu @ supp).min())
-        if supp.shape[1]
-        else 0.0
-    )
-    mu = WeightData(
-        algebra=l_sub,
-        density=Operator(leg_sp, d_mu),
-        min_eigenvalue=me,
-        solution_space_dim=nullity,
-        normalization_residual=residual,
-        support=supp,
-        found=residual < 1e-7 and me > PD_TOL,
-    )
+    mu = _weight(l_sub, herm, np.array(cols).T, np.concatenate([targets.real, targets.imag]))
     gamma_l_vals = [
         rtilde.apply_inverse(modular_conjugate(mu, -0.5j, c)) for c in l_sub.basis
     ]
     return gamma_vals, rtilde, mu, gamma_l_vals
 
 
-def build_base_structure(w: Operator) -> BaseStructure:
-    spans = base_spans(w)
-    nu = find_distinguished_weight(w, "N")
-    gamma_vals, rtilde, mu, gamma_l_vals = gamma_and_rtilde(w, nu, spans.L)
-    solver = KappaSolver(w)
-    kappa = kappa_map(w, spans.N, solver)
+def build_base_structure(w: Operator | Fixture) -> BaseStructure:
+    """The weight-dependent base data of W; raises ValueError when the
+    anti-isomorphism cannot be built."""
+    fx = as_fixture(w)
+    gamma_vals, rtilde, mu, gamma_l_vals = gamma_and_rtilde(fx, fx.nu, fx.L)
     return BaseStructure(
-        spans, nu, mu, rtilde, gamma_vals, gamma_l_vals, kappa, solver
+        fx.spans, fx.nu, mu, rtilde, gamma_vals, gamma_l_vals, fx.kappa, fx.kappa_solver
+    )
+
+
+def gamma_kappa_residual(structure: BaseStructure) -> float:
+    """gamma_N = kappa on the N basis: the weight slice against the
+    least-squares solve, two independent routes."""
+    return max(
+        float(np.linalg.norm(g.matrix - v.matrix))
+        for g, v in zip(structure.gamma_n_values, structure.kappa.values)
     )
 
 
@@ -485,7 +448,7 @@ def build_base_structure(w: Operator) -> BaseStructure:
 
 
 def check_separability_triple(
-    w: Operator,
+    w: Operator | Fixture,
     structure: BaseStructure,
     q: Operator | None = None,
     wtilde: Operator | None = None,
@@ -493,17 +456,18 @@ def check_separability_triple(
 ) -> dict[str, float]:
     """Residuals for the weight/anti-isomorphism identities; the
     kappa-vs-Q checks run only when a manageability pair is supplied."""
-    spans, nu, mu, rtilde = structure.spans, structure.nu, structure.mu, structure.rtilde
-    e = (w.adj @ w).matrix
-    n = w.space.legs[0].dim
+    fx = as_fixture(w)
+    nu, mu, rtilde = structure.nu, structure.mu, structure.rtilde
+    e = fx.e.matrix
+    n = fx.n
     eye = np.eye(n)
     res: dict[str, float] = {}
 
     res["nu_normalization"] = rel_residual(
-        _left_slice_with_density(e, n, n, nu.density.matrix), eye
+        slice_matrix(e, n, n, "left", nu.density.matrix), eye
     )
     res["mu_normalization"] = rel_residual(
-        _right_slice_with_density(e, n, n, mu.density.matrix), eye
+        slice_matrix(e, n, n, "right", mu.density.matrix), eye
     )
     # (1 (x) c) E = (gamma_L(c) (x) 1) E over the L basis
     res["gamma_L_characterization"] = max(
@@ -515,23 +479,18 @@ def check_separability_triple(
     # (id (x) mu)((1 (x) c)E) = gamma_L(c)
     res["gamma_L_slice_formula"] = max(
         rel_residual(
-            _right_slice_with_density(np.kron(eye, c.matrix) @ e, n, n, mu.density.matrix),
+            slice_matrix(np.kron(eye, c.matrix) @ e, n, n, "right", mu.density.matrix),
             gc.matrix,
         )
         for c, gc in zip(mu.algebra.basis, structure.gamma_l_values)
     )
-    # gamma_N anti-multiplicative over basis pairs
-    anti = 0.0
-    for b1 in nu.algebra.basis:
-        for b2 in nu.algebra.basis:
-            lhs = gamma_n_apply(w, nu, b1 @ b2)
-            rhs = gamma_n_apply(w, nu, b2) @ gamma_n_apply(w, nu, b1)
-            anti = max(anti, op_residual(lhs, rhs))
-    res["gamma_N_antimultiplicative"] = anti
+    res["gamma_N_antimultiplicative"] = antimultiplicativity(
+        lambda b: gamma_n_apply(fx, nu, b), nu.algebra.basis
+    )
     # polar identity gamma_N = Rtilde o sigma^nu_{i/2}
     res["gamma_N_polar"] = max(
         op_residual(
-            gamma_n_apply(w, nu, b),
+            gamma_n_apply(fx, nu, b),
             rtilde.apply(modular_conjugate(nu, 0.5j, b)),
         )
         for b in nu.algebra.basis
@@ -554,31 +513,26 @@ def check_separability_triple(
             sig = max(sig, op_residual(lhs, rhs))
     res["sigma_mu_conjugation"] = sig
     # Rtilde is a *-anti-isomorphism
-    res["rtilde_star"] = max(
-        op_residual(rtilde.apply(b.adj), rtilde.apply(b).adj) for b in nu.algebra.basis
-    )
-    res["rtilde_antimultiplicative"] = max(
-        op_residual(rtilde.apply(b1 @ b2), rtilde.apply(b2) @ rtilde.apply(b1))
-        for b1 in nu.algebra.basis
-        for b2 in nu.algebra.basis
-    )
+    res["rtilde_star"] = star_preservation(rtilde.apply, nu.algebra.basis)
+    res["rtilde_antimultiplicative"] = antimultiplicativity(rtilde.apply, nu.algebra.basis)
 
     if q is not None and wtilde is not None:
-        res.update(_kappa_q_checks(w, structure, q, wtilde))
+        res.update(kappa_q_checks(fx, structure, q, wtilde))
     return res
 
 
-def _kappa_q_checks(
-    w: Operator, structure: BaseStructure, q: Operator, wtilde: Operator
+def kappa_q_checks(
+    w: Operator | Fixture, structure: BaseStructure, q: Operator, wtilde: Operator
 ) -> dict[str, float]:
     """R_kappa = Q^{-1} kappa(.) Q is a *-anti-homomorphism with
     kappa = T o R_kappa = R_kappa o T, and kappa has the slice formula
     through Wtilde Wtilde*."""
+    fx = as_fixture(w)
     res: dict[str, float] = {}
     kap = structure.kappa
     solver = structure.kappa_solver
     qm = q.matrix
-    qinv = np.linalg.inv(qm)
+    qinv = fx.q_data(q).qinv
     leg = structure.nu.algebra.space
 
     def rk(val: Operator) -> Operator:
@@ -612,19 +566,13 @@ def _kappa_q_checks(
     res["kappa_eq_T_Rkappa"] = tr_res
     res["kappa_eq_Rkappa_T"] = rt_res
     # slice formula: kappa(b_omega) = Q (omega^T (x) id)(Wt Wt*) Q^{-1}
-    from .tensor import basis_functionals, slice_op
-
-    e_op = w.adj @ w
-    ww = wtilde @ wtilde.adj
+    ww_slices = transpose_grid(all_left_slices(wtilde @ wtilde.adj))
     slice_form = 0.0
-    for f in basis_functionals(w.space.legs[0]):
-        b = slice_op(e_op, "right", f)
-        val, r, _ = solver.solve(b)
-        if r >= RESIDUAL_TOL:
-            continue
-        y = slice_op(ww, "left", f.transpose)
-        expected = Operator(leg, qm @ y.matrix @ qinv)
-        slice_form = max(slice_form, op_residual(val, expected))
+    for b, y in zip(all_right_slices(fx.e), ww_slices):
+        val, r, _ = solver.solve(Operator(leg, b))
+        if r < RESIDUAL_TOL:
+            expected = Operator(leg, qm @ y @ qinv)
+            slice_form = max(slice_form, op_residual(val, expected))
     res["kappa_wtilde_formula"] = slice_form
     return res
 
@@ -635,54 +583,31 @@ def _kappa_q_checks(
 
 
 def c_star_bases(
-    w: Operator,
+    w: Operator | Fixture,
     a_space: OperatorSubspace,
     ahat_space: OperatorSubspace,
     rtilde: BaseAntiIso | None = None,
 ) -> tuple[OperatorSubspace, OperatorSubspace, dict[str, float]]:
-    """B and C (slice spans of E) with the multiplier memberships of the
-    base elements against A and A-hat, E as a multiplier of B (x) C, and
-    the restricted anti-isomorphism's range."""
-    leg_sp = TensorSpace((w.space.legs[0],))
-    e_op = w.adj @ w
-    g_op = w @ w.adj
-    b_sub = _slice_span(leg_sp, all_right_slices(e_op))
-    c_sub = _slice_span(leg_sp, all_left_slices(e_op))
-    bhat_sub = _slice_span(leg_sp, all_left_slices(g_op))
-    chat_sub = _slice_span(leg_sp, all_right_slices(g_op))
-    res: dict[str, float] = {}
-    res["b_x_in_A"] = max(
-        a_space.contains(b @ x)[1] for b in b_sub.basis for x in a_space.basis
-    )
-    res["y_bhat_in_Ahat"] = max(
-        ahat_space.contains(y @ bh)[1] for bh in bhat_sub.basis for y in ahat_space.basis
-    )
-    res["x_c_in_A"] = max(
-        a_space.contains(x @ c)[1] for c in c_sub.basis for x in a_space.basis
-    )
-    res["c_y_in_Ahat"] = max(
-        ahat_space.contains(c @ y)[1] for c in c_sub.basis for y in ahat_space.basis
-    )
-    res["x_chat_in_A"] = max(
-        a_space.contains(x @ ch)[1] for ch in chat_sub.basis for x in a_space.basis
-    )
-    res["chat_y_in_Ahat"] = max(
-        ahat_space.contains(ch @ y)[1] for ch in chat_sub.basis for y in ahat_space.basis
-    )
+    """B = N and C = L (with B-hat = N-hat, C-hat = L-hat), the multiplier
+    memberships of the base elements against A and A-hat, E as a
+    multiplier of B (x) C, and the range of Rtilde's unprojected images."""
+    fx = as_fixture(w)
+    e_op = fx.e
+    b_sub, c_sub, bhat_sub, chat_sub = fx.N, fx.L, fx.dual.N, fx.dual.L
+    a, ahat = a_space, ahat_space
     bc = tensor_subspace(b_sub, c_sub)
-    res["E_mult_BC_left"] = max(
-        bc.contains(e_op @ kron(x, y))[1] for x in b_sub.basis for y in c_sub.basis
-    )
-    res["E_mult_BC_right"] = max(
-        bc.contains(kron(x, y) @ e_op)[1] for x in b_sub.basis for y in c_sub.basis
-    )
+    pairs = [kron(x, y) for x in b_sub.basis for y in c_sub.basis]
+    res = {
+        "b_x_in_A": a.products_residual(b_sub.basis, a.basis),
+        "y_bhat_in_Ahat": ahat.products_residual(ahat.basis, bhat_sub.basis),
+        "x_c_in_A": a.products_residual(a.basis, c_sub.basis),
+        "c_y_in_Ahat": ahat.products_residual(c_sub.basis, ahat.basis),
+        "x_chat_in_A": a.products_residual(a.basis, chat_sub.basis),
+        "chat_y_in_Ahat": ahat.products_residual(chat_sub.basis, ahat.basis),
+        "E_mult_BC_left": bc.products_residual([e_op], pairs),
+        "E_mult_BC_right": bc.products_residual(pairs, [e_op]),
+    }
     if rtilde is not None:
-        res["R_onto_C"] = max(
-            c_sub.contains(rtilde.apply(b))[1] for b in b_sub.basis
-        )
-        images = span_matrices(
-            leg_sp, np.array([rtilde.apply(b).matrix.ravel() for b in b_sub.basis])
-        )
-        _, r = images.equals(c_sub)
-        res["R_range_covers_C"] = r
+        res["R_onto_C"] = rtilde.membership_residual
+        res["R_range_covers_C"] = rtilde.image_span.equals(c_sub)[1]
     return b_sub, c_sub, res

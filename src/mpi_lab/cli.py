@@ -30,16 +30,19 @@ class InputError(Exception):
     pass
 
 
-def load_operator(path: str) -> Operator:
-    """Parse and validate an operator file."""
+def _read_json(path: str, kind: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {kind}{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}") from exc
-    return operator_from_dict(data, origin=path)
+        raise InputError(f"malformed JSON in {kind}{path}: {exc}") from exc
+
+
+def load_operator(path: str) -> Operator:
+    """Parse and validate an operator file."""
+    return operator_from_dict(_read_json(path, ""), origin=path)
 
 
 def operator_from_dict(data: dict, origin: str = "<data>") -> Operator:
@@ -102,11 +105,7 @@ def save_operator(op: Operator, path: str) -> None:
 def load_groupoid_spec(path: str) -> cp.GroupoidSpec:
     """Groupoid JSON: units, arrows [[id, source, target], ...],
     compose [[g, h, gh], ...], inverse {g: g^{-1}}."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read groupoid spec {path}: {exc}") from exc
+    data = _read_json(path, "groupoid spec ")
     try:
         compose = {(g, h): gh for g, h, gh in data["compose"]}
         return cp.GroupoidSpec(
@@ -120,11 +119,7 @@ def load_groupoid_spec(path: str) -> cp.GroupoidSpec:
 
 
 def load_group_table(path: str) -> list[list[int]]:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read group table {path}: {exc}") from exc
+    data = _read_json(path, "group table ")
     if not isinstance(data, list):
         raise InputError(f"{path}: expected a list of rows")
     return data
@@ -155,12 +150,7 @@ def cmd_check(args) -> int:
     q = load_operator(args.q) if args.q else None
     tol = args.tol if args.tol is not None else _default_tol()
     rep = run_suite(
-        w,
-        q=q,
-        level=args.level,
-        tol=tol,
-        seed=args.seed,
-        fixture_id=os.path.basename(args.operator),
+        w, q=q, level=args.level, tol=tol, fixture_id=os.path.basename(args.operator)
     )
     if args.report == "json":
         _emit(rep.to_json(include_timings=args.timings), args.out)
@@ -216,11 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=["axioms", "coalgebra", "base", "manageability", "antipode", "all"],
     )
-    p_check.add_argument("--tol", type=float, default=None)
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--report", default="text", choices=["json", "text"])
-    p_check.add_argument("--out", default=None)
-    p_check.add_argument("--timings", action="store_true", help="include wall times in JSON")
     p_check.set_defaults(func=cmd_check)
 
     p_gen = sub.add_parser("gen", help="generate a fixture operator file")
@@ -232,12 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run the built-in corpus")
     p_suite.add_argument("--corpus", action="store_true")
-    p_suite.add_argument("--tol", type=float, default=None)
     p_suite.add_argument("--seed", type=int, default=0)
-    p_suite.add_argument("--report", default="text", choices=["json", "text"])
-    p_suite.add_argument("--out", default=None)
-    p_suite.add_argument("--timings", action="store_true")
     p_suite.set_defaults(func=cmd_suite)
+    for p in (p_check, p_suite):
+        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--report", default="text", choices=["json", "text"])
+        p.add_argument("--out", default=None)
+        p.add_argument("--timings", action="store_true", help="include wall times in JSON")
     return parser
 
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import three_leg_space, what
+from .context import Fixture, as_fixture, three_leg_space, what
 from .tensor import (
-    RANK_TOL,
     RESIDUAL_TOL,
     Operator,
     OperatorSubspace,
@@ -29,11 +28,14 @@ from .tensor import (
     identity,
     kron,
     kron_stack,
+    leg_word,
+    numerical_rank,
     op_residual,
     rel_residual,
     span_matrices,
     stack_left_slices,
     stack_right_slices,
+    swap_legs,
     tensor_subspace,
 )
 
@@ -66,23 +68,22 @@ def identity_leg(w: Operator) -> Operator:
     return identity(TensorSpace((w.space.legs[0],)))
 
 
-def leg_algebra(w: Operator, side: str = "A") -> LegAlgebra:
+def leg_algebra(w: Operator | Fixture, side: str = "A") -> LegAlgebra:
     """Span of slices of W (or W*) over all basis functionals, with
     unital / star-closed / subalgebra diagnostics."""
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
-    base = w if side in ("A", "Ahat") else w.adj
-    if side in ("A", "Astar"):
-        stack = all_right_slices(base)
-        leg = base.space.legs[0]
-    else:
-        stack = all_left_slices(base)
-        leg = base.space.legs[1]
-    sub = span_matrices(TensorSpace((leg,)), stack.reshape(stack.shape[0], -1))
-    basis = sub.basis
+    fx = as_fixture(w)
+    stack = {
+        "A": fx.right_slices,
+        "Ahat": fx.left_slices,
+        "Astar": all_right_slices(fx.ws),
+        "Ahatstar": all_left_slices(fx.ws),
+    }[side]
+    sub = span_matrices(fx.leg_space, stack.reshape(stack.shape[0], -1))
     _, unit_res = sub.contains(identity(sub.space))
-    star_res = sub.contains_all(b.adj for b in basis)
-    prod_res = max((sub.contains(x @ y)[1] for x in basis for y in basis), default=0.0)
+    star_res = sub.star_residual()
+    prod_res = sub.products_residual(sub.basis, sub.basis)
     return LegAlgebra(
         side=side,
         space=sub,
@@ -94,17 +95,17 @@ def leg_algebra(w: Operator, side: str = "A") -> LegAlgebra:
     )
 
 
-def comul(w: Operator, x: Operator, side: str = "primal") -> Operator:
-    """Delta(x) = W*(1 (x) x)W, or the dual Sigma W(x (x) 1)W* Sigma."""
-    if x.space.nlegs != 1 or x.space.legs[0] != w.space.legs[0]:
+def comul(w: Operator | Fixture, x: Operator, side: str = "primal") -> Operator:
+    """Delta(x) = W*(1 (x) x)W, or the dual
+    Delta-hat(x) = W-hat*(1 (x) x)W-hat = Sigma W(x (x) 1)W* Sigma."""
+    fx = as_fixture(w)
+    if x.space.nlegs != 1 or x.space.legs[0] != fx.w.space.legs[0]:
         raise ValueError("x must be a single-leg operator matching W's legs")
-    one = identity(x.space)
-    if side == "primal":
-        return w.adj @ kron(one, x) @ w
+    if side not in ("primal", "dual"):
+        raise ValueError("side must be 'primal' or 'dual'")
     if side == "dual":
-        wh = what(w)
-        return wh.adj @ kron(one, x) @ wh
-    raise ValueError("side must be 'primal' or 'dual'")
+        fx = fx.dual
+    return fx.ws @ kron(identity(x.space), x) @ fx.w
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +211,10 @@ def check_coassociativity(w: Operator, sample=None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _comul_stack(w: Operator, xs: np.ndarray) -> np.ndarray:
+def _comul_stack(fx: Fixture, xs: np.ndarray) -> np.ndarray:
     """Delta applied to a stack of single-leg matrices."""
-    n = w.space.legs[0].dim
-    eye = np.eye(n)[None]
-    sandwiched = kron_stack(eye, xs)
-    return w.matrix.conj().T[None] @ sandwiched @ w.matrix[None]
+    sandwiched = kron_stack(np.eye(fx.n)[None], xs)
+    return fx.ws.matrix[None] @ sandwiched @ fx.w.matrix[None]
 
 
 def _basis_stack(sub: OperatorSubspace) -> np.ndarray:
@@ -231,58 +230,51 @@ def _max_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
 
 
 def check_canonical_idempotent(
-    w: Operator, alg: LegAlgebra | None = None, alg_hat: LegAlgebra | None = None
+    w: Operator | Fixture,
+    alg: LegAlgebra | None = None,
+    alg_hat: LegAlgebra | None = None,
 ) -> CoalgebraReport:
     """E = Delta(1), commuting legs of E, multiplier membership of E,
     Delta a *-homomorphism, and the leg commutation identities."""
-    e_op = w.adj @ w
-    g_op = w @ w.adj
-    e = e_op.matrix
-    n = w.space.legs[0].dim
+    fx = as_fixture(w)
+    w, e, g = fx.w, fx.e.matrix, fx.g.matrix
+    n = fx.n
     eye = np.eye(n)
     res: dict[str, float] = {}
 
-    res["E_eq_comul_unit"] = rel_residual(comul(w, identity_leg(w), "primal").matrix, e)
+    res["E_eq_comul_unit"] = rel_residual(comul(fx, identity_leg(w), "primal").matrix, e)
 
     e1 = np.kron(e, eye)
     e2 = np.kron(eye, e)
     res["E_legs_commute"] = rel_residual(e1 @ e2, e2 @ e1)
     # (E (x) 1)(1 (x) E) also equals (W23 W12)* (W23 W12); the reversed
     # product form fails for non-full fixtures, so only this one is checked
-    amb = three_leg_space(w)
-    form = chain(amb, (w.adj, [1, 2]), (w.adj, [2, 3]), (w, [2, 3]), (w, [1, 2]))
+    form = leg_word(fx.three_leg, {"W": w, "W*": fx.ws}, "W*12 W*23 W23 W12")
     res["E_legs_product_form"] = rel_residual(e1 @ e2, form.matrix)
 
-    alg = alg or leg_algebra(w, "A")
-    alg_hat = alg_hat or leg_algebra(w, "Ahat")
+    alg = alg or fx.A
+    alg_hat = alg_hat or fx.Ahat
     bst = _basis_stack(alg.space)
     hat_bst = _basis_stack(alg_hat.space)
     m = bst.shape[0]
     a2 = tensor_subspace(alg.space, alg.space)
 
-    deltas = _comul_stack(w, bst)
-    adj_deltas = _comul_stack(w, np.conj(np.transpose(bst, (0, 2, 1))))
+    deltas = _comul_stack(fx, bst)
+    adj_deltas = _comul_stack(fx, np.conj(np.transpose(bst, (0, 2, 1))))
     res["delta_star_map"] = _max_gap(
         adj_deltas, np.conj(np.transpose(deltas, (0, 2, 1)))
     )
     prods = (bst[:, None] @ bst[None]).reshape(m * m, n, n)
-    delta_prods = _comul_stack(w, prods)
+    delta_prods = _comul_stack(fx, prods)
     pairwise = (deltas[:, None] @ deltas[None]).reshape(m * m, n * n, n * n)
     res["delta_homomorphism"] = _max_gap(delta_prods, pairwise)
 
     pairs = kron_stack(bst, bst)
     left = e[None] @ pairs
     right = pairs @ e[None]
-    res["E_multiplier"] = float(
-        max(
-            np.max(a2.residuals_of_stack(left), initial=0.0),
-            np.max(a2.residuals_of_stack(right), initial=0.0),
-        )
-    )
+    res["E_multiplier"] = max(a2.stack_residual(left), a2.stack_residual(right))
     one_a = kron_stack(eye[None], bst)
-    res["commute_G_with_1A"] = _max_gap(
-        one_a @ g_op.matrix[None], g_op.matrix[None] @ one_a
-    )
+    res["commute_G_with_1A"] = _max_gap(one_a @ g[None], g[None] @ one_a)
     ahat_one = kron_stack(hat_bst, eye[None])
     res["commute_E_with_Ahat1"] = _max_gap(ahat_one @ e[None], e[None] @ ahat_one)
     res["product_stability_A"] = alg.product_residual
@@ -292,22 +284,22 @@ def check_canonical_idempotent(
 
 
 def check_delta_range_and_density(
-    w: Operator, alg: LegAlgebra | None = None
+    w: Operator | Fixture, alg: LegAlgebra | None = None
 ) -> CoalgebraReport:
     """Span equality Delta(A)(A (x) A) = E(A (x) A), the four multiplier
     memberships, and the four density spans against dim A."""
-    alg = alg or leg_algebra(w, "A")
-    sub = alg.space
+    fx = as_fixture(w)
+    sub = (alg or fx.A).space
     bst = _basis_stack(sub)
     m = bst.shape[0]
-    n = w.space.legs[0].dim
+    n = fx.n
     a2 = tensor_subspace(sub, sub)
-    e = (w.adj @ w).matrix
+    e = fx.e.matrix
     eye = np.eye(n)[None]
     res: dict[str, float] = {}
     dims: dict[str, int] = {"A": sub.dim}
 
-    deltas = _comul_stack(w, bst)
+    deltas = _comul_stack(fx, bst)
     pairs = kron_stack(bst, bst)
     a_one = kron_stack(bst, eye)  # a (x) 1
     one_a = kron_stack(eye, bst)  # 1 (x) a
@@ -316,18 +308,16 @@ def check_delta_range_and_density(
     fam2 = (deltas[:, None] @ one_a[None]).reshape(m * m, n * n, n * n)
     fam3 = (deltas[:, None] @ a_one[None]).reshape(m * m, n * n, n * n)
     fam4 = (one_a[:, None] @ deltas[None]).reshape(m * m, n * n, n * n)
-    res["mult_a1_deltab"] = float(np.max(a2.residuals_of_stack(fam1), initial=0.0))
-    res["mult_deltaa_1b"] = float(np.max(a2.residuals_of_stack(fam2), initial=0.0))
-    res["mult_deltaa_b1"] = float(np.max(a2.residuals_of_stack(fam3), initial=0.0))
-    res["mult_1a_deltab"] = float(np.max(a2.residuals_of_stack(fam4), initial=0.0))
+    res["mult_a1_deltab"] = a2.stack_residual(fam1)
+    res["mult_deltaa_1b"] = a2.stack_residual(fam2)
+    res["mult_deltaa_b1"] = a2.stack_residual(fam3)
+    res["mult_1a_deltab"] = a2.stack_residual(fam4)
 
     # range equality: span{Delta(a)(b (x) c)} = span{E(b (x) c)}
     e_family = e[None] @ pairs
-    e_span = span_matrices(w.space, e_family.reshape(e_family.shape[0], -1))
+    e_span = span_matrices(fx.w.space, e_family.reshape(e_family.shape[0], -1))
     range_members = (deltas[:, None] @ pairs[None]).reshape(-1, n * n, n * n)
-    res["range_in_EA2"] = float(
-        np.max(e_span.residuals_of_stack(range_members), initial=0.0)
-    )
+    res["range_in_EA2"] = e_span.stack_residual(range_members)
     # reverse inclusion, computed in E(A (x) A)-coordinates (the members
     # already lie in that span, so coordinates capture them exactly)
     rev = 0.0
@@ -335,7 +325,7 @@ def check_delta_range_and_density(
     if e_span.dim:
         coords = range_members.reshape(range_members.shape[0], -1) @ e_span.basis_matrix.conj().T
         _, sv, vh = np.linalg.svd(coords, full_matrices=False)
-        range_rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
+        range_rank = numerical_rank(sv)
         proj = vh[:range_rank]
         e_coords = e_family.reshape(e_family.shape[0], -1) @ e_span.basis_matrix.conj().T
         gaps = e_coords - (e_coords @ proj.conj().T) @ proj
@@ -363,10 +353,12 @@ def check_delta_range_and_density(
     return CoalgebraReport(res, dims)
 
 
-def duality_consistency(w: Operator) -> float:
-    """comul(w, x, dual) equals comul(w-hat, x, primal), over a basis."""
-    wh = what(w)
-    sample = leg_algebra(w, "Ahat").space.basis + [identity_leg(w)]
+def duality_consistency(w: Operator | Fixture) -> float:
+    """comul(w, x, dual) against an independent evaluation of
+    Delta-hat(x) = Sigma W(x (x) 1)W* Sigma, over the A-hat basis and 1."""
+    fx = as_fixture(w)
+    one = identity_leg(fx.w)
     return max(
-        op_residual(comul(w, x, "dual"), comul(wh, x, "primal")) for x in sample
+        op_residual(comul(fx, x, "dual"), swap_legs(fx.w @ kron(x, one) @ fx.ws))
+        for x in fx.Ahat.space.basis + [one]
     )

@@ -14,23 +14,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import what
+from .context import Fixture, QData, as_fixture
 from .tensor import (
-    PD_TOL,
     RESIDUAL_TOL,
+    H,
     HBAR,
     LegSpec,
     Operator,
     TensorSpace,
-    chain,
     identity,
+    leg_word,
+    numerical_rank,
     op_residual,
-    pos_power,
     rel_residual,
     slice_op,
     swap_legs,
     transpose_op,
+    vector_functional,
 )
+
+
+# Composability identities as (ambient leg flavors, left word, right word)
+# in the notation of tensor.leg_word, over W, Wt = Wtilde on Hbar (x) H
+# and WT = W^T on Hbar (x) Hbar.
+COMPOSABILITY_WORDS = {
+    "cond3a": ((HBAR, HBAR, H), "Wt13 Wt23 Wt*23", "WT12 WT*12 Wt13"),
+    "cond3b": ((HBAR, H, H), "W23 W*23 Wt13", "Wt13 Wt12 Wt*12"),
+    "hash1": ((HBAR, HBAR, H), "WT12 Wt23 WT*12", "Wt13 Wt23"),
+    "hash2": ((HBAR, HBAR, H), "WT*12 WT12 Wt23", "Wt23 WT*12 WT12"),
+    "hash3": ((HBAR, HBAR, H), "Wt23 WT*12 Wt*23", "WT*12 Wt13"),
+}
+
+
+def _composability(fx: Fixture, wt: Operator, names: tuple[str, ...]) -> dict[str, float]:
+    wtop = transpose_op(fx.w)
+    ops = {"W": fx.w, "W*": fx.ws, "Wt": wt, "Wt*": wt.adj, "WT": wtop, "WT*": wtop.adj}
+    out = {}
+    for name in names:
+        flavors, left, right = COMPOSABILITY_WORDS[name]
+        amb = TensorSpace(tuple(LegSpec(fx.n, f) for f in flavors))
+        out[name] = op_residual(leg_word(amb, ops, left), leg_word(amb, ops, right))
+    return out
 
 
 @dataclass(frozen=True)
@@ -58,34 +82,23 @@ class ManageabilityCertificate:
         }
 
 
-def _check_q(w: Operator, q: Operator, pd_tol: float = PD_TOL) -> None:
-    if q.space.nlegs != 1 or q.space.legs[0] != w.space.legs[0]:
-        raise ValueError("Q must be a single-leg positive operator on W's leg")
-    m = q.matrix
-    if np.linalg.norm(m - m.conj().T) > 1e-10 * max(1.0, np.linalg.norm(m)):
-        raise ValueError("Q must be Hermitian")
-    if np.linalg.eigvalsh(m).min() <= pd_tol:
-        raise ValueError("Q must be positive definite")
-
-
-def build_wtilde(w: Operator, q: Operator) -> Operator:
+def build_wtilde(w: Operator | Fixture, q: Operator) -> Operator:
     """Partial transpose on leg 1 of (1 (x) Q^{-1}) W (1 (x) Q), living
     on Hbar (x) H: the unique bounded solution of the characterizing
     equation in finite dimension."""
-    _check_q(w, q)
-    n = w.space.legs[0].dim
-    qm = q.matrix
-    qinv = np.linalg.inv(qm)
-    x = np.kron(np.eye(n), qinv) @ w.matrix @ np.kron(np.eye(n), qm)
+    fx = as_fixture(w)
+    qinv = fx.q_data(q).qinv
+    n = fx.n
+    x = np.kron(np.eye(n), qinv) @ fx.w.matrix @ np.kron(np.eye(n), q.matrix)
     t = x.reshape(n, n, n, n)
     # Wt_{(a,d),(b,c)} = X_{(b,d),(a,c)}
     wt = np.einsum("bdac->adbc", t).reshape(n * n, n * n)
-    leg = w.space.legs[0]
+    leg = fx.w.space.legs[0]
     sp = TensorSpace((LegSpec(leg.dim, HBAR), leg))
     return Operator(sp, wt)
 
 
-def _grid_residual(w: Operator, q: Operator, wt: Operator, alt: bool) -> float:
+def _grid_residual(w: Operator, qd: QData, wt: Operator, alt: bool) -> float:
     """Max gap of the characterizing pairing over the full basis grid.
 
     alt=False: <W(xi (x) v), eta (x) u> = <Wt(eta- (x) Q^{-1}v), xi- (x) Qu>
@@ -95,8 +108,7 @@ def _grid_residual(w: Operator, q: Operator, wt: Operator, alt: bool) -> float:
     evaluated at once; the left side is just W's entry grid.
     """
     n = w.space.legs[0].dim
-    qm = q.matrix
-    qinv = np.linalg.inv(qm)
+    qm, qinv = qd.q.matrix, qd.qinv
     lhs = w.matrix.reshape(n, n, n, n)  # [eta, u, xi, v]
     t = wt.matrix.reshape(n, n, n, n)
     if not alt:
@@ -107,56 +119,44 @@ def _grid_residual(w: Operator, q: Operator, wt: Operator, alt: bool) -> float:
 
 
 def check_manageability(
-    w: Operator, q: Operator, tol: float = RESIDUAL_TOL
+    w: Operator | Fixture, q: Operator, tol: float = RESIDUAL_TOL
 ) -> ManageabilityCertificate:
     """Build Wtilde and evaluate the full manageability apparatus."""
-    _check_q(w, q)
-    wt = build_wtilde(w, q)
-    n = w.space.legs[0].dim
+    fx = as_fixture(w)
+    qd = fx.q_data(q)
+    wt = build_wtilde(fx, q)
+    w, n = fx.w, fx.n
     qq = np.kron(q.matrix, q.matrix)
     cond1 = rel_residual(w.matrix @ qq, qq @ w.matrix)
-    cond2 = _grid_residual(w, q, wt, alt=False)
-    alt_char = _grid_residual(w, q, wt, alt=True)
+    cond2 = _grid_residual(w, qd, wt, alt=False)
+    alt_char = _grid_residual(w, qd, wt, alt=True)
 
-    leg_h = w.space.legs[0]
-    leg_hb = LegSpec(n, HBAR)
-    wtop = transpose_op(w)  # on Hbar (x) Hbar
-    # cond 3a on Hbar (x) Hbar (x) H
-    amb_a = TensorSpace((leg_hb, leg_hb, leg_h))
-    lhs = chain(amb_a, (wt, [1, 3]), (wt, [2, 3]), (wt.adj, [2, 3]))
-    rhs = chain(amb_a, (wtop, [1, 2]), (wtop.adj, [1, 2]), (wt, [1, 3]))
-    cond3a = op_residual(lhs, rhs)
-    # cond 3b on Hbar (x) H (x) H
-    amb_b = TensorSpace((leg_hb, leg_h, leg_h))
-    lhs = chain(amb_b, (w, [2, 3]), (w.adj, [2, 3]), (wt, [1, 3]))
-    rhs = chain(amb_b, (wt, [1, 3]), (wt, [1, 2]), (wt.adj, [1, 2]))
-    cond3b = op_residual(lhs, rhs)
+    cond3 = _composability(fx, wt, ("cond3a", "cond3b"))
 
     qit_w = 0.0
     qit_wt = 0.0
     for t in (1.0, -1.0, 0.3, -0.3):
-        qt = pos_power(q, 1j * t).matrix
-        qmt = pos_power(q, -1j * t).matrix
+        qt = qd.eig.power(1j * t)
+        qmt = qd.eig.power(-1j * t)
         qq_t = np.kron(qt, qt)
         qq_mt = np.kron(qmt, qmt)
         qit_w = max(qit_w, rel_residual(qq_t @ w.matrix @ qq_mt, w.matrix))
         # ([Q^T]^{-it} (x) Q^{it}) Wt ([Q^T]^{it} (x) Q^{-it}) = Wt
-        qt_t = pos_power(Operator(q.space, q.matrix.T), 1j * t).matrix
-        qt_mt = pos_power(Operator(q.space, q.matrix.T), -1j * t).matrix
+        qt_t = qd.eig_t.power(1j * t)
+        qt_mt = qd.eig_t.power(-1j * t)
         lhs_wt = np.kron(qt_mt, qt) @ wt.matrix @ np.kron(qt_t, qmt)
         qit_wt = max(qit_wt, rel_residual(lhs_wt, wt.matrix))
 
     passed = all(
-        r < tol
-        for r in (cond1, cond2, cond3a, cond3b, alt_char, qit_w, qit_wt)
+        r < tol for r in (cond1, cond2, *cond3.values(), alt_char, qit_w, qit_wt)
     )
     return ManageabilityCertificate(
         q=q,
         wtilde=wt,
         residual_cond1=cond1,
         residual_cond2_grid=cond2,
-        residual_cond3a=cond3a,
-        residual_cond3b=cond3b,
+        residual_cond3a=cond3["cond3a"],
+        residual_cond3b=cond3["cond3b"],
         residual_alt_char=alt_char,
         residual_qit_covariance=qit_w,
         residual_qit_covariance_wtilde=qit_wt,
@@ -165,35 +165,21 @@ def check_manageability(
 
 
 def check_hash_identities(
-    w: Operator, q: Operator, wt: Operator
+    w: Operator | Fixture, q: Operator, wt: Operator
 ) -> dict[str, float]:
     """The three composability identities on Hbar (x) Hbar (x) H and the
     slice/transpose identity over the basis grid."""
-    n = w.space.legs[0].dim
-    leg_h = w.space.legs[0]
-    leg_hb = LegSpec(n, HBAR)
-    wtop = transpose_op(w)
-    amb = TensorSpace((leg_hb, leg_hb, leg_h))
-    res: dict[str, float] = {}
-    lhs = chain(amb, (wtop, [1, 2]), (wt, [2, 3]), (wtop.adj, [1, 2]))
-    rhs = chain(amb, (wt, [1, 3]), (wt, [2, 3]))
-    res["hash1"] = op_residual(lhs, rhs)
-    lhs = chain(amb, (wtop.adj, [1, 2]), (wtop, [1, 2]), (wt, [2, 3]))
-    rhs = chain(amb, (wt, [2, 3]), (wtop.adj, [1, 2]), (wtop, [1, 2]))
-    res["hash2"] = op_residual(lhs, rhs)
-    lhs = chain(amb, (wt, [2, 3]), (wtop.adj, [1, 2]), (wt.adj, [2, 3]))
-    rhs = chain(amb, (wtop.adj, [1, 2]), (wt, [1, 3]))
-    res["hash3"] = op_residual(lhs, rhs)
+    fx = as_fixture(w)
+    w, n = fx.w, fx.n
+    res = _composability(fx, wt, ("hash1", "hash2", "hash3"))
 
     # (id (x) w_{Q^{-1}v, Qu})(Wt) = [(id (x) w_{v,u})(W)]^T over the grid
     qm = q.matrix
-    qinv = np.linalg.inv(qm)
+    qinv = fx.q_data(q).qinv
     eye = np.eye(n)
     worst = 0.0
     for vv in range(n):
         for uu in range(n):
-            from .tensor import vector_functional
-
             f_w = vector_functional(eye[vv], eye[uu])
             f_wt = vector_functional(qinv @ eye[vv], qm @ eye[uu])
             lhs_m = slice_op(wt, "right", f_wt)
@@ -204,24 +190,22 @@ def check_hash_identities(
 
 
 def dual_manageability(
-    w: Operator, q: Operator, wt: Operator
+    w: Operator | Fixture, q: Operator, wt: Operator
 ) -> tuple[ManageabilityCertificate, float]:
     """Certificate for W-hat with the same Q, plus the residual between
     the formula candidate (Sigma Wt* Sigma)^{T (x) T} and the direct
-    construction."""
-    wh = what(w)
-    cert = check_manageability(wh, q)
+    construction (the certificate's Wtilde of W-hat)."""
+    cert = check_manageability(as_fixture(w).dual, q)
     candidate = transpose_op(swap_legs(wt.adj))
-    direct = build_wtilde(wh, q)
-    formula_residual = float(np.linalg.norm(candidate.matrix - direct.matrix))
+    formula_residual = float(np.linalg.norm(candidate.matrix - cert.wtilde.matrix))
     return cert, formula_residual
 
 
-def inclusion_consequences(w: Operator, q: Operator) -> dict[str, float]:
+def inclusion_consequences(w: Operator | Fixture, q: Operator) -> dict[str, float]:
     """(Q (x) Q)E = E(Q (x) Q)E and the same for G, consequences of the
     commutation condition."""
-    e = (w.adj @ w).matrix
-    g = (w @ w.adj).matrix
+    fx = as_fixture(w)
+    e, g = fx.e.matrix, fx.g.matrix
     qq = np.kron(q.matrix, q.matrix)
     return {
         "QQE_consequence": rel_residual(qq @ e, e @ qq @ e),
@@ -229,7 +213,7 @@ def inclusion_consequences(w: Operator, q: Operator) -> dict[str, float]:
     }
 
 
-def suggest_q(w: Operator, max_candidates: int = 8) -> list[Operator]:
+def suggest_q(w: Operator | Fixture, max_candidates: int = 8) -> list[Operator]:
     """Heuristic Q candidates: the identity, plus positive diagonal
     matrices whose log-diagonals solve the commutation constraint.
 
@@ -238,28 +222,18 @@ def suggest_q(w: Operator, max_candidates: int = 8) -> list[Operator]:
     constraint matrix parametrizes all valid diagonal candidates.
     The caller certifies each candidate via check_manageability.
     """
-    n = w.space.legs[0].dim
-    leg_sp = TensorSpace((w.space.legs[0],))
+    fx = as_fixture(w)
+    n = fx.n
+    leg_sp = fx.leg_space
     cands = [identity(leg_sp)]
-    t = w.matrix.reshape(n, n, n, n)
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
-                for l in range(n):
-                    if abs(t[i, k, j, l]) > 1e-12:
-                        row = np.zeros(n)
-                        row[i] += 1.0
-                        row[k] += 1.0
-                        row[j] -= 1.0
-                        row[l] -= 1.0
-                        if np.any(row):
-                            rows.append(row)
-    if rows:
-        a = np.array(rows)
-        _, s, vh = np.linalg.svd(a, full_matrices=True)
-        rank = int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0 else 0
-        null = vh[rank:]
+    # one row e_i + e_k - e_j - e_l per nonzero entry (i, k, j, l)
+    entries = np.argwhere(np.abs(fx.w.matrix.reshape(n, n, n, n)) > 1e-12)
+    eye = np.eye(n)
+    rows = eye[entries[:, 0]] + eye[entries[:, 1]] - eye[entries[:, 2]] - eye[entries[:, 3]]
+    rows = rows[np.any(rows != 0, axis=1)]
+    if rows.size:
+        _, s, vh = np.linalg.svd(rows, full_matrices=True)
+        null = vh[numerical_rank(s) :]
     else:
         null = np.eye(n)
     for row in null:

@@ -1,47 +1,41 @@
 """Suite orchestration: run the check levels in dependency order.
 
-Levels run cumulatively (axioms -> coalgebra -> base -> manageability
--> antipode); a level whose prerequisites failed is skipped with an
-explicit reason.  Statements that hold only under the fullness
-hypothesis (density spans equal A, L = L-hat, the dual weight) are
-emitted as checks only for fixtures whose slice algebras act
-nondegenerately; otherwise their data lands in the report properties.
+``run_suite`` builds one ``Fixture`` context for W and hands it to every
+level, so each shared quantity is computed once per call and nothing
+outlives the call.  Levels run cumulatively (axioms -> coalgebra ->
+base -> manageability -> antipode); each level function adds its own
+entries and skip reasons and returns whether later levels may run.
+Statements that hold only under the fullness hypothesis (density spans
+equal A, L = L-hat, the dual weight) are emitted as checks only for
+fixtures whose slice algebras act nondegenerately; otherwise their data
+lands in the report properties.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
-from .axioms import (
-    DERIVED_IDENTITIES,
-    MPI_AXIOMS,
-    assess_fullness,
-    check_mpi_axioms,
-    projection_residuals,
-    what,
-)
+from .axioms import assess_fullness, check_mpi_axioms, projection_residuals
 from .antipode import check_antipode, check_base_restrictions, check_duality
 from .base_algebra import (
-    BaseStructure,
-    KappaSolver,
-    base_spans,
     c_star_bases,
     check_separability_triple,
-    find_distinguished_weight,
-    gamma_and_rtilde,
-    kappa_map,
+    gamma_kappa_residual,
+    kappa_q_checks,
 )
 from .coalgebra import (
     check_canonical_idempotent,
     check_delta_range_and_density,
     coassociativity_residual,
     duality_consistency,
-    leg_algebra,
 )
+from .context import Fixture
 from .manageability import (
+    ManageabilityCertificate,
     check_hash_identities,
     check_manageability,
     dual_manageability,
@@ -62,202 +56,160 @@ def _levels_upto(level: str) -> tuple[str, ...]:
     return LEVELS[: LEVELS.index(level) + 1]
 
 
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.ms = (time.perf_counter() - self.t0) * 1000.0
+def _timed(fn, *args):
+    """fn(*args) and its wall time in ms."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, (time.perf_counter() - t0) * 1000.0
 
 
-def run_suite(
-    w: Operator,
-    q: Operator | None = None,
-    level: str = "all",
-    tol: float = RESIDUAL_TOL,
-    seed: int = 0,
-    fixture_id: str = "operator",
-) -> CheckReport:
-    """Execute the selected levels on one fixture and build its report."""
-    wanted = _levels_upto(level)
-    rep = CheckReport(fixture_id=fixture_id, tolerance=tol, version=__version__)
+@dataclass
+class _Run:
+    """One run_suite call: the context, the report and what the levels
+    pass on to later ones."""
 
-    # ---- axioms ----------------------------------------------------------
-    with _Timer() as tm:
-        verdict = check_mpi_axioms(w, tol)
-        proj = projection_residuals(w)
-        fullness = assess_fullness(w)
-    rep.add("partial_isometry", verdict.pi_residual, wall_time_ms=tm.ms)
-    for name in MPI_AXIOMS:
-        rep.add(name, verdict.mpi_residuals[name], wall_time_ms=tm.ms)
-    for name in DERIVED_IDENTITIES:
-        rep.add(name, verdict.derived_residuals[name], wall_time_ms=tm.ms)
-    for key, val in proj.items():
-        rep.add(f"projection_{key}", val, tol=1e-10, wall_time_ms=tm.ms)
-    rep.properties["fullness"] = {
-        "literal_right": fullness.literal_right,
-        "literal_left": fullness.literal_left,
-        "nondeg_A_range": fullness.nondeg_A_range,
-        "nondeg_A_kernel": fullness.nondeg_A_kernel,
-        "nondeg_Ahat_range": fullness.nondeg_Ahat_range,
-        "nondeg_Ahat_kernel": fullness.nondeg_Ahat_kernel,
-        "right_slice_rank": fullness.right_slice_rank,
-        "left_slice_rank": fullness.left_slice_rank,
-    }
-    full = (
+    fx: Fixture
+    rep: CheckReport
+    wanted: tuple[str, ...]
+    tol: float
+    q: Operator | None
+    full: bool = False
+    cert: ManageabilityCertificate | None = None
+
+    def add(self, results: dict, ms: float, prefix: str = "", suffix: str = "", **kw):
+        for key, val in results.items():
+            self.rep.add(f"{prefix}{key}{suffix}", val, wall_time_ms=ms, **kw)
+
+    def add_weight(self, check_id: str, fx: Fixture) -> None:
+        """Entry for fx's distinguished weight, passing iff one was found."""
+        nu, ms = _timed(getattr, fx, "nu")
+        self.rep.add(
+            check_id,
+            nu.normalization_residual,
+            tol=1e-10,
+            passed=nu.found,
+            wall_time_ms=ms,
+        )
+
+
+def _axioms(run: _Run) -> bool:
+    fx, rep = run.fx, run.rep
+    verdict, ms = _timed(check_mpi_axioms, fx, run.tol)
+    run.add({"partial_isometry": verdict.pi_residual}, ms)
+    run.add(verdict.mpi_residuals, ms)
+    run.add(verdict.derived_residuals, ms)
+    proj, ms = _timed(projection_residuals, fx)
+    run.add(proj, ms, prefix="projection_", tol=1e-10)
+    fullness = assess_fullness(fx)
+    rep.properties["fullness"] = asdict(fullness)
+    run.full = (
         fullness.nondeg_A_range
         and fullness.nondeg_A_kernel
         and fullness.nondeg_Ahat_range
         and fullness.nondeg_Ahat_kernel
     )
-    rep.properties["nondegenerately_full"] = full
+    rep.properties["nondegenerately_full"] = run.full
     if not verdict.passed:
-        for lv in wanted[1:]:
+        for lv in run.wanted[1:]:
             rep.skip(lv, "multiplicativity axioms failed")
-        return rep
-    if "coalgebra" not in wanted:
-        return rep
+    return verdict.passed
 
-    # ---- coalgebra -------------------------------------------------------
-    alg_a = leg_algebra(w, "A")
-    alg_ahat = leg_algebra(w, "Ahat")
-    rep.properties["A"] = {
-        "dim": alg_a.space.dim,
-        "unital": alg_a.unital,
-        "star_closed": alg_a.star_closed,
-    }
-    rep.properties["Ahat"] = {
-        "dim": alg_ahat.space.dim,
-        "unital": alg_ahat.unital,
-        "star_closed": alg_ahat.star_closed,
-    }
-    for side, ww in (("primal", w), ("dual", what(w))):
-        side_alg = alg_a if side == "primal" else None
-        side_alg_hat = alg_ahat if side == "primal" else None
-        with _Timer() as tm:
-            coassoc = coassociativity_residual(ww)
-        rep.add(f"coassociativity_{side}", coassoc, wall_time_ms=tm.ms)
-        with _Timer() as tm:
-            can = check_canonical_idempotent(ww, side_alg, side_alg_hat)
-        for key, val in can.residuals.items():
-            rep.add(f"{key}_{side}", val, wall_time_ms=tm.ms)
-        with _Timer() as tm:
-            rng_rep = check_delta_range_and_density(ww, side_alg)
-        for key, val in rng_rep.residuals.items():
-            if key.startswith("density_") and not full:
-                continue  # meaningful only under fullness; dims still reported
-            rep.add(f"{key}_{side}", val, wall_time_ms=tm.ms)
-        rep.properties[f"coalgebra_dims_{side}"] = rng_rep.dims
-    with _Timer() as tm:
-        dual_cons = duality_consistency(w)
-    rep.add("comul_duality_consistency", dual_cons, wall_time_ms=tm.ms)
-    if "base" not in wanted:
-        return rep
 
-    # ---- base algebras ---------------------------------------------------
-    with _Timer() as tm:
-        spans = base_spans(w)
+def _coalgebra(run: _Run) -> bool:
+    fx, rep = run.fx, run.rep
+    for name, alg in (("A", fx.A), ("Ahat", fx.Ahat)):
+        rep.properties[name] = {
+            "dim": alg.space.dim,
+            "unital": alg.unital,
+            "star_closed": alg.star_closed,
+        }
+    for side, sfx in (("primal", fx), ("dual", fx.dual)):
+        coassoc, ms = _timed(coassociativity_residual, sfx.w)
+        rep.add(f"coassociativity_{side}", coassoc, wall_time_ms=ms)
+        can, ms = _timed(check_canonical_idempotent, sfx)
+        run.add(can.residuals, ms, suffix=f"_{side}")
+        rng, ms = _timed(check_delta_range_and_density, sfx)
+        # density spans are meaningful only under fullness; dims still reported
+        kept = {
+            k: v
+            for k, v in rng.residuals.items()
+            if run.full or not k.startswith("density_")
+        }
+        run.add(kept, ms, suffix=f"_{side}")
+        rep.properties[f"coalgebra_dims_{side}"] = rng.dims
+    cons, ms = _timed(duality_consistency, fx)
+    rep.add("comul_duality_consistency", cons, wall_time_ms=ms)
+    return True
+
+
+def _base(run: _Run) -> bool:
+    fx, rep = run.fx, run.rep
+    spans, ms = _timed(getattr, fx, "spans")
     rep.properties["base_dims"] = {
         "N": spans.N.dim,
         "L": spans.L.dim,
         "Nhat": spans.Nhat.dim,
         "Lhat": spans.Lhat.dim,
     }
-    rep.add("NL_commutation", spans.commutation_residual, wall_time_ms=tm.ms)
-    rep.add("NhatLhat_commutation", spans.hat_commutation_residual, wall_time_ms=tm.ms)
-    rep.add("E_in_N_tensor_L", spans.E_membership_residual, wall_time_ms=tm.ms)
-    rep.add("Ehat_in_Nhat_tensor_Lhat", spans.Ehat_membership_residual, wall_time_ms=tm.ms)
-    for nm, v in spans.star_residuals.items():
-        rep.add(f"star_closed_{nm}", v, wall_time_ms=tm.ms)
-    for nm, v in spans.product_residuals.items():
-        rep.add(f"subalgebra_{nm}", v, wall_time_ms=tm.ms)
-    if full:
-        rep.add("L_eq_Lhat", spans.L_Lhat_residual, wall_time_ms=tm.ms)
+    run.add(
+        {
+            "NL_commutation": spans.commutation_residual,
+            "NhatLhat_commutation": spans.hat_commutation_residual,
+            "E_in_N_tensor_L": spans.E_membership_residual,
+            "Ehat_in_Nhat_tensor_Lhat": spans.Ehat_membership_residual,
+        },
+        ms,
+    )
+    run.add(spans.star_residuals, ms, prefix="star_closed_")
+    run.add(spans.product_residuals, ms, prefix="subalgebra_")
+    if run.full:
+        rep.add("L_eq_Lhat", spans.L_Lhat_residual, wall_time_ms=ms)
     else:
         rep.properties["L_eq_Lhat_residual"] = spans.L_Lhat_residual
         rep.skip("base", "L = L-hat requires fullness; residual in properties")
-    with _Timer() as tm:
-        solver = KappaSolver(w)
-        kappa = kappa_map(w, spans.N, solver)
-    rep.add("kappa_solves", max(kappa.residuals), tol=1e-10, wall_time_ms=tm.ms)
-    rep.add("kappa_antimultiplicative", kappa.antimultiplicativity, wall_time_ms=tm.ms)
+    kappa, ms = _timed(getattr, fx, "kappa")
+    rep.add("kappa_solves", max(kappa.residuals), tol=1e-10, wall_time_ms=ms)
+    rep.add("kappa_antimultiplicative", kappa.antimultiplicativity, wall_time_ms=ms)
     rep.properties["kappa_nullity"] = kappa.nullity
-    with _Timer() as tm:
-        nu = find_distinguished_weight(w, "N")
-    rep.add(
-        "nu_found",
-        nu.normalization_residual,
-        tol=1e-10,
-        passed=nu.found,
-        wall_time_ms=tm.ms,
-    )
+    run.add_weight("nu_found", fx)
     rep.properties["nu"] = {
-        "min_eigenvalue": nu.min_eigenvalue,
-        "solution_space_dim": nu.solution_space_dim,
+        "min_eigenvalue": fx.nu.min_eigenvalue,
+        "solution_space_dim": fx.nu.solution_space_dim,
     }
-    structure = None
-    if nu.found:
-        try:
-            with _Timer() as tm:
-                gamma_vals, rtilde, mu, gamma_l_vals = gamma_and_rtilde(w, nu, spans.L)
-            structure = BaseStructure(
-                spans, nu, mu, rtilde, gamma_vals, gamma_l_vals, kappa, solver
-            )
-        except ValueError as exc:
-            rep.skip("base", f"anti-isomorphism unavailable: {exc}")
+    structure = fx.structure
+    if structure is None:
+        rep.skip("base", fx.structure_reason)
     else:
-        rep.skip("base", "no distinguished weight at tolerance")
-    if structure is not None:
-        gamma_kappa = max(
-            float(np.linalg.norm(g.matrix - v.matrix))
-            for g, v in zip(structure.gamma_n_values, structure.kappa.values)
-        )
-        rep.add("gamma_N_eq_kappa", gamma_kappa, wall_time_ms=tm.ms)
-        with _Timer() as tm:
-            sep = check_separability_triple(w, structure)
-        for key, val in sep.items():
-            rep.add(key, val, wall_time_ms=tm.ms)
-    else:
-        sep = {}
-    with _Timer() as tm:
-        _, _, bc_res = c_star_bases(
-            w, alg_a.space, alg_ahat.space, structure.rtilde if structure else None
-        )
-    for key, val in bc_res.items():
-        rep.add(f"cstar_{key}", val, wall_time_ms=tm.ms)
-    if full:
-        with _Timer() as tm:
-            nu_hat = find_distinguished_weight(w, "Nhat")
-        rep.add(
-            "nuhat_found",
-            nu_hat.normalization_residual,
-            tol=1e-10,
-            passed=nu_hat.found,
-            wall_time_ms=tm.ms,
-        )
+        gap, ms = _timed(gamma_kappa_residual, structure)
+        rep.add("gamma_N_eq_kappa", gap, wall_time_ms=ms)
+        run.add(*_timed(check_separability_triple, fx, structure))
+    rtilde = structure.rtilde if structure else None
+    (_, _, bc_res), ms = _timed(c_star_bases, fx, fx.A.space, fx.Ahat.space, rtilde)
+    run.add(bc_res, ms, prefix="cstar_")
+    if run.full:
+        run.add_weight("nuhat_found", fx.dual)
     else:
         rep.skip("base", "dual distinguished weight requires fullness")
-    if "manageability" not in wanted:
-        return rep
+    return True
 
-    # ---- manageability ---------------------------------------------------
-    cert = None
-    if q is not None:
-        with _Timer() as tm:
-            cert = check_manageability(w, q, tol)
+
+def _manageability(run: _Run) -> bool:
+    fx, rep = run.fx, run.rep
+    if run.q is not None:
+        cert, ms = _timed(check_manageability, fx, run.q, run.tol)
         rep.properties["q_source"] = "supplied"
     else:
-        with _Timer() as tm:
-            candidates = suggest_q(w)
-            outcomes = []
-            for cand in candidates:
-                c = check_manageability(w, cand, tol)
-                outcomes.append(c.passed)
-                if c.passed:
-                    cert = c
-                    q = cand
-                    break  # later candidates stay untested
+        t0 = time.perf_counter()
+        candidates = suggest_q(fx)
+        outcomes = []
+        cert = None
+        for cand in candidates:
+            c = check_manageability(fx, cand, run.tol)
+            outcomes.append(c.passed)
+            if c.passed:
+                cert = c
+                break  # later candidates stay untested
+        ms = (time.perf_counter() - t0) * 1000.0
         rep.properties["q_source"] = "suggested"
         rep.properties["q_candidates"] = {
             "count": len(candidates),
@@ -267,55 +219,66 @@ def run_suite(
     if cert is None:
         rep.skip("manageability", "no certified Q among candidates")
         rep.skip("antipode", "no certified Q")
-        return rep
-    for key, val in cert.residuals().items():
-        rep.add(f"manageability_{key}", val, wall_time_ms=tm.ms)
-    with _Timer() as tm:
-        hash_res = check_hash_identities(w, q, cert.wtilde)
-    for key, val in hash_res.items():
-        rep.add(key, val, tol=1e-10, wall_time_ms=tm.ms)
-    with _Timer() as tm:
-        dual_cert, formula_gap = dual_manageability(w, q, cert.wtilde)
-    rep.add("dual_certificate", max(dual_cert.residuals().values()), wall_time_ms=tm.ms)
-    rep.add("dual_wtilde_formula", formula_gap, tol=1e-12, wall_time_ms=tm.ms)
-    with _Timer() as tm:
-        cons = inclusion_consequences(w, q)
-    for key, val in cons.items():
-        rep.add(key, val, wall_time_ms=tm.ms)
-    if structure is not None:
-        with _Timer() as tm:
-            sep_q = check_separability_triple(w, structure, q, cert.wtilde)
-        for key, val in sep_q.items():
-            if key not in sep:
-                rep.add(key, val, wall_time_ms=tm.ms)
-    if "antipode" not in wanted:
-        return rep
+        return False
+    run.cert = cert
+    q, wt = cert.q, cert.wtilde
+    run.add(cert.residuals(), ms, prefix="manageability_")
+    hash_res, ms = _timed(check_hash_identities, fx, q, wt)
+    run.add(hash_res, ms, tol=1e-10)
+    (dual_cert, formula_gap), ms = _timed(dual_manageability, fx, q, wt)
+    rep.add("dual_certificate", max(dual_cert.residuals().values()), wall_time_ms=ms)
+    rep.add("dual_wtilde_formula", formula_gap, tol=1e-12, wall_time_ms=ms)
+    run.add(*_timed(inclusion_consequences, fx, q))
+    if fx.structure is not None:
+        run.add(*_timed(kappa_q_checks, fx, fx.structure, q, wt))
+    return True
 
-    # ---- antipode --------------------------------------------------------
+
+def _antipode(run: _Run) -> bool:
+    fx, rep, cert = run.fx, run.rep, run.cert
     if not cert.passed:
         rep.skip("antipode", "manageability certificate failed")
-        return rep
-    if not (alg_a.star_closed and alg_ahat.star_closed):
+        return False
+    if not (fx.A.star_closed and fx.Ahat.star_closed):
         rep.skip(
             "antipode",
             "slice algebras not star-closed (fullness prerequisites unmet)",
         )
-        return rep
-    with _Timer() as tm:
-        ant = check_antipode(w, q, cert.wtilde)
-    for key, val in ant.items():
-        rep.add(f"antipode_{key}", val, wall_time_ms=tm.ms)
-    with _Timer() as tm:
-        dua = check_duality(w, q, cert.wtilde)
-    for key, val in dua.items():
-        rep.add(f"duality_{key}", val, wall_time_ms=tm.ms)
-    if structure is not None:
-        with _Timer() as tm:
-            bres = check_base_restrictions(w, q, structure, cert.wtilde)
-        for key, val in bres.items():
-            rep.add(f"base_restriction_{key}", val, wall_time_ms=tm.ms)
+        return False
+    q, wt = cert.q, cert.wtilde
+    run.add(*_timed(check_antipode, fx, q, wt), prefix="antipode_")
+    run.add(*_timed(check_duality, fx, q, wt), prefix="duality_")
+    if fx.structure is not None:
+        bres, ms = _timed(check_base_restrictions, fx, q, fx.structure, wt)
+        run.add(bres, ms, prefix="base_restriction_")
     else:
         rep.skip("antipode", "base restrictions unavailable without a weight")
+    return True
+
+
+_LEVEL_FUNCTIONS = {
+    "axioms": _axioms,
+    "coalgebra": _coalgebra,
+    "base": _base,
+    "manageability": _manageability,
+    "antipode": _antipode,
+}
+
+
+def run_suite(
+    w: Operator,
+    q: Operator | None = None,
+    level: str = "all",
+    tol: float = RESIDUAL_TOL,
+    fixture_id: str = "operator",
+) -> CheckReport:
+    """Execute the selected levels on one fixture and build its report."""
+    wanted = _levels_upto(level)
+    rep = CheckReport(fixture_id=fixture_id, tolerance=tol, version=__version__)
+    run = _Run(Fixture(w), rep, wanted, tol, q)
+    for lv in wanted:
+        if not _LEVEL_FUNCTIONS[lv](run):
+            break
     return rep
 
 
@@ -355,7 +318,7 @@ def corpus_suite(
     reports = []
     rng = np.random.default_rng(seed)
     for name, w in builtin_corpus().items():
-        reports.append(run_suite(w, level="all", tol=tol, seed=seed, fixture_id=name))
+        reports.append(run_suite(w, level="all", tol=tol, fixture_id=name))
         n = w.space.legs[0].dim
         if n > 4:
             continue
@@ -363,12 +326,6 @@ def corpus_suite(
             u = cp.random_unitary(n, rng)
             wc = cp.conjugate_fixture(w, u)
             reports.append(
-                run_suite(
-                    wc,
-                    level="axioms",
-                    tol=tol,
-                    seed=seed,
-                    fixture_id=f"{name}_conj{k}",
-                )
+                run_suite(wc, level="axioms", tol=tol, fixture_id=f"{name}_conj{k}")
             )
     return reports

@@ -10,8 +10,9 @@ e_i (x) e_k maps to index i*n2 + k, first leg most significant, 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -128,9 +129,6 @@ class Operator:
         """Adjoint (conjugate transpose); flavors unchanged."""
         return Operator(self.space, self.matrix.conj().T)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
     def tensor(self) -> np.ndarray:
         """View of the matrix as a tensor: row legs then column legs."""
         dims = self.space.dims
@@ -180,11 +178,6 @@ class Functional:
     def transpose(self) -> "Functional":
         """w^T on the conjugate leg: w^T(m^T) = w(m); density F^t."""
         return Functional(self.leg.conjugate, self.density.T)
-
-    @property
-    def conjugate(self) -> "Functional":
-        """w-bar(T) = conj(w(T*)); density F*."""
-        return Functional(self.leg, self.density.conj().T)
 
 
 def vector_functional(a: np.ndarray, b: np.ndarray, flavor: str = H) -> Functional:
@@ -337,6 +330,14 @@ def embedded_mul(
     raise ValueError("side must be 'left' or 'right'")
 
 
+def leg_word(ambient: TensorSpace, ops: dict[str, Operator], word: str) -> Operator:
+    """The product of a word of embedded operators, leftmost first.  Each
+    factor is a name from ``ops`` followed by the two ambient legs it
+    acts on: with ops {"W": w, "W*": w.adj}, "W23 W*12" is W_23 W*_12."""
+    factors = [(ops[f[:-2]], [int(f[-2]), int(f[-1])]) for f in word.split()]
+    return chain(ambient, *factors)
+
+
 def chain(ambient: TensorSpace, *factors: tuple[Operator, Sequence[int]]) -> Operator:
     """Product of embedded operators, right-to-left: chain(sp, (A,[1,2]), (B,[2,3]))
     is embed(A,[1,2]) @ embed(B,[2,3])."""
@@ -357,18 +358,24 @@ def slice_op(x: Operator, side: str, w: Functional) -> Operator:
     """
     if x.space.nlegs != 2:
         raise LegMismatchError("slice_op needs a two-leg operator")
-    t = x.tensor()
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    sliced, kept = (1, 0) if side == "right" else (0, 1)
+    if w.leg != x.space.legs[sliced]:
+        raise LegMismatchError(f"functional leg does not match leg {sliced + 1}")
+    out = slice_matrix(x.matrix, *x.space.dims, side, w.density)
+    return Operator(TensorSpace((x.space.legs[kept],)), out)
+
+
+def slice_matrix(
+    m: np.ndarray, n1: int, n2: int, side: str, density: np.ndarray
+) -> np.ndarray:
+    """slice_op on a raw two-leg matrix: (id (x) w)(m) for side='right',
+    (w (x) id)(m) for side='left', with w the functional of ``density``."""
+    t = m.reshape(n1, n2, n1, n2)
     if side == "right":
-        if w.leg != x.space.legs[1]:
-            raise LegMismatchError("functional leg does not match leg 2")
-        out = np.einsum("ikjl,lk->ij", t, w.density)
-        return Operator(TensorSpace((x.space.legs[0],)), out)
-    elif side == "left":
-        if w.leg != x.space.legs[0]:
-            raise LegMismatchError("functional leg does not match leg 1")
-        out = np.einsum("ikjl,ji->kl", t, w.density)
-        return Operator(TensorSpace((x.space.legs[1],)), out)
-    raise ValueError("side must be 'left' or 'right'")
+        return np.einsum("ikjl,lk->ij", t, density)
+    return np.einsum("ikjl,ji->kl", t, density)
 
 
 def kron_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -401,31 +408,54 @@ def all_right_slices(x: Operator) -> np.ndarray:
 
     Row order matches basis_functionals: index a*n2 + b.
     """
-    t = x.tensor()
-    n1 = x.space.legs[0].dim
-    s = np.einsum("ibja->abij", t)
-    return s.reshape(-1, n1, n1)
+    return stack_right_slices(x.matrix[None], *x.space.dims)[0]
 
 
 def all_left_slices(x: Operator) -> np.ndarray:
     """Stack of (w_{e_a,e_b} (x) id)(X) over all (a, b), shape (n1^2, n2, n2)."""
-    t = x.tensor()
-    n2 = x.space.legs[1].dim
-    s = np.einsum("bkal->abkl", t)
-    return s.reshape(-1, n2, n2)
+    return stack_left_slices(x.matrix[None], *x.space.dims)[0]
+
+
+class PositiveEig:
+    """Eigendecomposition of a Hermitian positive-definite matrix, taken
+    once; ``power(z)`` is p^z, memoized per exponent."""
+
+    def __init__(self, m: np.ndarray, pd_tol: float = PD_TOL, name: str = "operator"):
+        if np.linalg.norm(m - m.conj().T) > 1e-10 * max(1.0, np.linalg.norm(m)):
+            raise ValueError(f"{name} must be Hermitian")
+        self.vals, self.vecs = np.linalg.eigh(m)
+        if self.vals.min() <= pd_tol:
+            raise ValueError(
+                f"{name} must be positive definite (min eig {self.vals.min():.3e})"
+            )
+        self._powers: dict[complex, np.ndarray] = {}
+
+    def power(self, z: complex) -> np.ndarray:
+        if z not in self._powers:
+            v = self.vecs
+            p = v @ np.diag(np.exp(z * np.log(self.vals))) @ v.conj().T
+            p.setflags(write=False)
+            self._powers[z] = p
+        return self._powers[z]
+
+
+def transpose_grid(stack: np.ndarray) -> np.ndarray:
+    """Reorder a stack over the functionals w_{e_a,e_b} (index a*n + b,
+    as in basis_functionals) to the transposed functionals w_{e_b,e_a}."""
+    n = int(round(np.sqrt(stack.shape[0])))
+    return stack.reshape(n, n, *stack.shape[1:]).swapaxes(0, 1).reshape(stack.shape)
 
 
 def pos_power(p: Operator, z: complex, pd_tol: float = PD_TOL) -> Operator:
     """p^z for Hermitian positive-definite p, via eigendecomposition."""
-    m = p.matrix
-    herm_gap = np.linalg.norm(m - m.conj().T)
-    if herm_gap > 1e-10 * max(1.0, np.linalg.norm(m)):
-        raise ValueError("pos_power requires a Hermitian operator")
-    vals, vecs = np.linalg.eigh(m)
-    if vals.min() <= pd_tol:
-        raise ValueError(f"operator not positive definite (min eig {vals.min():.3e})")
-    powered = vecs @ np.diag(np.exp(z * np.log(vals))) @ vecs.conj().T
-    return Operator(p.space, powered)
+    return Operator(p.space, PositiveEig(p.matrix, pd_tol).power(z))
+
+
+def numerical_rank(s: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+    """Number of singular values (descending) above rank_tol * s[0]."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > rank_tol * s[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +469,6 @@ class OperatorSubspace:
 
     space: TensorSpace
     basis_matrix: np.ndarray  # (dim, D*D), rows are vec'd basis elements
-    singular_values: np.ndarray = field(default_factory=lambda: np.array([]))
 
     def __post_init__(self):
         object.__setattr__(self, "_basis_conj_t", self.basis_matrix.conj().T)
@@ -448,7 +477,7 @@ class OperatorSubspace:
     def dim(self) -> int:
         return self.basis_matrix.shape[0]
 
-    @property
+    @cached_property
     def basis(self) -> list[Operator]:
         d = self.space.total_dim
         return [Operator(self.space, row.reshape(d, d)) for row in self.basis_matrix]
@@ -458,11 +487,6 @@ class OperatorSubspace:
         if x.space != self.space:
             raise LegMismatchError("operator lives on a different space")
         return x.matrix.ravel() @ self._basis_conj_t
-
-    def project(self, x: Operator) -> Operator:
-        c = self.coefficients(x)
-        d = self.space.total_dim
-        return Operator(self.space, (c @ self.basis_matrix).reshape(d, d))
 
     def contains(self, x: Operator) -> tuple[bool, float]:
         """Membership test: residual of the orthogonal projection."""
@@ -478,8 +502,17 @@ class OperatorSubspace:
         """Max membership residual over a family."""
         return max((self.contains(x)[1] for x in ops), default=0.0)
 
-    def residuals_of_stack(self, stack: np.ndarray) -> np.ndarray:
-        """Membership residuals for a stack of operators, one GEMM.
+    def star_residual(self) -> float:
+        """Closure under adjoints: max membership residual of b*."""
+        return self.contains_all(b.adj for b in self.basis)
+
+    def products_residual(self, lefts, rights) -> float:
+        """Max membership residual of the products x y, x in lefts, y in
+        rights; (basis, basis) tests closure under products."""
+        return self.contains_all(x @ y for x in lefts for y in rights)
+
+    def stack_residual(self, stack: np.ndarray) -> float:
+        """Max membership residual over a stack of operators, one GEMM.
 
         ``stack`` has shape (K, D, D) or (K, D*D); rows are tested
         against the span exactly like ``contains``.
@@ -488,7 +521,7 @@ class OperatorSubspace:
         coeff = flat @ self._basis_conj_t
         gaps = np.linalg.norm(flat - coeff @ self.basis_matrix, axis=1)
         scales = np.maximum(1.0, np.linalg.norm(flat, axis=1))
-        return gaps / scales
+        return float(np.max(gaps / scales, initial=0.0))
 
     def equals(self, other: "OperatorSubspace") -> tuple[bool, float]:
         """Two-sided span inclusion, max residual over both directions."""
@@ -519,12 +552,8 @@ def span_matrices(
 ) -> OperatorSubspace:
     """span() on an already-vectorized stack, one row per operator."""
     stack = stack.reshape(stack.shape[0], -1)
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > rank_tol * s[0]))
-    return OperatorSubspace(sp, np.ascontiguousarray(vh[:rank]), s[:rank])
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    return OperatorSubspace(sp, np.ascontiguousarray(vh[: numerical_rank(s, rank_tol)]))
 
 
 def tensor_subspace(a: OperatorSubspace, b: OperatorSubspace) -> OperatorSubspace:
@@ -535,31 +564,47 @@ def tensor_subspace(a: OperatorSubspace, b: OperatorSubspace) -> OperatorSubspac
     """
     sp = TensorSpace(a.space.legs + b.space.legs)
     da, db = a.space.total_dim, b.space.total_dim
-    rows = []
-    for x in a.basis_matrix:
-        xm = x.reshape(da, da)
-        for y in b.basis_matrix:
-            rows.append(np.kron(xm, y.reshape(db, db)).ravel())
-    return OperatorSubspace(sp, np.array(rows), np.ones(len(rows)))
+    xs = a.basis_matrix.reshape(a.dim, da, da)
+    ys = b.basis_matrix.reshape(b.dim, db, db)
+    return OperatorSubspace(sp, kron_stack(xs, ys).reshape(a.dim * b.dim, -1))
+
+
+def antimultiplicativity(f: Callable[[Operator], Operator], basis) -> float:
+    """Max residual of f(x y) = f(y) f(x) over basis pairs."""
+    return max(
+        (op_residual(f(x @ y), f(y) @ f(x)) for x in basis for y in basis),
+        default=0.0,
+    )
+
+
+def star_preservation(f: Callable[[Operator], Operator], basis) -> float:
+    """Max residual of f(x*) = f(x)* over a basis."""
+    return max((op_residual(f(x.adj), f(x).adj) for x in basis), default=0.0)
+
+
+class LstsqSolver:
+    """Minimum-norm least-squares solver for a fixed map A: the SVD is
+    taken once, each solve is two small products.  ``nullity`` is the
+    dimension of the kernel of A at the rank cutoff."""
+
+    def __init__(self, map_matrix: np.ndarray, rank_tol: float = RANK_TOL):
+        self.a = np.asarray(map_matrix, dtype=complex)
+        u, s, vh = np.linalg.svd(self.a, full_matrices=False)
+        rank = numerical_rank(s, rank_tol)
+        self._u, self._s, self._vh = u[:, :rank], s[:rank], vh[:rank]
+        self.nullity = self.a.shape[1] - rank
+
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """(solution x, residual ||Ax - b||) for a vector b, or column by
+        column for a matrix b (Frobenius residual)."""
+        b = np.asarray(rhs, dtype=complex)
+        x = self._vh.conj().T @ ((self._u.conj().T @ b).T / self._s).T
+        return x, float(np.linalg.norm(self.a @ x - b))
 
 
 def lsq_solve(
     map_matrix: np.ndarray, rhs: np.ndarray, rank_tol: float = RANK_TOL
 ) -> tuple[np.ndarray, float, int]:
-    """Minimum-norm least-squares solve via SVD.
-
-    Returns (solution, residual ||Ax - b||_2, nullity) where nullity is
-    the dimension of the kernel of the map at the rank cutoff.
-    """
-    a = np.asarray(map_matrix, dtype=complex)
-    b = np.asarray(rhs, dtype=complex).ravel()
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > rank_tol * s[0]))
-    ur, sr, vr = u[:, :rank], s[:rank], vh[:rank]
-    x = vr.conj().T @ ((ur.conj().T @ b) / sr) if rank else np.zeros(a.shape[1], complex)
-    residual = float(np.linalg.norm(a @ x - b))
-    nullity = a.shape[1] - rank
-    return x, residual, nullity
+    """Minimum-norm least-squares solve: (solution, residual, nullity)."""
+    solver = LstsqSolver(map_matrix, rank_tol)
+    return *solver.solve(np.ravel(rhs)), solver.nullity

@@ -188,6 +188,37 @@ class TestDualAntipode:
                 assert np.linalg.norm(lhs.matrix - rhs.matrix) < 1e-10
 
 
+class TestAssemblyFromSliceStacks:
+    # the maps are assembled from the context's slice stacks; the
+    # per-functional slice_op pairs are the reference
+    @pytest.mark.parametrize("name", ["example", "group_z3", "pair_groupoid_2"])
+    def test_matches_per_functional_pairs(self, corpus_fixtures, name):
+        from mpi_lab.antipode import assemble_map
+        from mpi_lab.tensor import slice_op, transpose_op
+
+        w = corpus_fixtures[name]
+        n = w.space.legs[0].dim
+        wt = build_wtilde(w, Operator(space(n), np.diag(np.arange(1.0, n + 1))))
+        fs = basis_functionals(w.space.legs[0])
+        right = [(slice_op(w, "right", f), slice_op(w.adj, "right", f)) for f in fs]
+        left = [(slice_op(w.adj, "left", f), slice_op(w, "left", f)) for f in fs]
+        ra = [(b, transpose_op(slice_op(wt, "right", f))) for (_, b), f in zip(right, fs)]
+        rahat = [(y, slice_op(wt.adj, "left", f.transpose)) for (_, y), f in zip(left, fs)]
+        shat, shat_inv, rahat_map = dual_antipode_maps(w, wt)
+        for got, pairs in (
+            (antipode_map(w), right),
+            (unitary_antipode_map(w, wt), ra),
+            (shat, left),
+            (shat_inv, [(b, a) for a, b in left]),
+            (rahat_map, rahat),
+        ):
+            want = assemble_map(pairs)
+            np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(
+                got.domain.basis_matrix, want.domain.basis_matrix, rtol=0, atol=1e-14
+            )
+
+
 class TestWellDefinedness:
     def test_zero_nullity_on_certified(self, corpus_fixtures):
         for name, w in corpus_fixtures.items():

@@ -110,6 +110,29 @@ class TestKappa:
             x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
             np.testing.assert_allclose(val.matrix, x.reshape(n, n), atol=1e-9)
 
+    def test_factored_solver_matches_dense_map(self):
+        # reference: the dense n^4 x n^2 map x -> E(1 (x) x) built column by
+        # column, for a rank-deficient E (W = e11 (x) e11, nullity 2)
+        from mpi_lab.base_algebra import KappaSolver
+        from mpi_lab.tensor import lsq_solve
+
+        w = Operator(space(2, 2), np.kron(unit(2, 1, 1).matrix, unit(2, 1, 1).matrix))
+        e = (w.adj @ w).matrix
+        n = 2
+        cols = []
+        for m in range(n):
+            for l in range(n):
+                cols.append((e @ np.kron(np.eye(n), unit(n, m + 1, l + 1).matrix)).ravel())
+        dense = np.array(cols).T
+        solver = KappaSolver(w)
+        for b in (unit(2, 1, 1), unit(2, 1, 2), identity(space(2))):
+            val, res, nullity = solver.solve(b)
+            rhs = (e @ np.kron(b.matrix, np.eye(n))).ravel()
+            x, res_dense, null_dense = lsq_solve(dense, rhs)
+            np.testing.assert_allclose(val.matrix, x.reshape(n, n), atol=1e-14)
+            assert abs(res - res_dense) < 1e-14
+            assert nullity == null_dense == 2
+
     def test_antimultiplicative_on_corpus(self, corpus_fixtures):
         for name, w in corpus_fixtures.items():
             if w.space.legs[0].dim > 4:
@@ -269,6 +292,22 @@ class TestCStarBases:
             ahat_alg = leg_algebra(w, "Ahat")
             _, _, res = c_star_bases(w, a_alg.space, ahat_alg.space, st.rtilde)
             assert max(res.values()) < 1e-9, (name, res)
+
+    def test_r_onto_c_sees_images_off_l(self, w_z3, monkeypatch):
+        # Push every gamma_N image off L = span{1} by an off-diagonal unit.
+        # Rtilde's coordinates on L do not change, so only the unprojected
+        # images can show that Rtilde does not land in C = L.
+        import mpi_lab.base_algebra as ba
+        from mpi_lab.runner import run_suite
+
+        original = ba.gamma_n_apply
+        off_l = unit(3, 1, 2)
+        monkeypatch.setattr(
+            ba, "gamma_n_apply", lambda w, nu, b: original(w, nu, b) + off_l
+        )
+        entries = {e.check_id: e for e in run_suite(w_z3, level="base").entries}
+        assert not entries["cstar_R_onto_C"].passed
+        assert not entries["cstar_R_range_covers_C"].passed
 
     def test_b_bhat_isomorphic_dims(self, corpus_fixtures):
         # B and B-hat agree in dimension (composed anti-isomorphisms),

@@ -252,7 +252,7 @@ class TestDeterminism:
         outs = []
         for k in range(2):
             op = tmp_path / f"rep{k}.json"
-            assert main(["check", str(wp), "--seed", "7", "--report", "json",
+            assert main(["check", str(wp), "--report", "json",
                          "--out", str(op)]) == EXIT_OK
             outs.append(op.read_bytes())
         assert outs[0] == outs[1]

@@ -89,6 +89,14 @@ class TestComul:
         for w in corpus_fixtures.values():
             assert duality_consistency(w) < 1e-12
 
+    def test_duality_consistency_detects_dropped_flip(self, w_z3, monkeypatch):
+        # W-hat is built once, in the fixture context; taking W* for it
+        # (no flip) must show against the independent Sigma W(x (x) 1)W* Sigma
+        from mpi_lab import context
+
+        monkeypatch.setattr(context, "what", lambda v: v.adj)
+        assert duality_consistency(w_z3) > 1e-3
+
 
 class TestCoassociativity:
     def test_example_matrix_units(self, w_example):

@@ -1,0 +1,86 @@
+import numpy as np
+import pytest
+
+from mpi_lab.antipode import check_antipode, check_duality
+from mpi_lab.axioms import assess_fullness, check_mpi_axioms, projection_residuals
+from mpi_lab.base_algebra import base_spans, build_base_structure, check_separability_triple
+from mpi_lab.coalgebra import (
+    check_canonical_idempotent,
+    check_delta_range_and_density,
+    duality_consistency,
+)
+from mpi_lab.context import Fixture, as_fixture, what
+from mpi_lab.manageability import build_wtilde, check_hash_identities, check_manageability
+from mpi_lab.tensor import identity, space
+
+
+class TestFixture:
+    def test_dual_of_dual_is_self(self, w_z3):
+        fx = Fixture(w_z3)
+        assert fx.dual.dual is fx
+        np.testing.assert_array_equal(fx.dual.w.matrix, what(w_z3).matrix)
+
+    def test_immutable(self, w_z3):
+        fx = Fixture(w_z3)
+        with pytest.raises(AttributeError):
+            fx.w = w_z3
+
+    def test_lazy(self, w_z3):
+        fx = Fixture(w_z3)
+        assert "e" not in vars(fx) and "_dual" not in vars(fx)
+        fx.e
+        assert "e" in vars(fx) and "_dual" not in vars(fx)
+
+    def test_freed_without_cycle_collection(self, w_z3):
+        # a context and its dual form no reference cycle, so dropping the
+        # context frees both at once (the large kappa map included)
+        import gc
+        import weakref
+
+        fx = Fixture(w_z3)
+        fx.dual.dual.kappa_solver
+        refs = [weakref.ref(fx), weakref.ref(fx.dual)]
+        gc.disable()
+        try:
+            del fx
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+    def test_as_fixture_passes_context_through(self, w_z3):
+        fx = Fixture(w_z3)
+        assert as_fixture(fx) is fx
+        assert as_fixture(w_z3) is not fx
+
+    def test_q_data_shared_with_dual(self, w_z3):
+        fx = Fixture(w_z3)
+        q = identity(space(3))
+        assert fx.q_data(q) is fx.dual.q_data(identity(space(3)))
+
+    def test_rejects_bad_q(self, w_z3):
+        with pytest.raises(ValueError):
+            Fixture(w_z3).q_data(identity(space(2)))
+
+
+@pytest.mark.parametrize("name", ["example", "pair_groupoid_2", "z3_plus_trivial"])
+def test_operator_and_context_give_identical_results(corpus_fixtures, name):
+    w = corpus_fixtures[name]
+    fx = Fixture(w)
+    q = identity(space(w.space.legs[0].dim))
+    wt = build_wtilde(w, q)
+    st = build_base_structure(w)
+    for check, args in (
+        (projection_residuals, ()),
+        (check_canonical_idempotent, ()),
+        (check_delta_range_and_density, ()),
+        (duality_consistency, ()),
+        (check_separability_triple, (st,)),
+        (check_hash_identities, (q, wt)),
+        (check_antipode, (q, wt)),
+        (check_duality, (q, wt)),
+    ):
+        assert check(w, *args) == check(fx, *args), check.__name__
+    assert check_mpi_axioms(w) == check_mpi_axioms(fx)
+    assert assess_fullness(w) == assess_fullness(fx)
+    assert check_manageability(w, q).residuals() == check_manageability(fx, q).residuals()
+    assert base_spans(w).star_residuals == base_spans(fx).star_residuals

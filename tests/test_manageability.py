@@ -211,6 +211,41 @@ class TestSuggestQ:
         # identity certifies for this fixture
         assert outcomes[0]
 
+    def test_constraint_rows_match_loop(self, corpus_fixtures):
+        # the per-entry loop over W's nonzero entries is the reference for
+        # the vectorized constraint rows
+        def loop_candidates(w, max_candidates=8):
+            n = w.space.legs[0].dim
+            t = w.matrix.reshape(n, n, n, n)
+            rows = []
+            for i in range(n):
+                for k in range(n):
+                    for j in range(n):
+                        for l in range(n):
+                            if abs(t[i, k, j, l]) > 1e-12:
+                                row = np.zeros(n)
+                                row[i] += 1.0
+                                row[k] += 1.0
+                                row[j] -= 1.0
+                                row[l] -= 1.0
+                                if np.any(row):
+                                    rows.append(row)
+            _, s, vh = np.linalg.svd(np.array(rows), full_matrices=True)
+            cands = [np.eye(n)]
+            for row in vh[int(np.sum(s > 1e-10 * s[0])):]:
+                if np.linalg.norm(row - row.mean()) >= 1e-12:
+                    for scale in (1.0, 0.5):
+                        cands.append(np.diag(np.exp(scale * row)))
+            return cands[:max_candidates]
+
+        for name in ("example", "pair_groupoid_2", "two_z2", "z3_plus_trivial"):
+            w = corpus_fixtures[name]
+            got = [c.matrix for c in suggest_q(w)]
+            want = loop_candidates(w)
+            assert len(got) == len(want), name
+            for g, h in zip(got, want):
+                np.testing.assert_array_equal(g, h)
+
     def test_candidates_satisfy_cond1(self, w_pair2):
         for c in suggest_q(w_pair2):
             qq = np.kron(c.matrix, c.matrix)

@@ -1,0 +1,101 @@
+"""run_suite as a whole: the pinned corpus check list, and one context
+per call computing each shared quantity once."""
+
+import functools
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from mpi_lab import antipode, base_algebra, coalgebra, tensor
+from mpi_lab.runner import corpus_suite, run_suite
+
+# Ordered check ids with pass flags, and ordered skips, of every corpus
+# report for seed 7, recorded before the runner was rebuilt on the
+# fixture context.  No residuals are stored, so the file holds at any
+# BLAS thread count.
+VERDICTS = Path(__file__).parent / "data" / "corpus_verdicts.json"
+
+
+def test_corpus_check_ids_and_verdicts_pinned():
+    expected = json.loads(VERDICTS.read_text())
+    got = {
+        rep.fixture_id: {
+            "checks": [[e.check_id, e.passed] for e in rep.entries],
+            "skips": [[s["level"], s["reason"]] for s in rep.skips],
+        }
+        for rep in corpus_suite(seed=7)
+    }
+    assert list(got) == list(expected)
+    for fixture, want in expected.items():
+        assert got[fixture]["checks"] == want["checks"], fixture
+        assert got[fixture]["skips"] == want["skips"], fixture
+
+
+COUNTED = (
+    (base_algebra, "base_spans"),
+    (base_algebra, "check_separability_triple"),
+    (base_algebra, "c_star_bases"),
+    (antipode, "antipode_map"),
+    (coalgebra, "leg_algebra"),
+    (tensor, "span_matrices"),
+)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts calls of the COUNTED functions, of KappaSolver and of
+    PositiveEig construction, and of span_matrices inside c_star_bases.
+
+    Each function is rebound wherever an mpi_lab module holds it, so
+    calls through imported names are counted too."""
+    counts = Counter()
+    running = []
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            if name == "span_matrices" and "c_star_bases" in running:
+                counts["span_matrices in c_star_bases"] += 1
+            running.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                running.pop()
+
+        return wrapped
+
+    modules = [m for k, m in sys.modules.items() if k.startswith("mpi_lab.")]
+    for owner, name in COUNTED:
+        fn = getattr(owner, name)
+        wrapper = counting(name, fn)
+        for mod in modules:
+            for key, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, key, wrapper)
+    for cls in (base_algebra.KappaSolver, tensor.PositiveEig):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    return counts
+
+
+def test_shared_quantities_computed_once(w_pair2, calls):
+    run_suite(w_pair2, level="all")
+    first = dict(calls)
+    assert first["KappaSolver"] == 1
+    assert first["base_spans"] == 1
+    assert first["antipode_map"] == 1
+    assert first["check_separability_triple"] == 1
+    # A and A-hat of W and of W-hat
+    assert first["leg_algebra"] == 4
+    # B, C, B-hat and C-hat are the context's N, L, N-hat and L-hat
+    assert first["c_star_bases"] == 1
+    assert "span_matrices in c_star_bases" not in first
+    # Q and Q^T of the certified Q = 1, and the padded nu and mu densities
+    assert first["PositiveEig"] == 4
+    # nothing survives the call: a second run on the same W does it all again
+    calls.clear()
+    run_suite(w_pair2, level="all")
+    assert dict(calls) == first

@@ -375,6 +375,13 @@ class TestContains:
         ok, _ = t.contains(kron(E21, E22))
         assert ok
 
+    def test_tensor_subspace_matches_kron_loop(self):
+        # reference: the Kronecker products of the two bases, x-major
+        a = span([E21, E22])
+        b = span([E22, identity(space(2))])
+        rows = [np.kron(x.matrix, y.matrix).ravel() for x in a.basis for y in b.basis]
+        np.testing.assert_array_equal(tensor_subspace(a, b).basis_matrix, np.array(rows))
+
 
 class TestLsqSolve:
     def test_identity_map(self):
