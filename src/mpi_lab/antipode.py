@@ -16,19 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import is_partial_isometry
-from .base_algebra import BaseStructure, gamma_n_apply, modular_conjugate
+from .base_algebra import BaseStructure, gamma_n_stack, modular_conjugate
 from .context import Fixture, as_fixture
 from .tensor import (
     RANK_TOL,
     RESIDUAL_TOL,
     Operator,
     OperatorSubspace,
+    SpanMap,
     TensorSpace,
+    adjoint,
     all_left_slices,
     all_right_slices,
     antimultiplicativity,
+    max_gap,
     numerical_rank,
-    op_residual,
     rel_residual,
     slice_op,
     star_preservation,
@@ -36,36 +38,26 @@ from .tensor import (
 )
 
 
-def tau(w: Operator | Fixture, q: Operator, z: complex, a: Operator) -> Operator:
-    """Scaling group tau_z(a) = Q^{2iz} a Q^{-2iz}."""
-    eig = as_fixture(w).q_data(q).eig
-    return Operator(a.space, eig.power(2j * z) @ a.matrix @ eig.power(-2j * z))
+def tau(
+    w: Operator | Fixture, q: Operator, z: complex, a: Operator | np.ndarray
+) -> Operator | np.ndarray:
+    """Scaling group tau_z(a) = Q^{2iz} a Q^{-2iz}, for an Operator or each
+    matrix of a stack."""
+    return as_fixture(w).q_data(q).eig.conjugate(2j * z, a)
 
 
 @dataclass(frozen=True)
-class AssembledMap:
+class AssembledMap(SpanMap):
     """A linear map assembled from (input, output) generator pairs.
 
-    ``matrix`` maps domain HS coordinates to vectorized outputs.  The
-    grid may overdetermine the map; ``inconsistency`` is the largest
+    The grid may overdetermine the map; ``inconsistency`` is the largest
     output that a null combination of inputs produces (zero iff the map
     is well defined on the span), and ``nullity`` counts the
     inconsistent directions.
     """
 
-    domain: OperatorSubspace
-    matrix: np.ndarray  # (D*D, domain.dim)
     inconsistency: float
     nullity: int
-
-    def apply(self, x: Operator) -> Operator:
-        c = self.domain.coefficients(x)
-        d = self.domain.space.total_dim
-        return Operator(self.domain.space, (self.matrix @ c).reshape(d, d))
-
-    def apply_with_membership(self, x: Operator) -> tuple[Operator, float]:
-        _, res = self.domain.contains(x)
-        return self.apply(x), res
 
 
 def assemble_map(
@@ -154,53 +146,31 @@ def check_antipode(
     fx = as_fixture(w)
     s_map = fx.s_map
     ra_map = unitary_antipode_map(fx, wtilde)
-    leg = fx.leg_space
     res: dict[str, float] = {}
     res["S_well_defined"] = s_map.inconsistency
     res["RA_well_defined"] = ra_map.inconsistency
 
-    polar = 0.0
-    membership = 0.0
-    tau_slice = 0.0
-    invol = 0.0
-    s_sq = 0.0
-    grid = zip(
-        fx.right_slices, all_right_slices(fx.ws), _transposed_right_slices(wtilde)
-    )
-    for a_m, s_m, wt_m in grid:
-        a, s_a = Operator(leg, a_m), Operator(leg, s_m)
-        tau_a = tau(fx, q, -0.5j, a)
-        img, mem = ra_map.apply_with_membership(tau_a)
-        membership = max(membership, mem)
-        polar = max(polar, op_residual(s_a, img))
-        # tau_{-i/2}((id (x) w_{v,u})(W)) = [(id (x) w_{v,u})(Wt)]^T
-        tau_slice = max(tau_slice, op_residual(tau_a, Operator(leg, wt_m)))
-        # S(S(a)*)* = a
-        inner = s_map.apply(s_a.adj)
-        invol = max(invol, op_residual(inner.adj, a))
-        # S(S(a)) = tau_{-i}(a)
-        s_sq = max(s_sq, op_residual(s_map.apply(s_a), tau(fx, q, -1.0j, a)))
-    res["polar_S_eq_RA_tau"] = polar
-    res["polar_domain_membership"] = membership
-    res["tau_slice_identity"] = tau_slice
-    res["S_star_involution"] = invol
-    res["S_squared_eq_tau_minus_i"] = s_sq
+    a, s_a = fx.right_slices, all_right_slices(fx.ws)
+    tau_a = tau(fx, q, -0.5j, a)
+    res["polar_S_eq_RA_tau"] = max_gap(s_a, ra_map.apply(tau_a))
+    res["polar_domain_membership"] = ra_map.domain.stack_residual(tau_a)
+    # tau_{-i/2}((id (x) w_{v,u})(W)) = [(id (x) w_{v,u})(Wt)]^T
+    res["tau_slice_identity"] = max_gap(tau_a, _transposed_right_slices(wtilde))
+    # S(S(a)*)* = a
+    res["S_star_involution"] = max_gap(adjoint(s_map.apply(adjoint(s_a))), a)
+    # S(S(a)) = tau_{-i}(a)
+    res["S_squared_eq_tau_minus_i"] = max_gap(s_map.apply(s_a), tau(fx, q, -1.0j, a))
 
-    basis = s_map.domain.basis
+    basis = s_map.domain.stack
     res["S_antimultiplicative"] = antimultiplicativity(s_map.apply, basis)
-    ra_basis = ra_map.domain.basis
-    res["RA_involutive"] = max(
-        op_residual(ra_map.apply(ra_map.apply(a)), a) for a in ra_basis
-    )
+    ra_basis = ra_map.domain.stack
+    res["RA_involutive"] = max_gap(ra_map.apply(ra_map.apply(ra_basis)), ra_basis)
     res["RA_star"] = star_preservation(ra_map.apply, ra_basis)
     res["RA_antimultiplicative"] = antimultiplicativity(ra_map.apply, ra_basis)
     # tau_t preserves span A at sampled real t
-    tau_mem = 0.0
-    for t in (1.0, -1.0, 0.3, -0.3):
-        for a in basis:
-            _, mem = s_map.domain.contains(tau(fx, q, t, a))
-            tau_mem = max(tau_mem, mem)
-    res["tau_preserves_A"] = tau_mem
+    res["tau_preserves_A"] = max(
+        s_map.domain.stack_residual(tau(fx, q, t, basis)) for t in (1.0, -1.0, 0.3, -0.3)
+    )
     return res
 
 
@@ -210,46 +180,28 @@ def check_duality(
     """Dual antipode characterizations, W^{T (x) Rhat} = Wt*, and the
     partial-isometry property of Wt."""
     fx = as_fixture(w)
-    w, leg = fx.w, fx.leg_space
     shat, shat_inv, rahat = dual_antipode_maps(fx, wtilde)
     res: dict[str, float] = {}
     res["Shat_well_defined"] = shat.inconsistency
     res["Shat_inv_well_defined"] = shat_inv.inconsistency
     res["RAhat_well_defined"] = rahat.inconsistency
 
-    polar = 0.0
-    polar_inv = 0.0
-    roundtrip = 0.0
-    for ys_m, y_m in zip(all_left_slices(fx.ws), fx.left_slices):
-        y_star, y = Operator(leg, ys_m), Operator(leg, y_m)
-        # S-hat = R_Ahat o tau-hat_{-i/2}; S-hat^{-1} = R_Ahat o tau-hat_{i/2}
-        polar = max(
-            polar, op_residual(y, rahat.apply(tau(fx, q, -0.5j, y_star)))
-        )
-        polar_inv = max(
-            polar_inv, op_residual(y_star, rahat.apply(tau(fx, q, 0.5j, y)))
-        )
-        roundtrip = max(roundtrip, op_residual(shat_inv.apply(shat.apply(y_star)), y_star))
-    res["Shat_polar"] = polar
-    res["Shat_inv_polar"] = polar_inv
-    res["Shat_roundtrip"] = roundtrip
+    y_star, y = all_left_slices(fx.ws), fx.left_slices
+    # S-hat = R_Ahat o tau-hat_{-i/2}; S-hat^{-1} = R_Ahat o tau-hat_{i/2}
+    res["Shat_polar"] = max_gap(y, rahat.apply(tau(fx, q, -0.5j, y_star)))
+    res["Shat_inv_polar"] = max_gap(y_star, rahat.apply(tau(fx, q, 0.5j, y)))
+    res["Shat_roundtrip"] = max_gap(shat_inv.apply(shat.apply(y_star)), y_star)
 
     # W^{T (x) Rhat} = Wt*: expand W over first-leg matrix units, push the
     # blocks (which span A-hat) through R_Ahat, transpose the units
     n = fx.n
-    t = w.tensor()
-    blocks_in_ahat = 0.0
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            block = Operator(leg, t[i, :, j, :])
-            img, mem = rahat.apply_with_membership(block)
-            blocks_in_ahat = max(blocks_in_ahat, mem)
-            # transpose of e_ij is e_ji: place img at first-leg entry (j, i)
-            ot = out.reshape(n, n, n, n)
-            ot[j, :, i, :] += img.matrix
-    res["W_blocks_in_Ahat"] = blocks_in_ahat
-    res["W_transpose_Rhat_eq_Wtilde_star"] = rel_residual(wtilde.adj.matrix, out)
+    blocks = fx.w.tensor().transpose(0, 2, 1, 3).reshape(n * n, n, n)
+    res["W_blocks_in_Ahat"] = rahat.domain.stack_residual(blocks)
+    # transpose of e_ij is e_ji: the image of block (i, j) goes to entry (j, i)
+    out = rahat.apply(blocks).reshape(n, n, n, n).transpose(1, 2, 0, 3)
+    res["W_transpose_Rhat_eq_Wtilde_star"] = rel_residual(
+        wtilde.adj.matrix, out.reshape(n * n, n * n)
+    )
     res["wtilde_partial_isometry"] = is_partial_isometry(wtilde)[1]
     return res
 
@@ -265,34 +217,17 @@ def check_base_restrictions(
     restricted to B and C against the gamma maps."""
     fx = as_fixture(w)
     nu, mu = structure.nu, structure.mu
-    b_basis = nu.algebra.basis
-    c_basis = mu.algebra.basis
+    bs, cs = nu.algebra.stack, mu.algebra.stack
     s_map = fx.s_map
     res: dict[str, float] = {}
     res["tau_B_eq_sigma_nu_minus_t"] = max(
-        op_residual(tau(fx, q, t, b), modular_conjugate(nu, -t, b))
-        for t in t_samples
-        for b in b_basis
+        max_gap(tau(fx, q, t, bs), modular_conjugate(nu, -t, bs)) for t in t_samples
     )
     res["tau_C_eq_sigma_mu_t"] = max(
-        op_residual(tau(fx, q, t, c), modular_conjugate(mu, t, c))
-        for t in t_samples
-        for c in c_basis
+        max_gap(tau(fx, q, t, cs), modular_conjugate(mu, t, cs)) for t in t_samples
     )
-    s_b = 0.0
-    mem_b = 0.0
-    for b in b_basis:
-        img, mem = s_map.apply_with_membership(b)
-        mem_b = max(mem_b, mem)
-        s_b = max(s_b, op_residual(img, gamma_n_apply(fx, nu, b)))
-    res["S_B_eq_gamma_B"] = s_b
-    res["B_in_A_membership"] = mem_b
-    s_c = 0.0
-    mem_c = 0.0
-    for c, gc in zip(c_basis, structure.gamma_l_values):
-        img, mem = s_map.apply_with_membership(c)
-        mem_c = max(mem_c, mem)
-        s_c = max(s_c, op_residual(img, gc))
-    res["S_C_eq_gamma_C"] = s_c
-    res["C_in_A_membership"] = mem_c
+    res["S_B_eq_gamma_B"] = max_gap(s_map.apply(bs), gamma_n_stack(fx, nu, bs))
+    res["B_in_A_membership"] = s_map.domain.stack_residual(bs)
+    res["S_C_eq_gamma_C"] = max_gap(s_map.apply(cs), structure.gamma_l)
+    res["C_in_A_membership"] = s_map.domain.stack_residual(cs)
     return res

@@ -20,7 +20,6 @@ from .tensor import (
     Operator,
     leg_word,
     numerical_rank,
-    op_residual,
     rel_residual,
 )
 
@@ -94,7 +93,7 @@ def mpi_identity_sides(w: Operator | Fixture, name: str) -> tuple[Operator, Oper
 
 def identity_residual(w: Operator | Fixture, name: str) -> float:
     lhs, rhs = mpi_identity_sides(w, name)
-    return op_residual(lhs, rhs)
+    return rel_residual(lhs.matrix, rhs.matrix)
 
 
 def check_derived_identities(w: Operator | Fixture) -> dict[str, float]:

@@ -12,7 +12,7 @@ which gives a second route to gamma_N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -25,14 +25,20 @@ from .tensor import (
     Operator,
     OperatorSubspace,
     PositiveEig,
+    SpanMap,
+    adjoint,
     all_left_slices,
     all_right_slices,
     antimultiplicativity,
-    kron,
+    kron_stack,
     lsq_solve,
+    max_gap,
     numerical_rank,
-    op_residual,
+    operators,
+    pair_products,
     rel_residual,
+    reversed_products,
+    rows,
     slice_matrix,
     span_matrices,
     star_preservation,
@@ -86,29 +92,12 @@ class WeightData:
 
 
 @dataclass(frozen=True)
-class BaseAntiIso:
-    """A linear map between base spans, stored on HS coordinates."""
+class BaseAntiIso(SpanMap):
+    """A linear bijection between base spans, with its inverse."""
 
-    domain: OperatorSubspace
-    codomain: OperatorSubspace
-    matrix: np.ndarray  # (codomain.dim, domain.dim)
-    inverse: np.ndarray
+    inverse: SpanMap
     membership_residual: float  # of the unprojected images in the codomain
     image_span: OperatorSubspace  # span of the unprojected images
-
-    def apply(self, x: Operator) -> Operator:
-        return _transport(self.matrix, self.domain, self.codomain, x)
-
-    def apply_inverse(self, y: Operator) -> Operator:
-        return _transport(self.inverse, self.codomain, self.domain, y)
-
-
-def _transport(
-    m: np.ndarray, src: OperatorSubspace, dst: OperatorSubspace, x: Operator
-) -> Operator:
-    d = dst.space.total_dim
-    out = (m @ src.coefficients(x)) @ dst.basis_matrix
-    return Operator(dst.space, out.reshape(d, d))
 
 
 def base_spans(w: Operator | Fixture) -> BaseSpans:
@@ -117,24 +106,18 @@ def base_spans(w: Operator | Fixture) -> BaseSpans:
     fx = as_fixture(w)
     n_sub, l_sub, nhat_sub, lhat_sub = fx.N, fx.L, fx.dual.N, fx.dual.L
 
-    def max_comm(a_sub, b_sub):
-        return max(
-            (
-                rel_residual((x @ y).matrix, (y @ x).matrix)
-                for x in a_sub.basis
-                for y in b_sub.basis
-            ),
-            default=0.0,
-        )
+    def commutation_and_e(f: Fixture) -> tuple[float, float]:
+        """[N, L] = 0 and E in N (x) L, for a context and for its dual."""
+        n, l = f.N.stack, f.L.stack
+        comm = max_gap(pair_products(n, l), reversed_products(n, l))
+        return comm, tensor_subspace(f.N, f.L).stack_residual(f.e.matrix[None])
 
-    comm = max_comm(n_sub, l_sub)
-    hat_comm = max_comm(nhat_sub, lhat_sub)
+    (comm, e_res), (hat_comm, ehat_res) = commutation_and_e(fx), commutation_and_e(fx.dual)
     _, l_res = l_sub.equals(lhat_sub)
-    _, e_res = tensor_subspace(n_sub, l_sub).contains(fx.e)
-    _, ehat_res = tensor_subspace(nhat_sub, lhat_sub).contains(fx.dual.e)
     subs = {"N": n_sub, "L": l_sub, "Nhat": nhat_sub, "Lhat": lhat_sub}
-    star = {name: sub.star_residual() for name, sub in subs.items()}
-    prod = {name: sub.products_residual(sub.basis, sub.basis) for name, sub in subs.items()}
+    closure = {name: sub.closure_residuals() for name, sub in subs.items()}
+    star = {name: c[0] for name, c in closure.items()}
+    prod = {name: c[1] for name, c in closure.items()}
     return BaseSpans(
         N=n_sub,
         L=l_sub,
@@ -175,13 +158,21 @@ class KappaSolver:
         self._solver = LstsqSolver(self.e.reshape(self.n**3, self.n), rank_tol)
         self.nullity = self.n * self._solver.nullity
 
+    def solve_stack(self, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """kappa of each matrix b of a (K, n, n) stack from one solve on a
+        matrix right-hand side: (values (K, n, n), residuals (K,))."""
+        n, k = self.n, len(bs)
+        # E(b (x) 1)[r, (j, l)] = sum_i E[r, (i, l)] b[i, j], as n^3 x n per b
+        rhs = np.einsum("ril,kij->rjkl", self.e.reshape(n * n, n, n), bs)
+        x, col_res = self._solver.solve(rhs.reshape(n**3, k * n))
+        residuals = np.sqrt(np.sum(col_res.reshape(k, n) ** 2, axis=1))
+        return x.reshape(n, k, n).transpose(1, 0, 2), residuals
+
     def solve(self, b: Operator) -> tuple[Operator, float, int]:
         if b.space.nlegs != 1 or b.space.legs[0].dim != self.n:
             raise ValueError("b must be a single-leg operator matching W's legs")
-        n = self.n
-        rhs = (self.e @ np.kron(b.matrix, np.eye(n))).reshape(n**3, n)
-        x, residual = self._solver.solve(rhs)
-        return Operator(self.leg, x), residual, self.nullity
+        vals, residuals = self.solve_stack(b.matrix[None])
+        return Operator(self.leg, vals[0]), float(residuals[0]), self.nullity
 
 
 def kappa_solve(
@@ -193,11 +184,24 @@ def kappa_solve(
 
 @dataclass(frozen=True)
 class KappaMap:
-    domain_basis: list[Operator]
-    values: list[Operator]
-    residuals: list[float]
+    """kappa on the basis of N and on the products of basis pairs (pair
+    (i, j) at index i * dim + j), with the solve residuals."""
+
+    domain: OperatorSubspace
+    value_stack: np.ndarray
+    residuals: np.ndarray
+    product_values: np.ndarray
+    product_residuals: np.ndarray
     nullity: int
     antimultiplicativity: float
+
+    @property
+    def domain_basis(self) -> list[Operator]:
+        return operators(self.domain.space, self.domain.stack)
+
+    @property
+    def values(self) -> list[Operator]:
+        return operators(self.domain.space, self.value_stack)
 
 
 def kappa_map(
@@ -205,22 +209,17 @@ def kappa_map(
     n_sub: OperatorSubspace,
     solver: KappaSolver | None = None,
 ) -> KappaMap:
-    """kappa on a basis of N, plus the anti-multiplicativity residual
-    over basis pairs (products solved independently)."""
+    """kappa on a basis of N and on the products of basis pairs, solved
+    independently in one stacked solve, plus the anti-multiplicativity
+    residual over the pairs whose three solves succeed."""
     solver = solver or as_fixture(w).kappa_solver
-    basis = n_sub.basis
-    values, residuals = [], []
-    for b in basis:
-        v, r, _ = solver.solve(b)
-        values.append(v)
-        residuals.append(r)
-    anti = 0.0
-    for i, b1 in enumerate(basis):
-        for j, b2 in enumerate(basis):
-            v12, r12, _ = solver.solve(b1 @ b2)
-            if r12 < RESIDUAL_TOL and residuals[i] < RESIDUAL_TOL and residuals[j] < RESIDUAL_TOL:
-                anti = max(anti, op_residual(v12, values[j] @ values[i]))
-    return KappaMap(basis, values, residuals, solver.nullity, anti)
+    bs = n_sub.stack
+    m = len(bs)
+    vals, res = solver.solve_stack(np.concatenate([bs, pair_products(bs, bs)]))
+    solved = res[:m] < RESIDUAL_TOL
+    ok = (res[m:] < RESIDUAL_TOL) & np.repeat(solved, m) & np.tile(solved, m)
+    anti = max_gap(vals[m:][ok], reversed_products(vals[:m], vals[:m])[ok])
+    return KappaMap(n_sub, vals[:m], res[:m], vals[m:], res[m:], solver.nullity, anti)
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +227,17 @@ def kappa_map(
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_basis(sub: OperatorSubspace) -> list[np.ndarray]:
-    """Real-orthonormal basis of the Hermitian part of a *-closed span."""
-    cands = []
-    for row in sub.basis_matrix:
-        d = sub.space.total_dim
-        b = row.reshape(d, d)
-        cands.append((b + b.conj().T) / 2.0)
-        cands.append((b - b.conj().T) / 2.0j)
-    stack = np.array([np.concatenate([c.real.ravel(), c.imag.ravel()]) for c in cands])
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    rank = numerical_rank(s)
-    d = sub.space.total_dim
-    out = []
-    for row in vh[:rank]:
-        m = row[: d * d].reshape(d, d) + 1j * row[d * d :].reshape(d, d)
-        out.append((m + m.conj().T) / 2.0)  # exact Hermitization
-    return out
+def _hermitian_basis(sub: OperatorSubspace) -> np.ndarray:
+    """Real-orthonormal basis of the Hermitian part of a *-closed span,
+    as a stack."""
+    b, d = sub.stack, sub.space.total_dim
+    # the Hermitian and the anti-Hermitian part of each basis element
+    cands = np.stack([(b + adjoint(b)) / 2.0, (b - adjoint(b)) / 2.0j], axis=1)
+    cands = cands.reshape(-1, d * d)
+    _, s, vh = np.linalg.svd(np.hstack([cands.real, cands.imag]), full_matrices=False)
+    vh = vh[: numerical_rank(s)]
+    m = (vh[:, : d * d] + 1j * vh[:, d * d :]).reshape(-1, d, d)
+    return (m + adjoint(m)) / 2.0  # exact Hermitization
 
 
 def support_projection(sub: OperatorSubspace) -> np.ndarray:
@@ -253,11 +246,9 @@ def support_projection(sub: OperatorSubspace) -> np.ndarray:
     For a finite-dimensional *-closed algebra this spans the range of
     its unit.
     """
-    d = sub.space.total_dim
     if sub.dim == 0:
-        return np.zeros((d, 0), dtype=complex)
-    stacked = np.hstack([row.reshape(d, d) for row in sub.basis_matrix])
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
+        return np.zeros((sub.space.total_dim, 0), dtype=complex)
+    u, s, _ = np.linalg.svd(np.hstack(list(sub.stack)), full_matrices=False)
     return u[:, : numerical_rank(s)]
 
 
@@ -283,20 +274,18 @@ def find_distinguished_weight(
         fx = fx.dual
     sub, e, n = fx.N, fx.e.matrix, fx.n
     herm = _hermitian_basis(sub)
-    if not herm:
+    if not len(herm):
         raise ValueError("base span is empty")
     # real system: sum_j t_j leftslice_{h_j}(E) = I
-    cols = []
-    for h in herm:
-        sl = slice_matrix(e, n, n, "left", h)
-        cols.append(np.concatenate([sl.real.ravel(), sl.imag.ravel()]))
+    cols = rows(np.array([slice_matrix(e, n, n, "left", h) for h in herm]))
     rhs = np.concatenate([np.eye(n).ravel(), np.zeros(n * n)])
-    return _weight(sub, herm, np.array(cols).T, rhs, pd_tol, rank_tol, repair=True)
+    a = np.hstack([cols.real, cols.imag]).T
+    return _weight(sub, herm, a, rhs, pd_tol, rank_tol, repair=True)
 
 
 def _weight(
     sub: OperatorSubspace,
-    herm: list[np.ndarray],
+    herm: np.ndarray,
     a: np.ndarray,
     rhs: np.ndarray,
     pd_tol: float = PD_TOL,
@@ -354,10 +343,12 @@ def _positivity_repair(a, rhs, t0, herm, supp, rank_tol, iters: int = 300):
     return sum(tj * hj for tj, hj in zip(t, herm))
 
 
-def modular_conjugate(weight: WeightData, z: complex, x: Operator) -> Operator:
-    """sigma_z(x) = D^{iz} x D^{-iz}, D padded as in WeightData.modular."""
-    eig = weight.modular
-    return Operator(x.space, eig.power(1j * z) @ x.matrix @ eig.power(-1j * z))
+def modular_conjugate(
+    weight: WeightData, z: complex, x: Operator | np.ndarray
+) -> Operator | np.ndarray:
+    """sigma_z(x) = D^{iz} x D^{-iz}, D padded as in WeightData.modular, for
+    an Operator or each matrix of a stack."""
+    return weight.modular.conjugate(1j * z, x)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +356,18 @@ def modular_conjugate(weight: WeightData, z: complex, x: Operator) -> Operator:
 # ---------------------------------------------------------------------------
 
 
-def gamma_n_apply(w: Operator | Fixture, nu: WeightData, b: Operator) -> Operator:
-    """gamma_N(b) = (nu (x) id)(E (b (x) 1))."""
+def gamma_n_stack(w: Operator | Fixture, nu: WeightData, bs: np.ndarray) -> np.ndarray:
+    """gamma_N(b) = (nu (x) id)(E (b (x) 1)) for each matrix b of a stack."""
     fx = as_fixture(w)
     n = fx.n
-    prod = fx.e.matrix @ np.kron(b.matrix, np.eye(n))
-    return Operator(b.space, slice_matrix(prod, n, n, "left", nu.density.matrix))
+    # the slice is sum_{i, m} E[(i, k), (m, l)] (b D)[m, i] at entry (k, l)
+    e4 = fx.e.matrix.reshape(n, n, n, n)
+    return np.einsum("ikml,smi->skl", e4, bs @ nu.density.matrix)
+
+
+def gamma_n_apply(w: Operator | Fixture, nu: WeightData, b: Operator) -> Operator:
+    """gamma_N(b) = (nu (x) id)(E (b (x) 1))."""
+    return Operator(b.space, gamma_n_stack(w, nu, b.matrix[None])[0])
 
 
 @dataclass(frozen=True)
@@ -379,47 +376,47 @@ class BaseStructure:
     nu: WeightData
     mu: WeightData
     rtilde: BaseAntiIso
-    gamma_n_values: list[Operator]
-    gamma_l_values: list[Operator]
+    gamma_n: np.ndarray  # gamma_N on the N basis, a stack
+    gamma_l: np.ndarray  # gamma_L on the L basis, a stack
     kappa: KappaMap
     kappa_solver: KappaSolver
+
+    @property
+    def gamma_n_values(self) -> list[Operator]:
+        return operators(self.nu.algebra.space, self.gamma_n)
 
 
 def gamma_and_rtilde(
     w: Operator | Fixture, nu: WeightData, l_sub: OperatorSubspace
-) -> tuple[list[Operator], BaseAntiIso, WeightData, list[Operator]]:
+) -> tuple[np.ndarray, BaseAntiIso, WeightData, np.ndarray]:
     """Assemble gamma_N on the N basis, Rtilde = gamma_N o sigma_{-i/2},
-    the weight mu = nu o Rtilde^{-1} on L, and gamma_L."""
+    the weight mu = nu o Rtilde^{-1} on L, and gamma_L on the L basis."""
     fx = as_fixture(w)
     n_sub = nu.algebra
-    leg_sp = n_sub.space
-    gamma_vals = [gamma_n_apply(fx, nu, b) for b in n_sub.basis]
-    rt_vals = [
-        gamma_n_apply(fx, nu, modular_conjugate(nu, -0.5j, b)) for b in n_sub.basis
-    ]
-    membership = l_sub.contains_all(rt_vals)
-    images = span_matrices(leg_sp, np.array([v.matrix.ravel() for v in rt_vals]))
-    mat = np.array([l_sub.coefficients(v) for v in rt_vals]).T  # (dimL, dimN)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    invertibility = float(sv.min()) if sv.size else 0.0
-    if mat.shape[0] != mat.shape[1] or invertibility <= RANK_TOL * (sv.max() if sv.size else 1.0):
+    gamma_vals = gamma_n_stack(fx, nu, n_sub.stack)
+    rt_vals = gamma_n_stack(fx, nu, modular_conjugate(nu, -0.5j, n_sub.stack))
+    membership = l_sub.stack_residual(rt_vals)
+    images = span_matrices(n_sub.space, rt_vals)
+    mat = l_sub.coordinates(rt_vals).T  # (dimL, dimN)
+    rank = numerical_rank(np.linalg.svd(mat, compute_uv=False))
+    if mat.shape[0] != mat.shape[1] or rank < max(1, len(mat)):
         raise ValueError("Rtilde is not invertible between the base spans")
-    inv = np.linalg.inv(mat)
-    rtilde = BaseAntiIso(n_sub, l_sub, mat, inv, membership, images)
+    rtilde = BaseAntiIso(
+        n_sub,
+        l_sub.basis_matrix.T @ mat,
+        SpanMap(l_sub, n_sub.basis_matrix.T @ np.linalg.inv(mat)),
+        membership,
+        images,
+    )
 
     # mu = nu o Rtilde^{-1}: density inside L solving trace(l_j D) = mu(l_j)
     herm = _hermitian_basis(l_sub)
-    targets = np.array(
-        [complex(np.trace((rtilde.apply_inverse(lj)).matrix @ nu.density.matrix)) for lj in l_sub.basis]
-    )
-    cols = []
-    for h in herm:
-        vals = np.array([np.trace(lj.matrix @ h) for lj in l_sub.basis])
-        cols.append(np.concatenate([vals.real, vals.imag]))
-    mu = _weight(l_sub, herm, np.array(cols).T, np.concatenate([targets.real, targets.imag]))
-    gamma_l_vals = [
-        rtilde.apply_inverse(modular_conjugate(mu, -0.5j, c)) for c in l_sub.basis
-    ]
+    ls = l_sub.stack
+    targets = np.einsum("kij,ji->k", rtilde.inverse.apply(ls), nu.density.matrix)
+    traces = np.einsum("kij,hji->kh", ls, herm)  # trace(l_k h)
+    a = np.concatenate([traces.real, traces.imag])
+    mu = _weight(l_sub, herm, a, np.concatenate([targets.real, targets.imag]))
+    gamma_l_vals = rtilde.inverse.apply(modular_conjugate(mu, -0.5j, ls))
     return gamma_vals, rtilde, mu, gamma_l_vals
 
 
@@ -427,19 +424,16 @@ def build_base_structure(w: Operator | Fixture) -> BaseStructure:
     """The weight-dependent base data of W; raises ValueError when the
     anti-isomorphism cannot be built."""
     fx = as_fixture(w)
-    gamma_vals, rtilde, mu, gamma_l_vals = gamma_and_rtilde(fx, fx.nu, fx.L)
+    gamma_n, rtilde, mu, gamma_l = gamma_and_rtilde(fx, fx.nu, fx.L)
     return BaseStructure(
-        fx.spans, fx.nu, mu, rtilde, gamma_vals, gamma_l_vals, fx.kappa, fx.kappa_solver
+        fx.spans, fx.nu, mu, rtilde, gamma_n, gamma_l, fx.kappa, fx.kappa_solver
     )
 
 
 def gamma_kappa_residual(structure: BaseStructure) -> float:
     """gamma_N = kappa on the N basis: the weight slice against the
     least-squares solve, two independent routes."""
-    return max(
-        float(np.linalg.norm(g.matrix - v.matrix))
-        for g, v in zip(structure.gamma_n_values, structure.kappa.values)
-    )
+    return max_gap(structure.gamma_n, structure.kappa.value_stack)
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +452,9 @@ def check_separability_triple(
     kappa-vs-Q checks run only when a manageability pair is supplied."""
     fx = as_fixture(w)
     nu, mu, rtilde = structure.nu, structure.mu, structure.rtilde
-    e = fx.e.matrix
-    n = fx.n
+    e, n = fx.e.matrix, fx.n
     eye = np.eye(n)
+    bs, cs, gamma_l = nu.algebra.stack, mu.algebra.stack, structure.gamma_l
     res: dict[str, float] = {}
 
     res["nu_normalization"] = rel_residual(
@@ -470,51 +464,36 @@ def check_separability_triple(
         slice_matrix(e, n, n, "right", mu.density.matrix), eye
     )
     # (1 (x) c) E = (gamma_L(c) (x) 1) E over the L basis
-    res["gamma_L_characterization"] = max(
-        rel_residual(
-            np.kron(eye, c.matrix) @ e, np.kron(gc.matrix, eye) @ e
-        )
-        for c, gc in zip(mu.algebra.basis, structure.gamma_l_values)
+    one_c_e = kron_stack(eye[None], cs) @ e
+    res["gamma_L_characterization"] = max_gap(
+        one_c_e, kron_stack(gamma_l, eye[None]) @ e
     )
     # (id (x) mu)((1 (x) c)E) = gamma_L(c)
-    res["gamma_L_slice_formula"] = max(
-        rel_residual(
-            slice_matrix(np.kron(eye, c.matrix) @ e, n, n, "right", mu.density.matrix),
-            gc.matrix,
-        )
-        for c, gc in zip(mu.algebra.basis, structure.gamma_l_values)
+    res["gamma_L_slice_formula"] = max_gap(
+        slice_matrix(one_c_e, n, n, "right", mu.density.matrix), gamma_l
     )
-    res["gamma_N_antimultiplicative"] = antimultiplicativity(
-        lambda b: gamma_n_apply(fx, nu, b), nu.algebra.basis
-    )
+
+    gamma = partial(gamma_n_stack, fx, nu)
+    res["gamma_N_antimultiplicative"] = antimultiplicativity(gamma, bs)
     # polar identity gamma_N = Rtilde o sigma^nu_{i/2}
-    res["gamma_N_polar"] = max(
-        op_residual(
-            gamma_n_apply(fx, nu, b),
-            rtilde.apply(modular_conjugate(nu, 0.5j, b)),
-        )
-        for b in nu.algebra.basis
+    res["gamma_N_polar"] = max_gap(
+        gamma(bs), rtilde.apply(modular_conjugate(nu, 0.5j, bs))
     )
     # mu = nu o Rtilde^{-1}: trace(D_mu Rtilde(b)) = trace(D_nu b)
-    res["mu_consistency"] = max(
-        abs(
-            complex(np.trace(mu.density.matrix @ rtilde.apply(b).matrix))
-            - complex(np.trace(nu.density.matrix @ b.matrix))
-        )
-        / max(1.0, abs(complex(np.trace(nu.density.matrix @ b.matrix))))
-        for b in nu.algebra.basis
-    )
+    nu_b = np.einsum("ij,kji->k", nu.density.matrix, bs)
+    mu_rb = np.einsum("ij,kji->k", mu.density.matrix, rtilde.apply(bs))
+    res["mu_consistency"] = max_gap(nu_b[:, None], mu_rb[:, None])
     # sigma^mu_t = Rtilde o sigma^nu_{-t} o Rtilde^{-1} at sampled t
-    sig = 0.0
-    for t in t_samples:
-        for c in mu.algebra.basis:
-            lhs = modular_conjugate(mu, t, c)
-            rhs = rtilde.apply(modular_conjugate(nu, -t, rtilde.apply_inverse(c)))
-            sig = max(sig, op_residual(lhs, rhs))
-    res["sigma_mu_conjugation"] = sig
+    res["sigma_mu_conjugation"] = max(
+        max_gap(
+            modular_conjugate(mu, t, cs),
+            rtilde.apply(modular_conjugate(nu, -t, rtilde.inverse.apply(cs))),
+        )
+        for t in t_samples
+    )
     # Rtilde is a *-anti-isomorphism
-    res["rtilde_star"] = star_preservation(rtilde.apply, nu.algebra.basis)
-    res["rtilde_antimultiplicative"] = antimultiplicativity(rtilde.apply, nu.algebra.basis)
+    res["rtilde_star"] = star_preservation(rtilde.apply, bs)
+    res["rtilde_antimultiplicative"] = antimultiplicativity(rtilde.apply, bs)
 
     if q is not None and wtilde is not None:
         res.update(kappa_q_checks(fx, structure, q, wtilde))
@@ -528,52 +507,33 @@ def kappa_q_checks(
     kappa = T o R_kappa = R_kappa o T, and kappa has the slice formula
     through Wtilde Wtilde*."""
     fx = as_fixture(w)
-    res: dict[str, float] = {}
     kap = structure.kappa
-    solver = structure.kappa_solver
-    qm = q.matrix
-    qinv = fx.q_data(q).qinv
-    leg = structure.nu.algebra.space
+    qm, qinv = q.matrix, fx.q_data(q).qinv
 
-    def rk(val: Operator) -> Operator:
-        return Operator(leg, qinv @ val.matrix @ qm)
+    def rk(vals: np.ndarray) -> np.ndarray:
+        return qinv @ vals @ qm
 
-    pairs = list(zip(kap.domain_basis, kap.values))
-    # R_kappa(b*) = R_kappa(b)*, with kappa(b*) solved afresh
-    star = 0.0
-    for b, v in pairs:
-        v_adj, r_adj, _ = solver.solve(b.adj)
-        if r_adj < RESIDUAL_TOL:
-            star = max(star, op_residual(rk(v_adj), rk(v).adj))
-    res["rkappa_star"] = star
-    anti = 0.0
-    for b1, v1 in pairs:
-        for b2, v2 in pairs:
-            v12, r12, _ = solver.solve(b1 @ b2)
-            if r12 < RESIDUAL_TOL:
-                anti = max(anti, op_residual(rk(v12), rk(v2) @ rk(v1)))
-    res["rkappa_antimultiplicative"] = anti
-    # kappa = T o R_kappa and = R_kappa o T, T = Q(.)Q^{-1}
-    tr_res = 0.0
-    rt_res = 0.0
-    for b, v in pairs:
-        t_rk = Operator(leg, qm @ rk(v).matrix @ qinv)
-        tr_res = max(tr_res, op_residual(v, t_rk))
-        tb = Operator(leg, qm @ b.matrix @ qinv)
-        v_tb, r_tb, _ = solver.solve(tb)
-        if r_tb < RESIDUAL_TOL:
-            rt_res = max(rt_res, op_residual(v, Operator(leg, qinv @ v_tb.matrix @ qm)))
-    res["kappa_eq_T_Rkappa"] = tr_res
-    res["kappa_eq_Rkappa_T"] = rt_res
+    bs, v = kap.domain.stack, kap.value_stack
+    m = len(bs)
+    # kappa(b*), kappa(T(b)) with T = Q(.)Q^{-1}, and kappa of the right
+    # slices of E (the slice-formula domain), in one stacked solve
+    vals, residuals = structure.kappa_solver.solve_stack(
+        np.concatenate([adjoint(bs), qm @ bs @ qinv, all_right_slices(fx.e)])
+    )
+    solved = residuals < RESIDUAL_TOL
+    v_adj, v_tb, v_e = vals[:m], vals[m : 2 * m], vals[2 * m :]
+    ok_adj, ok_tb, ok_e = solved[:m], solved[m : 2 * m], solved[2 * m :]
+    ok_prod = kap.product_residuals < RESIDUAL_TOL
+    res: dict[str, float] = {}
+    res["rkappa_star"] = max_gap(rk(v_adj)[ok_adj], adjoint(rk(v))[ok_adj])
+    res["rkappa_antimultiplicative"] = max_gap(
+        rk(kap.product_values)[ok_prod], reversed_products(rk(v), rk(v))[ok_prod]
+    )
+    res["kappa_eq_T_Rkappa"] = max_gap(v, qm @ rk(v) @ qinv)
+    res["kappa_eq_Rkappa_T"] = max_gap(v[ok_tb], rk(v_tb)[ok_tb])
     # slice formula: kappa(b_omega) = Q (omega^T (x) id)(Wt Wt*) Q^{-1}
     ww_slices = transpose_grid(all_left_slices(wtilde @ wtilde.adj))
-    slice_form = 0.0
-    for b, y in zip(all_right_slices(fx.e), ww_slices):
-        val, r, _ = solver.solve(Operator(leg, b))
-        if r < RESIDUAL_TOL:
-            expected = Operator(leg, qm @ y @ qinv)
-            slice_form = max(slice_form, op_residual(val, expected))
-    res["kappa_wtilde_formula"] = slice_form
+    res["kappa_wtilde_formula"] = max_gap(v_e[ok_e], (qm @ ww_slices @ qinv)[ok_e])
     return res
 
 
@@ -592,20 +552,20 @@ def c_star_bases(
     memberships of the base elements against A and A-hat, E as a
     multiplier of B (x) C, and the range of Rtilde's unprojected images."""
     fx = as_fixture(w)
-    e_op = fx.e
     b_sub, c_sub, bhat_sub, chat_sub = fx.N, fx.L, fx.dual.N, fx.dual.L
-    a, ahat = a_space, ahat_space
+    a, ahat = a_space.stack, ahat_space.stack
+    pairs = kron_stack(b_sub.stack, c_sub.stack)
     bc = tensor_subspace(b_sub, c_sub)
-    pairs = [kron(x, y) for x in b_sub.basis for y in c_sub.basis]
+    e = fx.e.matrix
     res = {
-        "b_x_in_A": a.products_residual(b_sub.basis, a.basis),
-        "y_bhat_in_Ahat": ahat.products_residual(ahat.basis, bhat_sub.basis),
-        "x_c_in_A": a.products_residual(a.basis, c_sub.basis),
-        "c_y_in_Ahat": ahat.products_residual(c_sub.basis, ahat.basis),
-        "x_chat_in_A": a.products_residual(a.basis, chat_sub.basis),
-        "chat_y_in_Ahat": ahat.products_residual(chat_sub.basis, ahat.basis),
-        "E_mult_BC_left": bc.products_residual([e_op], pairs),
-        "E_mult_BC_right": bc.products_residual(pairs, [e_op]),
+        "b_x_in_A": a_space.stack_residual(pair_products(b_sub.stack, a)),
+        "y_bhat_in_Ahat": ahat_space.stack_residual(pair_products(ahat, bhat_sub.stack)),
+        "x_c_in_A": a_space.stack_residual(pair_products(a, c_sub.stack)),
+        "c_y_in_Ahat": ahat_space.stack_residual(pair_products(c_sub.stack, ahat)),
+        "x_chat_in_A": a_space.stack_residual(pair_products(a, chat_sub.stack)),
+        "chat_y_in_Ahat": ahat_space.stack_residual(pair_products(chat_sub.stack, ahat)),
+        "E_mult_BC_left": bc.stack_residual(e @ pairs),
+        "E_mult_BC_right": bc.stack_residual(pairs @ e),
     }
     if rtilde is not None:
         res["R_onto_C"] = rtilde.membership_residual

@@ -20,22 +20,22 @@ from .tensor import (
     Operator,
     OperatorSubspace,
     TensorSpace,
+    adjoint,
     all_left_slices,
     all_right_slices,
     chain,
     embed,
     embedded_mul,
     identity,
-    kron,
     kron_stack,
     leg_word,
+    max_gap,
     numerical_rank,
-    op_residual,
+    pair_products,
     rel_residual,
     span_matrices,
     stack_left_slices,
     stack_right_slices,
-    swap_legs,
     tensor_subspace,
 )
 
@@ -80,10 +80,9 @@ def leg_algebra(w: Operator | Fixture, side: str = "A") -> LegAlgebra:
         "Astar": all_right_slices(fx.ws),
         "Ahatstar": all_left_slices(fx.ws),
     }[side]
-    sub = span_matrices(fx.leg_space, stack.reshape(stack.shape[0], -1))
-    _, unit_res = sub.contains(identity(sub.space))
-    star_res = sub.star_residual()
-    prod_res = sub.products_residual(sub.basis, sub.basis)
+    sub = span_matrices(fx.leg_space, stack)
+    unit_res = sub.stack_residual(np.eye(fx.n)[None])
+    star_res, prod_res = sub.closure_residuals()
     return LegAlgebra(
         side=side,
         space=sub,
@@ -105,7 +104,13 @@ def comul(w: Operator | Fixture, x: Operator, side: str = "primal") -> Operator:
         raise ValueError("side must be 'primal' or 'dual'")
     if side == "dual":
         fx = fx.dual
-    return fx.ws @ kron(identity(x.space), x) @ fx.w
+    return Operator(fx.w.space, _comul_stack(fx, x.matrix[None])[0])
+
+
+def _comul_stack(fx: Fixture, xs: np.ndarray) -> np.ndarray:
+    """Delta applied to a stack of single-leg matrices."""
+    sandwiched = kron_stack(np.eye(fx.n)[None], xs)
+    return fx.ws.matrix[None] @ sandwiched @ fx.w.matrix[None]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +140,7 @@ def _coassoc_residual_single(w: Operator, x: Operator) -> float:
     rhs = embedded_mul(
         w.adj, [2, 3], embedded_mul(w, [2, 3], embed(dx, [1, 3], amb), "right"), "left"
     )
-    return op_residual(lhs, rhs)
+    return rel_residual(lhs.matrix, rhs.matrix)
 
 
 def _coassoc_residuals_all(w: Operator) -> np.ndarray:
@@ -211,24 +216,6 @@ def check_coassociativity(w: Operator, sample=None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _comul_stack(fx: Fixture, xs: np.ndarray) -> np.ndarray:
-    """Delta applied to a stack of single-leg matrices."""
-    sandwiched = kron_stack(np.eye(fx.n)[None], xs)
-    return fx.ws.matrix[None] @ sandwiched @ fx.w.matrix[None]
-
-
-def _basis_stack(sub: OperatorSubspace) -> np.ndarray:
-    d = sub.space.total_dim
-    return sub.basis_matrix.reshape(sub.dim, d, d)
-
-
-def _max_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Max relative Frobenius gap over a stack of (lhs, rhs) pairs."""
-    gaps = np.linalg.norm((lhs - rhs).reshape(lhs.shape[0], -1), axis=1)
-    scales = np.maximum(1.0, np.linalg.norm(lhs.reshape(lhs.shape[0], -1), axis=1))
-    return float(np.max(gaps / scales)) if lhs.shape[0] else 0.0
-
-
 def check_canonical_idempotent(
     w: Operator | Fixture,
     alg: LegAlgebra | None = None,
@@ -242,7 +229,7 @@ def check_canonical_idempotent(
     eye = np.eye(n)
     res: dict[str, float] = {}
 
-    res["E_eq_comul_unit"] = rel_residual(comul(fx, identity_leg(w), "primal").matrix, e)
+    res["E_eq_comul_unit"] = rel_residual(_comul_stack(fx, eye[None])[0], e)
 
     e1 = np.kron(e, eye)
     e2 = np.kron(eye, e)
@@ -254,29 +241,24 @@ def check_canonical_idempotent(
 
     alg = alg or fx.A
     alg_hat = alg_hat or fx.Ahat
-    bst = _basis_stack(alg.space)
-    hat_bst = _basis_stack(alg_hat.space)
-    m = bst.shape[0]
+    bst = alg.space.stack
+    hat_bst = alg_hat.space.stack
     a2 = tensor_subspace(alg.space, alg.space)
 
     deltas = _comul_stack(fx, bst)
-    adj_deltas = _comul_stack(fx, np.conj(np.transpose(bst, (0, 2, 1))))
-    res["delta_star_map"] = _max_gap(
-        adj_deltas, np.conj(np.transpose(deltas, (0, 2, 1)))
+    res["delta_star_map"] = max_gap(_comul_stack(fx, adjoint(bst)), adjoint(deltas))
+    res["delta_homomorphism"] = max_gap(
+        _comul_stack(fx, pair_products(bst, bst)), pair_products(deltas, deltas)
     )
-    prods = (bst[:, None] @ bst[None]).reshape(m * m, n, n)
-    delta_prods = _comul_stack(fx, prods)
-    pairwise = (deltas[:, None] @ deltas[None]).reshape(m * m, n * n, n * n)
-    res["delta_homomorphism"] = _max_gap(delta_prods, pairwise)
 
     pairs = kron_stack(bst, bst)
     left = e[None] @ pairs
     right = pairs @ e[None]
     res["E_multiplier"] = max(a2.stack_residual(left), a2.stack_residual(right))
     one_a = kron_stack(eye[None], bst)
-    res["commute_G_with_1A"] = _max_gap(one_a @ g[None], g[None] @ one_a)
+    res["commute_G_with_1A"] = max_gap(one_a @ g[None], g[None] @ one_a)
     ahat_one = kron_stack(hat_bst, eye[None])
-    res["commute_E_with_Ahat1"] = _max_gap(ahat_one @ e[None], e[None] @ ahat_one)
+    res["commute_E_with_Ahat1"] = max_gap(ahat_one @ e[None], e[None] @ ahat_one)
     res["product_stability_A"] = alg.product_residual
     res["product_stability_Ahat"] = alg_hat.product_residual
     dims = {"A": alg.space.dim, "Ahat": alg_hat.space.dim}
@@ -290,8 +272,7 @@ def check_delta_range_and_density(
     memberships, and the four density spans against dim A."""
     fx = as_fixture(w)
     sub = (alg or fx.A).space
-    bst = _basis_stack(sub)
-    m = bst.shape[0]
+    bst = sub.stack
     n = fx.n
     a2 = tensor_subspace(sub, sub)
     e = fx.e.matrix
@@ -304,10 +285,10 @@ def check_delta_range_and_density(
     a_one = kron_stack(bst, eye)  # a (x) 1
     one_a = kron_stack(eye, bst)  # 1 (x) a
 
-    fam1 = (a_one[:, None] @ deltas[None]).reshape(m * m, n * n, n * n)
-    fam2 = (deltas[:, None] @ one_a[None]).reshape(m * m, n * n, n * n)
-    fam3 = (deltas[:, None] @ a_one[None]).reshape(m * m, n * n, n * n)
-    fam4 = (one_a[:, None] @ deltas[None]).reshape(m * m, n * n, n * n)
+    fam1 = pair_products(a_one, deltas)
+    fam2 = pair_products(deltas, one_a)
+    fam3 = pair_products(deltas, a_one)
+    fam4 = pair_products(one_a, deltas)
     res["mult_a1_deltab"] = a2.stack_residual(fam1)
     res["mult_deltaa_1b"] = a2.stack_residual(fam2)
     res["mult_deltaa_b1"] = a2.stack_residual(fam3)
@@ -315,8 +296,8 @@ def check_delta_range_and_density(
 
     # range equality: span{Delta(a)(b (x) c)} = span{E(b (x) c)}
     e_family = e[None] @ pairs
-    e_span = span_matrices(fx.w.space, e_family.reshape(e_family.shape[0], -1))
-    range_members = (deltas[:, None] @ pairs[None]).reshape(-1, n * n, n * n)
+    e_span = span_matrices(fx.w.space, e_family)
+    range_members = pair_products(deltas, pairs)
     res["range_in_EA2"] = e_span.stack_residual(range_members)
     # reverse inclusion, computed in E(A (x) A)-coordinates (the members
     # already lie in that span, so coordinates capture them exactly)
@@ -328,25 +309,19 @@ def check_delta_range_and_density(
         range_rank = numerical_rank(sv)
         proj = vh[:range_rank]
         e_coords = e_family.reshape(e_family.shape[0], -1) @ e_span.basis_matrix.conj().T
-        gaps = e_coords - (e_coords @ proj.conj().T) @ proj
-        scale = np.maximum(1.0, np.linalg.norm(e_coords, axis=1))
-        rev = float(np.max(np.linalg.norm(gaps, axis=1) / scale, initial=0.0))
+        rev = max_gap(e_coords, (e_coords @ proj.conj().T) @ proj)
     res["EA2_in_range"] = rev
     dims["range_span"] = range_rank
     dims["E_A2_span"] = e_span.dim
 
     # density spans: slices of the four multiplier families, vs span A
-    for key, fam, side in (
-        ("density_left_a1_db", fam1, "left"),
-        ("density_right_da_1b", fam2, "right"),
-        ("density_left_db_a1", fam3, "left"),
-        ("density_right_1b_da", fam4, "right"),
+    for key, fam, slices in (
+        ("density_left_a1_db", fam1, stack_left_slices),
+        ("density_right_da_1b", fam2, stack_right_slices),
+        ("density_left_db_a1", fam3, stack_left_slices),
+        ("density_right_1b_da", fam4, stack_right_slices),
     ):
-        if side == "left":
-            sl = stack_left_slices(fam, n, n)
-        else:
-            sl = stack_right_slices(fam, n, n)
-        dspan = span_matrices(sub.space, sl.reshape(-1, n * n))
+        dspan = span_matrices(sub.space, slices(fam, n, n).reshape(-1, n * n))
         _, r = dspan.equals(sub)
         res[f"{key}_eq_A"] = r
         dims[key] = dspan.dim
@@ -354,11 +329,12 @@ def check_delta_range_and_density(
 
 
 def duality_consistency(w: Operator | Fixture) -> float:
-    """comul(w, x, dual) against an independent evaluation of
+    """The dual comultiplication against an independent evaluation of
     Delta-hat(x) = Sigma W(x (x) 1)W* Sigma, over the A-hat basis and 1."""
     fx = as_fixture(w)
-    one = identity_leg(fx.w)
-    return max(
-        op_residual(comul(fx, x, "dual"), swap_legs(fx.w @ kron(x, one) @ fx.ws))
-        for x in fx.Ahat.space.basis + [one]
-    )
+    n = fx.n
+    xs = np.concatenate([fx.Ahat.space.stack, np.eye(n)[None]])
+    direct = fx.w.matrix @ kron_stack(xs, np.eye(n)[None]) @ fx.ws.matrix
+    # Sigma X Sigma swaps the two legs of both the rows and the columns
+    flipped = direct.reshape(-1, n, n, n, n).transpose(0, 2, 1, 4, 3)
+    return max_gap(_comul_stack(fx.dual, xs), flipped.reshape(direct.shape))

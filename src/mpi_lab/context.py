@@ -42,10 +42,6 @@ def three_leg_space(w: Operator) -> TensorSpace:
     return TensorSpace((leg, leg, leg))
 
 
-def slice_span(sp: TensorSpace, stack: np.ndarray) -> OperatorSubspace:
-    return span_matrices(sp, stack.reshape(stack.shape[0], -1))
-
-
 class QData:
     """A positive Q on W's leg: Q^{-1}, and the eigendecompositions of Q
     and Q^T from which every power is taken."""
@@ -115,11 +111,11 @@ class Fixture:
 
     @cached_property
     def N(self) -> OperatorSubspace:
-        return slice_span(self.leg_space, all_right_slices(self.e))
+        return span_matrices(self.leg_space, all_right_slices(self.e))
 
     @cached_property
     def L(self) -> OperatorSubspace:
-        return slice_span(self.leg_space, all_left_slices(self.e))
+        return span_matrices(self.leg_space, all_left_slices(self.e))
 
     # The structures below are built by the level modules, which import
     # this one; hence the function-level imports.

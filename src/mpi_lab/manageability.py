@@ -24,13 +24,11 @@ from .tensor import (
     TensorSpace,
     identity,
     leg_word,
+    max_gap,
     numerical_rank,
-    op_residual,
     rel_residual,
-    slice_op,
     swap_legs,
     transpose_op,
-    vector_functional,
 )
 
 
@@ -53,7 +51,8 @@ def _composability(fx: Fixture, wt: Operator, names: tuple[str, ...]) -> dict[st
     for name in names:
         flavors, left, right = COMPOSABILITY_WORDS[name]
         amb = TensorSpace(tuple(LegSpec(fx.n, f) for f in flavors))
-        out[name] = op_residual(leg_word(amb, ops, left), leg_word(amb, ops, right))
+        lhs, rhs = (leg_word(amb, ops, word).matrix for word in (left, right))
+        out[name] = rel_residual(lhs, rhs)
     return out
 
 
@@ -99,7 +98,7 @@ def build_wtilde(w: Operator | Fixture, q: Operator) -> Operator:
 
 
 def _grid_residual(w: Operator, qd: QData, wt: Operator, alt: bool) -> float:
-    """Max gap of the characterizing pairing over the full basis grid.
+    """Relative gap of the characterizing pairing over the full basis grid.
 
     alt=False: <W(xi (x) v), eta (x) u> = <Wt(eta- (x) Q^{-1}v), xi- (x) Qu>
     alt=True:  <W(xi (x) v), eta (x) u> = <Wt(Q^{-T}eta- (x) v), Q^T xi- (x) u>
@@ -115,7 +114,7 @@ def _grid_residual(w: Operator, qd: QData, wt: Operator, alt: bool) -> float:
         rhs = np.einsum("xdec,du,cv->euxv", t, qm.conj(), qinv)
     else:
         rhs = np.einsum("aubv,ax,be->euxv", t, qm.T.conj(), qinv.T)
-    return float(np.max(np.abs(lhs - rhs)))
+    return rel_residual(lhs, rhs)
 
 
 def check_manageability(
@@ -170,22 +169,16 @@ def check_hash_identities(
     """The three composability identities on Hbar (x) Hbar (x) H and the
     slice/transpose identity over the basis grid."""
     fx = as_fixture(w)
-    w, n = fx.w, fx.n
+    n = fx.n
     res = _composability(fx, wt, ("hash1", "hash2", "hash3"))
 
-    # (id (x) w_{Q^{-1}v, Qu})(Wt) = [(id (x) w_{v,u})(W)]^T over the grid
-    qm = q.matrix
-    qinv = fx.q_data(q).qinv
-    eye = np.eye(n)
-    worst = 0.0
-    for vv in range(n):
-        for uu in range(n):
-            f_w = vector_functional(eye[vv], eye[uu])
-            f_wt = vector_functional(qinv @ eye[vv], qm @ eye[uu])
-            lhs_m = slice_op(wt, "right", f_wt)
-            rhs_m = transpose_op(slice_op(w, "right", f_w))
-            worst = max(worst, np.linalg.norm(lhs_m.matrix - rhs_m.matrix))
-    res["slice_transpose_identity"] = worst
+    # (id (x) w_{Q^{-1}e_v, Qe_u})(Wt) = [(id (x) w_{e_v,e_u})(W)]^T over the
+    # grid; w_{a,b} has density a b*, so the left side at (v, u) is
+    # sum_{k,l} Wt[(i,k),(j,l)] Q^{-1}[l,v] conj(Q[k,u])
+    qm, qinv = q.matrix, fx.q_data(q).qinv
+    lhs = np.einsum("ikjl,lv,ku->vuij", wt.tensor(), qinv, qm.conj())
+    rhs = np.swapaxes(fx.right_slices, 1, 2)  # slice (v, u) at index v*n + u
+    res["slice_transpose_identity"] = max_gap(lhs.reshape(n * n, n, n), rhs)
     return res
 
 
@@ -197,8 +190,7 @@ def dual_manageability(
     construction (the certificate's Wtilde of W-hat)."""
     cert = check_manageability(as_fixture(w).dual, q)
     candidate = transpose_op(swap_legs(wt.adj))
-    formula_residual = float(np.linalg.norm(candidate.matrix - cert.wtilde.matrix))
-    return cert, formula_residual
+    return cert, rel_residual(candidate.matrix, cert.wtilde.matrix)
 
 
 def inclusion_consequences(w: Operator | Fixture, q: Operator) -> dict[str, float]:
@@ -232,7 +224,8 @@ def suggest_q(w: Operator | Fixture, max_candidates: int = 8) -> list[Operator]:
     rows = eye[entries[:, 0]] + eye[entries[:, 1]] - eye[entries[:, 2]] - eye[entries[:, 3]]
     rows = rows[np.any(rows != 0, axis=1)]
     if rows.size:
-        _, s, vh = np.linalg.svd(rows, full_matrices=True)
+        # the full V* is needed only when rows cannot span all n directions
+        _, s, vh = np.linalg.svd(rows, full_matrices=len(rows) < n)
         null = vh[numerical_rank(s) :]
     else:
         null = np.eye(n)

@@ -10,6 +10,7 @@ in the text rendering and behind an explicit flag.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -35,11 +36,13 @@ class CheckReport:
         if any(e.check_id == check_id for e in self.entries):
             raise ValueError(f"duplicate check id {check_id!r}")
         residual = float(residual)
-        if not (residual >= 0.0 and residual < float("inf")):
-            raise ValueError(f"residual for {check_id} is not a finite nonnegative real")
+        if residual < 0.0:
+            raise ValueError(f"residual for {check_id} is negative")
         if passed is None:
             passed = residual < (self.tolerance if tol is None else tol)
-        entry = CheckEntry(check_id, bool(passed), residual, wall_time_ms)
+        # a non-finite residual (overflow) is a failed check, never a pass
+        passed = bool(passed) and math.isfinite(residual)
+        entry = CheckEntry(check_id, passed, residual, wall_time_ms)
         self.entries.append(entry)
         return entry
 
@@ -56,7 +59,9 @@ class CheckReport:
     def to_dict(self, include_timings: bool = False) -> dict:
         entries = []
         for e in self.entries:
-            d = {"id": e.check_id, "pass": e.passed, "residual": e.residual}
+            # JSON has no NaN or infinity: a non-finite residual is null
+            residual = e.residual if math.isfinite(e.residual) else None
+            d = {"id": e.check_id, "pass": e.passed, "residual": residual}
             if include_timings:
                 d["wall_time_ms"] = e.wall_time_ms
             entries.append(d)

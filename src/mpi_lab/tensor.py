@@ -10,6 +10,7 @@ e_i (x) e_k maps to index i*n2 + k, first leg most significant, 0-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -139,15 +140,47 @@ def identity(sp: TensorSpace) -> Operator:
     return Operator(sp, np.eye(sp.total_dim, dtype=complex))
 
 
+def operators(sp: TensorSpace, stack: np.ndarray) -> list[Operator]:
+    """A (K, D, D) stack of matrices as K Operators on sp."""
+    return [Operator(sp, m) for m in stack]
+
+
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Relative Frobenius gap ||lhs - rhs|| / max(1, ||lhs||)."""
     return float(np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs)))
 
 
-def op_residual(lhs: Operator, rhs: Operator) -> float:
-    if lhs.space != rhs.space:
-        raise LegMismatchError("residual of operators on different spaces")
-    return rel_residual(lhs.matrix, rhs.matrix)
+def rows(stack: np.ndarray) -> np.ndarray:
+    """A stack flattened to one row per member (empty stacks included)."""
+    return stack.reshape(len(stack), math.prod(stack.shape[1:]))
+
+
+def max_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Max of rel_residual over a stack of (lhs, rhs) pairs, along the
+    first axis; 0 for an empty stack."""
+    return _max_relative(rows(lhs - rhs), lhs)
+
+
+def _max_relative(gaps: np.ndarray, lhs: np.ndarray) -> float:
+    """max_k ||gaps_k|| / max(1, ||lhs_k||) for the rows of a gap stack."""
+    scales = np.maximum(1.0, np.linalg.norm(rows(lhs), axis=1))
+    return float(np.max(np.linalg.norm(gaps, axis=1) / scales, initial=0.0))
+
+
+def adjoint(stack: np.ndarray) -> np.ndarray:
+    """Adjoint of every matrix of a stack."""
+    return np.conj(np.swapaxes(stack, -1, -2))
+
+
+def pair_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """All products x y of two stacks: (K, d, d) x (L, d, d) -> (K*L, d, d),
+    ordered K-major."""
+    return (xs[:, None] @ ys[None]).reshape(-1, *xs.shape[1:])
+
+
+def reversed_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The products y x, in the order of pair_products(xs, ys)."""
+    return (ys[None] @ xs[:, None]).reshape(-1, *xs.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +403,13 @@ def slice_op(x: Operator, side: str, w: Functional) -> Operator:
 def slice_matrix(
     m: np.ndarray, n1: int, n2: int, side: str, density: np.ndarray
 ) -> np.ndarray:
-    """slice_op on a raw two-leg matrix: (id (x) w)(m) for side='right',
-    (w (x) id)(m) for side='left', with w the functional of ``density``."""
-    t = m.reshape(n1, n2, n1, n2)
+    """slice_op on a raw two-leg matrix, or on each matrix of a stack:
+    (id (x) w)(m) for side='right', (w (x) id)(m) for side='left', with w
+    the functional of ``density``."""
+    t = m.reshape(m.shape[:-2] + (n1, n2, n1, n2))
     if side == "right":
-        return np.einsum("ikjl,lk->ij", t, density)
-    return np.einsum("ikjl,ji->kl", t, density)
+        return np.einsum("...ikjl,lk->...ij", t, density)
+    return np.einsum("...ikjl,ji->...kl", t, density)
 
 
 def kron_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -438,6 +472,12 @@ class PositiveEig:
             self._powers[z] = p
         return self._powers[z]
 
+    def conjugate(self, z: complex, x: Operator | np.ndarray) -> Operator | np.ndarray:
+        """p^z x p^{-z} for an Operator, or for each matrix of a stack."""
+        if isinstance(x, Operator):
+            return Operator(x.space, self.conjugate(z, x.matrix))
+        return self.power(z) @ x @ self.power(-z)
+
 
 def transpose_grid(stack: np.ndarray) -> np.ndarray:
     """Reorder a stack over the functionals w_{e_a,e_b} (index a*n + b,
@@ -478,57 +518,49 @@ class OperatorSubspace:
         return self.basis_matrix.shape[0]
 
     @cached_property
-    def basis(self) -> list[Operator]:
+    def stack(self) -> np.ndarray:
+        """The basis as a (dim, D, D) stack of matrices."""
         d = self.space.total_dim
-        return [Operator(self.space, row.reshape(d, d)) for row in self.basis_matrix]
+        return self.basis_matrix.reshape(self.dim, d, d)
 
-    def coefficients(self, x: Operator) -> np.ndarray:
-        """HS inner products <x, b_i>."""
-        if x.space != self.space:
-            raise LegMismatchError("operator lives on a different space")
-        return x.matrix.ravel() @ self._basis_conj_t
+    @cached_property
+    def basis(self) -> list[Operator]:
+        return operators(self.space, self.stack)
+
+    def coordinates(self, stack: np.ndarray) -> np.ndarray:
+        """HS inner products <x, b_i> of each matrix x of a stack, (K, dim)."""
+        return rows(stack) @ self._basis_conj_t
+
+    def stack_residual(self, stack: np.ndarray) -> float:
+        """Max membership residual (of the orthogonal projection, relative
+        to max(1, ||x||)) over a (K, D, D) or (K, D*D) stack, one GEMM."""
+        flat = rows(stack)
+        # the projection is subtracted at once, so no stack-sized copy of
+        # it stays alive while the norms are taken
+        return _max_relative(flat - self.coordinates(flat) @ self.basis_matrix, flat)
+
+    def closure_residuals(self) -> tuple[float, float]:
+        """Membership residuals of the basis adjoints and of the products
+        of basis pairs: closure under * and under products."""
+        b = self.stack
+        return self.stack_residual(adjoint(b)), self.stack_residual(pair_products(b, b))
 
     def contains(self, x: Operator) -> tuple[bool, float]:
-        """Membership test: residual of the orthogonal projection."""
-        if x.space != self.space:
-            raise LegMismatchError("operator lives on a different space")
-        v = x.matrix.ravel()
-        c = v @ self._basis_conj_t
-        res = float(np.linalg.norm(v - c @ self.basis_matrix))
-        res /= max(1.0, float(np.linalg.norm(v)))
+        """Membership test of one operator."""
+        res = self.contains_all([x])
         return res < RESIDUAL_TOL, res
 
     def contains_all(self, ops: Iterable[Operator]) -> float:
-        """Max membership residual over a family."""
-        return max((self.contains(x)[1] for x in ops), default=0.0)
-
-    def star_residual(self) -> float:
-        """Closure under adjoints: max membership residual of b*."""
-        return self.contains_all(b.adj for b in self.basis)
-
-    def products_residual(self, lefts, rights) -> float:
-        """Max membership residual of the products x y, x in lefts, y in
-        rights; (basis, basis) tests closure under products."""
-        return self.contains_all(x @ y for x in lefts for y in rights)
-
-    def stack_residual(self, stack: np.ndarray) -> float:
-        """Max membership residual over a stack of operators, one GEMM.
-
-        ``stack`` has shape (K, D, D) or (K, D*D); rows are tested
-        against the span exactly like ``contains``.
-        """
-        flat = stack.reshape(stack.shape[0], -1)
-        coeff = flat @ self._basis_conj_t
-        gaps = np.linalg.norm(flat - coeff @ self.basis_matrix, axis=1)
-        scales = np.maximum(1.0, np.linalg.norm(flat, axis=1))
-        return float(np.max(gaps / scales, initial=0.0))
+        """Max membership residual over a family of operators."""
+        ops = list(ops)
+        if any(x.space != self.space for x in ops):
+            raise LegMismatchError("operator lives on a different space")
+        flat = np.reshape([x.matrix for x in ops], (len(ops), self.basis_matrix.shape[1]))
+        return self.stack_residual(flat)
 
     def equals(self, other: "OperatorSubspace") -> tuple[bool, float]:
         """Two-sided span inclusion, max residual over both directions."""
-        r = max(
-            self.contains_all(other.basis),
-            other.contains_all(self.basis),
-        )
+        r = max(self.stack_residual(other.stack), other.stack_residual(self.stack))
         return r < RESIDUAL_TOL, r
 
 
@@ -550,9 +582,8 @@ def span(family: Sequence[Operator], rank_tol: float = RANK_TOL) -> OperatorSubs
 def span_matrices(
     sp: TensorSpace, stack: np.ndarray, rank_tol: float = RANK_TOL
 ) -> OperatorSubspace:
-    """span() on an already-vectorized stack, one row per operator."""
-    stack = stack.reshape(stack.shape[0], -1)
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    """span() on a stack of operators, (K, D, D) or vectorized (K, D*D)."""
+    _, s, vh = np.linalg.svd(rows(stack), full_matrices=False)
     return OperatorSubspace(sp, np.ascontiguousarray(vh[: numerical_rank(s, rank_tol)]))
 
 
@@ -563,23 +594,36 @@ def tensor_subspace(a: OperatorSubspace, b: OperatorSubspace) -> OperatorSubspac
     re-orthonormalization is needed.
     """
     sp = TensorSpace(a.space.legs + b.space.legs)
-    da, db = a.space.total_dim, b.space.total_dim
-    xs = a.basis_matrix.reshape(a.dim, da, da)
-    ys = b.basis_matrix.reshape(b.dim, db, db)
-    return OperatorSubspace(sp, kron_stack(xs, ys).reshape(a.dim * b.dim, -1))
+    return OperatorSubspace(sp, rows(kron_stack(a.stack, b.stack)))
 
 
-def antimultiplicativity(f: Callable[[Operator], Operator], basis) -> float:
-    """Max residual of f(x y) = f(y) f(x) over basis pairs."""
-    return max(
-        (op_residual(f(x @ y), f(y) @ f(x)) for x in basis for y in basis),
-        default=0.0,
-    )
+def antimultiplicativity(f: Callable[[np.ndarray], np.ndarray], stack: np.ndarray) -> float:
+    """Max residual of f(x y) = f(y) f(x) over pairs from a basis stack;
+    f maps a stack of matrices to the stack of their images."""
+    fx = f(stack)
+    return max_gap(f(pair_products(stack, stack)), reversed_products(fx, fx))
 
 
-def star_preservation(f: Callable[[Operator], Operator], basis) -> float:
-    """Max residual of f(x*) = f(x)* over a basis."""
-    return max((op_residual(f(x.adj), f(x).adj) for x in basis), default=0.0)
+def star_preservation(f: Callable[[np.ndarray], np.ndarray], stack: np.ndarray) -> float:
+    """Max residual of f(x*) = f(x)* over a basis stack."""
+    return max_gap(f(adjoint(stack)), adjoint(f(stack)))
+
+
+@dataclass(frozen=True)
+class SpanMap:
+    """A linear map on a span: column j of ``matrix`` is the vectorized
+    image of the j-th domain basis element, (D*D, domain.dim)."""
+
+    domain: OperatorSubspace
+    matrix: np.ndarray
+
+    def apply(self, x: Operator | np.ndarray) -> Operator | np.ndarray:
+        """The image of an Operator, or of each matrix of a (K, D, D)
+        stack, through its domain coordinates (the part of x off the
+        domain is dropped)."""
+        if isinstance(x, Operator):
+            return Operator(self.domain.space, self.apply(x.matrix[None])[0])
+        return (self.domain.coordinates(x) @ self.matrix.T).reshape(x.shape)
 
 
 class LstsqSolver:
@@ -594,12 +638,12 @@ class LstsqSolver:
         self._u, self._s, self._vh = u[:, :rank], s[:rank], vh[:rank]
         self.nullity = self.a.shape[1] - rank
 
-    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-        """(solution x, residual ||Ax - b||) for a vector b, or column by
-        column for a matrix b (Frobenius residual)."""
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(solution x, residual ||Ax - b||) for a vector b; for a matrix b,
+        column by column, with one residual per column."""
         b = np.asarray(rhs, dtype=complex)
         x = self._vh.conj().T @ ((self._u.conj().T @ b).T / self._s).T
-        return x, float(np.linalg.norm(self.a @ x - b))
+        return x, np.linalg.norm(self.a @ x - b, axis=0)
 
 
 def lsq_solve(
@@ -607,4 +651,5 @@ def lsq_solve(
 ) -> tuple[np.ndarray, float, int]:
     """Minimum-norm least-squares solve: (solution, residual, nullity)."""
     solver = LstsqSolver(map_matrix, rank_tol)
-    return *solver.solve(np.ravel(rhs)), solver.nullity
+    x, residual = solver.solve(np.ravel(rhs))
+    return x, float(residual), solver.nullity

@@ -300,10 +300,10 @@ class TestCStarBases:
         import mpi_lab.base_algebra as ba
         from mpi_lab.runner import run_suite
 
-        original = ba.gamma_n_apply
-        off_l = unit(3, 1, 2)
+        original = ba.gamma_n_stack
+        off_l = unit(3, 1, 2).matrix
         monkeypatch.setattr(
-            ba, "gamma_n_apply", lambda w, nu, b: original(w, nu, b) + off_l
+            ba, "gamma_n_stack", lambda w, nu, bs: original(w, nu, bs) + off_l
         )
         entries = {e.check_id: e for e in run_suite(w_z3, level="base").entries}
         assert not entries["cstar_R_onto_C"].passed

@@ -226,6 +226,32 @@ class TestRunSuiteContract:
             e.residual >= 0.0 and np.isfinite(e.residual) for e in rep.entries
         )
 
+    def test_non_finite_residual_is_a_failed_check(self, tmp_path, w_z2):
+        # W scaled by 1e200 overflows W W* W: every overflowing residual is
+        # a failed entry with a null residual, and the report stays strict
+        # JSON (no NaN or Infinity tokens)
+        def reject(token):
+            raise ValueError(f"non-strict JSON token {token}")
+
+        wp = tmp_path / "w.json"
+        save_operator(1e200 * w_z2, str(wp))
+        out = tmp_path / "rep.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["check", str(wp), "--report", "json", "--out", str(out)])
+        assert rc == EXIT_CHECK_FAILED
+        rep = json.loads(out.read_text(), parse_constant=reject)
+        assert rep["checks"][0] == {"id": "partial_isometry", "pass": False, "residual": None}
+        assert rep["overall"] == "fail"
+
+    def test_non_finite_residual_cannot_pass(self):
+        from mpi_lab.report import CheckReport
+
+        rep = CheckReport("x", 1e-9, "0")
+        assert not rep.add("forced", float("nan"), passed=True).passed
+        assert not rep.add("inf", float("inf")).passed
+        with pytest.raises(ValueError):
+            rep.add("negative", -1.0)
+
     def test_level_ordering_prefixes(self, w_z2):
         rep_ax = run_suite(w_z2, level="axioms")
         rep_co = run_suite(w_z2, level="coalgebra")
