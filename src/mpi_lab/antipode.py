@@ -103,7 +103,7 @@ def antipode_generator(w: Operator | Fixture, omega) -> tuple[Operator, Operator
 def antipode_map(w: Operator | Fixture) -> AssembledMap:
     """S on span A, assembled from the full basis-functional grid."""
     fx = as_fixture(w)
-    return _assemble(fx.leg_space, fx.right_slices, all_right_slices(fx.ws))
+    return _assemble(fx.leg_space, fx.right_slices, fx.dual.left_slices)
 
 
 def _transposed_right_slices(wtilde: Operator) -> np.ndarray:
@@ -116,7 +116,7 @@ def unitary_antipode_map(w: Operator | Fixture, wtilde: Operator) -> AssembledMa
     the slice algebra is star-closed)."""
     fx = as_fixture(w)
     outs = _transposed_right_slices(wtilde)
-    return _assemble(fx.leg_space, all_right_slices(fx.ws), outs)
+    return _assemble(fx.leg_space, fx.dual.left_slices, outs)
 
 
 def dual_antipode_maps(
@@ -129,7 +129,7 @@ def dual_antipode_maps(
     """
     fx = as_fixture(w)
     leg = fx.leg_space
-    y_star, y = all_left_slices(fx.ws), fx.left_slices
+    y_star, y = fx.dual.right_slices, fx.left_slices
     wt_star = transpose_grid(all_left_slices(wtilde.adj))  # w^T = w_{e_b,e_a}
     return (
         _assemble(leg, y_star, y),
@@ -150,7 +150,7 @@ def check_antipode(
     res["S_well_defined"] = s_map.inconsistency
     res["RA_well_defined"] = ra_map.inconsistency
 
-    a, s_a = fx.right_slices, all_right_slices(fx.ws)
+    a, s_a = fx.right_slices, fx.dual.left_slices
     tau_a = tau(fx, q, -0.5j, a)
     res["polar_S_eq_RA_tau"] = max_gap(s_a, ra_map.apply(tau_a))
     res["polar_domain_membership"] = ra_map.domain.stack_residual(tau_a)
@@ -186,7 +186,7 @@ def check_duality(
     res["Shat_inv_well_defined"] = shat_inv.inconsistency
     res["RAhat_well_defined"] = rahat.inconsistency
 
-    y_star, y = all_left_slices(fx.ws), fx.left_slices
+    y_star, y = fx.dual.right_slices, fx.left_slices
     # S-hat = R_Ahat o tau-hat_{-i/2}; S-hat^{-1} = R_Ahat o tau-hat_{i/2}
     res["Shat_polar"] = max_gap(y, rahat.apply(tau(fx, q, -0.5j, y_star)))
     res["Shat_inv_polar"] = max_gap(y_star, rahat.apply(tau(fx, q, 0.5j, y)))

@@ -4,7 +4,9 @@ A ``Fixture`` holds W and, as cached properties read on first use, what
 the checks share: W*, E = W*W, G = WW*, the slice stacks, the leg
 algebras A and A-hat, the base spans N and L, kappa, the weight nu, the
 base structure and the antipode S.  ``dual`` is the context of W-hat,
-whose dual is this context again (N-hat is ``dual.N``).  ``q_data(Q)``
+whose dual is this context again (N-hat is ``dual.N``); as
+W-hat = Sigma W* Sigma, the right and left slices of W* are
+``dual.left_slices`` and ``dual.right_slices``.  ``q_data(Q)``
 holds Q^{-1} and the eigendecompositions of Q and Q^T.  Public checks
 accept an ``Operator`` (given a fresh context) or a context.  A context
 serves one suite run and holds nothing larger than n^4 entries;

@@ -144,6 +144,10 @@ def _coalgebra(run: _Run) -> bool:
 
 def _base(run: _Run) -> bool:
     fx, rep = run.fx, run.rep
+    if fx.N.dim == 0:  # E = 0: there is no base algebra to check
+        for lv in run.wanted[run.wanted.index("base"):]:
+            rep.skip(lv, "base span N is empty (E = W*W = 0)")
+        return False
     spans, ms = _timed(getattr, fx, "spans")
     rep.properties["base_dims"] = {
         "N": spans.N.dim,
