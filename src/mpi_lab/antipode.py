@@ -19,8 +19,8 @@ from .axioms import is_partial_isometry
 from .base_algebra import BaseStructure, gamma_n_stack, modular_conjugate
 from .context import Fixture, as_fixture
 from .tensor import (
-    RANK_TOL,
     RESIDUAL_TOL,
+    T_SAMPLES,
     Operator,
     OperatorSubspace,
     SpanMap,
@@ -60,9 +60,7 @@ class AssembledMap(SpanMap):
     nullity: int
 
 
-def assemble_map(
-    pairs: list[tuple[Operator, Operator]], rank_tol: float = RANK_TOL
-) -> AssembledMap:
+def assemble_map(pairs: list[tuple[Operator, Operator]]) -> AssembledMap:
     """Least-squares linear extension of input -> output pairs."""
     if not pairs:
         raise ValueError("no generator pairs")
@@ -70,20 +68,17 @@ def assemble_map(
         pairs[0][0].space,
         np.array([p[0].matrix for p in pairs]),
         np.array([p[1].matrix for p in pairs]),
-        rank_tol,
     )
 
 
-def _assemble(
-    sp: TensorSpace, ins: np.ndarray, outs: np.ndarray, rank_tol: float = RANK_TOL
-) -> AssembledMap:
+def _assemble(sp: TensorSpace, ins: np.ndarray, outs: np.ndarray) -> AssembledMap:
     """assemble_map on stacks of input and output matrices, from one SVD
-    U S V* of the inputs: the domain basis is V*'s leading rows, and the
-    inputs' domain coordinates are U S."""
+    U S V* of the inputs (rank at the RANK_TOL cutoff): the domain basis
+    is V*'s leading rows, and the inputs' domain coordinates are U S."""
     m_in = ins.reshape(ins.shape[0], -1)
     m_out = outs.reshape(outs.shape[0], -1)
     u, s, vh = np.linalg.svd(m_in, full_matrices=True)
-    rank = numerical_rank(s, rank_tol)
+    rank = numerical_rank(s)
     domain = OperatorSubspace(sp, np.ascontiguousarray(vh[:rank]))
     # well-definedness: null combinations of inputs must kill the outputs
     scale = max(1.0, float(np.linalg.norm(m_out)))
@@ -145,7 +140,9 @@ def check_antipode(
     generator grid."""
     fx = as_fixture(w)
     s_map = fx.s_map
-    ra_map = unitary_antipode_map(fx, wtilde)
+    # the slices of Wt, built once: the outputs of R_A and the tau target
+    wt_slices = _transposed_right_slices(wtilde)
+    ra_map = _assemble(fx.leg_space, fx.dual.left_slices, wt_slices)
     res: dict[str, float] = {}
     res["S_well_defined"] = s_map.inconsistency
     res["RA_well_defined"] = ra_map.inconsistency
@@ -155,7 +152,7 @@ def check_antipode(
     res["polar_S_eq_RA_tau"] = max_gap(s_a, ra_map.apply(tau_a))
     res["polar_domain_membership"] = ra_map.domain.stack_residual(tau_a)
     # tau_{-i/2}((id (x) w_{v,u})(W)) = [(id (x) w_{v,u})(Wt)]^T
-    res["tau_slice_identity"] = max_gap(tau_a, _transposed_right_slices(wtilde))
+    res["tau_slice_identity"] = max_gap(tau_a, wt_slices)
     # S(S(a)*)* = a
     res["S_star_involution"] = max_gap(adjoint(s_map.apply(adjoint(s_a))), a)
     # S(S(a)) = tau_{-i}(a)
@@ -169,7 +166,7 @@ def check_antipode(
     res["RA_antimultiplicative"] = antimultiplicativity(ra_map.apply, ra_basis)
     # tau_t preserves span A at sampled real t
     res["tau_preserves_A"] = max(
-        s_map.domain.stack_residual(tau(fx, q, t, basis)) for t in (1.0, -1.0, 0.3, -0.3)
+        s_map.domain.stack_residual(tau(fx, q, t, basis)) for t in T_SAMPLES
     )
     return res
 
@@ -207,24 +204,20 @@ def check_duality(
 
 
 def check_base_restrictions(
-    w: Operator | Fixture,
-    q: Operator,
-    structure: BaseStructure,
-    wtilde: Operator,
-    t_samples=(1.0, -1.0, 0.3, -0.3),
+    w: Operator | Fixture, q: Operator, structure: BaseStructure, wtilde: Operator
 ) -> dict[str, float]:
-    """tau_t restricted to B and C against the modular groups, and S
-    restricted to B and C against the gamma maps."""
+    """tau_t restricted to B and C against the modular groups at
+    t in T_SAMPLES, and S restricted to B and C against the gamma maps."""
     fx = as_fixture(w)
     nu, mu = structure.nu, structure.mu
     bs, cs = nu.algebra.stack, mu.algebra.stack
     s_map = fx.s_map
     res: dict[str, float] = {}
     res["tau_B_eq_sigma_nu_minus_t"] = max(
-        max_gap(tau(fx, q, t, bs), modular_conjugate(nu, -t, bs)) for t in t_samples
+        max_gap(tau(fx, q, t, bs), modular_conjugate(nu, -t, bs)) for t in T_SAMPLES
     )
     res["tau_C_eq_sigma_mu_t"] = max(
-        max_gap(tau(fx, q, t, cs), modular_conjugate(mu, t, cs)) for t in t_samples
+        max_gap(tau(fx, q, t, cs), modular_conjugate(mu, t, cs)) for t in T_SAMPLES
     )
     res["S_B_eq_gamma_B"] = max_gap(s_map.apply(bs), gamma_n_stack(fx, nu, bs))
     res["B_in_A_membership"] = s_map.domain.stack_residual(bs)

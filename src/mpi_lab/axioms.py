@@ -14,7 +14,6 @@ import numpy as np
 
 from .context import Fixture, as_fixture, what  # noqa: F401 (re-exports what)
 from .tensor import (
-    RANK_TOL,
     RESIDUAL_TOL,
     LegMismatchError,
     Operator,
@@ -128,15 +127,13 @@ def projection_residuals(w: Operator | Fixture) -> dict[str, float]:
     }
 
 
-def _matrix_rank(stack: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+def _matrix_rank(stack: np.ndarray) -> int:
     s = np.linalg.svd(stack.reshape(stack.shape[0], -1), compute_uv=False)
-    return numerical_rank(s, rank_tol)
+    return numerical_rank(s)
 
 
-def assess_fullness(
-    w: Operator | Fixture, rank_tol: float = RANK_TOL
-) -> FullnessVerdict:
-    """Evaluate both fullness readings.
+def assess_fullness(w: Operator | Fixture) -> FullnessVerdict:
+    """Evaluate both fullness readings, with ranks at the RANK_TOL cutoff.
 
     The literal flags ask whether w -> (id (x) w)(W) (resp. the left
     slice map) is injective; by annihilator duality that is the same as
@@ -148,17 +145,17 @@ def assess_fullness(
     n = _two_h_legs(fx.w)
     rights = fx.right_slices  # span A
     lefts = fx.left_slices  # span A-hat
-    right_rank = _matrix_rank(rights, rank_tol)
-    left_rank = _matrix_rank(lefts, rank_tol)
+    right_rank = _matrix_rank(rights)
+    left_rank = _matrix_rank(lefts)
     # injectivity of the right slice map = rank n^2 of its image
     literal_right = right_rank == n * n
     literal_left = left_rank == n * n
 
     def range_full(stack):
-        return _matrix_rank(np.hstack(list(stack)), rank_tol) == n
+        return _matrix_rank(np.hstack(list(stack))) == n
 
     def kernel_trivial(stack):
-        return _matrix_rank(np.vstack(list(stack)), rank_tol) == n
+        return _matrix_rank(np.vstack(list(stack))) == n
 
     return FullnessVerdict(
         literal_right=literal_right,

@@ -19,8 +19,8 @@ import numpy as np
 from .context import Fixture, as_fixture
 from .tensor import (
     PD_TOL,
-    RANK_TOL,
     RESIDUAL_TOL,
+    T_SAMPLES,
     LstsqSolver,
     Operator,
     OperatorSubspace,
@@ -45,6 +45,9 @@ from .tensor import (
     tensor_subspace,
     transpose_grid,
 )
+
+#: iteration cap of the positivity repair of an indefinite weight density
+REPAIR_ITERS = 300
 
 
 @dataclass(frozen=True)
@@ -152,10 +155,10 @@ class KappaSolver:
     outside the solvable domain.
     """
 
-    def __init__(self, w: Operator | Fixture, rank_tol: float = RANK_TOL):
+    def __init__(self, w: Operator | Fixture):
         fx = as_fixture(w)
         self.leg, self.n, self.e = fx.leg_space, fx.n, fx.e.matrix
-        self._solver = LstsqSolver(self.e.reshape(self.n**3, self.n), rank_tol)
+        self._solver = LstsqSolver(self.e.reshape(self.n**3, self.n))
         self.nullity = self.n * self._solver.nullity
 
     def solve_stack(self, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,11 +178,9 @@ class KappaSolver:
         return Operator(self.leg, vals[0]), float(residuals[0]), self.nullity
 
 
-def kappa_solve(
-    w: Operator | Fixture, b: Operator, rank_tol: float = RANK_TOL
-) -> tuple[Operator, float, int]:
+def kappa_solve(w: Operator | Fixture, b: Operator) -> tuple[Operator, float, int]:
     """Minimum-norm solution x of E(b (x) 1) = E(1 (x) x)."""
-    return KappaSolver(w, rank_tol).solve(b)
+    return KappaSolver(w).solve(b)
 
 
 @dataclass(frozen=True)
@@ -252,26 +253,17 @@ def support_projection(sub: OperatorSubspace) -> np.ndarray:
     return u[:, : numerical_rank(s)]
 
 
-def find_distinguished_weight(
-    w: Operator | Fixture,
-    base: str = "N",
-    pd_tol: float = PD_TOL,
-    rank_tol: float = RANK_TOL,
-) -> WeightData:
-    """Solve (nu (x) id)(E) = 1 for a positive density D in the base span.
+def find_distinguished_weight(w: Operator | Fixture) -> WeightData:
+    """Solve (nu (x) id)(E) = 1 for a positive density D in the base span N.
 
-    base="N" works with E = W*W; base="Nhat" runs the same construction
-    for the dual side (E-hat = Sigma G Sigma).  The minimal-norm
+    The dual weight on N-hat is the same construction on the dual
+    context: ``find_distinguished_weight(fx.dual)``.  The minimal-norm
     solution of the real linear system is taken; if it is not positive
     definite on the support and the solution space has positive
     dimension, an alternating-projection repair onto the positive cone
     is attempted before reporting failure.
     """
-    if base not in ("N", "Nhat"):
-        raise ValueError("base must be 'N' or 'Nhat'")
     fx = as_fixture(w)
-    if base == "Nhat":
-        fx = fx.dual
     sub, e, n = fx.N, fx.e.matrix, fx.n
     herm = _hermitian_basis(sub)
     if not len(herm):
@@ -280,7 +272,7 @@ def find_distinguished_weight(
     cols = rows(np.array([slice_matrix(e, n, n, "left", h) for h in herm]))
     rhs = np.concatenate([np.eye(n).ravel(), np.zeros(n * n)])
     a = np.hstack([cols.real, cols.imag]).T
-    return _weight(sub, herm, a, rhs, pd_tol, rank_tol, repair=True)
+    return _weight(sub, herm, a, rhs, repair=True)
 
 
 def _weight(
@@ -288,15 +280,14 @@ def _weight(
     herm: np.ndarray,
     a: np.ndarray,
     rhs: np.ndarray,
-    pd_tol: float = PD_TOL,
-    rank_tol: float = RANK_TOL,
     repair: bool = False,
 ) -> WeightData:
     """The density sum_j t_j h_j for the minimum-norm real solution t of
-    a t = rhs, with its smallest eigenvalue on the support of ``sub``.
-    With ``repair``, an indefinite density is moved along the solution
-    space towards the positive cone, leaving the residual unchanged."""
-    t, residual, nullity = lsq_solve(a, rhs, rank_tol)
+    a t = rhs, with its smallest eigenvalue on the support of ``sub``;
+    found when that eigenvalue exceeds PD_TOL.  With ``repair``, an
+    indefinite density is moved along the solution space towards the
+    positive cone, leaving the residual unchanged."""
+    t, residual, nullity = lsq_solve(a, rhs)
     t = t.real
     d_mat = sum(tj * hj for tj, hj in zip(t, herm))
     supp = support_projection(sub)
@@ -307,24 +298,24 @@ def _weight(
         return float(np.linalg.eigvalsh(supp.conj().T @ mat @ supp).min())
 
     me = min_eig(d_mat)
-    if repair and me <= pd_tol and nullity > 0:
-        d_mat = _positivity_repair(a, rhs, t, herm, supp, rank_tol)
+    if repair and me <= PD_TOL and nullity > 0:
+        d_mat = _positivity_repair(a, t, herm, supp)
         me = min_eig(d_mat)
-    found = residual < 1e-7 and me > pd_tol
+    found = residual < 1e-7 and me > PD_TOL
     return WeightData(
         sub, Operator(sub.space, d_mat), me, nullity, residual, supp, found
     )
 
 
-def _positivity_repair(a, rhs, t0, herm, supp, rank_tol, iters: int = 300):
-    """Alternate between the affine solution set of the normalization
-    system and the positive cone on the support."""
+def _positivity_repair(a, t0, herm, supp):
+    """Alternate, at most REPAIR_ITERS times, between the affine solution
+    set {t0 + null(a)} of the normalization system and the positive cone
+    on the support."""
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = numerical_rank(s, rank_tol)
-    null_basis = vh[rank:]  # rows span the solution-space directions
+    null_basis = vh[numerical_rank(s) :]  # rows span the solution-space directions
     t = t0.copy()
     floor = 1e-6
-    for _ in range(iters):
+    for _ in range(REPAIR_ITERS):
         d_mat = sum(tj * hj for tj, hj in zip(t, herm))
         if supp.shape[1]:
             core = supp.conj().T @ d_mat @ supp
@@ -442,14 +433,11 @@ def gamma_kappa_residual(structure: BaseStructure) -> float:
 
 
 def check_separability_triple(
-    w: Operator | Fixture,
-    structure: BaseStructure,
-    q: Operator | None = None,
-    wtilde: Operator | None = None,
-    t_samples=(1.0, -1.0, 0.3, -0.3),
+    w: Operator | Fixture, structure: BaseStructure
 ) -> dict[str, float]:
-    """Residuals for the weight/anti-isomorphism identities; the
-    kappa-vs-Q checks run only when a manageability pair is supplied."""
+    """Residuals for the weight/anti-isomorphism identities, with the
+    modular groups sampled at T_SAMPLES.  The checks that need a
+    manageability pair (Q, Wtilde) are kappa_q_checks."""
     fx = as_fixture(w)
     nu, mu, rtilde = structure.nu, structure.mu, structure.rtilde
     e, n = fx.e.matrix, fx.n
@@ -489,14 +477,11 @@ def check_separability_triple(
             modular_conjugate(mu, t, cs),
             rtilde.apply(modular_conjugate(nu, -t, rtilde.inverse.apply(cs))),
         )
-        for t in t_samples
+        for t in T_SAMPLES
     )
     # Rtilde is a *-anti-isomorphism
     res["rtilde_star"] = star_preservation(rtilde.apply, bs)
     res["rtilde_antimultiplicative"] = antimultiplicativity(rtilde.apply, bs)
-
-    if q is not None and wtilde is not None:
-        res.update(kappa_q_checks(fx, structure, q, wtilde))
     return res
 
 

@@ -149,7 +149,7 @@ class Fixture:
     @cached_property
     def nu(self):
         from .base_algebra import find_distinguished_weight
-        return find_distinguished_weight(self, "N")
+        return find_distinguished_weight(self)
 
     @cached_property
     def _structure(self):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .axioms import check_mpi_axioms
-from .tensor import Operator, kron, space
+from .tensor import RESIDUAL_TOL, Operator, kron, space
 
 
 def _op2(n: int, matrix: np.ndarray) -> Operator:
@@ -250,12 +250,13 @@ def random_unitary(n: int, rng: np.random.Generator) -> Operator:
     return Operator(space(n), q)
 
 
-def conjugate_fixture(w: Operator, u: Operator, tol: float = 1e-9) -> Operator:
-    """(u (x) u) W (u (x) u)*; preserves every axiom-level verdict."""
+def conjugate_fixture(w: Operator, u: Operator) -> Operator:
+    """(u (x) u) W (u (x) u)*; preserves every axiom-level verdict.  u must
+    be unitary to RESIDUAL_TOL (absolute Frobenius gap of u u* from 1)."""
     if u.space.nlegs != 1 or u.space.legs[0] != w.space.legs[0]:
         raise ValueError("u must be a single-leg operator matching W's legs")
     um = u.matrix
-    if np.linalg.norm(um @ um.conj().T - np.eye(um.shape[0])) > tol:
+    if np.linalg.norm(um @ um.conj().T - np.eye(um.shape[0])) > RESIDUAL_TOL:
         raise ValueError("u is not unitary at tolerance")
     uu = kron(u, u)
     return uu @ w @ uu.adj

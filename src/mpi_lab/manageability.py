@@ -17,6 +17,7 @@ import numpy as np
 from .context import Fixture, QData, as_fixture
 from .tensor import (
     RESIDUAL_TOL,
+    T_SAMPLES,
     H,
     HBAR,
     LegSpec,
@@ -31,6 +32,8 @@ from .tensor import (
     transpose_op,
 )
 
+#: the most Q candidates suggest_q returns (the identity included)
+MAX_Q_CANDIDATES = 8
 
 # Composability identities as (ambient leg flavors, left word, right word)
 # in the notation of tensor.leg_word, over W, Wt = Wtilde on Hbar (x) H
@@ -134,7 +137,7 @@ def check_manageability(
 
     qit_w = 0.0
     qit_wt = 0.0
-    for t in (1.0, -1.0, 0.3, -0.3):
+    for t in T_SAMPLES:
         qt = qd.eig.power(1j * t)
         qmt = qd.eig.power(-1j * t)
         qq_t = np.kron(qt, qt)
@@ -205,9 +208,10 @@ def inclusion_consequences(w: Operator | Fixture, q: Operator) -> dict[str, floa
     }
 
 
-def suggest_q(w: Operator | Fixture, max_candidates: int = 8) -> list[Operator]:
-    """Heuristic Q candidates: the identity, plus positive diagonal
-    matrices whose log-diagonals solve the commutation constraint.
+def suggest_q(w: Operator | Fixture) -> list[Operator]:
+    """Heuristic Q candidates, at most MAX_Q_CANDIDATES: the identity, plus
+    positive diagonal matrices whose log-diagonals solve the commutation
+    constraint.
 
     Each nonzero entry W_{(i,k),(j,l)} forces
     log q_i + log q_k - log q_j - log q_l = 0; the null space of the
@@ -235,6 +239,6 @@ def suggest_q(w: Operator | Fixture, max_candidates: int = 8) -> list[Operator]:
         for scale in (1.0, 0.5):
             d = np.exp(scale * row)
             cands.append(Operator(leg_sp, np.diag(d)))
-            if len(cands) >= max_candidates:
+            if len(cands) >= MAX_Q_CANDIDATES:
                 return cands
     return cands

@@ -46,6 +46,8 @@ from .report import CheckReport
 from .tensor import Operator, RESIDUAL_TOL
 
 LEVELS = ("axioms", "coalgebra", "base", "manageability", "antipode")
+#: seeded unitary conjugations of each corpus fixture with n <= 4
+CONJUGATIONS_PER_FIXTURE = 2
 
 
 def _levels_upto(level: str) -> tuple[str, ...]:
@@ -312,11 +314,10 @@ def builtin_corpus() -> dict[str, Operator]:
     }
 
 
-def corpus_suite(
-    tol: float = RESIDUAL_TOL, seed: int = 0, conjugations_per_fixture: int = 2
-) -> list[CheckReport]:
-    """Run the full level chain on the built-in corpus plus seeded
-    unitary-conjugation variants (axioms level) of the small fixtures."""
+def corpus_suite(tol: float = RESIDUAL_TOL, seed: int = 0) -> list[CheckReport]:
+    """Run the full level chain on the built-in corpus plus
+    CONJUGATIONS_PER_FIXTURE seeded unitary-conjugation variants (axioms
+    level) of each small fixture."""
     from . import corpus as cp
 
     reports = []
@@ -326,7 +327,7 @@ def corpus_suite(
         n = w.space.legs[0].dim
         if n > 4:
             continue
-        for k in range(conjugations_per_fixture):
+        for k in range(CONJUGATIONS_PER_FIXTURE):
             u = cp.random_unitary(n, rng)
             wc = cp.conjugate_fixture(w, u)
             reports.append(

@@ -22,10 +22,12 @@ HBAR = "Hbar"
 
 #: default relative-residual tolerance (Frobenius, denominator max(1, ||lhs||))
 RESIDUAL_TOL = 1e-9
-#: singular values below rank_tol * sigma_max are treated as zero
+#: singular values below RANK_TOL * sigma_max are treated as zero
 RANK_TOL = 1e-10
 #: eigenvalues below this are not accepted as positive
 PD_TOL = 1e-12
+#: the real t at which identities in a one-parameter group are sampled
+T_SAMPLES = (1.0, -1.0, 0.3, -0.3)
 
 
 class LegMismatchError(ValueError):
@@ -324,10 +326,8 @@ def _check_embedding(x: Operator, legs: Sequence[int], ambient: TensorSpace):
             )
 
 
-def embedded_mul(
-    x: Operator, legs: Sequence[int], m: Operator, side: str = "left"
-) -> Operator:
-    """embed(x, legs) @ m (side='left') or m @ embed(x, legs) (side='right').
+def embedded_mul(x: Operator, legs: Sequence[int], m: Operator) -> Operator:
+    """embed(x, legs) @ m.
 
     Contracts directly on the tensor indices, avoiding the full
     D x D x D matrix product; equals the embedded matrix product exactly.
@@ -340,27 +340,15 @@ def embedded_mul(
     k = len(legs)
     xdims = x.space.dims
     xt = x.matrix.reshape(xdims + xdims)
-    if side == "left":
-        mt = m.matrix.reshape(dims + (d,))
-        # contract x column axes with m row axes at `legs`
-        res = np.tensordot(xt, mt, axes=(list(range(k, 2 * k)), [p - 1 for p in legs]))
-        # res axes: x-out legs (order `legs`), remaining m row legs, col
-        rest = [p for p in range(1, L + 1) if p not in legs]
-        axis_of = {p: i for i, p in enumerate(legs)}
-        axis_of.update({p: k + i for i, p in enumerate(rest)})
-        res = res.transpose([axis_of[p] for p in range(1, L + 1)] + [L])
-        return Operator(m.space, np.ascontiguousarray(res.reshape(d, d)))
-    elif side == "right":
-        mt = m.matrix.reshape((d,) + dims)
-        # contract m column axes at `legs` with x row axes
-        res = np.tensordot(mt, xt, axes=([p for p in legs], list(range(k))))
-        # res axes: row flat, remaining m col legs, x-in legs (order `legs`)
-        rest = [p for p in range(1, L + 1) if p not in legs]
-        axis_of = {p: 1 + len(rest) + i for i, p in enumerate(legs)}
-        axis_of.update({p: 1 + i for i, p in enumerate(rest)})
-        res = res.transpose([0] + [axis_of[p] for p in range(1, L + 1)])
-        return Operator(m.space, np.ascontiguousarray(res.reshape(d, d)))
-    raise ValueError("side must be 'left' or 'right'")
+    mt = m.matrix.reshape(dims + (d,))
+    # contract x column axes with m row axes at `legs`
+    res = np.tensordot(xt, mt, axes=(list(range(k, 2 * k)), [p - 1 for p in legs]))
+    # res axes: x-out legs (order `legs`), remaining m row legs, col
+    rest = [p for p in range(1, L + 1) if p not in legs]
+    axis_of = {p: i for i, p in enumerate(legs)}
+    axis_of.update({p: k + i for i, p in enumerate(rest)})
+    res = res.transpose([axis_of[p] for p in range(1, L + 1)] + [L])
+    return Operator(m.space, np.ascontiguousarray(res.reshape(d, d)))
 
 
 def leg_word(ambient: TensorSpace, ops: dict[str, Operator], word: str) -> Operator:
@@ -379,7 +367,7 @@ def chain(ambient: TensorSpace, *factors: tuple[Operator, Sequence[int]]) -> Ope
     op, legs = factors[-1]
     acc = embed(op, legs, ambient)
     for op, legs in reversed(factors[:-1]):
-        acc = embedded_mul(op, list(legs), acc, side="left")
+        acc = embedded_mul(op, list(legs), acc)
     return acc
 
 
@@ -451,14 +439,14 @@ def all_left_slices(x: Operator) -> np.ndarray:
 
 
 class PositiveEig:
-    """Eigendecomposition of a Hermitian positive-definite matrix, taken
-    once; ``power(z)`` is p^z, memoized per exponent."""
+    """Eigendecomposition of a Hermitian matrix whose eigenvalues exceed
+    PD_TOL, taken once; ``power(z)`` is p^z, memoized per exponent."""
 
-    def __init__(self, m: np.ndarray, pd_tol: float = PD_TOL, name: str = "operator"):
+    def __init__(self, m: np.ndarray, name: str = "operator"):
         if np.linalg.norm(m - m.conj().T) > 1e-10 * max(1.0, np.linalg.norm(m)):
             raise ValueError(f"{name} must be Hermitian")
         self.vals, self.vecs = np.linalg.eigh(m)
-        if self.vals.min() <= pd_tol:
+        if self.vals.min() <= PD_TOL:
             raise ValueError(
                 f"{name} must be positive definite (min eig {self.vals.min():.3e})"
             )
@@ -486,16 +474,16 @@ def transpose_grid(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(n, n, *stack.shape[1:]).swapaxes(0, 1).reshape(stack.shape)
 
 
-def pos_power(p: Operator, z: complex, pd_tol: float = PD_TOL) -> Operator:
+def pos_power(p: Operator, z: complex) -> Operator:
     """p^z for Hermitian positive-definite p, via eigendecomposition."""
-    return Operator(p.space, PositiveEig(p.matrix, pd_tol).power(z))
+    return Operator(p.space, PositiveEig(p.matrix).power(z))
 
 
-def numerical_rank(s: np.ndarray, rank_tol: float = RANK_TOL) -> int:
-    """Number of singular values (descending) above rank_tol * s[0]."""
+def numerical_rank(s: np.ndarray) -> int:
+    """Number of singular values (descending) above RANK_TOL * s[0]."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +552,10 @@ class OperatorSubspace:
         return r < RESIDUAL_TOL, r
 
 
-def span(family: Sequence[Operator], rank_tol: float = RANK_TOL) -> OperatorSubspace:
+def span(family: Sequence[Operator]) -> OperatorSubspace:
     """Orthonormalize a family of operators in the HS inner product.
 
-    SVD of the vectorized stack with rank cutoff sigma > rank_tol * sigma_max.
+    SVD of the vectorized stack with rank cutoff sigma > RANK_TOL * sigma_max.
     """
     family = list(family)
     if not family:
@@ -576,15 +564,13 @@ def span(family: Sequence[Operator], rank_tol: float = RANK_TOL) -> OperatorSubs
     for f in family[1:]:
         if f.space != sp:
             raise LegMismatchError("family members live on different spaces")
-    return span_matrices(sp, np.array([f.matrix.ravel() for f in family]), rank_tol)
+    return span_matrices(sp, np.array([f.matrix.ravel() for f in family]))
 
 
-def span_matrices(
-    sp: TensorSpace, stack: np.ndarray, rank_tol: float = RANK_TOL
-) -> OperatorSubspace:
+def span_matrices(sp: TensorSpace, stack: np.ndarray) -> OperatorSubspace:
     """span() on a stack of operators, (K, D, D) or vectorized (K, D*D)."""
     _, s, vh = np.linalg.svd(rows(stack), full_matrices=False)
-    return OperatorSubspace(sp, np.ascontiguousarray(vh[: numerical_rank(s, rank_tol)]))
+    return OperatorSubspace(sp, np.ascontiguousarray(vh[: numerical_rank(s)]))
 
 
 def tensor_subspace(a: OperatorSubspace, b: OperatorSubspace) -> OperatorSubspace:
@@ -631,10 +617,10 @@ class LstsqSolver:
     taken once, each solve is two small products.  ``nullity`` is the
     dimension of the kernel of A at the rank cutoff."""
 
-    def __init__(self, map_matrix: np.ndarray, rank_tol: float = RANK_TOL):
+    def __init__(self, map_matrix: np.ndarray):
         self.a = np.asarray(map_matrix, dtype=complex)
         u, s, vh = np.linalg.svd(self.a, full_matrices=False)
-        rank = numerical_rank(s, rank_tol)
+        rank = numerical_rank(s)
         self._u, self._s, self._vh = u[:, :rank], s[:rank], vh[:rank]
         self.nullity = self.a.shape[1] - rank
 
@@ -646,10 +632,9 @@ class LstsqSolver:
         return x, np.linalg.norm(self.a @ x - b, axis=0)
 
 
-def lsq_solve(
-    map_matrix: np.ndarray, rhs: np.ndarray, rank_tol: float = RANK_TOL
-) -> tuple[np.ndarray, float, int]:
-    """Minimum-norm least-squares solve: (solution, residual, nullity)."""
-    solver = LstsqSolver(map_matrix, rank_tol)
+def lsq_solve(map_matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Minimum-norm least-squares solve at the RANK_TOL cutoff:
+    (solution, residual, nullity)."""
+    solver = LstsqSolver(map_matrix)
     x, residual = solver.solve(np.ravel(rhs))
     return x, float(residual), solver.nullity

@@ -1,6 +1,17 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import mpi_lab
 from mpi_lab import corpus
+
+# Tests that run `python -m mpi_lab` in a subprocess get the package this
+# session imported, also when it comes from src/ through pytest's pythonpath
+# setting rather than from an install.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(mpi_lab.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(scope="session")

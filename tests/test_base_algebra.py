@@ -8,11 +8,13 @@ from mpi_lab.base_algebra import (
     find_distinguished_weight,
     gamma_n_apply,
     kappa_map,
+    kappa_q_checks,
     kappa_solve,
     modular_conjugate,
     support_projection,
 )
 from mpi_lab.coalgebra import leg_algebra
+from mpi_lab.context import Fixture
 from mpi_lab.manageability import build_wtilde
 from mpi_lab.tensor import Operator, identity, span, space
 
@@ -170,7 +172,7 @@ class TestDistinguishedWeight:
     def test_found_on_corpus_and_dual(self, corpus_fixtures):
         for name, w in corpus_fixtures.items():
             for base in ("N", "Nhat"):
-                wd = find_distinguished_weight(w, base)
+                wd = find_distinguished_weight(w if base == "N" else Fixture(w).dual)
                 if name == "example" and base == "Nhat":
                     # (nu-hat (x) id)(E-hat) = 1 is unsolvable here:
                     # E-hat = 1 (x) e22, so every slice is a multiple of e22
@@ -248,14 +250,17 @@ class TestSeparabilityTriple:
         st = build_base_structure(w_z2)
         q = identity(space(2))
         wt = build_wtilde(w_z2, q)
-        res = check_separability_triple(w_z2, st, q, wt)
+        res = {**check_separability_triple(w_z2, st), **kappa_q_checks(w_z2, st, q, wt)}
         assert max(res.values()) < 1e-9, res
 
     def test_pair2_with_q(self, w_pair2):
         st = build_base_structure(w_pair2)
         q = identity(space(4))
         wt = build_wtilde(w_pair2, q)
-        res = check_separability_triple(w_pair2, st, q, wt)
+        res = {
+            **check_separability_triple(w_pair2, st),
+            **kappa_q_checks(w_pair2, st, q, wt),
+        }
         assert max(res.values()) < 1e-9, res
 
     def test_corpus(self, corpus_fixtures):
@@ -331,10 +336,9 @@ class TestPositivityRepair:
 
         herm = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
         a = np.array([[1.0, -1.0]])
-        rhs = np.array([3.0])
         t0 = np.array([1.5, -1.5])
         supp = np.eye(2, dtype=complex)
-        d = _positivity_repair(a, rhs, t0, herm, supp, rank_tol=1e-12)
+        d = _positivity_repair(a, t0, herm, supp)
         vals = np.linalg.eigvalsh(d)
         assert vals.min() > 1e-12
         coeffs = np.array([np.real(np.trace(d @ h)) for h in herm])

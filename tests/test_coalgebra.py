@@ -221,6 +221,33 @@ class TestCanonicalIdempotent:
         rhs = w12.conj().T @ w23.conj().T @ w23 @ w12
         assert np.linalg.norm(lhs - rhs) < 1e-13
 
+    def test_e_legs_match_dense_reference(self):
+        # a generic W is no MPI, so both E-leg residuals are O(1); the leg
+        # words must reproduce the dense (E (x) 1)(1 (x) E) evaluation
+        rng = np.random.default_rng(5)
+        n = 3
+        w = Operator(
+            space(n, n),
+            rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n)),
+        )
+        wm, eye = w.matrix, np.eye(n)
+        e = wm.conj().T @ wm
+        e1, e2 = np.kron(e, eye), np.kron(eye, e)
+        w12, w23 = np.kron(wm, eye), np.kron(eye, wm)
+        form = w12.conj().T @ w23.conj().T @ w23 @ w12
+
+        def rel(lhs, rhs):
+            return np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs))
+
+        want = {
+            "E_legs_commute": rel(e1 @ e2, e2 @ e1),
+            "E_legs_product_form": rel(e1 @ e2, form),
+        }
+        got = check_canonical_idempotent(w).residuals
+        for key, ref in want.items():
+            assert ref > 0.1, (key, ref)
+            np.testing.assert_allclose(got[key], ref, rtol=1e-12, err_msg=key)
+
 
 class TestRangeAndDensity:
     def test_example(self, w_example):

@@ -31,6 +31,7 @@ from mpi_lab.base_algebra import (
     gamma_kappa_residual,
     gamma_n_apply,
     kappa_map,
+    kappa_q_checks,
     modular_conjugate,
 )
 from mpi_lab.coalgebra import comul, duality_consistency, identity_leg, leg_algebra
@@ -252,7 +253,8 @@ def test_separability_triple_against_loop(pair2, mutant_structure, wrong_q):
     ref["rtilde_star"] = star_preservation(rtilde.apply, n_basis)
     ref["rtilde_antimultiplicative"] = antimultiplicativity(rtilde.apply, n_basis)
     ref.update(_kappa_q_reference(pair2, st, wrong_q, build_wtilde(pair2, wrong_q)))
-    got = check_separability_triple(pair2, st, wrong_q, build_wtilde(pair2, wrong_q))
+    wt = build_wtilde(pair2, wrong_q)
+    got = {**check_separability_triple(pair2, st), **kappa_q_checks(pair2, st, wrong_q, wt)}
     assert_matches(got, ref, min_large=11)
 
 

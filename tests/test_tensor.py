@@ -140,16 +140,16 @@ class TestEmbed:
 
 class TestEmbeddedMul:
     @pytest.mark.parametrize("legs", [[1, 2], [2, 3], [1, 3], [3, 1]])
-    @pytest.mark.parametrize("side", ["left", "right"])
+    # embedded_mul multiplies from the left only
+    @pytest.mark.parametrize("side", ["left"])
     def test_matches_full_product(self, legs, side):
         rng = np.random.default_rng(11)
         amb = space(2, 3, 2)
         dims = [amb.legs[p - 1].dim for p in legs]
         x = random_op(rng, space(*dims))
         m = random_op(rng, amb)
-        full = embed(x, legs, amb)
-        expected = (full @ m) if side == "left" else (m @ full)
-        got = embedded_mul(x, legs, m, side=side)
+        expected = embed(x, legs, amb) @ m
+        got = embedded_mul(x, legs, m)
         np.testing.assert_allclose(got.matrix, expected.matrix, atol=1e-12)
 
     def test_chain(self):
