@@ -17,7 +17,6 @@ from .tensor import (  # noqa: F401
     LegSpec,
     TensorSpace,
     Operator,
-    Functional,
     OperatorSubspace,
     space,
     identity,
@@ -26,12 +25,9 @@ from .tensor import (  # noqa: F401
     swap_legs,
     transpose_op,
     embed,
-    slice_op,
     pos_power,
     span,
     lsq_solve,
-    vector_functional,
-    basis_functionals,
 )
 from .axioms import (  # noqa: F401
     MpiVerdict,
@@ -46,8 +42,7 @@ from .coalgebra import (  # noqa: F401
     LegAlgebra,
     CoalgebraReport,
     leg_algebra,
-    comul,
-    check_coassociativity,
+    coassociativity_residual,
     check_canonical_idempotent,
     check_delta_range_and_density,
 )
@@ -56,7 +51,6 @@ from .base_algebra import (  # noqa: F401
     WeightData,
     BaseAntiIso,
     base_spans,
-    kappa_solve,
     find_distinguished_weight,
     modular_conjugate,
     build_base_structure,
@@ -74,7 +68,6 @@ from .manageability import (  # noqa: F401
 from .antipode import (  # noqa: F401
     tau,
     antipode_map,
-    unitary_antipode_map,
     check_antipode,
     check_duality,
     check_base_restrictions,

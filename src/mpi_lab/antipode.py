@@ -32,17 +32,13 @@ from .tensor import (
     max_gap,
     numerical_rank,
     rel_residual,
-    slice_op,
     star_preservation,
     transpose_grid,
 )
 
 
-def tau(
-    w: Operator | Fixture, q: Operator, z: complex, a: Operator | np.ndarray
-) -> Operator | np.ndarray:
-    """Scaling group tau_z(a) = Q^{2iz} a Q^{-2iz}, for an Operator or each
-    matrix of a stack."""
+def tau(w: Operator | Fixture, q: Operator, z: complex, a: np.ndarray) -> np.ndarray:
+    """Scaling group tau_z(a) = Q^{2iz} a Q^{-2iz} for each matrix of a stack."""
     return as_fixture(w).q_data(q).eig.conjugate(2j * z, a)
 
 
@@ -60,21 +56,11 @@ class AssembledMap(SpanMap):
     nullity: int
 
 
-def assemble_map(pairs: list[tuple[Operator, Operator]]) -> AssembledMap:
-    """Least-squares linear extension of input -> output pairs."""
-    if not pairs:
-        raise ValueError("no generator pairs")
-    return _assemble(
-        pairs[0][0].space,
-        np.array([p[0].matrix for p in pairs]),
-        np.array([p[1].matrix for p in pairs]),
-    )
-
-
 def _assemble(sp: TensorSpace, ins: np.ndarray, outs: np.ndarray) -> AssembledMap:
-    """assemble_map on stacks of input and output matrices, from one SVD
-    U S V* of the inputs (rank at the RANK_TOL cutoff): the domain basis
-    is V*'s leading rows, and the inputs' domain coordinates are U S."""
+    """The least-squares linear extension of the map sending each input
+    matrix of a stack to the output matrix at the same index, from one
+    SVD U S V* of the inputs (rank at the RANK_TOL cutoff): the domain
+    basis is V*'s leading rows, and the inputs' domain coordinates are U S."""
     m_in = ins.reshape(ins.shape[0], -1)
     m_out = outs.reshape(outs.shape[0], -1)
     u, s, vh = np.linalg.svd(m_in, full_matrices=True)
@@ -89,29 +75,10 @@ def _assemble(sp: TensorSpace, ins: np.ndarray, outs: np.ndarray) -> AssembledMa
     )
 
 
-def antipode_generator(w: Operator | Fixture, omega) -> tuple[Operator, Operator]:
-    """One generator pair ((id (x) w)(W), (id (x) w)(W*))."""
-    fx = as_fixture(w)
-    return slice_op(fx.w, "right", omega), slice_op(fx.ws, "right", omega)
-
-
 def antipode_map(w: Operator | Fixture) -> AssembledMap:
     """S on span A, assembled from the full basis-functional grid."""
     fx = as_fixture(w)
     return _assemble(fx.leg_space, fx.right_slices, fx.dual.left_slices)
-
-
-def _transposed_right_slices(wtilde: Operator) -> np.ndarray:
-    """[(id (x) w_{e_a,e_b})(Wt)]^T over the grid, as plain matrices on H."""
-    return all_right_slices(wtilde).transpose(0, 2, 1)
-
-
-def unitary_antipode_map(w: Operator | Fixture, wtilde: Operator) -> AssembledMap:
-    """R_A: (id (x) w)(W*) -> [(id (x) w)(Wt)]^T on span A* (= A once
-    the slice algebra is star-closed)."""
-    fx = as_fixture(w)
-    outs = _transposed_right_slices(wtilde)
-    return _assemble(fx.leg_space, fx.dual.left_slices, outs)
 
 
 def dual_antipode_maps(
@@ -140,8 +107,10 @@ def check_antipode(
     generator grid."""
     fx = as_fixture(w)
     s_map = fx.s_map
-    # the slices of Wt, built once: the outputs of R_A and the tau target
-    wt_slices = _transposed_right_slices(wtilde)
+    # R_A: (id (x) w)(W*) -> [(id (x) w)(Wt)]^T on span A* (= A once the
+    # slice algebra is star-closed); the slices of Wt, built once, are its
+    # outputs and the tau target
+    wt_slices = all_right_slices(wtilde).transpose(0, 2, 1)
     ra_map = _assemble(fx.leg_space, fx.dual.left_slices, wt_slices)
     res: dict[str, float] = {}
     res["S_well_defined"] = s_map.inconsistency

@@ -34,7 +34,6 @@ from .tensor import (
     lsq_solve,
     max_gap,
     numerical_rank,
-    operators,
     pair_products,
     rel_residual,
     reversed_products,
@@ -78,9 +77,6 @@ class WeightData:
     normalization_residual: float
     support: np.ndarray  # orthonormal columns spanning the algebra's range
     found: bool
-
-    def value(self, x: Operator) -> complex:
-        return complex(np.trace(x.matrix @ self.density.matrix))
 
     @cached_property
     def modular(self) -> PositiveEig:
@@ -157,7 +153,7 @@ class KappaSolver:
 
     def __init__(self, w: Operator | Fixture):
         fx = as_fixture(w)
-        self.leg, self.n, self.e = fx.leg_space, fx.n, fx.e.matrix
+        self.n, self.e = fx.n, fx.e.matrix
         self._solver = LstsqSolver(self.e.reshape(self.n**3, self.n))
         self.nullity = self.n * self._solver.nullity
 
@@ -170,17 +166,6 @@ class KappaSolver:
         x, col_res = self._solver.solve(rhs.reshape(n**3, k * n))
         residuals = np.sqrt(np.sum(col_res.reshape(k, n) ** 2, axis=1))
         return x.reshape(n, k, n).transpose(1, 0, 2), residuals
-
-    def solve(self, b: Operator) -> tuple[Operator, float, int]:
-        if b.space.nlegs != 1 or b.space.legs[0].dim != self.n:
-            raise ValueError("b must be a single-leg operator matching W's legs")
-        vals, residuals = self.solve_stack(b.matrix[None])
-        return Operator(self.leg, vals[0]), float(residuals[0]), self.nullity
-
-
-def kappa_solve(w: Operator | Fixture, b: Operator) -> tuple[Operator, float, int]:
-    """Minimum-norm solution x of E(b (x) 1) = E(1 (x) x)."""
-    return KappaSolver(w).solve(b)
 
 
 @dataclass(frozen=True)
@@ -195,14 +180,6 @@ class KappaMap:
     product_residuals: np.ndarray
     nullity: int
     antimultiplicativity: float
-
-    @property
-    def domain_basis(self) -> list[Operator]:
-        return operators(self.domain.space, self.domain.stack)
-
-    @property
-    def values(self) -> list[Operator]:
-        return operators(self.domain.space, self.value_stack)
 
 
 def kappa_map(
@@ -334,11 +311,9 @@ def _positivity_repair(a, t0, herm, supp):
     return sum(tj * hj for tj, hj in zip(t, herm))
 
 
-def modular_conjugate(
-    weight: WeightData, z: complex, x: Operator | np.ndarray
-) -> Operator | np.ndarray:
+def modular_conjugate(weight: WeightData, z: complex, x: np.ndarray) -> np.ndarray:
     """sigma_z(x) = D^{iz} x D^{-iz}, D padded as in WeightData.modular, for
-    an Operator or each matrix of a stack."""
+    each matrix of a stack."""
     return weight.modular.conjugate(1j * z, x)
 
 
@@ -356,11 +331,6 @@ def gamma_n_stack(w: Operator | Fixture, nu: WeightData, bs: np.ndarray) -> np.n
     return np.einsum("ikml,smi->skl", e4, bs @ nu.density.matrix)
 
 
-def gamma_n_apply(w: Operator | Fixture, nu: WeightData, b: Operator) -> Operator:
-    """gamma_N(b) = (nu (x) id)(E (b (x) 1))."""
-    return Operator(b.space, gamma_n_stack(w, nu, b.matrix[None])[0])
-
-
 @dataclass(frozen=True)
 class BaseStructure:
     spans: BaseSpans
@@ -371,10 +341,6 @@ class BaseStructure:
     gamma_l: np.ndarray  # gamma_L on the L basis, a stack
     kappa: KappaMap
     kappa_solver: KappaSolver
-
-    @property
-    def gamma_n_values(self) -> list[Operator]:
-        return operators(self.nu.algebra.space, self.gamma_n)
 
 
 def gamma_and_rtilde(

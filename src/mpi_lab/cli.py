@@ -4,13 +4,15 @@ Operators travel as single-file JSON:
 {"dims": [n, n], "flavors": ["H", "H"], "matrix": [[[re, im], ...], ...]}
 row-major, first leg most significant, 0-based.  Exit codes: 0 all
 executed checks pass, 1 some check failed, 2 input error.  The env var
-MPI_LAB_TOL overrides the default tolerance.
+MPI_LAB_TOL overrides the default tolerance; --tol overrides both, and
+either must be finite and > 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -46,6 +48,8 @@ def load_operator(path: str) -> Operator:
 
 
 def operator_from_dict(data: dict, origin: str = "<data>") -> Operator:
+    if not isinstance(data, dict):
+        raise InputError(f"{origin}: expected a JSON object")
     for key in ("dims", "flavors", "matrix"):
         if key not in data:
             raise InputError(f"{origin}: missing key {key!r}")
@@ -53,7 +57,9 @@ def operator_from_dict(data: dict, origin: str = "<data>") -> Operator:
     flavors = data["flavors"]
     if (
         not isinstance(dims, list)
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(type(d) is int and d >= 1 for d in dims)  # bool is an int
+        or not isinstance(flavors, list)
+        or not all(isinstance(f, str) for f in flavors)
         or len(dims) != len(flavors)
     ):
         raise InputError(f"{origin}: dims/flavors malformed")
@@ -120,19 +126,27 @@ def load_groupoid_spec(path: str) -> cp.GroupoidSpec:
 
 def load_group_table(path: str) -> list[list[int]]:
     data = _read_json(path, "group table ")
-    if not isinstance(data, list):
-        raise InputError(f"{path}: expected a list of rows")
+    if not isinstance(data, list) or not all(
+        isinstance(row, list) and all(type(g) is int for g in row) for row in data
+    ):
+        raise InputError(f"{path}: expected a list of rows of integers")
     return data
 
 
-def _default_tol() -> float:
-    env = os.environ.get("MPI_LAB_TOL")
-    if env is None:
-        return RESIDUAL_TOL
-    try:
-        return float(env)
-    except ValueError as exc:
-        raise InputError(f"MPI_LAB_TOL is not a float: {env!r}") from exc
+def _tol(args) -> float:
+    """--tol, else MPI_LAB_TOL, else RESIDUAL_TOL; finite and > 0."""
+    tol, source = args.tol, "--tol"
+    if tol is None:
+        env = os.environ.get("MPI_LAB_TOL")
+        if env is None:
+            return RESIDUAL_TOL
+        try:
+            tol, source = float(env), "MPI_LAB_TOL"
+        except ValueError as exc:
+            raise InputError(f"MPI_LAB_TOL is not a float: {env!r}") from exc
+    if not 0.0 < tol < math.inf:
+        raise InputError(f"{source} must be finite and > 0, got {tol!r}")
+    return tol
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -148,9 +162,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_check(args) -> int:
     w = load_operator(args.operator)
     q = load_operator(args.q) if args.q else None
-    tol = args.tol if args.tol is not None else _default_tol()
     rep = run_suite(
-        w, q=q, level=args.level, tol=tol, fixture_id=os.path.basename(args.operator)
+        w, q=q, level=args.level, tol=_tol(args), fixture_id=os.path.basename(args.operator)
     )
     if args.report == "json":
         _emit(rep.to_json(include_timings=args.timings), args.out)
@@ -179,8 +192,7 @@ def cmd_gen(args) -> int:
 def cmd_suite(args) -> int:
     if not args.corpus:
         raise InputError("suite requires --corpus")
-    tol = args.tol if args.tol is not None else _default_tol()
-    reports = corpus_suite(tol=tol, seed=args.seed)
+    reports = corpus_suite(tol=_tol(args), seed=args.seed)
     if args.report == "json":
         _emit(reports_to_json(reports, include_timings=args.timings), args.out)
     else:
@@ -232,13 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except AssertionError as exc:
-        print(f"error: generator contract violated: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

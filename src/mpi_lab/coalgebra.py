@@ -18,15 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import Fixture, as_fixture, three_leg_space, what
+from .context import Fixture, as_fixture, three_leg_space
 from .tensor import (
     RESIDUAL_TOL,
     Operator,
     OperatorSubspace,
-    TensorSpace,
     adjoint,
     chain,
-    identity,
     kron_stack,
     leg_word,
     max_gap,
@@ -60,13 +58,6 @@ class CoalgebraReport:
     residuals: dict[str, float]
     dims: dict[str, int]
 
-    def max_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
-
-
-def identity_leg(w: Operator) -> Operator:
-    return identity(TensorSpace((w.space.legs[0],)))
-
 
 def leg_algebra(w: Operator | Fixture, side: str = "A") -> LegAlgebra:
     """Span of slices of W (or W*) over all basis functionals, with
@@ -92,21 +83,9 @@ def leg_algebra(w: Operator | Fixture, side: str = "A") -> LegAlgebra:
     )
 
 
-def comul(w: Operator | Fixture, x: Operator, side: str = "primal") -> Operator:
-    """Delta(x) = W*(1 (x) x)W, or the dual
-    Delta-hat(x) = W-hat*(1 (x) x)W-hat = Sigma W(x (x) 1)W* Sigma."""
-    fx = as_fixture(w)
-    if x.space.nlegs != 1 or x.space.legs[0] != fx.w.space.legs[0]:
-        raise ValueError("x must be a single-leg operator matching W's legs")
-    if side not in ("primal", "dual"):
-        raise ValueError("side must be 'primal' or 'dual'")
-    if side == "dual":
-        fx = fx.dual
-    return Operator(fx.w.space, _comul_stack(fx, x.matrix[None])[0])
-
-
 def _comul_stack(fx: Fixture, xs: np.ndarray) -> np.ndarray:
-    """Delta applied to a stack of single-leg matrices."""
+    """Delta(x) = W*(1 (x) x)W for each matrix x of a stack; the dual
+    Delta-hat(x) = Sigma W(x (x) 1)W* Sigma is ``_comul_stack(fx.dual, xs)``."""
     sandwiched = kron_stack(np.eye(fx.n)[None], xs)
     return fx.ws.matrix[None] @ sandwiched @ fx.w.matrix[None]
 
@@ -159,11 +138,6 @@ def _coassoc_residuals(w: Operator) -> np.ndarray:
         gap[k, k:] = np.linalg.norm(r[k] @ rh[k:], axis=(1, 2))
     gap += np.triu(gap, 1).T
     return gap / np.maximum(1.0, lhs)
-
-
-def check_coassociativity(w: Operator) -> float:
-    """Residual for both Delta and Delta-hat (max of the two sides)."""
-    return max(coassociativity_residual(w), coassociativity_residual(what(w)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 The corpus mixes the 2x2 matrix-unit example, regular representations of
 finite groups (the unitary case), finite-groupoid operators (the
 genuinely non-unitary case), and metamorphic variants obtained by
-unitary conjugation of verified fixtures.  Every generated operator is
-checked against the multiplicativity axioms at construction time.
+unitary conjugation of fixtures.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .axioms import check_mpi_axioms
 from .tensor import RESIDUAL_TOL, Operator, kron, space
 
 
@@ -40,6 +38,8 @@ def cyclic_table(n: int) -> list[list[int]]:
 
 
 def _validate_group_table(table: list[list[int]]) -> int:
+    """The identity element of a Latin square with a two-sided identity;
+    associativity is checked by GroupoidSpec (group_as_groupoid)."""
     n = len(table)
     rng_n = range(n)
     for row in table:
@@ -48,18 +48,17 @@ def _validate_group_table(table: list[list[int]]) -> int:
     for col in zip(*table):
         if sorted(col) != list(rng_n):
             raise ValueError("not a Latin square")
-    # find identity
     idents = [g for g in rng_n if all(table[g][h] == h for h in rng_n)]
     if len(idents) != 1 or any(table[g][idents[0]] != g for g in rng_n):
         raise ValueError("no two-sided identity element")
-    return n  # associativity is checked by GroupoidSpec (group_as_groupoid)
+    return idents[0]
 
 
 def group_mpu(table: list[list[int]]) -> Operator:
     """The regular-representation operator W(d_g (x) d_h) = d_g (x) d_{gh}:
     the groupoid operator of the group as a one-unit groupoid, with arrow
     i the element i.  Unitary, and multiplicative by the pentagon
-    equation; the axioms are still verified at construction.
+    equation.
     """
     return groupoid_mpi(group_as_groupoid(table))
 
@@ -188,8 +187,8 @@ def pair_groupoid(n_units: int) -> GroupoidSpec:
 
 def group_as_groupoid(table: list[list[int]], tag: str = "g") -> GroupoidSpec:
     """A finite group viewed as a one-unit groupoid."""
-    n = _validate_group_table(table)
-    e = next(g for g in range(n) if all(table[g][h] == h for h in range(n)))
+    e = _validate_group_table(table)
+    n = len(table)
     unit = f"{tag}*"
     arrows = tuple((f"{tag}{i}", unit, unit) for i in range(n))
     compose = {
@@ -230,11 +229,7 @@ def groupoid_mpi(g: GroupoidSpec) -> Operator:
         for hh in ids:
             if g.composable(gg, hh):
                 m[index[gg] * n + index[g.compose[(gg, hh)]], index[gg] * n + index[hh]] = 1.0
-    w = _op2(n, m)
-    verdict = check_mpi_axioms(w)
-    if not (verdict.is_partial_isometry and verdict.passed):
-        raise AssertionError("groupoid operator failed the multiplicativity axioms")
-    return w
+    return _op2(n, m)
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,6 @@ class CheckReport:
     def overall_pass(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def failed_checks(self) -> list[str]:
-        return [e.check_id for e in self.entries if not e.passed]
-
     def to_dict(self, include_timings: bool = False) -> dict:
         entries = []
         for e in self.entries:

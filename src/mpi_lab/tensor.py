@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -142,11 +142,6 @@ def identity(sp: TensorSpace) -> Operator:
     return Operator(sp, np.eye(sp.total_dim, dtype=complex))
 
 
-def operators(sp: TensorSpace, stack: np.ndarray) -> list[Operator]:
-    """A (K, D, D) stack of matrices as K Operators on sp."""
-    return [Operator(sp, m) for m in stack]
-
-
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Relative Frobenius gap ||lhs - rhs|| / max(1, ||lhs||)."""
     return float(np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs)))
@@ -183,56 +178,6 @@ def pair_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def reversed_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The products y x, in the order of pair_products(xs, ys)."""
     return (ys[None] @ xs[:, None]).reshape(-1, *xs.shape[1:])
-
-
-# ---------------------------------------------------------------------------
-# Functionals
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Functional:
-    """Linear functional on one leg, w(T) = trace(T . density)."""
-
-    leg: LegSpec
-    density: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.density, dtype=complex)
-        if f.shape != (self.leg.dim, self.leg.dim):
-            raise ValueError("density shape does not match leg dimension")
-        f = np.ascontiguousarray(f)
-        f.setflags(write=False)
-        object.__setattr__(self, "density", f)
-
-    def __call__(self, t: np.ndarray | Operator) -> complex:
-        m = t.matrix if isinstance(t, Operator) else np.asarray(t)
-        return complex(np.trace(m @ self.density))
-
-    @property
-    def transpose(self) -> "Functional":
-        """w^T on the conjugate leg: w^T(m^T) = w(m); density F^t."""
-        return Functional(self.leg.conjugate, self.density.T)
-
-
-def vector_functional(a: np.ndarray, b: np.ndarray, flavor: str = H) -> Functional:
-    """The functional w_{a,b}(T) = <Ta, b>; density a b^*."""
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    if a.shape != b.shape:
-        raise ValueError("vectors must share a dimension")
-    return Functional(LegSpec(len(a), flavor), np.outer(a, b.conj()))
-
-
-def basis_functionals(leg: LegSpec) -> list[Functional]:
-    """All n^2 functionals w_{e_a, e_b}, ordered (a, b) C-order."""
-    n = leg.dim
-    eye = np.eye(n)
-    return [
-        Functional(leg, np.outer(eye[a], eye[b]))
-        for a in range(n)
-        for b in range(n)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -371,29 +316,14 @@ def chain(ambient: TensorSpace, *factors: tuple[Operator, Sequence[int]]) -> Ope
     return acc
 
 
-def slice_op(x: Operator, side: str, w: Functional) -> Operator:
-    """Slice a two-leg operator against a functional on one leg.
-
-    right: (id (x) w)(X), the partial trace over leg 2 of X (1 (x) F);
-    left: (w (x) id)(X), the partial trace over leg 1 of X (F (x) 1).
-    """
-    if x.space.nlegs != 2:
-        raise LegMismatchError("slice_op needs a two-leg operator")
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    sliced, kept = (1, 0) if side == "right" else (0, 1)
-    if w.leg != x.space.legs[sliced]:
-        raise LegMismatchError(f"functional leg does not match leg {sliced + 1}")
-    out = slice_matrix(x.matrix, *x.space.dims, side, w.density)
-    return Operator(TensorSpace((x.space.legs[kept],)), out)
-
-
 def slice_matrix(
     m: np.ndarray, n1: int, n2: int, side: str, density: np.ndarray
 ) -> np.ndarray:
-    """slice_op on a raw two-leg matrix, or on each matrix of a stack:
-    (id (x) w)(m) for side='right', (w (x) id)(m) for side='left', with w
-    the functional of ``density``."""
+    """Slice a two-leg matrix, or each matrix of a stack, against a
+    functional on one leg: (id (x) w)(m), the partial trace over leg 2 of
+    m (1 (x) F), for side='right'; (w (x) id)(m), the partial trace over
+    leg 1 of m (F (x) 1), for side='left'.  w(t) = trace(t F) with F the
+    ``density``; the vector functional w_{a,b}(t) = <t a, b> has F = a b*."""
     t = m.reshape(m.shape[:-2] + (n1, n2, n1, n2))
     if side == "right":
         return np.einsum("...ikjl,lk->...ij", t, density)
@@ -426,10 +356,8 @@ def stack_left_slices(stack: np.ndarray, n1: int, n2: int) -> np.ndarray:
 
 
 def all_right_slices(x: Operator) -> np.ndarray:
-    """Stack of (id (x) w_{e_a,e_b})(X) over all (a, b), shape (n2^2, n1, n1).
-
-    Row order matches basis_functionals: index a*n2 + b.
-    """
+    """Stack of (id (x) w_{e_a,e_b})(X) over all (a, b), shape (n2^2, n1, n1),
+    the slice for (a, b) at index a*n2 + b."""
     return stack_right_slices(x.matrix[None], *x.space.dims)[0]
 
 
@@ -460,16 +388,14 @@ class PositiveEig:
             self._powers[z] = p
         return self._powers[z]
 
-    def conjugate(self, z: complex, x: Operator | np.ndarray) -> Operator | np.ndarray:
-        """p^z x p^{-z} for an Operator, or for each matrix of a stack."""
-        if isinstance(x, Operator):
-            return Operator(x.space, self.conjugate(z, x.matrix))
+    def conjugate(self, z: complex, x: np.ndarray) -> np.ndarray:
+        """p^z x p^{-z} for each matrix of a stack."""
         return self.power(z) @ x @ self.power(-z)
 
 
 def transpose_grid(stack: np.ndarray) -> np.ndarray:
     """Reorder a stack over the functionals w_{e_a,e_b} (index a*n + b,
-    as in basis_functionals) to the transposed functionals w_{e_b,e_a}."""
+    as in all_right_slices) to the transposed functionals w_{e_b,e_a}."""
     n = int(round(np.sqrt(stack.shape[0])))
     return stack.reshape(n, n, *stack.shape[1:]).swapaxes(0, 1).reshape(stack.shape)
 
@@ -511,10 +437,6 @@ class OperatorSubspace:
         d = self.space.total_dim
         return self.basis_matrix.reshape(self.dim, d, d)
 
-    @cached_property
-    def basis(self) -> list[Operator]:
-        return operators(self.space, self.stack)
-
     def coordinates(self, stack: np.ndarray) -> np.ndarray:
         """HS inner products <x, b_i> of each matrix x of a stack, (K, dim)."""
         return rows(stack) @ self._basis_conj_t
@@ -532,19 +454,6 @@ class OperatorSubspace:
         of basis pairs: closure under * and under products."""
         b = self.stack
         return self.stack_residual(adjoint(b)), self.stack_residual(pair_products(b, b))
-
-    def contains(self, x: Operator) -> tuple[bool, float]:
-        """Membership test of one operator."""
-        res = self.contains_all([x])
-        return res < RESIDUAL_TOL, res
-
-    def contains_all(self, ops: Iterable[Operator]) -> float:
-        """Max membership residual over a family of operators."""
-        ops = list(ops)
-        if any(x.space != self.space for x in ops):
-            raise LegMismatchError("operator lives on a different space")
-        flat = np.reshape([x.matrix for x in ops], (len(ops), self.basis_matrix.shape[1]))
-        return self.stack_residual(flat)
 
     def equals(self, other: "OperatorSubspace") -> tuple[bool, float]:
         """Two-sided span inclusion, max residual over both directions."""
@@ -603,12 +512,9 @@ class SpanMap:
     domain: OperatorSubspace
     matrix: np.ndarray
 
-    def apply(self, x: Operator | np.ndarray) -> Operator | np.ndarray:
-        """The image of an Operator, or of each matrix of a (K, D, D)
-        stack, through its domain coordinates (the part of x off the
-        domain is dropped)."""
-        if isinstance(x, Operator):
-            return Operator(self.domain.space, self.apply(x.matrix[None])[0])
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The image of each matrix of a (K, D, D) stack through its
+        domain coordinates (the part of x off the domain is dropped)."""
         return (self.domain.coordinates(x) @ self.matrix.T).reshape(x.shape)
 
 

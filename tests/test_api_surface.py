@@ -1,0 +1,94 @@
+"""A guard against library surface that only tests read.
+
+Every module-level function or class of ``src/mpi_lab/*.py``, and every
+method or property of a module-level class, must be referred to by name
+from some other src code, be a name that ``mpi_lab/__init__.py``
+imports (the public API), be a function that ``bench/spans.py`` traces,
+or be a dunder.  What is none of these is dead in the program: only
+tests could call it.  A definition that has to stay anyway is listed in
+``ALLOWED`` with the reason.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mpi_lab"
+
+#: "module.qualname" -> why it stays although no src code refers to it
+ALLOWED: dict[str, str] = {}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def definitions(tree: ast.Module):
+    """(qualname, node) of the module-level functions and classes and of
+    the methods and properties of the module-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+
+
+def references(node: ast.AST):
+    """Every name a subtree refers to: bare names and attributes."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def public_names(src: Path) -> set[str]:
+    tree = _parse(src / "__init__.py")
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def traced_paths() -> set[str]:
+    """"module.path" of each TRACED entry of bench/spans.py, read statically."""
+    tree = _parse(ROOT / "bench" / "spans.py")
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return {f"{mod}.{path}" for mod, path in ast.literal_eval(node.value).values()}
+    raise AssertionError("bench/spans.py defines no TRACED")
+
+
+def unreferenced(src: Path) -> list[str]:
+    """The "module.qualname" of each definition under ``src`` that the
+    guard flags."""
+    trees = {path.stem: _parse(path) for path in sorted(src.glob("*.py"))}
+    counts: dict[str, int] = {}
+    for tree in trees.values():
+        for name in references(tree):
+            counts[name] = counts.get(name, 0) + 1
+    exempt = public_names(src) | traced_paths()
+    flagged = []
+    for module, tree in trees.items():
+        for qualname, node in definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name in exempt or f"{module}.{qualname}" in exempt:
+                continue
+            # references inside the definition itself (recursion) do not count
+            if counts.get(name, 0) > sum(1 for r in references(node) if r == name):
+                continue
+            flagged.append(f"{module}.{qualname}")
+    return flagged
+
+
+def test_no_surface_only_tests_read():
+    flagged = [name for name in unreferenced(SRC) if name not in ALLOWED]
+    assert not flagged, f"no src code refers to: {flagged}"

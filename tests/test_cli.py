@@ -178,6 +178,58 @@ class TestCommands:
         rep = json.loads((tmp_path / "rep.json").read_text())
         assert rep["tolerance"] == 1e-3
 
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("gen", [1, 2]),
+            ("gen", [[0, "a"], ["a", 0]]),
+            ("gen", [[False]]),
+            ("check", {"dims": [2, 2], "flavors": 5, "matrix": []}),
+            ("check", ["dims", "flavors", "matrix"]),
+            ("check", {"dims": [True, True], "flavors": ["H", "H"], "matrix": [[[1, 0]]]}),
+        ],
+        ids=[
+            "rows_not_lists",
+            "table_of_strings",
+            "table_of_booleans",
+            "flavors_not_a_list",
+            "top_level_list",
+            "dims_of_booleans",
+        ],
+    )
+    def test_malformed_input_exit_code(self, tmp_path, capsys, command, data):
+        p = write_json(tmp_path / "in.json", data)
+        if command == "gen":
+            argv = ["gen", "group", "--table", p, "--out", str(tmp_path / "w.json")]
+        else:
+            argv = ["check", p]
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_invalid_tol_exit_code(self, tmp_path, w_z2, monkeypatch, capsys, source, value):
+        wp = tmp_path / "w.json"
+        save_operator(w_z2, str(wp))
+        argv = ["check", str(wp), "--level", "axioms", "--out", str(tmp_path / "r.txt")]
+        if source == "flag":
+            argv.append(f"--tol={value}")
+        else:
+            monkeypatch.setenv("MPI_LAB_TOL", value)
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r.txt").exists()
+
+    def test_infinite_tol_cannot_pass_a_non_mpi(self, tmp_path):
+        # a random unitary is no MPI; an infinite tolerance would pass it
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        p = tmp_path / "u.json"
+        save_operator(Operator(space(2, 2), np.linalg.qr(z)[0]), str(p))
+        argv = ["check", str(p), "--level", "axioms", "--out", str(tmp_path / "r.txt")]
+        assert main(argv) == EXIT_CHECK_FAILED
+        assert main(argv + ["--tol", "inf"]) == EXIT_INPUT_ERROR
+
 
 class TestRunSuiteContract:
     def test_skip_on_axiom_failure(self):
@@ -198,7 +250,7 @@ class TestRunSuiteContract:
         from mpi_lab.axioms import what as dual_of
 
         rep = run_suite(dual_of(w_example), level="all", fixture_id="example_dual")
-        assert rep.failed_checks() == ["nu_found"]
+        assert [e.check_id for e in rep.entries if not e.passed] == ["nu_found"]
         reasons = [s["reason"] for s in rep.skips]
         assert any("no distinguished weight" in r for r in reasons)
 

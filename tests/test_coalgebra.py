@@ -3,20 +3,20 @@ import numpy as np
 from mpi_lab import corpus
 from mpi_lab.coalgebra import (
     check_canonical_idempotent,
-    check_coassociativity,
     check_delta_range_and_density,
     coassociativity_residual,
-    comul,
     duality_consistency,
-    identity_leg,
     leg_algebra,
     _coassoc_residuals,
+    _comul_stack,
 )
-from mpi_lab.context import what
+from mpi_lab.context import Fixture, what
 from mpi_lab.tensor import (
+    RESIDUAL_TOL,
     Operator,
     identity,
     space,
+    span_matrices,
 )
 
 
@@ -31,10 +31,8 @@ class TestLegAlgebra:
         alg = leg_algebra(w_example, "A")
         assert alg.space.dim == 2
         assert not alg.unital
-        ok, _ = alg.space.contains(Operator(space(2), unit(2, 2, 1)))
-        assert ok
-        ok, _ = alg.space.contains(Operator(space(2), unit(2, 2, 2)))
-        assert ok
+        assert alg.space.stack_residual(unit(2, 2, 1)[None]) < RESIDUAL_TOL
+        assert alg.space.stack_residual(unit(2, 2, 2)[None]) < RESIDUAL_TOL
         # A is an algebra but not star-closed for this fixture
         assert alg.product_residual < 1e-12
         assert not alg.star_closed
@@ -60,31 +58,29 @@ class TestLegAlgebra:
     def test_astar_is_adjoint_span(self, w_example):
         a = leg_algebra(w_example, "A")
         astar = leg_algebra(w_example, "Astar")
-        adj_span = __import__("mpi_lab.tensor", fromlist=["span"]).span(
-            [b.adj for b in a.space.basis]
-        )
+        adj_span = span_matrices(a.space.space, a.space.stack.conj().transpose(0, 2, 1))
         eq, _ = astar.space.equals(adj_span)
         assert eq
 
 
 class TestComul:
     def test_primal_unit_gives_E(self, w_example):
-        e = comul(w_example, identity_leg(w_example), "primal")
+        e = _comul_stack(Fixture(w_example), np.eye(2)[None])[0]
         expected = np.kron(unit(2, 1, 1), unit(2, 1, 1)) + np.kron(
             unit(2, 2, 2), unit(2, 2, 2)
         )
-        np.testing.assert_allclose(e.matrix, expected)
+        np.testing.assert_allclose(e, expected)
 
     def test_primal_identity_operator(self):
         w = identity(space(2, 2))
-        x = Operator(space(2), np.array([[1.0, 2.0], [0.5, -1.0]]))
-        got = comul(w, x, "primal")
-        np.testing.assert_allclose(got.matrix, np.kron(np.eye(2), x.matrix))
+        x = np.array([[1.0, 2.0], [0.5, -1.0]])
+        got = _comul_stack(Fixture(w), x[None])[0]
+        np.testing.assert_allclose(got, np.kron(np.eye(2), x))
 
     def test_dual_unit_gives_flipped_G(self, w_example):
-        e = comul(w_example, identity_leg(w_example), "dual")
+        e = _comul_stack(Fixture(w_example).dual, np.eye(2)[None])[0]
         expected = np.kron(np.eye(2), unit(2, 2, 2))  # Sigma G Sigma = 1 (x) e22
-        np.testing.assert_allclose(e.matrix, expected)
+        np.testing.assert_allclose(e, expected)
 
     def test_duality_consistency(self, corpus_fixtures):
         for w in corpus_fixtures.values():
@@ -184,11 +180,14 @@ class TestCoassociativity:
             corpus.groupoid_mpi(corpus.pair_groupoid(3)),
         ):
             wc = corpus.conjugate_fixture(w, corpus.random_unitary(w.space.legs[0].dim, rng))
-            assert check_coassociativity(wc) < 1e-13
+            both = max(coassociativity_residual(wc), coassociativity_residual(what(wc)))
+            assert both < 1e-13
             assert_matches_reference(wc)
 
     def test_both_sides(self, w_pair2):
-        assert check_coassociativity(w_pair2) < 1e-12
+        assert max(
+            coassociativity_residual(w_pair2), coassociativity_residual(what(w_pair2))
+        ) < 1e-12
 
 
 def w13_embed(two_leg_matrix):
@@ -201,15 +200,15 @@ def w13_embed(two_leg_matrix):
 class TestCanonicalIdempotent:
     def test_example_all_zero(self, w_example):
         rep = check_canonical_idempotent(w_example)
-        assert rep.max_residual() < 1e-13, rep.residuals
+        assert max(rep.residuals.values()) < 1e-13, rep.residuals
 
     def test_identity_w(self):
         rep = check_canonical_idempotent(identity(space(2, 2)))
-        assert rep.max_residual() < 1e-14
+        assert max(rep.residuals.values()) < 1e-14
 
     def test_pair_groupoid(self, w_pair2):
         rep = check_canonical_idempotent(w_pair2)
-        assert rep.max_residual() < 1e-11, rep.residuals
+        assert max(rep.residuals.values()) < 1e-11, rep.residuals
 
     def test_e_legs_oracle(self, w_z2):
         # direct evaluation of (E (x) 1)(1 (x) E) vs W12*W23*W23W12
@@ -287,13 +286,13 @@ class TestRangeAndDensity:
 
     def test_identity_w(self):
         rep = check_delta_range_and_density(identity(space(2, 2)))
-        assert rep.max_residual() < 1e-13
+        assert max(rep.residuals.values()) < 1e-13
         assert rep.dims["A"] == 1
         assert rep.dims["density_left_a1_db"] == 1
 
     def test_z2_density_dims(self, w_z2):
         rep = check_delta_range_and_density(w_z2)
-        assert rep.max_residual() < 1e-12
+        assert max(rep.residuals.values()) < 1e-12
         assert rep.dims["A"] == 2
         assert all(
             rep.dims[k] == 2
@@ -303,4 +302,4 @@ class TestRangeAndDensity:
 
     def test_pair_groupoid(self, w_pair2):
         rep = check_delta_range_and_density(w_pair2)
-        assert rep.max_residual() < 1e-11, rep.residuals
+        assert max(rep.residuals.values()) < 1e-11, rep.residuals

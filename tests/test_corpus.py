@@ -3,7 +3,10 @@ import pytest
 
 from mpi_lab import corpus
 from mpi_lab.axioms import check_mpi_axioms, is_partial_isometry
+from mpi_lab.runner import builtin_corpus
 from mpi_lab.tensor import Operator, space
+
+BUILTIN = builtin_corpus()
 
 
 class TestMatrixUnitExample:
@@ -55,6 +58,20 @@ class TestGroupOperators:
         ]
         with pytest.raises(ValueError):
             corpus.group_mpu(t)
+
+
+class TestGeneratorOutputsAreMpis:
+    # the generators build their operators without checking them; the
+    # multiplicativity axioms of every output are checked here
+    @pytest.mark.parametrize("name", list(BUILTIN))
+    def test_builtin_corpus(self, name):
+        verdict = check_mpi_axioms(BUILTIN[name])
+        assert verdict.is_partial_isometry and verdict.passed, verdict
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_cyclic_groups(self, k):
+        verdict = check_mpi_axioms(corpus.group_mpu(corpus.cyclic_table(k)))
+        assert verdict.is_partial_isometry and verdict.passed, verdict
 
 
 class TestGroupoidSpec:

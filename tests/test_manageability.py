@@ -144,11 +144,12 @@ class TestHashIdentities:
         rng = np.random.default_rng(3)
         v = rng.standard_normal(2)
         u = rng.standard_normal(2)
-        from mpi_lab.tensor import slice_op, transpose_op, vector_functional
+        from mpi_lab.tensor import slice_matrix
 
-        lhs = slice_op(wt, "right", vector_functional(v, u))  # Q = 1
-        rhs = transpose_op(slice_op(w_z2, "right", vector_functional(v, u)))
-        np.testing.assert_allclose(lhs.matrix, rhs.matrix, atol=1e-12)
+        f = np.outer(v, u)  # density of w_{v,u}; u is real
+        lhs = slice_matrix(wt.matrix, 2, 2, "right", f)  # Q = 1
+        rhs = slice_matrix(w_z2.matrix, 2, 2, "right", f).T
+        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestDualManageability:

@@ -7,10 +7,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mpi_lab import antipode, base_algebra, coalgebra, tensor
-from mpi_lab.runner import corpus_suite, run_suite
+from mpi_lab import antipode, base_algebra, coalgebra, corpus, tensor
+from mpi_lab.runner import builtin_corpus, corpus_suite, run_suite
 
 # Ordered check ids with pass flags, and ordered skips, of every corpus
 # report for seed 7, recorded before the runner was rebuilt on the
@@ -32,6 +33,23 @@ def test_corpus_check_ids_and_verdicts_pinned():
     for fixture, want in expected.items():
         assert got[fixture]["checks"] == want["checks"], fixture
         assert got[fixture]["skips"] == want["skips"], fixture
+
+
+BUILTIN = builtin_corpus()
+
+
+@pytest.mark.parametrize("name", list(BUILTIN))
+def test_conjugated_fixture_same_report_at_every_level(name):
+    # a seeded unitary conjugation (u (x) u) W (u (x) u)* makes W dense and
+    # complex; every level must reach the same verdicts through the same
+    # checks and skips
+    w = BUILTIN[name]
+    u = corpus.random_unitary(w.space.legs[0].dim, np.random.default_rng(11))
+    plain = run_suite(w, level="all", fixture_id=name)
+    conj = run_suite(corpus.conjugate_fixture(w, u), level="all", fixture_id=name)
+    assert conj.overall_pass, [(e.check_id, e.residual) for e in conj.entries if not e.passed]
+    assert [e.check_id for e in conj.entries] == [e.check_id for e in plain.entries]
+    assert conj.skips == plain.skips
 
 
 COUNTED = (
