@@ -173,7 +173,7 @@ def check_duality(
 
 
 def check_base_restrictions(
-    w: Operator | Fixture, q: Operator, structure: BaseStructure, wtilde: Operator
+    w: Operator | Fixture, q: Operator, structure: BaseStructure
 ) -> dict[str, float]:
     """tau_t restricted to B and C against the modular groups at
     t in T_SAMPLES, and S restricted to B and C against the gamma maps."""

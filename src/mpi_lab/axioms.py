@@ -114,16 +114,16 @@ def check_mpi_axioms(w: Operator | Fixture, tol: float = RESIDUAL_TOL) -> MpiVer
 
 
 def projection_residuals(w: Operator | Fixture) -> dict[str, float]:
-    """E, G idempotent/self-adjoint and the initial/final space relations."""
+    """E = W*W and G = WW* idempotent.
+
+    E and G are self-adjoint for every W, and WE = W = GW restate
+    W W* W = W (``is_partial_isometry``), so neither is measured here.
+    """
     fx = as_fixture(w)
-    e, g, m = fx.e.matrix, fx.g.matrix, fx.w.matrix
+    e, g = fx.e.matrix, fx.g.matrix
     return {
         "E_idempotent": rel_residual(e @ e, e),
-        "E_selfadjoint": rel_residual(e.conj().T, e),
         "G_idempotent": rel_residual(g @ g, g),
-        "G_selfadjoint": rel_residual(g.conj().T, g),
-        "WE_eq_W": rel_residual(m @ e, m),
-        "GW_eq_W": rel_residual(g @ m, m),
     }
 
 

@@ -455,8 +455,9 @@ def kappa_q_checks(
     w: Operator | Fixture, structure: BaseStructure, q: Operator, wtilde: Operator
 ) -> dict[str, float]:
     """R_kappa = Q^{-1} kappa(.) Q is a *-anti-homomorphism with
-    kappa = T o R_kappa = R_kappa o T, and kappa has the slice formula
-    through Wtilde Wtilde*."""
+    kappa = R_kappa o T for T = Q(.)Q^{-1}, and kappa has the slice
+    formula through Wtilde Wtilde*.  kappa = T o R_kappa holds for every
+    kappa by the definition of R_kappa, so it is not measured."""
     fx = as_fixture(w)
     kap = structure.kappa
     qm, qinv = q.matrix, fx.q_data(q).qinv
@@ -480,7 +481,6 @@ def kappa_q_checks(
     res["rkappa_antimultiplicative"] = max_gap(
         rk(kap.product_values)[ok_prod], reversed_products(rk(v), rk(v))[ok_prod]
     )
-    res["kappa_eq_T_Rkappa"] = max_gap(v, qm @ rk(v) @ qinv)
     res["kappa_eq_Rkappa_T"] = max_gap(v[ok_tb], rk(v_tb)[ok_tb])
     # slice formula: kappa(b_omega) = Q (omega^T (x) id)(Wt Wt*) Q^{-1}
     ww_slices = transpose_grid(all_left_slices(wtilde @ wtilde.adj))

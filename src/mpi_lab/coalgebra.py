@@ -2,8 +2,8 @@
 
 A and A-hat are the spans of the right/left slices of W; the
 comultiplications are Delta(x) = W*(1 (x) x)W and
-Delta-hat(x) = Sigma W (x (x) 1) W* Sigma.  E = W*W plays the role of
-Delta(1) and is checked to behave as a multiplier of A (x) A, with the
+Delta-hat(x) = Sigma W (x (x) 1) W* Sigma.  E = W*W is Delta(1) by
+definition and is checked to behave as a multiplier of A (x) A, with the
 range and density statements read as exact span equalities (the only
 faithful finite-dimensional reading of the norm-density statements).
 Coassociativity has one evaluation for every n: over all matrix units
@@ -23,7 +23,6 @@ from .tensor import (
     RESIDUAL_TOL,
     Operator,
     OperatorSubspace,
-    adjoint,
     chain,
     kron_stack,
     leg_word,
@@ -146,16 +145,14 @@ def _coassoc_residuals(w: Operator) -> np.ndarray:
 
 
 def check_canonical_idempotent(w: Operator | Fixture) -> CoalgebraReport:
-    """E = Delta(1), commuting legs of E, multiplier membership of E in
-    A (x) A, Delta a *-homomorphism on A, and the leg commutation
-    identities with A and A-hat."""
+    """Commuting legs of E, multiplier membership of E in A (x) A, Delta
+    multiplicative on A, and the leg commutation identities with A and
+    A-hat.  E = Delta(1) and Delta(x*) = Delta(x)* hold for every W by
+    the definition Delta(x) = W*(1 (x) x)W, so they are not measured."""
     fx = as_fixture(w)
     e, g = fx.e.matrix, fx.g.matrix
-    n = fx.n
-    eye = np.eye(n)
+    eye = np.eye(fx.n)
     res: dict[str, float] = {}
-
-    res["E_eq_comul_unit"] = rel_residual(_comul_stack(fx, eye[None])[0], e)
 
     ops = {"W": fx.w, "W*": fx.ws, "E": fx.e}
     e12_e23, e23_e12, form = (
@@ -173,7 +170,6 @@ def check_canonical_idempotent(w: Operator | Fixture) -> CoalgebraReport:
     a2 = tensor_subspace(alg.space, alg.space)
 
     deltas = _comul_stack(fx, bst)
-    res["delta_star_map"] = max_gap(_comul_stack(fx, adjoint(bst)), adjoint(deltas))
     res["delta_homomorphism"] = max_gap(
         _comul_stack(fx, pair_products(bst, bst)), pair_products(deltas, deltas)
     )

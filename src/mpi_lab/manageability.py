@@ -4,8 +4,16 @@ Wtilde on Hbar (x) H is pinned down entrywise by the characterizing
 pairing <W(xi (x) v), eta (x) u> = <Wt(eta-bar (x) Q^{-1}v), xi-bar (x) Qu>:
 it is the partial transpose on the first leg of (1 (x) Q^{-1}) W (1 (x) Q).
 The certificate evaluates the commutation condition, both composability
-identities on the typed three-leg spaces, the characterizing grid, and
-the Q^{it} covariances.
+identities on the typed three-leg spaces, the alternative
+characterization over the basis grid, and the Q^{it} covariances.
+
+``build_wtilde`` solves the characterizing pairing, so that pairing, and
+the slice/transpose identity
+(id (x) w_{Q^{-1}v, Qu})(Wt) = [(id (x) w_{v,u})(W)]^T that follows from
+it, hold by construction for every W and self-adjoint Q.  Neither is
+measured here; tests check the construction against both
+(``TestBuildWtilde::test_pairing_grid_fixed_random_q`` and
+``test_slice_transpose_against_loop``).
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from .tensor import (
     TensorSpace,
     identity,
     leg_word,
-    max_gap,
     numerical_rank,
     rel_residual,
     swap_legs,
@@ -61,27 +68,12 @@ def _composability(fx: Fixture, wt: Operator, names: tuple[str, ...]) -> dict[st
 
 @dataclass(frozen=True)
 class ManageabilityCertificate:
+    """Wtilde for Q, and the certificate's residuals keyed by check id."""
+
     q: Operator
     wtilde: Operator
-    residual_cond1: float
-    residual_cond2_grid: float
-    residual_cond3a: float
-    residual_cond3b: float
-    residual_alt_char: float
-    residual_qit_covariance: float
-    residual_qit_covariance_wtilde: float
+    residuals: dict[str, float]
     passed: bool
-
-    def residuals(self) -> dict[str, float]:
-        return {
-            "cond1_commutation": self.residual_cond1,
-            "cond2_grid": self.residual_cond2_grid,
-            "cond3a": self.residual_cond3a,
-            "cond3b": self.residual_cond3b,
-            "alt_characterization": self.residual_alt_char,
-            "qit_covariance_W": self.residual_qit_covariance,
-            "qit_covariance_Wtilde": self.residual_qit_covariance_wtilde,
-        }
 
 
 def build_wtilde(w: Operator | Fixture, q: Operator) -> Operator:
@@ -100,11 +92,9 @@ def build_wtilde(w: Operator | Fixture, q: Operator) -> Operator:
     return Operator(sp, wt)
 
 
-def _grid_residual(w: Operator, qd: QData, wt: Operator, alt: bool) -> float:
-    """Relative gap of the characterizing pairing over the full basis grid.
-
-    alt=False: <W(xi (x) v), eta (x) u> = <Wt(eta- (x) Q^{-1}v), xi- (x) Qu>
-    alt=True:  <W(xi (x) v), eta (x) u> = <Wt(Q^{-T}eta- (x) v), Q^T xi- (x) u>
+def _grid_residual(w: Operator, qd: QData, wt: Operator) -> float:
+    """Relative gap of the alternative characterization
+    <W(xi (x) v), eta (x) u> = <Wt(Q^{-T}eta- (x) v), Q^T xi- (x) u>
     for xi, eta, v, u running over the standard basis (where the
     conjugation map fixes the coordinates).  All n^4 pairings are
     evaluated at once; the left side is just W's entry grid.
@@ -113,10 +103,7 @@ def _grid_residual(w: Operator, qd: QData, wt: Operator, alt: bool) -> float:
     qm, qinv = qd.q.matrix, qd.qinv
     lhs = w.matrix.reshape(n, n, n, n)  # [eta, u, xi, v]
     t = wt.matrix.reshape(n, n, n, n)
-    if not alt:
-        rhs = np.einsum("xdec,du,cv->euxv", t, qm.conj(), qinv)
-    else:
-        rhs = np.einsum("aubv,ax,be->euxv", t, qm.T.conj(), qinv.T)
+    rhs = np.einsum("aubv,ax,be->euxv", t, qm.T.conj(), qinv.T)
     return rel_residual(lhs, rhs)
 
 
@@ -127,13 +114,11 @@ def check_manageability(
     fx = as_fixture(w)
     qd = fx.q_data(q)
     wt = build_wtilde(fx, q)
-    w, n = fx.w, fx.n
+    w = fx.w
     qq = np.kron(q.matrix, q.matrix)
-    cond1 = rel_residual(w.matrix @ qq, qq @ w.matrix)
-    cond2 = _grid_residual(w, qd, wt, alt=False)
-    alt_char = _grid_residual(w, qd, wt, alt=True)
-
-    cond3 = _composability(fx, wt, ("cond3a", "cond3b"))
+    res = {"cond1_commutation": rel_residual(w.matrix @ qq, qq @ w.matrix)}
+    res.update(_composability(fx, wt, ("cond3a", "cond3b")))
+    res["alt_characterization"] = _grid_residual(w, qd, wt)
 
     qit_w = 0.0
     qit_wt = 0.0
@@ -148,41 +133,15 @@ def check_manageability(
         qt_mt = qd.eig_t.power(-1j * t)
         lhs_wt = np.kron(qt_mt, qt) @ wt.matrix @ np.kron(qt_t, qmt)
         qit_wt = max(qit_wt, rel_residual(lhs_wt, wt.matrix))
-
-    passed = all(
-        r < tol for r in (cond1, cond2, *cond3.values(), alt_char, qit_w, qit_wt)
-    )
-    return ManageabilityCertificate(
-        q=q,
-        wtilde=wt,
-        residual_cond1=cond1,
-        residual_cond2_grid=cond2,
-        residual_cond3a=cond3["cond3a"],
-        residual_cond3b=cond3["cond3b"],
-        residual_alt_char=alt_char,
-        residual_qit_covariance=qit_w,
-        residual_qit_covariance_wtilde=qit_wt,
-        passed=passed,
-    )
+    res["qit_covariance_W"] = qit_w
+    res["qit_covariance_Wtilde"] = qit_wt
+    passed = all(r < tol for r in res.values())
+    return ManageabilityCertificate(q=q, wtilde=wt, residuals=res, passed=passed)
 
 
-def check_hash_identities(
-    w: Operator | Fixture, q: Operator, wt: Operator
-) -> dict[str, float]:
-    """The three composability identities on Hbar (x) Hbar (x) H and the
-    slice/transpose identity over the basis grid."""
-    fx = as_fixture(w)
-    n = fx.n
-    res = _composability(fx, wt, ("hash1", "hash2", "hash3"))
-
-    # (id (x) w_{Q^{-1}e_v, Qe_u})(Wt) = [(id (x) w_{e_v,e_u})(W)]^T over the
-    # grid; w_{a,b} has density a b*, so the left side at (v, u) is
-    # sum_{k,l} Wt[(i,k),(j,l)] Q^{-1}[l,v] conj(Q[k,u])
-    qm, qinv = q.matrix, fx.q_data(q).qinv
-    lhs = np.einsum("ikjl,lv,ku->vuij", wt.tensor(), qinv, qm.conj())
-    rhs = np.swapaxes(fx.right_slices, 1, 2)  # slice (v, u) at index v*n + u
-    res["slice_transpose_identity"] = max_gap(lhs.reshape(n * n, n, n), rhs)
-    return res
+def check_hash_identities(w: Operator | Fixture, wt: Operator) -> dict[str, float]:
+    """The three composability identities on Hbar (x) Hbar (x) H."""
+    return _composability(as_fixture(w), wt, ("hash1", "hash2", "hash3"))
 
 
 def dual_manageability(

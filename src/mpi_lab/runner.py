@@ -228,11 +228,11 @@ def _manageability(run: _Run) -> bool:
         return False
     run.cert = cert
     q, wt = cert.q, cert.wtilde
-    run.add(cert.residuals(), ms, prefix="manageability_")
-    hash_res, ms = _timed(check_hash_identities, fx, q, wt)
+    run.add(cert.residuals, ms, prefix="manageability_")
+    hash_res, ms = _timed(check_hash_identities, fx, wt)
     run.add(hash_res, ms, tol=1e-10)
     (dual_cert, formula_gap), ms = _timed(dual_manageability, fx, q, wt)
-    rep.add("dual_certificate", max(dual_cert.residuals().values()), wall_time_ms=ms)
+    rep.add("dual_certificate", max(dual_cert.residuals.values()), wall_time_ms=ms)
     rep.add("dual_wtilde_formula", formula_gap, tol=1e-12, wall_time_ms=ms)
     run.add(*_timed(inclusion_consequences, fx, q))
     if fx.structure is not None:
@@ -255,7 +255,7 @@ def _antipode(run: _Run) -> bool:
     run.add(*_timed(check_antipode, fx, q, wt), prefix="antipode_")
     run.add(*_timed(check_duality, fx, q, wt), prefix="duality_")
     if fx.structure is not None:
-        bres, ms = _timed(check_base_restrictions, fx, q, fx.structure, wt)
+        bres, ms = _timed(check_base_restrictions, fx, q, fx.structure)
         run.add(bres, ms, prefix="base_restriction_")
     else:
         rep.skip("antipode", "base restrictions unavailable without a weight")
@@ -282,6 +282,8 @@ def run_suite(
     wanted = _levels_upto(level)
     rep = CheckReport(fixture_id=fixture_id, tolerance=tol, version=__version__)
     run = _Run(Fixture(w), rep, wanted, tol, q)
+    if q is not None:
+        run.fx.q_data(q)  # a malformed Q is refused before any level runs
     for lv in wanted:
         if not _LEVEL_FUNCTIONS[lv](run):
             break

@@ -148,9 +148,8 @@ class TestCheckAntipode:
     def test_base_restrictions(self, corpus_fixtures, name):
         w = corpus_fixtures[name]
         n = w.space.legs[0].dim
-        wt = build_wtilde(w, q_eye(n))
         st = build_base_structure(w)
-        res = check_base_restrictions(w, q_eye(n), st, wt)
+        res = check_base_restrictions(w, q_eye(n), st)
         assert max(res.values()) < 1e-9, (name, res)
 
 

@@ -1,4 +1,5 @@
-"""A guard against library surface that only tests read.
+"""Guards against library surface that only tests read, and against
+parameters that no function body reads.
 
 Every module-level function or class of ``src/mpi_lab/*.py``, and every
 method or property of a module-level class, must be referred to by name
@@ -6,7 +7,9 @@ from some other src code, be a name that ``mpi_lab/__init__.py``
 imports (the public API), be a function that ``bench/spans.py`` traces,
 or be a dunder.  What is none of these is dead in the program: only
 tests could call it.  A definition that has to stay anyway is listed in
-``ALLOWED`` with the reason.
+``ALLOWED`` with the reason.  Every parameter of a function under
+``src/mpi_lab`` must be read as a name in its body; ``self``, ``cls``
+and dunder methods are exempt.
 """
 
 import ast
@@ -92,3 +95,34 @@ def unreferenced(src: Path) -> list[str]:
 def test_no_surface_only_tests_read():
     flagged = [name for name in unreferenced(SRC) if name not in ALLOWED]
     assert not flagged, f"no src code refers to: {flagged}"
+
+
+def unread_parameters(src: Path) -> list[str]:
+    """"module.function: parameter" for each parameter of a function under
+    ``src`` that the function body never reads as a name."""
+    flagged = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            read = {
+                sub.id
+                for stmt in node.body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            flagged += [
+                f"{path.stem}.{node.name}: {p.arg}"
+                for p in params
+                if p is not None and p.arg not in ("self", "cls") and p.arg not in read
+            ]
+    return flagged
+
+
+def test_every_parameter_is_read():
+    flagged = unread_parameters(SRC)
+    assert not flagged, f"parameters no function body reads: {flagged}"

@@ -220,6 +220,26 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "r.txt").exists()
 
+    @pytest.mark.parametrize(
+        "q",
+        [
+            Operator(space(2, flavors=["Hbar"]), np.eye(2)),
+            identity(space(3)),
+            Operator(space(2), np.array([[1.0, 1.0], [0.0, 1.0]])),
+            Operator(space(2), -np.eye(2)),
+        ],
+        ids=["hbar_leg", "wrong_dim", "not_hermitian", "negative"],
+    )
+    def test_malformed_q_rejected_before_any_level(self, tmp_path, capsys, q):
+        wp, qp = tmp_path / "w.json", tmp_path / "q.json"
+        save_operator(identity(space(2, 2)), str(wp))
+        save_operator(q, str(qp))
+        argv = ["check", str(wp), "--q", str(qp), "--level", "axioms",
+                "--out", str(tmp_path / "r.txt")]
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r.txt").exists()
+
     def test_infinite_tol_cannot_pass_a_non_mpi(self, tmp_path):
         # a random unitary is no MPI; an infinite tolerance would pass it
         rng = np.random.default_rng(3)

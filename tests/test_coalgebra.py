@@ -77,6 +77,20 @@ class TestComul:
         got = _comul_stack(Fixture(w), x[None])[0]
         np.testing.assert_allclose(got, np.kron(np.eye(2), x))
 
+    def test_star_map(self):
+        # Delta(x*) = Delta(x)* for every W, so the report does not measure
+        # it; here it pins that Delta conjugates by W* and W, on a dense W
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        xs = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        fx = Fixture(Operator(space(3, 3), z))
+        got = _comul_stack(fx, xs.conj().transpose(0, 2, 1))
+        want = _comul_stack(fx, xs).conj().transpose(0, 2, 1)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
+        np.testing.assert_allclose(
+            got[0], z.conj().T @ np.kron(np.eye(3), xs[0].conj().T) @ z, atol=1e-12
+        )
+
     def test_dual_unit_gives_flipped_G(self, w_example):
         e = _comul_stack(Fixture(w_example).dual, np.eye(2)[None])[0]
         expected = np.kron(np.eye(2), unit(2, 2, 2))  # Sigma G Sigma = 1 (x) e22

@@ -35,6 +35,16 @@ def test_corpus_check_ids_and_verdicts_pinned():
         assert got[fixture]["skips"] == want["skips"], fixture
 
 
+def test_every_axioms_entry_can_fail():
+    # no axioms-level entry holds for every W: each one fails on a dense
+    # random W
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    rep = run_suite(tensor.Operator(tensor.space(3, 3), z), level="axioms")
+    assert len(rep.entries) == 13
+    assert [e.check_id for e in rep.entries if e.passed] == []
+
+
 BUILTIN = builtin_corpus()
 
 

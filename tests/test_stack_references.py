@@ -36,7 +36,7 @@ from mpi_lab.base_algebra import (
 )
 from mpi_lab.coalgebra import _comul_stack, duality_consistency, leg_algebra
 from mpi_lab.context import Fixture
-from mpi_lab.manageability import build_wtilde, check_hash_identities
+from mpi_lab.manageability import build_wtilde
 from mpi_lab.tensor import (
     RESIDUAL_TOL,
     Operator,
@@ -278,13 +278,11 @@ def _kappa_q_reference(fx, structure, q, wtilde):
             if r12[0] < RESIDUAL_TOL:
                 anti = max(anti, rel_residual(rk(v12[0]), rk(v2) @ rk(v1)))
     res["rkappa_antimultiplicative"] = anti
-    tr_res = rt_res = 0.0
+    rt_res = 0.0
     for b, v in pairs:
-        tr_res = max(tr_res, rel_residual(v, qm @ rk(v) @ qinv))
         v_tb, r_tb = solver.solve_stack((qm @ b @ qinv)[None])
         if r_tb[0] < RESIDUAL_TOL:
             rt_res = max(rt_res, rel_residual(v, qinv @ v_tb[0] @ qm))
-    res["kappa_eq_T_Rkappa"] = tr_res
     res["kappa_eq_Rkappa_T"] = rt_res
     ww_slices = transpose_grid(all_left_slices(wtilde @ wtilde.adj))
     slice_form = 0.0
@@ -383,7 +381,7 @@ def test_base_restrictions_against_loop(pair2, mutant_structure, wrong_q):
         "S_C_eq_gamma_C": max(rel_residual(s(c), gc) for c, gc in zip(c_basis, st.gamma_l)),
         "C_in_A_membership": contains_all(s_map.domain, c_basis),
     }
-    got = check_base_restrictions(fx, q, st, build_wtilde(fx, q))
+    got = check_base_restrictions(fx, q, st)
     assert_matches(got, ref, min_large=4)
 
 
@@ -489,20 +487,24 @@ def test_duality_consistency_against_loop(monkeypatch):
 
 
 def test_slice_transpose_against_loop(pair2, wrong_q):
-    # the identity holds for the W-tilde of any Q; this one is built from
-    # Q = 1 but checked against the wrong Q
+    # (id (x) w_{Q^{-1}v, Qu})(Wt) = [(id (x) w_{v,u})(W)]^T holds by
+    # construction for the W-tilde that build_wtilde makes from Q, and
+    # fails for the W-tilde of Q = 1 checked against the wrong Q
     fx, q = pair2, wrong_q
-    wt = build_wtilde(fx, identity(space(4)))
     qinv, eye = np.linalg.inv(q.matrix), np.eye(fx.n)
-    n, ref = fx.n, 0.0
-    for v in range(n):
-        for u in range(n):
-            # the density of w_{a,b} is a b*
-            f_w = np.outer(eye[v], eye[u])
-            f_wt = np.outer(qinv @ eye[v], np.conj(q.matrix @ eye[u]))
-            lhs = slice_matrix(wt.matrix, n, n, "right", f_wt)
-            rhs = slice_matrix(fx.w.matrix, n, n, "right", f_w).T
-            ref = max(ref, rel_residual(lhs, rhs))
-    assert ref > 0.1
-    got = check_hash_identities(fx, q, wt)["slice_transpose_identity"]
-    np.testing.assert_allclose(got, ref, rtol=1e-10)
+    n = fx.n
+
+    def loop(wt):
+        ref = 0.0
+        for v in range(n):
+            for u in range(n):
+                # the density of w_{a,b} is a b*
+                f_w = np.outer(eye[v], eye[u])
+                f_wt = np.outer(qinv @ eye[v], np.conj(q.matrix @ eye[u]))
+                lhs = slice_matrix(wt.matrix, n, n, "right", f_wt)
+                rhs = slice_matrix(fx.w.matrix, n, n, "right", f_w).T
+                ref = max(ref, rel_residual(lhs, rhs))
+        return ref
+
+    assert loop(build_wtilde(fx, q)) < 1e-12
+    assert loop(build_wtilde(fx, identity(space(4)))) > 0.1
