@@ -3,9 +3,17 @@
 A and A-hat are the spans of the right/left slices of W; the
 comultiplications are Delta(x) = W*(1 (x) x)W and
 Delta-hat(x) = Sigma W (x (x) 1) W* Sigma.  E = W*W is Delta(1) by
-definition and is checked to behave as a multiplier of A (x) A, with the
-range and density statements read as exact span equalities (the only
-faithful finite-dimensional reading of the norm-density statements).
+definition and is checked to be a multiplier of A (x) A.  The range and
+density statements, read as exact span equalities (the only faithful
+finite-dimensional reading of the norm-density statements), are decided
+in coordinates on the HS-orthonormal basis e_p (x) e_q of A (x) A,
+d = dim A.  Coordinates see only the part of a member inside A (x) A, so
+the memberships stay exact, and each span entry adds, through the
+coefficients of its fit, a bound on the rest, so it bounds the exact
+distance from above: E(b (x) c) and each density member lie within
+their exact distance of A (x) A, and Delta(a)(b (x) c) = y (1 (x) c),
+y = Delta(a)(b (x) 1), within dist(y) + sqrt(d) eps_A ||y||, with
+eps_A = product_stability_A, ||c||_2 <= 1 and ||e_q c|| <= 1.
 Coassociativity has one evaluation for every n: over all matrix units
 at once, in O(n^8), from QR-reduced blocks of the three-leg products,
 so no difference of squared norms can cancel and the residual of a
@@ -15,6 +23,7 @@ dense W stays at rounding level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,10 +39,8 @@ from .tensor import (
     numerical_rank,
     pair_products,
     rel_residual,
+    rows,
     span_matrices,
-    stack_left_slices,
-    stack_right_slices,
-    tensor_subspace,
 )
 
 SIDES = ("A", "Ahat", "Astar", "Ahatstar")
@@ -144,14 +151,49 @@ def _coassoc_residuals(w: Operator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def check_canonical_idempotent(w: Operator | Fixture) -> CoalgebraReport:
+class TensorSquare:
+    """The A (x) A data shared by check_canonical_idempotent and
+    check_delta_range_and_density: Delta(a), a (x) 1 and 1 (x) a over the A
+    basis, and on first use the fits of E(b (x) c) and (b (x) c)E, b-major.
+    One per side, dropped when the side ends: the context stays at n^4."""
+
+    def __init__(self, w: Operator | Fixture):
+        self.fx = as_fixture(w)
+        self.basis, eye = self.fx.A.space.stack, np.eye(self.fx.n)[None]
+        self.deltas = _comul_stack(self.fx, self.basis)
+        self.a_one, self.one_a = kron_stack(self.basis, eye), kron_stack(eye, self.basis)
+
+    @cached_property
+    def e_fits(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        pairs, e = kron_stack(self.basis, self.basis), self.fx.e.matrix[None]
+        return self.fit(e @ pairs), self.fit(pairs @ e)
+
+    def fit(self, stack: np.ndarray) -> tuple[np.ndarray, ...]:
+        """P_A (x) P_A leg by leg on each member X realigned as
+        x[(i,j),(k,l)] = X[(i,k),(j,l)]: for B the (d, n^2) basis rows, the
+        first-leg coordinates h = conj(B) x, the coordinates c = h B^H on
+        e_p (x) e_q, the exact distance ||x - B^T c B|| and the norm ||X||."""
+        n, b = self.fx.n, rows(self.basis)
+        x = stack.reshape(-1, n, n, n, n).transpose(0, 1, 3, 2, 4).reshape(-1, n * n, n * n)
+        half = b.conj() @ x
+        coords = half @ b.conj().T
+        dist = np.linalg.norm(x - b.T @ coords @ b, axis=(1, 2))
+        return half, coords, dist, np.linalg.norm(rows(stack), axis=1)
+
+
+def _membership(fit: tuple[np.ndarray, ...]) -> float:
+    """Max distance over max(1, norm) of a fit, as in stack_residual."""
+    return float(np.max(fit[2] / np.maximum(1.0, fit[3]), initial=0.0))
+
+
+def check_canonical_idempotent(w: Operator | Fixture | TensorSquare) -> CoalgebraReport:
     """Commuting legs of E, multiplier membership of E in A (x) A, Delta
     multiplicative on A, and the leg commutation identities with A and
     A-hat.  E = Delta(1) and Delta(x*) = Delta(x)* hold for every W by
     the definition Delta(x) = W*(1 (x) x)W, so they are not measured."""
-    fx = as_fixture(w)
+    sq = w if isinstance(w, TensorSquare) else TensorSquare(w)
+    fx, bst = sq.fx, sq.basis
     e, g = fx.e.matrix, fx.g.matrix
-    eye = np.eye(fx.n)
     res: dict[str, float] = {}
 
     ops = {"W": fx.w, "W*": fx.ws, "E": fx.e}
@@ -164,88 +206,69 @@ def check_canonical_idempotent(w: Operator | Fixture) -> CoalgebraReport:
     # form fails for non-full fixtures, so only this one is checked
     res["E_legs_product_form"] = rel_residual(e12_e23, form)
 
-    alg, alg_hat = fx.A, fx.Ahat
-    bst = alg.space.stack
-    hat_bst = alg_hat.space.stack
-    a2 = tensor_subspace(alg.space, alg.space)
-
-    deltas = _comul_stack(fx, bst)
     res["delta_homomorphism"] = max_gap(
-        _comul_stack(fx, pair_products(bst, bst)), pair_products(deltas, deltas)
+        _comul_stack(fx, pair_products(bst, bst)), pair_products(sq.deltas, sq.deltas)
     )
-
-    pairs = kron_stack(bst, bst)
-    left = e[None] @ pairs
-    right = pairs @ e[None]
-    res["E_multiplier"] = max(a2.stack_residual(left), a2.stack_residual(right))
-    one_a = kron_stack(eye[None], bst)
-    res["commute_G_with_1A"] = max_gap(one_a @ g[None], g[None] @ one_a)
-    ahat_one = kron_stack(hat_bst, eye[None])
+    res["E_multiplier"] = max(_membership(fit) for fit in sq.e_fits)
+    res["commute_G_with_1A"] = max_gap(sq.one_a @ g[None], g[None] @ sq.one_a)
+    ahat_one = kron_stack(fx.Ahat.space.stack, np.eye(fx.n)[None])
     res["commute_E_with_Ahat1"] = max_gap(ahat_one @ e[None], e[None] @ ahat_one)
-    res["product_stability_A"] = alg.product_residual
-    res["product_stability_Ahat"] = alg_hat.product_residual
-    dims = {"A": alg.space.dim, "Ahat": alg_hat.space.dim}
-    return CoalgebraReport(res, dims)
+    res["product_stability_A"] = fx.A.product_residual
+    res["product_stability_Ahat"] = fx.Ahat.product_residual
+    return CoalgebraReport(res, {"A": fx.A.space.dim, "Ahat": fx.Ahat.space.dim})
 
 
-def check_delta_range_and_density(w: Operator | Fixture) -> CoalgebraReport:
-    """Span equality Delta(A)(A (x) A) = E(A (x) A), the four multiplier
-    memberships, and the four density spans against dim A."""
-    fx = as_fixture(w)
-    sub = fx.A.space
-    bst = sub.stack
-    n = fx.n
-    a2 = tensor_subspace(sub, sub)
-    e = fx.e.matrix
-    eye = np.eye(n)[None]
-    res: dict[str, float] = {}
-    dims: dict[str, int] = {"A": sub.dim}
+def _span_fit(
+    span: np.ndarray, span_off: np.ndarray, targets: np.ndarray, targets_off=0.0
+) -> tuple[float, int]:
+    """(residual, rank) of coordinate rows ``targets`` against the row
+    space of ``span`` at the RANK_TOL cutoff: each fit's gap plus the
+    target's off-A (x) A bound plus the span rows' bounds weighted by the
+    fit coefficients, over max(1, ||target||)."""
+    u, s, vh = np.linalg.svd(span, full_matrices=False)
+    r = numerical_rank(s)
+    u, s, vh = u[:, :r], s[:r], vh[:r]
+    proj = targets @ vh.conj().T
+    bound = np.linalg.norm(targets - proj @ vh, axis=1) + targets_off
+    bound += np.abs((proj / s) @ u.conj().T) @ span_off
+    return float(np.max(bound / np.maximum(1.0, np.linalg.norm(targets, axis=1)), initial=0.0)), r
 
-    deltas = _comul_stack(fx, bst)
-    pairs = kron_stack(bst, bst)
-    a_one = kron_stack(bst, eye)  # a (x) 1
-    one_a = kron_stack(eye, bst)  # 1 (x) a
 
-    fam1 = pair_products(a_one, deltas)
-    fam2 = pair_products(deltas, one_a)
-    fam3 = pair_products(deltas, a_one)
-    fam4 = pair_products(one_a, deltas)
-    res["mult_a1_deltab"] = a2.stack_residual(fam1)
-    res["mult_deltaa_1b"] = a2.stack_residual(fam2)
-    res["mult_deltaa_b1"] = a2.stack_residual(fam3)
-    res["mult_1a_deltab"] = a2.stack_residual(fam4)
+def check_delta_range_and_density(w: Operator | Fixture | TensorSquare) -> CoalgebraReport:
+    """Span equality Delta(A)(A (x) A) = E(A (x) A), the four exact multiplier
+    memberships and the four density spans against A, in O(d^3 n^4 + d^5 n^2).
+    A left slice (w (x) id)(sum c_pq e_p (x) e_q) = sum w(e_p) c_pq e_q, with
+    w(e_p) ranging over C^d: a left density span is the row space of the c's,
+    a right one their column space, and it lies in A up to the memberships'
+    distances, as slicing by a functional of norm 1 adds none."""
+    sq = w if isinstance(w, TensorSquare) else TensorSquare(w)
+    d, n = len(sq.basis), sq.fx.n
+    fits = {  # members (a, b), a-major
+        "a1_deltab": sq.fit(pair_products(sq.a_one, sq.deltas)),
+        "deltaa_1b": sq.fit(pair_products(sq.deltas, sq.one_a)),
+        "deltaa_b1": sq.fit(pair_products(sq.deltas, sq.a_one)),
+        "1a_deltab": sq.fit(pair_products(sq.one_a, sq.deltas)),
+    }
+    res = {f"mult_{key}": _membership(fit) for key, fit in fits.items()}
 
-    # range equality: span{Delta(a)(b (x) c)} = span{E(b (x) c)}
-    e_family = e[None] @ pairs
-    e_span = span_matrices(fx.w.space, e_family)
-    range_members = pair_products(deltas, pairs)
-    res["range_in_EA2"] = e_span.stack_residual(range_members)
-    # reverse inclusion, computed in E(A (x) A)-coordinates (the members
-    # already lie in that span, so coordinates capture them exactly)
-    rev = 0.0
-    range_rank = 0
-    if e_span.dim:
-        coords = range_members.reshape(range_members.shape[0], -1) @ e_span.basis_matrix.conj().T
-        _, sv, vh = np.linalg.svd(coords, full_matrices=False)
-        range_rank = numerical_rank(sv)
-        proj = vh[:range_rank]
-        e_coords = e_family.reshape(e_family.shape[0], -1) @ e_span.basis_matrix.conj().T
-        rev = max_gap(e_coords, (e_coords @ proj.conj().T) @ proj)
-    res["EA2_in_range"] = rev
-    dims["range_span"] = range_rank
-    dims["E_A2_span"] = e_span.dim
-
-    # density spans: slices of the four multiplier families, vs span A
-    for key, fam, slices in (
-        ("density_left_a1_db", fam1, stack_left_slices),
-        ("density_right_da_1b", fam2, stack_right_slices),
-        ("density_left_db_a1", fam3, stack_left_slices),
-        ("density_right_1b_da", fam4, stack_right_slices),
+    # Delta(a)(b (x) c) = y (1 (x) c) for y = Delta(a)(b (x) 1): its
+    # coordinates are y's first-leg ones against conj(e_q) c^T
+    y_half, _, y_dist, y_norm = fits["deltaa_b1"]
+    members = np.einsum("xpkm,qkl,cml->xcpq", y_half.reshape(d * d, d, n, n), sq.basis.conj(),
+                        sq.basis, optimize=True).reshape(d**3, d * d)
+    members_off = np.repeat(y_dist + np.sqrt(d) * sq.fx.A.product_residual * y_norm, d)
+    e_coords, e_off = sq.e_fits[0][1].reshape(d * d, d * d), sq.e_fits[0][2]
+    res["range_in_EA2"], e_rank = _span_fit(e_coords, e_off, members, members_off)
+    res["EA2_in_range"], range_rank = _span_fit(members, members_off, e_coords, e_off)
+    dims = {"A": d, "range_span": range_rank, "E_A2_span": e_rank}
+    for key, (_, coords, off, _), left in (
+        ("density_left_a1_db", fits["a1_deltab"], True),
+        ("density_right_da_1b", fits["deltaa_1b"], False),
+        ("density_left_db_a1", fits["deltaa_b1"], True),
+        ("density_right_1b_da", fits["1a_deltab"], False),
     ):
-        dspan = span_matrices(sub.space, slices(fam, n, n).reshape(-1, n * n))
-        _, r = dspan.equals(sub)
-        res[f"{key}_eq_A"] = r
-        dims[key] = dspan.dim
+        slices = (coords if left else coords.transpose(0, 2, 1)).reshape(d**3, d)
+        res[f"{key}_eq_A"], dims[key] = _span_fit(slices, np.repeat(off, d), np.eye(d))
     return CoalgebraReport(res, dims)
 
 

@@ -10,8 +10,8 @@ W-hat = Sigma W* Sigma, the right and left slices of W* are
 holds Q^{-1} and the eigendecompositions of Q and Q^T.  Public checks
 accept an ``Operator`` (given a fresh context) or a context.  A context
 serves one suite run and holds nothing larger than n^4 entries;
-three-leg matrices and the A (x) A stacks stay local to the checks that
-build them.
+three-leg matrices stay local to the checks that build them, and the
+A (x) A data to one side of the coalgebra level (coalgebra.TensorSquare).
 """
 
 from __future__ import annotations

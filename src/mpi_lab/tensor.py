@@ -339,31 +339,17 @@ def kron_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out.reshape(k * l, n * m, n * m)
 
 
-def stack_right_slices(stack: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """Right block-slices of a stack of two-leg operators:
-    (K, n1*n2, n1*n2) -> (K, n2*n2, n1, n1), slice order (a, b) C-order."""
-    k = stack.shape[0]
-    t = stack.reshape(k, n1, n2, n1, n2)
-    return np.einsum("sibja->sabij", t).reshape(k, n2 * n2, n1, n1)
-
-
-def stack_left_slices(stack: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """Left block-slices of a stack of two-leg operators:
-    (K, n1*n2, n1*n2) -> (K, n1*n1, n2, n2)."""
-    k = stack.shape[0]
-    t = stack.reshape(k, n1, n2, n1, n2)
-    return np.einsum("sbkal->sabkl", t).reshape(k, n1 * n1, n2, n2)
-
-
 def all_right_slices(x: Operator) -> np.ndarray:
     """Stack of (id (x) w_{e_a,e_b})(X) over all (a, b), shape (n2^2, n1, n1),
     the slice for (a, b) at index a*n2 + b."""
-    return stack_right_slices(x.matrix[None], *x.space.dims)[0]
+    n1, n2 = x.space.dims
+    return np.einsum("ibja->abij", x.matrix.reshape(n1, n2, n1, n2)).reshape(n2 * n2, n1, n1)
 
 
 def all_left_slices(x: Operator) -> np.ndarray:
     """Stack of (w_{e_a,e_b} (x) id)(X) over all (a, b), shape (n1^2, n2, n2)."""
-    return stack_left_slices(x.matrix[None], *x.space.dims)[0]
+    n1, n2 = x.space.dims
+    return np.einsum("bkal->abkl", x.matrix.reshape(n1, n2, n1, n2)).reshape(n1 * n1, n2, n2)
 
 
 class PositiveEig:

@@ -317,3 +317,19 @@ class TestRangeAndDensity:
     def test_pair_groupoid(self, w_pair2):
         rep = check_delta_range_and_density(w_pair2)
         assert max(rep.residuals.values()) < 1e-11, rep.residuals
+
+    def test_traced_peak_on_z8(self):
+        # the coordinates never form the dim(A)^3 products Delta(a)(b (x) c)
+        # as n^4-entry matrices (138 MiB at Z_8 when they did); the
+        # tracemalloc peak of one call, context prepared, stays below 64 MiB
+        import tracemalloc
+
+        fx = Fixture(corpus.group_mpu(corpus.cyclic_table(8)))
+        fx.A, fx.e  # built before tracing: they belong to the context
+        tracemalloc.start()
+        try:
+            check_delta_range_and_density(fx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak / 2**20

@@ -48,6 +48,27 @@ def test_every_axioms_entry_can_fail():
 BUILTIN = builtin_corpus()
 
 
+def test_projection_entries_judged_at_the_run_tolerance():
+    # E^2 = E and G^2 = G restate W W* W = W: on seeded complex Gaussian
+    # perturbations of the corpus fixtures with n <= 4, near and far from
+    # tolerance, no report passes partial_isometry and fails either one
+    wrong = []
+    for i, (name, w) in enumerate(BUILTIN.items()):
+        if w.space.legs[0].dim > 4:
+            continue
+        for j, eps in enumerate((5e-10, 1e-9, 2e-9, 5e-9, 1e-7, 1e-3)):
+            rng = np.random.default_rng(1000 * i + j)
+            z = rng.standard_normal(w.matrix.shape) + 1j * rng.standard_normal(w.matrix.shape)
+            m = w.matrix + eps * np.linalg.norm(w.matrix) * z / np.linalg.norm(z)
+            rep = run_suite(tensor.Operator(w.space, m), level="axioms")
+            verdicts = {e.check_id: e.passed for e in rep.entries}
+            if verdicts["partial_isometry"] and not (
+                verdicts["projection_E_idempotent"] and verdicts["projection_G_idempotent"]
+            ):
+                wrong.append((name, eps))
+    assert wrong == []
+
+
 @pytest.mark.parametrize("name", list(BUILTIN))
 def test_conjugated_fixture_same_report_at_every_level(name):
     # a seeded unitary conjugation (u (x) u) W (u (x) u)* makes W dense and
@@ -74,8 +95,9 @@ COUNTED = (
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts calls of the COUNTED functions, of KappaSolver and of
-    PositiveEig construction, and of span_matrices inside c_star_bases.
+    """Counts calls of the COUNTED functions, of KappaSolver, PositiveEig
+    and TensorSquare construction and of TensorSquare.fit, and of
+    span_matrices inside c_star_bases.
 
     Each function is rebound wherever an mpi_lab module holds it, so
     calls through imported names are counted too."""
@@ -104,8 +126,10 @@ def calls(monkeypatch):
             for key, val in list(vars(mod).items()):
                 if val is fn:
                     monkeypatch.setattr(mod, key, wrapper)
-    for cls in (base_algebra.KappaSolver, tensor.PositiveEig):
+    for cls in (base_algebra.KappaSolver, tensor.PositiveEig, coalgebra.TensorSquare):
         monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    fit = coalgebra.TensorSquare.fit
+    monkeypatch.setattr(coalgebra.TensorSquare, "fit", counting("TensorSquare.fit", fit))
     return counts
 
 
@@ -123,6 +147,10 @@ def test_shared_quantities_computed_once(w_pair2, calls):
     assert "span_matrices in c_star_bases" not in first
     # Q and Q^T of the certified Q = 1, and the padded nu and mu densities
     assert first["PositiveEig"] == 4
+    # the A (x) A data once per side: E(b (x) c), (b (x) c)E and the four
+    # multiplier families fitted once each, by one TensorSquare a side
+    assert first["TensorSquare"] == 2
+    assert first["TensorSquare.fit"] == 12
     # nothing survives the call: a second run on the same W does it all again
     calls.clear()
     run_suite(w_pair2, level="all")

@@ -5,7 +5,8 @@ evaluated one matrix per element and pair.  They are compared with the
 stacked implementations on inputs where the residuals are O(1) (a W-tilde
 and Q from a wrong candidate, kappa off by a unitary, a mixed R-tilde,
 random spans in place of A, A-hat or N), because residuals near 1e-16
-cannot tell two evaluations apart.
+cannot tell two evaluations apart.  The range and density check keeps its
+earlier dense form, on the full n^4-entry products, as its reference.
 """
 
 from dataclasses import replace
@@ -34,7 +35,12 @@ from mpi_lab.base_algebra import (
     kappa_q_checks,
     modular_conjugate,
 )
-from mpi_lab.coalgebra import _comul_stack, duality_consistency, leg_algebra
+from mpi_lab.coalgebra import (
+    _comul_stack,
+    check_delta_range_and_density,
+    duality_consistency,
+    leg_algebra,
+)
 from mpi_lab.context import Fixture
 from mpi_lab.manageability import build_wtilde
 from mpi_lab.tensor import (
@@ -43,6 +49,10 @@ from mpi_lab.tensor import (
     all_left_slices,
     all_right_slices,
     identity,
+    kron_stack,
+    max_gap,
+    numerical_rank,
+    pair_products,
     rel_residual,
     slice_matrix,
     space,
@@ -508,3 +518,145 @@ def test_slice_transpose_against_loop(pair2, wrong_q):
 
     assert loop(build_wtilde(fx, q)) < 1e-12
     assert loop(build_wtilde(fx, identity(space(4)))) > 0.1
+
+
+def range_and_density_dense(fx):
+    """The dense range and density check: every product Delta(a)(b (x) c)
+    as an n^4-entry matrix, spans through their SVDs, and the density
+    spans from the slices over all n^2 matrix-unit functionals."""
+    sub = fx.A.space
+    bst, n = sub.stack, fx.n
+    a2 = tensor_subspace(sub, sub)
+    eye = np.eye(n)[None]
+    res, dims = {}, {"A": sub.dim}
+    deltas = _comul_stack(fx, bst)
+    pairs = kron_stack(bst, bst)
+    a_one, one_a = kron_stack(bst, eye), kron_stack(eye, bst)
+    fams = {
+        "a1_deltab": pair_products(a_one, deltas),
+        "deltaa_1b": pair_products(deltas, one_a),
+        "deltaa_b1": pair_products(deltas, a_one),
+        "1a_deltab": pair_products(one_a, deltas),
+    }
+    for key, fam in fams.items():
+        res[f"mult_{key}"] = a2.stack_residual(fam)
+    e_family = fx.e.matrix[None] @ pairs
+    e_span = span_matrices(fx.w.space, e_family)
+    range_members = pair_products(deltas, pairs)
+    res["range_in_EA2"] = e_span.stack_residual(range_members)
+    # reverse inclusion in E(A (x) A)-coordinates
+    coords = e_span.coordinates(range_members)
+    _, sv, vh = np.linalg.svd(coords, full_matrices=False)
+    proj = vh[: numerical_rank(sv)]
+    e_coords = e_span.coordinates(e_family)
+    res["EA2_in_range"] = max_gap(e_coords, (e_coords @ proj.conj().T) @ proj)
+    dims["range_span"] = len(proj)
+    dims["E_A2_span"] = e_span.dim
+    for key, fam, side in (
+        ("density_left_a1_db", fams["a1_deltab"], "left"),
+        ("density_right_da_1b", fams["deltaa_1b"], "right"),
+        ("density_left_db_a1", fams["deltaa_b1"], "left"),
+        ("density_right_1b_da", fams["1a_deltab"], "right"),
+    ):
+        t = fam.reshape(-1, n, n, n, n)
+        # left slices fix the first leg's indices, right slices the second's
+        slices = t.transpose(0, 1, 3, 2, 4) if side == "left" else t.transpose(0, 2, 4, 1, 3)
+        dspan = span_matrices(sub.space, slices.reshape(-1, n * n))
+        res[f"{key}_eq_A"] = max(dspan.stack_residual(sub.stack), sub.stack_residual(dspan.stack))
+        dims[key] = dspan.dim
+    return res, dims
+
+
+def _without_flip(monkeypatch, w):
+    """The dual context of W for a W-hat = W* without the flip."""
+    import mpi_lab.context as context
+
+    monkeypatch.setattr(context, "what", lambda w: w.adj)
+    return Fixture(w).dual
+
+
+def _generic_a(w, dim, seed):
+    """A context of W whose A is a random span of the given dimension,
+    with its own product residual: neither an algebra nor closed under
+    Delta, so the products leave A (x) A."""
+    fx = Fixture(w)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, fx.n, fx.n)) + 1j * rng.standard_normal((dim, fx.n, fx.n))
+    sub = span_matrices(fx.leg_space, z)
+    fx.__dict__["A"] = replace(fx.A, space=sub, product_residual=sub.closure_residuals()[1])
+    return fx
+
+
+def test_range_and_density_against_dense_in_A2(pair2, monkeypatch):
+    # where every product lies in A (x) A the coordinates are exact and
+    # the added bounds are at rounding level: the non-full example has
+    # O(1) density residuals, and the conjugated example with a W-hat
+    # that lacks the flip an O(1) EA2_in_range as well
+    from mpi_lab import corpus
+
+    example = corpus.matrix_unit_example()
+    u = corpus.random_unitary(2, np.random.default_rng(17))
+    fixtures = [pair2, pair2.dual, Fixture(example), Fixture(example).dual,
+                _without_flip(monkeypatch, corpus.conjugate_fixture(example, u))]
+    large = set()
+    for fx in fixtures:
+        got = check_delta_range_and_density(fx)
+        ref, ref_dims = range_and_density_dense(fx)
+        assert got.dims == ref_dims
+        assert list(got.residuals) == list(ref)
+        for key, value in ref.items():
+            np.testing.assert_allclose(got.residuals[key], value, rtol=1e-12, atol=1e-13,
+                                       err_msg=key)
+            if value > 0.1:
+                large.add(key)
+    assert "EA2_in_range" in large
+    assert {k for k in large if k.startswith("density_")} == {
+        "density_left_a1_db_eq_A", "density_right_da_1b_eq_A",
+        "density_left_db_a1_eq_A", "density_right_1b_da_eq_A",
+    }
+
+
+@pytest.mark.parametrize("case", ["pair2_2", "pair2_4", "pair2_6", "identity_3"])
+def test_range_and_density_bound_dense_off_A2(pair2, case):
+    # with a random span in place of A the products leave A (x) A: the
+    # memberships stay exact, and every span entry, coordinates plus the
+    # bound on the part off A (x) A, stays at or above the dense residual.
+    # For W = 1, Delta(a)(b (x) 1) = b (x) a and E(b (x) c) = b (x) c lie in
+    # A (x) A, and Delta(a)(b (x) c) = b (x) ac leaves it only through the
+    # products ac, which product_stability_A bounds
+    name, dim = case.split("_")
+    w = pair2.w if name == "pair2" else identity(space(3, 3))
+    fx = _generic_a(w, int(dim), seed=int(dim))
+    got = check_delta_range_and_density(fx)
+    ref, ref_dims = range_and_density_dense(fx)
+    assert list(got.residuals) == list(ref)
+    for key, value in ref.items():
+        if key.startswith("mult_"):
+            np.testing.assert_allclose(got.residuals[key], value, rtol=1e-12, atol=1e-13,
+                                       err_msg=key)
+        else:
+            assert got.residuals[key] >= value * (1 - 1e-12), (key, got.residuals[key], value)
+    assert ref["range_in_EA2"] > 0.1
+    # the coordinate spans count only the part inside A (x) A
+    assert got.dims["A"] == ref_dims["A"] == int(dim)
+    for key, value in ref_dims.items():
+        if key != "range_span":
+            assert got.dims[key] <= value, key
+
+
+def test_range_bound_carries_E_off_A2():
+    # W = 1 with the diagonal algebra D in place of A: every product
+    # Delta(a)(b (x) c) = b (x) ac lies in D (x) D, and a random M in place
+    # of E puts only the E(b (x) c) = M(b (x) c) off it; their exact
+    # distances must reach range_in_EA2 through the fit coefficients
+    fx = Fixture(identity(space(3, 3)))
+    diag = span_matrices(space(3), np.array([np.diag(np.eye(3)[i]) for i in range(3)]))
+    fx.__dict__["A"] = replace(fx.A, space=diag, product_residual=0.0)
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    fx.__dict__["e"] = Operator(space(3, 3), m / np.linalg.norm(m, 2))
+    got = check_delta_range_and_density(fx).residuals
+    ref, _ = range_and_density_dense(fx)
+    assert ref["range_in_EA2"] > 0.1
+    for key in ("range_in_EA2", "EA2_in_range"):
+        assert got[key] >= ref[key] * (1 - 1e-12), (key, got[key], ref[key])
