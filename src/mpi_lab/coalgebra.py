@@ -30,15 +30,14 @@ import numpy as np
 from .context import Fixture, as_fixture, three_leg_space
 from .tensor import (
     RESIDUAL_TOL,
+    LegWords,
     Operator,
     OperatorSubspace,
     chain,
     kron_stack,
-    leg_word,
     max_gap,
     numerical_rank,
     pair_products,
-    rel_residual,
     rows,
     span_matrices,
 )
@@ -126,13 +125,12 @@ def _coassoc_residuals(w: Operator) -> np.ndarray:
     amb = three_leg_space(w)
     n = w.space.legs[0].dim
     p = n * n
-    # [A_k^T B_k^T] over k, shape (n, n^3, 2n^2): its R factor is the
+    u = chain(amb, (w, [2, 3]), (w, [1, 2])).matrix.reshape(p, n, -1)
+    v = chain(amb, (w, [1, 3]), (w, [2, 3])).matrix.reshape(p, n, -1)
+    # R of [A_k^T B_k^T], shape (n^3, 2n^2), one k at a time: it is the
     # conjugate of R_k, which leaves every norm below unchanged
-    blocks = np.concatenate([
-        chain(amb, (w, [2, 3]), (w, [1, 2])).matrix.reshape(p, n, -1),  # U
-        chain(amb, (w, [1, 3]), (w, [2, 3])).matrix.reshape(p, n, -1),  # V
-    ])
-    r = np.linalg.qr(blocks.transpose(1, 2, 0), mode="r")
+    r = np.stack([np.linalg.qr(np.concatenate([u[:, k], v[:, k]]).T, mode="r")
+                  for k in range(n)])
     rh = r.conj().transpose(0, 2, 1)
     r[..., p:] *= -1.0  # R_k J
     t = r[:, :p, :p]
@@ -175,10 +173,12 @@ class TensorSquare:
         e_p (x) e_q, the exact distance ||x - B^T c B|| and the norm ||X||."""
         n, b = self.fx.n, rows(self.basis)
         x = stack.reshape(-1, n, n, n, n).transpose(0, 1, 3, 2, 4).reshape(-1, n * n, n * n)
+        if np.shares_memory(x, stack):  # n = 1: the realignment is a view
+            x = x.copy()
         half = b.conj() @ x
         coords = half @ b.conj().T
-        dist = np.linalg.norm(x - b.T @ coords @ b, axis=(1, 2))
-        return half, coords, dist, np.linalg.norm(rows(stack), axis=1)
+        x -= b.T @ coords @ b  # in place: the projection is the only other copy
+        return half, coords, np.linalg.norm(x, axis=(1, 2)), np.linalg.norm(rows(stack), axis=1)
 
 
 def _membership(fit: tuple[np.ndarray, ...]) -> float:
@@ -194,17 +194,13 @@ def check_canonical_idempotent(w: Operator | Fixture | TensorSquare) -> Coalgebr
     sq = w if isinstance(w, TensorSquare) else TensorSquare(w)
     fx, bst = sq.fx, sq.basis
     e, g = fx.e.matrix, fx.g.matrix
-    res: dict[str, float] = {}
-
     ops = {"W": fx.w, "W*": fx.ws, "E": fx.e}
-    e12_e23, e23_e12, form = (
-        leg_word(fx.three_leg, ops, word).matrix
-        for word in ("E12 E23", "E23 E12", "W*12 W*23 W23 W12")
-    )
-    res["E_legs_commute"] = rel_residual(e12_e23, e23_e12)
-    # E12 E23 also equals (W23 W12)* (W23 W12); the reversed product
-    # form fails for non-full fixtures, so only this one is checked
-    res["E_legs_product_form"] = rel_residual(e12_e23, form)
+    res = LegWords(fx.three_leg, ops, {
+        "E_legs_commute": ("E12 E23", "E23 E12"),
+        # E12 E23 also equals (W23 W12)* (W23 W12); the reversed product
+        # form fails for non-full fixtures, so only this one is checked
+        "E_legs_product_form": ("E12 E23", "W*12 W*23 W23 W12"),
+    }).residuals()
 
     res["delta_homomorphism"] = max_gap(
         _comul_stack(fx, pair_products(bst, bst)), pair_products(sq.deltas, sq.deltas)

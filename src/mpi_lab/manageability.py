@@ -29,10 +29,10 @@ from .tensor import (
     H,
     HBAR,
     LegSpec,
+    LegWords,
     Operator,
     TensorSpace,
     identity,
-    leg_word,
     numerical_rank,
     rel_residual,
     swap_legs,
@@ -43,7 +43,7 @@ from .tensor import (
 MAX_Q_CANDIDATES = 8
 
 # Composability identities as (ambient leg flavors, left word, right word)
-# in the notation of tensor.leg_word, over W, Wt = Wtilde on Hbar (x) H
+# in the notation of tensor.LegWords, over W, Wt = Wtilde on Hbar (x) H
 # and WT = W^T on Hbar (x) Hbar.
 COMPOSABILITY_WORDS = {
     "cond3a": ((HBAR, HBAR, H), "Wt13 Wt23 Wt*23", "WT12 WT*12 Wt13"),
@@ -61,8 +61,7 @@ def _composability(fx: Fixture, wt: Operator, names: tuple[str, ...]) -> dict[st
     for name in names:
         flavors, left, right = COMPOSABILITY_WORDS[name]
         amb = TensorSpace(tuple(LegSpec(fx.n, f) for f in flavors))
-        lhs, rhs = (leg_word(amb, ops, word).matrix for word in (left, right))
-        out[name] = rel_residual(lhs, rhs)
+        out.update(LegWords(amb, ops, {name: (left, right)}).residuals())
     return out
 
 

@@ -101,6 +101,8 @@ def _axioms(run: _Run) -> bool:
     run.add({"partial_isometry": verdict.pi_residual}, ms)
     run.add(verdict.mpi_residuals, ms)
     run.add(verdict.derived_residuals, ms)
+    if verdict.lower_bounds:  # these residuals are certified lower bounds
+        rep.properties["lower_bound_checks"] = list(verdict.lower_bounds)
     proj, ms = _timed(projection_residuals, fx)
     run.add(proj, ms, prefix="projection_")
     fullness = assess_fullness(fx)

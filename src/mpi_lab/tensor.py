@@ -6,11 +6,21 @@ stored concretely as C^d with entrywise-conjugated coordinates, so the
 transpose of an operator is the plain matrix transpose with the flavor
 tag flipped.  Basis vectors of a multi-leg space are flattened C-order:
 e_i (x) e_k maps to index i*n2 + k, first leg most significant, 0-based.
+
+Products of embedded operators on three legs ("leg words") are evaluated
+by ``LegWords`` one block of columns at a time, never as n^3 x n^3
+matrices: it sums each pair's squared gap and squared left norm over the
+blocks, so a partial sum is a lower bound that a caller may stop on
+(``axioms.check_mpi_axioms`` does, and reports that bound as the
+residual of an identity it certifies as failing).  ``embed``,
+``embedded_mul`` and ``chain`` build whole matrices, for the
+coassociativity products.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -28,6 +38,11 @@ RANK_TOL = 1e-10
 PD_TOL = 1e-12
 #: the real t at which identities in a one-parameter group are sampled
 T_SAMPLES = (1.0, -1.0, 0.3, -0.3)
+#: entries of one LegWords column block, n^3 k for k columns (one at
+#: least).  2^15 complex entries are 512 KiB: the suffix blocks alive at
+#: once stay far below one n^6-entry matrix at n = 10 (15.3 MiB), while
+#: each tensordot is still a GEMM with a few hundred columns.
+BLOCK_ENTRIES = 2**15
 
 
 class LegMismatchError(ValueError):
@@ -235,26 +250,15 @@ def embed(x: Operator, legs: Sequence[int], ambient: TensorSpace) -> Operator:
 
     Legs are numbered from 1 in ambient order (standard leg notation:
     ``embed(w, [1, 3], ...)`` is W_13).  Flavors and dimensions of x's
-    legs must match the ambient legs at the listed positions.
+    legs must match the ambient legs at the listed positions.  The
+    entries are written from x's columns, with no Kronecker product.
     """
     legs = list(legs)
     _check_embedding(x, legs, ambient)
-    L = ambient.nlegs
-    dims = ambient.dims
-    rest = [p for p in range(1, L + 1) if p not in legs]
-    order = legs + rest
-    rest_dim = 1
-    for p in rest:
-        rest_dim *= dims[p - 1]
-    big = np.kron(x.matrix, np.eye(rest_dim, dtype=complex))
-    # big acts with leg ordering `order`; permute axes back to ambient order
-    ordered_dims = tuple(dims[p - 1] for p in order)
-    t = big.reshape(ordered_dims + ordered_dims)
-    pos = {p: k for k, p in enumerate(order)}
-    out_axes = [pos[p] for p in range(1, L + 1)]
-    in_axes = [L + a for a in out_axes]
     d = ambient.total_dim
-    return Operator(ambient, t.transpose(out_axes + in_axes).reshape(d, d))
+    j = np.unravel_index(np.arange(d), ambient.dims)
+    cols = x.tensor()[(Ellipsis, *(j[p - 1] for p in legs))]
+    return Operator(ambient, _spread(cols, legs, ambient.dims, j).reshape(d, d))
 
 
 def _check_embedding(x: Operator, legs: Sequence[int], ambient: TensorSpace):
@@ -274,34 +278,167 @@ def _check_embedding(x: Operator, legs: Sequence[int], ambient: TensorSpace):
 def embedded_mul(x: Operator, legs: Sequence[int], m: Operator) -> Operator:
     """embed(x, legs) @ m.
 
-    Contracts directly on the tensor indices, avoiding the full
-    D x D x D matrix product; equals the embedded matrix product exactly.
+    Contracts x with m's row legs one block of columns at a time, written
+    into the product, so no embedded matrix and no second copy of m is
+    formed; equals the embedded matrix product exactly.
     """
     legs = list(legs)
     _check_embedding(x, legs, m.space)
-    dims = m.space.dims
-    L = m.space.nlegs
-    d = m.space.total_dim
-    k = len(legs)
-    xdims = x.space.dims
-    xt = x.matrix.reshape(xdims + xdims)
+    dims, d = m.space.dims, m.space.total_dim
     mt = m.matrix.reshape(dims + (d,))
-    # contract x column axes with m row axes at `legs`
-    res = np.tensordot(xt, mt, axes=(list(range(k, 2 * k)), [p - 1 for p in legs]))
-    # res axes: x-out legs (order `legs`), remaining m row legs, col
-    rest = [p for p in range(1, L + 1) if p not in legs]
-    axis_of = {p: i for i, p in enumerate(legs)}
-    axis_of.update({p: k + i for i, p in enumerate(rest)})
-    res = res.transpose([axis_of[p] for p in range(1, L + 1)] + [L])
-    return Operator(m.space, np.ascontiguousarray(res.reshape(d, d)))
+    xt, out = x.tensor(), np.empty_like(mt)
+    step = max(1, BLOCK_ENTRIES // d)
+    for s in range(0, d, step):
+        out[..., s:s + step] = _apply(xt, legs, mt[..., s:s + step])
+    return Operator(m.space, out.reshape(d, d))
 
 
-def leg_word(ambient: TensorSpace, ops: dict[str, Operator], word: str) -> Operator:
-    """The product of a word of embedded operators, leftmost first.  Each
-    factor is a name from ``ops`` followed by the two ambient legs it
-    acts on: with ops {"W": w, "W*": w.adj}, "W23 W*12" is W_23 W*_12."""
-    factors = [(ops[f[:-2]], [int(f[-2]), int(f[-1])]) for f in word.split()]
-    return chain(ambient, *factors)
+class LegWords:
+    """Named pairs (L, R) of leg words on one ambient space, evaluated
+    together on column blocks, so no matrix of the ambient space is formed.
+
+    A word is a product of embedded operators, leftmost first: each
+    factor is a name from ``ops`` followed by the two ambient legs it acts
+    on, so with ops {"W": w, "W*": w.adj}, "W23 W*12" is W_23 W*_12.  Each
+    factor is checked against the ambient legs once per word.  A block is
+    the columns S of a word's matrix as a (dims..., k) tensor, with
+    n1 n2 n3 k <= BLOCK_ENTRIES: the product of the two rightmost factors
+    is written from their entries (``_first``), with no Kronecker
+    product, and each further factor is one tensordot.  The words of a
+    block are evaluated right to left, and each distinct suffix once; a
+    suffix block is kept only until its last use.  ``block_norms`` gives
+    ||(L - R)_S||^2 and ||L_S||^2 per pair, with L - R formed, so no
+    difference of squared norms is taken; summed over ``column_blocks``
+    they give ``residuals``, the relative Frobenius gaps of rel_residual.
+    A partial sum over some blocks is a lower bound on ||L - R||^2, which
+    ``axioms.check_mpi_axioms`` uses to stop a failing identity early.
+    """
+
+    def __init__(self, ambient: TensorSpace, ops: dict[str, Operator],
+                 pairs: dict[str, tuple[str, str]]):
+        self.dims, self.pairs = ambient.dims, pairs
+        self._tensors = {name: op.matrix.reshape(op.space.dims * 2) for name, op in ops.items()}
+        self._words = {}
+        for word in dict.fromkeys(w for pair in pairs.values() for w in pair):
+            factors = tuple((f[:-2], (int(f[-2]), int(f[-1]))) for f in word.split())
+            for name, legs in factors:
+                _check_embedding(ops[name], legs, ambient)
+            self._words[word] = factors
+        d = ambient.total_dim
+        k = max(1, BLOCK_ENTRIES // d)
+        self.column_blocks = [range(s, min(s + k, d)) for s in range(0, d, k)]
+
+    def residuals(self) -> dict[str, float]:
+        """||L - R|| / max(1, ||L||) of every pair, over all columns."""
+        sums = {name: np.zeros(2) for name in self.pairs}
+        for cols in self.column_blocks:
+            for name, norms in self.block_norms(cols, self.pairs).items():
+                sums[name] += norms
+        return {name: float(np.sqrt(gap) / max(1.0, np.sqrt(lhs)))
+                for name, (gap, lhs) in sums.items()}
+
+    def block_norms(self, cols: range, names) -> dict[str, np.ndarray]:
+        """[||(L - R)_S||^2, ||L_S||^2] of each named pair on the columns S."""
+        out = {}
+        for name, lhs, rhs in self.sides(cols, names):
+            out[name] = np.array([_sqnorm(lhs - rhs), _sqnorm(lhs)])
+        return out
+
+    def sides(self, cols: range, names):
+        """Yield (name, L_S, R_S) for each named pair, in order."""
+        words = [self._words[w] for name in names for w in self.pairs[name]]
+        # uses of a suffix of two factors or more (shorter ones are cheap
+        # to rebuild): once per distinct suffix that extends it by one
+        # factor, once per pair side that is this word
+        uses = Counter(words)
+        uses.update(s[1:] for s in {f[i:] for f in words for i in range(len(f) - 2)})
+        cache: dict[tuple, list] = {}  # suffix -> [block, uses left]
+        for name in names:
+            lhs, rhs = (self._word_block(self._words[w], cols, cache, uses)
+                        for w in self.pairs[name])
+            yield name, lhs, rhs
+
+    def _word_block(self, factors: tuple, cols: range, cache: dict, uses: Counter):
+        i = next((i for i in range(len(factors) - 1) if factors[i:] in cache), None)
+        if i is None:
+            i = max(0, len(factors) - 2)
+            block = self._first(factors[i:], cols)
+            _keep(cache, uses, factors[i:], block)
+        else:
+            entry = cache[factors[i:]]
+            block, entry[1] = entry[0], entry[1] - 1
+            if not entry[1]:
+                del cache[factors[i:]]
+        while i:
+            i -= 1
+            name, legs = factors[i]
+            block = _apply(self._tensors[name], legs, block)
+            _keep(cache, uses, factors[i:], block)
+        return block
+
+    def _first(self, factors: tuple, cols: range) -> np.ndarray:
+        """The columns S of a product of one or two factors, from their
+        entries.  Column j of the right factor is its column j_legs on its
+        legs and e_(j_p) on each other leg p, so it is n^2 k entries and the
+        left factor contracts against it, its inputs on those other legs
+        fixed at j_p, in n^4 k operations where a tensordot takes n^5 k."""
+        nlegs = len(self.dims)
+        j = np.unravel_index(np.asarray(cols), self.dims)
+        out = {p: chr(ord("a") + p) for p in range(1, nlegs + 1)}  # output letters
+        mid = {p: chr(ord("n") + p) for p in range(1, nlegs + 1)}  # contracted
+        (*left, (name, legs)) = factors
+        block = self._tensors[name][(Ellipsis, *(j[p - 1] for p in legs))]
+        for name, xlegs in left:
+            xin = [slice(None) if p in legs else j[p - 1] for p in xlegs]
+            xspec = [out[p] for p in xlegs] + list(dict.fromkeys(
+                mid[p] if p in legs else "z" for p in xlegs))
+            spec = [mid[p] if p in xlegs else out[p] for p in legs]
+            legs = sorted({*legs, *xlegs})
+            block = np.einsum(f"{''.join(xspec)},{''.join(spec)}z->"
+                              f"{''.join(out[p] for p in legs)}z",
+                              self._tensors[name][(Ellipsis, *xin)], block, optimize=True)
+        if left and len(legs) == nlegs:  # legs sorted: block is in ambient order
+            return block
+        return _spread(block, legs, self.dims, j)
+
+
+def _sqnorm(x: np.ndarray) -> float:
+    """||x||^2, summed in row-major order as np.linalg.norm sums it."""
+    x = x.ravel()
+    return float(x.real @ x.real + x.imag @ x.imag)
+
+
+def _keep(cache: dict, uses: Counter, suffix: tuple, block: np.ndarray):
+    """Cache a suffix block just computed if it has uses beyond this one."""
+    if uses[suffix] > 1:
+        cache[suffix] = [block, uses[suffix] - 1]
+
+
+def _ambient_order(legs: Sequence[int], nlegs: int) -> list[int]:
+    """Axis permutation from (legs, other legs in order, column) to
+    (ambient legs in order, column)."""
+    order = [*legs, *(p for p in range(1, nlegs + 1) if p not in legs)]
+    return [order.index(p) for p in range(1, nlegs + 1)] + [nlegs]
+
+
+def _apply(xt: np.ndarray, legs: Sequence[int], block: np.ndarray) -> np.ndarray:
+    """x, as a (out legs, in legs) tensor, applied on ``legs`` to a
+    (dims..., k) block of columns."""
+    nx = len(legs)
+    res = np.tensordot(xt, block, axes=(range(nx, 2 * nx), [p - 1 for p in legs]))
+    return res.transpose(_ambient_order(legs, block.ndim - 1))
+
+
+def _spread(block: np.ndarray, legs: Sequence[int], dims: tuple[int, ...], j) -> np.ndarray:
+    """Columns acting on ``legs`` only, given as a (dims of legs..., k)
+    block, as a (dims..., k) array whose column c is e_(j_p[c]) on each
+    other leg p (j: the column indices unraveled over dims)."""
+    nlegs = len(dims)
+    rest = [p for p in range(1, nlegs + 1) if p not in legs]
+    out = np.zeros(dims + block.shape[-1:], complex)
+    into = out.transpose([p - 1 for p in (*legs, *rest)] + [nlegs])
+    into[(Ellipsis, *(j[p - 1] for p in rest), np.arange(block.shape[-1]))] = block
+    return out
 
 
 def chain(ambient: TensorSpace, *factors: tuple[Operator, Sequence[int]]) -> Operator:

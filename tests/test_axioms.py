@@ -9,11 +9,12 @@ from mpi_lab.axioms import (
     check_derived_identities,
     check_mpi_axioms,
     is_partial_isometry,
-    mpi_identity_sides,
     projection_residuals,
     what,
 )
+from mpi_lab.context import Fixture
 from mpi_lab.tensor import Operator, embed, flip, identity, space
+from word_references import identity_sides
 
 
 def perm_matrix(perm, n):
@@ -64,7 +65,7 @@ class TestMpiAxioms:
         assert v.mpi_residuals["mpi1"] > 0.1
         # oracle: left side is the leg transposition (13), right side the
         # 3-cycle (12)(13), as permutations of the 8 basis vectors
-        lhs, rhs = mpi_identity_sides(s, "mpi1")
+        lhs, rhs = identity_sides(s, "mpi1")
 
         def leg_perm(sigma):
             # sigma permutes leg positions; basis (i1,i2,i3) -> reordered
@@ -77,9 +78,9 @@ class TestMpiAxioms:
                         out[dst[0] * 4 + dst[1] * 2 + dst[2], i * 4 + j * 2 + k] = 1.0
             return out
 
-        np.testing.assert_allclose(lhs.matrix, leg_perm([2, 1, 0]))  # (13)
+        np.testing.assert_allclose(lhs, leg_perm([2, 1, 0]))  # (13)
         # (12)(13) composed right-to-left: (i,j,k) -> (k,j,i) -> (j,k,i)
-        np.testing.assert_allclose(rhs.matrix, leg_perm([1, 2, 0]))
+        np.testing.assert_allclose(rhs, leg_perm([1, 2, 0]))
 
     def test_example_against_hand_expansion(self, w_example):
         # mpi1 for the example: both sides equal
@@ -92,9 +93,25 @@ class TestMpiAxioms:
         expected = np.kron(unit(2, 1), np.kron(unit(2, 2), unit(1, 1))) + np.kron(
             unit(2, 2), np.kron(unit(2, 2), unit(2, 2))
         )
-        lhs, rhs = mpi_identity_sides(w_example, "mpi1")
-        np.testing.assert_allclose(lhs.matrix, expected)
-        np.testing.assert_allclose(rhs.matrix, expected)
+        lhs, rhs = identity_sides(w_example, "mpi1")
+        np.testing.assert_allclose(lhs, expected)
+        np.testing.assert_allclose(rhs, expected)
+
+    def test_traced_peak_on_z10(self):
+        # the ten identities run on column blocks: the tracemalloc peak of
+        # one call, context prepared, stays below one n^6-entry array
+        # (15.3 MiB at n = 10; 61 MiB when each word was a dense matrix)
+        import tracemalloc
+
+        fx = Fixture(corpus.group_mpu(corpus.cyclic_table(10)))
+        fx.ws  # built before tracing: it belongs to the context
+        tracemalloc.start()
+        try:
+            assert check_mpi_axioms(fx).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6 * 16, peak / 2**20
 
 
 class TestDerivedIdentities:
@@ -126,7 +143,7 @@ class TestDerivedIdentities:
     def test_z2_pentagon_by_basis_action(self, w_z2):
         # oracle: evaluate mpi5 on every basis vector from the group law
         n = 2
-        lhs, rhs = mpi_identity_sides(w_z2, "mpi5")
+        lhs, rhs = identity_sides(w_z2, "mpi5")
         for g in range(n):
             for h in range(n):
                 for k in range(n):
@@ -135,8 +152,8 @@ class TestDerivedIdentities:
                     # W23 W12: (g,h,k) -> (g, gh, k) -> (g, gh, (gh)k)
                     out = np.zeros(n**3)
                     out[g * n * n + ((g + h) % n) * n + ((g + h + k) % n)] = 1.0
-                    np.testing.assert_allclose(rhs.matrix @ vec, out)
-                    np.testing.assert_allclose(lhs.matrix @ vec, out)
+                    np.testing.assert_allclose(rhs @ vec, out)
+                    np.testing.assert_allclose(lhs @ vec, out)
         assert check_derived_identities(w_z2)["mpi5"] == 0.0
 
 

@@ -132,9 +132,9 @@ class TestGroupoidOperators:
                 return (a, g.compose[(a, b)], 1.0)
             return (a, b, 0.0)
 
-        from mpi_lab.axioms import mpi_identity_sides
+        from word_references import identity_sides
 
-        lhs, rhs = mpi_identity_sides(w_pair2, "mpi1")
+        lhs, rhs = identity_sides(w_pair2, "mpi1")
         for a in ids:
             for b in ids:
                 for c in ids:
@@ -145,8 +145,8 @@ class TestGroupoidOperators:
                     a2, b2, s2 = w_act(a1, b)
                     out = np.zeros(n**3)
                     out[(idx[a2] * n + idx[b2]) * n + idx[c1]] += s1 * s2
-                    np.testing.assert_allclose(rhs.matrix @ vec, out, atol=1e-14)
-                    np.testing.assert_allclose(lhs.matrix @ vec, out, atol=1e-14)
+                    np.testing.assert_allclose(rhs @ vec, out, atol=1e-14)
+                    np.testing.assert_allclose(lhs @ vec, out, atol=1e-14)
 
     def test_disjoint_union_proper_projection(self, w_two_z2):
         e = (w_two_z2.adj @ w_two_z2).matrix

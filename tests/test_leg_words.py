@@ -1,0 +1,235 @@
+"""The leg-word engine (tensor.LegWords) against the dense evaluation, and
+the certified early FAIL of check_mpi_axioms.
+
+The engine evaluates words on column blocks and shares suffixes; the
+references multiply n^3 x n^3 matrices, embedded by np.kron
+(``kron_word``) or by ``tensor.chain``.  The comparisons run on seeded
+dense non-MPI candidates, where every residual is O(1), with blocks of
+four columns, so that a word spans several blocks and the last one is
+short.
+"""
+
+import numpy as np
+import pytest
+
+from mpi_lab import corpus, tensor
+from mpi_lab.axioms import (
+    DERIVED_IDENTITIES,
+    FAIL_MARGIN,
+    IDENTITY_WORDS,
+    check_derived_identities,
+    check_mpi_axioms,
+    lhs_norm_bounds,
+)
+from mpi_lab.coalgebra import check_canonical_idempotent
+from mpi_lab.context import Fixture
+from mpi_lab.manageability import (
+    COMPOSABILITY_WORDS,
+    build_wtilde,
+    check_hash_identities,
+    check_manageability,
+)
+from mpi_lab.runner import run_suite
+from mpi_lab.tensor import (
+    RESIDUAL_TOL,
+    LegSpec,
+    LegWords,
+    Operator,
+    TensorSpace,
+    chain,
+    rel_residual,
+    space,
+    transpose_op,
+)
+from word_references import engine_word, kron_word
+
+E_LEG_WORDS = {
+    "E_legs_commute": ("E12 E23", "E23 E12"),
+    "E_legs_product_form": ("E12 E23", "W*12 W*23 W23 W12"),
+}
+
+
+def dense_candidate(n, seed, scale=1.0):
+    """A seeded complex Gaussian W on C^n (x) C^n with ||W||_2 = scale."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    return Operator(space(n, n), scale * z / np.linalg.norm(z, 2))
+
+
+@pytest.fixture
+def four_column_blocks(monkeypatch):
+    monkeypatch.setattr(tensor, "BLOCK_ENTRIES", 4 * 27)
+
+
+def word_sets(w):
+    """(ambient, ops, pairs) of every group of words the checks evaluate."""
+    fx = Fixture(w)
+    q = Operator(space(3), np.diag([1.0, 2.0, 0.5]))
+    wt, wtop = build_wtilde(fx, q), transpose_op(fx.w)
+    comp_ops = {"W": fx.w, "W*": fx.ws, "Wt": wt, "Wt*": wt.adj, "WT": wtop, "WT*": wtop.adj}
+    sets = [
+        (fx.three_leg, {"W": fx.w, "W*": fx.ws}, IDENTITY_WORDS),
+        (fx.three_leg, {"W": fx.w, "W*": fx.ws, "E": fx.e}, E_LEG_WORDS),
+    ]
+    for name, (flavors, left, right) in COMPOSABILITY_WORDS.items():
+        amb = TensorSpace(tuple(LegSpec(3, f) for f in flavors))
+        sets.append((amb, comp_ops, {name: (left, right)}))
+    return sets
+
+
+def dense_residuals(ambient, ops, pairs, evaluate=kron_word):
+    out = {}
+    for name, (left, right) in pairs.items():
+        lhs, rhs = evaluate(ambient, ops, left), evaluate(ambient, ops, right)
+        out[name] = rel_residual(lhs, rhs)
+    return out
+
+
+def chain_word(ambient, ops, word):
+    """A word's matrix through the dense tensordot products of tensor.chain."""
+    factors = [(ops[f[:-2]], [int(f[-2]), int(f[-1])]) for f in word.split()]
+    return chain(ambient, *factors).matrix
+
+
+class TestAgainstDense:
+    @pytest.mark.usefixtures("four_column_blocks")
+    def test_every_word_entrywise(self):
+        for ambient, ops, pairs in word_sets(dense_candidate(3, 0)):
+            for name, words in pairs.items():
+                for word in words:
+                    want = kron_word(ambient, ops, word)
+                    got = engine_word(ambient, ops, word)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13,
+                                               err_msg=f"{name}: {word}")
+
+    @pytest.mark.usefixtures("four_column_blocks")
+    def test_every_pair_residual(self):
+        for ambient, ops, pairs in word_sets(dense_candidate(3, 1)):
+            words = LegWords(ambient, ops, pairs)
+            assert len(words.column_blocks) == 7
+            got, want = words.residuals(), dense_residuals(ambient, ops, pairs)
+            for name in pairs:
+                assert want[name] > 0.05, name  # O(1): the comparison can fail
+                assert got[name] == pytest.approx(want[name], rel=1e-12), name
+
+    @pytest.mark.usefixtures("four_column_blocks")
+    def test_check_entry_points(self):
+        w = dense_candidate(3, 2)
+        fx = Fixture(w)
+        ((amb, ops, ids), (_, e_ops, e_legs), *_) = word_sets(w)
+        want = dense_residuals(amb, ops, ids)
+        derived = check_derived_identities(fx)
+        assert list(derived) == list(DERIVED_IDENTITIES)
+        for name in DERIVED_IDENTITIES:
+            assert derived[name] == pytest.approx(want[name], rel=1e-12), name
+        want_e = dense_residuals(amb, e_ops, e_legs)
+        can = check_canonical_idempotent(fx).residuals
+        for name in E_LEG_WORDS:
+            assert can[name] == pytest.approx(want_e[name], rel=1e-12), name
+        q = Operator(space(3), np.diag([1.0, 2.0, 0.5]))
+        got = {**check_hash_identities(fx, build_wtilde(fx, q)),
+               **check_manageability(fx, q).residuals}
+        for ambient, ops, pairs in word_sets(w)[2:]:
+            for name, value in dense_residuals(ambient, ops, pairs).items():
+                assert got[name] == pytest.approx(value, rel=1e-12), name
+
+    def test_axioms_in_one_block_are_exact(self):
+        # n = 3 fits one block: nothing stops early, every residual is exact
+        w = dense_candidate(3, 3)
+        v = check_mpi_axioms(w)
+        want = dense_residuals(*word_sets(w)[0])
+        assert v.lower_bounds == () and not v.passed
+        for name, value in {**v.mpi_residuals, **v.derived_residuals}.items():
+            assert value == pytest.approx(want[name], rel=1e-12), name
+
+
+class TestEarlyFail:
+    def test_norm_bounds_are_upper_bounds(self):
+        # unitary, partial isometry, and dense W with ||W||_2 above and below 1
+        for w in (corpus.group_mpu(corpus.cyclic_table(3)),
+                  corpus.groupoid_mpi(corpus.pair_groupoid(2)),
+                  dense_candidate(3, 4, scale=3.0), dense_candidate(3, 5, scale=0.5)):
+            fx = Fixture(w)
+            bounds = lhs_norm_bounds(w.matrix)
+            for name, (left, _) in IDENTITY_WORDS.items():
+                lhs = kron_word(fx.three_leg, {"W": fx.w, "W*": fx.ws}, left)
+                assert bounds[name] >= max(1.0, np.linalg.norm(lhs)), name
+
+    @pytest.mark.usefixtures("four_column_blocks")
+    def test_lower_bounds_below_dense_residuals(self):
+        w = dense_candidate(3, 6)
+        v = check_mpi_axioms(w)
+        want = dense_residuals(*word_sets(w)[0])
+        got = {**v.mpi_residuals, **v.derived_residuals}
+        assert set(v.lower_bounds) == set(IDENTITY_WORDS)
+        for name in IDENTITY_WORDS:
+            assert FAIL_MARGIN * RESIDUAL_TOL < got[name] <= want[name], name
+
+    def test_single_entry_defect_fails(self):
+        # one perturbed entry of Z_8 reaches few columns of each word; for
+        # mpi4 and mpi9 they all lie in the last block, where no identity
+        # stops early, so those two are decided by their exact residuals
+        w = corpus.group_mpu(corpus.cyclic_table(8))
+        m = np.array(w.matrix)
+        m[63, 63] += 1e-6
+        bad = Operator(w.space, m)
+        v = check_mpi_axioms(bad)
+        assert not v.passed
+        fx = Fixture(bad)
+        ops = {"W": fx.w, "W*": fx.ws}
+        failing = [name for name in IDENTITY_WORDS
+                   if {**v.mpi_residuals, **v.derived_residuals}[name] >= RESIDUAL_TOL]
+        assert set(v.lower_bounds) <= set(failing)
+        assert {"mpi1", "mpi2", "mpi4", "mpi9"} <= set(failing)
+        assert {"mpi1", "mpi2"} <= set(v.lower_bounds)
+        assert not {"mpi4", "mpi9"} & set(v.lower_bounds)
+        want = dense_residuals(fx.three_leg, ops, {n: IDENTITY_WORDS[n] for n in failing},
+                               evaluate=chain_word)
+        got = {**v.mpi_residuals, **v.derived_residuals}
+        for name in failing:
+            if name in v.lower_bounds:
+                assert FAIL_MARGIN * RESIDUAL_TOL < got[name] <= want[name], name
+            else:
+                assert got[name] == pytest.approx(want[name], rel=1e-10), name
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-7])
+    @pytest.mark.parametrize("base", ["group_z4", "Z_8", "pair_groupoid_3", "Z_10"])
+    def test_reject_bases(self, base, eps):
+        # perturbed as the reject workload perturbs them: every early-FAIL
+        # residual lies in (FAIL_MARGIN tol, dense residual], every other
+        # one is the dense residual
+        w = {
+            "group_z4": lambda: corpus.group_mpu(corpus.cyclic_table(4)),
+            "Z_8": lambda: corpus.group_mpu(corpus.cyclic_table(8)),
+            "pair_groupoid_3": lambda: corpus.groupoid_mpi(corpus.pair_groupoid(3)),
+            "Z_10": lambda: corpus.group_mpu(corpus.cyclic_table(10)),
+        }[base]()
+        rng = np.random.default_rng(17)
+        m = w.matrix
+        g = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+        bad = Operator(w.space, m + eps * np.linalg.norm(m) * g / np.linalg.norm(g))
+        v = check_mpi_axioms(bad)
+        assert not v.passed
+        fx = Fixture(bad)
+        want = dense_residuals(fx.three_leg, {"W": fx.w, "W*": fx.ws}, IDENTITY_WORDS,
+                               evaluate=chain_word)
+        got = {**v.mpi_residuals, **v.derived_residuals}
+        # n = 4 is one block; the larger bases stop before their last one
+        assert bool(v.lower_bounds) == (base != "group_z4")
+        for name in IDENTITY_WORDS:
+            if name in v.lower_bounds:
+                assert FAIL_MARGIN * RESIDUAL_TOL < got[name] <= want[name], name
+            else:
+                assert got[name] == pytest.approx(want[name], rel=1e-10), name
+
+    def test_runner_lists_lower_bound_checks(self):
+        w = corpus.group_mpu(corpus.cyclic_table(8))
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal(w.matrix.shape)
+        bad = Operator(w.space, w.matrix + 1e-3 * g)
+        rep = run_suite(bad, level="axioms")
+        listed = rep.properties["lower_bound_checks"]
+        assert listed and set(listed) <= set(IDENTITY_WORDS)
+        assert all(not e.passed for e in rep.entries if e.check_id in listed)
+        # a PASS report keeps its schema: no such property
+        assert "lower_bound_checks" not in run_suite(w, level="axioms").properties
