@@ -6,7 +6,9 @@ mpi5 is the pentagon equation; mpi3/mpi4 are trivial for unitaries but
 carry the base-algebra commutation in the general case.
 
 The ten identities are leg words evaluated together on column blocks
-(tensor.LegWords).  ``check_mpi_axioms`` stops an identity as FAIL as
+(tensor.LegWords), which fuses the same-leg runs of the paper's words:
+mpi3 is evaluated as E_23 W_12 = W_12 E_23 with E = W*W, formed once.
+``check_mpi_axioms`` stops an identity as FAIL as
 soon as the blocks so far certify it: its residual is then a lower bound
 on the full residual, above FAIL_MARGIN * tol, and its id is listed in
 ``MpiVerdict.lower_bounds``.  A PASS always reports the full residual.
@@ -74,7 +76,8 @@ def is_partial_isometry(w: Operator, tol: float = RESIDUAL_TOL) -> tuple[bool, f
 
 
 # The ten leg identities as (left, right) words on H (x) H (x) H, in the
-# notation of tensor.LegWords: "W23 W12 W*23" is W_23 W_12 W*_23.
+# notation of tensor.LegWords: "W23 W12 W*23" is W_23 W_12 W*_23.  They are
+# the paper's words verbatim; the engine fuses "W*23 W23" into E_23.
 IDENTITY_WORDS = {
     "mpi1": ("W23 W12 W*23", "W12 W13"),
     "mpi2": ("W*12 W23 W12", "W13 W23"),
@@ -104,8 +107,11 @@ def _identity_words(fx: Fixture, names) -> LegWords:
 def lhs_norm_bounds(w: np.ndarray) -> dict[str, float]:
     """Upper bound on max(1, ||L||_F) for the left word L of each identity,
     m factors W or W* on two of three legs: ||X Y||_F <= ||X||_2 ||Y||_F,
-    ||W_ij||_2 = ||W||_2 and ||W_ij||_F = sqrt(n) ||W||_F.  Infinite for
-    a W with a non-finite entry, so that no identity of it stops early."""
+    ||W_ij||_2 = ||W||_2 and ||W_ij||_F = sqrt(n) ||W||_F.  m counts the
+    paper's factors, before LegWords fuses a same-leg run such as
+    W*_23 W_23 into E_23 (||E||_2 <= ||W||_2^2), so the bound holds for the
+    fused evaluation too.  Infinite for a W with a non-finite entry, so
+    that no identity of it stops early."""
     if not np.isfinite(w).all():
         return dict.fromkeys(IDENTITY_WORDS, np.inf)
     norm2, frob = np.linalg.norm(w, 2), math.sqrt(math.isqrt(len(w))) * np.linalg.norm(w)

@@ -120,7 +120,9 @@ def _coassoc_residuals(w: Operator) -> np.ndarray:
     denominators ||A_k^H A_l||, which need no such precision, come from
     the Grams A_k A_k^H = T_k^H T_k of the leading n^2 x n^2 blocks T_k
     of the triangular R_k.  Cost O(n^8): n QRs of n^3 x 2n^2 blocks and
-    n^2/2 products of 2n^2-square factors.
+    n^2/2 products of 2n^2-square factors.  Memory: U and V (2 n^6
+    entries, each filled by ``chain`` from column blocks) live until the
+    R factors (4 n^5) exist.
     """
     amb = three_leg_space(w)
     n = w.space.legs[0].dim
@@ -131,6 +133,7 @@ def _coassoc_residuals(w: Operator) -> np.ndarray:
     # conjugate of R_k, which leaves every norm below unchanged
     r = np.stack([np.linalg.qr(np.concatenate([u[:, k], v[:, k]]).T, mode="r")
                   for k in range(n)])
+    del u, v  # the R factors carry all that is left
     rh = r.conj().transpose(0, 2, 1)
     r[..., p:] *= -1.0  # R_k J
     t = r[:, :p, :p]

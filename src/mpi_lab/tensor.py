@@ -9,12 +9,17 @@ e_i (x) e_k maps to index i*n2 + k, first leg most significant, 0-based.
 
 Products of embedded operators on three legs ("leg words") are evaluated
 by ``LegWords`` one block of columns at a time, never as n^3 x n^3
-matrices: it sums each pair's squared gap and squared left norm over the
-blocks, so a partial sum is a lower bound that a caller may stop on
-(``axioms.check_mpi_axioms`` does, and reports that bound as the
-residual of an identity it certifies as failing).  ``embed``,
-``embedded_mul`` and ``chain`` build whole matrices, for the
-coassociativity products.
+matrices.  Adjacent factors on the same legs are fused into their
+product first (W*_23 W_23 is E_23), so a word of two fused factors costs
+n^7 over all columns and only a genuine three-factor word n^8.  Column
+blocks are products of leg-index ranges, so the first two factors of a
+word are sliced on them and contracted at once.  ``LegWords`` sums each
+pair's squared gap and squared left norm over the blocks, so a partial
+sum is a lower bound that a caller may stop on (``axioms.check_mpi_axioms``
+does, and reports that bound as the residual of an identity it certifies
+as failing).  ``chain`` fills a whole product from the same blocks, for
+the coassociativity products (``embed`` is its one-factor case);
+``embedded_mul`` multiplies one embedded factor into a whole matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,10 +44,11 @@ RANK_TOL = 1e-10
 PD_TOL = 1e-12
 #: the real t at which identities in a one-parameter group are sampled
 T_SAMPLES = (1.0, -1.0, 0.3, -0.3)
-#: entries of one LegWords column block, n^3 k for k columns (one at
+#: most entries of one LegWords column block, n^3 k for k columns (one at
 #: least).  2^15 complex entries are 512 KiB: the suffix blocks alive at
 #: once stay far below one n^6-entry matrix at n = 10 (15.3 MiB), while
-#: each tensordot is still a GEMM with a few hundred columns.
+#: each tensordot is still a GEMM with a few hundred columns; larger
+#: blocks measured slower at n = 10.
 BLOCK_ENTRIES = 2**15
 
 
@@ -251,14 +258,10 @@ def embed(x: Operator, legs: Sequence[int], ambient: TensorSpace) -> Operator:
     Legs are numbered from 1 in ambient order (standard leg notation:
     ``embed(w, [1, 3], ...)`` is W_13).  Flavors and dimensions of x's
     legs must match the ambient legs at the listed positions.  The
-    entries are written from x's columns, with no Kronecker product.
+    one-factor ``chain``: the entries are written from x's columns, with
+    no Kronecker product.
     """
-    legs = list(legs)
-    _check_embedding(x, legs, ambient)
-    d = ambient.total_dim
-    j = np.unravel_index(np.arange(d), ambient.dims)
-    cols = x.tensor()[(Ellipsis, *(j[p - 1] for p in legs))]
-    return Operator(ambient, _spread(cols, legs, ambient.dims, j).reshape(d, d))
+    return chain(ambient, (x, legs))
 
 
 def _check_embedding(x: Operator, legs: Sequence[int], ambient: TensorSpace):
@@ -298,35 +301,60 @@ class LegWords:
     together on column blocks, so no matrix of the ambient space is formed.
 
     A word is a product of embedded operators, leftmost first: each
-    factor is a name from ``ops`` followed by the two ambient legs it acts
+    factor is a name from ``ops`` followed by the ambient legs it acts
     on, so with ops {"W": w, "W*": w.adj}, "W23 W*12" is W_23 W*_12.  Each
-    factor is checked against the ambient legs once per word.  A block is
-    the columns S of a word's matrix as a (dims..., k) tensor, with
-    n1 n2 n3 k <= BLOCK_ENTRIES: the product of the two rightmost factors
-    is written from their entries (``_first``), with no Kronecker
-    product, and each further factor is one tensordot.  The words of a
-    block are evaluated right to left, and each distinct suffix once; a
-    suffix block is kept only until its last use.  ``block_norms`` gives
-    ||(L - R)_S||^2 and ||L_S||^2 per pair, with L - R formed, so no
-    difference of squared norms is taken; summed over ``column_blocks``
-    they give ``residuals``, the relative Frobenius gaps of rel_residual.
-    A partial sum over some blocks is a lower bound on ||L - R||^2, which
-    ``axioms.check_mpi_axioms`` uses to stop a failing identity early.
+    factor is checked against the ambient legs once per word; then each
+    run of adjacent factors on the same legs is fused into one factor,
+    their matrix product, formed once per engine: "W*23 W23 W12" is
+    evaluated as (W*W)_23 W_12.
+
+    ``column_blocks`` are contiguous ranges of columns, each a product of
+    leg-index ranges (whole runs of trailing-leg rows or slabs, none
+    crossing its enclosing group) with n1 n2 n3 k <= BLOCK_ENTRIES.  A
+    block is the columns S of a word's matrix as a (dims..., k) tensor.
+    The product of the two rightmost factors is one contraction of the
+    two factors sliced on the block's leg ranges (``_first``), n^4 k
+    operations, with no Kronecker product and no gather; each further
+    factor is one tensordot, n^5 k.  So a word of two factors costs n^7
+    over all columns, and only a three-factor word such as
+    W_12 W_13 W_23 costs n^8: per block, the ten axiom identities take 16
+    starts and 5 tensordots, the E-leg words 3 and 1, and each
+    composability pair 2 starts, plus 1 tensordot for hash1 and hash3.
+    The words of a block are evaluated right to left, and each distinct
+    suffix once; a suffix block is kept only until its last use.
+    ``block_norms`` gives ||(L - R)_S||^2 and ||L_S||^2 per pair, with
+    L - R formed, so no difference of squared norms is taken; summed over
+    ``column_blocks`` they give ``residuals``, the relative Frobenius gaps
+    of rel_residual.  A partial sum over some blocks is a lower bound on
+    ||L - R||^2, which ``axioms.check_mpi_axioms`` uses to stop a failing
+    identity early.
     """
 
     def __init__(self, ambient: TensorSpace, ops: dict[str, Operator],
                  pairs: dict[str, tuple[str, str]]):
         self.dims, self.pairs = ambient.dims, pairs
-        self._tensors = {name: op.matrix.reshape(op.space.dims * 2) for name, op in ops.items()}
+        # fused factor (tuple of names) -> its (out legs, in legs) tensor
+        self._tensors: dict[tuple[str, ...], np.ndarray] = {}
         self._words = {}
         for word in dict.fromkeys(w for pair in pairs.values() for w in pair):
-            factors = tuple((f[:-2], (int(f[-2]), int(f[-1]))) for f in word.split())
-            for name, legs in factors:
+            factors = []
+            for f in word.split():
+                name = f.rstrip("0123456789")
+                legs = tuple(int(p) for p in f[len(name):])
                 _check_embedding(ops[name], legs, ambient)
-            self._words[word] = factors
-        d = ambient.total_dim
-        k = max(1, BLOCK_ENTRIES // d)
-        self.column_blocks = [range(s, min(s + k, d)) for s in range(0, d, k)]
+                factors.append((name, legs))
+            self._words[word] = tuple(self._fuse(ops, factors))
+        self._plans: dict[tuple, tuple] = {}
+        self.column_blocks = _column_blocks(self.dims)
+
+    def _fuse(self, ops: dict[str, Operator], factors: list):
+        """Each run of adjacent factors on the same legs as one factor."""
+        for legs, run in groupby(factors, key=lambda f: f[1]):
+            names = tuple(name for name, _ in run)
+            if names not in self._tensors:
+                m = reduce(np.matmul, (ops[name].matrix for name in names))
+                self._tensors[names] = m.reshape(ops[names[0]].space.dims * 2)
+            yield names, legs
 
     def residuals(self) -> dict[str, float]:
         """||L - R|| / max(1, ||L||) of every pair, over all columns."""
@@ -358,6 +386,10 @@ class LegWords:
                         for w in self.pairs[name])
             yield name, lhs, rhs
 
+    def block(self, word: str, cols: range) -> np.ndarray:
+        """The columns S of one word, a (dims..., k) array."""
+        return self._word_block(self._words[word], cols, {}, Counter())
+
     def _word_block(self, factors: tuple, cols: range, cache: dict, uses: Counter):
         i = next((i for i in range(len(factors) - 1) if factors[i:] in cache), None)
         if i is None:
@@ -371,35 +403,75 @@ class LegWords:
                 del cache[factors[i:]]
         while i:
             i -= 1
-            name, legs = factors[i]
-            block = _apply(self._tensors[name], legs, block)
+            names, legs = factors[i]
+            block = _apply(self._tensors[names], legs, block)
             _keep(cache, uses, factors[i:], block)
         return block
 
     def _first(self, factors: tuple, cols: range) -> np.ndarray:
-        """The columns S of a product of one or two factors, from their
-        entries.  Column j of the right factor is its column j_legs on its
-        legs and e_(j_p) on each other leg p, so it is n^2 k entries and the
-        left factor contracts against it, its inputs on those other legs
-        fixed at j_p, in n^4 k operations where a tensordot takes n^5 k."""
-        nlegs = len(self.dims)
-        j = np.unravel_index(np.asarray(cols), self.dims)
-        out = {p: chr(ord("a") + p) for p in range(1, nlegs + 1)}  # output letters
-        mid = {p: chr(ord("n") + p) for p in range(1, nlegs + 1)}  # contracted
-        (*left, (name, legs)) = factors
-        block = self._tensors[name][(Ellipsis, *(j[p - 1] for p in legs))]
-        for name, xlegs in left:
-            xin = [slice(None) if p in legs else j[p - 1] for p in xlegs]
-            xspec = [out[p] for p in xlegs] + list(dict.fromkeys(
-                mid[p] if p in legs else "z" for p in xlegs))
-            spec = [mid[p] if p in xlegs else out[p] for p in legs]
-            legs = sorted({*legs, *xlegs})
-            block = np.einsum(f"{''.join(xspec)},{''.join(spec)}z->"
-                              f"{''.join(out[p] for p in legs)}z",
-                              self._tensors[name][(Ellipsis, *xin)], block, optimize=True)
-        if left and len(legs) == nlegs:  # legs sorted: block is in ambient order
-            return block
-        return _spread(block, legs, self.dims, j)
+        """The columns S of a product of one or two factors: each factor
+        sliced (a view) on S's leg ranges, then one tensordot over the legs
+        they share, the identity on legs neither acts on."""
+        if factors not in self._plans:
+            self._plans[factors] = _start_plan(factors, len(self.dims))
+        slicing, contract, rest, perm = self._plans[factors]
+        ranges = _leg_ranges(cols, self.dims)
+        views = [self._tensors[names][tuple(slice(None) if p is None else ranges[p - 1]
+                                            for p in axes)]
+                 for (names, _), axes in zip(factors, slicing)]
+        block = np.tensordot(*views, axes=contract) if contract else views[0]
+        for p in rest:
+            block = np.multiply.outer(block, np.eye(self.dims[p - 1])[:, ranges[p - 1]])
+        return block.transpose(perm).reshape(self.dims + (len(cols),))
+
+
+def _start_plan(factors: tuple, nlegs: int) -> tuple:
+    """How ``LegWords._first`` evaluates a start of one or two factors:
+    per factor, the leg whose range slices each of its axes (None: not
+    sliced); the tensordot axes (None for one factor); the legs neither
+    factor acts on; and the permutation from the contraction's axes, each
+    labelled ("i", p) for an output leg p or ("j", p) for an input
+    (column) leg p, to (outputs..., inputs...) in ambient order.  An input
+    leg is sliced unless it is contracted."""
+    (*left, (_, legs)) = factors
+    slicing = [[None] * len(legs) + list(legs)]
+    labels = [("i", p) for p in legs] + [("j", p) for p in legs]
+    contract = None
+    if left:
+        (_, xlegs), = left
+        free = [p for p in xlegs if p not in legs]
+        slicing.insert(0, [None] * len(xlegs) + [p if p in free else None for p in xlegs])
+        contract = ([len(xlegs) + xlegs.index(p) for p in xlegs if p in legs],
+                    [legs.index(p) for p in xlegs if p in legs])
+        labels = ([("i", p) for p in xlegs] + [("j", p) for p in free]
+                  + [("i", p) for p in legs if p not in xlegs] + [("j", p) for p in legs])
+    rest = [p for p in range(1, nlegs + 1) if ("i", p) not in labels]
+    labels += [(side, p) for p in rest for side in ("i", "j")]
+    perm = [labels.index((side, p)) for side in ("i", "j") for p in range(1, nlegs + 1)]
+    return slicing, contract, rest, perm
+
+
+def _column_blocks(dims: tuple[int, ...]) -> list[range]:
+    """Column ranges with n1...nN k <= BLOCK_ENTRIES (k >= 1), each a
+    product of leg-index ranges: the largest groups of trailing legs that
+    fit (one column at least), as many per block as fit, split evenly
+    within their enclosing group so that no block crosses it."""
+    d = math.prod(dims)
+    k = max(1, BLOCK_ENTRIES // d)
+    t = next(t for t in range(len(dims) + 1) if math.prod(dims[t:]) <= k)
+    if t == 0:
+        return [range(d)]
+    unit, units = math.prod(dims[t:]), dims[t - 1]  # group size, groups per enclosing one
+    pieces = -(-units // (k // unit))
+    bounds = [units * i // pieces for i in range(pieces + 1)]
+    return [range(g + unit * a, g + unit * b)
+            for g in range(0, d, unit * units) for a, b in zip(bounds, bounds[1:])]
+
+
+def _leg_ranges(cols: range, dims: tuple[int, ...]) -> list[slice]:
+    """The leg-index ranges whose product is the column block ``cols``."""
+    first, last = np.unravel_index(cols.start, dims), np.unravel_index(cols.stop - 1, dims)
+    return [slice(a, b + 1) for a, b in zip(first, last)]
 
 
 def _sqnorm(x: np.ndarray) -> float:
@@ -429,28 +501,20 @@ def _apply(xt: np.ndarray, legs: Sequence[int], block: np.ndarray) -> np.ndarray
     return res.transpose(_ambient_order(legs, block.ndim - 1))
 
 
-def _spread(block: np.ndarray, legs: Sequence[int], dims: tuple[int, ...], j) -> np.ndarray:
-    """Columns acting on ``legs`` only, given as a (dims of legs..., k)
-    block, as a (dims..., k) array whose column c is e_(j_p[c]) on each
-    other leg p (j: the column indices unraveled over dims)."""
-    nlegs = len(dims)
-    rest = [p for p in range(1, nlegs + 1) if p not in legs]
-    out = np.zeros(dims + block.shape[-1:], complex)
-    into = out.transpose([p - 1 for p in (*legs, *rest)] + [nlegs])
-    into[(Ellipsis, *(j[p - 1] for p in rest), np.arange(block.shape[-1]))] = block
-    return out
-
-
 def chain(ambient: TensorSpace, *factors: tuple[Operator, Sequence[int]]) -> Operator:
     """Product of embedded operators, right-to-left: chain(sp, (A,[1,2]), (B,[2,3]))
-    is embed(A,[1,2]) @ embed(B,[2,3])."""
+    is embed(A,[1,2]) @ embed(B,[2,3]).  Filled from the column blocks of
+    LegWords, so the product is the only matrix of the ambient space formed."""
     if not factors:
         return identity(ambient)
-    op, legs = factors[-1]
-    acc = embed(op, legs, ambient)
-    for op, legs in reversed(factors[:-1]):
-        acc = embedded_mul(op, list(legs), acc)
-    return acc
+    ops = {f"X{chr(97 + i)}": op for i, (op, _) in enumerate(factors)}
+    word = " ".join(f"{name}{''.join(map(str, legs))}" for name, (_, legs) in zip(ops, factors))
+    words = LegWords(ambient, ops, {"chain": (word, word)})
+    d = ambient.total_dim
+    out = np.empty((d, d), complex)
+    for cols in words.column_blocks:
+        out[:, cols.start:cols.stop] = words.block(word, cols).reshape(d, len(cols))
+    return Operator(ambient, out)
 
 
 def slice_matrix(

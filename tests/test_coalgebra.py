@@ -203,6 +203,23 @@ class TestCoassociativity:
             coassociativity_residual(w_pair2), coassociativity_residual(what(w_pair2))
         ) < 1e-12
 
+    def test_traced_peak_on_z10(self):
+        # chain fills U and V from column blocks and U, V go once the R
+        # factors exist: the peak is U, V (2 n^6), the n R factors (4 n^5)
+        # and one QR input with numpy's copy of it (4 n^5), under 3 n^6
+        # entries (3.7 n^6 when chain embedded each factor as a matrix)
+        import tracemalloc
+
+        n = 10
+        w = corpus.group_mpu(corpus.cyclic_table(n))
+        tracemalloc.start()
+        try:
+            _coassoc_residuals(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n**6 * 16, peak / (n**6 * 16)
+
 
 def w13_embed(two_leg_matrix):
     """Embed a 4x4 two-leg matrix on legs (1,3) of a 2,2,2 space."""

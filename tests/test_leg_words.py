@@ -1,13 +1,16 @@
 """The leg-word engine (tensor.LegWords) against the dense evaluation, and
 the certified early FAIL of check_mpi_axioms.
 
-The engine evaluates words on column blocks and shares suffixes; the
-references multiply n^3 x n^3 matrices, embedded by np.kron
-(``kron_word``) or by ``tensor.chain``.  The comparisons run on seeded
+The engine fuses runs of same-leg factors, evaluates words on column
+blocks and shares suffixes; the references multiply n^3 x n^3 matrices,
+embedded by np.kron (``kron_word``) or by ``tensor.embed`` and
+``tensor.embedded_mul`` (``chain_word``).  The comparisons run on seeded
 dense non-MPI candidates, where every residual is O(1), with blocks of
-four columns, so that a word spans several blocks and the last one is
-short.
+one and two rows of the last leg, so that a word spans several blocks of
+unequal length.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,7 +39,8 @@ from mpi_lab.tensor import (
     LegWords,
     Operator,
     TensorSpace,
-    chain,
+    embed,
+    embedded_mul,
     rel_residual,
     space,
     transpose_op,
@@ -57,8 +61,10 @@ def dense_candidate(n, seed, scale=1.0):
 
 
 @pytest.fixture
-def four_column_blocks(monkeypatch):
-    monkeypatch.setattr(tensor, "BLOCK_ENTRIES", 4 * 27)
+def row_blocks(monkeypatch):
+    # at n = 3, k <= 7 columns: one or two rows of the last leg, split
+    # evenly within each slab of the first leg, so blocks of 3 and 6
+    monkeypatch.setattr(tensor, "BLOCK_ENTRIES", 7 * 27)
 
 
 def word_sets(w):
@@ -86,13 +92,17 @@ def dense_residuals(ambient, ops, pairs, evaluate=kron_word):
 
 
 def chain_word(ambient, ops, word):
-    """A word's matrix through the dense tensordot products of tensor.chain."""
-    factors = [(ops[f[:-2]], [int(f[-2]), int(f[-1])]) for f in word.split()]
-    return chain(ambient, *factors).matrix
+    """A word's matrix through the dense products of embed and embedded_mul,
+    one factor at a time, right to left."""
+    *left, last = [(ops[f[:-2]], [int(f[-2]), int(f[-1])]) for f in word.split()]
+    out = embed(*last, ambient)
+    for op, legs in reversed(left):
+        out = embedded_mul(op, legs, out)
+    return out.matrix
 
 
 class TestAgainstDense:
-    @pytest.mark.usefixtures("four_column_blocks")
+    @pytest.mark.usefixtures("row_blocks")
     def test_every_word_entrywise(self):
         for ambient, ops, pairs in word_sets(dense_candidate(3, 0)):
             for name, words in pairs.items():
@@ -102,17 +112,17 @@ class TestAgainstDense:
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13,
                                                err_msg=f"{name}: {word}")
 
-    @pytest.mark.usefixtures("four_column_blocks")
+    @pytest.mark.usefixtures("row_blocks")
     def test_every_pair_residual(self):
         for ambient, ops, pairs in word_sets(dense_candidate(3, 1)):
             words = LegWords(ambient, ops, pairs)
-            assert len(words.column_blocks) == 7
+            assert [len(cols) for cols in words.column_blocks] == [3, 6] * 3
             got, want = words.residuals(), dense_residuals(ambient, ops, pairs)
             for name in pairs:
                 assert want[name] > 0.05, name  # O(1): the comparison can fail
                 assert got[name] == pytest.approx(want[name], rel=1e-12), name
 
-    @pytest.mark.usefixtures("four_column_blocks")
+    @pytest.mark.usefixtures("row_blocks")
     def test_check_entry_points(self):
         w = dense_candidate(3, 2)
         fx = Fixture(w)
@@ -143,6 +153,77 @@ class TestAgainstDense:
             assert value == pytest.approx(want[name], rel=1e-12), name
 
 
+class TestFusionAndBlocks:
+    @pytest.mark.usefixtures("row_blocks")
+    def test_same_leg_runs_entrywise(self):
+        # a run of three same-leg factors, a run at the left end, a run
+        # that fills the word, and (1, 2) next to (2, 1), which is not a run
+        ambient, ops, _ = word_sets(dense_candidate(3, 7))[1]
+        for word in ("W12 W*23 W23 W*23 W13", "W*12 W12 W13 W23", "W*23 W23",
+                     "W21 W*12 W23", "E13 W31 W*13 W12"):
+            np.testing.assert_allclose(engine_word(ambient, ops, word),
+                                       kron_word(ambient, ops, word),
+                                       rtol=1e-12, atol=1e-13, err_msg=word)
+
+    def test_partial_rows_entrywise(self, monkeypatch):
+        # k = 2 < n: blocks of one and two columns within each row
+        monkeypatch.setattr(tensor, "BLOCK_ENTRIES", 2 * 27)
+        ambient, ops, pairs = word_sets(dense_candidate(3, 8))[0]
+        words = LegWords(ambient, ops, pairs)
+        assert [len(cols) for cols in words.column_blocks] == [1, 2] * 9
+        for word in ("W12 W13 W23", "W*23 W23 W12", "W*12", "W21 W*12 W23"):
+            np.testing.assert_allclose(engine_word(ambient, ops, word),
+                                       kron_word(ambient, ops, word),
+                                       rtol=1e-12, atol=1e-13, err_msg=word)
+
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 4), (10, 10, 10), (16, 16, 16)])
+    @pytest.mark.parametrize("entries", [1, 2 * 27, 7 * 27, 18 * 27, 2**15])
+    def test_blocks_are_product_sets(self, monkeypatch, dims, entries):
+        monkeypatch.setattr(tensor, "BLOCK_ENTRIES", entries)
+        d = int(np.prod(dims))
+        blocks = LegWords(space(*dims), {}, {}).column_blocks
+        assert [c for cols in blocks for c in cols] == list(range(d))
+        sizes = [len(cols) for cols in blocks]
+        assert max(sizes) <= max(1, entries // d)
+        for cols in blocks:
+            idx = np.array(np.unravel_index(np.asarray(cols), dims))
+            ranges = [np.unique(leg) for leg in idx]
+            # a product of contiguous leg ranges: single indices, then one
+            # range, then whole legs, so that no block crosses its group
+            lengths = [len(r) for r in ranges]
+            assert np.prod(lengths) == len(cols)
+            assert all(np.array_equal(r, np.arange(r[0], r[-1] + 1)) for r in ranges)
+            wide = [i for i, m in enumerate(lengths) if m > 1]
+            assert all(lengths[i] == dims[i] for i in wide[1:])
+        # split evenly: sizes within a factor 2 of each other
+        assert max(sizes) <= 2 * min(sizes)
+
+    def test_factor_applications_per_block(self, monkeypatch):
+        # fused runs make every E- or G-leg word a two-factor start: per
+        # block the axioms take 16 starts and 5 tensordots, the E-leg
+        # words 3 and 1, the five composability pairs 10 and 2
+        counts = Counter()
+        first, apply = LegWords._first, tensor._apply
+
+        def counted_first(self, factors, cols):
+            counts["first"] += 1
+            return first(self, factors, cols)
+
+        def counted_apply(*args):
+            counts["apply"] += 1
+            return apply(*args)
+
+        monkeypatch.setattr(LegWords, "_first", counted_first)
+        monkeypatch.setattr(tensor, "_apply", counted_apply)
+        ids, e_legs, *comp = word_sets(dense_candidate(3, 9))
+        want = [(16, 5), (3, 1)] + [(2, 0), (2, 0), (2, 1), (2, 0), (2, 1)]
+        for (ambient, ops, pairs), (starts, applies) in zip([ids, e_legs, *comp], want):
+            words = LegWords(ambient, ops, pairs)
+            counts.clear()
+            words.block_norms(words.column_blocks[0], pairs)
+            assert (counts["first"], counts["apply"]) == (starts, applies), list(pairs)
+
+
 class TestEarlyFail:
     def test_norm_bounds_are_upper_bounds(self):
         # unitary, partial isometry, and dense W with ||W||_2 above and below 1
@@ -155,7 +236,19 @@ class TestEarlyFail:
                 lhs = kron_word(fx.three_leg, {"W": fx.w, "W*": fx.ws}, left)
                 assert bounds[name] >= max(1.0, np.linalg.norm(lhs)), name
 
-    @pytest.mark.usefixtures("four_column_blocks")
+    def test_norm_bounds_count_every_factor(self):
+        # for W = 3 U with U unitary every left word is 3^m times a unitary,
+        # so the bound is attained only if it counts all m factors of the
+        # paper's word, fused or not
+        u = corpus.group_mpu(corpus.cyclic_table(3))
+        w = Operator(u.space, 3.0 * u.matrix)
+        fx = Fixture(w)
+        bounds = lhs_norm_bounds(w.matrix)
+        for name, (left, _) in IDENTITY_WORDS.items():
+            lhs = kron_word(fx.three_leg, {"W": fx.w, "W*": fx.ws}, left)
+            assert bounds[name] == pytest.approx(np.linalg.norm(lhs), rel=1e-12), name
+
+    @pytest.mark.usefixtures("row_blocks")
     def test_lower_bounds_below_dense_residuals(self):
         w = dense_candidate(3, 6)
         v = check_mpi_axioms(w)

@@ -42,8 +42,7 @@ def engine_word(ambient, ops, word):
     words = LegWords(ambient, ops, {"word": (word, word)})
     out = np.zeros((ambient.total_dim,) * 2, complex)
     for cols in words.column_blocks:
-        _, block, _ = next(words.sides(cols, ["word"]))
-        out[:, cols.start:cols.stop] = block.reshape(-1, len(cols))
+        out[:, cols.start:cols.stop] = words.block(word, cols).reshape(-1, len(cols))
     return out
 
 
