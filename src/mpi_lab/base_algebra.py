@@ -158,14 +158,19 @@ class KappaSolver:
         self.nullity = self.n * self._solver.nullity
 
     def solve_stack(self, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """kappa of each matrix b of a (K, n, n) stack from one solve on a
-        matrix right-hand side: (values (K, n, n), residuals (K,))."""
-        n, k = self.n, len(bs)
-        # E(b (x) 1)[r, (j, l)] = sum_i E[r, (i, l)] b[i, j], as n^3 x n per b
-        rhs = np.einsum("ril,kij->rjkl", self.e.reshape(n * n, n, n), bs)
-        x, col_res = self._solver.solve(rhs.reshape(n**3, k * n))
-        residuals = np.sqrt(np.sum(col_res.reshape(k, n) ** 2, axis=1))
-        return x.reshape(n, k, n).transpose(1, 0, 2), residuals
+        """kappa of each matrix b of a (K, n, n) stack, solved on matrix
+        right-hand sides of at most n members each, so that no more than
+        O(n^5) entries live: (values (K, n, n), residuals (K,))."""
+        n, e = self.n, self.e.reshape(self.n * self.n, self.n, self.n)
+        values, residuals = [], []
+        for block in np.split(bs, range(n, len(bs), n)):
+            k = len(block)
+            # E(b (x) 1)[r, (j, l)] = sum_i E[r, (i, l)] b[i, j], as n^3 x n per b
+            rhs = np.einsum("ril,kij->rjkl", e, block)
+            x, col_res = self._solver.solve(rhs.reshape(n**3, k * n))
+            values.append(x.reshape(n, k, n).transpose(1, 0, 2))
+            residuals.append(np.sqrt(np.sum(col_res.reshape(k, n) ** 2, axis=1)))
+        return np.concatenate(values), np.concatenate(residuals)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ holds Q^{-1} and the eigendecompositions of Q and Q^T.  Public checks
 accept an ``Operator`` (given a fresh context) or a context.  A context
 serves one suite run and holds nothing larger than n^4 entries;
 three-leg matrices stay local to the checks that build them, and the
-A (x) A data to one side of the coalgebra level (coalgebra.TensorSquare).
+A (x) A data (Delta of the A basis, d n^4 entries, and the coordinates of
+each family, d^4 each) to one side of the coalgebra level
+(coalgebra.TensorSquare).
 """
 
 from __future__ import annotations

@@ -132,9 +132,9 @@ def _coalgebra(run: _Run) -> bool:
         coassoc, ms = _timed(coassociativity_residual, sfx.w)
         rep.add(f"coassociativity_{side}", coassoc, wall_time_ms=ms)
         square = TensorSquare(sfx)  # this side's A (x) A data, shared by two checks
-        can, ms = _timed(check_canonical_idempotent, square)
+        can, ms = _timed(check_canonical_idempotent, square, run.tol)
         run.add(can.residuals, ms, suffix=f"_{side}")
-        rng, ms = _timed(check_delta_range_and_density, square)
+        rng, ms = _timed(check_delta_range_and_density, square, run.tol)
         del square
         # density spans are meaningful only under fullness; dims still reported
         kept = {

@@ -355,3 +355,27 @@ class TestDeterminism:
                          "--out", str(op)]) == EXIT_OK
             outs.append(op.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_corpus_byte_identical_across_blas_threads(self, tmp_path):
+        # each thread count in its own process, as BLAS reads it at load
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import mpi_lab
+
+        src = str(Path(mpi_lab.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"corpus_{threads}.json"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            done = subprocess.run(
+                [sys.executable, "-m", "mpi_lab", "suite", "--corpus", "--seed", "7",
+                 "--report", "json", "--out", str(out)],
+                env=env, capture_output=True, timeout=300,
+            )
+            assert done.returncode == EXIT_OK, done.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]

@@ -36,7 +36,11 @@ from mpi_lab.base_algebra import (
     modular_conjugate,
 )
 from mpi_lab.coalgebra import (
+    FAMILIES,
+    Fit,
+    TensorSquare,
     _comul_stack,
+    check_canonical_idempotent,
     check_delta_range_and_density,
     duality_consistency,
     leg_algebra,
@@ -660,3 +664,245 @@ def test_range_bound_carries_E_off_A2():
     assert ref["range_in_EA2"] > 0.1
     for key in ("range_in_EA2", "EA2_in_range"):
         assert got[key] >= ref[key] * (1 - 1e-12), (key, got[key], ref[key])
+
+
+# ---------------------------------------------------------------------------
+# The unit-reduced families of coalgebra.TensorSquare against their
+# d^2-member fits: each member an n^4-entry matrix projected on A (x) A
+# ---------------------------------------------------------------------------
+
+
+def dense_family(fx, key):
+    """The family ``key`` of coalgebra.FAMILIES built member by member, with
+    exact coordinates on tensor_subspace(A, A), exact distances and norms."""
+    sub = fx.A.space
+    a2, b, d = tensor_subspace(sub, sub), sub.stack, sub.dim
+    eye, e = np.eye(fx.n)[None], fx.e.matrix[None]
+    deltas, pairs = _comul_stack(fx, b), kron_stack(b, b)
+    a_one, one_a = kron_stack(b, eye), kron_stack(eye, b)
+    stack = {
+        "E_bc": e @ pairs,
+        "bc_E": pairs @ e,
+        "a1_deltab": pair_products(a_one, deltas),
+        "deltaa_1b": pair_products(deltas, one_a),
+        "deltaa_b1": pair_products(deltas, a_one),
+        "1a_deltab": pair_products(one_a, deltas),
+    }[key]
+    flat = stack.reshape(len(stack), -1)
+    coords = a2.coordinates(flat)
+    dist = np.linalg.norm(flat - coords @ a2.basis_matrix, axis=1)
+    return Fit(coords.reshape(-1, d, d), dist, np.linalg.norm(flat, axis=1))
+
+
+class DenseSquare(TensorSquare):
+    """A TensorSquare whose every family is the d^2-member reference."""
+
+    def __init__(self, w):
+        super().__init__(w)
+        self._dense = set(FAMILIES)
+
+    def family(self, key):
+        return dense_family(self.fx, key)
+
+
+def coalgebra_entries(square, tol):
+    """E_multiplier and the range and density entries of one side."""
+    return {
+        "E_multiplier": check_canonical_idempotent(square, tol).residuals["E_multiplier"],
+        **check_delta_range_and_density(square, tol).residuals,
+    }
+
+
+def _nilpotent_a():
+    """W = 1 on C^2 (x) C^2 with A = span{e21} (e21 e21 = 0: no unit on
+    either side, so the reduction through u = 0 rests on the unit residual
+    alone) and a random M in place of E, which puts (b (x) c)M and M(b (x) c)
+    off A (x) A."""
+    fx = Fixture(identity(space(2, 2)))
+    sub = span_matrices(space(2), np.array([[[0.0, 0.0], [1.0, 0.0]]]))
+    fx.__dict__["A"] = replace(fx.A, space=sub, product_residual=sub.closure_residuals()[1])
+    rng = np.random.default_rng(21)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    fx.__dict__["e"] = Operator(space(2, 2), m)
+    return fx
+
+
+def _unclosed_unital_a():
+    """W = 1 on C^3 (x) C^3 with A = span{1, x} for a random x, so A has the
+    unit 1 but x^2 leaves it, and M = 1 (x) 1 + x (x) x in place of E: every
+    M(u (x) u) lies in A (x) A, and M(b (x) c) leaves it only through the
+    products that product_stability_A bounds."""
+    fx = Fixture(identity(space(3, 3)))
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    sub = span_matrices(space(3), np.array([np.eye(3), x]))
+    fx.__dict__["A"] = replace(fx.A, space=sub, product_residual=sub.closure_residuals()[1])
+    m = np.kron(np.eye(3), np.eye(3)) + np.kron(x, x)
+    fx.__dict__["e"] = Operator(space(3, 3), m / np.linalg.norm(m, 2))
+    return fx
+
+
+def _e_off_diagonal_a():
+    """The fixture of test_range_bound_carries_E_off_A2: W = 1, A the
+    diagonal algebra, a random M in place of E."""
+    fx = Fixture(identity(space(3, 3)))
+    diag = span_matrices(space(3), np.array([np.diag(np.eye(3)[i]) for i in range(3)]))
+    fx.__dict__["A"] = replace(fx.A, space=diag, product_residual=0.0)
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    fx.__dict__["e"] = Operator(space(3, 3), m / np.linalg.norm(m, 2))
+    return fx
+
+
+def test_reduced_families_match_dense_in_A2(pair2):
+    # with units of A and every member inside A (x) A, the reduced
+    # coordinates and entries are the dense ones: on the conjugated
+    # pair_groupoid_2 (complex, dense W) both ways, on Z_4, and on the
+    # example's families through its left unit e22 (its density entries
+    # are O(1): the fixture is not full)
+    from mpi_lab import corpus
+
+    example = Fixture(corpus.matrix_unit_example())
+    cases = [(fx, tuple(FAMILIES)) for fx in
+             (pair2, pair2.dual, Fixture(corpus.group_mpu(corpus.cyclic_table(4))))]
+    cases.append((example, ("E_bc", "deltaa_1b", "deltaa_b1")))
+    for fx, keys in cases:
+        square = TensorSquare(fx)
+        for key in keys:
+            got, ref = square.family(key), dense_family(fx, key)
+            np.testing.assert_allclose(got.coords, ref.coords, rtol=0, atol=1e-12, err_msg=key)
+            assert got.membership < 1e-12 and ref.membership < 1e-12, key
+    for fx in (pair2, pair2.dual, example):
+        got = coalgebra_entries(TensorSquare(fx), np.inf)
+        ref, _ = range_and_density_dense(fx)
+        ref["E_multiplier"] = max(dense_family(fx, k).membership for k in ("E_bc", "bc_E"))
+        if fx is example:  # the families through the missing right unit
+            ref = {k: v for k, v in ref.items() if k not in (
+                "E_multiplier", "mult_a1_deltab", "mult_1a_deltab",
+                "density_left_a1_db_eq_A", "density_right_1b_da_eq_A")}
+        for key, value in ref.items():
+            np.testing.assert_allclose(got[key], value, rtol=1e-12, atol=1e-12, err_msg=key)
+
+
+@pytest.mark.parametrize("case", ["example", "pair2_2", "pair2_4", "pair2_6", "identity_3",
+                                  "nilpotent", "unclosed_unital", "e_off_diagonal"])
+def test_reduced_entries_bound_dense_off_A2(pair2, case):
+    # never escalated (tol = inf), each reduced entry stays at or above
+    # the exact one: without a right unit on the example, with random
+    # spans in place of A, with A = span{e21}, whose unit residual carries
+    # the whole bound, and with a unital A that products leave, where
+    # product_stability_A does
+    from mpi_lab import corpus
+
+    fx = {
+        "example": lambda: Fixture(corpus.matrix_unit_example()),
+        "nilpotent": _nilpotent_a,
+        "unclosed_unital": _unclosed_unital_a,
+        "e_off_diagonal": _e_off_diagonal_a,
+    }.get(case, lambda: _generic_a(
+        pair2.w if case.startswith("pair2") else identity(space(3, 3)),
+        int(case.split("_")[1]), seed=int(case.split("_")[1])))()
+    got = coalgebra_entries(TensorSquare(fx), np.inf)
+    ref, _ = range_and_density_dense(fx)
+    ref["E_multiplier"] = max(dense_family(fx, k).membership for k in ("E_bc", "bc_E"))
+    for key, value in ref.items():
+        assert got[key] >= value * (1 - 1e-12), (key, got[key], value)
+    if case in ("nilpotent", "unclosed_unital"):
+        assert ref["E_multiplier"] > 0.1
+
+
+def test_unit_residual_term_is_needed(monkeypatch):
+    # the mutant that drops max_b ||u b - b|| from the bound passes
+    # E_multiplier on A = span{e21}, where u = 0 and the exact distance is
+    # O(1): the bound test above must fail on it
+    fx = _nilpotent_a()
+    ref = max(dense_family(fx, k).membership for k in ("E_bc", "bc_E"))
+    unit = TensorSquare._unit
+    monkeypatch.setattr(TensorSquare, "_unit", lambda self, p, side: (unit(self, p, side)[0], 0.0))
+    got = check_canonical_idempotent(TensorSquare(fx), np.inf).residuals["E_multiplier"]
+    assert got < 1e-12 < 0.1 < ref
+
+
+def test_example_escalates_and_passes(w_example):
+    # A = span{e21, e22} has the left unit e22 and no right unit: the three
+    # families with A factors on the left are refit member by member, and
+    # every membership and range entry passes
+    square = TensorSquare(w_example)
+    got = coalgebra_entries(square, RESIDUAL_TOL)
+    assert {"a1_deltab", "1a_deltab", "bc_E"} <= square._dense
+    kept = {k: v for k, v in got.items() if not k.startswith("density_")}
+    assert max(kept.values()) < RESIDUAL_TOL, kept
+    assert TensorSquare(Fixture(w_example).dual).units["left"][1] < 1e-15
+
+
+@pytest.mark.parametrize("case", ["example", "example_dual", "pair2_4", "nilpotent"])
+def test_every_fail_is_exact(pair2, w_example, case):
+    # an entry at or above tol never rests on the reduction: memberships
+    # are the exact distances, and span entries those of the d^2-member
+    # fits.  The example fails its density spans (it is not full), the
+    # random span and A = span{e21} fail memberships and spans
+    fx = {
+        "example": lambda: Fixture(w_example),
+        "example_dual": lambda: Fixture(w_example).dual,
+        "pair2_4": lambda: _generic_a(pair2.w, 4, seed=4),
+        "nilpotent": _nilpotent_a,
+    }[case]()
+    got = coalgebra_entries(TensorSquare(fx), RESIDUAL_TOL)
+    ref = coalgebra_entries(DenseSquare(fx), RESIDUAL_TOL)
+    exact = {f"mult_{k}": dense_family(fx, k).membership for k in FAMILIES if "delta" in k}
+    exact["E_multiplier"] = max(dense_family(fx, k).membership for k in ("E_bc", "bc_E"))
+    failed = [k for k, v in got.items() if v >= RESIDUAL_TOL]
+    assert failed
+    for key in failed:
+        np.testing.assert_allclose(got[key], ref[key], rtol=1e-12, err_msg=key)
+        if key in exact:
+            np.testing.assert_allclose(got[key], exact[key], rtol=1e-12, err_msg=key)
+
+
+def test_delta_homomorphism_against_difference():
+    # on a generic W, Delta is not multiplicative: the product form
+    # W*(1 (x) b)(G - 1)(1 (x) c)W against the difference of the dense
+    # Delta(b)Delta(c) and Delta(bc), over the slice span of W
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    fx = Fixture(Operator(space(3, 3), z / np.linalg.norm(z, 2)))
+    bst = fx.A.space.stack
+    deltas = _comul_stack(fx, bst)
+    ref = max(
+        rel_residual(_comul_stack(fx, (b @ c)[None])[0], db @ dc)
+        for b, db in zip(bst, deltas) for c, dc in zip(bst, deltas)
+    )
+    assert ref > 0.1
+    got = check_canonical_idempotent(fx).residuals["delta_homomorphism"]
+    np.testing.assert_allclose(got, ref, rtol=1e-10)
+
+
+def test_traced_peaks_on_z10():
+    # the coalgebra level of one side holds a few d n^4 entries (46 d n^4
+    # with the d^2-member families), and kappa_q_checks O(n^5) (41 n^5
+    # from one solve over every right-hand side)
+    import tracemalloc
+
+    from mpi_lab import corpus
+
+    fx = Fixture(corpus.group_mpu(corpus.cyclic_table(10)))
+    fx.A, fx.Ahat, fx.e, fx.g, fx.ws  # built before tracing: they belong to the context
+    d, n = fx.A.space.dim, fx.n
+    q = identity(space(n))
+    structure, wt = fx.structure, build_wtilde(fx, q)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / 16  # complex entries
+        finally:
+            tracemalloc.stop()
+
+    def one_side():
+        square = TensorSquare(fx)
+        check_canonical_idempotent(square)
+        check_delta_range_and_density(square)
+
+    assert peak(one_side) < 7 * d * n**4
+    assert peak(lambda: kappa_q_checks(fx, structure, q, wt)) < 6 * n**5
