@@ -34,7 +34,6 @@ from .axioms import (  # noqa: F401
     FullnessVerdict,
     is_partial_isometry,
     check_mpi_axioms,
-    check_derived_identities,
     assess_fullness,
     what,
 )
@@ -47,7 +46,6 @@ from .coalgebra import (  # noqa: F401
     check_delta_range_and_density,
 )
 from .base_algebra import (  # noqa: F401
-    BaseSpans,
     WeightData,
     BaseAntiIso,
     base_spans,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import is_partial_isometry
-from .base_algebra import BaseStructure, gamma_n_stack, modular_conjugate
+from .base_algebra import gamma_n_stack, modular_conjugate
 from .context import Fixture, as_fixture
 from .tensor import (
     RESIDUAL_TOL,
@@ -83,21 +83,19 @@ def antipode_map(w: Operator | Fixture) -> AssembledMap:
 
 def dual_antipode_maps(
     w: Operator | Fixture, wtilde: Operator
-) -> tuple[AssembledMap, AssembledMap, AssembledMap]:
-    """(S-hat, S-hat^{-1}, R_Ahat) on span A-hat.
+) -> tuple[AssembledMap, AssembledMap]:
+    """(S-hat^{-1}, R_Ahat) on span A-hat.
 
-    S-hat: (w (x) id)(W*) -> (w (x) id)(W); its inverse swaps the pairs;
+    S-hat: (w (x) id)(W*) -> (w (x) id)(W) is the dual context's antipode
+    ``fx.dual.s_map``, as the left slices of W* are the right slices of
+    W-hat; its inverse swaps the pairs;
     R_Ahat: (w (x) id)(W) -> (w^T (x) id)(Wt*).
     """
     fx = as_fixture(w)
     leg = fx.leg_space
     y_star, y = fx.dual.right_slices, fx.left_slices
     wt_star = transpose_grid(all_left_slices(wtilde.adj))  # w^T = w_{e_b,e_a}
-    return (
-        _assemble(leg, y_star, y),
-        _assemble(leg, y, y_star),
-        _assemble(leg, y, wt_star),
-    )
+    return _assemble(leg, y, y_star), _assemble(leg, y, wt_star)
 
 
 def check_antipode(
@@ -146,7 +144,8 @@ def check_duality(
     """Dual antipode characterizations, W^{T (x) Rhat} = Wt*, and the
     partial-isometry property of Wt."""
     fx = as_fixture(w)
-    shat, shat_inv, rahat = dual_antipode_maps(fx, wtilde)
+    shat = fx.dual.s_map
+    shat_inv, rahat = dual_antipode_maps(fx, wtilde)
     res: dict[str, float] = {}
     res["Shat_well_defined"] = shat.inconsistency
     res["Shat_inv_well_defined"] = shat_inv.inconsistency
@@ -172,14 +171,13 @@ def check_duality(
     return res
 
 
-def check_base_restrictions(
-    w: Operator | Fixture, q: Operator, structure: BaseStructure
-) -> dict[str, float]:
-    """tau_t restricted to B and C against the modular groups at
-    t in T_SAMPLES, and S restricted to B and C against the gamma maps."""
+def check_base_restrictions(w: Operator | Fixture, q: Operator) -> dict[str, float]:
+    """tau_t restricted to B and C against the modular groups of the
+    context's nu and mu at t in T_SAMPLES, and S restricted to B and C
+    against the gamma maps."""
     fx = as_fixture(w)
-    nu, mu = structure.nu, structure.mu
-    bs, cs = nu.algebra.stack, mu.algebra.stack
+    nu, structure = fx.nu, fx.structure
+    mu, bs, cs = structure.mu, fx.N.stack, fx.L.stack
     s_map = fx.s_map
     res: dict[str, float] = {}
     res["tau_B_eq_sigma_nu_minus_t"] = max(

@@ -24,7 +24,6 @@ import numpy as np
 from .context import Fixture, as_fixture, what  # noqa: F401 (re-exports what)
 from .tensor import (
     RESIDUAL_TOL,
-    LegMismatchError,
     LegWords,
     Operator,
     numerical_rank,
@@ -37,7 +36,6 @@ DERIVED_IDENTITIES = ("mpi5", "mpi6", "mpi7", "mpi8", "mpi9", "mpi10")
 
 @dataclass(frozen=True)
 class MpiVerdict:
-    is_partial_isometry: bool
     pi_residual: float
     mpi_residuals: dict[str, float]
     derived_residuals: dict[str, float]
@@ -59,13 +57,6 @@ class FullnessVerdict:
     nondeg_Ahat_kernel: bool
     right_slice_rank: int
     left_slice_rank: int
-
-
-def _two_h_legs(w: Operator) -> int:
-    legs = w.space.legs
-    if len(legs) != 2 or legs[0] != legs[1] or legs[0].flavor != "H":
-        raise LegMismatchError("expected an operator on H (x) H with equal legs")
-    return legs[0].dim
 
 
 def is_partial_isometry(w: Operator, tol: float = RESIDUAL_TOL) -> tuple[bool, float]:
@@ -99,11 +90,6 @@ IDENTITY_WORDS = {
 FAIL_MARGIN = 2.0
 
 
-def _identity_words(fx: Fixture, names) -> LegWords:
-    pairs = {name: IDENTITY_WORDS[name] for name in names}
-    return LegWords(fx.three_leg, {"W": fx.w, "W*": fx.ws}, pairs)
-
-
 def lhs_norm_bounds(w: np.ndarray) -> dict[str, float]:
     """Upper bound on max(1, ||L||_F) for the left word L of each identity,
     m factors W or W* on two of three legs: ||X Y||_F <= ||X||_2 ||Y||_F,
@@ -119,12 +105,6 @@ def lhs_norm_bounds(w: np.ndarray) -> dict[str, float]:
             for name, (left, _) in IDENTITY_WORDS.items()}
 
 
-def check_derived_identities(w: Operator | Fixture) -> dict[str, float]:
-    """Residuals of mpi5-mpi10 (not enforced, just measured), each over
-    all columns."""
-    return _identity_words(as_fixture(w), DERIVED_IDENTITIES).residuals()
-
-
 def check_mpi_axioms(w: Operator | Fixture, tol: float = RESIDUAL_TOL) -> MpiVerdict:
     """Full multiplicativity verdict: partial isometry plus mpi1-mpi4,
     with the derived residuals mpi5-mpi10 reported alongside.
@@ -137,9 +117,8 @@ def check_mpi_axioms(w: Operator | Fixture, tol: float = RESIDUAL_TOL) -> MpiVer
     (the ids are in ``lower_bounds``).  Every other identity, each PASS
     among them, reports its exact residual over all columns."""
     fx = as_fixture(w)
-    _two_h_legs(fx.w)
     ok_pi, res_pi = is_partial_isometry(fx.w, tol)
-    words = _identity_words(fx, IDENTITY_WORDS)
+    words = LegWords(fx.three_leg, {"W": fx.w, "W*": fx.ws}, IDENTITY_WORDS)
     bounds = lhs_norm_bounds(fx.w.matrix)
     sums = {name: np.zeros(2) for name in IDENTITY_WORDS}
     lower_bounds = []
@@ -158,7 +137,7 @@ def check_mpi_axioms(w: Operator | Fixture, tol: float = RESIDUAL_TOL) -> MpiVer
     axioms = {name: res[name] for name in MPI_AXIOMS}
     derived = {name: res[name] for name in DERIVED_IDENTITIES}
     passed = ok_pi and all(r < tol for r in axioms.values())
-    return MpiVerdict(ok_pi, res_pi, axioms, derived, passed, tuple(lower_bounds))
+    return MpiVerdict(res_pi, axioms, derived, passed, tuple(lower_bounds))
 
 
 def projection_residuals(w: Operator | Fixture) -> dict[str, float]:
@@ -190,7 +169,7 @@ def assess_fullness(w: Operator | Fixture) -> FullnessVerdict:
     common kernel.
     """
     fx = as_fixture(w)
-    n = _two_h_legs(fx.w)
+    n = fx.n
     rights = fx.right_slices  # span A
     lefts = fx.left_slices  # span A-hat
     right_rank = _matrix_rank(rights)

@@ -41,7 +41,7 @@ from .tensor import (
     slice_matrix,
     span_matrices,
     star_preservation,
-    tensor_subspace,
+    tensor_fit,
     transpose_grid,
 )
 
@@ -50,27 +50,10 @@ REPAIR_ITERS = 300
 
 
 @dataclass(frozen=True)
-class BaseSpans:
-    N: OperatorSubspace
-    L: OperatorSubspace
-    Nhat: OperatorSubspace
-    Lhat: OperatorSubspace
-    commutation_residual: float
-    hat_commutation_residual: float
-    L_equals_Lhat: bool
-    L_Lhat_residual: float
-    E_in_N_tensor_L: bool
-    E_membership_residual: float
-    Ehat_membership_residual: float
-    star_residuals: dict[str, float]
-    product_residuals: dict[str, float]
-
-
-@dataclass(frozen=True)
 class WeightData:
-    """A positive functional x -> trace(D x) on a base algebra."""
+    """A positive functional x -> trace(D x) on a base algebra (N for nu,
+    L for mu)."""
 
-    algebra: OperatorSubspace
     density: Operator
     min_eigenvalue: float
     solution_space_dim: int
@@ -99,39 +82,24 @@ class BaseAntiIso(SpanMap):
     image_span: OperatorSubspace  # span of the unprojected images
 
 
-def base_spans(w: Operator | Fixture) -> BaseSpans:
-    """N, L from slices of E; N-hat, L-hat from slices of E-hat (the
-    dual's N and L, i.e. the left and right slices of G)."""
+def base_spans(w: Operator | Fixture) -> dict[str, float]:
+    """Residuals of the base spans, keyed by check id: [N, L] = 0 and
+    E in N (x) L, for the context and for its dual (N-hat and L-hat are
+    the dual's N and L, the left and right slices of G); each of the
+    four spans closed under * and under products; and L = L-hat."""
     fx = as_fixture(w)
-    n_sub, l_sub, nhat_sub, lhat_sub = fx.N, fx.L, fx.dual.N, fx.dual.L
-
-    def commutation_and_e(f: Fixture) -> tuple[float, float]:
-        """[N, L] = 0 and E in N (x) L, for a context and for its dual."""
+    res = {}
+    for label, f in (("NL", fx), ("NhatLhat", fx.dual)):
         n, l = f.N.stack, f.L.stack
-        comm = max_gap(pair_products(n, l), reversed_products(n, l))
-        return comm, tensor_subspace(f.N, f.L).stack_residual(f.e.matrix[None])
-
-    (comm, e_res), (hat_comm, ehat_res) = commutation_and_e(fx), commutation_and_e(fx.dual)
-    _, l_res = l_sub.equals(lhat_sub)
-    subs = {"N": n_sub, "L": l_sub, "Nhat": nhat_sub, "Lhat": lhat_sub}
+        res[f"{label}_commutation"] = max_gap(pair_products(n, l), reversed_products(n, l))
+    for key, f in (("E_in_N_tensor_L", fx), ("Ehat_in_Nhat_tensor_Lhat", fx.dual)):
+        res[key] = tensor_fit(f.e.matrix[None], f.N, f.L).membership
+    subs = {"N": fx.N, "L": fx.L, "Nhat": fx.dual.N, "Lhat": fx.dual.L}
     closure = {name: sub.closure_residuals() for name, sub in subs.items()}
-    star = {name: c[0] for name, c in closure.items()}
-    prod = {name: c[1] for name, c in closure.items()}
-    return BaseSpans(
-        N=n_sub,
-        L=l_sub,
-        Nhat=nhat_sub,
-        Lhat=lhat_sub,
-        commutation_residual=comm,
-        hat_commutation_residual=hat_comm,
-        L_equals_Lhat=l_res < RESIDUAL_TOL,
-        L_Lhat_residual=l_res,
-        E_in_N_tensor_L=e_res < RESIDUAL_TOL,
-        E_membership_residual=e_res,
-        Ehat_membership_residual=ehat_res,
-        star_residuals=star,
-        product_residuals=prod,
-    )
+    res.update({f"star_closed_{name}": c[0] for name, c in closure.items()})
+    res.update({f"subalgebra_{name}": c[1] for name, c in closure.items()})
+    res["L_eq_Lhat"] = fx.L.equals(fx.dual.L)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +252,7 @@ def _weight(
         d_mat = _positivity_repair(a, t, herm, supp)
         me = min_eig(d_mat)
     found = residual < 1e-7 and me > PD_TOL
-    return WeightData(
-        sub, Operator(sub.space, d_mat), me, nullity, residual, supp, found
-    )
+    return WeightData(Operator(sub.space, d_mat), me, nullity, residual, supp, found)
 
 
 def _positivity_repair(a, t0, herm, supp):
@@ -338,23 +304,22 @@ def gamma_n_stack(w: Operator | Fixture, nu: WeightData, bs: np.ndarray) -> np.n
 
 @dataclass(frozen=True)
 class BaseStructure:
-    spans: BaseSpans
-    nu: WeightData
+    """The base data that the weight nu of the context determines."""
+
     mu: WeightData
     rtilde: BaseAntiIso
     gamma_n: np.ndarray  # gamma_N on the N basis, a stack
     gamma_l: np.ndarray  # gamma_L on the L basis, a stack
-    kappa: KappaMap
-    kappa_solver: KappaSolver
 
 
 def gamma_and_rtilde(
-    w: Operator | Fixture, nu: WeightData, l_sub: OperatorSubspace
-) -> tuple[np.ndarray, BaseAntiIso, WeightData, np.ndarray]:
-    """Assemble gamma_N on the N basis, Rtilde = gamma_N o sigma_{-i/2},
-    the weight mu = nu o Rtilde^{-1} on L, and gamma_L on the L basis."""
+    w: Operator | Fixture,
+) -> tuple[WeightData, BaseAntiIso, np.ndarray, np.ndarray]:
+    """Assemble, from the context's nu on N, the weight mu = nu o Rtilde^{-1}
+    on L, Rtilde = gamma_N o sigma_{-i/2}, gamma_N on the N basis and
+    gamma_L on the L basis."""
     fx = as_fixture(w)
-    n_sub = nu.algebra
+    nu, n_sub, l_sub = fx.nu, fx.N, fx.L
     gamma_vals = gamma_n_stack(fx, nu, n_sub.stack)
     rt_vals = gamma_n_stack(fx, nu, modular_conjugate(nu, -0.5j, n_sub.stack))
     membership = l_sub.stack_residual(rt_vals)
@@ -379,23 +344,20 @@ def gamma_and_rtilde(
     a = np.concatenate([traces.real, traces.imag])
     mu = _weight(l_sub, herm, a, np.concatenate([targets.real, targets.imag]))
     gamma_l_vals = rtilde.inverse.apply(modular_conjugate(mu, -0.5j, ls))
-    return gamma_vals, rtilde, mu, gamma_l_vals
+    return mu, rtilde, gamma_vals, gamma_l_vals
 
 
 def build_base_structure(w: Operator | Fixture) -> BaseStructure:
     """The weight-dependent base data of W; raises ValueError when the
     anti-isomorphism cannot be built."""
-    fx = as_fixture(w)
-    gamma_n, rtilde, mu, gamma_l = gamma_and_rtilde(fx, fx.nu, fx.L)
-    return BaseStructure(
-        fx.spans, fx.nu, mu, rtilde, gamma_n, gamma_l, fx.kappa, fx.kappa_solver
-    )
+    return BaseStructure(*gamma_and_rtilde(w))
 
 
-def gamma_kappa_residual(structure: BaseStructure) -> float:
+def gamma_kappa_residual(w: Operator | Fixture) -> float:
     """gamma_N = kappa on the N basis: the weight slice against the
     least-squares solve, two independent routes."""
-    return max_gap(structure.gamma_n, structure.kappa.value_stack)
+    fx = as_fixture(w)
+    return max_gap(fx.structure.gamma_n, fx.kappa.value_stack)
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +365,17 @@ def gamma_kappa_residual(structure: BaseStructure) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_separability_triple(
-    w: Operator | Fixture, structure: BaseStructure
-) -> dict[str, float]:
-    """Residuals for the weight/anti-isomorphism identities, with the
-    modular groups sampled at T_SAMPLES.  The checks that need a
-    manageability pair (Q, Wtilde) are kappa_q_checks."""
+def check_separability_triple(w: Operator | Fixture) -> dict[str, float]:
+    """Residuals for the weight/anti-isomorphism identities of the
+    context's nu and base structure, with the modular groups sampled at
+    T_SAMPLES.  The checks that need a manageability pair (Q, Wtilde) are
+    kappa_q_checks."""
     fx = as_fixture(w)
-    nu, mu, rtilde = structure.nu, structure.mu, structure.rtilde
+    nu, structure = fx.nu, fx.structure
+    mu, rtilde = structure.mu, structure.rtilde
     e, n = fx.e.matrix, fx.n
     eye = np.eye(n)
-    bs, cs, gamma_l = nu.algebra.stack, mu.algebra.stack, structure.gamma_l
+    bs, cs, gamma_l = fx.N.stack, fx.L.stack, structure.gamma_l
     res: dict[str, float] = {}
 
     res["nu_normalization"] = rel_residual(
@@ -456,15 +418,13 @@ def check_separability_triple(
     return res
 
 
-def kappa_q_checks(
-    w: Operator | Fixture, structure: BaseStructure, q: Operator, wtilde: Operator
-) -> dict[str, float]:
+def kappa_q_checks(w: Operator | Fixture, q: Operator, wtilde: Operator) -> dict[str, float]:
     """R_kappa = Q^{-1} kappa(.) Q is a *-anti-homomorphism with
     kappa = R_kappa o T for T = Q(.)Q^{-1}, and kappa has the slice
     formula through Wtilde Wtilde*.  kappa = T o R_kappa holds for every
     kappa by the definition of R_kappa, so it is not measured."""
     fx = as_fixture(w)
-    kap = structure.kappa
+    kap = fx.kappa
     qm, qinv = q.matrix, fx.q_data(q).qinv
 
     def rk(vals: np.ndarray) -> np.ndarray:
@@ -474,7 +434,7 @@ def kappa_q_checks(
     m = len(bs)
     # kappa(b*), kappa(T(b)) with T = Q(.)Q^{-1}, and kappa of the right
     # slices of E (the slice-formula domain), in one stacked solve
-    vals, residuals = structure.kappa_solver.solve_stack(
+    vals, residuals = fx.kappa_solver.solve_stack(
         np.concatenate([adjoint(bs), qm @ bs @ qinv, all_right_slices(fx.e)])
     )
     solved = residuals < RESIDUAL_TOL
@@ -498,32 +458,29 @@ def kappa_q_checks(
 # ---------------------------------------------------------------------------
 
 
-def c_star_bases(
-    w: Operator | Fixture,
-    a_space: OperatorSubspace,
-    ahat_space: OperatorSubspace,
-    rtilde: BaseAntiIso | None = None,
-) -> tuple[OperatorSubspace, OperatorSubspace, dict[str, float]]:
-    """B = N and C = L (with B-hat = N-hat, C-hat = L-hat), the multiplier
+def c_star_bases(w: Operator | Fixture) -> dict[str, float]:
+    """B = N and C = L (with B-hat = N-hat, C-hat = L-hat): the multiplier
     memberships of the base elements against A and A-hat, E as a
-    multiplier of B (x) C, and the range of Rtilde's unprojected images."""
+    multiplier of B (x) C, and, once the context has a base structure,
+    the range of Rtilde's unprojected images."""
     fx = as_fixture(w)
-    b_sub, c_sub, bhat_sub, chat_sub = fx.N, fx.L, fx.dual.N, fx.dual.L
+    b, c, bhat, chat = fx.N.stack, fx.L.stack, fx.dual.N.stack, fx.dual.L.stack
+    a_space, ahat_space = fx.A.space, fx.Ahat.space
     a, ahat = a_space.stack, ahat_space.stack
-    pairs = kron_stack(b_sub.stack, c_sub.stack)
-    bc = tensor_subspace(b_sub, c_sub)
+    pairs = kron_stack(b, c)
     e = fx.e.matrix
     res = {
-        "b_x_in_A": a_space.stack_residual(pair_products(b_sub.stack, a)),
-        "y_bhat_in_Ahat": ahat_space.stack_residual(pair_products(ahat, bhat_sub.stack)),
-        "x_c_in_A": a_space.stack_residual(pair_products(a, c_sub.stack)),
-        "c_y_in_Ahat": ahat_space.stack_residual(pair_products(c_sub.stack, ahat)),
-        "x_chat_in_A": a_space.stack_residual(pair_products(a, chat_sub.stack)),
-        "chat_y_in_Ahat": ahat_space.stack_residual(pair_products(chat_sub.stack, ahat)),
-        "E_mult_BC_left": bc.stack_residual(e @ pairs),
-        "E_mult_BC_right": bc.stack_residual(pairs @ e),
+        "b_x_in_A": a_space.stack_residual(pair_products(b, a)),
+        "y_bhat_in_Ahat": ahat_space.stack_residual(pair_products(ahat, bhat)),
+        "x_c_in_A": a_space.stack_residual(pair_products(a, c)),
+        "c_y_in_Ahat": ahat_space.stack_residual(pair_products(c, ahat)),
+        "x_chat_in_A": a_space.stack_residual(pair_products(a, chat)),
+        "chat_y_in_Ahat": ahat_space.stack_residual(pair_products(chat, ahat)),
+        "E_mult_BC_left": tensor_fit(e @ pairs, fx.N, fx.L).membership,
+        "E_mult_BC_right": tensor_fit(pairs @ e, fx.N, fx.L).membership,
     }
-    if rtilde is not None:
+    if fx.structure_reason is None:
+        rtilde = fx.structure.rtilde
         res["R_onto_C"] = rtilde.membership_residual
-        res["R_range_covers_C"] = rtilde.image_span.equals(c_sub)[1]
-    return b_sub, c_sub, res
+        res["R_range_covers_C"] = rtilde.image_span.equals(fx.L)
+    return res

@@ -8,14 +8,15 @@ range and density statements, read as exact span equalities (the only
 faithful finite-dimensional reading of the norm-density statements),
 are decided in coordinates on the HS-orthonormal basis e_p (x) e_q of
 A (x) A, d = dim A.  Each family of members (E(b (x) c), Delta(a)(b (x) 1),
-...) comes from d fitted members through a one-sided unit u of A and A's
-structure constants (TensorSquare), in O(d n^6 + d^6) and a few d n^4
-entries.  Each member carries a bound on its distance from its
-coordinate expansion: the fitted distance, plus ||Delta(a)|| times the
-unit residual max_b ||u b - b||, plus sqrt(d) eps_A ||c|| for each factor
-of A, eps_A = product_stability_A.  A membership entry is that bound
-over max(1, a lower bound on the member's norm); a span entry adds,
-through the coefficients of its fit, the bounds of the rows it uses.
+...) comes from d members, fitted leg by leg (tensor.tensor_fit), through
+a one-sided unit u of A and A's structure constants (TensorSquare), in
+O(d n^6 + d^6) and a few d n^4 entries.  Each member carries a bound on
+its distance from its coordinate expansion: the fitted distance, plus
+||Delta(a)|| times the unit residual max_b ||u b - b||, plus
+sqrt(d) eps_A ||c|| for each factor of A, eps_A = product_stability_A.
+A membership entry is that bound over max(1, a lower bound on the
+member's norm); a span entry adds, through the coefficients of its fit,
+the bounds of the rows it uses.
 So every entry bounds the exact distance from above.  An entry that does
 not come in below the run's tolerance is taken again from the d^2-member
 fits of the families it reads, whose coordinates and distances are exact
@@ -29,13 +30,13 @@ dense W stays at rounding level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .context import Fixture, as_fixture, three_leg_space
 from .tensor import (
     RESIDUAL_TOL,
+    Fit,
     LegWords,
     Operator,
     OperatorSubspace,
@@ -47,9 +48,10 @@ from .tensor import (
     pair_products,
     rows,
     span_matrices,
+    tensor_fit,
 )
 
-SIDES = ("A", "Ahat", "Astar", "Ahatstar")
+SIDES = ("A", "Ahat")
 #: least value of a span entry.  The entries are upper bounds, and below
 #: this one they are rounding in an SVD whose order of sums follows the
 #: BLAS thread count (up to 2e-14 on the corpus), so a bound that low is
@@ -59,12 +61,9 @@ SPAN_FLOOR = 5e-14
 
 @dataclass(frozen=True)
 class LegAlgebra:
-    side: str
     space: OperatorSubspace
     unital: bool
-    unit_residual: float
     star_closed: bool
-    star_residual: float
     product_residual: float
 
 
@@ -77,25 +76,18 @@ class CoalgebraReport:
 
 
 def leg_algebra(w: Operator | Fixture, side: str = "A") -> LegAlgebra:
-    """Span of slices of W (or W*) over all basis functionals, with
-    unital / star-closed / subalgebra diagnostics."""
+    """Span of the right (A) or left (A-hat) slices of W over all basis
+    functionals, with unital / star-closed / subalgebra diagnostics.  The
+    slices of W* span the dual context's A-hat and A, W-hat = Sigma W* Sigma."""
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
     fx = as_fixture(w)
-    # W-hat = Sigma W* Sigma, so the slices of W* are the dual context's
-    # slices with the sides swapped
-    owner = fx.dual if side.endswith("star") else fx
-    stack = owner.right_slices if side in ("A", "Ahatstar") else owner.left_slices
-    sub = span_matrices(fx.leg_space, stack)
-    unit_res = sub.stack_residual(np.eye(fx.n)[None])
+    sub = span_matrices(fx.leg_space, fx.right_slices if side == "A" else fx.left_slices)
     star_res, prod_res = sub.closure_residuals()
     return LegAlgebra(
-        side=side,
         space=sub,
-        unital=unit_res < RESIDUAL_TOL,
-        unit_residual=unit_res,
+        unital=sub.stack_residual(np.eye(fx.n)[None]) < RESIDUAL_TOL,
         star_closed=star_res < RESIDUAL_TOL,
-        star_residual=star_res,
         product_residual=prod_res,
     )
 
@@ -164,23 +156,6 @@ def _coassoc_residuals(w: Operator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class Fit(NamedTuple):
-    """K members X_k of a family against A (x) A: coordinates c_k on the
-    e_p (x) e_q, shape (K, d, d); ``off``, a bound on ||X_k - sum c_k e_p (x) e_q||
-    (the exact distance when c_k are the exact coordinates); and ``scale``,
-    a lower bound on ||X_k||."""
-
-    coords: np.ndarray
-    off: np.ndarray
-    scale: np.ndarray
-
-    @property
-    def membership(self) -> float:
-        """Max of off over max(1, scale): at least the relative distance
-        of stack_residual."""
-        return float(np.max(self.off / np.maximum(1.0, self.scale), initial=0.0))
-
-
 #: family -> (operator, side of the A factors, legs they act on); members
 #: are ordered A-factor-major on the left, operator-major on the right
 FAMILIES = {
@@ -219,11 +194,12 @@ class TensorSquare:
 
     def __init__(self, w: Operator | Fixture):
         self.fx = as_fixture(w)
-        self.basis = self.fx.A.space.stack
+        self.space = self.fx.A.space
+        self.basis = self.space.stack
         d = len(self.basis)
         self.ops = {"delta": _comul_stack(self.fx, self.basis), "E": self.fx.e.matrix[None]}
         products = pair_products(self.basis, self.basis)  # e_p e_q at p * d + q
-        self.mult = self.fx.A.space.coordinates(products).reshape(d, d, d)
+        self.mult = self.space.coordinates(products).reshape(d, d, d)
         self.eps = np.sqrt(d) * self.fx.A.product_residual
         self.units = {side: self._unit(products, side) for side in ("right", "left")}
         self._fits: dict[str, Fit] = {}
@@ -261,7 +237,7 @@ class TensorSquare:
         if key not in self._fits:
             op, side, legs = FAMILIES[key]
             u, gap = self.units[side]
-            fit = self.fit(self._members(key, u[None]))
+            fit = tensor_fit(self._members(key, u[None]), self.space, self.space)
             fit = fit._replace(off=fit.off + np.linalg.norm(rows(self.ops[op]), axis=1)
                                * ((1.0 + gap) ** len(legs) - 1.0))
             for leg in legs if side == "right" else legs[::-1]:
@@ -287,7 +263,7 @@ class TensorSquare:
         res, dims = entry(*map(self.family, keys))
         if not max(res.values()) < tol and not self._dense.issuperset(keys):
             for key in keys:
-                self._fits[key] = self.fit(self._members(key, self.basis))
+                self._fits[key] = tensor_fit(self._members(key, self.basis), self.space, self.space)
                 self._dense.add(key)
             res, dims = entry(*map(self.family, keys))
         return res, dims
@@ -295,19 +271,6 @@ class TensorSquare:
     def membership(self, key: str, tol: float) -> float:
         """The family's membership entry, decided as ``decide`` says."""
         return self.decide((key,), lambda f: ({key: f.membership}, {}), tol)[0][key]
-
-    def fit(self, stack: np.ndarray) -> Fit:
-        """P_A (x) P_A leg by leg on each member X realigned as
-        x[(i,j),(k,l)] = X[(i,k),(j,l)]: for B the (d, n^2) basis rows, the
-        coordinates c = conj(B) x B^H on e_p (x) e_q, the exact distance
-        ||x - B^T c B|| and the norm ||X||."""
-        n, b = self.fx.n, rows(self.basis)
-        x = stack.reshape(-1, n, n, n, n).transpose(0, 1, 3, 2, 4).reshape(-1, n * n, n * n)
-        if np.shares_memory(x, stack):  # n = 1: the realignment is a view
-            x = x.copy()
-        coords = b.conj() @ x @ b.conj().T
-        x -= b.T @ coords @ b  # in place: the projection is the only other copy
-        return Fit(coords, np.linalg.norm(x, axis=(1, 2)), np.linalg.norm(rows(stack), axis=1))
 
 
 def _homomorphism_gap(fx: Fixture, basis: np.ndarray) -> float:

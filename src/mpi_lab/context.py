@@ -1,19 +1,21 @@
 """One fixture context per W: every shared quantity computed once, on demand.
 
-A ``Fixture`` holds W and, as cached properties read on first use, what
-the checks share: W*, E = W*W, G = WW*, the slice stacks, the leg
-algebras A and A-hat, the base spans N and L, kappa, the weight nu, the
-base structure and the antipode S.  ``dual`` is the context of W-hat,
-whose dual is this context again (N-hat is ``dual.N``); as
-W-hat = Sigma W* Sigma, the right and left slices of W* are
-``dual.left_slices`` and ``dual.right_slices``.  ``q_data(Q)``
-holds Q^{-1} and the eigendecompositions of Q and Q^T.  Public checks
-accept an ``Operator`` (given a fresh context) or a context.  A context
-serves one suite run and holds nothing larger than n^4 entries;
-three-leg matrices stay local to the checks that build them, and the
-A (x) A data (Delta of the A basis, d n^4 entries, and the coordinates of
-each family, d^4 each) to one side of the coalgebra level
-(coalgebra.TensorSquare).
+A ``Fixture`` holds W, which it accepts only on H (x) H with two equal
+legs, and, as cached properties read on first use, what the checks
+share: W*, E = W*W, G = WW*, the slice stacks, the leg algebras A and
+A-hat, the base spans N and L, kappa, the weight nu, the base structure
+and the antipode S.  The checks read these inputs from the context; no
+check result repeats them.  ``dual`` is the context of W-hat, whose dual
+is this context again (N-hat is ``dual.N``, S-hat is ``dual.s_map``);
+as W-hat = Sigma W* Sigma, the right and left slices of W* are
+``dual.left_slices`` and ``dual.right_slices``.  ``q_data(Q)`` holds
+Q^{-1} and the eigendecomposition of Q; the powers of Q^T are the
+transposes of those of Q.  Public checks accept an ``Operator`` (given a
+fresh context) or a context.  A context serves one suite run and holds
+nothing larger than n^4 entries; three-leg matrices stay local to the
+checks that build them, and the A (x) A data (Delta of the A basis,
+d n^4 entries, and the coordinates of each family, d^4 each) to one side
+of the coalgebra level (coalgebra.TensorSquare).
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .tensor import (
+    H,
+    LegMismatchError,
     LegSpec,
     Operator,
     OperatorSubspace,
@@ -47,8 +51,8 @@ def three_leg_space(w: Operator) -> TensorSpace:
 
 
 class QData:
-    """A positive Q on W's leg: Q^{-1}, and the eigendecompositions of Q
-    and Q^T from which every power is taken."""
+    """A positive Q on W's leg: Q^{-1}, and the eigendecomposition of Q
+    from which every power is taken."""
 
     def __init__(self, q: Operator, leg: LegSpec):
         if q.space.nlegs != 1 or q.space.legs[0] != leg:
@@ -60,16 +64,15 @@ class QData:
     def qinv(self) -> np.ndarray:
         return np.linalg.inv(self.q.matrix)
 
-    @cached_property
-    def eig_t(self) -> PositiveEig:
-        return PositiveEig(self.q.matrix.T, name="Q^T")
-
 
 class Fixture:
     """Immutable, lazily evaluated context of one candidate W."""
 
     def __init__(self, w: Operator, dual_of: Fixture | None = None):
-        leg = w.space.legs[0]
+        legs = w.space.legs
+        if len(legs) != 2 or legs[0] != legs[1] or legs[0].flavor != H:
+            raise LegMismatchError("expected an operator on H (x) H with equal legs")
+        leg = legs[0]
         self.__dict__.update(
             w=w,
             n=leg.dim,
@@ -134,11 +137,6 @@ class Fixture:
         return leg_algebra(self, "Ahat")
 
     @cached_property
-    def spans(self):
-        from .base_algebra import base_spans
-        return base_spans(self)
-
-    @cached_property
     def kappa_solver(self):
         from .base_algebra import KappaSolver
         return KappaSolver(self)
@@ -165,11 +163,16 @@ class Fixture:
 
     @property
     def structure(self):
-        """The BaseStructure, or None with the reason in structure_reason."""
-        return self._structure[0]
+        """The BaseStructure; a ValueError with ``structure_reason`` when
+        there is none."""
+        structure, reason = self._structure
+        if structure is None:
+            raise ValueError(reason)
+        return structure
 
     @property
     def structure_reason(self) -> str | None:
+        """Why there is no BaseStructure, or None when there is one."""
         return self._structure[1]
 
     @cached_property

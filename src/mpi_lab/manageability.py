@@ -127,10 +127,9 @@ def check_manageability(
         qq_t = np.kron(qt, qt)
         qq_mt = np.kron(qmt, qmt)
         qit_w = max(qit_w, rel_residual(qq_t @ w.matrix @ qq_mt, w.matrix))
-        # ([Q^T]^{-it} (x) Q^{it}) Wt ([Q^T]^{it} (x) Q^{-it}) = Wt
-        qt_t = qd.eig_t.power(1j * t)
-        qt_mt = qd.eig_t.power(-1j * t)
-        lhs_wt = np.kron(qt_mt, qt) @ wt.matrix @ np.kron(qt_t, qmt)
+        # ([Q^T]^{-it} (x) Q^{it}) Wt ([Q^T]^{it} (x) Q^{-it}) = Wt, where
+        # [Q^T]^z = [Q^z]^T for a positive Q
+        lhs_wt = np.kron(qmt.T, qt) @ wt.matrix @ np.kron(qt.T, qmt)
         qit_wt = max(qit_wt, rel_residual(lhs_wt, wt.matrix))
     res["qit_covariance_W"] = qit_w
     res["qit_covariance_Wtilde"] = qit_wt

@@ -22,6 +22,7 @@ from . import __version__
 from .axioms import assess_fullness, check_mpi_axioms, projection_residuals
 from .antipode import check_antipode, check_base_restrictions, check_duality
 from .base_algebra import (
+    base_spans,
     c_star_bases,
     check_separability_triple,
     gamma_kappa_residual,
@@ -155,28 +156,19 @@ def _base(run: _Run) -> bool:
         for lv in run.wanted[run.wanted.index("base"):]:
             rep.skip(lv, "base span N is empty (E = W*W = 0)")
         return False
-    spans, ms = _timed(getattr, fx, "spans")
+    spans, ms = _timed(base_spans, fx)
     rep.properties["base_dims"] = {
-        "N": spans.N.dim,
-        "L": spans.L.dim,
-        "Nhat": spans.Nhat.dim,
-        "Lhat": spans.Lhat.dim,
+        "N": fx.N.dim,
+        "L": fx.L.dim,
+        "Nhat": fx.dual.N.dim,
+        "Lhat": fx.dual.L.dim,
     }
-    run.add(
-        {
-            "NL_commutation": spans.commutation_residual,
-            "NhatLhat_commutation": spans.hat_commutation_residual,
-            "E_in_N_tensor_L": spans.E_membership_residual,
-            "Ehat_in_Nhat_tensor_Lhat": spans.Ehat_membership_residual,
-        },
-        ms,
-    )
-    run.add(spans.star_residuals, ms, prefix="star_closed_")
-    run.add(spans.product_residuals, ms, prefix="subalgebra_")
+    l_res = spans.pop("L_eq_Lhat")
+    run.add(spans, ms)
     if run.full:
-        rep.add("L_eq_Lhat", spans.L_Lhat_residual, wall_time_ms=ms)
+        rep.add("L_eq_Lhat", l_res, wall_time_ms=ms)
     else:
-        rep.properties["L_eq_Lhat_residual"] = spans.L_Lhat_residual
+        rep.properties["L_eq_Lhat_residual"] = l_res
         rep.skip("base", "L = L-hat requires fullness; residual in properties")
     kappa, ms = _timed(getattr, fx, "kappa")
     rep.add("kappa_solves", max(kappa.residuals), tol=1e-10, wall_time_ms=ms)
@@ -187,16 +179,13 @@ def _base(run: _Run) -> bool:
         "min_eigenvalue": fx.nu.min_eigenvalue,
         "solution_space_dim": fx.nu.solution_space_dim,
     }
-    structure = fx.structure
-    if structure is None:
+    if fx.structure_reason is not None:
         rep.skip("base", fx.structure_reason)
     else:
-        gap, ms = _timed(gamma_kappa_residual, structure)
+        gap, ms = _timed(gamma_kappa_residual, fx)
         rep.add("gamma_N_eq_kappa", gap, wall_time_ms=ms)
-        run.add(*_timed(check_separability_triple, fx, structure))
-    rtilde = structure.rtilde if structure else None
-    (_, _, bc_res), ms = _timed(c_star_bases, fx, fx.A.space, fx.Ahat.space, rtilde)
-    run.add(bc_res, ms, prefix="cstar_")
+        run.add(*_timed(check_separability_triple, fx))
+    run.add(*_timed(c_star_bases, fx), prefix="cstar_")
     if run.full:
         run.add_weight("nuhat_found", fx.dual)
     else:
@@ -240,8 +229,8 @@ def _manageability(run: _Run) -> bool:
     rep.add("dual_certificate", max(dual_cert.residuals.values()), wall_time_ms=ms)
     rep.add("dual_wtilde_formula", formula_gap, tol=1e-12, wall_time_ms=ms)
     run.add(*_timed(inclusion_consequences, fx, q))
-    if fx.structure is not None:
-        run.add(*_timed(kappa_q_checks, fx, fx.structure, q, wt))
+    if fx.structure_reason is None:
+        run.add(*_timed(kappa_q_checks, fx, q, wt))
     return True
 
 
@@ -259,9 +248,8 @@ def _antipode(run: _Run) -> bool:
     q, wt = cert.q, cert.wtilde
     run.add(*_timed(check_antipode, fx, q, wt), prefix="antipode_")
     run.add(*_timed(check_duality, fx, q, wt), prefix="duality_")
-    if fx.structure is not None:
-        bres, ms = _timed(check_base_restrictions, fx, q, fx.structure)
-        run.add(bres, ms, prefix="base_restriction_")
+    if fx.structure_reason is None:
+        run.add(*_timed(check_base_restrictions, fx, q), prefix="base_restriction_")
     else:
         rep.skip("antipode", "base restrictions unavailable without a weight")
     return True

@@ -20,16 +20,20 @@ does, and reports that bound as the residual of an identity it certifies
 as failing).  ``chain`` fills a whole product from the same blocks, for
 the coassociativity products (``embed`` is its one-factor case);
 ``embedded_mul`` multiplies one embedded factor into a whole matrix.
+
+Membership in a tensor product a (x) b of two spans of one-leg operators
+(A (x) A, N (x) L) has one evaluation, ``tensor_fit``: the orthogonal
+projection taken leg by leg on the realigned members, in coordinates on
+the products of the two bases, with no Kronecker basis formed.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import groupby
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,8 +49,8 @@ PD_TOL = 1e-12
 #: the real t at which identities in a one-parameter group are sampled
 T_SAMPLES = (1.0, -1.0, 0.3, -0.3)
 #: most entries of one LegWords column block, n^3 k for k columns (one at
-#: least).  2^15 complex entries are 512 KiB: the suffix blocks alive at
-#: once stay far below one n^6-entry matrix at n = 10 (15.3 MiB), while
+#: least).  2^15 complex entries are 512 KiB: the blocks alive at once
+#: stay far below one n^6-entry matrix at n = 10 (15.3 MiB), while
 #: each tensordot is still a GEMM with a few hundred columns; larger
 #: blocks measured slower at n = 10.
 BLOCK_ENTRIES = 2**15
@@ -317,13 +321,12 @@ class LegWords:
     operations, with no Kronecker product and no gather; each further
     factor is one tensordot, n^5 k.  So a word of two factors costs n^7
     over all columns, and only a three-factor word such as
-    W_12 W_13 W_23 costs n^8: per block, the ten axiom identities take 16
-    starts and 5 tensordots, the E-leg words 3 and 1, and each
+    W_12 W_13 W_23 costs n^8: per block, the ten axiom identities take 20
+    starts and 5 tensordots, the E-leg words 4 and 1, and each
     composability pair 2 starts, plus 1 tensordot for hash1 and hash3.
-    The words of a block are evaluated right to left, and each distinct
-    suffix once; a suffix block is kept only until its last use.
-    ``block_norms`` gives ||(L - R)_S||^2 and ||L_S||^2 per pair, with
-    L - R formed, so no difference of squared norms is taken; summed over
+    ``block`` evaluates one word right to left, and ``block_norms`` gives
+    ||(L - R)_S||^2 and ||L_S||^2 per pair from those blocks, with L - R
+    formed, so no difference of squared norms is taken; summed over
     ``column_blocks`` they give ``residuals``, the relative Frobenius gaps
     of rel_residual.  A partial sum over some blocks is a lower bound on
     ||L - R||^2, which ``axioms.check_mpi_axioms`` uses to stop a failing
@@ -368,44 +371,19 @@ class LegWords:
     def block_norms(self, cols: range, names) -> dict[str, np.ndarray]:
         """[||(L - R)_S||^2, ||L_S||^2] of each named pair on the columns S."""
         out = {}
-        for name, lhs, rhs in self.sides(cols, names):
+        for name in names:
+            lhs, rhs = (self.block(w, cols) for w in self.pairs[name])
             out[name] = np.array([_sqnorm(lhs - rhs), _sqnorm(lhs)])
         return out
 
-    def sides(self, cols: range, names):
-        """Yield (name, L_S, R_S) for each named pair, in order."""
-        words = [self._words[w] for name in names for w in self.pairs[name]]
-        # uses of a suffix of two factors or more (shorter ones are cheap
-        # to rebuild): once per distinct suffix that extends it by one
-        # factor, once per pair side that is this word
-        uses = Counter(words)
-        uses.update(s[1:] for s in {f[i:] for f in words for i in range(len(f) - 2)})
-        cache: dict[tuple, list] = {}  # suffix -> [block, uses left]
-        for name in names:
-            lhs, rhs = (self._word_block(self._words[w], cols, cache, uses)
-                        for w in self.pairs[name])
-            yield name, lhs, rhs
-
     def block(self, word: str, cols: range) -> np.ndarray:
-        """The columns S of one word, a (dims..., k) array."""
-        return self._word_block(self._words[word], cols, {}, Counter())
-
-    def _word_block(self, factors: tuple, cols: range, cache: dict, uses: Counter):
-        i = next((i for i in range(len(factors) - 1) if factors[i:] in cache), None)
-        if i is None:
-            i = max(0, len(factors) - 2)
-            block = self._first(factors[i:], cols)
-            _keep(cache, uses, factors[i:], block)
-        else:
-            entry = cache[factors[i:]]
-            block, entry[1] = entry[0], entry[1] - 1
-            if not entry[1]:
-                del cache[factors[i:]]
-        while i:
-            i -= 1
-            names, legs = factors[i]
+        """The columns S of one word, a (dims..., k) array: the start of
+        its two rightmost factors, then each further factor leftwards."""
+        factors = self._words[word]
+        i = max(0, len(factors) - 2)
+        block = self._first(factors[i:], cols)
+        for names, legs in reversed(factors[:i]):
             block = _apply(self._tensors[names], legs, block)
-            _keep(cache, uses, factors[i:], block)
         return block
 
     def _first(self, factors: tuple, cols: range) -> np.ndarray:
@@ -478,12 +456,6 @@ def _sqnorm(x: np.ndarray) -> float:
     """||x||^2, summed in row-major order as np.linalg.norm sums it."""
     x = x.ravel()
     return float(x.real @ x.real + x.imag @ x.imag)
-
-
-def _keep(cache: dict, uses: Counter, suffix: tuple, block: np.ndarray):
-    """Cache a suffix block just computed if it has uses beyond this one."""
-    if uses[suffix] > 1:
-        cache[suffix] = [block, uses[suffix] - 1]
 
 
 def _ambient_order(legs: Sequence[int], nlegs: int) -> list[int]:
@@ -642,10 +614,9 @@ class OperatorSubspace:
         b = self.stack
         return self.stack_residual(adjoint(b)), self.stack_residual(pair_products(b, b))
 
-    def equals(self, other: "OperatorSubspace") -> tuple[bool, float]:
-        """Two-sided span inclusion, max residual over both directions."""
-        r = max(self.stack_residual(other.stack), other.stack_residual(self.stack))
-        return r < RESIDUAL_TOL, r
+    def equals(self, other: "OperatorSubspace") -> float:
+        """Two-sided span inclusion: the max residual over both directions."""
+        return max(self.stack_residual(other.stack), other.stack_residual(self.stack))
 
 
 def span(family: Sequence[Operator]) -> OperatorSubspace:
@@ -669,14 +640,38 @@ def span_matrices(sp: TensorSpace, stack: np.ndarray) -> OperatorSubspace:
     return OperatorSubspace(sp, np.ascontiguousarray(vh[: numerical_rank(s)]))
 
 
-def tensor_subspace(a: OperatorSubspace, b: OperatorSubspace) -> OperatorSubspace:
-    """Span of {x (x) y} for x, y ranging over the bases of a and b.
+class Fit(NamedTuple):
+    """K members X_k of a stack against a tensor product a (x) b of two
+    spans: coordinates c_k on the x_p (x) y_q, shape (K, dim a, dim b);
+    ``off``, a bound on ||X_k - sum c_k x_p (x) y_q|| (the exact distance
+    when c_k are the exact coordinates); and ``scale``, a lower bound on
+    ||X_k||."""
 
-    Kronecker products of HS-orthonormal bases are HS-orthonormal, so no
-    re-orthonormalization is needed.
-    """
-    sp = TensorSpace(a.space.legs + b.space.legs)
-    return OperatorSubspace(sp, rows(kron_stack(a.stack, b.stack)))
+    coords: np.ndarray
+    off: np.ndarray
+    scale: np.ndarray
+
+    @property
+    def membership(self) -> float:
+        """Max of off over max(1, scale): at least the relative distance
+        of stack_residual."""
+        return float(np.max(self.off / np.maximum(1.0, self.scale), initial=0.0))
+
+
+def tensor_fit(stack: np.ndarray, a: OperatorSubspace, b: OperatorSubspace) -> Fit:
+    """The orthogonal projection of each two-leg matrix X of a stack on
+    a (x) b, leg by leg, with no Kronecker basis formed: X realigned as
+    x[(i,j),(k,l)] = X[(i,k),(j,l)], and with A and B the basis rows of a
+    and b, the coordinates c = conj(A) x B^H, the exact distance
+    ||x - A^T c B|| and the norm ||X||."""
+    n1, n2 = a.space.total_dim, b.space.total_dim
+    x = stack.reshape(-1, n1, n2, n1, n2).transpose(0, 1, 3, 2, 4).reshape(-1, n1 * n1, n2 * n2)
+    if np.shares_memory(x, stack):  # a leg of dimension 1: the realignment is a view
+        x = x.copy()
+    coords = a.basis_matrix.conj() @ x @ b.basis_matrix.conj().T
+    # in place: the projection is the only other copy
+    x -= a.basis_matrix.T @ coords @ b.basis_matrix
+    return Fit(coords, np.linalg.norm(x, axis=(1, 2)), np.linalg.norm(rows(stack), axis=1))
 
 
 def antimultiplicativity(f: Callable[[np.ndarray], np.ndarray], stack: np.ndarray) -> float:

@@ -11,7 +11,7 @@ from mpi_lab.antipode import (
     tau,
 )
 from mpi_lab.axioms import what
-from mpi_lab.base_algebra import build_base_structure
+from mpi_lab.context import Fixture
 from mpi_lab.manageability import build_wtilde
 from mpi_lab.tensor import (
     Operator,
@@ -148,8 +148,7 @@ class TestCheckAntipode:
     def test_base_restrictions(self, corpus_fixtures, name):
         w = corpus_fixtures[name]
         n = w.space.legs[0].dim
-        st = build_base_structure(w)
-        res = check_base_restrictions(w, q_eye(n), st)
+        res = check_base_restrictions(w, q_eye(n))
         assert max(res.values()) < 1e-9, (name, res)
 
 
@@ -159,8 +158,14 @@ class TestDualAntipode:
             np.testing.assert_array_equal(what(what(w)).matrix, w.matrix)
 
     def test_shat_inverse_pairs(self, w_z3):
-        wt = build_wtilde(w_z3, q_eye(3))
-        shat, shat_inv, _ = dual_antipode_maps(w_z3, wt)
+        # S-hat is the dual context's antipode: the map assembled from the
+        # right slices of W-hat = Sigma W* Sigma, sent to W's left slices
+        fx = Fixture(w_z3)
+        wt = build_wtilde(fx, q_eye(3))
+        shat = fx.dual.s_map
+        shat_inv, _ = dual_antipode_maps(fx, wt)
+        direct = _assemble(space(3), fx.dual.right_slices, fx.left_slices)
+        np.testing.assert_array_equal(shat.matrix, direct.matrix)
         assert shat.inconsistency < 1e-12
         assert shat_inv.inconsistency < 1e-12
         ys = shat.domain.stack
@@ -184,8 +189,6 @@ class TestAssemblyFromSliceStacks:
     # one basis functional at a time are the reference
     @pytest.mark.parametrize("name", ["example", "group_z3", "pair_groupoid_2"])
     def test_matches_per_functional_pairs(self, corpus_fixtures, name):
-        from mpi_lab.context import Fixture
-
         w = corpus_fixtures[name]
         n = w.space.legs[0].dim
         wt = build_wtilde(w, Operator(space(n), np.diag(np.arange(1.0, n + 1))))
@@ -203,11 +206,11 @@ class TestAssemblyFromSliceStacks:
         ra_map = _assemble(
             space(n), fx.dual.left_slices, all_right_slices(wt).transpose(0, 2, 1)
         )
-        shat, shat_inv, rahat_map = dual_antipode_maps(fx, wt)
+        shat_inv, rahat_map = dual_antipode_maps(fx, wt)
         for got, (ins, outs) in (
             (antipode_map(fx), right),
             (ra_map, ra),
-            (shat, left),
+            (fx.dual.s_map, left),
             (shat_inv, left[::-1]),
             (rahat_map, rahat),
         ):
@@ -229,7 +232,7 @@ class TestWellDefinedness:
             ra = _assemble(
                 space(n), all_right_slices(w.adj), all_right_slices(wt).transpose(0, 2, 1)
             )
-            shat, shat_inv, rahat = dual_antipode_maps(w, wt)
-            for m in (s_map, ra, shat, shat_inv, rahat):
+            shat_inv, rahat = dual_antipode_maps(w, wt)
+            for m in (s_map, ra, antipode_map(what(w)), shat_inv, rahat):
                 assert m.nullity == 0, name
                 assert m.inconsistency < 1e-11, name

@@ -9,7 +9,10 @@ or be a dunder.  What is none of these is dead in the program: only
 tests could call it.  A definition that has to stay anyway is listed in
 ``ALLOWED`` with the reason.  Every parameter of a function under
 ``src/mpi_lab`` must be read as a name in its body; ``self``, ``cls``
-and dunder methods are exempt.
+and dunder methods are exempt.  Every field of a dataclass or NamedTuple
+under ``src/mpi_lab`` must be read as an attribute by some src code, so
+that no result carries a value nothing uses; a class that is serialized
+whole is listed in ``SERIALIZED`` with the reason.
 """
 
 import ast
@@ -20,6 +23,12 @@ SRC = ROOT / "src" / "mpi_lab"
 
 #: "module.qualname" -> why it stays although no src code refers to it
 ALLOWED: dict[str, str] = {}
+
+#: "module.class" -> why its fields stay although src may not read each one
+SERIALIZED: dict[str, str] = {
+    "axioms.FullnessVerdict": "runner._axioms writes it whole, through asdict, "
+    "into the report's fullness property",
+}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -126,3 +135,44 @@ def unread_parameters(src: Path) -> list[str]:
 def test_every_parameter_is_read():
     flagged = unread_parameters(SRC)
     assert not flagged, f"parameters no function body reads: {flagged}"
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A class decorated with dataclass (called or not) or derived from
+    NamedTuple."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+
+
+def unread_fields(src: Path) -> list[str]:
+    """"module.class.field" for each field of a dataclass or NamedTuple
+    under ``src`` that no src code reads as an attribute."""
+    trees = {path.stem: _parse(path) for path in sorted(src.glob("*.py"))}
+    read = {
+        sub.attr
+        for tree in trees.values()
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    flagged = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or not _is_record(node):
+                continue
+            if f"{module}.{node.name}" in SERIALIZED:
+                continue
+            flagged += [
+                f"{module}.{node.name}.{item.target.id}"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                and item.target.id not in read
+            ]
+    return flagged
+
+
+def test_every_field_is_read():
+    flagged = unread_fields(SRC)
+    assert not flagged, f"fields no src code reads: {flagged}"

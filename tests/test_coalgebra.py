@@ -40,7 +40,7 @@ class TestLegAlgebra:
     def test_example_Ahat(self, w_example):
         alg = leg_algebra(w_example, "Ahat")
         assert alg.unital
-        eq, res = alg.space.equals(
+        res = alg.space.equals(
             # span{e11, e22}
             __import__("mpi_lab.tensor", fromlist=["span"]).span(
                 [
@@ -49,18 +49,19 @@ class TestLegAlgebra:
                 ]
             )
         )
-        assert eq and res < 1e-13
+        assert res < 1e-13
 
     def test_identity_w(self):
         alg = leg_algebra(identity(space(2, 2)), "A")
         assert alg.space.dim == 1 and alg.unital
 
     def test_astar_is_adjoint_span(self, w_example):
-        a = leg_algebra(w_example, "A")
-        astar = leg_algebra(w_example, "Astar")
-        adj_span = span_matrices(a.space.space, a.space.stack.conj().transpose(0, 2, 1))
-        eq, _ = astar.space.equals(adj_span)
-        assert eq
+        # the slices of W* are those of W-hat = Sigma W* Sigma with the
+        # sides swapped: A* is the dual context's A-hat, A-hat* its A
+        fx = Fixture(w_example)
+        for alg, star in ((fx.A, fx.dual.Ahat), (fx.Ahat, fx.dual.A)):
+            adj_span = span_matrices(alg.space.space, alg.space.stack.conj().transpose(0, 2, 1))
+            assert star.space.equals(adj_span) < RESIDUAL_TOL
 
 
 class TestComul:

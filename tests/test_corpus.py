@@ -66,12 +66,12 @@ class TestGeneratorOutputsAreMpis:
     @pytest.mark.parametrize("name", list(BUILTIN))
     def test_builtin_corpus(self, name):
         verdict = check_mpi_axioms(BUILTIN[name])
-        assert verdict.is_partial_isometry and verdict.passed, verdict
+        assert verdict.passed, verdict
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_cyclic_groups(self, k):
         verdict = check_mpi_axioms(corpus.group_mpu(corpus.cyclic_table(k)))
-        assert verdict.is_partial_isometry and verdict.passed, verdict
+        assert verdict.passed, verdict
 
 
 class TestGroupoidSpec:

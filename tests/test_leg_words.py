@@ -1,8 +1,8 @@
 """The leg-word engine (tensor.LegWords) against the dense evaluation, and
 the certified early FAIL of check_mpi_axioms.
 
-The engine fuses runs of same-leg factors, evaluates words on column
-blocks and shares suffixes; the references multiply n^3 x n^3 matrices,
+The engine fuses runs of same-leg factors and evaluates words on column
+blocks; the references multiply n^3 x n^3 matrices,
 embedded by np.kron (``kron_word``) or by ``tensor.embed`` and
 ``tensor.embedded_mul`` (``chain_word``).  The comparisons run on seeded
 dense non-MPI candidates, where every residual is O(1), with blocks of
@@ -20,7 +20,6 @@ from mpi_lab.axioms import (
     DERIVED_IDENTITIES,
     FAIL_MARGIN,
     IDENTITY_WORDS,
-    check_derived_identities,
     check_mpi_axioms,
     lhs_norm_bounds,
 )
@@ -128,7 +127,8 @@ class TestAgainstDense:
         fx = Fixture(w)
         ((amb, ops, ids), (_, e_ops, e_legs), *_) = word_sets(w)
         want = dense_residuals(amb, ops, ids)
-        derived = check_derived_identities(fx)
+        # tol = inf: no identity stops early, every residual is over all columns
+        derived = check_mpi_axioms(fx, np.inf).derived_residuals
         assert list(derived) == list(DERIVED_IDENTITIES)
         for name in DERIVED_IDENTITIES:
             assert derived[name] == pytest.approx(want[name], rel=1e-12), name
@@ -199,9 +199,10 @@ class TestFusionAndBlocks:
         assert max(sizes) <= 2 * min(sizes)
 
     def test_factor_applications_per_block(self, monkeypatch):
-        # fused runs make every E- or G-leg word a two-factor start: per
-        # block the axioms take 16 starts and 5 tensordots, the E-leg
-        # words 3 and 1, the five composability pairs 10 and 2
+        # fused runs make every E- or G-leg word a two-factor start, and
+        # each side of each pair is one start: per block the axioms take
+        # 20 starts and 5 tensordots, the E-leg words 4 and 1, the five
+        # composability pairs 10 and 2
         counts = Counter()
         first, apply = LegWords._first, tensor._apply
 
@@ -216,7 +217,7 @@ class TestFusionAndBlocks:
         monkeypatch.setattr(LegWords, "_first", counted_first)
         monkeypatch.setattr(tensor, "_apply", counted_apply)
         ids, e_legs, *comp = word_sets(dense_candidate(3, 9))
-        want = [(16, 5), (3, 1)] + [(2, 0), (2, 0), (2, 1), (2, 0), (2, 1)]
+        want = [(20, 5), (4, 1)] + [(2, 0), (2, 0), (2, 1), (2, 0), (2, 1)]
         for (ambient, ops, pairs), (starts, applies) in zip([ids, e_legs, *comp], want):
             words = LegWords(ambient, ops, pairs)
             counts.clear()

@@ -90,14 +90,15 @@ COUNTED = (
     (antipode, "antipode_map"),
     (coalgebra, "leg_algebra"),
     (tensor, "span_matrices"),
+    (tensor, "tensor_fit"),
 )
 
 
 @pytest.fixture
 def calls(monkeypatch):
     """Counts calls of the COUNTED functions, of KappaSolver, PositiveEig
-    and TensorSquare construction and of TensorSquare.fit, and of
-    span_matrices inside c_star_bases.
+    and TensorSquare construction, and of span_matrices inside
+    c_star_bases.
 
     Each function is rebound wherever an mpi_lab module holds it, so
     calls through imported names are counted too."""
@@ -128,8 +129,6 @@ def calls(monkeypatch):
                     monkeypatch.setattr(mod, key, wrapper)
     for cls in (base_algebra.KappaSolver, tensor.PositiveEig, coalgebra.TensorSquare):
         monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
-    fit = coalgebra.TensorSquare.fit
-    monkeypatch.setattr(coalgebra.TensorSquare, "fit", counting("TensorSquare.fit", fit))
     return counts
 
 
@@ -138,19 +137,23 @@ def test_shared_quantities_computed_once(w_pair2, calls):
     first = dict(calls)
     assert first["KappaSolver"] == 1
     assert first["base_spans"] == 1
-    assert first["antipode_map"] == 1
+    # S of W, and S-hat as the antipode of the dual context
+    assert first["antipode_map"] == 2
     assert first["check_separability_triple"] == 1
     # A and A-hat of W and of W-hat
     assert first["leg_algebra"] == 4
     # B, C, B-hat and C-hat are the context's N, L, N-hat and L-hat
     assert first["c_star_bases"] == 1
     assert "span_matrices in c_star_bases" not in first
-    # Q and Q^T of the certified Q = 1, and the padded nu and mu densities
-    assert first["PositiveEig"] == 4
+    # the certified Q = 1 (the powers of Q^T are transposes of Q's), and
+    # the padded nu and mu densities
+    assert first["PositiveEig"] == 3
     # the A (x) A data once per side: E(b (x) c), (b (x) c)E and the four
-    # multiplier families fitted once each, by one TensorSquare a side
+    # multiplier families fitted once each, by one TensorSquare a side;
+    # then E in N (x) L and E-hat in N-hat (x) L-hat, and E(b (x) c) and
+    # (b (x) c)E in B (x) C
     assert first["TensorSquare"] == 2
-    assert first["TensorSquare.fit"] == 12
+    assert first["tensor_fit"] == 12 + 2 + 2
     # nothing survives the call: a second run on the same W does it all again
     calls.clear()
     run_suite(w_pair2, level="all")

@@ -26,7 +26,6 @@ from mpi_lab.axioms import is_partial_isometry
 from mpi_lab.base_algebra import (
     KappaSolver,
     base_spans,
-    build_base_structure,
     c_star_bases,
     check_separability_triple,
     gamma_kappa_residual,
@@ -37,7 +36,6 @@ from mpi_lab.base_algebra import (
 )
 from mpi_lab.coalgebra import (
     FAMILIES,
-    Fit,
     TensorSquare,
     _comul_stack,
     check_canonical_idempotent,
@@ -49,6 +47,7 @@ from mpi_lab.context import Fixture
 from mpi_lab.manageability import build_wtilde
 from mpi_lab.tensor import (
     RESIDUAL_TOL,
+    Fit,
     Operator,
     all_left_slices,
     all_right_slices,
@@ -61,9 +60,9 @@ from mpi_lab.tensor import (
     slice_matrix,
     space,
     span_matrices,
-    tensor_subspace,
     transpose_grid,
 )
+from word_references import kron_subspace
 
 T_SAMPLES = (1.0, -1.0, 0.3, -0.3)
 
@@ -149,26 +148,28 @@ class _OffByUnitary(KappaSolver):
 
 
 @pytest.fixture(scope="module")
-def mutant_structure(pair2):
-    """The base structure of the conjugated pair_groupoid_2 with nu and mu
-    off their weights (but inside N and L), a complex-mixed R-tilde,
-    gamma_L pushed off L and kappa off by a unitary."""
-    st = build_base_structure(pair2)
-    b0, c0 = pair2.N.stack[0], pair2.L.stack[0]
-    nu = replace(st.nu, density=Operator(space(4), st.nu.density.matrix + 2.0 * b0 @ b0.conj().T))
+def mutant(pair2):
+    """A context of the conjugated pair_groupoid_2 with nu and mu off their
+    weights (but inside N and L), a complex-mixed R-tilde, gamma_L pushed
+    off L and kappa off by a unitary."""
+    fx = Fixture(pair2.w)
+    st, nu = fx.structure, fx.nu
+    b0, c0 = fx.N.stack[0], fx.L.stack[0]
+    nu = replace(nu, density=Operator(space(4), nu.density.matrix + 2.0 * b0 @ b0.conj().T))
     mu = replace(st.mu, density=Operator(space(4), st.mu.density.matrix + 2.0 * c0 @ c0.conj().T))
     rtilde = replace(st.rtilde, matrix=st.rtilde.matrix @ np.array([[1.0, 1j], [0.5, 2.0]]))
     gamma_l = st.gamma_l + np.triu(np.ones((4, 4)), 1)
     u = np.linalg.qr(np.arange(16.0).reshape(4, 4) + 1j * np.eye(4))[0]
-    solver = _OffByUnitary(pair2, u)
-    return replace(
-        st, nu=nu, mu=mu, rtilde=rtilde, gamma_l=gamma_l,
-        kappa_solver=solver, kappa=kappa_map(pair2, pair2.N, solver),
+    solver = _OffByUnitary(fx, u)
+    fx.__dict__.update(
+        nu=nu, kappa_solver=solver, kappa=kappa_map(fx, fx.N, solver),
+        _structure=(replace(st, mu=mu, rtilde=rtilde, gamma_l=gamma_l), None),
     )
+    return fx
 
 
-def test_kappa_map_against_loop(pair2, mutant_structure):
-    solver, kap = mutant_structure.kappa_solver, mutant_structure.kappa
+def test_kappa_map_against_loop(pair2, mutant):
+    solver, kap = mutant.kappa_solver, mutant.kappa
     basis = pair2.N.stack
     # one solve per b, each on a one-member stack
     values, residuals = [], []
@@ -203,27 +204,27 @@ def test_kappa_map_against_loop(pair2, mutant_structure):
         np.testing.assert_allclose(v, want.reshape(n, n), rtol=1e-10, atol=1e-12)
 
 
-def test_gamma_kappa_against_loop(pair2, mutant_structure):
-    st = mutant_structure
-    ref = max(rel_residual(g, v) for g, v in zip(st.gamma_n, st.kappa.value_stack))
+def test_gamma_kappa_against_loop(pair2, mutant):
+    st = mutant.structure
+    ref = max(rel_residual(g, v) for g, v in zip(st.gamma_n, mutant.kappa.value_stack))
     assert ref > 0.1
-    np.testing.assert_allclose(gamma_kappa_residual(st), ref, rtol=1e-10)
+    np.testing.assert_allclose(gamma_kappa_residual(mutant), ref, rtol=1e-10)
     # the stacked gamma_N against the full-product slice, on random b and
     # a random positive density: inside N the order of b and D would not
     # show, as E lies in N (x) L and N is commutative here
     rng = np.random.default_rng(9)
     z = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
-    nu = replace(st.nu, density=Operator(space(4), z[0] @ z[0].conj().T + np.eye(4)))
+    nu = replace(mutant.nu, density=Operator(space(4), z[0] @ z[0].conj().T + np.eye(4)))
     for b in z[1:]:
         got = gamma_n_stack(pair2, nu, b[None])[0]
         np.testing.assert_allclose(got, gamma_n(pair2, nu, b), rtol=1e-10, atol=1e-13)
 
 
-def test_separability_triple_against_loop(pair2, mutant_structure, wrong_q):
-    st = mutant_structure
-    nu, mu, rtilde = st.nu, st.mu, st.rtilde
+def test_separability_triple_against_loop(pair2, mutant, wrong_q):
+    st = mutant.structure
+    nu, mu, rtilde = mutant.nu, st.mu, st.rtilde
     e, n, eye = pair2.e.matrix, pair2.n, np.eye(pair2.n)
-    n_basis, l_basis, gamma_l = nu.algebra.stack, mu.algebra.stack, st.gamma_l
+    n_basis, l_basis, gamma_l = mutant.N.stack, mutant.L.stack, st.gamma_l
     rt, rt_inv = each(rtilde.apply), each(rtilde.inverse.apply)
     ref = {}
     ref["nu_normalization"] = rel_residual(slice_matrix(e, n, n, "left", nu.density.matrix), eye)
@@ -263,14 +264,14 @@ def test_separability_triple_against_loop(pair2, mutant_structure, wrong_q):
     ref["sigma_mu_conjugation"] = sig
     ref["rtilde_star"] = star_preservation(rt, n_basis)
     ref["rtilde_antimultiplicative"] = antimultiplicativity(rt, n_basis)
-    ref.update(_kappa_q_reference(pair2, st, wrong_q, build_wtilde(pair2, wrong_q)))
+    ref.update(_kappa_q_reference(mutant, wrong_q, build_wtilde(pair2, wrong_q)))
     wt = build_wtilde(pair2, wrong_q)
-    got = {**check_separability_triple(pair2, st), **kappa_q_checks(pair2, st, wrong_q, wt)}
+    got = {**check_separability_triple(mutant), **kappa_q_checks(mutant, wrong_q, wt)}
     assert_matches(got, ref, min_large=11)
 
 
-def _kappa_q_reference(fx, structure, q, wtilde):
-    kap, solver = structure.kappa, structure.kappa_solver
+def _kappa_q_reference(fx, q, wtilde):
+    kap, solver = fx.kappa, fx.kappa_solver
     qm, qinv = q.matrix, np.linalg.inv(q.matrix)
 
     def rk(val):
@@ -344,7 +345,7 @@ def test_duality_against_loop(pair2, wrong_q):
     fx, q = pair2, wrong_q
     wtilde = build_wtilde(fx, q)
     n = fx.n
-    shat, shat_inv, rahat = dual_antipode_maps(fx, wtilde)
+    shat, (shat_inv, rahat) = fx.dual.s_map, dual_antipode_maps(fx, wtilde)
     sh, sh_inv, rh = each(shat.apply), each(shat_inv.apply), each(rahat.apply)
     ref = {
         "Shat_well_defined": shat.inconsistency,
@@ -373,10 +374,10 @@ def test_duality_against_loop(pair2, wrong_q):
     assert_matches(check_duality(fx, q, wtilde), ref, min_large=3)
 
 
-def test_base_restrictions_against_loop(pair2, mutant_structure, wrong_q):
-    fx, q, st = pair2, wrong_q, mutant_structure
-    nu, mu = st.nu, st.mu
-    b_basis, c_basis = nu.algebra.stack, mu.algebra.stack
+def test_base_restrictions_against_loop(mutant, wrong_q):
+    fx, q, st = mutant, wrong_q, mutant.structure
+    nu, mu = fx.nu, st.mu
+    b_basis, c_basis = fx.N.stack, fx.L.stack
     s_map = fx.s_map
     s = each(s_map.apply)
     ref = {
@@ -395,18 +396,20 @@ def test_base_restrictions_against_loop(pair2, mutant_structure, wrong_q):
         "S_C_eq_gamma_C": max(rel_residual(s(c), gc) for c, gc in zip(c_basis, st.gamma_l)),
         "C_in_A_membership": contains_all(s_map.domain, c_basis),
     }
-    got = check_base_restrictions(fx, q, st)
+    got = check_base_restrictions(fx, q)
     assert_matches(got, ref, min_large=4)
 
 
 def test_c_star_bases_against_loop(pair2):
-    # random three-dimensional spans in place of A and A-hat: the
-    # multiplier memberships fail
-    fx = pair2
+    # a context with random three-dimensional spans in place of A and
+    # A-hat: the multiplier memberships fail
+    fx = Fixture(pair2.w)
     rng = np.random.default_rng(13)
     a, ahat = (span_matrices(space(4), rng.standard_normal((3, 4, 4))) for _ in range(2))
+    fx.__dict__.update(A=replace(pair2.A, space=a), Ahat=replace(pair2.Ahat, space=ahat))
     b, c, bhat, chat = fx.N.stack, fx.L.stack, fx.dual.N.stack, fx.dual.L.stack
-    bc = tensor_subspace(fx.N, fx.L)
+    bc = kron_subspace(fx.N, fx.L)
+    rtilde = fx.structure.rtilde
     pairs = [np.kron(x, y) for x in b for y in c]
     ref = {
         "b_x_in_A": products_residual(a, b, a.stack),
@@ -417,8 +420,11 @@ def test_c_star_bases_against_loop(pair2):
         "chat_y_in_Ahat": products_residual(ahat, chat, ahat.stack),
         "E_mult_BC_left": products_residual(bc, [fx.e.matrix], pairs),
         "E_mult_BC_right": products_residual(bc, pairs, [fx.e.matrix]),
+        "R_onto_C": rtilde.membership_residual,
+        "R_range_covers_C": max(contains_all(fx.L, rtilde.image_span.stack),
+                                contains_all(rtilde.image_span, c)),
     }
-    assert_matches(c_star_bases(fx, a, ahat)[2], ref, min_large=6)
+    assert_matches(c_star_bases(fx), ref, min_large=6)
 
 
 def test_base_spans_against_loop(pair2):
@@ -430,7 +436,6 @@ def test_base_spans_against_loop(pair2):
         space(4),
         np.array([rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2)]),
     )
-    spans = base_spans(fx)
 
     def max_comm(a_sub, b_sub):
         return max(
@@ -438,25 +443,19 @@ def test_base_spans_against_loop(pair2):
         )
 
     subs = {"N": fx.N, "L": fx.L, "Nhat": fx.dual.N, "Lhat": fx.dual.L}
-    got = {
-        "comm": spans.commutation_residual,
-        "hat_comm": spans.hat_commutation_residual,
-        "L_Lhat": spans.L_Lhat_residual,
-        "E": spans.E_membership_residual,
-        "Ehat": spans.Ehat_membership_residual,
-        **{f"star_{k}": v for k, v in spans.star_residuals.items()},
-        **{f"prod_{k}": v for k, v in spans.product_residuals.items()},
-    }
     ref = {
-        "comm": max_comm(fx.N, fx.L),
-        "hat_comm": max_comm(fx.dual.N, fx.dual.L),
-        "L_Lhat": max(contains_all(fx.L, fx.dual.L.stack), contains_all(fx.dual.L, fx.L.stack)),
-        "E": membership(tensor_subspace(fx.N, fx.L), fx.e.matrix),
-        "Ehat": membership(tensor_subspace(fx.dual.N, fx.dual.L), fx.dual.e.matrix),
-        **{f"star_{k}": contains_all(s, [adj(b) for b in s.stack]) for k, s in subs.items()},
-        **{f"prod_{k}": products_residual(s, s.stack, s.stack) for k, s in subs.items()},
+        "NL_commutation": max_comm(fx.N, fx.L),
+        "NhatLhat_commutation": max_comm(fx.dual.N, fx.dual.L),
+        "E_in_N_tensor_L": membership(kron_subspace(fx.N, fx.L), fx.e.matrix),
+        "Ehat_in_Nhat_tensor_Lhat": membership(kron_subspace(fx.dual.N, fx.dual.L),
+                                               fx.dual.e.matrix),
+        **{f"star_closed_{k}": contains_all(s, [adj(b) for b in s.stack])
+           for k, s in subs.items()},
+        **{f"subalgebra_{k}": products_residual(s, s.stack, s.stack) for k, s in subs.items()},
+        "L_eq_Lhat": max(contains_all(fx.L, fx.dual.L.stack),
+                         contains_all(fx.dual.L, fx.L.stack)),
     }
-    assert_matches(got, ref, min_large=4)
+    assert_matches(base_spans(fx), ref, min_large=4)
 
 
 def test_leg_algebra_against_loop():
@@ -468,13 +467,15 @@ def test_leg_algebra_against_loop():
     w = Operator(space(2, 2), np.kron(x, e11) + np.kron(y, e22))
     alg = leg_algebra(w, "A")
     sub = alg.space
-    got = {"unit": alg.unit_residual, "star": alg.star_residual, "prod": alg.product_residual}
+    got = {"unit": sub.stack_residual(np.eye(2)[None]), "star": sub.closure_residuals()[0],
+           "prod": alg.product_residual}
     ref = {
         "unit": membership(sub, np.eye(2)),
         "star": contains_all(sub, [adj(b) for b in sub.stack]),
         "prod": products_residual(sub, sub.stack, sub.stack),
     }
     assert_matches(got, ref, min_large=3)
+    assert not alg.unital and not alg.star_closed
 
 
 def test_duality_consistency_against_loop(monkeypatch):
@@ -530,7 +531,7 @@ def range_and_density_dense(fx):
     spans from the slices over all n^2 matrix-unit functionals."""
     sub = fx.A.space
     bst, n = sub.stack, fx.n
-    a2 = tensor_subspace(sub, sub)
+    a2 = kron_subspace(sub, sub)
     eye = np.eye(n)[None]
     res, dims = {}, {"A": sub.dim}
     deltas = _comul_stack(fx, bst)
@@ -674,9 +675,10 @@ def test_range_bound_carries_E_off_A2():
 
 def dense_family(fx, key):
     """The family ``key`` of coalgebra.FAMILIES built member by member, with
-    exact coordinates on tensor_subspace(A, A), exact distances and norms."""
+    exact coordinates on the Kronecker basis of A (x) A, exact distances
+    and norms."""
     sub = fx.A.space
-    a2, b, d = tensor_subspace(sub, sub), sub.stack, sub.dim
+    a2, b, d = kron_subspace(sub, sub), sub.stack, sub.dim
     eye, e = np.eye(fx.n)[None], fx.e.matrix[None]
     deltas, pairs = _comul_stack(fx, b), kron_stack(b, b)
     a_one, one_a = kron_stack(b, eye), kron_stack(eye, b)
@@ -889,7 +891,8 @@ def test_traced_peaks_on_z10():
     fx.A, fx.Ahat, fx.e, fx.g, fx.ws  # built before tracing: they belong to the context
     d, n = fx.A.space.dim, fx.n
     q = identity(space(n))
-    structure, wt = fx.structure, build_wtilde(fx, q)
+    fx.structure, fx.kappa  # built before tracing: they belong to the context
+    wt = build_wtilde(fx, q)
 
     def peak(run):
         tracemalloc.start()
@@ -905,4 +908,4 @@ def test_traced_peaks_on_z10():
         check_delta_range_and_density(square)
 
     assert peak(one_side) < 7 * d * n**4
-    assert peak(lambda: kappa_q_checks(fx, structure, q, wt)) < 6 * n**5
+    assert peak(lambda: kappa_q_checks(fx, q, wt)) < 6 * n**5

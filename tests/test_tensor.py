@@ -22,9 +22,10 @@ from mpi_lab.tensor import (
     span,
     span_matrices,
     swap_legs,
-    tensor_subspace,
+    tensor_fit,
     transpose_op,
 )
+from word_references import kron_subspace
 
 
 def unit(n, i, j, flavor=H):
@@ -318,8 +319,7 @@ class TestSpan:
         w = w_example()
         s = span_matrices(space(2), all_right_slices(w))
         assert s.dim == 2
-        eq, res = s.equals(span([E21, E22]))
-        assert eq and res < 1e-13
+        assert s.equals(span([E21, E22])) < 1e-13
 
     def test_idempotence(self):
         rng = np.random.default_rng(47)
@@ -358,18 +358,36 @@ class TestContains:
         res = s.stack_residual((5 * I2).matrix[None])
         assert res < RESIDUAL_TOL and res < 1e-14
 
-    def test_tensor_subspace(self):
+    def test_tensor_fit(self):
+        # E21 (x) E22 lies in a (x) a; I (x) E22 is E11 (x) E22 off it
         a = span([E21, E22])
-        t = tensor_subspace(a, a)
-        assert t.dim == 4
-        assert t.stack_residual(kron(E21, E22).matrix[None]) < RESIDUAL_TOL
+        fit = tensor_fit(np.stack([kron(E21, E22).matrix, kron(I2, E22).matrix]), a, a)
+        assert fit.coords.shape == (2, 2, 2)
+        assert fit.off[0] < 1e-15 and fit.off[1] == pytest.approx(1.0)
+        np.testing.assert_allclose(fit.scale, [1.0, np.sqrt(2)])
+        assert fit.membership == pytest.approx(1 / np.sqrt(2))
+        assert tensor_fit(kron(E21, E22).matrix[None], a, a).membership < RESIDUAL_TOL
 
-    def test_tensor_subspace_matches_kron_loop(self):
-        # reference: the Kronecker products of the two bases, x-major
-        a = span([E21, E22])
-        b = span([E22, identity(space(2))])
-        rows = [np.kron(x, y).ravel() for x in a.stack for y in b.stack]
-        np.testing.assert_array_equal(tensor_subspace(a, b).basis_matrix, np.array(rows))
+    def test_tensor_fit_matches_kron_basis(self):
+        # legs of dimension 2 and 3, spans of dimension 3 and 4, and
+        # random members whose distances from a (x) b are O(1), against
+        # the projection on the Kronecker basis, x-major
+        rng = np.random.default_rng(29)
+
+        def gaussian(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        a, b = span_matrices(space(2), gaussian(3, 2, 2)), span_matrices(space(3), gaussian(4, 3, 3))
+        stack = gaussian(5, 6, 6)
+        basis = kron_subspace(a, b).basis_matrix
+        flat = stack.reshape(5, 36)
+        coords = flat @ basis.conj().T
+        off = np.linalg.norm(flat - coords @ basis, axis=1)
+        assert off.min() > 0.1
+        fit = tensor_fit(stack, a, b)
+        np.testing.assert_allclose(fit.coords, coords.reshape(5, 3, 4), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fit.off, off, rtol=1e-12)
+        np.testing.assert_allclose(fit.scale, np.linalg.norm(flat, axis=1), rtol=1e-12)
 
 
 class TestLsqSolve:

@@ -1,17 +1,26 @@
-"""Full-matrix forms of leg words, for tests.
+"""Full-matrix forms of leg words and of tensor-product spans, for tests.
 
 ``kron_word`` is the dense reference: every factor embedded as an
 n^3 x n^3 matrix through ``np.kron`` and a leg permutation, the factors
 multiplied as matrices.  ``engine_word`` assembles the same matrix from
 the column blocks of ``tensor.LegWords``, so a test can look at what the
-engine computes entry by entry.
+engine computes entry by entry.  ``kron_subspace`` is the Kronecker
+basis of a (x) b, dim a * dim b rows of n^4 entries, against which the
+leg-wise ``tensor.tensor_fit`` is compared.
 """
 
 import numpy as np
 
 from mpi_lab.axioms import IDENTITY_WORDS
 from mpi_lab.context import as_fixture
-from mpi_lab.tensor import LegWords
+from mpi_lab.tensor import LegWords, OperatorSubspace, TensorSpace, kron_stack, rows
+
+
+def kron_subspace(a, b):
+    """Span of {x (x) y} for x, y over the bases of a and b, x-major:
+    Kronecker products of HS-orthonormal bases are HS-orthonormal."""
+    sp = TensorSpace(a.space.legs + b.space.legs)
+    return OperatorSubspace(sp, rows(kron_stack(a.stack, b.stack)))
 
 
 def kron_embed(x, legs, dims):
