@@ -12,6 +12,10 @@ mpi3 is evaluated as E_23 W_12 = W_12 E_23 with E = W*W, formed once.
 soon as the blocks so far certify it: its residual is then a lower bound
 on the full residual, above FAIL_MARGIN * tol, and its id is listed in
 ``MpiVerdict.lower_bounds``.  A PASS always reports the full residual.
+A passing verdict also carries a bound on every coassociativity residual,
+from the exact Frobenius gaps of mpi5, mpi6 and W W* W = W that the
+evaluation has summed and from ||W||_2 (``coassociativity_bound``, derived
+at ``coalgebra.coassociativity_residual``).
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ class MpiVerdict:
     passed: bool
     #: ids whose residual is a certified lower bound (an early FAIL)
     lower_bounds: tuple[str, ...] = ()
+    #: bound on every coassociativity residual of W and of W-hat; infinite
+    #: unless the verdict passed with mpi5 and mpi6 evaluated in full
+    coassociativity_bound: float = math.inf
 
 
 @dataclass(frozen=True)
@@ -61,9 +68,15 @@ class FullnessVerdict:
 
 def is_partial_isometry(w: Operator, tol: float = RESIDUAL_TOL) -> tuple[bool, float]:
     """Residual of W W* W = W."""
-    m = w.matrix
-    res = rel_residual(m @ m.conj().T @ m, m)
+    res = _pi_gaps(w.matrix)[1]
     return res < tol, res
+
+
+def _pi_gaps(m: np.ndarray) -> tuple[float, float]:
+    """||W W* W - W||_F, and over max(1, ||W W* W||_F) as rel_residual takes it."""
+    lhs = m @ m.conj().T @ m
+    gap = np.linalg.norm(lhs - m)
+    return float(gap), float(gap / max(1.0, np.linalg.norm(lhs)))
 
 
 # The ten leg identities as (left, right) words on H (x) H (x) H, in the
@@ -90,17 +103,18 @@ IDENTITY_WORDS = {
 FAIL_MARGIN = 2.0
 
 
-def lhs_norm_bounds(w: np.ndarray) -> dict[str, float]:
+def lhs_norm_bounds(w: np.ndarray, norm2: float) -> dict[str, float]:
     """Upper bound on max(1, ||L||_F) for the left word L of each identity,
     m factors W or W* on two of three legs: ||X Y||_F <= ||X||_2 ||Y||_F,
     ||W_ij||_2 = ||W||_2 and ||W_ij||_F = sqrt(n) ||W||_F.  m counts the
     paper's factors, before LegWords fuses a same-leg run such as
     W*_23 W_23 into E_23 (||E||_2 <= ||W||_2^2), so the bound holds for the
-    fused evaluation too.  Infinite for a W with a non-finite entry, so
-    that no identity of it stops early."""
-    if not np.isfinite(w).all():
+    fused evaluation too.  ``norm2`` is ||W||_2, taken as infinite for a W
+    with a non-finite entry: then so is every bound, and no identity of
+    that W stops early."""
+    if not np.isfinite(norm2):
         return dict.fromkeys(IDENTITY_WORDS, np.inf)
-    norm2, frob = np.linalg.norm(w, 2), math.sqrt(math.isqrt(len(w))) * np.linalg.norm(w)
+    frob = math.sqrt(math.isqrt(len(w))) * np.linalg.norm(w)
     return {name: max(1.0, norm2 ** (len(left.split()) - 1) * frob)
             for name, (left, _) in IDENTITY_WORDS.items()}
 
@@ -115,11 +129,15 @@ def check_mpi_axioms(w: Operator | Fixture, tol: float = RESIDUAL_TOL) -> MpiVer
     is a lower bound on ||L - R||_F, so that ratio is a certified lower
     bound on the residual, and it is reported in place of the residual
     (the ids are in ``lower_bounds``).  Every other identity, each PASS
-    among them, reports its exact residual over all columns."""
+    among them, reports its exact residual over all columns.  A passing
+    verdict whose mpi5 and mpi6 ran in full carries their gaps as a
+    ``coassociativity_bound``."""
     fx = as_fixture(w)
-    ok_pi, res_pi = is_partial_isometry(fx.w, tol)
+    m = fx.w.matrix
+    gap_pi, res_pi = _pi_gaps(m)
     words = LegWords(fx.three_leg, {"W": fx.w, "W*": fx.ws}, IDENTITY_WORDS)
-    bounds = lhs_norm_bounds(fx.w.matrix)
+    norm2 = np.linalg.norm(m, 2) if np.isfinite(m).all() else np.inf
+    bounds = lhs_norm_bounds(m, norm2)
     sums = {name: np.zeros(2) for name in IDENTITY_WORDS}
     lower_bounds = []
     last = words.column_blocks[-1]
@@ -136,8 +154,12 @@ def check_mpi_axioms(w: Operator | Fixture, tol: float = RESIDUAL_TOL) -> MpiVer
     }
     axioms = {name: res[name] for name in MPI_AXIOMS}
     derived = {name: res[name] for name in DERIVED_IDENTITIES}
-    passed = ok_pi and all(r < tol for r in axioms.values())
-    return MpiVerdict(res_pi, axioms, derived, passed, tuple(lower_bounds))
+    passed = res_pi < tol and all(r < tol for r in axioms.values())
+    beta = math.inf  # the bound coalgebra.coassociativity_residual derives
+    if passed and not {"mpi5", "mpi6"} & set(lower_bounds):
+        gap5, gap6 = (math.sqrt(sums[name][0]) for name in ("mpi5", "mpi6"))
+        beta = float(norm2**3 * (math.sqrt(fx.n) * gap_pi + gap6 + 2.0 * gap5) + gap5**2)
+    return MpiVerdict(res_pi, axioms, derived, passed, tuple(lower_bounds), beta)
 
 
 def projection_residuals(w: Operator | Fixture) -> dict[str, float]:

@@ -18,8 +18,9 @@ pair's squared gap and squared left norm over the blocks, so a partial
 sum is a lower bound that a caller may stop on (``axioms.check_mpi_axioms``
 does, and reports that bound as the residual of an identity it certifies
 as failing).  ``chain`` fills a whole product from the same blocks, for
-the coassociativity products (``embed`` is its one-factor case);
-``embedded_mul`` multiplies one embedded factor into a whole matrix.
+the coassociativity products of the exact path, which runs only when the
+bound from the axiom gaps does not decide (``embed`` is its one-factor
+case); ``embedded_mul`` multiplies one embedded factor into a whole matrix.
 
 Membership in a tensor product a (x) b of two spans of one-leg operators
 (A (x) A, N (x) L) has one evaluation, ``tensor_fit``: the orthogonal

@@ -48,12 +48,23 @@ def test_traced_suite_records_spans_and_bytes():
     calls = tracer.self_times()
     assert calls["runner.run_suite"][0] == 1
     for name in ("axioms.check_mpi_axioms", "base_algebra.kappa_map",
-                 "antipode.check_antipode", "tensor.chain"):
+                 "antipode.check_antipode", "coalgebra.coassociativity_residual"):
         assert calls[name][0] >= 1, name
     assert tracer.operators_constructed > 0
     metrics = tracer.metrics({"group_z2": rep.to_dict()}, 1.0, 1.0, 0.5)
-    assert metrics["tensor.chain.bytes"][0] > 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert list(metrics) == [m["name"] for m in declared]
     # leaving the context restores every traced name
     assert mpi_lab.runner.run_suite is run_suite
+
+
+def test_traced_exact_coassociativity_records_chain_bytes():
+    # a passing suite takes coassociativity from the axioms' bound; called
+    # with W alone it takes the exact path, whose products chain fills
+    w = corpus.group_mpu(corpus.cyclic_table(2))
+    tracer = spans.Tracer()
+    with tracer.installed():
+        mpi_lab.coalgebra.coassociativity_residual(w)
+    assert tracer.self_times()["tensor.chain"][0] >= 1
+    metrics = tracer.metrics({}, 1.0, 1.0, 0.5)
+    assert metrics["tensor.chain.bytes"][0] > 0

@@ -1,6 +1,10 @@
-import numpy as np
+import math
 
-from mpi_lab import corpus
+import numpy as np
+import pytest
+
+from mpi_lab import axioms, corpus, tensor
+from mpi_lab.axioms import IDENTITY_WORDS, check_mpi_axioms
 from mpi_lab.coalgebra import (
     check_canonical_idempotent,
     check_delta_range_and_density,
@@ -11,6 +15,7 @@ from mpi_lab.coalgebra import (
     _comul_stack,
 )
 from mpi_lab.context import Fixture, what
+from mpi_lab.runner import run_suite
 from mpi_lab.tensor import (
     RESIDUAL_TOL,
     Operator,
@@ -18,6 +23,7 @@ from mpi_lab.tensor import (
     space,
     span_matrices,
 )
+from word_references import kron_word
 
 
 def unit(n, i, j):
@@ -220,6 +226,122 @@ class TestCoassociativity:
         finally:
             tracemalloc.stop()
         assert peak < 3 * n**6 * 16, peak / (n**6 * 16)
+
+
+def perturbed(w, eps, seed):
+    """W plus a complex Gaussian perturbation of relative Frobenius size eps."""
+    rng = np.random.default_rng(seed)
+    m = w.matrix
+    z = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+    return Operator(w.space, m + eps * np.linalg.norm(m) / np.linalg.norm(z) * z)
+
+
+def random_partial_isometry(n, rank, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2, n * n, n * n)) + 1j * rng.standard_normal((2, n * n, n * n))
+    u, v = np.linalg.qr(z)[0]
+    return Operator(space(n, n), u @ np.diag([1.0] * rank + [0.0] * (n * n - rank)) @ v)
+
+
+def bound_cases(w_z4, w_pair2):
+    """Candidates off the axioms by 1e-16 to O(1): perturbed, scaled, random
+    partial isometries, and W cut by a projection on one leg, which for
+    some projections leaves the mpi6 gap the only nonzero one."""
+    cases = {f"{name}_eps{eps:g}": perturbed(w, eps, seed)
+             for seed, (name, w) in enumerate((("z4", w_z4), ("pair2", w_pair2)))
+             for eps in (1e-1, 1e-3)}
+    cases["z4_conj"] = corpus.conjugate_fixture(
+        w_z4, corpus.random_unitary(4, np.random.default_rng(3)))
+    cases.update({f"pair2_times_{c}": Operator(w_pair2.space, c * w_pair2.matrix)
+                  for c in (0.5, 0.9, 1.1, 1.5)})
+    cases.update({f"random_pi_{n}_{r}": random_partial_isometry(n, r, seed)
+                  for seed, (n, r) in enumerate(((2, 1), (2, 3), (3, 4)))})
+    eye = np.eye(4)
+    for diag in ((1, 0, 0, 0), (1, 0, 1, 0), (1, 1, 1, 0)):
+        p = np.diag(np.array(diag, float))
+        cases[f"pair2_W_P1_{diag}"] = Operator(w_pair2.space, w_pair2.matrix @ np.kron(p, eye))
+        cases[f"pair2_1P_W_{diag}"] = Operator(w_pair2.space, np.kron(eye, p) @ w_pair2.matrix)
+    return cases
+
+
+def absolute_gaps(w):
+    """The Frobenius gaps of W W* W = W, mpi5 and mpi6 that check_mpi_axioms
+    sums: its residuals times their denominators max(1, ||L||_F), the left
+    words taken as dense matrices."""
+    fx = Fixture(w)
+    v = check_mpi_axioms(fx, tol=np.inf)
+    m = w.matrix
+    out = {"pi": v.pi_residual * max(1.0, np.linalg.norm(m @ m.conj().T @ m))}
+    for name in ("mpi5", "mpi6"):
+        lhs = kron_word(fx.three_leg, {"W": fx.w, "W*": fx.ws}, IDENTITY_WORDS[name][0])
+        out[name] = v.derived_residuals[name] * max(1.0, np.linalg.norm(lhs))
+    return out
+
+
+class TestCoassociativityBound:
+    def test_bound_covers_exact_on_both_sides(self, w_z4, w_pair2):
+        # at tol = inf every verdict passes and no identity stops early, so
+        # each carries its bound, which must cover the exact residual of
+        # W and of W-hat alike
+        for name, w in bound_cases(w_z4, w_pair2).items():
+            beta = check_mpi_axioms(w, tol=np.inf).coassociativity_bound
+            assert math.isfinite(beta), name
+            for side in (w, what(w)):
+                assert _coassoc_residuals(side).max() <= beta, name
+
+    def test_mpi6_term_is_needed(self, w_pair2):
+        # W (P (x) 1) for a rank-one P: mpi5 and W W* W = W hold exactly,
+        # and only the mpi6 gap carries the dual side's O(1) failure
+        p = np.diag([1.0, 0.0, 0.0, 0.0])
+        w = Operator(w_pair2.space, w_pair2.matrix @ np.kron(p, np.eye(4)))
+        gaps = absolute_gaps(w)
+        assert gaps["pi"] == gaps["mpi5"] == 0.0 < gaps["mpi6"]
+        assert _coassoc_residuals(what(w)).max() == pytest.approx(1.0)
+        assert check_mpi_axioms(w, tol=np.inf).coassociativity_bound >= 1.0
+
+    def test_dual_has_the_same_gaps(self, w_z4):
+        w = perturbed(w_z4, 1e-3, 11)
+        primal, dual = absolute_gaps(w), absolute_gaps(Fixture(w).dual.w)
+        for name in primal:
+            assert primal[name] > 1e-5, name
+            assert dual[name] == pytest.approx(primal[name], rel=1e-10), name
+        assert check_mpi_axioms(Fixture(w).dual, tol=np.inf).coassociativity_bound == (
+            pytest.approx(check_mpi_axioms(w, tol=np.inf).coassociativity_bound, rel=1e-10))
+
+    def test_bound_below_tol_is_the_entry(self, w_z3):
+        exact = _coassoc_residuals(w_z3).max()
+        assert coassociativity_residual(w_z3, 1e-12, 1e-9) == 1e-12
+        for bound in (1e-9, 1e-3, math.inf, math.nan):
+            assert coassociativity_residual(w_z3, bound, 1e-9) == exact
+
+    def test_escalates_when_bound_reaches_tol(self, w_z3):
+        # a tol between the worst axiom residual and the bound: the axioms
+        # pass, the bound does not decide, and both entries are exact
+        w = perturbed(w_z3, 1e-6, 5)
+        v = check_mpi_axioms(w, tol=np.inf)
+        worst = max(v.pi_residual, *v.mpi_residuals.values())
+        tol = math.sqrt(worst * v.coassociativity_bound)
+        at_tol = check_mpi_axioms(w, tol)
+        assert at_tol.passed and tol <= at_tol.coassociativity_bound < math.inf
+        rep = run_suite(w, level="coalgebra", tol=tol)
+        res = {e.check_id: e.residual for e in rep.entries}
+        for side, sw in (("primal", w), ("dual", what(w))):
+            assert res[f"coassociativity_{side}"] == _coassoc_residuals(sw).max()
+            assert res[f"coassociativity_{side}"] < at_tol.coassociativity_bound
+
+    def test_escalates_when_mpi5_or_mpi6_stopped_early(self, w_z3, monkeypatch):
+        # with no margin, every identity whose first column block shows a
+        # gap stops there; its lower bound passes at tol, but the partial
+        # mpi5 and mpi6 gaps bound nothing, so both sides are taken exactly
+        monkeypatch.setattr(tensor, "BLOCK_ENTRIES", 7 * 27)
+        monkeypatch.setattr(axioms, "FAIL_MARGIN", 0.0)
+        w = perturbed(w_z3, 1e-12, 2)
+        v = check_mpi_axioms(w)
+        assert v.passed and {"mpi5", "mpi6"} <= set(v.lower_bounds)
+        assert v.coassociativity_bound == math.inf
+        res = {e.check_id: e.residual for e in run_suite(w, level="coalgebra").entries}
+        for side, sw in (("primal", w), ("dual", what(w))):
+            assert res[f"coassociativity_{side}"] == _coassoc_residuals(sw).max()
 
 
 def w13_embed(two_leg_matrix):

@@ -232,7 +232,7 @@ class TestEarlyFail:
                   corpus.groupoid_mpi(corpus.pair_groupoid(2)),
                   dense_candidate(3, 4, scale=3.0), dense_candidate(3, 5, scale=0.5)):
             fx = Fixture(w)
-            bounds = lhs_norm_bounds(w.matrix)
+            bounds = lhs_norm_bounds(w.matrix, np.linalg.norm(w.matrix, 2))
             for name, (left, _) in IDENTITY_WORDS.items():
                 lhs = kron_word(fx.three_leg, {"W": fx.w, "W*": fx.ws}, left)
                 assert bounds[name] >= max(1.0, np.linalg.norm(lhs)), name
@@ -244,7 +244,7 @@ class TestEarlyFail:
         u = corpus.group_mpu(corpus.cyclic_table(3))
         w = Operator(u.space, 3.0 * u.matrix)
         fx = Fixture(w)
-        bounds = lhs_norm_bounds(w.matrix)
+        bounds = lhs_norm_bounds(w.matrix, np.linalg.norm(w.matrix, 2))
         for name, (left, _) in IDENTITY_WORDS.items():
             lhs = kron_word(fx.three_leg, {"W": fx.w, "W*": fx.ws}, left)
             assert bounds[name] == pytest.approx(np.linalg.norm(lhs), rel=1e-12), name

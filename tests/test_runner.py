@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpi_lab import antipode, base_algebra, coalgebra, corpus, tensor
+from mpi_lab import antipode, base_algebra, coalgebra, corpus, runner, tensor
 from mpi_lab.runner import builtin_corpus, corpus_suite, run_suite
 
 # Ordered check ids with pass flags, and ordered skips, of every corpus
@@ -158,3 +158,31 @@ def test_shared_quantities_computed_once(w_pair2, calls):
     calls.clear()
     run_suite(w_pair2, level="all")
     assert dict(calls) == first
+
+
+def test_density_spans_of_a_fixture_not_full_refit_nothing(w_example, monkeypatch):
+    # the density spans of a fixture that is not full are not reported, so
+    # no family is refit for them: after the level, each side's square
+    # holds dense fits only for the families its membership entries
+    # escalate (example's range entries escalate none), and the density
+    # ranks in coalgebra_dims_* are those of the escalated fits
+    squares = []
+
+    class Recorded(coalgebra.TensorSquare):
+        def __init__(self, w):
+            super().__init__(w)
+            squares.append(self)
+
+    monkeypatch.setattr(runner, "TensorSquare", Recorded)
+    rep = run_suite(w_example, level="coalgebra")
+    assert rep.properties["nondegenerately_full"] is False
+    assert not any(e.check_id.startswith("density_") for e in rep.entries)
+    for side, sq in zip(("primal", "dual"), squares, strict=True):
+        fresh = coalgebra.TensorSquare(sq.fx)
+        coalgebra.check_canonical_idempotent(fresh)
+        for key in ("a1_deltab", "deltaa_1b", "deltaa_b1", "1a_deltab"):
+            fresh.membership(key, tensor.RESIDUAL_TOL)
+        assert sq._dense == fresh._dense, side
+        escalated = coalgebra.check_delta_range_and_density(coalgebra.TensorSquare(sq.fx))
+        assert rep.properties[f"coalgebra_dims_{side}"] == escalated.dims, side
+    assert squares[0]._dense == {"bc_E", "a1_deltab", "1a_deltab"}
