@@ -2,11 +2,11 @@
 
 The antipode is pinned on generators: S((id (x) w)(W)) = (id (x) w)(W*),
 and the unitary antipode by R_A((id (x) w)(W*)) = [(id (x) w)(Wt)]^T.
-Both are assembled as linear maps on the HS coordinates of the
-generator span by least squares over the full functional grid; the
-consistency of that extension is a rank condition reported explicitly,
-not assumed.  The polar decomposition S = R_A o tau_{-i/2} with
-tau_t = Q^{2it}(.)Q^{-2it} is then a checkable identity.
+Each map is extended linearly from the full functional grid, through the
+SVD of the context's leg algebra that its generators span (``extend``);
+the consistency of that extension is a rank condition reported
+explicitly, not assumed.  The polar decomposition S = R_A o tau_{-i/2}
+with tau_t = Q^{2it}(.)Q^{-2it} is then a checkable identity.
 """
 
 from __future__ import annotations
@@ -17,21 +17,19 @@ import numpy as np
 
 from .axioms import is_partial_isometry
 from .base_algebra import gamma_n_stack, modular_conjugate
+from .coalgebra import LegAlgebra
 from .context import Fixture, as_fixture
 from .tensor import (
-    RESIDUAL_TOL,
     T_SAMPLES,
     Operator,
-    OperatorSubspace,
     SpanMap,
-    TensorSpace,
     adjoint,
     all_left_slices,
     all_right_slices,
     antimultiplicativity,
     max_gap,
-    numerical_rank,
     rel_residual,
+    rows,
     star_preservation,
     transpose_grid,
 )
@@ -48,54 +46,29 @@ class AssembledMap(SpanMap):
 
     The grid may overdetermine the map; ``inconsistency`` is the largest
     output that a null combination of inputs produces (zero iff the map
-    is well defined on the span), and ``nullity`` counts the
-    inconsistent directions.
+    is well defined on the span).
     """
 
     inconsistency: float
-    nullity: int
 
 
-def _assemble(sp: TensorSpace, ins: np.ndarray, outs: np.ndarray) -> AssembledMap:
-    """The least-squares linear extension of the map sending each input
-    matrix of a stack to the output matrix at the same index, from one
-    SVD U S V* of the inputs (rank at the RANK_TOL cutoff): the domain
-    basis is V*'s leading rows, and the inputs' domain coordinates are U S."""
-    m_in = ins.reshape(ins.shape[0], -1)
-    m_out = outs.reshape(outs.shape[0], -1)
-    u, s, vh = np.linalg.svd(m_in, full_matrices=True)
-    rank = numerical_rank(s)
-    domain = OperatorSubspace(sp, np.ascontiguousarray(vh[:rank]))
+def extend(alg: LegAlgebra, outs: np.ndarray) -> AssembledMap:
+    """The least-squares linear extension on ``alg`` of the map sending
+    each slice that spans it to the output matrix at the same index: the
+    slices' coordinates are U S in alg's SVD."""
+    m_out = rows(outs)
+    rank = alg.space.dim
     # well-definedness: null combinations of inputs must kill the outputs
     scale = max(1.0, float(np.linalg.norm(m_out)))
-    gaps = np.linalg.norm(u[:, rank:].conj().T @ m_out, axis=1) / scale
-    coeffs = (u[:, :rank].conj().T @ m_out) / s[:rank, None]
-    return AssembledMap(
-        domain, coeffs.T, float(gaps.max(initial=0.0)), int(np.sum(gaps > RESIDUAL_TOL))
-    )
+    gaps = np.linalg.norm(alg.u[:, rank:].conj().T @ m_out, axis=1) / scale
+    coeffs = (alg.u[:, :rank].conj().T @ m_out) / alg.s[:, None]
+    return AssembledMap(alg.space, coeffs.T, float(gaps.max(initial=0.0)))
 
 
 def antipode_map(w: Operator | Fixture) -> AssembledMap:
-    """S on span A, assembled from the full basis-functional grid."""
+    """S on A, extended from the full basis-functional grid."""
     fx = as_fixture(w)
-    return _assemble(fx.leg_space, fx.right_slices, fx.dual.left_slices)
-
-
-def dual_antipode_maps(
-    w: Operator | Fixture, wtilde: Operator
-) -> tuple[AssembledMap, AssembledMap]:
-    """(S-hat^{-1}, R_Ahat) on span A-hat.
-
-    S-hat: (w (x) id)(W*) -> (w (x) id)(W) is the dual context's antipode
-    ``fx.dual.s_map``, as the left slices of W* are the right slices of
-    W-hat; its inverse swaps the pairs;
-    R_Ahat: (w (x) id)(W) -> (w^T (x) id)(Wt*).
-    """
-    fx = as_fixture(w)
-    leg = fx.leg_space
-    y_star, y = fx.dual.right_slices, fx.left_slices
-    wt_star = transpose_grid(all_left_slices(wtilde.adj))  # w^T = w_{e_b,e_a}
-    return _assemble(leg, y, y_star), _assemble(leg, y, wt_star)
+    return extend(fx.A, fx.dual.left_slices)
 
 
 def check_antipode(
@@ -109,7 +82,7 @@ def check_antipode(
     # slice algebra is star-closed); the slices of Wt, built once, are its
     # outputs and the tau target
     wt_slices = all_right_slices(wtilde).transpose(0, 2, 1)
-    ra_map = _assemble(fx.leg_space, fx.dual.left_slices, wt_slices)
+    ra_map = extend(fx.dual.Ahat, wt_slices)
     res: dict[str, float] = {}
     res["S_well_defined"] = s_map.inconsistency
     res["RA_well_defined"] = ra_map.inconsistency
@@ -144,26 +117,27 @@ def check_duality(
     """Dual antipode characterizations, W^{T (x) Rhat} = Wt*, and the
     partial-isometry property of Wt."""
     fx = as_fixture(w)
+    y_star, y = fx.dual.right_slices, fx.left_slices
+    # S-hat: y* -> y is the dual context's antipode; on A-hat, spanned by
+    # the y, S-hat^{-1}: y -> y* and R_Ahat: (w (x) id)(W) -> (w^T (x) id)(Wt*)
     shat = fx.dual.s_map
-    shat_inv, rahat = dual_antipode_maps(fx, wtilde)
+    shat_inv = extend(fx.Ahat, y_star)
+    rahat = extend(fx.Ahat, transpose_grid(all_left_slices(wtilde.adj)))
     res: dict[str, float] = {}
     res["Shat_well_defined"] = shat.inconsistency
     res["Shat_inv_well_defined"] = shat_inv.inconsistency
     res["RAhat_well_defined"] = rahat.inconsistency
 
-    y_star, y = fx.dual.right_slices, fx.left_slices
     # S-hat = R_Ahat o tau-hat_{-i/2}; S-hat^{-1} = R_Ahat o tau-hat_{i/2}
     res["Shat_polar"] = max_gap(y, rahat.apply(tau(fx, q, -0.5j, y_star)))
     res["Shat_inv_polar"] = max_gap(y_star, rahat.apply(tau(fx, q, 0.5j, y)))
     res["Shat_roundtrip"] = max_gap(shat_inv.apply(shat.apply(y_star)), y_star)
 
     # W^{T (x) Rhat} = Wt*: expand W over first-leg matrix units, push the
-    # blocks (which span A-hat) through R_Ahat, transpose the units
+    # blocks through R_Ahat, transpose the units; the block at e_ba is the
+    # left slice y at (a, b), so its image goes to entry (a, b)
     n = fx.n
-    blocks = fx.w.tensor().transpose(0, 2, 1, 3).reshape(n * n, n, n)
-    res["W_blocks_in_Ahat"] = rahat.domain.stack_residual(blocks)
-    # transpose of e_ij is e_ji: the image of block (i, j) goes to entry (j, i)
-    out = rahat.apply(blocks).reshape(n, n, n, n).transpose(1, 2, 0, 3)
+    out = rahat.apply(y).reshape(n, n, n, n).transpose(0, 2, 1, 3)
     res["W_transpose_Rhat_eq_Wtilde_star"] = rel_residual(
         wtilde.adj.matrix, out.reshape(n * n, n * n)
     )

@@ -39,7 +39,6 @@ from .tensor import (
     reversed_products,
     rows,
     slice_matrix,
-    span_matrices,
     star_preservation,
     tensor_fit,
     transpose_grid,
@@ -78,26 +77,21 @@ class BaseAntiIso(SpanMap):
     """A linear bijection between base spans, with its inverse."""
 
     inverse: SpanMap
-    membership_residual: float  # of the unprojected images in the codomain
-    image_span: OperatorSubspace  # span of the unprojected images
 
 
 def base_spans(w: Operator | Fixture) -> dict[str, float]:
-    """Residuals of the base spans, keyed by check id: [N, L] = 0 and
-    E in N (x) L, for the context and for its dual (N-hat and L-hat are
-    the dual's N and L, the left and right slices of G); each of the
-    four spans closed under * and under products; and L = L-hat."""
+    """Residuals of the base spans, keyed by check id: [N, L] = 0 for the
+    context and for its dual (N-hat and L-hat are the dual's N and L); each
+    of the four spans closed under products; and L = L-hat.  E and G are
+    self-adjoint, so each slice set is closed under *, and E lies in
+    N (x) L (its minimal sums have their legs among its slices)."""
     fx = as_fixture(w)
     res = {}
     for label, f in (("NL", fx), ("NhatLhat", fx.dual)):
         n, l = f.N.stack, f.L.stack
         res[f"{label}_commutation"] = max_gap(pair_products(n, l), reversed_products(n, l))
-    for key, f in (("E_in_N_tensor_L", fx), ("Ehat_in_Nhat_tensor_Lhat", fx.dual)):
-        res[key] = tensor_fit(f.e.matrix[None], f.N, f.L).membership
-    subs = {"N": fx.N, "L": fx.L, "Nhat": fx.dual.N, "Lhat": fx.dual.L}
-    closure = {name: sub.closure_residuals() for name, sub in subs.items()}
-    res.update({f"star_closed_{name}": c[0] for name, c in closure.items()})
-    res.update({f"subalgebra_{name}": c[1] for name, c in closure.items()})
+    for name, sub in (("N", fx.N), ("L", fx.L), ("Nhat", fx.dual.N), ("Lhat", fx.dual.L)):
+        res[f"subalgebra_{name}"] = sub.stack_residual(pair_products(sub.stack, sub.stack))
     res["L_eq_Lhat"] = fx.L.equals(fx.dual.L)
     return res
 
@@ -321,9 +315,9 @@ def gamma_and_rtilde(
     fx = as_fixture(w)
     nu, n_sub, l_sub = fx.nu, fx.N, fx.L
     gamma_vals = gamma_n_stack(fx, nu, n_sub.stack)
+    # the values are left slices of E, so they lie in L; invertible
+    # coordinates on L make them span it
     rt_vals = gamma_n_stack(fx, nu, modular_conjugate(nu, -0.5j, n_sub.stack))
-    membership = l_sub.stack_residual(rt_vals)
-    images = span_matrices(n_sub.space, rt_vals)
     mat = l_sub.coordinates(rt_vals).T  # (dimL, dimN)
     rank = numerical_rank(np.linalg.svd(mat, compute_uv=False))
     if mat.shape[0] != mat.shape[1] or rank < max(1, len(mat)):
@@ -332,8 +326,6 @@ def gamma_and_rtilde(
         n_sub,
         l_sub.basis_matrix.T @ mat,
         SpanMap(l_sub, n_sub.basis_matrix.T @ np.linalg.inv(mat)),
-        membership,
-        images,
     )
 
     # mu = nu o Rtilde^{-1}: density inside L solving trace(l_j D) = mu(l_j)
@@ -460,16 +452,16 @@ def kappa_q_checks(w: Operator | Fixture, q: Operator, wtilde: Operator) -> dict
 
 def c_star_bases(w: Operator | Fixture) -> dict[str, float]:
     """B = N and C = L (with B-hat = N-hat, C-hat = L-hat): the multiplier
-    memberships of the base elements against A and A-hat, E as a
-    multiplier of B (x) C, and, once the context has a base structure,
-    the range of Rtilde's unprojected images."""
+    memberships of the base elements against A and A-hat, and E as a
+    multiplier of B (x) C.  Rtilde maps onto C whenever it is built
+    (gamma_and_rtilde), so its range is not measured."""
     fx = as_fixture(w)
     b, c, bhat, chat = fx.N.stack, fx.L.stack, fx.dual.N.stack, fx.dual.L.stack
     a_space, ahat_space = fx.A.space, fx.Ahat.space
     a, ahat = a_space.stack, ahat_space.stack
     pairs = kron_stack(b, c)
     e = fx.e.matrix
-    res = {
+    return {
         "b_x_in_A": a_space.stack_residual(pair_products(b, a)),
         "y_bhat_in_Ahat": ahat_space.stack_residual(pair_products(ahat, bhat)),
         "x_c_in_A": a_space.stack_residual(pair_products(a, c)),
@@ -479,8 +471,3 @@ def c_star_bases(w: Operator | Fixture) -> dict[str, float]:
         "E_mult_BC_left": tensor_fit(e @ pairs, fx.N, fx.L).membership,
         "E_mult_BC_right": tensor_fit(pairs @ e, fx.N, fx.L).membership,
     }
-    if fx.structure_reason is None:
-        rtilde = fx.structure.rtilde
-        res["R_onto_C"] = rtilde.membership_residual
-        res["R_range_covers_C"] = rtilde.image_span.equals(fx.L)
-    return res

@@ -47,6 +47,7 @@ from .tensor import (
     LegWords,
     Operator,
     OperatorSubspace,
+    adjoint,
     chain,
     kron_stack,
     lsq_solve,
@@ -54,7 +55,6 @@ from .tensor import (
     numerical_rank,
     pair_products,
     rows,
-    span_matrices,
     tensor_fit,
 )
 
@@ -68,10 +68,15 @@ SPAN_FLOOR = 5e-14
 
 @dataclass(frozen=True)
 class LegAlgebra:
+    """The span of a slice stack, with the stack's SVD U S V*: ``space`` is
+    spanned by V*'s leading rows, U's trailing columns are null combinations."""
+
     space: OperatorSubspace
     unital: bool
     star_closed: bool
     product_residual: float
+    u: np.ndarray  # square: n^2 slices of n^2 entries each
+    s: np.ndarray  # the singular values above the rank cutoff
 
 
 @dataclass(frozen=True)
@@ -89,13 +94,18 @@ def leg_algebra(w: Operator | Fixture, side: str = "A") -> LegAlgebra:
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
     fx = as_fixture(w)
-    sub = span_matrices(fx.leg_space, fx.right_slices if side == "A" else fx.left_slices)
-    star_res, prod_res = sub.closure_residuals()
+    u, s, vh = np.linalg.svd(rows(fx.right_slices if side == "A" else fx.left_slices),
+                             full_matrices=False)
+    rank = numerical_rank(s)
+    sub = OperatorSubspace(fx.leg_space, np.ascontiguousarray(vh[:rank]))
+    b = sub.stack
     return LegAlgebra(
         space=sub,
         unital=sub.stack_residual(np.eye(fx.n)[None]) < RESIDUAL_TOL,
-        star_closed=star_res < RESIDUAL_TOL,
-        product_residual=prod_res,
+        star_closed=sub.stack_residual(adjoint(b)) < RESIDUAL_TOL,
+        product_residual=sub.stack_residual(pair_products(b, b)),
+        u=u,
+        s=s[:rank],
     )
 
 

@@ -609,12 +609,6 @@ class OperatorSubspace:
         # it stays alive while the norms are taken
         return _max_relative(flat - self.coordinates(flat) @ self.basis_matrix, flat)
 
-    def closure_residuals(self) -> tuple[float, float]:
-        """Membership residuals of the basis adjoints and of the products
-        of basis pairs: closure under * and under products."""
-        b = self.stack
-        return self.stack_residual(adjoint(b)), self.stack_residual(pair_products(b, b))
-
     def equals(self, other: "OperatorSubspace") -> float:
         """Two-sided span inclusion: the max residual over both directions."""
         return max(self.stack_residual(other.stack), other.stack_residual(self.stack))

@@ -170,7 +170,6 @@ class TestCriterion3BaseStructure:
             if name in FULL_FIXTURES:
                 assert spans["L_eq_Lhat"] < 1e-10, name
             assert spans["NL_commutation"] < 1e-10, name
-            assert spans["E_in_N_tensor_L"] < 1e-10, name
             if name in GROUPOID_UNIT_COUNTS:
                 assert fx.N.dim == GROUPOID_UNIT_COUNTS[name], name
             assert max(fx.kappa.residuals) < 1e-10, name

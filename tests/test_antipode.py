@@ -2,25 +2,40 @@ import numpy as np
 import pytest
 
 from mpi_lab.antipode import (
-    _assemble,
     antipode_map,
     check_antipode,
     check_base_restrictions,
     check_duality,
-    dual_antipode_maps,
+    extend,
     tau,
 )
 from mpi_lab.axioms import what
-from mpi_lab.context import Fixture
+from mpi_lab.context import Fixture, as_fixture
 from mpi_lab.manageability import build_wtilde
 from mpi_lab.tensor import (
+    RESIDUAL_TOL,
     Operator,
     adjoint,
+    all_left_slices,
     all_right_slices,
     identity,
     slice_matrix,
     space,
+    transpose_grid,
 )
+from word_references import _assemble
+
+
+def ra_map(w, wt):
+    """R_A on the dual context's A-hat, spanned by the right slices of W*,
+    as check_antipode builds it."""
+    return extend(as_fixture(w).dual.Ahat, all_right_slices(wt).transpose(0, 2, 1))
+
+
+def dual_maps(fx, wt):
+    """(S-hat^{-1}, R_Ahat) on A-hat, as check_duality builds them."""
+    rahat_outs = transpose_grid(all_left_slices(wt.adj))
+    return extend(fx.Ahat, fx.dual.right_slices), extend(fx.Ahat, rahat_outs)
 
 
 def unit(n, i, j):
@@ -98,9 +113,7 @@ class TestUnitaryAntipode:
     def test_z2_equals_s(self, w_z2):
         # trivial scaling: R_A = S on generators
         wt = build_wtilde(w_z2, q_eye(2))
-        ra = _assemble(
-            space(2), all_right_slices(w_z2.adj), all_right_slices(wt).transpose(0, 2, 1)
-        )
+        ra = ra_map(w_z2, wt)
         s_map = antipode_map(w_z2)
         a = all_right_slices(w_z2)
         np.testing.assert_allclose(ra.apply(a), s_map.apply(a), atol=1e-12)
@@ -108,9 +121,7 @@ class TestUnitaryAntipode:
     def test_identity_w(self):
         w = identity(space(2, 2))
         wt = build_wtilde(w, q_eye(2))
-        ra = _assemble(
-            space(2), all_right_slices(w.adj), all_right_slices(wt).transpose(0, 2, 1)
-        )
+        ra = ra_map(w, wt)
         x = np.array([[1.0, 2.0], [3.0, 4.0]]) * (1 / 5.0)
         # domain is span{1}: projection of x is (tr x / 2) * 1
         got = ra.apply(x[None])[0]
@@ -118,9 +129,7 @@ class TestUnitaryAntipode:
 
     def test_z3_group_inversion(self, w_z3):
         wt = build_wtilde(w_z3, q_eye(3))
-        ra = _assemble(
-            space(3), all_right_slices(w_z3.adj), all_right_slices(wt).transpose(0, 2, 1)
-        )
+        ra = ra_map(w_z3, wt)
         assert ra.inconsistency < 1e-12
         c = np.array([1.0, 2.0, 3.0])
         got = ra.apply(np.diag(c)[None])[0]
@@ -163,9 +172,9 @@ class TestDualAntipode:
         fx = Fixture(w_z3)
         wt = build_wtilde(fx, q_eye(3))
         shat = fx.dual.s_map
-        shat_inv, _ = dual_antipode_maps(fx, wt)
+        shat_inv, _ = dual_maps(fx, wt)
         direct = _assemble(space(3), fx.dual.right_slices, fx.left_slices)
-        np.testing.assert_array_equal(shat.matrix, direct.matrix)
+        np.testing.assert_allclose(shat.matrix, direct.matrix, rtol=0, atol=1e-14)
         assert shat.inconsistency < 1e-12
         assert shat_inv.inconsistency < 1e-12
         ys = shat.domain.stack
@@ -178,15 +187,16 @@ class TestDualAntipode:
             e = (w.adj @ w).matrix
             assert np.linalg.norm(e - np.eye(n * n)) < 1e-12
             s_map = antipode_map(w)
-            s_inv = _assemble(space(n), all_right_slices(w.adj), all_right_slices(w))
+            s_inv = extend(Fixture(w).dual.Ahat, all_right_slices(w))
             a = s_map.domain.stack
             lhs = adjoint(s_map.apply(adjoint(a)))
             assert np.all(np.linalg.norm(lhs - s_inv.apply(a), axis=(1, 2)) < 1e-10)
 
 
 class TestAssemblyFromSliceStacks:
-    # the maps are assembled from the context's slice stacks; slices taken
-    # one basis functional at a time are the reference
+    # the maps are extended on the context's leg algebras; maps assembled
+    # through their own SVD of slices taken one basis functional at a time
+    # are the reference
     @pytest.mark.parametrize("name", ["example", "group_z3", "pair_groupoid_2"])
     def test_matches_per_functional_pairs(self, corpus_fixtures, name):
         w = corpus_fixtures[name]
@@ -203,13 +213,10 @@ class TestAssemblyFromSliceStacks:
         ra = (right[1], slices(wt, "right", fs).transpose(0, 2, 1))
         rahat = (left[1], slices(wt.adj, "left", [f.T for f in fs]))
         fx = Fixture(w)
-        ra_map = _assemble(
-            space(n), fx.dual.left_slices, all_right_slices(wt).transpose(0, 2, 1)
-        )
-        shat_inv, rahat_map = dual_antipode_maps(fx, wt)
+        shat_inv, rahat_map = dual_maps(fx, wt)
         for got, (ins, outs) in (
             (antipode_map(fx), right),
-            (ra_map, ra),
+            (ra_map(fx, wt), ra),
             (fx.dual.s_map, left),
             (shat_inv, left[::-1]),
             (rahat_map, rahat),
@@ -223,16 +230,14 @@ class TestAssemblyFromSliceStacks:
 
 class TestWellDefinedness:
     def test_zero_nullity_on_certified(self, corpus_fixtures):
+        # no null combination of the generators has an output above
+        # RESIDUAL_TOL: each map is well defined on its leg algebra
         for name, w in corpus_fixtures.items():
             if name == "example":
                 continue  # not full; antipode level is gated off for it
             n = w.space.legs[0].dim
             wt = build_wtilde(w, q_eye(n))
-            s_map = antipode_map(w)
-            ra = _assemble(
-                space(n), all_right_slices(w.adj), all_right_slices(wt).transpose(0, 2, 1)
-            )
-            shat_inv, rahat = dual_antipode_maps(w, wt)
-            for m in (s_map, ra, antipode_map(what(w)), shat_inv, rahat):
-                assert m.nullity == 0, name
+            fx = Fixture(w)
+            for m in (fx.s_map, ra_map(fx, wt), fx.dual.s_map, *dual_maps(fx, wt)):
+                assert m.inconsistency <= RESIDUAL_TOL, name
                 assert m.inconsistency < 1e-11, name

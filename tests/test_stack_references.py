@@ -15,11 +15,9 @@ import numpy as np
 import pytest
 
 from mpi_lab.antipode import (
-    _assemble,
     check_antipode,
     check_base_restrictions,
     check_duality,
-    dual_antipode_maps,
     tau,
 )
 from mpi_lab.axioms import is_partial_isometry
@@ -49,6 +47,7 @@ from mpi_lab.tensor import (
     RESIDUAL_TOL,
     Fit,
     Operator,
+    adjoint,
     all_left_slices,
     all_right_slices,
     identity,
@@ -62,7 +61,7 @@ from mpi_lab.tensor import (
     span_matrices,
     transpose_grid,
 )
-from word_references import kron_subspace
+from word_references import _assemble, dual_antipode_maps, kron_subspace
 
 T_SAMPLES = (1.0, -1.0, 0.3, -0.3)
 
@@ -89,6 +88,11 @@ def contains_all(sub, ops):
 
 def products_residual(sub, lefts, rights):
     return contains_all(sub, [x @ y for x in lefts for y in rights])
+
+
+def product_residual(sub):
+    """Closure of a span under products, stacked as leg_algebra takes it."""
+    return sub.stack_residual(pair_products(sub.stack, sub.stack))
 
 
 def antimultiplicativity(f, basis):
@@ -361,14 +365,10 @@ def test_duality_against_loop(pair2, wrong_q):
     ref["Shat_inv_polar"] = polar_inv
     ref["Shat_roundtrip"] = roundtrip
     t = fx.w.tensor()
-    blocks_in_ahat = 0.0
     out = np.zeros((n * n, n * n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            block = t[i, :, j, :]
-            blocks_in_ahat = max(blocks_in_ahat, membership(rahat.domain, block))
-            out.reshape(n, n, n, n)[j, :, i, :] += rh(block)
-    ref["W_blocks_in_Ahat"] = blocks_in_ahat
+            out.reshape(n, n, n, n)[j, :, i, :] += rh(t[i, :, j, :])
     ref["W_transpose_Rhat_eq_Wtilde_star"] = rel_residual(wtilde.adj.matrix, out)
     ref["wtilde_partial_isometry"] = is_partial_isometry(wtilde)[1]
     assert_matches(check_duality(fx, q, wtilde), ref, min_large=3)
@@ -409,7 +409,6 @@ def test_c_star_bases_against_loop(pair2):
     fx.__dict__.update(A=replace(pair2.A, space=a), Ahat=replace(pair2.Ahat, space=ahat))
     b, c, bhat, chat = fx.N.stack, fx.L.stack, fx.dual.N.stack, fx.dual.L.stack
     bc = kron_subspace(fx.N, fx.L)
-    rtilde = fx.structure.rtilde
     pairs = [np.kron(x, y) for x in b for y in c]
     ref = {
         "b_x_in_A": products_residual(a, b, a.stack),
@@ -420,22 +419,21 @@ def test_c_star_bases_against_loop(pair2):
         "chat_y_in_Ahat": products_residual(ahat, chat, ahat.stack),
         "E_mult_BC_left": products_residual(bc, [fx.e.matrix], pairs),
         "E_mult_BC_right": products_residual(bc, pairs, [fx.e.matrix]),
-        "R_onto_C": rtilde.membership_residual,
-        "R_range_covers_C": max(contains_all(fx.L, rtilde.image_span.stack),
-                                contains_all(rtilde.image_span, c)),
     }
     assert_matches(c_star_bases(fx), ref, min_large=6)
 
 
 def test_base_spans_against_loop(pair2):
-    # a context whose N is a random two-dimensional span: no closure, no
-    # commutation with L, and E outside N (x) L
+    # a context whose N and N-hat are random two-dimensional spans: no
+    # closure and no commutation with L or L-hat
     fx = Fixture(pair2.w)
     rng = np.random.default_rng(3)
-    fx.__dict__["N"] = span_matrices(
-        space(4),
-        np.array([rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2)]),
-    )
+    for f in (fx, fx.dual):
+        f.__dict__["N"] = span_matrices(
+            space(4),
+            np.array([rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                      for _ in range(2)]),
+        )
 
     def max_comm(a_sub, b_sub):
         return max(
@@ -446,11 +444,6 @@ def test_base_spans_against_loop(pair2):
     ref = {
         "NL_commutation": max_comm(fx.N, fx.L),
         "NhatLhat_commutation": max_comm(fx.dual.N, fx.dual.L),
-        "E_in_N_tensor_L": membership(kron_subspace(fx.N, fx.L), fx.e.matrix),
-        "Ehat_in_Nhat_tensor_Lhat": membership(kron_subspace(fx.dual.N, fx.dual.L),
-                                               fx.dual.e.matrix),
-        **{f"star_closed_{k}": contains_all(s, [adj(b) for b in s.stack])
-           for k, s in subs.items()},
         **{f"subalgebra_{k}": products_residual(s, s.stack, s.stack) for k, s in subs.items()},
         "L_eq_Lhat": max(contains_all(fx.L, fx.dual.L.stack),
                          contains_all(fx.dual.L, fx.L.stack)),
@@ -467,8 +460,8 @@ def test_leg_algebra_against_loop():
     w = Operator(space(2, 2), np.kron(x, e11) + np.kron(y, e22))
     alg = leg_algebra(w, "A")
     sub = alg.space
-    got = {"unit": sub.stack_residual(np.eye(2)[None]), "star": sub.closure_residuals()[0],
-           "prod": alg.product_residual}
+    got = {"unit": sub.stack_residual(np.eye(2)[None]),
+           "star": sub.stack_residual(adjoint(sub.stack)), "prod": alg.product_residual}
     ref = {
         "unit": membership(sub, np.eye(2)),
         "star": contains_all(sub, [adj(b) for b in sub.stack]),
@@ -588,7 +581,7 @@ def _generic_a(w, dim, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((dim, fx.n, fx.n)) + 1j * rng.standard_normal((dim, fx.n, fx.n))
     sub = span_matrices(fx.leg_space, z)
-    fx.__dict__["A"] = replace(fx.A, space=sub, product_residual=sub.closure_residuals()[1])
+    fx.__dict__["A"] = replace(fx.A, space=sub, product_residual=product_residual(sub))
     return fx
 
 
@@ -722,7 +715,7 @@ def _nilpotent_a():
     off A (x) A."""
     fx = Fixture(identity(space(2, 2)))
     sub = span_matrices(space(2), np.array([[[0.0, 0.0], [1.0, 0.0]]]))
-    fx.__dict__["A"] = replace(fx.A, space=sub, product_residual=sub.closure_residuals()[1])
+    fx.__dict__["A"] = replace(fx.A, space=sub, product_residual=product_residual(sub))
     rng = np.random.default_rng(21)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     fx.__dict__["e"] = Operator(space(2, 2), m)
@@ -738,7 +731,7 @@ def _unclosed_unital_a():
     rng = np.random.default_rng(23)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     sub = span_matrices(space(3), np.array([np.eye(3), x]))
-    fx.__dict__["A"] = replace(fx.A, space=sub, product_residual=sub.closure_residuals()[1])
+    fx.__dict__["A"] = replace(fx.A, space=sub, product_residual=product_residual(sub))
     m = np.kron(np.eye(3), np.eye(3)) + np.kron(x, x)
     fx.__dict__["e"] = Operator(space(3, 3), m / np.linalg.norm(m, 2))
     return fx

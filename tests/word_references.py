@@ -1,4 +1,5 @@
-"""Full-matrix forms of leg words and of tensor-product spans, for tests.
+"""Full-matrix forms of leg words, of tensor-product spans and of the
+antipode maps, for tests.
 
 ``kron_word`` is the dense reference: every factor embedded as an
 n^3 x n^3 matrix through ``np.kron`` and a leg permutation, the factors
@@ -6,14 +7,27 @@ multiplied as matrices.  ``engine_word`` assembles the same matrix from
 the column blocks of ``tensor.LegWords``, so a test can look at what the
 engine computes entry by entry.  ``kron_subspace`` is the Kronecker
 basis of a (x) b, dim a * dim b rows of n^4 entries, against which the
-leg-wise ``tensor.tensor_fit`` is compared.
+leg-wise ``tensor.tensor_fit`` is compared.  ``_assemble`` builds a
+linear map from its generator pairs through its own SVD of the inputs,
+the reference for ``antipode.extend`` on the context's leg algebras;
+``dual_antipode_maps`` gives S-hat^{-1} and R_Ahat through it.
 """
 
 import numpy as np
 
+from mpi_lab.antipode import AssembledMap
 from mpi_lab.axioms import IDENTITY_WORDS
 from mpi_lab.context import as_fixture
-from mpi_lab.tensor import LegWords, OperatorSubspace, TensorSpace, kron_stack, rows
+from mpi_lab.tensor import (
+    LegWords,
+    OperatorSubspace,
+    TensorSpace,
+    all_left_slices,
+    kron_stack,
+    numerical_rank,
+    rows,
+    transpose_grid,
+)
 
 
 def kron_subspace(a, b):
@@ -61,3 +75,28 @@ def identity_sides(w, name):
     fx = as_fixture(w)
     ops = {"W": fx.w, "W*": fx.ws}
     return tuple(engine_word(fx.three_leg, ops, word) for word in IDENTITY_WORDS[name])
+
+
+def _assemble(sp, ins, outs):
+    """The least-squares linear extension of the map sending each input
+    matrix of a stack to the output matrix at the same index, from one
+    full SVD U S V* of the inputs (rank at the RANK_TOL cutoff): the domain
+    basis is V*'s leading rows, and the inputs' domain coordinates are U S."""
+    m_in, m_out = rows(ins), rows(outs)
+    u, s, vh = np.linalg.svd(m_in, full_matrices=True)
+    rank = numerical_rank(s)
+    domain = OperatorSubspace(sp, np.ascontiguousarray(vh[:rank]))
+    scale = max(1.0, float(np.linalg.norm(m_out)))
+    gaps = np.linalg.norm(u[:, rank:].conj().T @ m_out, axis=1) / scale
+    coeffs = (u[:, :rank].conj().T @ m_out) / s[:rank, None]
+    return AssembledMap(domain, coeffs.T, float(gaps.max(initial=0.0)))
+
+
+def dual_antipode_maps(w, wtilde):
+    """(S-hat^{-1}, R_Ahat) on span A-hat, assembled from the left slices
+    y of W: S-hat^{-1} sends them to those of W*, R_Ahat to the
+    transposed-functional left slices of Wt*."""
+    fx = as_fixture(w)
+    y_star, y = fx.dual.right_slices, fx.left_slices
+    wt_star = transpose_grid(all_left_slices(wtilde.adj))  # w^T = w_{e_b,e_a}
+    return _assemble(fx.leg_space, y, y_star), _assemble(fx.leg_space, y, wt_star)
