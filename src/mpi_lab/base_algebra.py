@@ -128,7 +128,7 @@ class KappaSolver:
         for block in np.split(bs, range(n, len(bs), n)):
             k = len(block)
             # E(b (x) 1)[r, (j, l)] = sum_i E[r, (i, l)] b[i, j], as n^3 x n per b
-            rhs = np.einsum("ril,kij->rjkl", e, block)
+            rhs = np.einsum("ril,kij->rjkl", e, block, optimize=True)
             x, col_res = self._solver.solve(rhs.reshape(n**3, k * n))
             values.append(x.reshape(n, k, n).transpose(1, 0, 2))
             residuals.append(np.sqrt(np.sum(col_res.reshape(k, n) ** 2, axis=1)))

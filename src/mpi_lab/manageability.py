@@ -102,7 +102,7 @@ def _grid_residual(w: Operator, qd: QData, wt: Operator) -> float:
     qm, qinv = qd.q.matrix, qd.qinv
     lhs = w.matrix.reshape(n, n, n, n)  # [eta, u, xi, v]
     t = wt.matrix.reshape(n, n, n, n)
-    rhs = np.einsum("aubv,ax,be->euxv", t, qm.T.conj(), qinv.T)
+    rhs = np.einsum("aubv,ax,be->euxv", t, qm.T.conj(), qinv.T, optimize=True)
     return rel_residual(lhs, rhs)
 
 

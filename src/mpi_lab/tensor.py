@@ -22,6 +22,13 @@ the coassociativity products of the exact path, which runs only when the
 bound from the axiom gaps does not decide (``embed`` is its one-factor
 case); ``embedded_mul`` multiplies one embedded factor into a whole matrix.
 
+``Operator`` is always complex, but ``LegWords`` keeps a fused factor in
+float64 when its matrix has an exactly zero imaginary part (the 0/1 W of
+group and groupoid fixtures): numpy's type promotion turns a word complex
+at its first complex factor, so a real word costs a quarter of the flops
+and half the bytes of complex arithmetic, and for 0/1 matrices, whose
+products and squared norms are exact integers, gives the same bits.
+
 Membership in a tensor product a (x) b of two spans of one-leg operators
 (A (x) A, N (x) L) has one evaluation, ``tensor_fit``: the orthogonal
 projection taken leg by leg on the realigned members, in coordinates on
@@ -50,10 +57,10 @@ PD_TOL = 1e-12
 #: the real t at which identities in a one-parameter group are sampled
 T_SAMPLES = (1.0, -1.0, 0.3, -0.3)
 #: most entries of one LegWords column block, n^3 k for k columns (one at
-#: least).  2^15 complex entries are 512 KiB: the blocks alive at once
-#: stay far below one n^6-entry matrix at n = 10 (15.3 MiB), while
-#: each tensordot is still a GEMM with a few hundred columns; larger
-#: blocks measured slower at n = 10.
+#: least).  2^15 entries are 512 KiB complex and 256 KiB real: the
+#: blocks alive at once stay far below one n^6-entry matrix at n = 10
+#: (15.3 MiB complex), while each tensordot is still a GEMM with a few
+#: hundred columns; larger blocks measured slower at n = 10.
 BLOCK_ENTRIES = 2**15
 
 
@@ -352,11 +359,14 @@ class LegWords:
         self.column_blocks = _column_blocks(self.dims)
 
     def _fuse(self, ops: dict[str, Operator], factors: list):
-        """Each run of adjacent factors on the same legs as one factor."""
+        """Each run of adjacent factors on the same legs as one factor,
+        its product kept real when its imaginary part is exactly zero."""
         for legs, run in groupby(factors, key=lambda f: f[1]):
             names = tuple(name for name, _ in run)
             if names not in self._tensors:
                 m = reduce(np.matmul, (ops[name].matrix for name in names))
+                if not m.imag.any():
+                    m = np.ascontiguousarray(m.real)
                 self._tensors[names] = m.reshape(ops[names[0]].space.dims * 2)
             yield names, legs
 
@@ -456,6 +466,8 @@ def _leg_ranges(cols: range, dims: tuple[int, ...]) -> list[slice]:
 def _sqnorm(x: np.ndarray) -> float:
     """||x||^2, summed in row-major order as np.linalg.norm sums it."""
     x = x.ravel()
+    if np.isrealobj(x):
+        return float(x @ x)
     return float(x.real @ x.real + x.imag @ x.imag)
 
 

@@ -7,7 +7,8 @@ embedded by np.kron (``kron_word``) or by ``tensor.embed`` and
 ``tensor.embedded_mul`` (``chain_word``).  The comparisons run on seeded
 dense non-MPI candidates, where every residual is O(1), with blocks of
 one and two rows of the last leg, so that a word spans several blocks of
-unequal length.
+unequal length.  Words of exactly real factors run in float64; they are
+compared with the same engine fed every factor as a complex tensor.
 """
 
 from collections import Counter
@@ -69,7 +70,7 @@ def row_blocks(monkeypatch):
 def word_sets(w):
     """(ambient, ops, pairs) of every group of words the checks evaluate."""
     fx = Fixture(w)
-    q = Operator(space(3), np.diag([1.0, 2.0, 0.5]))
+    q = Operator(space(fx.n), np.diag(np.resize([1.0, 2.0, 0.5], fx.n)))
     wt, wtop = build_wtilde(fx, q), transpose_op(fx.w)
     comp_ops = {"W": fx.w, "W*": fx.ws, "Wt": wt, "Wt*": wt.adj, "WT": wtop, "WT*": wtop.adj}
     sets = [
@@ -77,7 +78,7 @@ def word_sets(w):
         (fx.three_leg, {"W": fx.w, "W*": fx.ws, "E": fx.e}, E_LEG_WORDS),
     ]
     for name, (flavors, left, right) in COMPOSABILITY_WORDS.items():
-        amb = TensorSpace(tuple(LegSpec(3, f) for f in flavors))
+        amb = TensorSpace(tuple(LegSpec(fx.n, f) for f in flavors))
         sets.append((amb, comp_ops, {name: (left, right)}))
     return sets
 
@@ -223,6 +224,82 @@ class TestFusionAndBlocks:
             counts.clear()
             words.block_norms(words.column_blocks[0], pairs)
             assert (counts["first"], counts["apply"]) == (starts, applies), list(pairs)
+
+
+def complex_residuals(ambient, ops, pairs):
+    """The engine's residuals with every fused factor tensor cast to
+    complex: the reference for words evaluated in real arithmetic."""
+    words = LegWords(ambient, ops, pairs)
+    words._tensors = {names: t.astype(complex) for names, t in words._tensors.items()}
+    return words.residuals()
+
+
+def fused_dtypes(words):
+    return {t.dtype for t in words._tensors.values()}
+
+
+REAL, COMPLEX = np.dtype(float), np.dtype(complex)
+
+
+class TestRealArithmetic:
+    """A fused factor is kept in float64 exactly when its matrix has a
+    zero imaginary part; the residuals are those of complex arithmetic."""
+
+    def test_real_candidates_match_complex_reference(self):
+        # Z_4 under a real orthogonal conjugation, and that W plus a real
+        # Gaussian, where every residual is O(1); residuals are relative
+        # to max(1, ||L||), so abs=1e-13 is a 1e-13 relative gap
+        z4 = corpus.group_mpu(corpus.cyclic_table(4))
+        o, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((4, 4)))
+        conj = corpus.conjugate_fixture(z4, Operator(space(4), o))
+        g = np.random.default_rng(13).standard_normal(conj.matrix.shape)
+        bumped = Operator(conj.space, conj.matrix + 0.5 * g / np.linalg.norm(g, 2))
+        for w, floor in ((conj, 0.0), (bumped, 0.05)):
+            assert not w.matrix.imag.any()
+            for ambient, ops, pairs in word_sets(w):
+                words = LegWords(ambient, ops, pairs)
+                assert fused_dtypes(words) == {REAL}
+                got = words.residuals()
+                want = complex_residuals(ambient, ops, pairs)
+                for name in pairs:
+                    assert want[name] >= floor, name
+                    assert got[name] == pytest.approx(want[name], rel=1e-13, abs=1e-13), name
+
+    def test_mixed_word_turns_complex(self):
+        # a real W with a complex factor between its own: the word is
+        # complex from the complex factor on, and matches the reference
+        w = Operator(space(3, 3), dense_candidate(3, 15).matrix.real)
+        ops = {"W": w, "W*": w.adj, "U": dense_candidate(3, 16)}
+        pairs = {"mixed": ("W12 U23 W*13", "U13 W23")}
+        words = LegWords(space(3, 3, 3), ops, pairs)
+        assert fused_dtypes(words) == {REAL, COMPLEX}
+        got = words.residuals()["mixed"]
+        want = complex_residuals(space(3, 3, 3), ops, pairs)["mixed"]
+        assert want > 0.05
+        assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("defect", [False, True])
+    def test_zero_one_w_is_exact(self, defect):
+        # every product and squared norm of 0/1 (and, with Q, dyadic)
+        # matrices is exact, so real and complex arithmetic agree bit for
+        # bit; one entry zeroed makes W a 0/1 non-MPI that fails axioms
+        m = np.array(corpus.group_mpu(corpus.cyclic_table(8)).matrix)
+        if defect:
+            m[tuple(np.argwhere(m)[9])] = 0.0
+        nonzero = []
+        for ambient, ops, pairs in word_sets(Operator(space(8, 8), m)):
+            words = LegWords(ambient, ops, pairs)
+            assert fused_dtypes(words) == {REAL}
+            got = words.residuals()
+            assert got == complex_residuals(ambient, ops, pairs)
+            nonzero += [name for name, value in got.items() if value > 0]
+        assert "cond3a" in nonzero and ("mpi1" in nonzero) == defect
+
+    def test_complex_w_keeps_complex_tensors(self):
+        z8 = corpus.group_mpu(corpus.cyclic_table(8))
+        w = corpus.conjugate_fixture(z8, corpus.random_unitary(8, np.random.default_rng(14)))
+        for ambient, ops, pairs in word_sets(w):
+            assert fused_dtypes(LegWords(ambient, ops, pairs)) == {COMPLEX}
 
 
 class TestEarlyFail:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mpi_lab import antipode, base_algebra, coalgebra, context, corpus, runner, tensor
+from mpi_lab.axioms import check_mpi_axioms
 from mpi_lab.context import Fixture
 from mpi_lab.manageability import build_wtilde
 from mpi_lab.runner import builtin_corpus, corpus_suite, run_suite
@@ -115,6 +116,25 @@ def test_projection_entries_judged_at_the_run_tolerance():
             ):
                 wrong.append((name, eps))
     assert wrong == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="span ranks are cut at RANK_TOL whatever the run's tolerance, so "
+    "a perturbation that passes the axioms at a loose tol turns A into M_3",
+)
+def test_loose_tolerance_checks_the_same_algebra():
+    # Z_3 within 1e-6 of an MPI passes every axiom at tol = 1e-3; the leg
+    # algebra it is judged on should then be Z_3's, of dimension 3
+    w = corpus.group_mpu(corpus.cyclic_table(3))
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal(w.matrix.shape) + 1j * rng.standard_normal(w.matrix.shape)
+    m = w.matrix + 1e-6 * np.linalg.norm(w.matrix) * z / np.linalg.norm(z)
+    p = tensor.Operator(w.space, m)
+    if not check_mpi_axioms(p, 1e-3).passed:  # not an AssertionError: a real failure
+        pytest.fail("the perturbed Z_3 no longer passes the axioms at tol 1e-3")
+    assert run_suite(p, tol=1e-3).properties["coalgebra_dims_primal"]["A"] == 3
 
 
 @pytest.mark.parametrize("name", list(BUILTIN))
