@@ -163,9 +163,10 @@ def _coassoc_residuals(w: Operator) -> np.ndarray:
     the Grams A_k A_k^H = T_k^H T_k of the leading n^2 x n^2 blocks T_k
     of the triangular R_k.  Cost O(n^8): n QRs of n^3 x 2n^2 blocks and
     n^2/2 products of 2n^2-square factors.  Memory: U and V (2 n^6
-    entries, each filled by ``chain`` from column blocks) live until the
-    R factors (4 n^5) exist.  ``coassociativity_residual`` runs it only
-    when the bound from the axiom gaps does not decide the entry.
+    entries in W's dtype, each filled by ``chain`` from column blocks)
+    live until the R factors (4 n^5) exist.  ``coassociativity_residual``
+    runs it only when the bound from the axiom gaps does not decide the
+    entry.
     """
     amb = three_leg_space(w)
     n = w.space.legs[0].dim
@@ -177,15 +178,15 @@ def _coassoc_residuals(w: Operator) -> np.ndarray:
     r = np.stack([np.linalg.qr(np.concatenate([u[:, k], v[:, k]]).T, mode="r")
                   for k in range(n)])
     del u, v  # the R factors carry all that is left
-    rh = r.conj().transpose(0, 2, 1)
-    r[..., p:] *= -1.0  # R_k J
+    rh = r.conj().transpose(0, 2, 1)  # r itself when r is real
+    rj = np.concatenate([r[..., :p], -r[..., p:]], axis=-1)  # R_k J
     t = r[:, :p, :p]
     grams = (t.conj().transpose(0, 2, 1) @ t).reshape(n, -1)
     # ||A_k^H A_l||^2 = tr(A_k A_k^H A_l A_l^H)
     lhs = np.sqrt(np.maximum((grams @ grams.conj().T).real, 0.0))
     gap = np.zeros((n, n))
     for k in range(n):
-        gap[k, k:] = np.linalg.norm(r[k] @ rh[k:], axis=(1, 2))
+        gap[k, k:] = np.linalg.norm(rj[k] @ rh[k:], axis=(1, 2))
     gap += np.triu(gap, 1).T
     return gap / np.maximum(1.0, lhs)
 

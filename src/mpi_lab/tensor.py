@@ -22,12 +22,16 @@ the coassociativity products of the exact path, which runs only when the
 bound from the axiom gaps does not decide (``embed`` is its one-factor
 case); ``embedded_mul`` multiplies one embedded factor into a whole matrix.
 
-``Operator`` is always complex, but ``LegWords`` keeps a fused factor in
-float64 when its matrix has an exactly zero imaginary part (the 0/1 W of
-group and groupoid fixtures): numpy's type promotion turns a word complex
-at its first complex factor, so a real word costs a quarter of the flops
-and half the bytes of complex arithmetic, and for 0/1 matrices, whose
-products and squared norms are exact integers, gives the same bits.
+One dtype rule, ``real_if_exact``, applies where a matrix enters: an
+``Operator``, and each fused factor of ``LegWords``, is stored as float64
+when its imaginary part is exactly zero (the 0/1 W of group and groupoid
+fixtures) and as complex128 otherwise.  numpy's type promotion carries the
+dtype through everything built from it, so a real W's whole context costs
+a quarter of the flops and half the bytes of complex arithmetic, a word
+turns complex at its first complex factor, and for 0/1 matrices, whose
+products and squared norms are exact integers, the words give the same
+bits.  Code that writes into a preallocated array allocates it in the
+result dtype of its inputs.
 
 Membership in a tensor product a (x) b of two spans of one-leg operators
 (A (x) A, N (x) L) has one evaluation, ``tensor_fit``: the orthogonal
@@ -125,17 +129,18 @@ def space(*dims: int, flavors: Sequence[str] | None = None) -> TensorSpace:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A square complex matrix on a typed tensor space."""
+    """A square matrix on a typed tensor space, stored read-only by the
+    dtype rule of ``real_if_exact``: float64 when its imaginary part is
+    exactly zero, complex128 otherwise."""
 
     space: TensorSpace
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = real_if_exact(self.matrix)
         d = self.space.total_dim
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match space dim {d}")
-        m = np.ascontiguousarray(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -173,7 +178,17 @@ class Operator:
 
 
 def identity(sp: TensorSpace) -> Operator:
-    return Operator(sp, np.eye(sp.total_dim, dtype=complex))
+    return Operator(sp, np.eye(sp.total_dim))
+
+
+def real_if_exact(m) -> np.ndarray:
+    """m, C-contiguous, as float64 when its imaginary part is exactly zero
+    and as complex128 otherwise (a NaN or inf imaginary part is not zero).
+    A real input is never copied to complex first."""
+    m = np.asarray(m)
+    if np.iscomplexobj(m) and m.imag.any():
+        return np.ascontiguousarray(m, dtype=complex)
+    return np.ascontiguousarray(m.real, dtype=float)
 
 
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -301,7 +316,7 @@ def embedded_mul(x: Operator, legs: Sequence[int], m: Operator) -> Operator:
     _check_embedding(x, legs, m.space)
     dims, d = m.space.dims, m.space.total_dim
     mt = m.matrix.reshape(dims + (d,))
-    xt, out = x.tensor(), np.empty_like(mt)
+    xt, out = x.tensor(), np.empty(mt.shape, np.result_type(x.matrix, mt))
     step = max(1, BLOCK_ENTRIES // d)
     for s in range(0, d, step):
         out[..., s:s + step] = _apply(xt, legs, mt[..., s:s + step])
@@ -360,13 +375,11 @@ class LegWords:
 
     def _fuse(self, ops: dict[str, Operator], factors: list):
         """Each run of adjacent factors on the same legs as one factor,
-        its product kept real when its imaginary part is exactly zero."""
+        its product stored by the dtype rule (``real_if_exact``)."""
         for legs, run in groupby(factors, key=lambda f: f[1]):
             names = tuple(name for name, _ in run)
             if names not in self._tensors:
-                m = reduce(np.matmul, (ops[name].matrix for name in names))
-                if not m.imag.any():
-                    m = np.ascontiguousarray(m.real)
+                m = real_if_exact(reduce(np.matmul, (ops[name].matrix for name in names)))
                 self._tensors[names] = m.reshape(ops[names[0]].space.dims * 2)
             yield names, legs
 
@@ -496,7 +509,7 @@ def chain(ambient: TensorSpace, *factors: tuple[Operator, Sequence[int]]) -> Ope
     word = " ".join(f"{name}{''.join(map(str, legs))}" for name, (_, legs) in zip(ops, factors))
     words = LegWords(ambient, ops, {"chain": (word, word)})
     d = ambient.total_dim
-    out = np.empty((d, d), complex)
+    out = np.empty((d, d), np.result_type(*(op.matrix for op, _ in factors)))
     for cols in words.column_blocks:
         out[:, cols.start:cols.stop] = words.block(word, cols).reshape(d, len(cols))
     return Operator(ambient, out)
@@ -673,8 +686,11 @@ def tensor_fit(stack: np.ndarray, a: OperatorSubspace, b: OperatorSubspace) -> F
     ||x - A^T c B|| and the norm ||X||."""
     n1, n2 = a.space.total_dim, b.space.total_dim
     x = stack.reshape(-1, n1, n2, n1, n2).transpose(0, 1, 3, 2, 4).reshape(-1, n1 * n1, n2 * n2)
-    if np.shares_memory(x, stack):  # a leg of dimension 1: the realignment is a view
-        x = x.copy()
+    dtype = np.result_type(x, a.basis_matrix, b.basis_matrix)
+    # a leg of dimension 1 makes the realignment a view; a real stack
+    # against a complex basis needs a complex copy
+    if np.shares_memory(x, stack) or x.dtype != dtype:
+        x = x.astype(dtype)
     coords = a.basis_matrix.conj() @ x @ b.basis_matrix.conj().T
     # in place: the projection is the only other copy
     x -= a.basis_matrix.T @ coords @ b.basis_matrix
@@ -713,7 +729,7 @@ class LstsqSolver:
     dimension of the kernel of A at the rank cutoff."""
 
     def __init__(self, map_matrix: np.ndarray):
-        self.a = np.asarray(map_matrix, dtype=complex)
+        self.a = np.asarray(map_matrix)
         u, s, vh = np.linalg.svd(self.a, full_matrices=False)
         rank = numerical_rank(s)
         self._u, self._s, self._vh = u[:, :rank], s[:rank], vh[:rank]
@@ -722,7 +738,7 @@ class LstsqSolver:
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(solution x, residual ||Ax - b||) for a vector b; for a matrix b,
         column by column, with one residual per column."""
-        b = np.asarray(rhs, dtype=complex)
+        b = np.asarray(rhs)
         x = self._vh.conj().T @ ((self._u.conj().T @ b).T / self._s).T
         return x, np.linalg.norm(self.a @ x - b, axis=0)
 

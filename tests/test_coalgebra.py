@@ -23,7 +23,7 @@ from mpi_lab.tensor import (
     space,
     span_matrices,
 )
-from word_references import kron_word
+from word_references import complex_storage, kron_word
 
 
 def unit(n, i, j):
@@ -210,22 +210,38 @@ class TestCoassociativity:
             coassociativity_residual(w_pair2), coassociativity_residual(what(w_pair2))
         ) < 1e-12
 
+    def test_real_w_matches_complex_storage(self, monkeypatch):
+        # a real W gives real U, V and R factors, whose conj() is the array
+        # itself, so R_k J must not be formed in place: a real orthogonal W
+        # on C^2 (x) C^2 and a real Gaussian on C^3 (x) C^3 fail
+        # coassociativity by O(1) and give the gaps of complex storage
+        rng = np.random.default_rng(17)
+        for m in (np.linalg.qr(rng.standard_normal((4, 4)))[0], rng.standard_normal((9, 9))):
+            n = math.isqrt(len(m))
+            w = Operator(space(n, n), m)
+            assert w.matrix.dtype == np.float64
+            with monkeypatch.context() as patch:
+                complex_storage(patch)
+                want = _coassoc_residuals(Operator(space(n, n), m))
+            assert want.max() > 0.1
+            np.testing.assert_allclose(_coassoc_residuals(w), want, rtol=1e-12, atol=1e-14)
+
     def test_traced_peak_on_z10(self):
-        # chain fills U and V from column blocks and U, V go once the R
-        # factors exist: the peak is U, V (2 n^6), the n R factors (4 n^5)
-        # and one QR input with numpy's copy of it (4 n^5), under 3 n^6
-        # entries (3.7 n^6 when chain embedded each factor as a matrix)
+        # chain fills U and V from column blocks in W's dtype, float64 for
+        # the 0/1 W of Z_10, and U, V go once the R factors exist: the peak
+        # is U, V (2 n^6 real entries), the n R factors (4 n^5) and one QR
+        # input with numpy's copy of it (4 n^5), 21.5 MiB; 42.9 MiB when U
+        # and V were complex
         import tracemalloc
 
-        n = 10
-        w = corpus.group_mpu(corpus.cyclic_table(n))
+        w = corpus.group_mpu(corpus.cyclic_table(10))
         tracemalloc.start()
         try:
-            _coassoc_residuals(w)
+            coassociativity_residual(w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * n**6 * 16, peak / (n**6 * 16)
+        assert peak < 25 * 2**20, peak / 2**20
 
 
 def perturbed(w, eps, seed):

@@ -152,6 +152,16 @@ class TestEmbeddedMul:
         got = embedded_mul(x, legs, m)
         np.testing.assert_allclose(got.matrix, expected.matrix, atol=1e-12)
 
+    @pytest.mark.parametrize("legs", [[1, 2], [2, 3], [1, 3], [3, 1]])
+    def test_complex_x_on_real_m(self, legs):
+        # the product is written in the result dtype, complex here
+        rng = np.random.default_rng(12)
+        amb = space(2, 3, 2)
+        x = random_op(rng, space(*[amb.legs[p - 1].dim for p in legs]))
+        m = Operator(amb, rng.standard_normal((12, 12)))
+        got = embedded_mul(x, legs, m)
+        np.testing.assert_allclose(got.matrix, (embed(x, legs, amb) @ m).matrix, atol=1e-12)
+
     def test_chain(self):
         rng = np.random.default_rng(13)
         amb = space(2, 2, 2)
@@ -388,6 +398,18 @@ class TestContains:
         np.testing.assert_allclose(fit.coords, coords.reshape(5, 3, 4), rtol=0, atol=1e-12)
         np.testing.assert_allclose(fit.off, off, rtol=1e-12)
         np.testing.assert_allclose(fit.scale, np.linalg.norm(flat, axis=1), rtol=1e-12)
+
+
+    def test_tensor_fit_real_stack_complex_span(self):
+        # a real stack against a complex span is fitted in complex
+        # arithmetic: the fit of the same stack stored complex
+        rng = np.random.default_rng(31)
+        a = span_matrices(space(3), rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3)))
+        stack = rng.standard_normal((4, 9, 9))
+        got, want = tensor_fit(stack, a, a), tensor_fit(stack.astype(complex), a, a)
+        assert want.off.min() > 0.1
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
 class TestLsqSolve:

@@ -11,10 +11,13 @@ leg-wise ``tensor.tensor_fit`` is compared.  ``_assemble`` builds a
 linear map from its generator pairs through its own SVD of the inputs,
 the reference for ``antipode.extend`` on the context's leg algebras;
 ``dual_antipode_maps`` gives S-hat^{-1} and R_Ahat through it.
+``complex_storage`` stores every matrix as complex128, the reference for
+the float64 storage of exactly real matrices.
 """
 
 import numpy as np
 
+from mpi_lab import tensor
 from mpi_lab.antipode import AssembledMap
 from mpi_lab.axioms import IDENTITY_WORDS
 from mpi_lab.context import as_fixture
@@ -28,6 +31,11 @@ from mpi_lab.tensor import (
     rows,
     transpose_grid,
 )
+
+
+def complex_storage(monkeypatch):
+    """Patch the dtype rule to store every matrix as complex128."""
+    monkeypatch.setattr(tensor, "real_if_exact", lambda m: np.ascontiguousarray(m, dtype=complex))
 
 
 def kron_subspace(a, b):
