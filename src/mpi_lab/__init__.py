@@ -38,7 +38,6 @@ from .axioms import (  # noqa: F401
     what,
 )
 from .coalgebra import (  # noqa: F401
-    LegAlgebra,
     CoalgebraReport,
     leg_algebra,
     coassociativity_residual,

@@ -17,11 +17,11 @@ import numpy as np
 
 from .axioms import is_partial_isometry
 from .base_algebra import gamma_n_stack, modular_conjugate
-from .coalgebra import LegAlgebra
 from .context import Fixture, as_fixture
 from .tensor import (
     T_SAMPLES,
     Operator,
+    OperatorSubspace,
     SpanMap,
     adjoint,
     all_left_slices,
@@ -52,17 +52,18 @@ class AssembledMap(SpanMap):
     inconsistency: float
 
 
-def extend(alg: LegAlgebra, outs: np.ndarray) -> AssembledMap:
-    """The least-squares linear extension on ``alg`` of the map sending
-    each slice that spans it to the output matrix at the same index: the
-    slices' coordinates are U S in alg's SVD."""
+def extend(span: OperatorSubspace, outs: np.ndarray) -> AssembledMap:
+    """The least-squares linear extension on a span of the map sending
+    each member of the stack the span was cut from to the output matrix
+    at the same index: the members' coordinates are U S in its SVD."""
     m_out = rows(outs)
-    rank = alg.space.dim
-    # well-definedness: null combinations of inputs must kill the outputs
+    u, rank = span.u, span.dim
+    # well-definedness: the largest output of a unit null combination of the
+    # inputs, the spectral norm of the outputs' part on U's null columns
     scale = max(1.0, float(np.linalg.norm(m_out)))
-    gaps = np.linalg.norm(alg.u[:, rank:].conj().T @ m_out, axis=1) / scale
-    coeffs = (alg.u[:, :rank].conj().T @ m_out) / alg.s[:, None]
-    return AssembledMap(alg.space, coeffs.T, float(gaps.max(initial=0.0)))
+    gap = float(np.linalg.norm(u[:, rank:].conj().T @ m_out, 2)) / scale
+    coeffs = (u[:, :rank].conj().T @ m_out) / span.s[:, None]
+    return AssembledMap(span, coeffs.T, gap)
 
 
 def antipode_map(w: Operator | Fixture) -> AssembledMap:

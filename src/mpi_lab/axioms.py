@@ -30,7 +30,8 @@ from .tensor import (
     RESIDUAL_TOL,
     LegWords,
     Operator,
-    numerical_rank,
+    adjoint,
+    range_basis,
     rel_residual,
 )
 
@@ -176,43 +177,30 @@ def projection_residuals(w: Operator | Fixture) -> dict[str, float]:
     }
 
 
-def _matrix_rank(stack: np.ndarray) -> int:
-    s = np.linalg.svd(stack.reshape(stack.shape[0], -1), compute_uv=False)
-    return numerical_rank(s)
-
-
 def assess_fullness(w: Operator | Fixture) -> FullnessVerdict:
-    """Evaluate both fullness readings, with ranks at the RANK_TOL cutoff.
+    """Evaluate both fullness readings on the slice algebras A and A-hat.
 
     The literal flags ask whether w -> (id (x) w)(W) (resp. the left
     slice map) is injective; by annihilator duality that is the same as
-    the opposite-side slices spanning all of B(H).  The nondegeneracy
-    flags ask whether the slice spaces act with dense range and trivial
-    common kernel.
+    the opposite-side slices spanning all of B(H), dim A = n^2.  The
+    nondegeneracy flags ask whether the slice spaces act with dense range
+    (the ranges of a basis sum to H) and trivial common kernel (so do
+    those of the adjoint basis).
     """
     fx = as_fixture(w)
     n = fx.n
-    rights = fx.right_slices  # span A
-    lefts = fx.left_slices  # span A-hat
-    right_rank = _matrix_rank(rights)
-    left_rank = _matrix_rank(lefts)
-    # injectivity of the right slice map = rank n^2 of its image
-    literal_right = right_rank == n * n
-    literal_left = left_rank == n * n
 
-    def range_full(stack):
-        return _matrix_rank(np.hstack(list(stack))) == n
+    def acts_fully(stack):
+        return range_basis(stack).shape[1] == n
 
-    def kernel_trivial(stack):
-        return _matrix_rank(np.vstack(list(stack))) == n
-
+    a, ahat = fx.A, fx.Ahat
     return FullnessVerdict(
-        literal_right=literal_right,
-        literal_left=literal_left,
-        nondeg_A_range=range_full(rights),
-        nondeg_A_kernel=kernel_trivial(rights),
-        nondeg_Ahat_range=range_full(lefts),
-        nondeg_Ahat_kernel=kernel_trivial(lefts),
-        right_slice_rank=right_rank,
-        left_slice_rank=left_rank,
+        literal_right=a.dim == n * n,
+        literal_left=ahat.dim == n * n,
+        nondeg_A_range=acts_fully(a.stack),
+        nondeg_A_kernel=acts_fully(adjoint(a.stack)),
+        nondeg_Ahat_range=acts_fully(ahat.stack),
+        nondeg_Ahat_kernel=acts_fully(adjoint(ahat.stack)),
+        right_slice_rank=a.dim,
+        left_slice_rank=ahat.dim,
     )

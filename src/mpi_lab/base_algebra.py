@@ -30,11 +30,12 @@ from .tensor import (
     all_left_slices,
     all_right_slices,
     antimultiplicativity,
+    factor,
     kron_stack,
     lsq_solve,
     max_gap,
-    numerical_rank,
     pair_products,
+    range_basis,
     rel_residual,
     reversed_products,
     rows,
@@ -91,7 +92,7 @@ def base_spans(w: Operator | Fixture) -> dict[str, float]:
         n, l = f.N.stack, f.L.stack
         res[f"{label}_commutation"] = max_gap(pair_products(n, l), reversed_products(n, l))
     for name, sub in (("N", fx.N), ("L", fx.L), ("Nhat", fx.dual.N), ("Lhat", fx.dual.L)):
-        res[f"subalgebra_{name}"] = sub.stack_residual(pair_products(sub.stack, sub.stack))
+        res[f"subalgebra_{name}"] = sub.product_residual
     res["L_eq_Lhat"] = fx.L.equals(fx.dual.L)
     return res
 
@@ -179,22 +180,10 @@ def _hermitian_basis(sub: OperatorSubspace) -> np.ndarray:
     # the Hermitian and the anti-Hermitian part of each basis element
     cands = np.stack([(b + adjoint(b)) / 2.0, (b - adjoint(b)) / 2.0j], axis=1)
     cands = cands.reshape(-1, d * d)
-    _, s, vh = np.linalg.svd(np.hstack([cands.real, cands.imag]), full_matrices=False)
-    vh = vh[: numerical_rank(s)]
+    _, _, vh, rank = factor(np.hstack([cands.real, cands.imag]))
+    vh = vh[:rank]
     m = (vh[:, : d * d] + 1j * vh[:, d * d :]).reshape(-1, d, d)
     return (m + adjoint(m)) / 2.0  # exact Hermitization
-
-
-def support_projection(sub: OperatorSubspace) -> np.ndarray:
-    """Orthonormal columns spanning sum of ranges of the basis elements.
-
-    For a finite-dimensional *-closed algebra this spans the range of
-    its unit.
-    """
-    if sub.dim == 0:
-        return np.zeros((sub.space.total_dim, 0), dtype=complex)
-    u, s, _ = np.linalg.svd(np.hstack(list(sub.stack)), full_matrices=False)
-    return u[:, : numerical_rank(s)]
 
 
 def find_distinguished_weight(w: Operator | Fixture) -> WeightData:
@@ -234,7 +223,7 @@ def _weight(
     t, residual, nullity = lsq_solve(a, rhs)
     t = t.real
     d_mat = sum(tj * hj for tj, hj in zip(t, herm))
-    supp = support_projection(sub)
+    supp = range_basis(sub.stack)
 
     def min_eig(mat):
         if supp.shape[1] == 0:
@@ -253,8 +242,8 @@ def _positivity_repair(a, t0, herm, supp):
     """Alternate, at most REPAIR_ITERS times, between the affine solution
     set {t0 + null(a)} of the normalization system and the positive cone
     on the support."""
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    null_basis = vh[numerical_rank(s) :]  # rows span the solution-space directions
+    _, _, vh, rank = factor(a, full=True)
+    null_basis = vh[rank:]  # rows span the solution-space directions
     t = t0.copy()
     floor = 1e-6
     for _ in range(REPAIR_ITERS):
@@ -319,7 +308,7 @@ def gamma_and_rtilde(
     # coordinates on L make them span it
     rt_vals = gamma_n_stack(fx, nu, modular_conjugate(nu, -0.5j, n_sub.stack))
     mat = l_sub.coordinates(rt_vals).T  # (dimL, dimN)
-    rank = numerical_rank(np.linalg.svd(mat, compute_uv=False))
+    rank = factor(mat)[3]
     if mat.shape[0] != mat.shape[1] or rank < max(1, len(mat)):
         raise ValueError("Rtilde is not invertible between the base spans")
     rtilde = BaseAntiIso(
@@ -457,17 +446,16 @@ def c_star_bases(w: Operator | Fixture) -> dict[str, float]:
     (gamma_and_rtilde), so its range is not measured."""
     fx = as_fixture(w)
     b, c, bhat, chat = fx.N.stack, fx.L.stack, fx.dual.N.stack, fx.dual.L.stack
-    a_space, ahat_space = fx.A.space, fx.Ahat.space
-    a, ahat = a_space.stack, ahat_space.stack
+    a, ahat = fx.A.stack, fx.Ahat.stack
     pairs = kron_stack(b, c)
     e = fx.e.matrix
     return {
-        "b_x_in_A": a_space.stack_residual(pair_products(b, a)),
-        "y_bhat_in_Ahat": ahat_space.stack_residual(pair_products(ahat, bhat)),
-        "x_c_in_A": a_space.stack_residual(pair_products(a, c)),
-        "c_y_in_Ahat": ahat_space.stack_residual(pair_products(c, ahat)),
-        "x_chat_in_A": a_space.stack_residual(pair_products(a, chat)),
-        "chat_y_in_Ahat": ahat_space.stack_residual(pair_products(chat, ahat)),
+        "b_x_in_A": fx.A.stack_residual(pair_products(b, a)),
+        "y_bhat_in_Ahat": fx.Ahat.stack_residual(pair_products(ahat, bhat)),
+        "x_c_in_A": fx.A.stack_residual(pair_products(a, c)),
+        "c_y_in_Ahat": fx.Ahat.stack_residual(pair_products(c, ahat)),
+        "x_chat_in_A": fx.A.stack_residual(pair_products(a, chat)),
+        "chat_y_in_Ahat": fx.Ahat.stack_residual(pair_products(chat, ahat)),
         "E_mult_BC_left": tensor_fit(e @ pairs, fx.N, fx.L).membership,
         "E_mult_BC_right": tensor_fit(pairs @ e, fx.N, fx.L).membership,
     }

@@ -47,14 +47,14 @@ from .tensor import (
     LegWords,
     Operator,
     OperatorSubspace,
-    adjoint,
     chain,
+    factor,
     kron_stack,
     lsq_solve,
     max_gap,
-    numerical_rank,
     pair_products,
     rows,
+    span_matrices,
     tensor_fit,
 )
 
@@ -67,19 +67,6 @@ SPAN_FLOOR = 5e-14
 
 
 @dataclass(frozen=True)
-class LegAlgebra:
-    """The span of a slice stack, with the stack's SVD U S V*: ``space`` is
-    spanned by V*'s leading rows, U's trailing columns are null combinations."""
-
-    space: OperatorSubspace
-    unital: bool
-    star_closed: bool
-    product_residual: float
-    u: np.ndarray  # square: n^2 slices of n^2 entries each
-    s: np.ndarray  # the singular values above the rank cutoff
-
-
-@dataclass(frozen=True)
 class CoalgebraReport:
     """Named residuals and span dimensions for one comultiplication side."""
 
@@ -87,26 +74,14 @@ class CoalgebraReport:
     dims: dict[str, int]
 
 
-def leg_algebra(w: Operator | Fixture, side: str = "A") -> LegAlgebra:
+def leg_algebra(w: Operator | Fixture, side: str = "A") -> OperatorSubspace:
     """Span of the right (A) or left (A-hat) slices of W over all basis
-    functionals, with unital / star-closed / subalgebra diagnostics.  The
-    slices of W* span the dual context's A-hat and A, W-hat = Sigma W* Sigma."""
+    functionals, which keeps the slice stack's SVD for the antipode maps.
+    The slices of W* span the dual context's A-hat and A, W-hat = Sigma W* Sigma."""
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
     fx = as_fixture(w)
-    u, s, vh = np.linalg.svd(rows(fx.right_slices if side == "A" else fx.left_slices),
-                             full_matrices=False)
-    rank = numerical_rank(s)
-    sub = OperatorSubspace(fx.leg_space, np.ascontiguousarray(vh[:rank]))
-    b = sub.stack
-    return LegAlgebra(
-        space=sub,
-        unital=sub.stack_residual(np.eye(fx.n)[None]) < RESIDUAL_TOL,
-        star_closed=sub.stack_residual(adjoint(b)) < RESIDUAL_TOL,
-        product_residual=sub.stack_residual(pair_products(b, b)),
-        u=u,
-        s=s[:rank],
-    )
+    return span_matrices(fx.leg_space, fx.right_slices if side == "A" else fx.left_slices)
 
 
 def _comul_stack(fx: Fixture, xs: np.ndarray) -> np.ndarray:
@@ -234,7 +209,7 @@ class TensorSquare:
 
     def __init__(self, w: Operator | Fixture):
         self.fx = as_fixture(w)
-        self.space = self.fx.A.space
+        self.space = self.fx.A
         self.basis = self.space.stack
         d = len(self.basis)
         self.ops = {"delta": _comul_stack(self.fx, self.basis), "E": self.fx.e.matrix[None]}
@@ -367,10 +342,10 @@ def check_canonical_idempotent(
         return max((max_gap(x @ m, m @ x) for x in xs[:, None]), default=0.0)
 
     res["commute_G_with_1A"] = commutator(g, kron_stack(eye, bst))
-    res["commute_E_with_Ahat1"] = commutator(e, kron_stack(fx.Ahat.space.stack, eye))
+    res["commute_E_with_Ahat1"] = commutator(e, kron_stack(fx.Ahat.stack, eye))
     res["product_stability_A"] = fx.A.product_residual
     res["product_stability_Ahat"] = fx.Ahat.product_residual
-    return CoalgebraReport(res, {"A": fx.A.space.dim, "Ahat": fx.Ahat.space.dim})
+    return CoalgebraReport(res, {"A": fx.A.dim, "Ahat": fx.Ahat.dim})
 
 
 def _span_fit(
@@ -381,8 +356,7 @@ def _span_fit(
     target's off-A (x) A bound plus the span rows' bounds weighted by the
     fit coefficients, over max(1, ||target|| - its bound), and at least
     SPAN_FLOOR."""
-    u, s, vh = np.linalg.svd(span, full_matrices=False)
-    r = numerical_rank(s)
+    u, s, vh, r = factor(span)
     u, s, vh = u[:, :r], s[:r], vh[:r]
     proj = targets @ vh.conj().T
     bound = np.linalg.norm(targets - proj @ vh, axis=1) + targets_off
@@ -448,7 +422,7 @@ def duality_consistency(w: Operator | Fixture) -> float:
     Delta-hat(x) = Sigma W(x (x) 1)W* Sigma, over the A-hat basis and 1."""
     fx = as_fixture(w)
     n = fx.n
-    xs = np.concatenate([fx.Ahat.space.stack, np.eye(n)[None]])
+    xs = np.concatenate([fx.Ahat.stack, np.eye(n)[None]])
     direct = fx.w.matrix @ kron_stack(xs, np.eye(n)[None]) @ fx.ws.matrix
     # Sigma X Sigma swaps the two legs of both the rows and the columns
     flipped = direct.reshape(-1, n, n, n, n).transpose(0, 2, 1, 4, 3)

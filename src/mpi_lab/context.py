@@ -127,12 +127,12 @@ class Fixture:
     # The structures below are built by the level modules, which import
     # this one; hence the function-level imports.
     @cached_property
-    def A(self):
+    def A(self) -> OperatorSubspace:
         from .coalgebra import leg_algebra
         return leg_algebra(self, "A")
 
     @cached_property
-    def Ahat(self):
+    def Ahat(self) -> OperatorSubspace:
         from .coalgebra import leg_algebra
         return leg_algebra(self, "Ahat")
 

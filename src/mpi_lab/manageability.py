@@ -32,8 +32,8 @@ from .tensor import (
     LegWords,
     Operator,
     TensorSpace,
+    factor,
     identity,
-    numerical_rank,
     rel_residual,
     swap_legs,
     transpose_op,
@@ -186,8 +186,8 @@ def suggest_q(w: Operator | Fixture) -> list[Operator]:
     rows = rows[np.any(rows != 0, axis=1)]
     if rows.size:
         # the full V* is needed only when rows cannot span all n directions
-        _, s, vh = np.linalg.svd(rows, full_matrices=len(rows) < n)
-        null = vh[numerical_rank(s) :]
+        _, _, vh, rank = factor(rows, full=len(rows) < n)
+        null = vh[rank:]
     else:
         null = np.eye(n)
     for row in null:

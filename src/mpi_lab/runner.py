@@ -104,6 +104,11 @@ def _axioms(run: _Run) -> bool:
         rep.properties["lower_bound_checks"] = list(verdict.lower_bounds)
     proj, ms = _timed(projection_residuals, fx)
     run.add(proj, ms, prefix="projection_")
+    if not verdict.passed:
+        for lv in run.wanted[1:]:
+            rep.skip(lv, "multiplicativity axioms failed")
+        return False
+    # fullness gates only the later levels: a failing W builds no slice algebra
     fullness = assess_fullness(fx)
     rep.properties["fullness"] = asdict(fullness)
     run.full = (
@@ -113,17 +118,14 @@ def _axioms(run: _Run) -> bool:
         and fullness.nondeg_Ahat_kernel
     )
     rep.properties["nondegenerately_full"] = run.full
-    if not verdict.passed:
-        for lv in run.wanted[1:]:
-            rep.skip(lv, "multiplicativity axioms failed")
-    return verdict.passed
+    return True
 
 
 def _coalgebra(run: _Run) -> bool:
     fx, rep = run.fx, run.rep
     for name, alg in (("A", fx.A), ("Ahat", fx.Ahat)):
         rep.properties[name] = {
-            "dim": alg.space.dim,
+            "dim": alg.dim,
             "unital": alg.unital,
             "star_closed": alg.star_closed,
         }

@@ -590,11 +590,24 @@ def pos_power(p: Operator, z: complex) -> Operator:
     return Operator(p.space, PositiveEig(p.matrix).power(z))
 
 
-def numerical_rank(s: np.ndarray) -> int:
-    """Number of singular values (descending) above RANK_TOL * s[0]."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
+def factor(m: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The SVD U S V* of a matrix and its numerical rank, the number of
+    singular values above RANK_TOL * sigma_max (0 for a zero or an empty
+    matrix).  U and V* are square with ``full``, for the null rows of a
+    wide matrix.  Every rank of the package is decided here."""
+    u, s, vh = np.linalg.svd(m, full_matrices=full)
+    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0.0 else 0
+    return u, s, vh, rank
+
+
+def range_basis(stack: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the sum of the ranges of the matrices
+    of a (K, D, D) stack.  Applied to the adjoints, they span the
+    orthogonal complement of the common kernel; for a finite-dimensional
+    *-closed algebra, the range of its unit."""
+    k, d, _ = stack.shape
+    u, _, _, rank = factor(stack.transpose(1, 0, 2).reshape(d, k * d))
+    return u[:, :rank]
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +617,16 @@ def numerical_rank(s: np.ndarray) -> int:
 
 @dataclass(frozen=True, eq=False)
 class OperatorSubspace:
-    """Hilbert-Schmidt-orthonormal basis of a linear space of operators."""
+    """Hilbert-Schmidt-orthonormal basis of a linear space of operators,
+    cut from the SVD U S V* of K members that span it (``span_matrices``):
+    V*'s leading rows, so the members' coordinates are U S over the kept
+    singular values.  U's other columns are null combinations of the
+    members, all of them when K <= D*D (as for every slice stack)."""
 
     space: TensorSpace
     basis_matrix: np.ndarray  # (dim, D*D), rows are vec'd basis elements
+    u: np.ndarray  # (K, min(K, D*D)), U of the members' SVD
+    s: np.ndarray  # (dim,), the singular values kept
 
     def __post_init__(self):
         object.__setattr__(self, "_basis_conj_t", self.basis_matrix.conj().T)
@@ -638,12 +657,25 @@ class OperatorSubspace:
         """Two-sided span inclusion: the max residual over both directions."""
         return max(self.stack_residual(other.stack), other.stack_residual(self.stack))
 
+    @cached_property
+    def unital(self) -> bool:
+        """Whether the identity lies in the span, to RESIDUAL_TOL."""
+        return self.stack_residual(np.eye(self.space.total_dim)[None]) < RESIDUAL_TOL
+
+    @cached_property
+    def star_closed(self) -> bool:
+        """Whether the span holds the adjoint of each member, to RESIDUAL_TOL."""
+        return self.stack_residual(adjoint(self.stack)) < RESIDUAL_TOL
+
+    @cached_property
+    def product_residual(self) -> float:
+        """Closure under products: the max membership residual of the
+        products of basis pairs."""
+        return self.stack_residual(pair_products(self.stack, self.stack))
+
 
 def span(family: Sequence[Operator]) -> OperatorSubspace:
-    """Orthonormalize a family of operators in the HS inner product.
-
-    SVD of the vectorized stack with rank cutoff sigma > RANK_TOL * sigma_max.
-    """
+    """Orthonormalize a family of operators in the HS inner product."""
     family = list(family)
     if not family:
         raise ValueError("span of an empty family")
@@ -656,8 +688,8 @@ def span(family: Sequence[Operator]) -> OperatorSubspace:
 
 def span_matrices(sp: TensorSpace, stack: np.ndarray) -> OperatorSubspace:
     """span() on a stack of operators, (K, D, D) or vectorized (K, D*D)."""
-    _, s, vh = np.linalg.svd(rows(stack), full_matrices=False)
-    return OperatorSubspace(sp, np.ascontiguousarray(vh[: numerical_rank(s)]))
+    u, s, vh, rank = factor(rows(stack))
+    return OperatorSubspace(sp, np.ascontiguousarray(vh[:rank]), u, s[:rank])
 
 
 class Fit(NamedTuple):
@@ -730,8 +762,7 @@ class LstsqSolver:
 
     def __init__(self, map_matrix: np.ndarray):
         self.a = np.asarray(map_matrix)
-        u, s, vh = np.linalg.svd(self.a, full_matrices=False)
-        rank = numerical_rank(s)
+        u, s, vh, rank = factor(self.a)
         self._u, self._s, self._vh = u[:, :rank], s[:rank], vh[:rank]
         self.nullity = self.a.shape[1] - rank
 

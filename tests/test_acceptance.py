@@ -105,7 +105,7 @@ class TestCriterion1MatrixUnitExample:
         assert verdict.passed
         assert all(r < 1e-12 for r in verdict.mpi_residuals.values())
         alg_a = leg_algebra(w_example, "A")
-        assert alg_a.space.dim == 2
+        assert alg_a.dim == 2
         assert alg_a.unital is False
         alg_ahat = leg_algebra(w_example, "Ahat")
         assert alg_ahat.unital is True

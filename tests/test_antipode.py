@@ -243,19 +243,19 @@ class TestWellDefinedness:
                 assert m.inconsistency <= RESIDUAL_TOL, name
                 assert m.inconsistency < 1e-11, name
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="inconsistency is a maximum over the rows of LAPACK's basis "
-                              "of the null space, not over every unit null combination")
     def test_inconsistency_is_the_largest_null_output(self, w_pair2):
         # with a Q that is not certified R_A is not well defined; the
         # largest output of a unit null combination of its inputs is the
         # spectral norm of the outputs' null-space part, which no choice
-        # of basis of that space changes
+        # of basis of that space changes: a random rotation of the null
+        # columns of the inputs' own SVD leaves it as it is
         g = np.random.default_rng(30).standard_normal((4, 4))
         wt = build_wtilde(w_pair2, Operator(space(4), g @ g.T + np.eye(4)))
         fx = Fixture(w_pair2)
-        alg, outs = fx.dual.Ahat, rows(all_right_slices(wt).transpose(0, 2, 1))
-        part = alg.u[:, alg.space.dim:].conj().T @ outs
+        ins, outs = rows(fx.dual.left_slices), rows(all_right_slices(wt).transpose(0, 2, 1))
+        null = np.linalg.svd(ins)[0][:, fx.dual.Ahat.dim:]
+        rotation = np.linalg.qr(np.random.default_rng(31).standard_normal((null.shape[1],) * 2))[0]
+        part = (null @ rotation).conj().T @ outs
         want = np.linalg.norm(part, 2) / max(1.0, np.linalg.norm(outs))
         assert want > 0.1
         assert ra_map(fx, wt).inconsistency == pytest.approx(want, rel=1e-12)

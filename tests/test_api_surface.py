@@ -12,7 +12,8 @@ tests could call it.  A definition that has to stay anyway is listed in
 and dunder methods are exempt.  Every field of a dataclass or NamedTuple
 under ``src/mpi_lab`` must be read as an attribute by some src code, so
 that no result carries a value nothing uses; a class that is serialized
-whole is listed in ``SERIALIZED`` with the reason.
+whole is listed in ``SERIALIZED`` with the reason.  No src code but
+``tensor.factor`` takes an SVD or reads the rank cutoff ``RANK_TOL``.
 """
 
 import ast
@@ -176,3 +177,48 @@ def unread_fields(src: Path) -> list[str]:
 def test_every_field_is_read():
     flagged = unread_fields(SRC)
     assert not flagged, f"fields no src code reads: {flagged}"
+
+
+#: what only ``tensor.factor`` may name: the SVD and the rank cutoff
+RANK_NAMES = {"svd", "RANK_TOL"}
+
+
+def rank_deciders(src: Path) -> list[str]:
+    """"module:line" of each use, as a name, an attribute or an import, of
+    one of RANK_NAMES under ``src`` outside ``tensor.factor`` (the
+    definition of RANK_TOL aside): every SVD and every rank cutoff goes
+    through that one function."""
+    flagged = []
+    for path in sorted(src.glob("*.py")):
+        tree = _parse(path)
+        owner = set()
+        if path.stem == "tensor":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "factor":
+                    owner = {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id if not isinstance(node.ctx, ast.Store) else None
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in RANK_NAMES and id(node) not in owner:
+                flagged.append(f"{path.stem}:{node.lineno}")
+    return flagged
+
+
+def test_one_function_decides_every_rank():
+    flagged = rank_deciders(SRC)
+    assert not flagged, f"SVDs or rank cutoffs outside tensor.factor: {flagged}"
+
+
+def test_rank_guard_flags_an_inline_svd(tmp_path):
+    # a mutant whose axioms take their own SVD
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    axioms = tmp_path / "axioms.py"
+    axioms.write_text(axioms.read_text() + "\n\ndef _rank(m):\n    return np.linalg.svd(m)\n")
+    assert [f.split(":")[0] for f in rank_deciders(tmp_path)] == ["axioms"]

@@ -13,11 +13,10 @@ from mpi_lab.base_algebra import (
     kappa_map,
     kappa_q_checks,
     modular_conjugate,
-    support_projection,
 )
 from mpi_lab.context import Fixture
 from mpi_lab.manageability import build_wtilde
-from mpi_lab.tensor import RESIDUAL_TOL, Operator, identity, span, space
+from mpi_lab.tensor import RESIDUAL_TOL, Operator, identity, range_basis, span, space
 
 
 def unit(n, i, j):
@@ -355,12 +354,12 @@ class TestModularConventionCalibration:
 
 class TestSupportProjection:
     def test_full_support(self, w_example):
-        p = support_projection(Fixture(w_example).N)
+        p = range_basis(Fixture(w_example).N.stack)
         assert p.shape == (2, 2)
         np.testing.assert_allclose(p @ p.conj().T, np.eye(2), atol=1e-12)
 
     def test_proper_support(self):
         sub = span([unit(2, 1, 1)])
-        p = support_projection(sub)
+        p = range_basis(sub.stack)
         assert p.shape == (2, 1)
         np.testing.assert_allclose((p @ p.conj().T), np.diag([1.0, 0.0]), atol=1e-12)

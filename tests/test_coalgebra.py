@@ -35,10 +35,10 @@ def unit(n, i, j):
 class TestLegAlgebra:
     def test_example_A(self, w_example):
         alg = leg_algebra(w_example, "A")
-        assert alg.space.dim == 2
+        assert alg.dim == 2
         assert not alg.unital
-        assert alg.space.stack_residual(unit(2, 2, 1)[None]) < RESIDUAL_TOL
-        assert alg.space.stack_residual(unit(2, 2, 2)[None]) < RESIDUAL_TOL
+        assert alg.stack_residual(unit(2, 2, 1)[None]) < RESIDUAL_TOL
+        assert alg.stack_residual(unit(2, 2, 2)[None]) < RESIDUAL_TOL
         # A is an algebra but not star-closed for this fixture
         assert alg.product_residual < 1e-12
         assert not alg.star_closed
@@ -46,7 +46,7 @@ class TestLegAlgebra:
     def test_example_Ahat(self, w_example):
         alg = leg_algebra(w_example, "Ahat")
         assert alg.unital
-        res = alg.space.equals(
+        res = alg.equals(
             # span{e11, e22}
             __import__("mpi_lab.tensor", fromlist=["span"]).span(
                 [
@@ -59,15 +59,15 @@ class TestLegAlgebra:
 
     def test_identity_w(self):
         alg = leg_algebra(identity(space(2, 2)), "A")
-        assert alg.space.dim == 1 and alg.unital
+        assert alg.dim == 1 and alg.unital
 
     def test_astar_is_adjoint_span(self, w_example):
         # the slices of W* are those of W-hat = Sigma W* Sigma with the
         # sides swapped: A* is the dual context's A-hat, A-hat* its A
         fx = Fixture(w_example)
         for alg, star in ((fx.A, fx.dual.Ahat), (fx.Ahat, fx.dual.A)):
-            adj_span = span_matrices(alg.space.space, alg.space.stack.conj().transpose(0, 2, 1))
-            assert star.space.equals(adj_span) < RESIDUAL_TOL
+            adj_span = span_matrices(alg.space, alg.stack.conj().transpose(0, 2, 1))
+            assert star.equals(adj_span) < RESIDUAL_TOL
 
 
 class TestComul:

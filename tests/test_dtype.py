@@ -58,14 +58,6 @@ def level_entries(m, q):
     return fx, out
 
 
-#: the maps' ``inconsistency``: a maximum over the rows of a basis of the
-#: slices' null space, which LAPACK picks freely among the bases of that
-#: subspace (every singular value there is 0), so it differs between real
-#: and complex storage on a W whose maps are not well defined
-NULL_BASIS_MAXIMA = {"S_well_defined", "RA_well_defined", "Shat_well_defined",
-                     "Shat_inv_well_defined", "RAhat_well_defined"}
-
-
 def real_candidates():
     """Real W with their real positive Q: Z_4 conjugated by a real
     orthogonal O (an MPI; Q = 1 is certified), and pair_groupoid(2) skewed
@@ -88,16 +80,18 @@ def test_zero_one_context_is_real():
     fx = Fixture(corpus.group_mpu(corpus.cyclic_table(8)))
     stored = {"W": fx.w.matrix, "W*": fx.ws.matrix, "E": fx.e.matrix, "G": fx.g.matrix,
               "right_slices": fx.right_slices, "left_slices": fx.left_slices,
-              "A": fx.A.space.basis_matrix, "Ahat": fx.Ahat.space.basis_matrix,
+              "A": fx.A.basis_matrix, "Ahat": fx.Ahat.basis_matrix,
               "N": fx.N.basis_matrix, "L": fx.L.basis_matrix}
     assert {name: m.dtype for name, m in stored.items()} == dict.fromkeys(stored, REAL)
 
 
 def test_real_data_matches_complex_storage(monkeypatch):
-    # every entry of every level but NULL_BASIS_MAXIMA equals that of
-    # complex storage to 1e-12, relative to max(1, |entry|) as the
-    # residuals themselves are; the skewed W fails each level by O(1), so
-    # the entries compared are not all near 0
+    # every entry of every level equals that of complex storage to 1e-12,
+    # relative to max(1, |entry|) as the residuals themselves are; the
+    # skewed W fails each level by O(1), so the entries compared are not
+    # all near 0.  The maps' inconsistency entries are included: they are
+    # spectral norms on the slices' null space, so LAPACK's choice of a
+    # basis of that space does not move them
     largest = {}
     for name, (m, q) in real_candidates().items():
         fx, got = level_entries(m, q)
@@ -108,10 +102,9 @@ def test_real_data_matches_complex_storage(monkeypatch):
             assert ref_fx.w.matrix.dtype == COMPLEX
         for level, entries in want.items():
             assert list(got[level]) == list(entries), (name, level)
-            compared = {k: v for k, v in entries.items() if k not in NULL_BASIS_MAXIMA}
-            for key, value in compared.items():
+            for key, value in entries.items():
                 assert got[level][key] == pytest.approx(value, rel=1e-12, abs=1e-12), (name, key)
-            largest[level] = max(largest.get(level, 0.0), *compared.values())
+            largest[level] = max(largest.get(level, 0.0), *entries.values())
     assert list(largest) == ["axioms", "coalgebra", "base", "manageability", "antipode"]
     assert {level: v for level, v in largest.items() if not v > 0.1} == {}
 

@@ -222,13 +222,26 @@ def test_shared_quantities_computed_once(w_pair2, calls):
     # then E(b (x) c) and (b (x) c)E in B (x) C
     assert first["TensorSquare"] == 2
     assert first["tensor_fit"] == 12 + 2
-    # each slice stack is factored once: the five antipode maps reuse the
-    # SVDs of the four leg algebras, and no span of Rtilde's images is taken
-    assert first["svd"] == 42
+    # each slice stack is factored once: fullness and the five antipode
+    # maps read the SVDs of the four leg algebras, and no span of Rtilde's
+    # images is taken
+    assert first["svd"] == 40
     # nothing survives the call: a second run on the same W does it all again
     calls.clear()
     run_suite(w_pair2, level="all")
     assert dict(calls) == first
+
+
+def test_failing_axioms_factor_nothing(calls):
+    # fullness gates only the levels after the axioms, so a W that fails
+    # them builds no leg algebra, takes no SVD and reports no fullness
+    w = corpus.group_mpu(corpus.cyclic_table(4))
+    z = np.random.default_rng(2).standard_normal(w.matrix.shape)
+    rep = run_suite(tensor.Operator(w.space, w.matrix + 1e-3 * z), level="all")
+    assert not rep.overall_pass
+    assert [s["level"] for s in rep.skips] == list(runner.LEVELS[1:])
+    assert calls["leg_algebra"] == 0 and calls["svd"] == 0
+    assert "fullness" not in rep.properties and "nondegenerately_full" not in rep.properties
 
 
 def test_density_spans_of_a_fixture_not_full_refit_nothing(w_example, monkeypatch):

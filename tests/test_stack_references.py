@@ -53,7 +53,6 @@ from mpi_lab.tensor import (
     identity,
     kron_stack,
     max_gap,
-    numerical_rank,
     pair_products,
     rel_residual,
     slice_matrix,
@@ -61,7 +60,7 @@ from mpi_lab.tensor import (
     span_matrices,
     transpose_grid,
 )
-from word_references import _assemble, dual_antipode_maps, kron_subspace
+from word_references import _assemble, dense_rank, dual_antipode_maps, kron_subspace
 
 T_SAMPLES = (1.0, -1.0, 0.3, -0.3)
 
@@ -88,11 +87,6 @@ def contains_all(sub, ops):
 
 def products_residual(sub, lefts, rights):
     return contains_all(sub, [x @ y for x in lefts for y in rights])
-
-
-def product_residual(sub):
-    """Closure of a span under products, stacked as leg_algebra takes it."""
-    return sub.stack_residual(pair_products(sub.stack, sub.stack))
 
 
 def antimultiplicativity(f, basis):
@@ -406,7 +400,7 @@ def test_c_star_bases_against_loop(pair2):
     fx = Fixture(pair2.w)
     rng = np.random.default_rng(13)
     a, ahat = (span_matrices(space(4), rng.standard_normal((3, 4, 4))) for _ in range(2))
-    fx.__dict__.update(A=replace(pair2.A, space=a), Ahat=replace(pair2.Ahat, space=ahat))
+    fx.__dict__.update(A=a, Ahat=ahat)
     b, c, bhat, chat = fx.N.stack, fx.L.stack, fx.dual.N.stack, fx.dual.L.stack
     bc = kron_subspace(fx.N, fx.L)
     pairs = [np.kron(x, y) for x in b for y in c]
@@ -458,17 +452,16 @@ def test_leg_algebra_against_loop():
     x, y = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
     e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     w = Operator(space(2, 2), np.kron(x, e11) + np.kron(y, e22))
-    alg = leg_algebra(w, "A")
-    sub = alg.space
+    sub = leg_algebra(w, "A")
     got = {"unit": sub.stack_residual(np.eye(2)[None]),
-           "star": sub.stack_residual(adjoint(sub.stack)), "prod": alg.product_residual}
+           "star": sub.stack_residual(adjoint(sub.stack)), "prod": sub.product_residual}
     ref = {
         "unit": membership(sub, np.eye(2)),
         "star": contains_all(sub, [adj(b) for b in sub.stack]),
         "prod": products_residual(sub, sub.stack, sub.stack),
     }
     assert_matches(got, ref, min_large=3)
-    assert not alg.unital and not alg.star_closed
+    assert not sub.unital and not sub.star_closed
 
 
 def test_duality_consistency_against_loop(monkeypatch):
@@ -488,7 +481,7 @@ def test_duality_consistency_against_loop(monkeypatch):
             _comul_stack(fx.dual, x[None])[0],
             sigma @ fx.w.matrix @ np.kron(x, np.eye(2)) @ fx.ws.matrix @ sigma,
         )
-        for x in [*fx.Ahat.space.stack, np.eye(2)]
+        for x in [*fx.Ahat.stack, np.eye(2)]
     )
     assert ref > 0.1
     np.testing.assert_allclose(duality_consistency(fx), ref, rtol=1e-10)
@@ -522,7 +515,7 @@ def range_and_density_dense(fx):
     """The dense range and density check: every product Delta(a)(b (x) c)
     as an n^4-entry matrix, spans through their SVDs, and the density
     spans from the slices over all n^2 matrix-unit functionals."""
-    sub = fx.A.space
+    sub = fx.A
     bst, n = sub.stack, fx.n
     a2 = kron_subspace(sub, sub)
     eye = np.eye(n)[None]
@@ -545,7 +538,7 @@ def range_and_density_dense(fx):
     # reverse inclusion in E(A (x) A)-coordinates
     coords = e_span.coordinates(range_members)
     _, sv, vh = np.linalg.svd(coords, full_matrices=False)
-    proj = vh[: numerical_rank(sv)]
+    proj = vh[: dense_rank(sv)]
     e_coords = e_span.coordinates(e_family)
     res["EA2_in_range"] = max_gap(e_coords, (e_coords @ proj.conj().T) @ proj)
     dims["range_span"] = len(proj)
@@ -574,14 +567,14 @@ def _without_flip(monkeypatch, w):
 
 
 def _generic_a(w, dim, seed):
-    """A context of W whose A is a random span of the given dimension,
-    with its own product residual: neither an algebra nor closed under
-    Delta, so the products leave A (x) A."""
+    """A context of W whose A is a random span of the given dimension:
+    neither an algebra nor closed under Delta, so the products leave
+    A (x) A."""
     fx = Fixture(w)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((dim, fx.n, fx.n)) + 1j * rng.standard_normal((dim, fx.n, fx.n))
     sub = span_matrices(fx.leg_space, z)
-    fx.__dict__["A"] = replace(fx.A, space=sub, product_residual=product_residual(sub))
+    fx.__dict__["A"] = sub
     return fx
 
 
@@ -649,7 +642,7 @@ def test_range_bound_carries_E_off_A2():
     # distances must reach range_in_EA2 through the fit coefficients
     fx = Fixture(identity(space(3, 3)))
     diag = span_matrices(space(3), np.array([np.diag(np.eye(3)[i]) for i in range(3)]))
-    fx.__dict__["A"] = replace(fx.A, space=diag, product_residual=0.0)
+    fx.__dict__["A"] = diag
     rng = np.random.default_rng(5)
     m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     fx.__dict__["e"] = Operator(space(3, 3), m / np.linalg.norm(m, 2))
@@ -670,7 +663,7 @@ def dense_family(fx, key):
     """The family ``key`` of coalgebra.FAMILIES built member by member, with
     exact coordinates on the Kronecker basis of A (x) A, exact distances
     and norms."""
-    sub = fx.A.space
+    sub = fx.A
     a2, b, d = kron_subspace(sub, sub), sub.stack, sub.dim
     eye, e = np.eye(fx.n)[None], fx.e.matrix[None]
     deltas, pairs = _comul_stack(fx, b), kron_stack(b, b)
@@ -715,7 +708,7 @@ def _nilpotent_a():
     off A (x) A."""
     fx = Fixture(identity(space(2, 2)))
     sub = span_matrices(space(2), np.array([[[0.0, 0.0], [1.0, 0.0]]]))
-    fx.__dict__["A"] = replace(fx.A, space=sub, product_residual=product_residual(sub))
+    fx.__dict__["A"] = sub
     rng = np.random.default_rng(21)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     fx.__dict__["e"] = Operator(space(2, 2), m)
@@ -731,7 +724,7 @@ def _unclosed_unital_a():
     rng = np.random.default_rng(23)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     sub = span_matrices(space(3), np.array([np.eye(3), x]))
-    fx.__dict__["A"] = replace(fx.A, space=sub, product_residual=product_residual(sub))
+    fx.__dict__["A"] = sub
     m = np.kron(np.eye(3), np.eye(3)) + np.kron(x, x)
     fx.__dict__["e"] = Operator(space(3, 3), m / np.linalg.norm(m, 2))
     return fx
@@ -742,7 +735,7 @@ def _e_off_diagonal_a():
     diagonal algebra, a random M in place of E."""
     fx = Fixture(identity(space(3, 3)))
     diag = span_matrices(space(3), np.array([np.diag(np.eye(3)[i]) for i in range(3)]))
-    fx.__dict__["A"] = replace(fx.A, space=diag, product_residual=0.0)
+    fx.__dict__["A"] = diag
     rng = np.random.default_rng(5)
     m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     fx.__dict__["e"] = Operator(space(3, 3), m / np.linalg.norm(m, 2))
@@ -861,7 +854,7 @@ def test_delta_homomorphism_against_difference():
     rng = np.random.default_rng(8)
     z = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     fx = Fixture(Operator(space(3, 3), z / np.linalg.norm(z, 2)))
-    bst = fx.A.space.stack
+    bst = fx.A.stack
     deltas = _comul_stack(fx, bst)
     ref = max(
         rel_residual(_comul_stack(fx, (b @ c)[None])[0], db @ dc)
@@ -882,7 +875,7 @@ def test_traced_peaks_on_z10():
 
     fx = Fixture(corpus.group_mpu(corpus.cyclic_table(10)))
     fx.A, fx.Ahat, fx.e, fx.g, fx.ws  # built before tracing: they belong to the context
-    d, n = fx.A.space.dim, fx.n
+    d, n = fx.A.dim, fx.n
     q = identity(space(n))
     fx.structure, fx.kappa  # built before tracing: they belong to the context
     wt = build_wtilde(fx, q)

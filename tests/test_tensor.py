@@ -12,11 +12,13 @@ from mpi_lab.tensor import (
     chain,
     embed,
     embedded_mul,
+    factor,
     flip,
     identity,
     kron,
     lsq_solve,
     pos_power,
+    range_basis,
     slice_matrix,
     space,
     span,
@@ -348,6 +350,31 @@ class TestSpan:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             span([])
+
+
+class TestFactor:
+    def test_zero_matrix_and_empty_stack_have_rank_zero(self):
+        assert factor(np.zeros((3, 4)))[3] == 0
+        empty = span_matrices(space(2), np.zeros((0, 2, 2)))
+        assert empty.dim == 0 and empty.basis_matrix.shape == (0, 4)
+        assert range_basis(empty.stack).shape == (2, 0)
+
+    def test_cutoff_is_relative_to_the_largest_singular_value(self):
+        # a singular value at 2e-10 sigma_max is kept, one at 5e-11 dropped
+        rng = np.random.default_rng(61)
+        u, v = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
+        for ratio, rank in ((2e-10, 3), (5e-11, 2)):
+            m = u @ np.diag([3.0, 1.0, 3.0 * ratio, 0.0]) @ v
+            assert factor(m)[3] == rank, ratio
+
+    def test_full_gives_the_null_rows_of_a_wide_matrix(self):
+        m = np.random.default_rng(67).standard_normal((2, 5))
+        assert factor(m)[2].shape == (2, 5)
+        _, _, vh, rank = factor(m, full=True)
+        assert vh.shape == (5, 5) and rank == 2
+        null = vh[rank:]
+        np.testing.assert_allclose(m @ null.T, 0.0, atol=1e-14)
+        np.testing.assert_allclose(null @ null.T, np.eye(3), atol=1e-14)
 
 
 class TestContains:

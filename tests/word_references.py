@@ -22,12 +22,12 @@ from mpi_lab.antipode import AssembledMap
 from mpi_lab.axioms import IDENTITY_WORDS
 from mpi_lab.context import as_fixture
 from mpi_lab.tensor import (
+    RANK_TOL,
     LegWords,
     OperatorSubspace,
     TensorSpace,
     all_left_slices,
     kron_stack,
-    numerical_rank,
     rows,
     transpose_grid,
 )
@@ -38,11 +38,18 @@ def complex_storage(monkeypatch):
     monkeypatch.setattr(tensor, "real_if_exact", lambda m: np.ascontiguousarray(m, dtype=complex))
 
 
+def dense_rank(s):
+    """The number of singular values (descending) above RANK_TOL * s[0]."""
+    return int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0.0 else 0
+
+
 def kron_subspace(a, b):
     """Span of {x (x) y} for x, y over the bases of a and b, x-major:
-    Kronecker products of HS-orthonormal bases are HS-orthonormal."""
+    Kronecker products of HS-orthonormal bases are HS-orthonormal, so
+    they are their own SVD with U = 1 and S = 1."""
     sp = TensorSpace(a.space.legs + b.space.legs)
-    return OperatorSubspace(sp, rows(kron_stack(a.stack, b.stack)))
+    d = a.dim * b.dim
+    return OperatorSubspace(sp, rows(kron_stack(a.stack, b.stack)), np.eye(d), np.ones(d))
 
 
 def kron_embed(x, legs, dims):
@@ -89,15 +96,17 @@ def _assemble(sp, ins, outs):
     """The least-squares linear extension of the map sending each input
     matrix of a stack to the output matrix at the same index, from one
     full SVD U S V* of the inputs (rank at the RANK_TOL cutoff): the domain
-    basis is V*'s leading rows, and the inputs' domain coordinates are U S."""
+    basis is V*'s leading rows, and the inputs' domain coordinates are U S.
+    The inconsistency is the spectral norm of the outputs' part on U's
+    null columns, over max(1, ||outputs||)."""
     m_in, m_out = rows(ins), rows(outs)
     u, s, vh = np.linalg.svd(m_in, full_matrices=True)
-    rank = numerical_rank(s)
-    domain = OperatorSubspace(sp, np.ascontiguousarray(vh[:rank]))
+    rank = dense_rank(s)
+    domain = OperatorSubspace(sp, np.ascontiguousarray(vh[:rank]), u, s[:rank])
     scale = max(1.0, float(np.linalg.norm(m_out)))
-    gaps = np.linalg.norm(u[:, rank:].conj().T @ m_out, axis=1) / scale
+    gap = np.linalg.norm(u[:, rank:].conj().T @ m_out, 2) / scale
     coeffs = (u[:, :rank].conj().T @ m_out) / s[:rank, None]
-    return AssembledMap(domain, coeffs.T, float(gaps.max(initial=0.0)))
+    return AssembledMap(domain, coeffs.T, float(gap))
 
 
 def dual_antipode_maps(w, wtilde):
