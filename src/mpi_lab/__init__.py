@@ -29,6 +29,7 @@ from .tensor import (  # noqa: F401
     span,
     lsq_solve,
 )
+from .context import Fixture  # noqa: F401
 from .axioms import (  # noqa: F401
     MpiVerdict,
     FullnessVerdict,

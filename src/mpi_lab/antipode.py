@@ -30,6 +30,7 @@ from .tensor import (
     max_gap,
     rel_residual,
     rows,
+    spectral_norm,
     star_preservation,
     transpose_grid,
 )
@@ -61,7 +62,7 @@ def extend(span: OperatorSubspace, outs: np.ndarray) -> AssembledMap:
     # well-definedness: the largest output of a unit null combination of the
     # inputs, the spectral norm of the outputs' part on U's null columns
     scale = max(1.0, float(np.linalg.norm(m_out)))
-    gap = float(np.linalg.norm(u[:, rank:].conj().T @ m_out, 2)) / scale
+    gap = spectral_norm(u[:, rank:].conj().T @ m_out) / scale
     coeffs = (u[:, :rank].conj().T @ m_out) / span.s[:, None]
     return AssembledMap(span, coeffs.T, gap)
 

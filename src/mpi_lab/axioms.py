@@ -33,6 +33,7 @@ from .tensor import (
     adjoint,
     range_basis,
     rel_residual,
+    spectral_norm,
 )
 
 MPI_AXIOMS = ("mpi1", "mpi2", "mpi3", "mpi4")
@@ -120,9 +121,9 @@ def lhs_norm_bounds(w: np.ndarray, norm2: float) -> dict[str, float]:
             for name, (left, _) in IDENTITY_WORDS.items()}
 
 
-def check_mpi_axioms(w: Operator | Fixture, tol: float = RESIDUAL_TOL) -> MpiVerdict:
-    """Full multiplicativity verdict: partial isometry plus mpi1-mpi4,
-    with the derived residuals mpi5-mpi10 reported alongside.
+def check_mpi_axioms(w: Operator | Fixture) -> MpiVerdict:
+    """Full multiplicativity verdict at the context's tol: partial isometry
+    plus mpi1-mpi4, with the derived residuals mpi5-mpi10 reported alongside.
 
     The ten identities are evaluated together, block of columns by block.
     After each block but the last, an identity whose partial gap over
@@ -134,10 +135,10 @@ def check_mpi_axioms(w: Operator | Fixture, tol: float = RESIDUAL_TOL) -> MpiVer
     verdict whose mpi5 and mpi6 ran in full carries their gaps as a
     ``coassociativity_bound``."""
     fx = as_fixture(w)
-    m = fx.w.matrix
+    m, tol = fx.w.matrix, fx.tol
     gap_pi, res_pi = _pi_gaps(m)
     words = LegWords(fx.three_leg, {"W": fx.w, "W*": fx.ws}, IDENTITY_WORDS)
-    norm2 = np.linalg.norm(m, 2) if np.isfinite(m).all() else np.inf
+    norm2 = spectral_norm(m)
     bounds = lhs_norm_bounds(m, norm2)
     sums = {name: np.zeros(2) for name in IDENTITY_WORDS}
     lower_bounds = []

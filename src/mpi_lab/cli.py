@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--report", default="text", choices=["json", "text"])
         p.add_argument("--out", default=None)
-        p.add_argument("--timings", action="store_true", help="include wall times in JSON")
+        p.add_argument("--timings", action="store_true", help="add each level's wall time to JSON")
     return parser
 
 

@@ -40,9 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import Fixture, as_fixture, three_leg_space
+from .context import Fixture, as_fixture
 from .tensor import (
-    RESIDUAL_TOL,
     Fit,
     LegWords,
     Operator,
@@ -96,12 +95,11 @@ def _comul_stack(fx: Fixture, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def coassociativity_residual(w: Operator, bound: float = np.inf,
-                             tol: float = RESIDUAL_TOL) -> float:
+def coassociativity_residual(w: Operator | Fixture, bound: float = np.inf) -> float:
     """Max relative gap of (Delta (x) id)Delta(x) = (id (x) Delta)Delta(x)
     over the matrix units x = e_kl, which span every x: ``bound`` when it
-    comes in below tol, else the exact maximum of ``_coassoc_residuals``,
-    so a FAIL never rests on the bound.
+    comes in below the context's tol, else the exact maximum of
+    ``_coassoc_residuals``, so a FAIL never rests on the bound.
 
     The bound is ``check_mpi_axioms(w).coassociativity_bound``.  With
     U = W23 W12, V = W13 W23 and x3 = 1 (x) 1 (x) x the gap is
@@ -118,12 +116,13 @@ def coassociativity_residual(w: Operator, bound: float = np.inf,
     gaps are the adjoints of those of W (the mpi6 one negated) with legs
     1 and 3 exchanged, which keeps Frobenius norms, and ||W-hat||_2 = ||W||_2.
     Called with W alone, it is the exact maximum."""
-    if bound < tol:
+    fx = as_fixture(w)
+    if bound < fx.tol:
         return float(bound)
-    return float(np.max(_coassoc_residuals(w)))
+    return float(np.max(_coassoc_residuals(fx)))
 
 
-def _coassoc_residuals(w: Operator) -> np.ndarray:
+def _coassoc_residuals(w: Operator | Fixture) -> np.ndarray:
     """Relative coassociativity gap for every matrix unit e_kl, as (n, n).
 
     Both sides are conjugations of 1 (x) 1 (x) e_kl by U = W23 W12 and
@@ -143,11 +142,10 @@ def _coassoc_residuals(w: Operator) -> np.ndarray:
     runs it only when the bound from the axiom gaps does not decide the
     entry.
     """
-    amb = three_leg_space(w)
-    n = w.space.legs[0].dim
-    p = n * n
-    u = chain(amb, (w, [2, 3]), (w, [1, 2])).matrix.reshape(p, n, -1)
-    v = chain(amb, (w, [1, 3]), (w, [2, 3])).matrix.reshape(p, n, -1)
+    fx = as_fixture(w)
+    n, p, amb = fx.n, fx.n * fx.n, fx.three_leg
+    u = chain(amb, (fx.w, [2, 3]), (fx.w, [1, 2])).matrix.reshape(p, n, -1)
+    v = chain(amb, (fx.w, [1, 3]), (fx.w, [2, 3])).matrix.reshape(p, n, -1)
     # R of [A_k^T B_k^T], shape (n^3, 2n^2), one k at a time: it is the
     # conjugate of R_k, which leaves every norm below unchanged
     r = np.stack([np.linalg.qr(np.concatenate([u[:, k], v[:, k]]).T, mode="r")
@@ -270,22 +268,22 @@ class TensorSquare:
         off = np.repeat(off, d) if side == "right" else np.tile(off, d)
         return Fit(coords, off, np.linalg.norm(coords, axis=(1, 2)) - off)
 
-    def decide(self, keys: tuple[str, ...], entry, tol: float) -> tuple[dict, dict]:
+    def decide(self, keys: tuple[str, ...], entry) -> tuple[dict, dict]:
         """entry(*fits) -> (residuals, dims) on the reduced fits of the
         families ``keys``; when a residual does not come in below tol, the
         families are refit member by member and the entry taken again, so
         a FAIL never rests on a bound."""
         res, dims = entry(*map(self.family, keys))
-        if not max(res.values()) < tol and not self._dense.issuperset(keys):
+        if not max(res.values()) < self.fx.tol and not self._dense.issuperset(keys):
             for key in keys:
                 self._fits[key] = tensor_fit(self._members(key, self.basis), self.space, self.space)
                 self._dense.add(key)
             res, dims = entry(*map(self.family, keys))
         return res, dims
 
-    def membership(self, key: str, tol: float) -> float:
+    def membership(self, key: str) -> float:
         """The family's membership entry, decided as ``decide`` says."""
-        return self.decide((key,), lambda f: ({key: f.membership}, {}), tol)[0][key]
+        return self.decide((key,), lambda f: ({key: f.membership}, {}))[0][key]
 
 
 def _homomorphism_gap(fx: Fixture, basis: np.ndarray) -> float:
@@ -315,9 +313,7 @@ def _homomorphism_gap(fx: Fixture, basis: np.ndarray) -> float:
     return float(np.max(np.ravel(gaps) / scales, initial=0.0))
 
 
-def check_canonical_idempotent(
-    w: Operator | Fixture | TensorSquare, tol: float = RESIDUAL_TOL
-) -> CoalgebraReport:
+def check_canonical_idempotent(w: Operator | Fixture | TensorSquare) -> CoalgebraReport:
     """Commuting legs of E, multiplier membership of E in A (x) A, Delta
     multiplicative on A, and the leg commutation identities with A and
     A-hat.  E = Delta(1) and Delta(x*) = Delta(x)* hold for every W by
@@ -334,7 +330,7 @@ def check_canonical_idempotent(
     }).residuals()
 
     res["delta_homomorphism"] = _homomorphism_gap(fx, bst)
-    res["E_multiplier"] = max(sq.membership("E_bc", tol), sq.membership("bc_E", tol))
+    res["E_multiplier"] = max(sq.membership("E_bc"), sq.membership("bc_E"))
     eye = np.eye(fx.n)[None]
 
     def commutator(m: np.ndarray, xs: np.ndarray) -> float:
@@ -365,9 +361,8 @@ def _span_fit(
     return max(SPAN_FLOOR, float(np.max(bound / np.maximum(1.0, scale), initial=0.0))), r
 
 
-def check_delta_range_and_density(
-    w: Operator | Fixture | TensorSquare, tol: float = RESIDUAL_TOL, full: bool = True
-) -> CoalgebraReport:
+def check_delta_range_and_density(w: Operator | Fixture | TensorSquare,
+                                  full: bool = True) -> CoalgebraReport:
     """Span equality Delta(A)(A (x) A) = E(A (x) A), the four multiplier
     memberships and the four density spans against A, in O(d n^6 + d^7).
     A left slice (w (x) id)(sum c_pq e_p (x) e_q) = sum w(e_p) c_pq e_q, with
@@ -382,12 +377,12 @@ def check_delta_range_and_density(
     res, dims = {}, {"A": d}
 
     def take(keys: tuple[str, ...], entry) -> None:
-        got, got_dims = sq.decide(keys, entry, tol)
+        got, got_dims = sq.decide(keys, entry)
         res.update(got)
         dims.update(got_dims)
 
     for key in ("a1_deltab", "deltaa_1b", "deltaa_b1", "1a_deltab"):
-        res[f"mult_{key}"] = sq.membership(key, tol)
+        res[f"mult_{key}"] = sq.membership(key)
 
     def range_spans(e_fit: Fit, y_fit: Fit) -> tuple[dict, dict]:
         # Delta(a)(b (x) c) = y (1 (x) c) for y = Delta(a)(b (x) 1)

@@ -1,21 +1,23 @@
 """One fixture context per W: every shared quantity computed once, on demand.
 
 A ``Fixture`` holds W, which it accepts only on H (x) H with two equal
-legs, and, as cached properties read on first use, what the checks
-share: W*, E = W*W, G = WW*, the slice stacks, the leg algebras A and
-A-hat, the base spans N and L, kappa, the weight nu, the base structure
-and the antipode S.  The checks read these inputs from the context; no
-check result repeats them.  ``dual`` is the context of W-hat, whose dual
-is this context again (N-hat is ``dual.N``, S-hat is ``dual.s_map``);
-as W-hat = Sigma W* Sigma, the right and left slices of W* are
-``dual.left_slices`` and ``dual.right_slices``.  ``q_data(Q)`` holds
-Q^{-1} and the eigendecomposition of Q; the powers of Q^T are the
-transposes of those of Q.  Public checks accept an ``Operator`` (given a
-fresh context) or a context.  A context serves one suite run and holds
-nothing larger than n^4 entries; three-leg matrices stay local to the
-checks that build them, and the A (x) A data (Delta of the A basis,
-d n^4 entries, and the coordinates of each family, d^4 each) to one side
-of the coalgebra level (coalgebra.TensorSquare).
+legs, the tolerance ``tol`` that every check of the run is judged at,
+and, as cached properties read on first use, what the checks share: W*,
+E = W*W, G = WW*, the slice stacks, the leg algebras A and A-hat, the
+base spans N and L, kappa, the weight nu, the base structure and the
+antipode S.  The checks read these inputs from the context; no check
+result repeats them.  ``dual`` is the context of W-hat, whose dual is
+this context again (N-hat is ``dual.N``, S-hat is ``dual.s_map``); as
+W-hat = Sigma W* Sigma, the right and left slices of W* are
+``dual.left_slices`` and ``dual.right_slices``.  The dual shares ``tol``
+and the Q data: ``q_data(Q)`` holds Q^{-1} and the eigendecomposition of
+Q; the powers of Q^T are the transposes of those of Q.  Public checks
+accept an ``Operator`` (given a fresh context at RESIDUAL_TOL) or a
+context.  A context serves one suite run and holds nothing larger than
+n^4 entries; three-leg matrices stay local to the checks that build
+them, and the A (x) A data (Delta of the A basis, d n^4 entries, and the
+coordinates of each family, d^4 each) to one side of the coalgebra level
+(coalgebra.TensorSquare).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .tensor import (
+    RESIDUAL_TOL,
     H,
     LegMismatchError,
     LegSpec,
@@ -43,11 +46,6 @@ from .tensor import (
 def what(w: Operator) -> Operator:
     """The dual candidate W-hat = Sigma W* Sigma."""
     return swap_legs(w.adj)
-
-
-def three_leg_space(w: Operator) -> TensorSpace:
-    leg = w.space.legs[0]
-    return TensorSpace((leg, leg, leg))
 
 
 class QData:
@@ -68,16 +66,17 @@ class QData:
 class Fixture:
     """Immutable, lazily evaluated context of one candidate W."""
 
-    def __init__(self, w: Operator, dual_of: Fixture | None = None):
+    def __init__(self, w: Operator, tol: float = RESIDUAL_TOL, dual_of: Fixture | None = None):
         legs = w.space.legs
         if len(legs) != 2 or legs[0] != legs[1] or legs[0].flavor != H:
             raise LegMismatchError("expected an operator on H (x) H with equal legs")
         leg = legs[0]
         self.__dict__.update(
             w=w,
+            tol=tol,
             n=leg.dim,
             leg_space=TensorSpace((leg,)),
-            three_leg=three_leg_space(w),
+            three_leg=TensorSpace((leg, leg, leg)),
             _q_data={} if dual_of is None else dual_of._q_data,  # Q data is W-free
             _dual_of=None if dual_of is None else weakref.ref(dual_of),
         )
@@ -87,13 +86,13 @@ class Fixture:
 
     @property
     def dual(self) -> Fixture:
-        """Context of W-hat.  Its dual is this context, held weakly so that
-        the pair is freed as soon as a suite run drops it."""
+        """Context of W-hat at the same tol.  Its dual is this context, held
+        weakly so that the pair is freed as soon as a suite run drops it."""
         primal = self._dual_of and self._dual_of()
         if primal is not None:
             return primal
         if "_dual" not in self.__dict__:
-            self.__dict__["_dual"] = Fixture(what(self.w), self)
+            self.__dict__["_dual"] = Fixture(what(self.w), self.tol, self)
         return self.__dict__["_dual"]
 
     @cached_property
@@ -188,5 +187,5 @@ class Fixture:
 
 
 def as_fixture(w: Operator | Fixture) -> Fixture:
-    """The context itself, or a fresh one for a bare operator."""
+    """The context itself, or a fresh one at RESIDUAL_TOL for a bare operator."""
     return w if isinstance(w, Fixture) else Fixture(w)

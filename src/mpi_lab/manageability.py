@@ -24,7 +24,6 @@ import numpy as np
 
 from .context import Fixture, QData, as_fixture
 from .tensor import (
-    RESIDUAL_TOL,
     T_SAMPLES,
     H,
     HBAR,
@@ -106,10 +105,9 @@ def _grid_residual(w: Operator, qd: QData, wt: Operator) -> float:
     return rel_residual(lhs, rhs)
 
 
-def check_manageability(
-    w: Operator | Fixture, q: Operator, tol: float = RESIDUAL_TOL
-) -> ManageabilityCertificate:
-    """Build Wtilde and evaluate the full manageability apparatus."""
+def check_manageability(w: Operator | Fixture, q: Operator) -> ManageabilityCertificate:
+    """Build Wtilde and evaluate the full manageability apparatus, judged
+    at the context's tol."""
     fx = as_fixture(w)
     qd = fx.q_data(q)
     wt = build_wtilde(fx, q)
@@ -133,7 +131,7 @@ def check_manageability(
         qit_wt = max(qit_wt, rel_residual(lhs_wt, wt.matrix))
     res["qit_covariance_W"] = qit_w
     res["qit_covariance_Wtilde"] = qit_wt
-    passed = all(r < tol for r in res.values())
+    passed = all(r < fx.tol for r in res.values())
     return ManageabilityCertificate(q=q, wtilde=wt, residuals=res, passed=passed)
 
 
@@ -145,9 +143,9 @@ def check_hash_identities(w: Operator | Fixture, wt: Operator) -> dict[str, floa
 def dual_manageability(
     w: Operator | Fixture, q: Operator, wt: Operator
 ) -> tuple[ManageabilityCertificate, float]:
-    """Certificate for W-hat with the same Q, plus the residual between
-    the formula candidate (Sigma Wt* Sigma)^{T (x) T} and the direct
-    construction (the certificate's Wtilde of W-hat)."""
+    """Certificate for W-hat with the same Q and tol, plus the residual
+    between the formula candidate (Sigma Wt* Sigma)^{T (x) T} and the
+    direct construction (the certificate's Wtilde of W-hat)."""
     cert = check_manageability(as_fixture(w).dual, q)
     candidate = transpose_op(swap_legs(wt.adj))
     return cert, rel_residual(candidate.matrix, cert.wtilde.matrix)

@@ -1,10 +1,10 @@
 """Structured check reports with deterministic serialization.
 
 A report is an ordered list of (check id, pass flag, residual) entries
-plus free-form properties (dimensions, flags) and explicit skip
-records.  The canonical JSON form excludes wall times so that identical
-inputs and seed produce byte-identical reports; timings are available
-in the text rendering and behind an explicit flag.
+plus free-form properties (dimensions, flags), explicit skip records and
+each level's wall time.  The canonical JSON form excludes the wall times
+so that identical inputs and seed produce byte-identical reports; they
+are available in the text rendering and behind an explicit flag.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ class CheckEntry:
     check_id: str
     passed: bool
     residual: float
-    wall_time_ms: float = 0.0
 
 
 @dataclass
@@ -30,9 +29,11 @@ class CheckReport:
     entries: list[CheckEntry] = field(default_factory=list)
     skips: list[dict[str, str]] = field(default_factory=list)
     properties: dict = field(default_factory=dict)
+    #: level -> wall time in ms, for each level that ran
+    level_ms: dict[str, float] = field(default_factory=dict)
 
     def add(self, check_id: str, residual: float, tol: float | None = None,
-            passed: bool | None = None, wall_time_ms: float = 0.0) -> CheckEntry:
+            passed: bool | None = None) -> CheckEntry:
         if any(e.check_id == check_id for e in self.entries):
             raise ValueError(f"duplicate check id {check_id!r}")
         residual = float(residual)
@@ -42,7 +43,7 @@ class CheckReport:
             passed = residual < (self.tolerance if tol is None else tol)
         # a non-finite residual (overflow) is a failed check, never a pass
         passed = bool(passed) and math.isfinite(residual)
-        entry = CheckEntry(check_id, passed, residual, wall_time_ms)
+        entry = CheckEntry(check_id, passed, residual)
         self.entries.append(entry)
         return entry
 
@@ -54,15 +55,13 @@ class CheckReport:
         return all(e.passed for e in self.entries)
 
     def to_dict(self, include_timings: bool = False) -> dict:
-        entries = []
-        for e in self.entries:
-            # JSON has no NaN or infinity: a non-finite residual is null
-            residual = e.residual if math.isfinite(e.residual) else None
-            d = {"id": e.check_id, "pass": e.passed, "residual": residual}
-            if include_timings:
-                d["wall_time_ms"] = e.wall_time_ms
-            entries.append(d)
-        return {
+        # JSON has no NaN or infinity: a non-finite residual is null
+        entries = [
+            {"id": e.check_id, "pass": e.passed,
+             "residual": e.residual if math.isfinite(e.residual) else None}
+            for e in self.entries
+        ]
+        out = {
             "fixture": self.fixture_id,
             "tolerance": self.tolerance,
             "version": self.version,
@@ -71,6 +70,9 @@ class CheckReport:
             "properties": self.properties,
             "overall": "pass" if self.overall_pass else "fail",
         }
+        if include_timings:
+            out["level_wall_ms"] = self.level_ms
+        return out
 
     def to_json(self, include_timings: bool = False) -> str:
         return json.dumps(
@@ -81,12 +83,11 @@ class CheckReport:
         lines = [f"fixture: {self.fixture_id}   tolerance: {self.tolerance:g}"]
         for e in self.entries:
             mark = "PASS" if e.passed else "FAIL"
-            lines.append(
-                f"  [{mark}] {e.check_id:<42s} residual={e.residual:.3e}"
-                f"  ({e.wall_time_ms:.1f} ms)"
-            )
+            lines.append(f"  [{mark}] {e.check_id:<42s} residual={e.residual:.3e}")
         for s in self.skips:
             lines.append(f"  [SKIP] {s['level']}: {s['reason']}")
+        for level, ms in self.level_ms.items():
+            lines.append(f"  [TIME] {level}: {ms:.1f} ms")
         lines.append(f"overall: {'pass' if self.overall_pass else 'fail'}")
         return "\n".join(lines)
 

@@ -1,10 +1,10 @@
 """Suite orchestration: run the check levels in dependency order.
 
-``run_suite`` builds one ``Fixture`` context for W and hands it to every
-level, so each shared quantity is computed once per call and nothing
-outlives the call.  Levels run cumulatively (axioms -> coalgebra ->
-base -> manageability -> antipode); each level function adds its own
-entries and skip reasons and returns whether later levels may run.
+``run_suite`` builds one ``Fixture`` context for W at the run's tol and
+hands it to every level, so each shared quantity is computed once per
+call and nothing outlives the call.  Levels run cumulatively (axioms ->
+coalgebra -> base -> manageability -> antipode); each level function adds
+its own entries and skip reasons and returns whether later levels may run.
 Statements that hold only under the fullness hypothesis (density spans
 equal A, L = L-hat, the dual weight) are emitted as checks only for
 fixtures whose slice algebras act nondegenerately; otherwise their data
@@ -59,13 +59,6 @@ def _levels_upto(level: str) -> tuple[str, ...]:
     return LEVELS[: LEVELS.index(level) + 1]
 
 
-def _timed(fn, *args):
-    """fn(*args) and its wall time in ms."""
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return out, (time.perf_counter() - t0) * 1000.0
-
-
 @dataclass
 class _Run:
     """One run_suite call: the context, the report and what the levels
@@ -74,36 +67,32 @@ class _Run:
     fx: Fixture
     rep: CheckReport
     wanted: tuple[str, ...]
-    tol: float
     q: Operator | None
     full: bool = False
     coassoc_bound: float = np.inf
     cert: ManageabilityCertificate | None = None
 
-    def add(self, results: dict, ms: float, prefix: str = "", suffix: str = "", **kw):
+    def add(self, results: dict, prefix: str = "", suffix: str = "", **kw):
         for key, val in results.items():
-            self.rep.add(f"{prefix}{key}{suffix}", val, wall_time_ms=ms, **kw)
+            self.rep.add(f"{prefix}{key}{suffix}", val, **kw)
 
     def add_weight(self, check_id: str, fx: Fixture) -> None:
         """Entry for fx's distinguished weight: the residual of
         (nu (x) id)(E) = 1, passing iff a weight was found, that is iff
         that residual is below 1e-7 and the density is positive definite
         on its support (PD_TOL), whatever the run's tolerance."""
-        nu, ms = _timed(getattr, fx, "nu")
-        self.rep.add(check_id, nu.normalization_residual, passed=nu.found, wall_time_ms=ms)
+        self.rep.add(check_id, fx.nu.normalization_residual, passed=fx.nu.found)
 
 
 def _axioms(run: _Run) -> bool:
     fx, rep = run.fx, run.rep
-    verdict, ms = _timed(check_mpi_axioms, fx, run.tol)
-    run.add({"partial_isometry": verdict.pi_residual}, ms)
-    run.add(verdict.mpi_residuals, ms)
-    run.add(verdict.derived_residuals, ms)
+    verdict = check_mpi_axioms(fx)
+    run.add({"partial_isometry": verdict.pi_residual, **verdict.mpi_residuals,
+             **verdict.derived_residuals})
     run.coassoc_bound = verdict.coassociativity_bound
     if verdict.lower_bounds:  # these residuals are certified lower bounds
         rep.properties["lower_bound_checks"] = list(verdict.lower_bounds)
-    proj, ms = _timed(projection_residuals, fx)
-    run.add(proj, ms, prefix="projection_")
+    run.add(projection_residuals(fx), prefix="projection_")
     if not verdict.passed:
         for lv in run.wanted[1:]:
             rep.skip(lv, "multiplicativity axioms failed")
@@ -131,15 +120,13 @@ def _coalgebra(run: _Run) -> bool:
         }
     for side, sfx in (("primal", fx), ("dual", fx.dual)):
         # W-hat has the gaps of W, so the axioms' bound serves both sides
-        coassoc, ms = _timed(coassociativity_residual, sfx.w, run.coassoc_bound, run.tol)
-        rep.add(f"coassociativity_{side}", coassoc, wall_time_ms=ms)
+        rep.add(f"coassociativity_{side}", coassociativity_residual(sfx, run.coassoc_bound))
         square = TensorSquare(sfx)  # this side's A (x) A data, shared by two checks
-        can, ms = _timed(check_canonical_idempotent, square, run.tol)
-        run.add(can.residuals, ms, suffix=f"_{side}")
+        run.add(check_canonical_idempotent(square).residuals, suffix=f"_{side}")
         # density spans are meaningful only under fullness; dims still reported
-        rng, ms = _timed(check_delta_range_and_density, square, run.tol, run.full)
+        rng = check_delta_range_and_density(square, run.full)
         del square
-        run.add(rng.residuals, ms, suffix=f"_{side}")
+        run.add(rng.residuals, suffix=f"_{side}")
         rep.properties[f"coalgebra_dims_{side}"] = rng.dims
     return True
 
@@ -150,7 +137,7 @@ def _base(run: _Run) -> bool:
         for lv in run.wanted[run.wanted.index("base"):]:
             rep.skip(lv, "base span N is empty (E = W*W = 0)")
         return False
-    spans, ms = _timed(base_spans, fx)
+    spans = base_spans(fx)
     rep.properties["base_dims"] = {
         "N": fx.N.dim,
         "L": fx.L.dim,
@@ -158,16 +145,15 @@ def _base(run: _Run) -> bool:
         "Lhat": fx.dual.L.dim,
     }
     l_res = spans.pop("L_eq_Lhat")
-    run.add(spans, ms)
+    run.add(spans)
     if run.full:
-        rep.add("L_eq_Lhat", l_res, wall_time_ms=ms)
+        rep.add("L_eq_Lhat", l_res)
     else:
         rep.properties["L_eq_Lhat_residual"] = l_res
         rep.skip("base", "L = L-hat requires fullness; residual in properties")
-    kappa, ms = _timed(getattr, fx, "kappa")
-    rep.add("kappa_solves", max(kappa.residuals), tol=1e-10, wall_time_ms=ms)
-    rep.add("kappa_antimultiplicative", kappa.antimultiplicativity, wall_time_ms=ms)
-    rep.properties["kappa_nullity"] = kappa.nullity
+    rep.add("kappa_solves", max(fx.kappa.residuals), tol=1e-10)
+    rep.add("kappa_antimultiplicative", fx.kappa.antimultiplicativity)
+    rep.properties["kappa_nullity"] = fx.kappa.nullity
     run.add_weight("nu_found", fx)
     rep.properties["nu"] = {
         "min_eigenvalue": fx.nu.min_eigenvalue,
@@ -176,10 +162,9 @@ def _base(run: _Run) -> bool:
     if fx.structure_reason is not None:
         rep.skip("base", fx.structure_reason)
     else:
-        gap, ms = _timed(gamma_kappa_residual, fx)
-        rep.add("gamma_N_eq_kappa", gap, wall_time_ms=ms)
-        run.add(*_timed(check_separability_triple, fx))
-    run.add(*_timed(c_star_bases, fx), prefix="cstar_")
+        rep.add("gamma_N_eq_kappa", gamma_kappa_residual(fx))
+        run.add(check_separability_triple(fx))
+    run.add(c_star_bases(fx), prefix="cstar_")
     if run.full:
         run.add_weight("nuhat_found", fx.dual)
     else:
@@ -190,20 +175,18 @@ def _base(run: _Run) -> bool:
 def _manageability(run: _Run) -> bool:
     fx, rep = run.fx, run.rep
     if run.q is not None:
-        cert, ms = _timed(check_manageability, fx, run.q, run.tol)
+        cert = check_manageability(fx, run.q)
         rep.properties["q_source"] = "supplied"
     else:
-        t0 = time.perf_counter()
         candidates = suggest_q(fx)
         outcomes = []
         cert = None
         for cand in candidates:
-            c = check_manageability(fx, cand, run.tol)
+            c = check_manageability(fx, cand)
             outcomes.append(c.passed)
             if c.passed:
                 cert = c
                 break  # later candidates stay untested
-        ms = (time.perf_counter() - t0) * 1000.0
         rep.properties["q_source"] = "suggested"
         rep.properties["q_candidates"] = {
             "count": len(candidates),
@@ -216,15 +199,14 @@ def _manageability(run: _Run) -> bool:
         return False
     run.cert = cert
     q, wt = cert.q, cert.wtilde
-    run.add(cert.residuals, ms, prefix="manageability_")
-    hash_res, ms = _timed(check_hash_identities, fx, wt)
-    run.add(hash_res, ms, tol=1e-10)
-    (dual_cert, formula_gap), ms = _timed(dual_manageability, fx, q, wt)
-    rep.add("dual_certificate", max(dual_cert.residuals.values()), wall_time_ms=ms)
-    rep.add("dual_wtilde_formula", formula_gap, tol=1e-12, wall_time_ms=ms)
-    run.add(*_timed(inclusion_consequences, fx, q))
+    run.add(cert.residuals, prefix="manageability_")
+    run.add(check_hash_identities(fx, wt), tol=1e-10)
+    dual_cert, formula_gap = dual_manageability(fx, q, wt)
+    rep.add("dual_certificate", max(dual_cert.residuals.values()))
+    rep.add("dual_wtilde_formula", formula_gap, tol=1e-12)
+    run.add(inclusion_consequences(fx, q))
     if fx.structure_reason is None:
-        run.add(*_timed(kappa_q_checks, fx, q, wt))
+        run.add(kappa_q_checks(fx, q, wt))
     return True
 
 
@@ -240,10 +222,10 @@ def _antipode(run: _Run) -> bool:
         )
         return False
     q, wt = cert.q, cert.wtilde
-    run.add(*_timed(check_antipode, fx, q, wt), prefix="antipode_")
-    run.add(*_timed(check_duality, fx, q, wt), prefix="duality_")
+    run.add(check_antipode(fx, q, wt), prefix="antipode_")
+    run.add(check_duality(fx, q, wt), prefix="duality_")
     if fx.structure_reason is None:
-        run.add(*_timed(check_base_restrictions, fx, q), prefix="base_restriction_")
+        run.add(check_base_restrictions(fx, q), prefix="base_restriction_")
     else:
         rep.skip("antipode", "base restrictions unavailable without a weight")
     return True
@@ -265,14 +247,18 @@ def run_suite(
     tol: float = RESIDUAL_TOL,
     fixture_id: str = "operator",
 ) -> CheckReport:
-    """Execute the selected levels on one fixture and build its report."""
+    """Execute the selected levels on one fixture, judged at tol, and build
+    its report with the wall time of each level that ran."""
     wanted = _levels_upto(level)
     rep = CheckReport(fixture_id=fixture_id, tolerance=tol, version=__version__)
-    run = _Run(Fixture(w), rep, wanted, tol, q)
+    run = _Run(Fixture(w, tol), rep, wanted, q)
     if q is not None:
         run.fx.q_data(q)  # a malformed Q is refused before any level runs
     for lv in wanted:
-        if not _LEVEL_FUNCTIONS[lv](run):
+        t0 = time.perf_counter()
+        go_on = _LEVEL_FUNCTIONS[lv](run)
+        rep.level_ms[lv] = (time.perf_counter() - t0) * 1000.0
+        if not go_on:
             break
     return rep
 

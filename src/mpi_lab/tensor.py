@@ -600,6 +600,15 @@ def factor(m: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray, n
     return u, s, vh, rank
 
 
+def spectral_norm(m: np.ndarray) -> np.float64:
+    """||m||_2 from the singular values alone, with no U or V: 0 for an
+    empty matrix, inf for one with a non-finite entry.  A numpy float, so
+    that its powers overflow to inf."""
+    if not np.isfinite(m).all():
+        return np.float64(np.inf)
+    return np.linalg.svd(m, compute_uv=False).max(initial=0.0)
+
+
 def range_basis(stack: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the sum of the ranges of the matrices
     of a (K, D, D) stack.  Applied to the adjoints, they span the

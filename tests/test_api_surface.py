@@ -13,7 +13,10 @@ and dunder methods are exempt.  Every field of a dataclass or NamedTuple
 under ``src/mpi_lab`` must be read as an attribute by some src code, so
 that no result carries a value nothing uses; a class that is serialized
 whole is listed in ``SERIALIZED`` with the reason.  No src code but
-``tensor.factor`` takes an SVD or reads the rank cutoff ``RANK_TOL``.
+``tensor.factor`` and ``tensor.spectral_norm`` takes an SVD, names the
+rank cutoff ``RANK_TOL`` or takes a matrix 2-norm (an SVD inside numpy).
+A parameter named ``tol`` is allowed only where ``TOL_PARAMETERS`` says
+why: every check reads the run's tolerance from its context.
 """
 
 import ast
@@ -179,23 +182,37 @@ def test_every_field_is_read():
     assert not flagged, f"fields no src code reads: {flagged}"
 
 
-#: what only ``tensor.factor`` may name: the SVD and the rank cutoff
+#: what only the SVD_OWNERS may name: the SVD and the rank cutoff
 RANK_NAMES = {"svd", "RANK_TOL"}
+#: the tensor functions that take every SVD: ``factor``, the only reader
+#: of RANK_TOL, and ``spectral_norm``, which takes singular values only
+SVD_OWNERS = {"factor", "spectral_norm"}
+
+
+def _is_two_norm(node: ast.AST) -> bool:
+    """A call norm(x, 2) or norm(x, ord=2) (or -2): numpy takes an SVD."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) != "norm":
+        return False
+    ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+    return any(ast.unparse(o) in ("2", "-2") for o in ords)
 
 
 def rank_deciders(src: Path) -> list[str]:
     """"module:line" of each use, as a name, an attribute or an import, of
-    one of RANK_NAMES under ``src`` outside ``tensor.factor`` (the
-    definition of RANK_TOL aside): every SVD and every rank cutoff goes
-    through that one function."""
+    one of RANK_NAMES, and of each matrix 2-norm, under ``src`` outside the
+    SVD_OWNERS of ``tensor`` (the definition of RANK_TOL aside): every SVD
+    and every rank cutoff goes through those two functions."""
     flagged = []
     for path in sorted(src.glob("*.py")):
         tree = _parse(path)
         owner = set()
         if path.stem == "tensor":
             for node in tree.body:
-                if isinstance(node, ast.FunctionDef) and node.name == "factor":
-                    owner = {id(sub) for sub in ast.walk(node)}
+                if isinstance(node, ast.FunctionDef) and node.name in SVD_OWNERS:
+                    owner |= {id(sub) for sub in ast.walk(node)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 name = node.id if not isinstance(node.ctx, ast.Store) else None
@@ -204,15 +221,15 @@ def rank_deciders(src: Path) -> list[str]:
             elif isinstance(node, ast.alias):
                 name = node.name
             else:
-                continue
-            if name in RANK_NAMES and id(node) not in owner:
+                name = None
+            if (name in RANK_NAMES or _is_two_norm(node)) and id(node) not in owner:
                 flagged.append(f"{path.stem}:{node.lineno}")
     return flagged
 
 
 def test_one_function_decides_every_rank():
     flagged = rank_deciders(SRC)
-    assert not flagged, f"SVDs or rank cutoffs outside tensor.factor: {flagged}"
+    assert not flagged, f"SVDs or rank cutoffs outside {sorted(SVD_OWNERS)}: {flagged}"
 
 
 def test_rank_guard_flags_an_inline_svd(tmp_path):
@@ -222,3 +239,68 @@ def test_rank_guard_flags_an_inline_svd(tmp_path):
     axioms = tmp_path / "axioms.py"
     axioms.write_text(axioms.read_text() + "\n\ndef _rank(m):\n    return np.linalg.svd(m)\n")
     assert [f.split(":")[0] for f in rank_deciders(tmp_path)] == ["axioms"]
+
+
+def test_rank_guard_flags_a_spectral_norm(tmp_path):
+    # mutants whose axioms take ||m||_2 through numpy's norm, an SVD that
+    # neither tensor.factor nor tensor.spectral_norm sees
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    axioms = tmp_path / "axioms.py"
+    text = axioms.read_text()
+    for call in ("np.linalg.norm(m, 2)", "np.linalg.norm(m, ord=2)"):
+        axioms.write_text(text + f"\n\ndef _norm2(m):\n    return {call}\n")
+        assert [f.split(":")[0] for f in rank_deciders(tmp_path)] == ["axioms"], call
+
+
+#: "module.qualname" of each src function with a parameter named tol -> why
+TOL_PARAMETERS: dict[str, str] = {
+    "context.Fixture.__init__": "builds the context, which carries the run's tolerance",
+    "runner.run_suite": "builds the context of its run at tol",
+    "runner.corpus_suite": "builds every corpus fixture's context through run_suite",
+    "report.CheckReport.add": "the per-entry overrides 1e-10 and 1e-12 of the "
+    "report's tolerance",
+    "axioms.is_partial_isometry": "its operator may live on Hbar (x) H, where no "
+    "context is built (Wtilde)",
+}
+
+
+def tol_holders(src: Path) -> list[str]:
+    """"module.qualname" of each function under ``src``, nested ones
+    included, that has a parameter named tol."""
+
+    def functions(node: ast.AST, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef):
+                    yield f"{prefix}{child.name}", child
+                yield from functions(child, f"{prefix}{child.name}.")
+            else:
+                yield from functions(child, prefix)
+
+    return [
+        f"{path.stem}.{qualname}"
+        for path in sorted(src.glob("*.py"))
+        for qualname, node in functions(_parse(path), "")
+        if any(a.arg == "tol" for a in (*node.args.posonlyargs, *node.args.args,
+                                         *node.args.kwonlyargs))
+    ]
+
+
+def test_tolerance_lives_on_the_context():
+    holders = tol_holders(SRC)
+    assert [h for h in holders if h not in TOL_PARAMETERS] == [], "tol outside the allow-list"
+    assert sorted(TOL_PARAMETERS) == sorted(holders), "stale allow-list entries"
+
+
+def test_tol_guard_flags_a_check_with_its_own_tol(tmp_path):
+    # a mutant whose check_canonical_idempotent takes tol again
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    coalgebra = tmp_path / "coalgebra.py"
+    text = coalgebra.read_text()
+    assert "def check_canonical_idempotent(w" in text
+    coalgebra.write_text(text.replace("def check_canonical_idempotent(w",
+                                      "def check_canonical_idempotent(tol, w"))
+    assert [h for h in tol_holders(tmp_path) if h not in TOL_PARAMETERS] == [
+        "coalgebra.check_canonical_idempotent"]

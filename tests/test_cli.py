@@ -350,6 +350,43 @@ class TestRunSuiteContract:
         assert co_ids[: len(ax_ids)] == ax_ids
 
 
+class TestTimings:
+    """--timings adds one wall time per level that ran, and nothing else."""
+
+    @staticmethod
+    def check(tmp_path, w, *flags):
+        wp = tmp_path / "w.json"
+        save_operator(w, str(wp))
+        out = tmp_path / "rep.out"
+        main(["check", str(wp), "--out", str(out), *flags])
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("case, ran", [
+        ("z2", ["axioms", "coalgebra", "base", "manageability", "antipode"]),
+        ("zero", ["axioms", "coalgebra", "base"]),  # base stops on N = 0
+        ("non_mpi", ["axioms"]),
+    ])
+    def test_json_carries_one_time_per_level_that_ran(self, tmp_path, w_z2, case, ran):
+        w = {"z2": w_z2, "zero": Operator(space(2, 2), np.zeros((4, 4))),
+             "non_mpi": Operator(space(2, 2), np.diag([0.5, 1.0, 0.0, 0.0]))}[case]
+        timed = json.loads(self.check(tmp_path, w, "--report", "json", "--timings"))
+        levels = timed.pop("level_wall_ms")
+        assert sorted(levels) == sorted(ran)  # the canonical form sorts keys
+        assert all(isinstance(ms, float) and ms >= 0.0 for ms in levels.values())
+        assert all(set(c) == {"id", "pass", "residual"} for c in timed["checks"])
+        # without the flag the report is the same bytes, minus the times
+        plain = self.check(tmp_path, w, "--report", "json")
+        assert plain.rstrip(b"\n") == json.dumps(
+            timed, sort_keys=True, separators=(",", ":")).encode()
+
+    def test_text_prints_one_time_line_per_level_that_ran(self, tmp_path):
+        zero = Operator(space(2, 2), np.zeros((4, 4)))
+        text = self.check(tmp_path, zero).decode()
+        times = [line.split()[1] for line in text.splitlines() if line.startswith("  [TIME]")]
+        assert times == ["axioms:", "coalgebra:", "base:"]
+        assert " ms)" not in text  # no check line carries a time
+
+
 class TestDeterminism:
     # suite --corpus byte identity: tests/test_acceptance.py, criterion 7
     def test_check_byte_identical(self, tmp_path, w_z3):

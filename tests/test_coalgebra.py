@@ -284,8 +284,8 @@ def absolute_gaps(w):
     """The Frobenius gaps of W W* W = W, mpi5 and mpi6 that check_mpi_axioms
     sums: its residuals times their denominators max(1, ||L||_F), the left
     words taken as dense matrices."""
-    fx = Fixture(w)
-    v = check_mpi_axioms(fx, tol=np.inf)
+    fx = Fixture(w, tol=np.inf)
+    v = check_mpi_axioms(fx)
     m = w.matrix
     out = {"pi": v.pi_residual * max(1.0, np.linalg.norm(m @ m.conj().T @ m))}
     for name in ("mpi5", "mpi6"):
@@ -300,7 +300,7 @@ class TestCoassociativityBound:
         # each carries its bound, which must cover the exact residual of
         # W and of W-hat alike
         for name, w in bound_cases(w_z4, w_pair2).items():
-            beta = check_mpi_axioms(w, tol=np.inf).coassociativity_bound
+            beta = check_mpi_axioms(Fixture(w, tol=np.inf)).coassociativity_bound
             assert math.isfinite(beta), name
             for side in (w, what(w)):
                 assert _coassoc_residuals(side).max() <= beta, name
@@ -313,7 +313,7 @@ class TestCoassociativityBound:
         gaps = absolute_gaps(w)
         assert gaps["pi"] == gaps["mpi5"] == 0.0 < gaps["mpi6"]
         assert _coassoc_residuals(what(w)).max() == pytest.approx(1.0)
-        assert check_mpi_axioms(w, tol=np.inf).coassociativity_bound >= 1.0
+        assert check_mpi_axioms(Fixture(w, tol=np.inf)).coassociativity_bound >= 1.0
 
     def test_dual_has_the_same_gaps(self, w_z4):
         w = perturbed(w_z4, 1e-3, 11)
@@ -321,23 +321,24 @@ class TestCoassociativityBound:
         for name in primal:
             assert primal[name] > 1e-5, name
             assert dual[name] == pytest.approx(primal[name], rel=1e-10), name
-        assert check_mpi_axioms(Fixture(w).dual, tol=np.inf).coassociativity_bound == (
-            pytest.approx(check_mpi_axioms(w, tol=np.inf).coassociativity_bound, rel=1e-10))
+        loose = Fixture(w, tol=np.inf)
+        assert check_mpi_axioms(loose.dual).coassociativity_bound == (
+            pytest.approx(check_mpi_axioms(loose).coassociativity_bound, rel=1e-10))
 
     def test_bound_below_tol_is_the_entry(self, w_z3):
         exact = _coassoc_residuals(w_z3).max()
-        assert coassociativity_residual(w_z3, 1e-12, 1e-9) == 1e-12
+        assert coassociativity_residual(Fixture(w_z3, tol=1e-9), 1e-12) == 1e-12
         for bound in (1e-9, 1e-3, math.inf, math.nan):
-            assert coassociativity_residual(w_z3, bound, 1e-9) == exact
+            assert coassociativity_residual(Fixture(w_z3, tol=1e-9), bound) == exact
 
     def test_escalates_when_bound_reaches_tol(self, w_z3):
         # a tol between the worst axiom residual and the bound: the axioms
         # pass, the bound does not decide, and both entries are exact
         w = perturbed(w_z3, 1e-6, 5)
-        v = check_mpi_axioms(w, tol=np.inf)
+        v = check_mpi_axioms(Fixture(w, tol=np.inf))
         worst = max(v.pi_residual, *v.mpi_residuals.values())
         tol = math.sqrt(worst * v.coassociativity_bound)
-        at_tol = check_mpi_axioms(w, tol)
+        at_tol = check_mpi_axioms(Fixture(w, tol=tol))
         assert at_tol.passed and tol <= at_tol.coassociativity_bound < math.inf
         rep = run_suite(w, level="coalgebra", tol=tol)
         res = {e.check_id: e.residual for e in rep.entries}

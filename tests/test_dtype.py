@@ -25,16 +25,15 @@ def level_entries(m, q):
     n = q.shape[0]
     fx = Fixture(Operator(space(n, n), m))
     q = Operator(space(n), q)
-    tol = tensor.RESIDUAL_TOL
-    verdict = axioms.check_mpi_axioms(fx, tol)
+    verdict = axioms.check_mpi_axioms(fx)
     out = {"axioms": {"partial_isometry": verdict.pi_residual, **verdict.mpi_residuals,
                       **verdict.derived_residuals, **axioms.projection_residuals(fx)}}
     coalg = {}
     for side, sfx in (("primal", fx), ("dual", fx.dual)):
         coalg[f"coassociativity_{side}"] = coalgebra.coassociativity_residual(sfx.w)
         square = coalgebra.TensorSquare(sfx)
-        for res in (coalgebra.check_canonical_idempotent(square, tol).residuals,
-                    coalgebra.check_delta_range_and_density(square, tol, True).residuals):
+        for res in (coalgebra.check_canonical_idempotent(square).residuals,
+                    coalgebra.check_delta_range_and_density(square, True).residuals):
             coalg.update({f"{key}_{side}": value for key, value in res.items()})
     out["coalgebra"] = coalg
     base = {**base_algebra.base_spans(fx), **base_algebra.c_star_bases(fx),
@@ -43,7 +42,7 @@ def level_entries(m, q):
             "nu": fx.nu.normalization_residual, "nuhat": fx.dual.nu.normalization_residual}
     wt = manageability.build_wtilde(fx, q)
     dual_cert, formula_gap = manageability.dual_manageability(fx, q, wt)
-    manage = {**manageability.check_manageability(fx, q, tol).residuals,
+    manage = {**manageability.check_manageability(fx, q).residuals,
               **manageability.check_hash_identities(fx, wt),
               **{f"dual_{k}": v for k, v in dual_cert.residuals.items()},
               "dual_wtilde_formula": formula_gap,

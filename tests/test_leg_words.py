@@ -129,7 +129,7 @@ class TestAgainstDense:
         ((amb, ops, ids), (_, e_ops, e_legs), *_) = word_sets(w)
         want = dense_residuals(amb, ops, ids)
         # tol = inf: no identity stops early, every residual is over all columns
-        derived = check_mpi_axioms(fx, np.inf).derived_residuals
+        derived = check_mpi_axioms(Fixture(w, tol=np.inf)).derived_residuals
         assert list(derived) == list(DERIVED_IDENTITIES)
         for name in DERIVED_IDENTITIES:
             assert derived[name] == pytest.approx(want[name], rel=1e-12), name

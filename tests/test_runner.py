@@ -13,7 +13,7 @@ import pytest
 from mpi_lab import antipode, base_algebra, coalgebra, context, corpus, runner, tensor
 from mpi_lab.axioms import check_mpi_axioms
 from mpi_lab.context import Fixture
-from mpi_lab.manageability import build_wtilde
+from mpi_lab.manageability import build_wtilde, dual_manageability
 from mpi_lab.runner import builtin_corpus, corpus_suite, run_suite
 
 # Ordered check ids with pass flags, and ordered skips, of every corpus
@@ -118,6 +118,28 @@ def test_projection_entries_judged_at_the_run_tolerance():
     assert wrong == []
 
 
+def near_z3():
+    """Z_3 plus a seeded complex perturbation of relative size 1e-6."""
+    w = corpus.group_mpu(corpus.cyclic_table(3))
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal(w.matrix.shape) + 1j * rng.standard_normal(w.matrix.shape)
+    m = w.matrix + 1e-6 * np.linalg.norm(w.matrix) * z / np.linalg.norm(z)
+    return tensor.Operator(w.space, m)
+
+
+def test_dual_certificate_judged_at_the_context_tolerance():
+    # the dual context inherits the tolerance, so the certificate of W-hat
+    # is judged at the run's tol: near Z_3 with Q = 1 its largest residual
+    # is about 2e-6, which passes at tol = 1e-3 and fails at RESIDUAL_TOL
+    p, q = near_z3(), tensor.identity(tensor.space(3))
+    for t in (1e-3, tensor.RESIDUAL_TOL, np.inf):
+        assert Fixture(p, t).dual.tol == t
+    wt = build_wtilde(p, q)
+    passed = {t: dual_manageability(Fixture(p, t), q, wt)[0].passed
+              for t in (1e-3, tensor.RESIDUAL_TOL)}
+    assert passed == {1e-3: True, tensor.RESIDUAL_TOL: False}
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -127,12 +149,8 @@ def test_projection_entries_judged_at_the_run_tolerance():
 def test_loose_tolerance_checks_the_same_algebra():
     # Z_3 within 1e-6 of an MPI passes every axiom at tol = 1e-3; the leg
     # algebra it is judged on should then be Z_3's, of dimension 3
-    w = corpus.group_mpu(corpus.cyclic_table(3))
-    rng = np.random.default_rng(1)
-    z = rng.standard_normal(w.matrix.shape) + 1j * rng.standard_normal(w.matrix.shape)
-    m = w.matrix + 1e-6 * np.linalg.norm(w.matrix) * z / np.linalg.norm(z)
-    p = tensor.Operator(w.space, m)
-    if not check_mpi_axioms(p, 1e-3).passed:  # not an AssertionError: a real failure
+    p = near_z3()
+    if not check_mpi_axioms(Fixture(p, 1e-3)).passed:  # not an AssertionError: a real failure
         pytest.fail("the perturbed Z_3 no longer passes the axioms at tol 1e-3")
     assert run_suite(p, tol=1e-3).properties["coalgebra_dims_primal"]["A"] == 3
 
@@ -164,12 +182,14 @@ COUNTED = (
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts calls of the COUNTED functions, of np.linalg.svd, of
+    """Counts calls of the COUNTED functions, of numpy's SVD, of
     KappaSolver, PositiveEig and TensorSquare construction, and of
     span_matrices inside c_star_bases.
 
     Each function is rebound wherever an mpi_lab module holds it, so
-    calls through imported names are counted too."""
+    calls through imported names are counted too.  The SVD is counted
+    through both of numpy's bindings: np.linalg.svd, and the one in
+    numpy.linalg._linalg that np.linalg.norm(x, 2) calls."""
     counts = Counter()
     running = []
 
@@ -195,7 +215,9 @@ def calls(monkeypatch):
             for key, val in list(vars(mod).items()):
                 if val is fn:
                     monkeypatch.setattr(mod, key, wrapper)
-    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    svd = counting("svd", np.linalg.svd)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg._linalg, "svd", svd)
     for cls in (base_algebra.KappaSolver, tensor.PositiveEig, coalgebra.TensorSquare):
         monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
     return counts
@@ -224,8 +246,9 @@ def test_shared_quantities_computed_once(w_pair2, calls):
     assert first["tensor_fit"] == 12 + 2
     # each slice stack is factored once: fullness and the five antipode
     # maps read the SVDs of the four leg algebras, and no span of Rtilde's
-    # images is taken
-    assert first["svd"] == 40
+    # images is taken; 6 of the SVDs are spectral norms, ||W||_2 in the
+    # axioms and one in each antipode map
+    assert first["svd"] == 46
     # nothing survives the call: a second run on the same W does it all again
     calls.clear()
     run_suite(w_pair2, level="all")
@@ -234,13 +257,14 @@ def test_shared_quantities_computed_once(w_pair2, calls):
 
 def test_failing_axioms_factor_nothing(calls):
     # fullness gates only the levels after the axioms, so a W that fails
-    # them builds no leg algebra, takes no SVD and reports no fullness
+    # them builds no leg algebra, takes one SVD (||W||_2, singular values
+    # only) and reports no fullness
     w = corpus.group_mpu(corpus.cyclic_table(4))
     z = np.random.default_rng(2).standard_normal(w.matrix.shape)
     rep = run_suite(tensor.Operator(w.space, w.matrix + 1e-3 * z), level="all")
     assert not rep.overall_pass
     assert [s["level"] for s in rep.skips] == list(runner.LEVELS[1:])
-    assert calls["leg_algebra"] == 0 and calls["svd"] == 0
+    assert calls["leg_algebra"] == 0 and calls["svd"] == 1
     assert "fullness" not in rep.properties and "nondegenerately_full" not in rep.properties
 
 
@@ -265,7 +289,7 @@ def test_density_spans_of_a_fixture_not_full_refit_nothing(w_example, monkeypatc
         fresh = coalgebra.TensorSquare(sq.fx)
         coalgebra.check_canonical_idempotent(fresh)
         for key in ("a1_deltab", "deltaa_1b", "deltaa_b1", "1a_deltab"):
-            fresh.membership(key, tensor.RESIDUAL_TOL)
+            fresh.membership(key)
         assert sq._dense == fresh._dense, side
         escalated = coalgebra.check_delta_range_and_density(coalgebra.TensorSquare(sq.fx))
         assert rep.properties[f"coalgebra_dims_{side}"] == escalated.dims, side

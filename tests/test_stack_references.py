@@ -566,11 +566,11 @@ def _without_flip(monkeypatch, w):
     return Fixture(w).dual
 
 
-def _generic_a(w, dim, seed):
-    """A context of W whose A is a random span of the given dimension:
-    neither an algebra nor closed under Delta, so the products leave
-    A (x) A."""
-    fx = Fixture(w)
+def _generic_a(w, dim, seed, tol=RESIDUAL_TOL):
+    """A context of W at tol whose A is a random span of the given
+    dimension: neither an algebra nor closed under Delta, so the products
+    leave A (x) A."""
+    fx = Fixture(w, tol)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((dim, fx.n, fx.n)) + 1j * rng.standard_normal((dim, fx.n, fx.n))
     sub = span_matrices(fx.leg_space, z)
@@ -693,20 +693,21 @@ class DenseSquare(TensorSquare):
         return dense_family(self.fx, key)
 
 
-def coalgebra_entries(square, tol):
-    """E_multiplier and the range and density entries of one side."""
+def coalgebra_entries(square):
+    """E_multiplier and the range and density entries of one side, at the
+    tol of its context."""
     return {
-        "E_multiplier": check_canonical_idempotent(square, tol).residuals["E_multiplier"],
-        **check_delta_range_and_density(square, tol).residuals,
+        "E_multiplier": check_canonical_idempotent(square).residuals["E_multiplier"],
+        **check_delta_range_and_density(square).residuals,
     }
 
 
-def _nilpotent_a():
-    """W = 1 on C^2 (x) C^2 with A = span{e21} (e21 e21 = 0: no unit on
-    either side, so the reduction through u = 0 rests on the unit residual
-    alone) and a random M in place of E, which puts (b (x) c)M and M(b (x) c)
-    off A (x) A."""
-    fx = Fixture(identity(space(2, 2)))
+def _nilpotent_a(tol=RESIDUAL_TOL):
+    """W = 1 on C^2 (x) C^2 at tol with A = span{e21} (e21 e21 = 0: no unit
+    on either side, so the reduction through u = 0 rests on the unit
+    residual alone) and a random M in place of E, which puts (b (x) c)M and
+    M(b (x) c) off A (x) A."""
+    fx = Fixture(identity(space(2, 2)), tol)
     sub = span_matrices(space(2), np.array([[[0.0, 0.0], [1.0, 0.0]]]))
     fx.__dict__["A"] = sub
     rng = np.random.default_rng(21)
@@ -715,12 +716,12 @@ def _nilpotent_a():
     return fx
 
 
-def _unclosed_unital_a():
-    """W = 1 on C^3 (x) C^3 with A = span{1, x} for a random x, so A has the
-    unit 1 but x^2 leaves it, and M = 1 (x) 1 + x (x) x in place of E: every
-    M(u (x) u) lies in A (x) A, and M(b (x) c) leaves it only through the
-    products that product_stability_A bounds."""
-    fx = Fixture(identity(space(3, 3)))
+def _unclosed_unital_a(tol=RESIDUAL_TOL):
+    """W = 1 on C^3 (x) C^3 at tol with A = span{1, x} for a random x, so A
+    has the unit 1 but x^2 leaves it, and M = 1 (x) 1 + x (x) x in place of
+    E: every M(u (x) u) lies in A (x) A, and M(b (x) c) leaves it only
+    through the products that product_stability_A bounds."""
+    fx = Fixture(identity(space(3, 3)), tol)
     rng = np.random.default_rng(23)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     sub = span_matrices(space(3), np.array([np.eye(3), x]))
@@ -730,10 +731,10 @@ def _unclosed_unital_a():
     return fx
 
 
-def _e_off_diagonal_a():
-    """The fixture of test_range_bound_carries_E_off_A2: W = 1, A the
-    diagonal algebra, a random M in place of E."""
-    fx = Fixture(identity(space(3, 3)))
+def _e_off_diagonal_a(tol=RESIDUAL_TOL):
+    """The fixture of test_range_bound_carries_E_off_A2 at tol: W = 1, A
+    the diagonal algebra, a random M in place of E."""
+    fx = Fixture(identity(space(3, 3)), tol)
     diag = span_matrices(space(3), np.array([np.diag(np.eye(3)[i]) for i in range(3)]))
     fx.__dict__["A"] = diag
     rng = np.random.default_rng(5)
@@ -750,9 +751,11 @@ def test_reduced_families_match_dense_in_A2(pair2):
     # are O(1): the fixture is not full)
     from mpi_lab import corpus
 
-    example = Fixture(corpus.matrix_unit_example())
+    # at tol = inf no entry is escalated, so each one is the reduced one
+    loose = Fixture(pair2.w, tol=np.inf)
+    example = Fixture(corpus.matrix_unit_example(), tol=np.inf)
     cases = [(fx, tuple(FAMILIES)) for fx in
-             (pair2, pair2.dual, Fixture(corpus.group_mpu(corpus.cyclic_table(4))))]
+             (loose, loose.dual, Fixture(corpus.group_mpu(corpus.cyclic_table(4))))]
     cases.append((example, ("E_bc", "deltaa_1b", "deltaa_b1")))
     for fx, keys in cases:
         square = TensorSquare(fx)
@@ -760,8 +763,8 @@ def test_reduced_families_match_dense_in_A2(pair2):
             got, ref = square.family(key), dense_family(fx, key)
             np.testing.assert_allclose(got.coords, ref.coords, rtol=0, atol=1e-12, err_msg=key)
             assert got.membership < 1e-12 and ref.membership < 1e-12, key
-    for fx in (pair2, pair2.dual, example):
-        got = coalgebra_entries(TensorSquare(fx), np.inf)
+    for fx in (loose, loose.dual, example):
+        got = coalgebra_entries(TensorSquare(fx))
         ref, _ = range_and_density_dense(fx)
         ref["E_multiplier"] = max(dense_family(fx, k).membership for k in ("E_bc", "bc_E"))
         if fx is example:  # the families through the missing right unit
@@ -783,14 +786,14 @@ def test_reduced_entries_bound_dense_off_A2(pair2, case):
     from mpi_lab import corpus
 
     fx = {
-        "example": lambda: Fixture(corpus.matrix_unit_example()),
-        "nilpotent": _nilpotent_a,
-        "unclosed_unital": _unclosed_unital_a,
-        "e_off_diagonal": _e_off_diagonal_a,
+        "example": lambda: Fixture(corpus.matrix_unit_example(), tol=np.inf),
+        "nilpotent": lambda: _nilpotent_a(tol=np.inf),
+        "unclosed_unital": lambda: _unclosed_unital_a(tol=np.inf),
+        "e_off_diagonal": lambda: _e_off_diagonal_a(tol=np.inf),
     }.get(case, lambda: _generic_a(
         pair2.w if case.startswith("pair2") else identity(space(3, 3)),
-        int(case.split("_")[1]), seed=int(case.split("_")[1])))()
-    got = coalgebra_entries(TensorSquare(fx), np.inf)
+        int(case.split("_")[1]), seed=int(case.split("_")[1]), tol=np.inf))()
+    got = coalgebra_entries(TensorSquare(fx))
     ref, _ = range_and_density_dense(fx)
     ref["E_multiplier"] = max(dense_family(fx, k).membership for k in ("E_bc", "bc_E"))
     for key, value in ref.items():
@@ -803,11 +806,11 @@ def test_unit_residual_term_is_needed(monkeypatch):
     # the mutant that drops max_b ||u b - b|| from the bound passes
     # E_multiplier on A = span{e21}, where u = 0 and the exact distance is
     # O(1): the bound test above must fail on it
-    fx = _nilpotent_a()
+    fx = _nilpotent_a(tol=np.inf)
     ref = max(dense_family(fx, k).membership for k in ("E_bc", "bc_E"))
     unit = TensorSquare._unit
     monkeypatch.setattr(TensorSquare, "_unit", lambda self, p, side: (unit(self, p, side)[0], 0.0))
-    got = check_canonical_idempotent(TensorSquare(fx), np.inf).residuals["E_multiplier"]
+    got = check_canonical_idempotent(TensorSquare(fx)).residuals["E_multiplier"]
     assert got < 1e-12 < 0.1 < ref
 
 
@@ -816,7 +819,7 @@ def test_example_escalates_and_passes(w_example):
     # families with A factors on the left are refit member by member, and
     # every membership and range entry passes
     square = TensorSquare(w_example)
-    got = coalgebra_entries(square, RESIDUAL_TOL)
+    got = coalgebra_entries(square)
     assert {"a1_deltab", "1a_deltab", "bc_E"} <= square._dense
     kept = {k: v for k, v in got.items() if not k.startswith("density_")}
     assert max(kept.values()) < RESIDUAL_TOL, kept
@@ -835,8 +838,8 @@ def test_every_fail_is_exact(pair2, w_example, case):
         "pair2_4": lambda: _generic_a(pair2.w, 4, seed=4),
         "nilpotent": _nilpotent_a,
     }[case]()
-    got = coalgebra_entries(TensorSquare(fx), RESIDUAL_TOL)
-    ref = coalgebra_entries(DenseSquare(fx), RESIDUAL_TOL)
+    got = coalgebra_entries(TensorSquare(fx))
+    ref = coalgebra_entries(DenseSquare(fx))
     exact = {f"mult_{k}": dense_family(fx, k).membership for k in FAMILIES if "delta" in k}
     exact["E_multiplier"] = max(dense_family(fx, k).membership for k in ("E_bc", "bc_E"))
     failed = [k for k, v in got.items() if v >= RESIDUAL_TOL]

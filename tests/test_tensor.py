@@ -23,6 +23,7 @@ from mpi_lab.tensor import (
     space,
     span,
     span_matrices,
+    spectral_norm,
     swap_legs,
     tensor_fit,
     transpose_op,
@@ -375,6 +376,18 @@ class TestFactor:
         null = vh[rank:]
         np.testing.assert_allclose(m @ null.T, 0.0, atol=1e-14)
         np.testing.assert_allclose(null @ null.T, np.eye(3), atol=1e-14)
+
+
+class TestSpectralNorm:
+    def test_largest_singular_value(self):
+        # numpy's matrix 2-norm, bit for bit, on real, complex, wide and
+        # empty matrices; infinite for a non-finite entry
+        rng = np.random.default_rng(71)
+        for m in (rng.standard_normal((5, 5)), rng.standard_normal((3, 7))
+                  + 1j * rng.standard_normal((3, 7)), np.zeros((0, 4))):
+            assert spectral_norm(m) == np.linalg.norm(m, 2)
+        for bad in (np.nan, np.inf):
+            assert spectral_norm(np.array([[1.0, bad]])) == np.inf
 
 
 class TestContains:
