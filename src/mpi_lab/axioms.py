@@ -5,23 +5,26 @@ identities mpi1-mpi4 hold on H (x) H (x) H; mpi5-mpi10 then follow.
 mpi5 is the pentagon equation; mpi3/mpi4 are trivial for unitaries but
 carry the base-algebra commutation in the general case.
 
-The ten identities are leg words evaluated together on column blocks
-(tensor.LegWords), which fuses the same-leg runs of the paper's words:
-mpi3 is evaluated as E_23 W_12 = W_12 E_23 with E = W*W, formed once.
-``check_mpi_axioms`` stops an identity as FAIL as
-soon as the blocks so far certify it: its residual is then a lower bound
-on the full residual, above FAIL_MARGIN * tol, and its id is listed in
-``MpiVerdict.lower_bounds``.  A PASS always reports the full residual.
-A passing verdict also carries a bound on every coassociativity residual,
-from the exact Frobenius gaps of mpi5, mpi6 and W W* W = W that the
-evaluation has summed and from ||W||_2 (``coassociativity_bound``, derived
-at ``coalgebra.coassociativity_residual``).
+The identities are leg words evaluated on column blocks by one
+tensor.LegWords engine, which fuses the same-leg runs of the paper's
+words: mpi3 is evaluated as E_23 W_12 = W_12 E_23 with E = W*W, formed
+once.  ``check_mpi_axioms`` sums mpi1-mpi4 first.  It stops an identity
+as FAIL as soon as the blocks so far certify it: its residual is then a
+lower bound on the full residual, above FAIL_MARGIN * tol, and its id is
+listed in ``MpiVerdict.lower_bounds``.  When the axioms pass with every
+block summed, ``dependent_bounds`` turns their exact Frobenius gaps,
+that of W W* W = W and ||W||_2 into certified bounds on mpi5-mpi10, on
+the primal E-leg identities of the coalgebra level and on every
+coassociativity residual (``MpiVerdict.bounds``).  An entry takes its
+bound when ``takes_bound`` says the bound decides it; every other
+derived identity is evaluated on the same engine, so a PASS may rest on
+a bound and a FAIL never does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,9 +51,26 @@ class MpiVerdict:
     passed: bool
     #: ids whose residual is a certified lower bound (an early FAIL)
     lower_bounds: tuple[str, ...] = ()
-    #: bound on every coassociativity residual of W and of W-hat; infinite
-    #: unless the verdict passed with mpi5 and mpi6 evaluated in full
-    coassociativity_bound: float = math.inf
+    #: ``dependent_bounds``: a certified bound on the gap of each identity
+    #: that follows from the axioms and on every coassociativity residual
+    #: of W and of W-hat; empty unless the verdict passed with mpi1-mpi4
+    #: summed over every block
+    bounds: dict[str, float] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class AxiomGaps:
+    """What the dependent identities are bounded from: the exact Frobenius
+    gaps of mpi1-mpi4, p = sqrt(n) ||W W* W - W||_F (the gap of
+    W W* W = W on any two of three legs) and s = ||W||_2.  Only
+    ``dependent_bounds`` reads it, so each dependent identity has one bound."""
+
+    gap1: float
+    gap2: float
+    gap3: float
+    gap4: float
+    gap_pi: float
+    norm2: float
 
 
 @dataclass(frozen=True)
@@ -121,47 +141,112 @@ def lhs_norm_bounds(w: np.ndarray, norm2: float) -> dict[str, float]:
             for name, (left, _) in IDENTITY_WORDS.items()}
 
 
+def takes_bound(bound: float, fx: Fixture) -> bool:
+    """Whether an entry of the context fx is decided by its certified upper
+    bound: the bound comes in below fx.tol with the rounding margin that
+    FAIL_MARGIN argues, as the gaps it is formed from carry a relative
+    rounding error far below a factor 2.  A NaN or infinite bound decides
+    nothing."""
+    return FAIL_MARGIN * bound < fx.tol
+
+
+def dependent_bounds(gaps: AxiomGaps) -> dict[str, float]:
+    """Certified bounds on the Frobenius gap L - R of each identity that
+    follows from mpi1-mpi4 and W W* W = W, after Baaj-Skandalis' leg
+    calculus, and on every coassociativity residual.
+
+    Write D_k for the gap of mpi_k as IDENTITY_WORDS states it (so
+    D3 = E23 W12 - W12 E23 and D4 = G12 W23 - W23 G12, E = W*W, G = WW*),
+    g_k = ||D_k||_F, Dpi = W W* W - W, p = ||(Dpi)_ij||_F = sqrt(n) ||Dpi||_F
+    and s = ||W_ij||_2 = ||W||_2.  With W E = G W = W + Dpi,
+    W* G = E W* = W* + Dpi* and mpi1-mpi4 solved for one side,
+      mpi5:  (Dpi)23 W12 - W23 D3 - D1 W23 = W23 (Dpi)12 + D4 W12 - W12 D2,
+      mpi6:  D2 W*23 - W*12 D1,
+      mpi7:  W*23 D1 - D3 W*23 - W12 (Dpi*)23,
+      mpi8:  D2 W*12 + W*12 D4 - (Dpi*)12 W23,
+      mpi9:  -D7* W12 - W*13 D2 (W*13 W*12 W23 = W23 W*12 - D7*),
+      mpi10: -W23 D8* - D1 W*13 (W12 W*23 W*13 = W*23 W12 - D8*),
+      E_legs_commute:      E12 E23 - E23 E12 = D3* W12 - W*12 D3,
+      E_legs_product_form: E12 E23 - W*12 E23 W12 = -W*12 D3,
+    and ||X Y||_F <= ||X||_2 ||Y||_F bounds each term.  A relative
+    residual, the gap over max(1, ||L||_F), is at most its gap.  The
+    coassociativity bound is beta of ``coalgebra.coassociativity_residual``
+    on the bounds of mpi5 and mpi6, as beta grows with both gaps."""
+    g1, g2, g3, g4 = gaps.gap1, gaps.gap2, gaps.gap3, gaps.gap4
+    p, s = gaps.gap_pi, gaps.norm2
+    b = {
+        "mpi5": s * (p + min(g1 + g3, g2 + g4)),
+        "mpi6": s * (g1 + g2),
+        "mpi7": s * (p + g1 + g3),
+        "mpi8": s * (p + g2 + g4),
+    }
+    b["mpi9"] = s * b["mpi7"] + s * g2
+    b["mpi10"] = s * b["mpi8"] + s * g1
+    b["E_legs_commute"] = 2.0 * s * g3
+    b["E_legs_product_form"] = s * g3
+    b["coassociativity"] = s**3 * (p + b["mpi6"] + 2.0 * b["mpi5"]) + b["mpi5"] ** 2
+    return {name: float(value) for name, value in b.items()}
+
+
+def _evaluate(fx: Fixture, words: LegWords, names,
+              lhs_bounds: dict[str, float]) -> tuple[dict, dict, dict]:
+    """Residual and Frobenius gap of each named identity, summed over the
+    column blocks, and the block after which each early-stopped one
+    stopped.  After each block but the last, an identity whose partial gap
+    over its ``lhs_norm_bounds`` exceeds FAIL_MARGIN * fx.tol is not evaluated
+    further, and that certified lower bound is its residual."""
+    sums = {name: np.zeros(2) for name in names}
+    stops = {}
+    last = len(words.column_blocks) - 1
+    for i, cols in enumerate(words.column_blocks):
+        active = [name for name in names if name not in stops]
+        for name, norms in words.block_norms(cols, active).items():
+            sums[name] += norms
+            if i < last and np.sqrt(sums[name][0]) / lhs_bounds[name] > FAIL_MARGIN * fx.tol:
+                stops[name] = i
+    gaps = {name: float(np.sqrt(gap)) for name, (gap, _) in sums.items()}
+    res = {name: gaps[name] / (lhs_bounds[name] if name in stops
+                               else max(1.0, float(np.sqrt(lhs))))
+           for name, (_, lhs) in sums.items()}
+    return res, gaps, stops
+
+
 def check_mpi_axioms(w: Operator | Fixture) -> MpiVerdict:
     """Full multiplicativity verdict at the context's tol: partial isometry
     plus mpi1-mpi4, with the derived residuals mpi5-mpi10 reported alongside.
 
-    The ten identities are evaluated together, block of columns by block.
-    After each block but the last, an identity whose partial gap over
-    ``lhs_norm_bounds`` exceeds FAIL_MARGIN * tol stops: the partial gap
-    is a lower bound on ||L - R||_F, so that ratio is a certified lower
-    bound on the residual, and it is reported in place of the residual
-    (the ids are in ``lower_bounds``).  Every other identity, each PASS
-    among them, reports its exact residual over all columns.  A passing
-    verdict whose mpi5 and mpi6 ran in full carries their gaps as a
-    ``coassociativity_bound``."""
+    mpi1-mpi4 are evaluated first, block of columns by block
+    (``_evaluate``).  An identity that stops early reports its certified
+    lower bound in place of the residual (the ids are in ``lower_bounds``).
+    When the axioms pass with none stopped, the verdict carries
+    ``dependent_bounds``, and a derived entry whose bound ``takes_bound``
+    reports that bound.  Every other derived identity, each one of a W
+    that fails the axioms among them, is then evaluated on the same engine
+    with the same early stop, so the residuals and ``lower_bounds`` of a
+    failing W are those of evaluating all ten together."""
     fx = as_fixture(w)
-    m, tol = fx.w.matrix, fx.tol
+    m = fx.w.matrix
     gap_pi, res_pi = _pi_gaps(m)
     words = LegWords(fx.three_leg, {"W": fx.w, "W*": fx.ws}, IDENTITY_WORDS)
     norm2 = spectral_norm(m)
-    bounds = lhs_norm_bounds(m, norm2)
-    sums = {name: np.zeros(2) for name in IDENTITY_WORDS}
-    lower_bounds = []
-    last = words.column_blocks[-1]
-    for cols in words.column_blocks:
-        active = [name for name in IDENTITY_WORDS if name not in lower_bounds]
-        for name, norms in words.block_norms(cols, active).items():
-            sums[name] += norms
-            if cols is not last and np.sqrt(sums[name][0]) / bounds[name] > FAIL_MARGIN * tol:
-                lower_bounds.append(name)
-    res = {
-        name: float(np.sqrt(gap) / (bounds[name] if name in lower_bounds
-                                    else max(1.0, np.sqrt(lhs))))
-        for name, (gap, lhs) in sums.items()
-    }
-    axioms = {name: res[name] for name in MPI_AXIOMS}
-    derived = {name: res[name] for name in DERIVED_IDENTITIES}
-    passed = res_pi < tol and all(r < tol for r in axioms.values())
-    beta = math.inf  # the bound coalgebra.coassociativity_residual derives
-    if passed and not {"mpi5", "mpi6"} & set(lower_bounds):
-        gap5, gap6 = (math.sqrt(sums[name][0]) for name in ("mpi5", "mpi6"))
-        beta = float(norm2**3 * (math.sqrt(fx.n) * gap_pi + gap6 + 2.0 * gap5) + gap5**2)
-    return MpiVerdict(res_pi, axioms, derived, passed, tuple(lower_bounds), beta)
+    lhs_bounds = lhs_norm_bounds(m, norm2)
+    res, gaps, stops = _evaluate(fx, words, MPI_AXIOMS, lhs_bounds)
+    passed = res_pi < fx.tol and all(r < fx.tol for r in res.values())
+    bounds = {}
+    if passed and not stops:
+        bounds = dependent_bounds(AxiomGaps(*(gaps[name] for name in MPI_AXIOMS),
+                                            math.sqrt(fx.n) * gap_pi, norm2))
+    res.update((name, bounds[name]) for name in DERIVED_IDENTITIES
+               if takes_bound(bounds.get(name, math.inf), fx))
+    derived, _, more_stops = _evaluate(
+        fx, words, [name for name in DERIVED_IDENTITIES if name not in res], lhs_bounds)
+    res.update(derived)
+    stops.update(more_stops)
+    order = list(IDENTITY_WORDS)  # the order in which evaluating all ten stops them
+    lower_bounds = tuple(sorted(stops, key=lambda name: (stops[name], order.index(name))))
+    return MpiVerdict(res_pi, {name: res[name] for name in MPI_AXIOMS},
+                      {name: res[name] for name in DERIVED_IDENTITIES}, passed,
+                      lower_bounds, bounds)
 
 
 def projection_residuals(w: Operator | Fixture) -> dict[str, float]:

@@ -21,17 +21,21 @@ So every entry bounds the exact distance from above.  An entry that does
 not come in below the run's tolerance is taken again from the d^2-member
 fits of the families it reads, whose coordinates and distances are exact
 (O(d^2 n^6)): a PASS may rest on a bound, a FAIL does not.
-Coassociativity follows the same rule.  Its gap for x is
-D(x) = U* x3 U - V* x3 V, with U = W23 W12 and V = W13 W23, and D(x) is a
-sum of terms each carrying the gap of mpi5, of mpi6 or of W W* W = W, which
-``axioms.check_mpi_axioms`` has already summed exactly: so those gaps and
-||W||_2 bound every matrix unit's residual (``MpiVerdict.coassociativity_bound``;
-the derivation is at ``coassociativity_residual``).  W-hat has the same
-three gaps and the same ||W||_2, so one bound serves both sides.  Only a
-bound that does not come in below tol sends a side to the exact
-evaluation: over all matrix units at once, in O(n^8), from QR-reduced
-blocks of the three-leg products, so no difference of squared norms can
-cancel and the residual of a dense W stays at rounding level.
+Coassociativity and the primal E-leg identities follow the same rule.
+The coassociativity gap for x is D(x) = U* x3 U - V* x3 V, with
+U = W23 W12 and V = W13 W23, and D(x) is a sum of terms each carrying the
+gap of mpi5, of mpi6 or of W W* W = W, which ``axioms.dependent_bounds``
+bounds from the axiom gaps: so those bounds and ||W||_2 bound every
+matrix unit's residual (``MpiVerdict.bounds["coassociativity"]``; the
+derivation is at ``coassociativity_residual``).  W-hat has the same
+three gaps and the same ||W||_2, so one bound serves both sides.  The
+E-leg gaps of W are products with the mpi3 gap, bounded alike; those of
+W-hat are evaluated, as they check W-hat's own construction.  Only a
+bound that ``axioms.takes_bound`` rejects sends an entry to the exact
+evaluation: for coassociativity over all matrix units at once, in O(n^8),
+from QR-reduced blocks of the three-leg products, so no difference of
+squared norms can cancel and the residual of a dense W stays at rounding
+level.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .axioms import takes_bound
 from .context import Fixture, as_fixture
 from .tensor import (
     Fit,
@@ -97,11 +102,11 @@ def _comul_stack(fx: Fixture, xs: np.ndarray) -> np.ndarray:
 
 def coassociativity_residual(w: Operator | Fixture, bound: float = np.inf) -> float:
     """Max relative gap of (Delta (x) id)Delta(x) = (id (x) Delta)Delta(x)
-    over the matrix units x = e_kl, which span every x: ``bound`` when it
-    comes in below the context's tol, else the exact maximum of
-    ``_coassoc_residuals``, so a FAIL never rests on the bound.
+    over the matrix units x = e_kl, which span every x: ``bound`` when
+    ``takes_bound`` accepts it at the context's tol, else the exact maximum
+    of ``_coassoc_residuals``, so a FAIL never rests on the bound.
 
-    The bound is ``check_mpi_axioms(w).coassociativity_bound``.  With
+    The bound is ``check_mpi_axioms(w).bounds["coassociativity"]``.  With
     U = W23 W12, V = W13 W23 and x3 = 1 (x) 1 (x) x the gap is
     D(x) = U* x3 U - V* x3 V.  Write D5 = W12 V - U (the mpi5 gap),
     D6 = E12 W13 - W13 G23 (mpi6, E = W*W, G = WW*) and Dpi = W W* W - W.
@@ -111,13 +116,15 @@ def coassociativity_residual(w: Operator | Fixture, bound: float = np.inf) -> fl
     + D5* x3 D5.  For a matrix unit (||x||_2 = 1), with ||V||_2 <= ||W||_2^2
     and ||(Dpi)23||_F = sqrt(n) ||Dpi||_F,
     ||D(x)||_F <= ||W||_2^3 (sqrt(n) ||Dpi||_F + ||D6||_F + 2 ||D5||_F) + ||D5||_F^2,
-    and the relative gap, over max(1, .), is at most that.  The same bound
+    and the relative gap, over max(1, .), is at most that;
+    ``axioms.dependent_bounds`` takes it on the bounds of the mpi5 and mpi6
+    gaps, which the axiom gaps give.  The same bound
     holds for W-hat = Sigma W* Sigma: its mpi5, mpi6 and partial-isometry
     gaps are the adjoints of those of W (the mpi6 one negated) with legs
     1 and 3 exchanged, which keeps Frobenius norms, and ||W-hat||_2 = ||W||_2.
     Called with W alone, it is the exact maximum."""
     fx = as_fixture(w)
-    if bound < fx.tol:
+    if takes_bound(bound, fx):
         return float(bound)
     return float(np.max(_coassoc_residuals(fx)))
 
@@ -313,21 +320,32 @@ def _homomorphism_gap(fx: Fixture, basis: np.ndarray) -> float:
     return float(np.max(np.ravel(gaps) / scales, initial=0.0))
 
 
-def check_canonical_idempotent(w: Operator | Fixture | TensorSquare) -> CoalgebraReport:
+#: the commuting legs of E as leg words; E12 E23 also equals
+#: (W23 W12)* (W23 W12), and the reversed product form fails for non-full
+#: fixtures, so only this one is checked
+E_LEG_WORDS = {
+    "E_legs_commute": ("E12 E23", "E23 E12"),
+    "E_legs_product_form": ("E12 E23", "W*12 W*23 W23 W12"),
+}
+
+
+def check_canonical_idempotent(w: Operator | Fixture | TensorSquare,
+                               bounds: dict[str, float] | None = None) -> CoalgebraReport:
     """Commuting legs of E, multiplier membership of E in A (x) A, Delta
     multiplicative on A, and the leg commutation identities with A and
     A-hat.  E = Delta(1) and Delta(x*) = Delta(x)* hold for every W by
-    the definition Delta(x) = W*(1 (x) x)W, so they are not measured."""
+    the definition Delta(x) = W*(1 (x) x)W, so they are not measured.
+    ``bounds`` holds certified bounds on E_LEG_WORDS gaps
+    (``MpiVerdict.bounds`` of this side's W): an E-leg entry whose bound
+    ``takes_bound`` accepts reports it, and every other one is evaluated."""
     sq = w if isinstance(w, TensorSquare) else TensorSquare(w)
     fx, bst = sq.fx, sq.basis
     e, g = fx.e.matrix, fx.g.matrix
-    ops = {"W": fx.w, "W*": fx.ws, "E": fx.e}
-    res = LegWords(fx.three_leg, ops, {
-        "E_legs_commute": ("E12 E23", "E23 E12"),
-        # E12 E23 also equals (W23 W12)* (W23 W12); the reversed product
-        # form fails for non-full fixtures, so only this one is checked
-        "E_legs_product_form": ("E12 E23", "W*12 W*23 W23 W12"),
-    }).residuals()
+    bounds = bounds or {}
+    rest = {name: pair for name, pair in E_LEG_WORDS.items()
+            if not takes_bound(bounds.get(name, np.inf), fx)}
+    exact = LegWords(fx.three_leg, {"W": fx.w, "W*": fx.ws, "E": fx.e}, rest).residuals()
+    res = {name: exact[name] if name in rest else bounds[name] for name in E_LEG_WORDS}
 
     res["delta_homomorphism"] = _homomorphism_gap(fx, bst)
     res["E_multiplier"] = max(sq.membership("E_bc"), sq.membership("bc_E"))

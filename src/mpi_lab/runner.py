@@ -14,7 +14,7 @@ lands in the report properties.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -69,7 +69,8 @@ class _Run:
     wanted: tuple[str, ...]
     q: Operator | None
     full: bool = False
-    coassoc_bound: float = np.inf
+    #: MpiVerdict.bounds: certified bounds on what follows from the axioms
+    bounds: dict = field(default_factory=dict)
     cert: ManageabilityCertificate | None = None
 
     def add(self, results: dict, prefix: str = "", suffix: str = "", **kw):
@@ -89,7 +90,7 @@ def _axioms(run: _Run) -> bool:
     verdict = check_mpi_axioms(fx)
     run.add({"partial_isometry": verdict.pi_residual, **verdict.mpi_residuals,
              **verdict.derived_residuals})
-    run.coassoc_bound = verdict.coassociativity_bound
+    run.bounds = verdict.bounds
     if verdict.lower_bounds:  # these residuals are certified lower bounds
         rep.properties["lower_bound_checks"] = list(verdict.lower_bounds)
     run.add(projection_residuals(fx), prefix="projection_")
@@ -97,7 +98,8 @@ def _axioms(run: _Run) -> bool:
         for lv in run.wanted[1:]:
             rep.skip(lv, "multiplicativity axioms failed")
         return False
-    # fullness gates only the later levels: a failing W builds no slice algebra
+    if len(run.wanted) == 1:  # fullness gates only the later levels
+        return True
     fullness = assess_fullness(fx)
     rep.properties["fullness"] = asdict(fullness)
     run.full = (
@@ -119,10 +121,13 @@ def _coalgebra(run: _Run) -> bool:
             "star_closed": alg.star_closed,
         }
     for side, sfx in (("primal", fx), ("dual", fx.dual)):
-        # W-hat has the gaps of W, so the axioms' bound serves both sides
-        rep.add(f"coassociativity_{side}", coassociativity_residual(sfx, run.coassoc_bound))
+        # W-hat has the coassociativity gaps of W, so that bound serves both
+        # sides; the E-leg bounds serve W alone
+        rep.add(f"coassociativity_{side}",
+                coassociativity_residual(sfx, run.bounds.get("coassociativity", np.inf)))
         square = TensorSquare(sfx)  # this side's A (x) A data, shared by two checks
-        run.add(check_canonical_idempotent(square).residuals, suffix=f"_{side}")
+        e_bounds = run.bounds if side == "primal" else None
+        run.add(check_canonical_idempotent(square, e_bounds).residuals, suffix=f"_{side}")
         # density spans are meaningful only under fullness; dims still reported
         rng = check_delta_range_and_density(square, run.full)
         del square

@@ -16,7 +16,10 @@ whole is listed in ``SERIALIZED`` with the reason.  No src code but
 ``tensor.factor`` and ``tensor.spectral_norm`` takes an SVD, names the
 rank cutoff ``RANK_TOL`` or takes a matrix 2-norm (an SVD inside numpy).
 A parameter named ``tol`` is allowed only where ``TOL_PARAMETERS`` says
-why: every check reads the run's tolerance from its context.
+why: every check reads the run's tolerance from its context.  No src code
+but ``axioms.dependent_bounds`` reads a field of the axiom gap record
+``axioms.AxiomGaps``, so each identity that follows from the axioms has
+one bound.
 """
 
 import ast
@@ -304,3 +307,43 @@ def test_tol_guard_flags_a_check_with_its_own_tol(tmp_path):
                                       "def check_canonical_idempotent(tol, w"))
     assert [h for h in tol_holders(tmp_path) if h not in TOL_PARAMETERS] == [
         "coalgebra.check_canonical_idempotent"]
+
+
+#: the record of the axiom gaps, and the one function that reads its fields
+GAP_RECORD, GAP_READER = "AxiomGaps", "dependent_bounds"
+
+
+def gap_readers(src: Path) -> list[str]:
+    """"module:line" of each read, as an attribute, of a field of
+    ``axioms.AxiomGaps`` under ``src`` outside ``axioms.dependent_bounds``."""
+    tree = _parse(src / "axioms.py")
+    record = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == GAP_RECORD)
+    fields = {item.target.id for item in record.body if isinstance(item, ast.AnnAssign)}
+    flagged = []
+    for path in sorted(src.glob("*.py")):
+        tree = _parse(path)
+        reader = set()
+        if path.stem == "axioms":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == GAP_READER:
+                    reader |= {id(sub) for sub in ast.walk(node)}
+        flagged += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr in fields and id(node) not in reader]
+    return flagged
+
+
+def test_one_function_bounds_the_dependent_identities():
+    assert gap_readers(SRC) == [], f"axiom gaps read outside {GAP_READER}"
+
+
+def test_gap_guard_flags_a_second_bound(tmp_path):
+    # a mutant whose coalgebra forms its own coassociativity bound from the
+    # axiom gaps
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    coalgebra = tmp_path / "coalgebra.py"
+    coalgebra.write_text(coalgebra.read_text() + "\n\ndef _beta(gaps):\n"
+                         "    return gaps.norm2**3 * gaps.gap_pi\n")
+    assert [f.split(":")[0] for f in gap_readers(tmp_path)] == ["coalgebra", "coalgebra"]

@@ -4,6 +4,7 @@ import pytest
 from mpi_lab import corpus
 from mpi_lab.axioms import (
     DERIVED_IDENTITIES,
+    IDENTITY_WORDS,
     MPI_AXIOMS,
     assess_fullness,
     check_mpi_axioms,
@@ -11,9 +12,10 @@ from mpi_lab.axioms import (
     projection_residuals,
     what,
 )
+from mpi_lab.coalgebra import E_LEG_WORDS, _coassoc_residuals
 from mpi_lab.context import Fixture
 from mpi_lab.tensor import Operator, embed, flip, identity, space
-from word_references import identity_sides
+from word_references import identity_sides, kron_word
 
 
 def perm_matrix(perm, n):
@@ -225,3 +227,68 @@ class TestConjugationInvariance:
             assert is_partial_isometry(w)[0] == is_partial_isometry(wc)[0]
             f0, f1 = assess_fullness(w), assess_fullness(wc)
             assert f0 == f1
+
+
+def bound_candidates():
+    """Z_3, pair_groupoid_2 and example, each plain and under a seeded
+    unitary conjugation, plus a seeded complex Gaussian of relative
+    Frobenius size 1e-9 to 0.3; and, with W-hat of each, Z_3 and
+    pair_groupoid_2 scaled by 0.5 and 0.9 (the mpi3 and mpi4 gaps vanish,
+    that of W W* W = W does not) and pair_groupoid_2 cut by a projection
+    on its second leg, (1 (x) P)W (the mpi4 gap of W-hat is not that of
+    mpi3)."""
+    bases = {"z3": corpus.group_mpu(corpus.cyclic_table(3)),
+             "pair2": corpus.groupoid_mpi(corpus.pair_groupoid(2)),
+             "example": corpus.matrix_unit_example()}
+    out = {}
+    for i, (name, w) in enumerate(bases.items()):
+        u = corpus.random_unitary(w.space.legs[0].dim, np.random.default_rng(i))
+        for kind, v in (("plain", w), ("conj", corpus.conjugate_fixture(w, u))):
+            for j, eps in enumerate((1e-9, 1e-6, 1e-3, 3e-2, 0.3)):
+                rng = np.random.default_rng(100 * i + 10 * j + (kind == "conj"))
+                m = v.matrix
+                z = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+                out[f"{name}_{kind}_{eps:g}"] = Operator(
+                    v.space, m + eps * np.linalg.norm(m) / np.linalg.norm(z) * z)
+    z3, pair2 = bases["z3"], bases["pair2"]
+    structured = {f"{name}_times_{c}": Operator(w.space, c * w.matrix)
+                  for name, w in (("z3", z3), ("pair2", pair2)) for c in (0.5, 0.9)}
+    cut = np.kron(np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0]))
+    structured["pair2_1P_W"] = Operator(pair2.space, cut @ pair2.matrix)
+    for name, w in structured.items():
+        out[name], out[f"{name}_hat"] = w, what(w)
+    return out
+
+
+BOUND_CANDIDATES = bound_candidates()
+
+
+class TestDependentBounds:
+    """axioms.dependent_bounds against the exact gaps: every identity that
+    takes a bound, each side a dense matrix (word_references.kron_word),
+    and the exact coassociativity maximum of W and of W-hat."""
+
+    @pytest.mark.parametrize("name", list(BOUND_CANDIDATES))
+    def test_bounds_cover_the_exact_gaps(self, name):
+        w = BOUND_CANDIDATES[name]
+        # at tol = inf the axioms pass and none stops early, so the
+        # verdict carries its bounds
+        bounds = check_mpi_axioms(Fixture(w, tol=np.inf)).bounds
+        words = {**{k: IDENTITY_WORDS[k] for k in DERIVED_IDENTITIES}, **E_LEG_WORDS}
+        assert sorted(bounds) == sorted([*words, "coassociativity"])
+        fx = Fixture(w)
+        ops = {"W": fx.w, "W*": fx.ws, "E": fx.e}
+        exact = {key: np.linalg.norm(kron_word(fx.three_leg, ops, left)
+                                     - kron_word(fx.three_leg, ops, right))
+                 for key, (left, right) in words.items()}
+        exact["coassociativity"] = max(_coassoc_residuals(fx).max(),
+                                       _coassoc_residuals(fx.dual).max())
+        for key, value in exact.items():
+            # the product-form bound is tight: allow the dense evaluation's
+            # rounding, which the program's FAIL_MARGIN covers
+            assert value <= bounds[key] * (1.0 + 1e-12) + 1e-13, (key, value / bounds[key])
+
+    def test_no_bound_for_a_failing_w(self, w_z3):
+        w = Operator(w_z3.space, w_z3.matrix + 1e-3)
+        assert check_mpi_axioms(w).bounds == {}
+        assert check_mpi_axioms(Fixture(w, tol=1.0)).bounds != {}

@@ -84,7 +84,7 @@ class TestCommands:
     def test_gen_example_then_check(self, tmp_path):
         out = tmp_path / "w.json"
         assert main(["gen", "example", "--out", str(out)]) == EXIT_OK
-        rc = main(["check", str(out), "--level", "axioms", "--report", "json",
+        rc = main(["check", str(out), "--level", "coalgebra", "--report", "json",
                    "--out", str(tmp_path / "rep.json")])
         assert rc == EXIT_OK
         rep = json.loads((tmp_path / "rep.json").read_text())

@@ -6,6 +6,7 @@ import pytest
 from mpi_lab import axioms, corpus, tensor
 from mpi_lab.axioms import IDENTITY_WORDS, check_mpi_axioms
 from mpi_lab.coalgebra import (
+    E_LEG_WORDS,
     check_canonical_idempotent,
     check_delta_range_and_density,
     coassociativity_residual,
@@ -18,6 +19,7 @@ from mpi_lab.context import Fixture, what
 from mpi_lab.runner import run_suite
 from mpi_lab.tensor import (
     RESIDUAL_TOL,
+    LegWords,
     Operator,
     identity,
     space,
@@ -281,16 +283,16 @@ def bound_cases(w_z4, w_pair2):
 
 
 def absolute_gaps(w):
-    """The Frobenius gaps of W W* W = W, mpi5 and mpi6 that check_mpi_axioms
-    sums: its residuals times their denominators max(1, ||L||_F), the left
-    words taken as dense matrices."""
-    fx = Fixture(w, tol=np.inf)
-    v = check_mpi_axioms(fx)
+    """The exact Frobenius gaps of W W* W = W, mpi5 and mpi6 that the
+    coassociativity bound covers, both sides of each identity taken as
+    dense matrices."""
+    fx = Fixture(w)
     m = w.matrix
-    out = {"pi": v.pi_residual * max(1.0, np.linalg.norm(m @ m.conj().T @ m))}
+    out = {"pi": np.linalg.norm(m @ m.conj().T @ m - m)}
     for name in ("mpi5", "mpi6"):
-        lhs = kron_word(fx.three_leg, {"W": fx.w, "W*": fx.ws}, IDENTITY_WORDS[name][0])
-        out[name] = v.derived_residuals[name] * max(1.0, np.linalg.norm(lhs))
+        left, right = (kron_word(fx.three_leg, {"W": fx.w, "W*": fx.ws}, word)
+                       for word in IDENTITY_WORDS[name])
+        out[name] = np.linalg.norm(left - right)
     return out
 
 
@@ -300,7 +302,7 @@ class TestCoassociativityBound:
         # each carries its bound, which must cover the exact residual of
         # W and of W-hat alike
         for name, w in bound_cases(w_z4, w_pair2).items():
-            beta = check_mpi_axioms(Fixture(w, tol=np.inf)).coassociativity_bound
+            beta = check_mpi_axioms(Fixture(w, tol=np.inf)).bounds["coassociativity"]
             assert math.isfinite(beta), name
             for side in (w, what(w)):
                 assert _coassoc_residuals(side).max() <= beta, name
@@ -313,7 +315,7 @@ class TestCoassociativityBound:
         gaps = absolute_gaps(w)
         assert gaps["pi"] == gaps["mpi5"] == 0.0 < gaps["mpi6"]
         assert _coassoc_residuals(what(w)).max() == pytest.approx(1.0)
-        assert check_mpi_axioms(Fixture(w, tol=np.inf)).coassociativity_bound >= 1.0
+        assert check_mpi_axioms(Fixture(w, tol=np.inf)).bounds["coassociativity"] >= 1.0
 
     def test_dual_has_the_same_gaps(self, w_z4):
         w = perturbed(w_z4, 1e-3, 11)
@@ -322,8 +324,8 @@ class TestCoassociativityBound:
             assert primal[name] > 1e-5, name
             assert dual[name] == pytest.approx(primal[name], rel=1e-10), name
         loose = Fixture(w, tol=np.inf)
-        assert check_mpi_axioms(loose.dual).coassociativity_bound == (
-            pytest.approx(check_mpi_axioms(loose).coassociativity_bound, rel=1e-10))
+        assert check_mpi_axioms(loose.dual).bounds["coassociativity"] == (
+            pytest.approx(check_mpi_axioms(loose).bounds["coassociativity"], rel=1e-10))
 
     def test_bound_below_tol_is_the_entry(self, w_z3):
         exact = _coassoc_residuals(w_z3).max()
@@ -337,14 +339,14 @@ class TestCoassociativityBound:
         w = perturbed(w_z3, 1e-6, 5)
         v = check_mpi_axioms(Fixture(w, tol=np.inf))
         worst = max(v.pi_residual, *v.mpi_residuals.values())
-        tol = math.sqrt(worst * v.coassociativity_bound)
+        tol = math.sqrt(worst * v.bounds["coassociativity"])
         at_tol = check_mpi_axioms(Fixture(w, tol=tol))
-        assert at_tol.passed and tol <= at_tol.coassociativity_bound < math.inf
+        assert at_tol.passed and tol <= at_tol.bounds["coassociativity"] < math.inf
         rep = run_suite(w, level="coalgebra", tol=tol)
         res = {e.check_id: e.residual for e in rep.entries}
         for side, sw in (("primal", w), ("dual", what(w))):
             assert res[f"coassociativity_{side}"] == _coassoc_residuals(sw).max()
-            assert res[f"coassociativity_{side}"] < at_tol.coassociativity_bound
+            assert res[f"coassociativity_{side}"] < at_tol.bounds["coassociativity"]
 
     def test_escalates_when_mpi5_or_mpi6_stopped_early(self, w_z3, monkeypatch):
         # with no margin, every identity whose first column block shows a
@@ -355,8 +357,35 @@ class TestCoassociativityBound:
         w = perturbed(w_z3, 1e-12, 2)
         v = check_mpi_axioms(w)
         assert v.passed and {"mpi5", "mpi6"} <= set(v.lower_bounds)
-        assert v.coassociativity_bound == math.inf
+        assert "coassociativity" not in v.bounds
         res = {e.check_id: e.residual for e in run_suite(w, level="coalgebra").entries}
+        for side, sw in (("primal", w), ("dual", what(w))):
+            assert res[f"coassociativity_{side}"] == _coassoc_residuals(sw).max()
+
+    @pytest.mark.parametrize("stopped", ["mpi1", "mpi2", "mpi3", "mpi4"])
+    def test_no_bound_when_an_axiom_stopped_early(self, w_z3, monkeypatch, stopped):
+        # with no margin, and every identity but one given an infinite norm
+        # bound, only that axiom stops after the first column block that
+        # shows its gap; its lower bound passes at tol, but a partial axiom
+        # gap bounds nothing, so no bound is formed and every derived,
+        # coassociativity and E-leg entry is exact
+        monkeypatch.setattr(tensor, "BLOCK_ENTRIES", 7 * 27)
+        monkeypatch.setattr(axioms, "FAIL_MARGIN", 0.0)
+        norm_bounds = axioms.lhs_norm_bounds
+        monkeypatch.setattr(axioms, "lhs_norm_bounds", lambda m, s: {
+            name: b if name == stopped else math.inf for name, b in norm_bounds(m, s).items()})
+        w = perturbed(w_z3, 1e-12, 2)
+        v = check_mpi_axioms(w)
+        assert v.passed and v.lower_bounds == (stopped,)
+        assert v.bounds == {}
+        fx = Fixture(w)
+        exact = LegWords(fx.three_leg, {"W": fx.w, "W*": fx.ws, "E": fx.e},
+                         {**IDENTITY_WORDS, **E_LEG_WORDS}).residuals()
+        for name in axioms.DERIVED_IDENTITIES:
+            assert v.derived_residuals[name] == exact[name], name
+        res = {e.check_id: e.residual for e in run_suite(w, level="coalgebra").entries}
+        for name in E_LEG_WORDS:
+            assert res[f"{name}_primal"] == exact[name], name
         for side, sw in (("primal", w), ("dual", what(w))):
             assert res[f"coassociativity_{side}"] == _coassoc_residuals(sw).max()
 

@@ -16,15 +16,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mpi_lab import corpus, tensor
+from mpi_lab import axioms, corpus, tensor
 from mpi_lab.axioms import (
     DERIVED_IDENTITIES,
     FAIL_MARGIN,
     IDENTITY_WORDS,
+    MPI_AXIOMS,
     check_mpi_axioms,
     lhs_norm_bounds,
 )
-from mpi_lab.coalgebra import check_canonical_idempotent
+from mpi_lab.coalgebra import E_LEG_WORDS, check_canonical_idempotent
 from mpi_lab.context import Fixture
 from mpi_lab.manageability import (
     COMPOSABILITY_WORDS,
@@ -46,11 +47,6 @@ from mpi_lab.tensor import (
     transpose_op,
 )
 from word_references import engine_word, kron_word
-
-E_LEG_WORDS = {
-    "E_legs_commute": ("E12 E23", "E23 E12"),
-    "E_legs_product_form": ("E12 E23", "W*12 W*23 W23 W12"),
-}
 
 
 def dense_candidate(n, seed, scale=1.0):
@@ -123,13 +119,15 @@ class TestAgainstDense:
                 assert got[name] == pytest.approx(want[name], rel=1e-12), name
 
     @pytest.mark.usefixtures("row_blocks")
-    def test_check_entry_points(self):
+    def test_check_entry_points(self, monkeypatch):
         w = dense_candidate(3, 2)
         fx = Fixture(w)
         ((amb, ops, ids), (_, e_ops, e_legs), *_) = word_sets(w)
         want = dense_residuals(amb, ops, ids)
-        # tol = inf: no identity stops early, every residual is over all columns
-        derived = check_mpi_axioms(Fixture(w, tol=np.inf)).derived_residuals
+        # W fails the axioms, so no bound is formed, and with an infinite
+        # margin no identity stops early: every residual is over all columns
+        monkeypatch.setattr(axioms, "FAIL_MARGIN", np.inf)
+        derived = check_mpi_axioms(fx).derived_residuals
         assert list(derived) == list(DERIVED_IDENTITIES)
         for name in DERIVED_IDENTITIES:
             assert derived[name] == pytest.approx(want[name], rel=1e-12), name
@@ -369,16 +367,7 @@ class TestEarlyFail:
         # perturbed as the reject workload perturbs them: every early-FAIL
         # residual lies in (FAIL_MARGIN tol, dense residual], every other
         # one is the dense residual
-        w = {
-            "group_z4": lambda: corpus.group_mpu(corpus.cyclic_table(4)),
-            "Z_8": lambda: corpus.group_mpu(corpus.cyclic_table(8)),
-            "pair_groupoid_3": lambda: corpus.groupoid_mpi(corpus.pair_groupoid(3)),
-            "Z_10": lambda: corpus.group_mpu(corpus.cyclic_table(10)),
-        }[base]()
-        rng = np.random.default_rng(17)
-        m = w.matrix
-        g = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
-        bad = Operator(w.space, m + eps * np.linalg.norm(m) * g / np.linalg.norm(g))
+        bad = reject_style(base, eps)
         v = check_mpi_axioms(bad)
         assert not v.passed
         fx = Fixture(bad)
@@ -404,3 +393,99 @@ class TestEarlyFail:
         assert all(not e.passed for e in rep.entries if e.check_id in listed)
         # a PASS report keeps its schema: no such property
         assert "lower_bound_checks" not in run_suite(w, level="axioms").properties
+
+
+def joint_evaluation(w):
+    """Residuals and early stops of the ten identities evaluated together,
+    block by block, with the early stop of check_mpi_axioms: the
+    reference for a W that fails the axioms, whose derived identities are
+    all evaluated."""
+    fx = Fixture(w)
+    words = LegWords(fx.three_leg, {"W": fx.w, "W*": fx.ws}, IDENTITY_WORDS)
+    bounds = lhs_norm_bounds(fx.w.matrix, np.linalg.norm(fx.w.matrix, 2))
+    sums = {name: np.zeros(2) for name in IDENTITY_WORDS}
+    stopped = []
+    for cols in words.column_blocks:
+        active = [name for name in IDENTITY_WORDS if name not in stopped]
+        for name, norms in words.block_norms(cols, active).items():
+            sums[name] += norms
+            if (cols is not words.column_blocks[-1]
+                    and np.sqrt(sums[name][0]) / bounds[name] > FAIL_MARGIN * fx.tol):
+                stopped.append(name)
+    res = {name: float(np.sqrt(gap) / (bounds[name] if name in stopped
+                                       else max(1.0, np.sqrt(lhs))))
+           for name, (gap, lhs) in sums.items()}
+    return res, stopped
+
+
+def reject_style(base, eps, seed=17):
+    """A corpus MPI under a seeded complex Gaussian of relative Frobenius
+    size eps, as the reject workload perturbs it."""
+    w = {
+        "group_z4": lambda: corpus.group_mpu(corpus.cyclic_table(4)),
+        "Z_8": lambda: corpus.group_mpu(corpus.cyclic_table(8)),
+        "pair_groupoid_3": lambda: corpus.groupoid_mpi(corpus.pair_groupoid(3)),
+        "Z_10": lambda: corpus.group_mpu(corpus.cyclic_table(10)),
+    }[base]()
+    rng = np.random.default_rng(seed)
+    m = w.matrix
+    g = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+    return Operator(w.space, m + eps * np.linalg.norm(m) * g / np.linalg.norm(g))
+
+
+class TestBoundedWork:
+    """A passing W evaluates only the words of mpi1-mpi4; a failing one
+    evaluates what the ten identities evaluated together would."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """Engine id -> the words it evaluated on some column block."""
+        seen = {}
+        block = LegWords.block
+
+        def recorded(self, word, cols):
+            seen.setdefault(id(self), set()).add(word)
+            return block(self, word, cols)
+
+        monkeypatch.setattr(LegWords, "block", recorded)
+        return seen
+
+    def test_passing_w_evaluates_only_the_axiom_words(self, evaluated):
+        z4 = corpus.group_mpu(corpus.cyclic_table(4))
+        w = corpus.conjugate_fixture(z4, corpus.random_unitary(4, np.random.default_rng(5)))
+        v = check_mpi_axioms(w)
+        assert v.passed and v.lower_bounds == ()
+        axiom_words = {word for name in MPI_AXIOMS for word in IDENTITY_WORDS[name]}
+        assert len(axiom_words) == 8
+        assert [words for words in evaluated.values()] == [axiom_words]
+        for name in DERIVED_IDENTITIES:
+            assert v.derived_residuals[name] == v.bounds[name] < RESIDUAL_TOL / FAIL_MARGIN, name
+        # the coalgebra level: the primal E-leg entries are the bounds, and
+        # one engine, the dual side's, evaluates E-leg words
+        evaluated.clear()
+        rep = run_suite(w, level="coalgebra")
+        res = {e.check_id: e.residual for e in rep.entries}
+        e_words = {word for pair in E_LEG_WORDS.values() for word in pair}
+        assert [words & e_words for words in evaluated.values() if words & e_words] == [e_words]
+        for name in E_LEG_WORDS:
+            assert res[f"{name}_primal"] == v.bounds[name], name
+
+    @pytest.mark.parametrize("base, eps", [
+        *((base, eps) for base in ("group_z4", "Z_8", "pair_groupoid_3", "Z_10")
+          for eps in (1e-3, 1e-7)),
+        ("Z_4_real", 1e-3),
+    ])
+    def test_failing_w_keeps_the_joint_evaluation(self, base, eps):
+        if base == "Z_4_real":  # the runner tests' real perturbation of Z_4
+            w = corpus.group_mpu(corpus.cyclic_table(4))
+            z = np.random.default_rng(2).standard_normal(w.matrix.shape)
+            bad = Operator(w.space, w.matrix + eps * z)
+        else:
+            bad = reject_style(base, eps)
+        want, stopped = joint_evaluation(bad)
+        v = check_mpi_axioms(bad)
+        assert not v.passed and v.bounds == {}
+        assert {**v.mpi_residuals, **v.derived_residuals} == want
+        assert list(v.lower_bounds) == stopped
+        rep = run_suite(bad, level="axioms")
+        assert rep.properties.get("lower_bound_checks", []) == stopped

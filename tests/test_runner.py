@@ -268,6 +268,22 @@ def test_failing_axioms_factor_nothing(calls):
     assert "fullness" not in rep.properties and "nondegenerately_full" not in rep.properties
 
 
+def test_axioms_only_run_assesses_no_fullness(calls):
+    # fullness gates only the levels after the axioms, so a W that passes
+    # them in a run at level "axioms" builds no leg algebra, takes one SVD
+    # (||W||_2, singular values only) and reports no fullness; a run that
+    # goes on reports it
+    z4 = corpus.group_mpu(corpus.cyclic_table(4))
+    w = corpus.conjugate_fixture(z4, corpus.random_unitary(4, np.random.default_rng(2)))
+    rep = run_suite(w, level="axioms")
+    assert rep.overall_pass and rep.skips == []
+    assert calls["leg_algebra"] == 0 and calls["svd"] == 1
+    assert "fullness" not in rep.properties and "nondegenerately_full" not in rep.properties
+    rep = run_suite(w, level="coalgebra")
+    assert rep.properties["nondegenerately_full"] is True
+    assert rep.properties["fullness"]["nondeg_A_range"] is True
+
+
 def test_density_spans_of_a_fixture_not_full_refit_nothing(w_example, monkeypatch):
     # the density spans of a fixture that is not full are not reported, so
     # no family is refit for them: after the level, each side's square
