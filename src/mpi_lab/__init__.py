@@ -51,7 +51,7 @@ from .base_algebra import (  # noqa: F401
     base_spans,
     find_distinguished_weight,
     modular_conjugate,
-    build_base_structure,
+    gamma_and_rtilde,
     check_separability_triple,
     c_star_bases,
 )

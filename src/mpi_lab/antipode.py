@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import is_partial_isometry
-from .base_algebra import gamma_n_stack, modular_conjugate
+from .base_algebra import modular_conjugate
 from .context import Fixture, as_fixture
 from .tensor import (
     T_SAMPLES,
@@ -162,7 +162,7 @@ def check_base_restrictions(w: Operator | Fixture, q: Operator) -> dict[str, flo
     res["tau_C_eq_sigma_mu_t"] = max(
         max_gap(tau(fx, q, t, cs), modular_conjugate(mu, t, cs)) for t in T_SAMPLES
     )
-    res["S_B_eq_gamma_B"] = max_gap(s_map.apply(bs), gamma_n_stack(fx, nu, bs))
+    res["S_B_eq_gamma_B"] = max_gap(s_map.apply(bs), structure.gamma_n)
     res["B_in_A_membership"] = s_map.domain.stack_residual(bs)
     res["S_C_eq_gamma_C"] = max_gap(s_map.apply(cs), structure.gamma_l)
     res["C_in_A_membership"] = s_map.domain.stack_residual(cs)

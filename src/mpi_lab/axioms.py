@@ -88,10 +88,11 @@ class FullnessVerdict:
     left_slice_rank: int
 
 
-def is_partial_isometry(w: Operator, tol: float = RESIDUAL_TOL) -> tuple[bool, float]:
-    """Residual of W W* W = W."""
+def is_partial_isometry(w: Operator) -> tuple[bool, float]:
+    """Whether the residual of W W* W = W is below RESIDUAL_TOL, and that
+    residual."""
     res = _pi_gaps(w.matrix)[1]
-    return res < tol, res
+    return res < RESIDUAL_TOL, res
 
 
 def _pi_gaps(m: np.ndarray) -> tuple[float, float]:

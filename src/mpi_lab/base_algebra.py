@@ -150,22 +150,18 @@ class KappaMap:
     antimultiplicativity: float
 
 
-def kappa_map(
-    w: Operator | Fixture,
-    n_sub: OperatorSubspace,
-    solver: KappaSolver | None = None,
-) -> KappaMap:
-    """kappa on a basis of N and on the products of basis pairs, solved
-    independently in one stacked solve, plus the anti-multiplicativity
-    residual over the pairs whose three solves succeed."""
-    solver = solver or as_fixture(w).kappa_solver
-    bs = n_sub.stack
+def kappa_map(w: Operator | Fixture) -> KappaMap:
+    """kappa on the basis of the context's N and on the products of basis
+    pairs, solved independently in one stacked solve, plus the
+    anti-multiplicativity residual over the pairs whose three solves succeed."""
+    fx = as_fixture(w)
+    solver, bs = fx.kappa_solver, fx.N.stack
     m = len(bs)
     vals, res = solver.solve_stack(np.concatenate([bs, pair_products(bs, bs)]))
     solved = res[:m] < RESIDUAL_TOL
     ok = (res[m:] < RESIDUAL_TOL) & np.repeat(solved, m) & np.tile(solved, m)
     anti = max_gap(vals[m:][ok], reversed_products(vals[:m], vals[:m])[ok])
-    return KappaMap(n_sub, vals[:m], res[:m], vals[m:], res[m:], solver.nullity, anti)
+    return KappaMap(fx.N, vals[:m], res[:m], vals[m:], res[m:], solver.nullity, anti)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +291,11 @@ class BaseStructure:
     gamma_l: np.ndarray  # gamma_L on the L basis, a stack
 
 
-def gamma_and_rtilde(
-    w: Operator | Fixture,
-) -> tuple[WeightData, BaseAntiIso, np.ndarray, np.ndarray]:
+def gamma_and_rtilde(w: Operator | Fixture) -> BaseStructure:
     """Assemble, from the context's nu on N, the weight mu = nu o Rtilde^{-1}
     on L, Rtilde = gamma_N o sigma_{-i/2}, gamma_N on the N basis and
-    gamma_L on the L basis."""
+    gamma_L on the L basis; raises ValueError when Rtilde is not
+    invertible between the base spans."""
     fx = as_fixture(w)
     nu, n_sub, l_sub = fx.nu, fx.N, fx.L
     gamma_vals = gamma_n_stack(fx, nu, n_sub.stack)
@@ -325,13 +320,7 @@ def gamma_and_rtilde(
     a = np.concatenate([traces.real, traces.imag])
     mu = _weight(l_sub, herm, a, np.concatenate([targets.real, targets.imag]))
     gamma_l_vals = rtilde.inverse.apply(modular_conjugate(mu, -0.5j, ls))
-    return mu, rtilde, gamma_vals, gamma_l_vals
-
-
-def build_base_structure(w: Operator | Fixture) -> BaseStructure:
-    """The weight-dependent base data of W; raises ValueError when the
-    anti-isomorphism cannot be built."""
-    return BaseStructure(*gamma_and_rtilde(w))
+    return BaseStructure(mu, rtilde, gamma_vals, gamma_l_vals)
 
 
 def gamma_kappa_residual(w: Operator | Fixture) -> float:
@@ -379,7 +368,7 @@ def check_separability_triple(w: Operator | Fixture) -> dict[str, float]:
     res["gamma_N_antimultiplicative"] = antimultiplicativity(gamma, bs)
     # polar identity gamma_N = Rtilde o sigma^nu_{i/2}
     res["gamma_N_polar"] = max_gap(
-        gamma(bs), rtilde.apply(modular_conjugate(nu, 0.5j, bs))
+        structure.gamma_n, rtilde.apply(modular_conjugate(nu, 0.5j, bs))
     )
     # mu = nu o Rtilde^{-1}: trace(D_mu Rtilde(b)) = trace(D_nu b)
     nu_b = np.einsum("ij,kji->k", nu.density.matrix, bs)

@@ -3,9 +3,8 @@
 Operators travel as single-file JSON:
 {"dims": [n, n], "flavors": ["H", "H"], "matrix": [[[re, im], ...], ...]}
 row-major, first leg most significant, 0-based.  Exit codes: 0 all
-executed checks pass, 1 some check failed, 2 input error.  The env var
-MPI_LAB_TOL overrides the default tolerance; --tol overrides both, and
-either must be finite and > 0.
+executed checks pass, 1 some check failed, 2 input error.  --tol, by
+default RESIDUAL_TOL, must be finite and > 0.
 """
 
 from __future__ import annotations
@@ -134,19 +133,10 @@ def load_group_table(path: str) -> list[list[int]]:
 
 
 def _tol(args) -> float:
-    """--tol, else MPI_LAB_TOL, else RESIDUAL_TOL; finite and > 0."""
-    tol, source = args.tol, "--tol"
-    if tol is None:
-        env = os.environ.get("MPI_LAB_TOL")
-        if env is None:
-            return RESIDUAL_TOL
-        try:
-            tol, source = float(env), "MPI_LAB_TOL"
-        except ValueError as exc:
-            raise InputError(f"MPI_LAB_TOL is not a float: {env!r}") from exc
-    if not 0.0 < tol < math.inf:
-        raise InputError(f"{source} must be finite and > 0, got {tol!r}")
-    return tol
+    """--tol, which must be finite and > 0."""
+    if not 0.0 < args.tol < math.inf:
+        raise InputError(f"--tol must be finite and > 0, got {args.tol!r}")
+    return args.tol
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -232,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--seed", type=int, default=0)
     p_suite.set_defaults(func=cmd_suite)
     for p in (p_check, p_suite):
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=float, default=RESIDUAL_TOL)
         p.add_argument("--report", default="text", choices=["json", "text"])
         p.add_argument("--out", default=None)
         p.add_argument("--timings", action="store_true", help="add each level's wall time to JSON")

@@ -17,8 +17,8 @@ sqrt(d) eps_A ||c|| for each factor of A, eps_A = product_stability_A.
 A membership entry is that bound over max(1, a lower bound on the
 member's norm); a span entry adds, through the coefficients of its fit,
 the bounds of the rows it uses.
-So every entry bounds the exact distance from above.  An entry that does
-not come in below the run's tolerance is taken again from the d^2-member
+So every entry bounds the exact distance from above.  An entry whose
+bound ``axioms.takes_bound`` rejects is taken again from the d^2-member
 fits of the families it reads, whose coordinates and distances are exact
 (O(d^2 n^6)): a PASS may rest on a bound, a FAIL does not.
 Coassociativity and the primal E-leg identities follow the same rule.
@@ -277,11 +277,15 @@ class TensorSquare:
 
     def decide(self, keys: tuple[str, ...], entry) -> tuple[dict, dict]:
         """entry(*fits) -> (residuals, dims) on the reduced fits of the
-        families ``keys``; when a residual does not come in below tol, the
-        families are refit member by member and the entry taken again, so
-        a FAIL never rests on a bound."""
+        families ``keys``.  Those residuals are upper bounds formed from
+        fitted distances, norms and the unit and product residuals, each
+        with a relative rounding error far below a factor 2, so the entry
+        stands only when ``axioms.takes_bound`` accepts its largest
+        residual, FAIL_MARGIN below tol.  Otherwise the families are refit
+        member by member and the entry taken again, so a FAIL never rests
+        on a bound."""
         res, dims = entry(*map(self.family, keys))
-        if not max(res.values()) < self.fx.tol and not self._dense.issuperset(keys):
+        if not takes_bound(max(res.values()), self.fx) and not self._dense.issuperset(keys):
             for key in keys:
                 self._fits[key] = tensor_fit(self._members(key, self.basis), self.space, self.space)
                 self._dense.add(key)

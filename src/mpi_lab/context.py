@@ -143,7 +143,7 @@ class Fixture:
     @cached_property
     def kappa(self):
         from .base_algebra import kappa_map
-        return kappa_map(self, self.N, self.kappa_solver)
+        return kappa_map(self)
 
     @cached_property
     def nu(self):
@@ -152,11 +152,11 @@ class Fixture:
 
     @cached_property
     def _structure(self):
-        from .base_algebra import build_base_structure
+        from .base_algebra import gamma_and_rtilde
         if not self.nu.found:
             return None, "no distinguished weight at tolerance"
         try:
-            return build_base_structure(self), None
+            return gamma_and_rtilde(self), None
         except ValueError as exc:
             return None, f"anti-isomorphism unavailable: {exc}"
 

@@ -77,6 +77,11 @@ class _Run:
         for key, val in results.items():
             self.rep.add(f"{prefix}{key}{suffix}", val, **kw)
 
+    def skip_from(self, level: str, reason: str) -> None:
+        """Skip ``level`` and every later level this run wants."""
+        for lv in self.wanted[LEVELS.index(level):]:
+            self.rep.skip(lv, reason)
+
     def add_weight(self, check_id: str, fx: Fixture) -> None:
         """Entry for fx's distinguished weight: the residual of
         (nu (x) id)(E) = 1, passing iff a weight was found, that is iff
@@ -95,8 +100,7 @@ def _axioms(run: _Run) -> bool:
         rep.properties["lower_bound_checks"] = list(verdict.lower_bounds)
     run.add(projection_residuals(fx), prefix="projection_")
     if not verdict.passed:
-        for lv in run.wanted[1:]:
-            rep.skip(lv, "multiplicativity axioms failed")
+        run.skip_from("coalgebra", "multiplicativity axioms failed")
         return False
     if len(run.wanted) == 1:  # fullness gates only the later levels
         return True
@@ -139,8 +143,7 @@ def _coalgebra(run: _Run) -> bool:
 def _base(run: _Run) -> bool:
     fx, rep = run.fx, run.rep
     if fx.N.dim == 0:  # E = 0: there is no base algebra to check
-        for lv in run.wanted[run.wanted.index("base"):]:
-            rep.skip(lv, "base span N is empty (E = W*W = 0)")
+        run.skip_from("base", "base span N is empty (E = W*W = 0)")
         return False
     spans = base_spans(fx)
     rep.properties["base_dims"] = {
@@ -199,8 +202,7 @@ def _manageability(run: _Run) -> bool:
             "certified": [i for i, ok in enumerate(outcomes) if ok],
         }
     if cert is None:
-        rep.skip("manageability", "no certified Q among candidates")
-        rep.skip("antipode", "no certified Q")
+        run.skip_from("manageability", "no certified Q among candidates")
         return False
     run.cert = cert
     q, wt = cert.q, cert.wtilde

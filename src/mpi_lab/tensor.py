@@ -240,17 +240,15 @@ def kron(x: Operator, y: Operator) -> Operator:
     return Operator(sp, np.kron(x.matrix, y.matrix))
 
 
-def flip(n: int, flavor: str = H) -> Operator:
-    """The flip Sigma on leg (x) leg sending e_i (x) e_k to e_k (x) e_i."""
+def flip(n: int) -> Operator:
+    """The flip Sigma on C^n (x) C^n sending e_i (x) e_k to e_k (x) e_i."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    leg = LegSpec(n, flavor)
-    sp = TensorSpace((leg, leg))
     m = np.zeros((n * n, n * n))
     for i in range(n):
         for k in range(n):
             m[k * n + i, i * n + k] = 1.0
-    return Operator(sp, m)
+    return Operator(space(n, n), m)
 
 
 def swap_legs(x: Operator) -> Operator:

@@ -19,10 +19,15 @@ A parameter named ``tol`` is allowed only where ``TOL_PARAMETERS`` says
 why: every check reads the run's tolerance from its context.  No src code
 but ``axioms.dependent_bounds`` reads a field of the axiom gap record
 ``axioms.AxiomGaps``, so each identity that follows from the axioms has
-one bound.
+one bound.  No src code but ``axioms.takes_bound`` compares a value with a
+tolerance, beyond ``TOL_COMPARISONS``, which says why each compares no
+upper bound: so one rule lets a bound pass an entry.  Every parameter
+default of a src function is passed by some call in src or ``bench/``,
+beyond ``UNPASSED_DEFAULTS``.
 """
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -263,28 +268,28 @@ TOL_PARAMETERS: dict[str, str] = {
     "runner.corpus_suite": "builds every corpus fixture's context through run_suite",
     "report.CheckReport.add": "the per-entry overrides 1e-10 and 1e-12 of the "
     "report's tolerance",
-    "axioms.is_partial_isometry": "its operator may live on Hbar (x) H, where no "
-    "context is built (Wtilde)",
 }
+
+
+def functions(node: ast.AST, prefix: str = ""):
+    """(qualname, node) of every function under ``node``, methods and nested
+    functions included, each after the function that encloses it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(child, ast.ClassDef):
+                yield f"{prefix}{child.name}", child
+            yield from functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from functions(child, prefix)
 
 
 def tol_holders(src: Path) -> list[str]:
     """"module.qualname" of each function under ``src``, nested ones
     included, that has a parameter named tol."""
-
-    def functions(node: ast.AST, prefix: str):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not isinstance(child, ast.ClassDef):
-                    yield f"{prefix}{child.name}", child
-                yield from functions(child, f"{prefix}{child.name}.")
-            else:
-                yield from functions(child, prefix)
-
     return [
         f"{path.stem}.{qualname}"
         for path in sorted(src.glob("*.py"))
-        for qualname, node in functions(_parse(path), "")
+        for qualname, node in functions(_parse(path))
         if any(a.arg == "tol" for a in (*node.args.posonlyargs, *node.args.args,
                                          *node.args.kwonlyargs))
     ]
@@ -347,3 +352,119 @@ def test_gap_guard_flags_a_second_bound(tmp_path):
     coalgebra.write_text(coalgebra.read_text() + "\n\ndef _beta(gaps):\n"
                          "    return gaps.norm2**3 * gaps.gap_pi\n")
     assert [f.split(":")[0] for f in gap_readers(tmp_path)] == ["coalgebra", "coalgebra"]
+
+
+#: "module.qualname" of each src function but ``axioms.takes_bound`` that
+#: compares a value with a tolerance -> why that value is not an upper bound
+TOL_COMPARISONS: dict[str, str] = {
+    "axioms._evaluate": "the early FAIL stop: a certified lower bound, FAIL_MARGIN "
+    "above tol",
+    "axioms.check_mpi_axioms": "the verdict on the exact residuals of W W* W = W "
+    "and mpi1-mpi4",
+    "manageability.check_manageability": "the certificate's verdict on its exact "
+    "residuals",
+    "report.CheckReport.add": "each entry's verdict on the value it reports; an "
+    "entry that reports a bound has passed takes_bound already",
+    "cli._tol": "refuses a --tol that is not finite and > 0",
+}
+#: the one function that lets a certified upper bound decide an entry
+BOUND_RULE = "axioms.takes_bound"
+
+
+def tol_comparisons(src: Path) -> list[str]:
+    """"module.qualname" of the innermost function enclosing each
+    comparison under ``src`` that reads ``tol`` as a name or an attribute,
+    ``BOUND_RULE`` aside."""
+    flagged = []
+    for path in sorted(src.glob("*.py")):
+        tree, owner = _parse(path), {}
+        for qualname, node in functions(tree):  # an inner function overrides its outer
+            owner.update(dict.fromkeys(map(id, ast.walk(node)), f"{path.stem}.{qualname}"))
+        flagged += [owner.get(id(sub), path.stem) for sub in ast.walk(tree)
+                    if isinstance(sub, ast.Compare) and "tol" in references(sub)]
+    return [f for f in dict.fromkeys(flagged) if f != BOUND_RULE]
+
+
+def test_one_function_passes_an_entry_on_its_bound():
+    found = tol_comparisons(SRC)
+    assert [f for f in found if f not in TOL_COMPARISONS] == [], (
+        f"a comparison with tol outside {BOUND_RULE}")
+    assert sorted(TOL_COMPARISONS) == sorted(found), "stale allow-list entries"
+
+
+def test_bound_guard_flags_a_margin_free_escalation(tmp_path):
+    # a mutant whose TensorSquare.decide keeps a reduced entry that comes in
+    # below tol without the margin
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    coalgebra = tmp_path / "coalgebra.py"
+    text = coalgebra.read_text()
+    rule = "takes_bound(max(res.values()), self.fx)"
+    assert rule in text
+    coalgebra.write_text(text.replace(rule, "max(res.values()) < self.fx.tol"))
+    assert [f for f in tol_comparisons(tmp_path) if f not in TOL_COMPARISONS] == [
+        "coalgebra.TensorSquare.decide"]
+
+
+#: "module.qualname: parameter" -> why its default stays although no call
+#: in src or bench/ passes it
+UNPASSED_DEFAULTS: dict[str, str] = {}
+
+
+def unpassed_defaults(src: Path) -> list[str]:
+    """"module.qualname: parameter" for each parameter with a default of a
+    function under ``src`` that no call in ``src`` or ``bench/`` passes, by
+    position or by keyword.  Calls are matched by name: f(...) or x.f(...),
+    and the class, or super().__init__, for an __init__; the leading self
+    or cls is not passed in the call.  A call with *args or **kwargs passes
+    every parameter.  Other dunder methods are called by syntax and are
+    exempt."""
+    calls = [sub for path in [*sorted(src.glob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]
+             for sub in ast.walk(_parse(path)) if isinstance(sub, ast.Call)]
+
+    def callee(call: ast.Call) -> str | None:
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    def passes(call: ast.Call, position: int, name: str) -> bool:
+        if any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > position:
+            return True
+        return any(k.arg in (None, name) for k in call.keywords)
+
+    flagged = []
+    for path in sorted(src.glob("*.py")):
+        for qualname, node in functions(_parse(path)):
+            names = {node.name}
+            if node.name == "__init__":
+                names.add(qualname.split(".")[-2])
+            elif node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            defaulted = [(i - skip, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(math.inf, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            mine = [call for call in calls if callee(call) in names]
+            flagged += [f"{path.stem}.{qualname}: {name}" for position, name in defaulted
+                        if not any(passes(call, position, name) for call in mine)]
+    return flagged
+
+
+def test_every_default_is_varied():
+    flagged = unpassed_defaults(SRC)
+    assert [f for f in flagged if f not in UNPASSED_DEFAULTS] == [], (
+        "defaults no call in src or bench passes")
+    assert sorted(UNPASSED_DEFAULTS) == sorted(flagged), "stale allow-list entries"
+
+
+def test_default_guard_flags_a_parameter_no_call_passes(tmp_path):
+    # a mutant whose tensor.flip takes a leg flavor again, which no call passes
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    tensor = tmp_path / "tensor.py"
+    text = tensor.read_text()
+    assert "def flip(n: int)" in text
+    tensor.write_text(text.replace("def flip(n: int)", "def flip(n: int, flavor: str = H)"))
+    assert unpassed_defaults(tmp_path) == ["tensor.flip: flavor"]

@@ -4,10 +4,10 @@ import pytest
 from mpi_lab.base_algebra import (
     KappaSolver,
     base_spans,
-    build_base_structure,
     c_star_bases,
     check_separability_triple,
     find_distinguished_weight,
+    gamma_and_rtilde,
     gamma_kappa_residual,
     gamma_n_stack,
     kappa_map,
@@ -136,7 +136,7 @@ class TestKappa:
         for name, w in corpus_fixtures.items():
             if w.space.legs[0].dim > 4:
                 continue
-            kap = kappa_map(w, Fixture(w).N)
+            kap = kappa_map(w)
             assert max(kap.residuals) < 1e-10, name
             assert kap.antimultiplicativity < 1e-9, name
 
@@ -202,7 +202,7 @@ class TestModularConjugate:
 
 class TestGammaAndRtilde:
     def test_example_identity_chain(self, w_example):
-        st = build_base_structure(w_example)
+        st = gamma_and_rtilde(w_example)
         # gamma_N is the identity on the diagonal algebra, Rtilde likewise,
         # and mu = nu (density I)
         bs = Fixture(w_example).N.stack

@@ -15,7 +15,7 @@ from mpi_lab.cli import (
     save_operator,
 )
 from mpi_lab.runner import run_suite
-from mpi_lab.tensor import Operator, identity, space
+from mpi_lab.tensor import RESIDUAL_TOL, Operator, identity, space
 
 
 def write_json(path, data):
@@ -168,15 +168,19 @@ class TestCommands:
         assert not any(i.startswith("antipode_") for i in ids)
         assert rc == EXIT_OK
 
-    def test_tol_env_override(self, tmp_path, w_z2, monkeypatch):
-        wp = tmp_path / "w.json"
-        save_operator(w_z2, str(wp))
+    @pytest.mark.parametrize("command", ["check", "suite"])
+    def test_tol_ignores_the_environment(self, tmp_path, w_z2, monkeypatch, command):
+        # --tol is the only way to set the tolerance: without it a run is
+        # judged at RESIDUAL_TOL, whatever the environment holds
         monkeypatch.setenv("MPI_LAB_TOL", "1e-3")
-        rc = main(["check", str(wp), "--level", "axioms",
-                   "--report", "json", "--out", str(tmp_path / "rep.json")])
-        assert rc == EXIT_OK
-        rep = json.loads((tmp_path / "rep.json").read_text())
-        assert rep["tolerance"] == 1e-3
+        wp, out = tmp_path / "w.json", tmp_path / "rep.json"
+        save_operator(w_z2, str(wp))
+        argv = ["check", str(wp), "--level", "axioms"] if command == "check" else [
+            "suite", "--corpus"]
+        assert main(argv + ["--report", "json", "--out", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        reports = rep["reports"] if command == "suite" else [rep]
+        assert {r["tolerance"] for r in reports} == {RESIDUAL_TOL}
 
     @pytest.mark.parametrize(
         "command, data",
@@ -213,16 +217,12 @@ class TestCommands:
         assert main(argv) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_invalid_tol_exit_code(self, tmp_path, w_z2, monkeypatch, capsys, source, value):
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"], ids="flag-{}".format)
+    def test_invalid_tol_exit_code(self, tmp_path, w_z2, capsys, value):
         wp = tmp_path / "w.json"
         save_operator(w_z2, str(wp))
-        argv = ["check", str(wp), "--level", "axioms", "--out", str(tmp_path / "r.txt")]
-        if source == "flag":
-            argv.append(f"--tol={value}")
-        else:
-            monkeypatch.setenv("MPI_LAB_TOL", value)
+        argv = ["check", str(wp), "--level", "axioms", "--out", str(tmp_path / "r.txt"),
+                f"--tol={value}"]
         assert main(argv) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "r.txt").exists()
@@ -283,10 +283,14 @@ class TestRunSuiteContract:
 
     def test_skip_without_certified_q(self, w_z2, monkeypatch):
         # every corpus fixture happens to certify with Q = 1, so the
-        # no-candidate branch is forced here
+        # no-candidate branch is forced here; the antipode level is
+        # skipped only when the run wants it
         import mpi_lab.runner as runner_mod
 
         monkeypatch.setattr(runner_mod, "suggest_q", lambda w: [])
+        reasons = {s["level"]: s["reason"]
+                   for s in run_suite(w_z2, level="manageability").skips}
+        assert "no certified Q" in reasons["manageability"] and "antipode" not in reasons
         rep = run_suite(w_z2, level="all", fixture_id="z2")
         reasons = {s["level"]: s["reason"] for s in rep.skips}
         assert "no certified Q" in reasons["manageability"]

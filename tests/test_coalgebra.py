@@ -7,6 +7,7 @@ from mpi_lab import axioms, corpus, tensor
 from mpi_lab.axioms import IDENTITY_WORDS, check_mpi_axioms
 from mpi_lab.coalgebra import (
     E_LEG_WORDS,
+    TensorSquare,
     check_canonical_idempotent,
     check_delta_range_and_density,
     coassociativity_residual,
@@ -398,6 +399,23 @@ def w13_embed(two_leg_matrix):
 
 
 class TestCanonicalIdempotent:
+    def test_refits_when_the_reduced_entry_is_within_the_margin(self, w_z3, monkeypatch):
+        # a tol between a reduced entry and twice it: the entry comes in
+        # below tol but not FAIL_MARGIN below, so its family is refit member
+        # by member; a margin-free rule would keep the reduced bound
+        reduced = TensorSquare(Fixture(w_z3, tol=np.inf)).membership("E_bc")
+        assert reduced > 0.0
+        tol = 1.5 * reduced
+
+        def refits() -> bool:
+            sq = TensorSquare(Fixture(w_z3, tol=tol))
+            sq.membership("E_bc")
+            return sq._dense == {"E_bc"}
+
+        assert refits()
+        monkeypatch.setattr(axioms, "FAIL_MARGIN", 1.0)  # the margin-free mutant
+        assert not refits()
+
     def test_example_all_zero(self, w_example):
         rep = check_canonical_idempotent(w_example)
         assert max(rep.residuals.values()) < 1e-13, rep.residuals

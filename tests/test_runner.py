@@ -173,6 +173,7 @@ COUNTED = (
     (base_algebra, "base_spans"),
     (base_algebra, "check_separability_triple"),
     (base_algebra, "c_star_bases"),
+    (base_algebra, "gamma_n_stack"),
     (antipode, "antipode_map"),
     (coalgebra, "leg_algebra"),
     (tensor, "span_matrices"),
@@ -231,6 +232,10 @@ def test_shared_quantities_computed_once(w_pair2, calls):
     # S of W, and S-hat as the antipode of the dual context
     assert first["antipode_map"] == 2
     assert first["check_separability_triple"] == 1
+    # gamma_N of N's basis and of sigma_{-i/2} of it in the base structure,
+    # which the polar and S_B entries read; of the basis and of its pair
+    # products in the anti-multiplicativity entry
+    assert first["gamma_n_stack"] == 4
     # A and A-hat of W and of W-hat
     assert first["leg_algebra"] == 4
     # B, C, B-hat and C-hat are the context's N, L, N-hat and L-hat

@@ -148,8 +148,8 @@ class _OffByUnitary(KappaSolver):
 @pytest.fixture(scope="module")
 def mutant(pair2):
     """A context of the conjugated pair_groupoid_2 with nu and mu off their
-    weights (but inside N and L), a complex-mixed R-tilde, gamma_L pushed
-    off L and kappa off by a unitary."""
+    weights (but inside N and L), gamma_N taken at that nu, a complex-mixed
+    R-tilde, gamma_L pushed off L and kappa off by a unitary."""
     fx = Fixture(pair2.w)
     st, nu = fx.structure, fx.nu
     b0, c0 = fx.N.stack[0], fx.L.stack[0]
@@ -158,10 +158,11 @@ def mutant(pair2):
     rtilde = replace(st.rtilde, matrix=st.rtilde.matrix @ np.array([[1.0, 1j], [0.5, 2.0]]))
     gamma_l = st.gamma_l + np.triu(np.ones((4, 4)), 1)
     u = np.linalg.qr(np.arange(16.0).reshape(4, 4) + 1j * np.eye(4))[0]
-    solver = _OffByUnitary(fx, u)
+    fx.__dict__.update(nu=nu, kappa_solver=_OffByUnitary(fx, u))
     fx.__dict__.update(
-        nu=nu, kappa_solver=solver, kappa=kappa_map(fx, fx.N, solver),
-        _structure=(replace(st, mu=mu, rtilde=rtilde, gamma_l=gamma_l), None),
+        kappa=kappa_map(fx),
+        _structure=(replace(st, mu=mu, rtilde=rtilde, gamma_n=gamma_n_stack(fx, nu, fx.N.stack),
+                            gamma_l=gamma_l), None),
     )
     return fx
 
