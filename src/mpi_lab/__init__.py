@@ -33,7 +33,6 @@ from .context import Fixture  # noqa: F401
 from .axioms import (  # noqa: F401
     MpiVerdict,
     FullnessVerdict,
-    is_partial_isometry,
     check_mpi_axioms,
     assess_fullness,
     what,

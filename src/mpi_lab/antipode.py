@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import is_partial_isometry
+from .axioms import pi_gaps
 from .base_algebra import modular_conjugate
 from .context import Fixture, as_fixture
 from .tensor import (
@@ -38,7 +38,7 @@ from .tensor import (
 
 def tau(w: Operator | Fixture, q: Operator, z: complex, a: np.ndarray) -> np.ndarray:
     """Scaling group tau_z(a) = Q^{2iz} a Q^{-2iz} for each matrix of a stack."""
-    return as_fixture(w).q_data(q).eig.conjugate(2j * z, a)
+    return as_fixture(w).q_data(q).conjugate(2j * z, a)
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def check_duality(
     res["W_transpose_Rhat_eq_Wtilde_star"] = rel_residual(
         wtilde.adj.matrix, out.reshape(n * n, n * n)
     )
-    res["wtilde_partial_isometry"] = is_partial_isometry(wtilde)[1]
+    res["wtilde_partial_isometry"] = pi_gaps(wtilde.matrix)[1]
     return res
 
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from .context import Fixture, as_fixture, what  # noqa: F401 (re-exports what)
 from .tensor import (
-    RESIDUAL_TOL,
     LegWords,
     Operator,
     adjoint,
@@ -88,14 +87,7 @@ class FullnessVerdict:
     left_slice_rank: int
 
 
-def is_partial_isometry(w: Operator) -> tuple[bool, float]:
-    """Whether the residual of W W* W = W is below RESIDUAL_TOL, and that
-    residual."""
-    res = _pi_gaps(w.matrix)[1]
-    return res < RESIDUAL_TOL, res
-
-
-def _pi_gaps(m: np.ndarray) -> tuple[float, float]:
+def pi_gaps(m: np.ndarray) -> tuple[float, float]:
     """||W W* W - W||_F, and over max(1, ||W W* W||_F) as rel_residual takes it."""
     lhs = m @ m.conj().T @ m
     gap = np.linalg.norm(lhs - m)
@@ -227,7 +219,7 @@ def check_mpi_axioms(w: Operator | Fixture) -> MpiVerdict:
     failing W are those of evaluating all ten together."""
     fx = as_fixture(w)
     m = fx.w.matrix
-    gap_pi, res_pi = _pi_gaps(m)
+    gap_pi, res_pi = pi_gaps(m)
     words = LegWords(fx.three_leg, {"W": fx.w, "W*": fx.ws}, IDENTITY_WORDS)
     norm2 = spectral_norm(m)
     lhs_bounds = lhs_norm_bounds(m, norm2)
@@ -254,7 +246,7 @@ def projection_residuals(w: Operator | Fixture) -> dict[str, float]:
     """E = W*W and G = WW* idempotent.
 
     E and G are self-adjoint for every W, and WE = W = GW restate
-    W W* W = W (``is_partial_isometry``), so neither is measured here.
+    W W* W = W (``MpiVerdict.pi_residual``), so neither is measured here.
     """
     fx = as_fixture(w)
     e, g = fx.e.matrix, fx.g.matrix

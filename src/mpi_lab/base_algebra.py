@@ -12,7 +12,7 @@ which gives a second route to gamma_N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -364,8 +364,10 @@ def check_separability_triple(w: Operator | Fixture) -> dict[str, float]:
         slice_matrix(one_c_e, n, n, "right", mu.density.matrix), gamma_l
     )
 
-    gamma = partial(gamma_n_stack, fx, nu)
-    res["gamma_N_antimultiplicative"] = antimultiplicativity(gamma, bs)
+    g = structure.gamma_n
+    res["gamma_N_antimultiplicative"] = max_gap(
+        gamma_n_stack(fx, nu, pair_products(bs, bs)), reversed_products(g, g)
+    )
     # polar identity gamma_N = Rtilde o sigma^nu_{i/2}
     res["gamma_N_polar"] = max_gap(
         structure.gamma_n, rtilde.apply(modular_conjugate(nu, 0.5j, bs))
@@ -395,7 +397,7 @@ def kappa_q_checks(w: Operator | Fixture, q: Operator, wtilde: Operator) -> dict
     kappa by the definition of R_kappa, so it is not measured."""
     fx = as_fixture(w)
     kap = fx.kappa
-    qm, qinv = q.matrix, fx.q_data(q).qinv
+    qm, qinv = q.matrix, fx.q_data(q).power(-1)
 
     def rk(vals: np.ndarray) -> np.ndarray:
         return qinv @ vals @ qm

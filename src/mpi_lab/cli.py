@@ -78,7 +78,7 @@ def operator_from_dict(data: dict, origin: str = "<data>") -> Operator:
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(x, (int, float)) for x in cell)
+                or not all(type(x) in (int, float) for x in cell)  # bool is an int
             ):
                 raise InputError(f"{origin}: entry [{i}][{j}] must be [re, im]")
             out[i, j] = complex(cell[0], cell[1])

@@ -348,7 +348,8 @@ def check_canonical_idempotent(w: Operator | Fixture | TensorSquare,
     bounds = bounds or {}
     rest = {name: pair for name, pair in E_LEG_WORDS.items()
             if not takes_bound(bounds.get(name, np.inf), fx)}
-    exact = LegWords(fx.three_leg, {"W": fx.w, "W*": fx.ws, "E": fx.e}, rest).residuals()
+    ops = {"W": fx.w, "W*": fx.ws, "E": fx.e}
+    exact = LegWords(fx.three_leg, ops, rest).residuals() if rest else {}
     res = {name: exact[name] if name in rest else bounds[name] for name in E_LEG_WORDS}
 
     res["delta_homomorphism"] = _homomorphism_gap(fx, bst)

@@ -10,8 +10,9 @@ result repeats them.  ``dual`` is the context of W-hat, whose dual is
 this context again (N-hat is ``dual.N``, S-hat is ``dual.s_map``); as
 W-hat = Sigma W* Sigma, the right and left slices of W* are
 ``dual.left_slices`` and ``dual.right_slices``.  The dual shares ``tol``
-and the Q data: ``q_data(Q)`` holds Q^{-1} and the eigendecomposition of
-Q; the powers of Q^T are the transposes of those of Q.  Public checks
+and the Q data: ``q_data(Q)`` is the eigendecomposition of Q, whose
+powers are every power of Q the checks take, Q^{-1} among them; the
+powers of Q^T are the transposes of those of Q.  Public checks
 accept an ``Operator`` (given a fresh context at RESIDUAL_TOL) or a
 context.  A context serves one suite run and holds nothing larger than
 n^4 entries; three-leg matrices stay local to the checks that build
@@ -31,7 +32,6 @@ from .tensor import (
     RESIDUAL_TOL,
     H,
     LegMismatchError,
-    LegSpec,
     Operator,
     OperatorSubspace,
     PositiveEig,
@@ -46,21 +46,6 @@ from .tensor import (
 def what(w: Operator) -> Operator:
     """The dual candidate W-hat = Sigma W* Sigma."""
     return swap_legs(w.adj)
-
-
-class QData:
-    """A positive Q on W's leg: Q^{-1}, and the eigendecomposition of Q
-    from which every power is taken."""
-
-    def __init__(self, q: Operator, leg: LegSpec):
-        if q.space.nlegs != 1 or q.space.legs[0] != leg:
-            raise ValueError("Q must be a single-leg positive operator on W's leg")
-        self.q = q
-        self.eig = PositiveEig(q.matrix, name="Q")
-
-    @cached_property
-    def qinv(self) -> np.ndarray:
-        return np.linalg.inv(self.q.matrix)
 
 
 class Fixture:
@@ -179,10 +164,14 @@ class Fixture:
         from .antipode import antipode_map
         return antipode_map(self)
 
-    def q_data(self, q: Operator) -> QData:
+    def q_data(self, q: Operator) -> PositiveEig:
+        """The eigendecomposition of a positive Q on W's leg, from which
+        every power of Q is taken, Q^{-1} included."""
         key = (q.space, q.matrix.tobytes())
         if key not in self._q_data:
-            self._q_data[key] = QData(q, self.w.space.legs[0])
+            if q.space != self.leg_space:
+                raise ValueError("Q must be a single-leg positive operator on W's leg")
+            self._q_data[key] = PositiveEig(q.matrix, name="Q")
         return self._q_data[key]
 
 

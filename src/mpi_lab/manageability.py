@@ -19,10 +19,11 @@ measured here; tests check the construction against both
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .context import Fixture, QData, as_fixture
+from .context import Fixture, as_fixture
 from .tensor import (
     T_SAMPLES,
     H,
@@ -57,10 +58,12 @@ def _composability(fx: Fixture, wt: Operator, names: tuple[str, ...]) -> dict[st
     wtop = transpose_op(fx.w)
     ops = {"W": fx.w, "W*": fx.ws, "Wt": wt, "Wt*": wt.adj, "WT": wtop, "WT*": wtop.adj}
     out = {}
-    for name in names:
-        flavors, left, right = COMPOSABILITY_WORDS[name]
+    # one engine per ambient space, so the identities on one space share
+    # their fused factors
+    for flavors, group in groupby(names, key=lambda name: COMPOSABILITY_WORDS[name][0]):
         amb = TensorSpace(tuple(LegSpec(fx.n, f) for f in flavors))
-        out.update(LegWords(amb, ops, {name: (left, right)}).residuals())
+        pairs = {name: COMPOSABILITY_WORDS[name][1:] for name in group}
+        out.update(LegWords(amb, ops, pairs).residuals())
     return out
 
 
@@ -79,7 +82,7 @@ def build_wtilde(w: Operator | Fixture, q: Operator) -> Operator:
     on Hbar (x) H: the unique bounded solution of the characterizing
     equation in finite dimension."""
     fx = as_fixture(w)
-    qinv = fx.q_data(q).qinv
+    qinv = fx.q_data(q).power(-1)
     n = fx.n
     x = np.kron(np.eye(n), qinv) @ fx.w.matrix @ np.kron(np.eye(n), q.matrix)
     t = x.reshape(n, n, n, n)
@@ -90,7 +93,7 @@ def build_wtilde(w: Operator | Fixture, q: Operator) -> Operator:
     return Operator(sp, wt)
 
 
-def _grid_residual(w: Operator, qd: QData, wt: Operator) -> float:
+def _grid_residual(w: Operator, qm: np.ndarray, qinv: np.ndarray, wt: Operator) -> float:
     """Relative gap of the alternative characterization
     <W(xi (x) v), eta (x) u> = <Wt(Q^{-T}eta- (x) v), Q^T xi- (x) u>
     for xi, eta, v, u running over the standard basis (where the
@@ -98,7 +101,6 @@ def _grid_residual(w: Operator, qd: QData, wt: Operator) -> float:
     evaluated at once; the left side is just W's entry grid.
     """
     n = w.space.legs[0].dim
-    qm, qinv = qd.q.matrix, qd.qinv
     lhs = w.matrix.reshape(n, n, n, n)  # [eta, u, xi, v]
     t = wt.matrix.reshape(n, n, n, n)
     rhs = np.einsum("aubv,ax,be->euxv", t, qm.T.conj(), qinv.T, optimize=True)
@@ -109,19 +111,19 @@ def check_manageability(w: Operator | Fixture, q: Operator) -> ManageabilityCert
     """Build Wtilde and evaluate the full manageability apparatus, judged
     at the context's tol."""
     fx = as_fixture(w)
-    qd = fx.q_data(q)
+    qe = fx.q_data(q)
     wt = build_wtilde(fx, q)
     w = fx.w
     qq = np.kron(q.matrix, q.matrix)
     res = {"cond1_commutation": rel_residual(w.matrix @ qq, qq @ w.matrix)}
     res.update(_composability(fx, wt, ("cond3a", "cond3b")))
-    res["alt_characterization"] = _grid_residual(w, qd, wt)
+    res["alt_characterization"] = _grid_residual(w, q.matrix, qe.power(-1), wt)
 
     qit_w = 0.0
     qit_wt = 0.0
     for t in T_SAMPLES:
-        qt = qd.eig.power(1j * t)
-        qmt = qd.eig.power(-1j * t)
+        qt = qe.power(1j * t)
+        qmt = qe.power(-1j * t)
         qq_t = np.kron(qt, qt)
         qq_mt = np.kron(qmt, qmt)
         qit_w = max(qit_w, rel_residual(qq_t @ w.matrix @ qq_mt, w.matrix))

@@ -20,7 +20,8 @@ does, and reports that bound as the residual of an identity it certifies
 as failing).  ``chain`` fills a whole product from the same blocks, for
 the coassociativity products of the exact path, which runs only when the
 bound from the axiom gaps does not decide (``embed`` is its one-factor
-case); ``embedded_mul`` multiplies one embedded factor into a whole matrix.
+case, and ``embedded_mul`` the chain of one embedded factor and a whole
+matrix on every leg).
 
 One dtype rule, ``real_if_exact``, applies where a matrix enters: an
 ``Operator``, and each fused factor of ``LegWords``, is stored as float64
@@ -304,21 +305,9 @@ def _check_embedding(x: Operator, legs: Sequence[int], ambient: TensorSpace):
 
 
 def embedded_mul(x: Operator, legs: Sequence[int], m: Operator) -> Operator:
-    """embed(x, legs) @ m.
-
-    Contracts x with m's row legs one block of columns at a time, written
-    into the product, so no embedded matrix and no second copy of m is
-    formed; equals the embedded matrix product exactly.
-    """
-    legs = list(legs)
-    _check_embedding(x, legs, m.space)
-    dims, d = m.space.dims, m.space.total_dim
-    mt = m.matrix.reshape(dims + (d,))
-    xt, out = x.tensor(), np.empty(mt.shape, np.result_type(x.matrix, mt))
-    step = max(1, BLOCK_ENTRIES // d)
-    for s in range(0, d, step):
-        out[..., s:s + step] = _apply(xt, legs, mt[..., s:s + step])
-    return Operator(m.space, out.reshape(d, d))
+    """embed(x, legs) @ m: the ``chain`` of x on ``legs`` and m on every
+    leg, so no embedded matrix and no second copy of m is formed."""
+    return chain(m.space, (x, legs), (m, range(1, m.space.nlegs + 1)))
 
 
 class LegWords:
@@ -505,6 +494,8 @@ def chain(ambient: TensorSpace, *factors: tuple[Operator, Sequence[int]]) -> Ope
     LegWords, so the product is the only matrix of the ambient space formed."""
     if not factors:
         return identity(ambient)
+    for op, legs in factors:  # before the legs are spelled as digits
+        _check_embedding(op, legs, ambient)
     ops = {f"X{chr(97 + i)}": op for i, (op, _) in enumerate(factors)}
     word = " ".join(f"{name}{''.join(map(str, legs))}" for name, (_, legs) in zip(ops, factors))
     words = LegWords(ambient, ops, {"chain": (word, word)})

@@ -20,7 +20,7 @@ from mpi_lab.antipode import antipode_map, check_antipode, check_base_restrictio
 from mpi_lab.axioms import (
     assess_fullness,
     check_mpi_axioms,
-    is_partial_isometry,
+    pi_gaps,
     what,
 )
 from mpi_lab.base_algebra import base_spans, check_separability_triple
@@ -99,8 +99,7 @@ def comultiplication_residuals(w, full: bool) -> dict[str, float]:
 
 class TestCriterion1MatrixUnitExample:
     def test_example_reproduction(self, w_example):
-        ok, res = is_partial_isometry(w_example)
-        assert ok and res < 1e-12
+        assert pi_gaps(w_example.matrix)[1] < 1e-12
         verdict = check_mpi_axioms(w_example)
         assert verdict.passed
         assert all(r < 1e-12 for r in verdict.mpi_residuals.values())
@@ -287,15 +286,12 @@ class TestCriterion6MetamorphicAndNegative:
 
     def test_half_singular_value_not_partial_isometry(self):
         w = Operator(space(2, 2), np.diag([0.5, 1.0, 0.0, 0.0]))
-        ok, _ = is_partial_isometry(w)
-        assert not ok
+        assert pi_gaps(w.matrix)[1] >= RESIDUAL_TOL
 
     def test_corrupted_example_fails(self, w_example):
         m = np.array(w_example.matrix)
         m[2, 0] = 0.9
-        ok, res = is_partial_isometry(Operator(w_example.space, m))
-        assert not ok
-        assert res > 1e-2
+        assert pi_gaps(m)[1] > 1e-2
         print("\nACCEPTANCE 6: PASS - conjugation invariance (200 trials), "
               "exact double dual, and all negative controls")
 

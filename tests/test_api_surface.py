@@ -15,6 +15,8 @@ that no result carries a value nothing uses; a class that is serialized
 whole is listed in ``SERIALIZED`` with the reason.  No src code but
 ``tensor.factor`` and ``tensor.spectral_norm`` takes an SVD, names the
 rank cutoff ``RANK_TOL`` or takes a matrix 2-norm (an SVD inside numpy).
+No src code but ``tensor._column_blocks`` reads the column-block size
+``BLOCK_ENTRIES``, so every blocked product takes the same blocks.
 A parameter named ``tol`` is allowed only where ``TOL_PARAMETERS`` says
 why: every check reads the run's tolerance from its context.  No src code
 but ``axioms.dependent_bounds`` reads a field of the axiom gap record
@@ -259,6 +261,59 @@ def test_rank_guard_flags_a_spectral_norm(tmp_path):
     for call in ("np.linalg.norm(m, 2)", "np.linalg.norm(m, ord=2)"):
         axioms.write_text(text + f"\n\ndef _norm2(m):\n    return {call}\n")
         assert [f.split(":")[0] for f in rank_deciders(tmp_path)] == ["axioms"], call
+
+
+#: the one function that reads the column-block size: every blocked
+#: product takes its blocks from it
+BLOCK_NAME, BLOCK_OWNER = "BLOCK_ENTRIES", "_column_blocks"
+
+
+def block_readers(src: Path) -> list[str]:
+    """"module:line" of each read or import of ``BLOCK_NAME`` under ``src``
+    outside ``tensor._column_blocks`` (its definition aside)."""
+    flagged = []
+    for path in sorted(src.glob("*.py")):
+        tree = _parse(path)
+        owner = set()
+        if path.stem == "tensor":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == BLOCK_OWNER:
+                    owner |= {id(sub) for sub in ast.walk(node)}
+        flagged += [
+            f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+            if id(node) not in owner and (
+                isinstance(node, ast.Name) and node.id == BLOCK_NAME
+                and not isinstance(node.ctx, ast.Store)
+                or isinstance(node, ast.Attribute) and node.attr == BLOCK_NAME
+                or isinstance(node, ast.alias) and node.name == BLOCK_NAME)
+        ]
+    return flagged
+
+
+def test_one_function_decides_the_column_blocks():
+    flagged = block_readers(SRC)
+    assert not flagged, f"{BLOCK_NAME} read outside tensor.{BLOCK_OWNER}: {flagged}"
+
+
+def test_block_guard_flags_a_second_block_loop(tmp_path):
+    # a mutant whose embedded_mul has its own column-block loop again
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    tensor = tmp_path / "tensor.py"
+    text = tensor.read_text()
+    call = "    return chain(m.space, (x, legs), (m, range(1, m.space.nlegs + 1)))\n"
+    assert call in text
+    loop = (
+        "    dims, d = m.space.dims, m.space.total_dim\n"
+        "    mt, out = m.matrix.reshape(dims + (d,)), np.empty((d, d), complex)\n"
+        "    step = max(1, BLOCK_ENTRIES // d)\n"
+        "    for s in range(0, d, step):\n"
+        "        block = _apply(x.tensor(), legs, mt[..., s:s + step])\n"
+        "        out[:, s:s + step] = block.reshape(d, -1)\n"
+        "    return Operator(m.space, out)\n"
+    )
+    tensor.write_text(text.replace(call, loop))
+    assert [f.split(":")[0] for f in block_readers(tmp_path)] == ["tensor"]
 
 
 #: "module.qualname" of each src function with a parameter named tol -> why

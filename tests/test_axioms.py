@@ -8,13 +8,13 @@ from mpi_lab.axioms import (
     MPI_AXIOMS,
     assess_fullness,
     check_mpi_axioms,
-    is_partial_isometry,
+    pi_gaps,
     projection_residuals,
     what,
 )
 from mpi_lab.coalgebra import E_LEG_WORDS, _coassoc_residuals
 from mpi_lab.context import Fixture
-from mpi_lab.tensor import Operator, embed, flip, identity, space
+from mpi_lab.tensor import RESIDUAL_TOL, Operator, embed, flip, identity, space
 from word_references import identity_sides, kron_word
 
 
@@ -28,24 +28,20 @@ def perm_matrix(perm, n):
 
 class TestPartialIsometry:
     def test_example(self, w_example):
-        ok, res = is_partial_isometry(w_example)
-        assert ok and res == 0.0
+        assert pi_gaps(w_example.matrix) == (0.0, 0.0)
 
     def test_non_example(self):
         w = Operator(space(2, 2), np.diag([0.5, 1.0, 0.0, 0.0]))
-        ok, res = is_partial_isometry(w)
-        assert not ok and res > 1e-2
+        assert pi_gaps(w.matrix)[1] > 1e-2
 
     def test_permutation_matrix(self):
         w = Operator(space(2, 2), np.eye(4)[[2, 0, 3, 1]])
-        ok, res = is_partial_isometry(w)
-        assert ok and res < 1e-15
+        assert pi_gaps(w.matrix)[1] < 1e-15
 
     def test_corrupted_entry(self, w_example):
         m = np.array(w_example.matrix)
         m[2, 0] = 0.9
-        ok, res = is_partial_isometry(Operator(w_example.space, m))
-        assert not ok and res > 1e-2
+        assert pi_gaps(m)[1] > 1e-2
 
 
 class TestMpiAxioms:
@@ -224,7 +220,8 @@ class TestConjugationInvariance:
             wc = corpus.conjugate_fixture(w, u)
             v0, v1 = check_mpi_axioms(w), check_mpi_axioms(wc)
             assert v0.passed == v1.passed
-            assert is_partial_isometry(w)[0] == is_partial_isometry(wc)[0]
+            r0, r1 = pi_gaps(w.matrix)[1], pi_gaps(wc.matrix)[1]
+            assert (r0 < RESIDUAL_TOL) == (r1 < RESIDUAL_TOL)
             f0, f1 = assess_fullness(w), assess_fullness(wc)
             assert f0 == f1
 

@@ -191,6 +191,7 @@ class TestCommands:
             ("check", {"dims": [2, 2], "flavors": 5, "matrix": []}),
             ("check", ["dims", "flavors", "matrix"]),
             ("check", {"dims": [True, True], "flavors": ["H", "H"], "matrix": [[[1, 0]]]}),
+            ("check", {"dims": [1, 1], "flavors": ["H", "H"], "matrix": [[[True, False]]]}),
             # well-formed operators, but not on H (x) H with two equal legs
             ("check", {"dims": [], "flavors": [], "matrix": [[[1.0, 0.0]]]}),
             ("check", {"dims": [1, 1, 1], "flavors": ["H"] * 3, "matrix": [[[1.0, 0.0]]]}),
@@ -203,6 +204,7 @@ class TestCommands:
             "flavors_not_a_list",
             "top_level_list",
             "dims_of_booleans",
+            "matrix_of_booleans",
             "no_legs",
             "three_legs",
             "hbar_leg",

@@ -2,9 +2,10 @@
 the certified early FAIL of check_mpi_axioms.
 
 The engine fuses runs of same-leg factors and evaluates words on column
-blocks; the references multiply n^3 x n^3 matrices,
-embedded by np.kron (``kron_word``) or by ``tensor.embed`` and
-``tensor.embedded_mul`` (``chain_word``).  The comparisons run on seeded
+blocks; the references multiply n^3 x n^3 matrices, embedded by np.kron
+(``kron_word``), or multiply one unfused factor at a time into the whole
+product through ``tensor.embed`` and ``tensor.embedded_mul``
+(``chain_word``).  The comparisons run on seeded
 dense non-MPI candidates, where every residual is O(1), with blocks of
 one and two rows of the last leg, so that a word spans several blocks of
 unequal length.  Words of exactly real factors run in float64; they are

@@ -184,8 +184,8 @@ COUNTED = (
 @pytest.fixture
 def calls(monkeypatch):
     """Counts calls of the COUNTED functions, of numpy's SVD, of
-    KappaSolver, PositiveEig and TensorSquare construction, and of
-    span_matrices inside c_star_bases.
+    KappaSolver, PositiveEig, TensorSquare and LegWords construction, and
+    of span_matrices inside c_star_bases.
 
     Each function is rebound wherever an mpi_lab module holds it, so
     calls through imported names are counted too.  The SVD is counted
@@ -219,7 +219,8 @@ def calls(monkeypatch):
     svd = counting("svd", np.linalg.svd)
     monkeypatch.setattr(np.linalg, "svd", svd)
     monkeypatch.setattr(np.linalg._linalg, "svd", svd)
-    for cls in (base_algebra.KappaSolver, tensor.PositiveEig, coalgebra.TensorSquare):
+    for cls in (base_algebra.KappaSolver, tensor.PositiveEig, coalgebra.TensorSquare,
+                tensor.LegWords):
         monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
     return counts
 
@@ -233,9 +234,9 @@ def test_shared_quantities_computed_once(w_pair2, calls):
     assert first["antipode_map"] == 2
     assert first["check_separability_triple"] == 1
     # gamma_N of N's basis and of sigma_{-i/2} of it in the base structure,
-    # which the polar and S_B entries read; of the basis and of its pair
-    # products in the anti-multiplicativity entry
-    assert first["gamma_n_stack"] == 4
+    # which the polar, S_B and anti-multiplicativity entries read; of the
+    # basis' pair products in the anti-multiplicativity entry
+    assert first["gamma_n_stack"] == 3
     # A and A-hat of W and of W-hat
     assert first["leg_algebra"] == 4
     # B, C, B-hat and C-hat are the context's N, L, N-hat and L-hat
@@ -248,6 +249,12 @@ def test_shared_quantities_computed_once(w_pair2, calls):
     # multiplier families fitted once each, by one TensorSquare a side;
     # then E(b (x) c) and (b (x) c)E in B (x) C
     assert first["TensorSquare"] == 2
+    # one leg-word engine per ambient space that a check evaluates words
+    # on: the axioms of W; the E-leg words of W-hat, which has no axiom
+    # bounds (W's E-leg entries take theirs, so W builds none); per side
+    # of the manageability level, one for cond3a and one for cond3b; and
+    # one for hash1-hash3, which share their space
+    assert first["LegWords"] == 7
     assert first["tensor_fit"] == 12 + 2
     # each slice stack is factored once: fullness and the five antipode
     # maps read the SVDs of the four leg algebras, and no span of Rtilde's

@@ -129,6 +129,15 @@ class TestEmbed:
         with pytest.raises(LegMismatchError):
             embed(x, [1], space(2, 2))
 
+    def test_leg_outside_rejected(self):
+        # a leg is checked before it is spelled as a digit in a word
+        x, amb = unit(2, 1, 1), space(2, 2)
+        for legs in ([0], [3], [-1]):
+            with pytest.raises(LegMismatchError):
+                embed(x, legs, amb)
+            with pytest.raises(LegMismatchError):
+                embedded_mul(x, legs, identity(amb))
+
     def test_embed_coherence_brute_force(self):
         # X12 Y23 via embed equals the triple-index contraction oracle
         rng = np.random.default_rng(7)
