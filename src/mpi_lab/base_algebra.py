@@ -45,10 +45,6 @@ from .tensor import (
     transpose_grid,
 )
 
-#: iteration cap of the positivity repair of an indefinite weight density
-REPAIR_ITERS = 300
-
-
 @dataclass(frozen=True)
 class WeightData:
     """A positive functional x -> trace(D x) on a base algebra (N for nu,
@@ -138,10 +134,9 @@ class KappaSolver:
 
 @dataclass(frozen=True)
 class KappaMap:
-    """kappa on the basis of N and on the products of basis pairs (pair
-    (i, j) at index i * dim + j), with the solve residuals."""
+    """kappa on the basis of the context's N and on the products of basis
+    pairs (pair (i, j) at index i * dim + j), with the solve residuals."""
 
-    domain: OperatorSubspace
     value_stack: np.ndarray
     residuals: np.ndarray
     product_values: np.ndarray
@@ -161,7 +156,7 @@ def kappa_map(w: Operator | Fixture) -> KappaMap:
     solved = res[:m] < RESIDUAL_TOL
     ok = (res[m:] < RESIDUAL_TOL) & np.repeat(solved, m) & np.tile(solved, m)
     anti = max_gap(vals[m:][ok], reversed_products(vals[:m], vals[:m])[ok])
-    return KappaMap(fx.N, vals[:m], res[:m], vals[m:], res[m:], solver.nullity, anti)
+    return KappaMap(vals[:m], res[:m], vals[m:], res[m:], solver.nullity, anti)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +181,10 @@ def find_distinguished_weight(w: Operator | Fixture) -> WeightData:
     """Solve (nu (x) id)(E) = 1 for a positive density D in the base span N.
 
     The dual weight on N-hat is the same construction on the dual
-    context: ``find_distinguished_weight(fx.dual)``.  The minimal-norm
-    solution of the real linear system is taken; if it is not positive
-    definite on the support and the solution space has positive
-    dimension, an alternating-projection repair onto the positive cone
-    is attempted before reporting failure.
+    context: ``find_distinguished_weight(fx.dual)``.  The real system
+    t -> (sum_j t_j h_j (x) id)(E) over the Hermitian basis h of N has
+    nullity 0: N is *-closed, as E is, so its singular values are N's own
+    (those of E's Schmidt span) and the solution is unique.
     """
     fx = as_fixture(w)
     sub, e, n = fx.N, fx.e.matrix, fx.n
@@ -198,67 +192,24 @@ def find_distinguished_weight(w: Operator | Fixture) -> WeightData:
     if not len(herm):
         raise ValueError("base span is empty")
     # real system: sum_j t_j leftslice_{h_j}(E) = I
-    cols = rows(np.array([slice_matrix(e, n, n, "left", h) for h in herm]))
+    cols = rows(slice_matrix(e, n, n, "left", herm))
     rhs = np.concatenate([np.eye(n).ravel(), np.zeros(n * n)])
     a = np.hstack([cols.real, cols.imag]).T
-    return _weight(sub, herm, a, rhs, repair=True)
+    return _weight(sub, herm, a, rhs)
 
 
-def _weight(
-    sub: OperatorSubspace,
-    herm: np.ndarray,
-    a: np.ndarray,
-    rhs: np.ndarray,
-    repair: bool = False,
-) -> WeightData:
-    """The density sum_j t_j h_j for the minimum-norm real solution t of
+def _weight(sub: OperatorSubspace, herm: np.ndarray, a: np.ndarray, rhs: np.ndarray) -> WeightData:
+    """The density sum_j t_j h_j for the solution t of the real system
     a t = rhs, with its smallest eigenvalue on the support of ``sub``;
-    found when that eigenvalue exceeds PD_TOL.  With ``repair``, an
-    indefinite density is moved along the solution space towards the
-    positive cone, leaving the residual unchanged."""
+    found when the residual is below 1e-7 and that eigenvalue exceeds
+    PD_TOL.  Both systems solved here, nu's and mu's, have nullity 0, so
+    t is unique."""
     t, residual, nullity = lsq_solve(a, rhs)
-    t = t.real
-    d_mat = sum(tj * hj for tj, hj in zip(t, herm))
+    d_mat = sum(tj * hj for tj, hj in zip(t.real, herm))
     supp = range_basis(sub.stack)
-
-    def min_eig(mat):
-        if supp.shape[1] == 0:
-            return 0.0
-        return float(np.linalg.eigvalsh(supp.conj().T @ mat @ supp).min())
-
-    me = min_eig(d_mat)
-    if repair and me <= PD_TOL and nullity > 0:
-        d_mat = _positivity_repair(a, t, herm, supp)
-        me = min_eig(d_mat)
+    me = float(np.linalg.eigvalsh(supp.conj().T @ d_mat @ supp).min())
     found = residual < 1e-7 and me > PD_TOL
     return WeightData(Operator(sub.space, d_mat), me, nullity, residual, supp, found)
-
-
-def _positivity_repair(a, t0, herm, supp):
-    """Alternate, at most REPAIR_ITERS times, between the affine solution
-    set {t0 + null(a)} of the normalization system and the positive cone
-    on the support."""
-    _, _, vh, rank = factor(a, full=True)
-    null_basis = vh[rank:]  # rows span the solution-space directions
-    t = t0.copy()
-    floor = 1e-6
-    for _ in range(REPAIR_ITERS):
-        d_mat = sum(tj * hj for tj, hj in zip(t, herm))
-        if supp.shape[1]:
-            core = supp.conj().T @ d_mat @ supp
-            vals, vecs = np.linalg.eigh(core)
-            if vals.min() > floor:
-                break
-            repaired = vecs @ np.diag(np.maximum(vals, floor)) @ vecs.conj().T
-            d_rep = d_mat + supp @ (repaired - core) @ supp.conj().T
-        else:
-            d_rep = d_mat
-        # project the repaired density back to the affine solution set
-        t_rep = np.array(
-            [np.real(np.vdot(h.ravel(), d_rep.ravel())) for h in herm]
-        )
-        t = t0 + null_basis.T @ (null_basis @ (t_rep - t0))
-    return sum(tj * hj for tj, hj in zip(t, herm))
 
 
 def modular_conjugate(weight: WeightData, z: complex, x: np.ndarray) -> np.ndarray:
@@ -273,12 +224,10 @@ def modular_conjugate(weight: WeightData, z: complex, x: np.ndarray) -> np.ndarr
 
 
 def gamma_n_stack(w: Operator | Fixture, nu: WeightData, bs: np.ndarray) -> np.ndarray:
-    """gamma_N(b) = (nu (x) id)(E (b (x) 1)) for each matrix b of a stack."""
+    """gamma_N(b) = (nu (x) id)(E (b (x) 1)) for each matrix b of a stack:
+    the left slice of E at the density b D."""
     fx = as_fixture(w)
-    n = fx.n
-    # the slice is sum_{i, m} E[(i, k), (m, l)] (b D)[m, i] at entry (k, l)
-    e4 = fx.e.matrix.reshape(n, n, n, n)
-    return np.einsum("ikml,smi->skl", e4, bs @ nu.density.matrix)
+    return slice_matrix(fx.e.matrix, fx.n, fx.n, "left", bs @ nu.density.matrix)
 
 
 @dataclass(frozen=True)
@@ -316,18 +265,12 @@ def gamma_and_rtilde(w: Operator | Fixture) -> BaseStructure:
     herm = _hermitian_basis(l_sub)
     ls = l_sub.stack
     targets = np.einsum("kij,ji->k", rtilde.inverse.apply(ls), nu.density.matrix)
-    traces = np.einsum("kij,hji->kh", ls, herm)  # trace(l_k h)
+    # trace(l_k h): over orthonormal bases of the *-closed L, an isometry
+    traces = np.einsum("kij,hji->kh", ls, herm)
     a = np.concatenate([traces.real, traces.imag])
     mu = _weight(l_sub, herm, a, np.concatenate([targets.real, targets.imag]))
     gamma_l_vals = rtilde.inverse.apply(modular_conjugate(mu, -0.5j, ls))
     return BaseStructure(mu, rtilde, gamma_vals, gamma_l_vals)
-
-
-def gamma_kappa_residual(w: Operator | Fixture) -> float:
-    """gamma_N = kappa on the N basis: the weight slice against the
-    least-squares solve, two independent routes."""
-    fx = as_fixture(w)
-    return max_gap(fx.structure.gamma_n, fx.kappa.value_stack)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +280,8 @@ def gamma_kappa_residual(w: Operator | Fixture) -> float:
 
 def check_separability_triple(w: Operator | Fixture) -> dict[str, float]:
     """Residuals for the weight/anti-isomorphism identities of the
-    context's nu and base structure, with the modular groups sampled at
-    T_SAMPLES.  The checks that need a manageability pair (Q, Wtilde) are
+    context's nu and base structure, gamma_N = kappa first, with the
+    modular groups sampled at T_SAMPLES.  The checks that need a manageability pair (Q, Wtilde) are
     kappa_q_checks."""
     fx = as_fixture(w)
     nu, structure = fx.nu, fx.structure
@@ -348,6 +291,9 @@ def check_separability_triple(w: Operator | Fixture) -> dict[str, float]:
     bs, cs, gamma_l = fx.N.stack, fx.L.stack, structure.gamma_l
     res: dict[str, float] = {}
 
+    # gamma_N = kappa on the N basis: the weight slice against the
+    # least-squares solve, two independent routes
+    res["gamma_N_eq_kappa"] = max_gap(structure.gamma_n, fx.kappa.value_stack)
     res["nu_normalization"] = rel_residual(
         slice_matrix(e, n, n, "left", nu.density.matrix), eye
     )
@@ -402,7 +348,7 @@ def kappa_q_checks(w: Operator | Fixture, q: Operator, wtilde: Operator) -> dict
     def rk(vals: np.ndarray) -> np.ndarray:
         return qinv @ vals @ qm
 
-    bs, v = kap.domain.stack, kap.value_stack
+    bs, v = fx.N.stack, kap.value_stack
     m = len(bs)
     # kappa(b*), kappa(T(b)) with T = Q(.)Q^{-1}, and kappa of the right
     # slices of E (the slice-formula domain), in one stacked solve

@@ -8,7 +8,7 @@ unitary conjugation of fixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,15 +73,15 @@ class GroupoidSpec:
     """A finite groupoid: arrows with partial composition.
 
     ``arrows`` maps arrow id -> (source, target); ``compose[(g, h)]``
-    is defined exactly when source(g) == target(h).  Identity arrows
-    and inverses are required; the axioms are validated on construction.
+    is defined exactly when source(g) == target(h).  Each unit's identity
+    arrow is found from the composition, and each given inverse is checked
+    against it; the axioms are validated on construction.
     """
 
     units: tuple[str, ...]
     arrows: tuple[tuple[str, str, str], ...]  # (id, source, target)
     compose: dict[tuple[str, str], str]
     inverse: dict[str, str]
-    identity_arrows: dict[str, str] = field(default_factory=dict)  # unit -> arrow
 
     def __post_init__(self):
         object.__setattr__(self, "units", tuple(self.units))
@@ -138,24 +138,18 @@ class GroupoidSpec:
                     ]:
                         raise ValueError("composition not associative")
         # identities
-        ident = dict(self.identity_arrows)
-        if not ident:
-            for u in self.units:
-                cands = [
-                    a
-                    for a in ids
-                    if st[a] == (u, u)
-                    and all(
-                        self.compose[(a, h)] == h for h in ids if st[h][1] == u
-                    )
-                    and all(
-                        self.compose[(g, a)] == g for g in ids if st[g][0] == u
-                    )
-                ]
-                if len(cands) != 1:
-                    raise ValueError(f"unit {u} lacks a unique identity arrow")
-                ident[u] = cands[0]
-            object.__setattr__(self, "identity_arrows", ident)
+        ident = {}
+        for u in self.units:
+            cands = [
+                a
+                for a in ids
+                if st[a] == (u, u)
+                and all(self.compose[(a, h)] == h for h in ids if st[h][1] == u)
+                and all(self.compose[(g, a)] == g for g in ids if st[g][0] == u)
+            ]
+            if len(cands) != 1:
+                raise ValueError(f"unit {u} lacks a unique identity arrow")
+            ident[u] = cands[0]
         # inverses
         for g in ids:
             gi = self.inverse.get(g)
@@ -213,7 +207,6 @@ def disjoint_union(a: GroupoidSpec, b: GroupoidSpec) -> GroupoidSpec:
         a.arrows + b.arrows,
         {**a.compose, **b.compose},
         {**a.inverse, **b.inverse},
-        {**a.identity_arrows, **b.identity_arrows},
     )
 
 

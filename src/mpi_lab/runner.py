@@ -25,7 +25,6 @@ from .base_algebra import (
     base_spans,
     c_star_bases,
     check_separability_triple,
-    gamma_kappa_residual,
     kappa_q_checks,
 )
 from .coalgebra import (
@@ -170,7 +169,6 @@ def _base(run: _Run) -> bool:
     if fx.structure_reason is not None:
         rep.skip("base", fx.structure_reason)
     else:
-        rep.add("gamma_N_eq_kappa", gamma_kappa_residual(fx))
         run.add(check_separability_triple(fx))
     run.add(c_star_bases(fx), prefix="cstar_")
     if run.full:

@@ -509,15 +509,16 @@ def chain(ambient: TensorSpace, *factors: tuple[Operator, Sequence[int]]) -> Ope
 def slice_matrix(
     m: np.ndarray, n1: int, n2: int, side: str, density: np.ndarray
 ) -> np.ndarray:
-    """Slice a two-leg matrix, or each matrix of a stack, against a
-    functional on one leg: (id (x) w)(m), the partial trace over leg 2 of
-    m (1 (x) F), for side='right'; (w (x) id)(m), the partial trace over
-    leg 1 of m (F (x) 1), for side='left'.  w(t) = trace(t F) with F the
-    ``density``; the vector functional w_{a,b}(t) = <t a, b> has F = a b*."""
+    """Slice a two-leg matrix against a functional on one leg: (id (x) w)(m),
+    the partial trace over leg 2 of m (1 (x) F), for side='right';
+    (w (x) id)(m), the partial trace over leg 1 of m (F (x) 1), for
+    side='left'.  w(t) = trace(t F) with F the ``density``; the vector
+    functional w_{a,b}(t) = <t a, b> has F = a b*.  A stack of matrices,
+    of densities, or of both broadcasts over its leading axes."""
     t = m.reshape(m.shape[:-2] + (n1, n2, n1, n2))
     if side == "right":
-        return np.einsum("...ikjl,lk->...ij", t, density)
-    return np.einsum("...ikjl,ji->...kl", t, density)
+        return np.einsum("...ikjl,...lk->...ij", t, density)
+    return np.einsum("...ikjl,...ji->...kl", t, density)
 
 
 def kron_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -117,6 +117,14 @@ class TestCommands:
             w.matrix, corpus.groupoid_mpi(g).matrix
         )
 
+    def test_suite_text_report(self, tmp_path):
+        out = tmp_path / "suite.txt"
+        assert main(["suite", "--corpus", "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[-1] == "suite: 22/22 fixtures pass"
+        marks = [line.split()[0] for line in lines if line.startswith("  [")]
+        assert marks.count("[PASS]") == 1138 and "[FAIL]" not in marks
+
     def test_check_failing_fixture(self, tmp_path):
         from mpi_lab.tensor import Operator
 

@@ -88,12 +88,22 @@ class TestGroupoidSpec:
     def test_broken_composition_rejected(self):
         g = corpus.pair_groupoid(2)
         bad = dict(g.compose)
-        ident = g.identity_arrows[g.units[0]]
         # break associativity-compatible structure: misroute one composite
         (k, v), = [(k, v) for k, v in bad.items() if k == ("u0>u1", "u1>u0")]
         bad[k] = "u0>u1"  # wrong target
         with pytest.raises(ValueError):
             corpus.GroupoidSpec(g.units, g.arrows, bad, dict(g.inverse))
+
+    def test_wrong_inverses_rejected(self):
+        # Z_2 = {e, a} with each arrow named the inverse of the other: the
+        # identities are found from the composition, never taken from the
+        # caller, so a claim that a is the identity cannot be made
+        compose = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "e"}
+        args = (("u",), (("e", "u", "u"), ("a", "u", "u")), compose, {"e": "a", "a": "e"})
+        with pytest.raises(ValueError, match=r"g g\^-1 != id at"):
+            corpus.GroupoidSpec(*args)
+        with pytest.raises(TypeError):
+            corpus.GroupoidSpec(*args, {"u": "a"})
 
     def test_missing_inverse_rejected(self):
         g = corpus.pair_groupoid(2)

@@ -49,7 +49,6 @@ def level_entries(m, q):
               **manageability.inclusion_consequences(fx, q)}
     anti = {**antipode.check_antipode(fx, q, wt), **antipode.check_duality(fx, q, wt)}
     if fx.structure_reason is None:
-        base["gamma_N_eq_kappa"] = base_algebra.gamma_kappa_residual(fx)
         base.update(base_algebra.check_separability_triple(fx))
         manage.update(base_algebra.kappa_q_checks(fx, q, wt))
         anti.update(antipode.check_base_restrictions(fx, q))

@@ -25,7 +25,6 @@ from mpi_lab.base_algebra import (
     base_spans,
     c_star_bases,
     check_separability_triple,
-    gamma_kappa_residual,
     gamma_n_stack,
     kappa_map,
     kappa_q_checks,
@@ -203,10 +202,13 @@ def test_kappa_map_against_loop(pair2, mutant):
 
 
 def test_gamma_kappa_against_loop(pair2, mutant):
-    st = mutant.structure
-    ref = max(rel_residual(g, v) for g, v in zip(st.gamma_n, mutant.kappa.value_stack))
+    ref = max(
+        rel_residual(gamma_n(pair2, mutant.nu, b), v)
+        for b, v in zip(mutant.N.stack, mutant.kappa.value_stack)
+    )
     assert ref > 0.1
-    np.testing.assert_allclose(gamma_kappa_residual(mutant), ref, rtol=1e-10)
+    got = check_separability_triple(mutant)["gamma_N_eq_kappa"]
+    np.testing.assert_allclose(got, ref, rtol=1e-10)
     # the stacked gamma_N against the full-product slice, on random b and
     # a random positive density: inside N the order of b and D would not
     # show, as E lies in N (x) L and N is commutative here
@@ -225,6 +227,9 @@ def test_separability_triple_against_loop(pair2, mutant, wrong_q):
     n_basis, l_basis, gamma_l = mutant.N.stack, mutant.L.stack, st.gamma_l
     rt, rt_inv = each(rtilde.apply), each(rtilde.inverse.apply)
     ref = {}
+    ref["gamma_N_eq_kappa"] = max(
+        rel_residual(gamma_n(pair2, nu, b), v) for b, v in zip(n_basis, mutant.kappa.value_stack)
+    )
     ref["nu_normalization"] = rel_residual(slice_matrix(e, n, n, "left", nu.density.matrix), eye)
     ref["mu_normalization"] = rel_residual(slice_matrix(e, n, n, "right", mu.density.matrix), eye)
     ref["gamma_L_characterization"] = max(
@@ -276,7 +281,7 @@ def _kappa_q_reference(fx, q, wtilde):
         return qinv @ val @ qm
 
     # one solve per b, each on a one-member stack
-    pairs = list(zip(kap.domain.stack, kap.value_stack))
+    pairs = list(zip(fx.N.stack, kap.value_stack))
     res = {}
     star = 0.0
     for b, v in pairs:

@@ -256,6 +256,21 @@ class TestSlice:
             want = slice_matrix(x.matrix, 2, 3, "left", np.outer(np.eye(2)[a], np.eye(2)[b]))
             np.testing.assert_allclose(lefts[k], want)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_density_stack_matches_each_density(self, dtype, side):
+        # a stack of densities gives the per-density slices bit for bit
+        rng = np.random.default_rng(29)
+
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+        for n in (2, 3, 5):
+            m, densities = draw(n * n, n * n), draw(4, n, n)
+            want = np.array([slice_matrix(m, n, n, side, f) for f in densities])
+            np.testing.assert_array_equal(slice_matrix(m, n, n, side, densities), want)
+
 
 class TestTranspose:
     def test_matrix_unit(self):
