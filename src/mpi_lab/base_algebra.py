@@ -52,7 +52,6 @@ class WeightData:
 
     density: Operator
     min_eigenvalue: float
-    solution_space_dim: int
     normalization_residual: float
     support: np.ndarray  # orthonormal columns spanning the algebra's range
     found: bool
@@ -202,14 +201,14 @@ def _weight(sub: OperatorSubspace, herm: np.ndarray, a: np.ndarray, rhs: np.ndar
     """The density sum_j t_j h_j for the solution t of the real system
     a t = rhs, with its smallest eigenvalue on the support of ``sub``;
     found when the residual is below 1e-7 and that eigenvalue exceeds
-    PD_TOL.  Both systems solved here, nu's and mu's, have nullity 0, so
-    t is unique."""
-    t, residual, nullity = lsq_solve(a, rhs)
+    PD_TOL.  This one rule decides nu, nu-hat and mu.  Both systems solved
+    here, nu's and mu's, have nullity 0, so t is unique."""
+    t, residual = lsq_solve(a, rhs)
     d_mat = sum(tj * hj for tj, hj in zip(t.real, herm))
     supp = range_basis(sub.stack)
     me = float(np.linalg.eigvalsh(supp.conj().T @ d_mat @ supp).min())
     found = residual < 1e-7 and me > PD_TOL
-    return WeightData(Operator(sub.space, d_mat), me, nullity, residual, supp, found)
+    return WeightData(Operator(sub.space, d_mat), me, residual, supp, found)
 
 
 def modular_conjugate(weight: WeightData, z: complex, x: np.ndarray) -> np.ndarray:
@@ -243,8 +242,8 @@ class BaseStructure:
 def gamma_and_rtilde(w: Operator | Fixture) -> BaseStructure:
     """Assemble, from the context's nu on N, the weight mu = nu o Rtilde^{-1}
     on L, Rtilde = gamma_N o sigma_{-i/2}, gamma_N on the N basis and
-    gamma_L on the L basis; raises ValueError when Rtilde is not
-    invertible between the base spans."""
+    gamma_L on the L basis; raises ValueError, naming Rtilde or mu, when
+    Rtilde is not invertible between the base spans or mu is no weight."""
     fx = as_fixture(w)
     nu, n_sub, l_sub = fx.nu, fx.N, fx.L
     gamma_vals = gamma_n_stack(fx, nu, n_sub.stack)
@@ -269,6 +268,8 @@ def gamma_and_rtilde(w: Operator | Fixture) -> BaseStructure:
     traces = np.einsum("kij,hji->kh", ls, herm)
     a = np.concatenate([traces.real, traces.imag])
     mu = _weight(l_sub, herm, a, np.concatenate([targets.real, targets.imag]))
+    if not mu.found:
+        raise ValueError(f"mu is no weight on L (min eig {mu.min_eigenvalue:.3e})")
     gamma_l_vals = rtilde.inverse.apply(modular_conjugate(mu, -0.5j, ls))
     return BaseStructure(mu, rtilde, gamma_vals, gamma_l_vals)
 

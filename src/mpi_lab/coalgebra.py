@@ -234,7 +234,7 @@ class TensorSquare:
             return np.zeros((self.fx.n, self.fx.n)), 0.0
         p = rows(products).reshape(d, d, -1)  # p[q, r] = e_q e_r
         cols = p.transpose(1, 0, 2) if side == "right" else p  # [r, q]: e_q e_r or e_r e_q
-        x, _, _ = lsq_solve(cols.transpose(0, 2, 1).reshape(-1, d), b.ravel())
+        x, _ = lsq_solve(cols.transpose(0, 2, 1).reshape(-1, d), b.ravel())
         u = np.tensordot(x, b, axes=1)
         gap = u @ b - b if side == "right" else b @ u - b
         return u, float(np.max(np.linalg.norm(gap, axis=(1, 2))))

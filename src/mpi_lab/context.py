@@ -143,7 +143,7 @@ class Fixture:
         try:
             return gamma_and_rtilde(self), None
         except ValueError as exc:
-            return None, f"anti-isomorphism unavailable: {exc}"
+            return None, str(exc)
 
     @property
     def structure(self):

@@ -6,9 +6,9 @@ call and nothing outlives the call.  Levels run cumulatively (axioms ->
 coalgebra -> base -> manageability -> antipode); each level function adds
 its own entries and skip reasons and returns whether later levels may run.
 Statements that hold only under the fullness hypothesis (density spans
-equal A, L = L-hat, the dual weight) are emitted as checks only for
-fixtures whose slice algebras act nondegenerately; otherwise their data
-lands in the report properties.
+equal A, L = L-hat, the distinguished weights nu and nu-hat) are emitted
+as checks only for fixtures whose slice algebras act nondegenerately;
+otherwise their data lands in the report properties.
 """
 
 from __future__ import annotations
@@ -81,12 +81,13 @@ class _Run:
         for lv in self.wanted[LEVELS.index(level):]:
             self.rep.skip(lv, reason)
 
-    def add_weight(self, check_id: str, fx: Fixture) -> None:
-        """Entry for fx's distinguished weight: the residual of
-        (nu (x) id)(E) = 1, passing iff a weight was found, that is iff
-        that residual is below 1e-7 and the density is positive definite
-        on its support (PD_TOL), whatever the run's tolerance."""
-        self.rep.add(check_id, fx.nu.normalization_residual, passed=fx.nu.found)
+    def add_if_full(self, check_id: str, residual: float, passed: bool | None = None) -> None:
+        """An entry that holds only under fullness; without fullness its
+        residual goes to the properties as ``<check_id>_residual``."""
+        if self.full:
+            self.rep.add(check_id, residual, passed=passed)
+        else:
+            self.rep.properties[f"{check_id}_residual"] = residual
 
 
 def _axioms(run: _Run) -> bool:
@@ -153,28 +154,24 @@ def _base(run: _Run) -> bool:
     }
     l_res = spans.pop("L_eq_Lhat")
     run.add(spans)
-    if run.full:
-        rep.add("L_eq_Lhat", l_res)
-    else:
-        rep.properties["L_eq_Lhat_residual"] = l_res
+    run.add_if_full("L_eq_Lhat", l_res)
+    if not run.full:
         rep.skip("base", "L = L-hat requires fullness; residual in properties")
     rep.add("kappa_solves", max(fx.kappa.residuals), tol=1e-10)
     rep.add("kappa_antimultiplicative", fx.kappa.antimultiplicativity)
     rep.properties["kappa_nullity"] = fx.kappa.nullity
-    run.add_weight("nu_found", fx)
-    rep.properties["nu"] = {
-        "min_eigenvalue": fx.nu.min_eigenvalue,
-        "solution_space_dim": fx.nu.solution_space_dim,
-    }
+    # a weight passes iff found, whatever tol; W <-> W-hat exchanges nu and
+    # nu-hat and keeps fullness, so both are judged under fullness alone
+    run.add_if_full("nu_found", fx.nu.normalization_residual, fx.nu.found)
+    if not run.full:
+        rep.skip("base", "distinguished weights require fullness; residuals in properties")
+    rep.properties["nu"] = {"min_eigenvalue": fx.nu.min_eigenvalue}
     if fx.structure_reason is not None:
         rep.skip("base", fx.structure_reason)
     else:
         run.add(check_separability_triple(fx))
     run.add(c_star_bases(fx), prefix="cstar_")
-    if run.full:
-        run.add_weight("nuhat_found", fx.dual)
-    else:
-        rep.skip("base", "dual distinguished weight requires fullness")
+    run.add_if_full("nuhat_found", fx.dual.nu.normalization_residual, fx.dual.nu.found)
     return True
 
 

@@ -775,9 +775,8 @@ class LstsqSolver:
         return x, np.linalg.norm(self.a @ x - b, axis=0)
 
 
-def lsq_solve(map_matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float, int]:
+def lsq_solve(map_matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-norm least-squares solve at the RANK_TOL cutoff:
-    (solution, residual, nullity)."""
-    solver = LstsqSolver(map_matrix)
-    x, residual = solver.solve(np.ravel(rhs))
-    return x, float(residual), solver.nullity
+    (solution, residual)."""
+    x, residual = LstsqSolver(map_matrix).solve(np.ravel(rhs))
+    return x, float(residual)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,15 @@ from mpi_lab.axioms import (
     MPI_AXIOMS,
     assess_fullness,
     check_mpi_axioms,
+    lhs_norm_bounds,
     pi_gaps,
     projection_residuals,
     what,
 )
 from mpi_lab.coalgebra import E_LEG_WORDS, _coassoc_residuals
 from mpi_lab.context import Fixture
-from mpi_lab.tensor import RESIDUAL_TOL, Operator, embed, flip, identity, space
+from mpi_lab.runner import run_suite
+from mpi_lab.tensor import RESIDUAL_TOL, Operator, embed, flip, identity, space, spectral_norm
 from word_references import identity_sides, kron_word
 
 
@@ -93,6 +97,21 @@ class TestMpiAxioms:
         lhs, rhs = identity_sides(w_example, "mpi1")
         np.testing.assert_allclose(lhs, expected)
         np.testing.assert_allclose(rhs, expected)
+
+    def test_non_finite_entry_stops_nothing_early(self, w_z2):
+        # ||W||_2 reads inf for a W with an inf entry, so every bound of
+        # lhs_norm_bounds is inf and no identity stops early; the report
+        # carries null residuals and fails
+        m = w_z2.matrix.copy()
+        m[0, 0] = np.inf
+        w = Operator(w_z2.space, m)
+        assert lhs_norm_bounds(m, spectral_norm(m)) == dict.fromkeys(IDENTITY_WORDS, np.inf)
+        with np.errstate(invalid="ignore", over="ignore"):
+            verdict = check_mpi_axioms(w)
+            rep = json.loads(run_suite(w, level="axioms").to_json())
+        assert not verdict.passed and verdict.lower_bounds == ()
+        assert all(c == {"id": c["id"], "pass": False, "residual": None} for c in rep["checks"])
+        assert rep["overall"] == "fail"
 
     def test_traced_peak_on_z10(self):
         # the ten identities run on column blocks: the tracemalloc peak of

@@ -123,7 +123,7 @@ class TestCommands:
         lines = out.read_text().splitlines()
         assert lines[-1] == "suite: 22/22 fixtures pass"
         marks = [line.split()[0] for line in lines if line.startswith("  [")]
-        assert marks.count("[PASS]") == 1138 and "[FAIL]" not in marks
+        assert marks.count("[PASS]") == 1137 and "[FAIL]" not in marks
 
     def test_check_failing_fixture(self, tmp_path):
         from mpi_lab.tensor import Operator
@@ -152,6 +152,48 @@ class TestCommands:
         assert rep["properties"]["q_source"] == "supplied"
         ids = [c["id"] for c in rep["checks"]]
         assert "antipode_polar_S_eq_RA_tau" in ids
+
+    def test_supplied_q_that_fails_the_certificate(self, tmp_path, w_z2):
+        # Q = diag(1, 2) does not commute with Z_2's W: the entries that
+        # read the pair (Q, Wtilde) fail, and the antipode level, which
+        # needs a certified pair, is skipped
+        q = Operator(space(2), np.diag([1.0, 2.0]))
+        rep = run_suite(w_z2, q=q, fixture_id="z2")
+        assert [e.check_id for e in rep.entries if not e.passed] == [
+            "manageability_cond1_commutation", "manageability_cond3a",
+            "manageability_cond3b", "manageability_alt_characterization",
+            "manageability_qit_covariance_W", "manageability_qit_covariance_Wtilde",
+            "hash3", "dual_certificate", "dual_wtilde_formula", "kappa_wtilde_formula",
+        ]
+        assert rep.skips == [{"level": "antipode", "reason": "manageability certificate failed"}]
+        wp, qp = tmp_path / "z2.json", tmp_path / "q.json"
+        save_operator(w_z2, str(wp))
+        save_operator(q, str(qp))
+        assert main(["check", str(wp), "--q", str(qp),
+                     "--out", str(tmp_path / "r.txt")]) == EXIT_CHECK_FAILED
+
+    def test_module_entry_point(self, tmp_path, w_z2):
+        import subprocess
+        import sys
+
+        wp = tmp_path / "z2.json"
+        save_operator(w_z2, str(wp))
+        done = subprocess.run([sys.executable, "-m", "mpi_lab", "check", str(wp),
+                               "--level", "axioms"], capture_output=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.decode().splitlines()[-1] == "overall: pass"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "group"], "gen group requires --table"),
+        (["gen", "groupoid"], "gen groupoid requires --spec"),
+        (["suite"], "suite requires --corpus"),
+    ])
+    def test_usage_errors(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "w.json"
+        extra = ["--out", str(out)] if argv[0] == "gen" else []
+        assert main(argv + extra) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_level_antipode_without_q_uses_suggestion(self, tmp_path, w_z2):
         wp = tmp_path / "w.json"
@@ -281,13 +323,14 @@ class TestRunSuiteContract:
         assert not any(i.startswith("coassociativity") for i in ids)
 
     def test_no_weight_reported_not_fatal(self, w_example):
-        # the dual of the example has no distinguished weight; nu_found
-        # fails, the weight-dependent checks are skipped with reasons,
-        # and the run still completes
+        # the dual of the example has no distinguished weight; it is not
+        # full, so nu_found is no entry but a property, the weight-dependent
+        # checks are skipped with reasons, and the run still completes
         from mpi_lab.axioms import what as dual_of
 
         rep = run_suite(dual_of(w_example), level="all", fixture_id="example_dual")
-        assert [e.check_id for e in rep.entries if not e.passed] == ["nu_found"]
+        assert [e.check_id for e in rep.entries if not e.passed] == []
+        assert rep.properties["nu_found_residual"] == 1.0
         reasons = [s["reason"] for s in rep.skips]
         assert any("no distinguished weight" in r for r in reasons)
 

@@ -169,6 +169,40 @@ def test_conjugated_fixture_same_report_at_every_level(name):
     assert conj.skips == plain.skips
 
 
+#: the ids that W <-> W-hat exchanges, besides the *_primal and *_dual pairs
+EXCHANGED = {
+    "nu_found": "nuhat_found",
+    "subalgebra_N": "subalgebra_Nhat",
+    "subalgebra_L": "subalgebra_Lhat",
+    "NL_commutation": "NhatLhat_commutation",
+}
+EXCHANGED.update({v: k for k, v in EXCHANGED.items()})
+
+
+def exchanged(check_id):
+    for side, other in (("_primal", "_dual"), ("_dual", "_primal")):
+        if check_id.endswith(side):
+            return check_id[: -len(side)] + other
+    return EXCHANGED.get(check_id, check_id)
+
+
+@pytest.mark.parametrize("name", list(BUILTIN))
+def test_duality_relation(name):
+    # W and W-hat = Sigma W* Sigma have the same overall verdict, and their
+    # FAIL sets agree once primal and dual ids are exchanged; so too for a
+    # seeded unitary conjugation of each fixture with n <= 4
+    w = BUILTIN[name]
+    n = w.space.legs[0].dim
+    cases = [w]
+    if n <= 4:
+        cases.append(corpus.conjugate_fixture(w, corpus.random_unitary(n, np.random.default_rng(13))))
+    for v in cases:
+        rep, rep_hat = run_suite(v), run_suite(context.what(v))
+        assert rep.overall_pass == rep_hat.overall_pass
+        assert ({exchanged(e.check_id) for e in rep.entries if not e.passed}
+                == {e.check_id for e in rep_hat.entries if not e.passed})
+
+
 COUNTED = (
     (base_algebra, "base_spans"),
     (base_algebra, "check_separability_triple"),

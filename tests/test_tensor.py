@@ -6,6 +6,7 @@ from mpi_lab.tensor import (
     HBAR,
     RESIDUAL_TOL,
     LegMismatchError,
+    LstsqSolver,
     Operator,
     all_left_slices,
     all_right_slices,
@@ -479,18 +480,18 @@ class TestContains:
 class TestLsqSolve:
     def test_identity_map(self):
         v = np.array([1.0, 2.0, -1.0])
-        x, res, nullity = lsq_solve(np.eye(3), v)
+        x, res = lsq_solve(np.eye(3), v)
         np.testing.assert_allclose(x, v, atol=1e-14)
-        assert res < 1e-14 and nullity == 0
+        assert res < 1e-14 and LstsqSolver(np.eye(3)).nullity == 0
 
     def test_rank_deficient(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        x, res, nullity = lsq_solve(a, np.array([1.0, 0.0]))
+        x, res = lsq_solve(a, np.array([1.0, 0.0]))
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-14)
-        assert res < 1e-14 and nullity == 1
+        assert res < 1e-14 and LstsqSolver(a).nullity == 1
 
     def test_inconsistent_projection(self):
         a = np.array([[1.0], [1.0]])
-        x, res, nullity = lsq_solve(a, np.array([1.0, 0.0]))
+        x, res = lsq_solve(a, np.array([1.0, 0.0]))
         assert abs(res - 1 / np.sqrt(2)) < 1e-13
-        assert nullity == 0
+        assert LstsqSolver(a).nullity == 0
