@@ -29,16 +29,16 @@ from .tensor import (  # noqa: F401
     span,
     lsq_solve,
 )
-from .context import Fixture  # noqa: F401
+from .context import Fixture, what  # noqa: F401
 from .axioms import (  # noqa: F401
     MpiVerdict,
     FullnessVerdict,
     check_mpi_axioms,
     assess_fullness,
-    what,
 )
 from .coalgebra import (  # noqa: F401
     CoalgebraReport,
+    TensorSquare,
     leg_algebra,
     coassociativity_residual,
     check_canonical_idempotent,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .axioms import pi_gaps
 from .base_algebra import modular_conjugate
-from .context import Fixture, as_fixture
+from .context import Fixture
 from .tensor import (
     T_SAMPLES,
     Operator,
@@ -36,9 +36,9 @@ from .tensor import (
 )
 
 
-def tau(w: Operator | Fixture, q: Operator, z: complex, a: np.ndarray) -> np.ndarray:
+def tau(fx: Fixture, q: Operator, z: complex, a: np.ndarray) -> np.ndarray:
     """Scaling group tau_z(a) = Q^{2iz} a Q^{-2iz} for each matrix of a stack."""
-    return as_fixture(w).q_data(q).conjugate(2j * z, a)
+    return fx.q_data(q).conjugate(2j * z, a)
 
 
 @dataclass(frozen=True)
@@ -67,18 +67,14 @@ def extend(span: OperatorSubspace, outs: np.ndarray) -> AssembledMap:
     return AssembledMap(span, coeffs.T, gap)
 
 
-def antipode_map(w: Operator | Fixture) -> AssembledMap:
+def antipode_map(fx: Fixture) -> AssembledMap:
     """S on A, extended from the full basis-functional grid."""
-    fx = as_fixture(w)
     return extend(fx.A, fx.dual.left_slices)
 
 
-def check_antipode(
-    w: Operator | Fixture, q: Operator, wtilde: Operator
-) -> dict[str, float]:
+def check_antipode(fx: Fixture, q: Operator, wtilde: Operator) -> dict[str, float]:
     """Polar decomposition and algebraic identities of S and R_A on the
     generator grid."""
-    fx = as_fixture(w)
     s_map = fx.s_map
     # R_A: (id (x) w)(W*) -> [(id (x) w)(Wt)]^T on span A* (= A once the
     # slice algebra is star-closed); the slices of Wt, built once, are its
@@ -113,12 +109,9 @@ def check_antipode(
     return res
 
 
-def check_duality(
-    w: Operator | Fixture, q: Operator, wtilde: Operator
-) -> dict[str, float]:
+def check_duality(fx: Fixture, q: Operator, wtilde: Operator) -> dict[str, float]:
     """Dual antipode characterizations, W^{T (x) Rhat} = Wt*, and the
     partial-isometry property of Wt."""
-    fx = as_fixture(w)
     y_star, y = fx.dual.right_slices, fx.left_slices
     # S-hat: y* -> y is the dual context's antipode; on A-hat, spanned by
     # the y, S-hat^{-1}: y -> y* and R_Ahat: (w (x) id)(W) -> (w^T (x) id)(Wt*)
@@ -147,11 +140,10 @@ def check_duality(
     return res
 
 
-def check_base_restrictions(w: Operator | Fixture, q: Operator) -> dict[str, float]:
+def check_base_restrictions(fx: Fixture, q: Operator) -> dict[str, float]:
     """tau_t restricted to B and C against the modular groups of the
     context's nu and mu at t in T_SAMPLES, and S restricted to B and C
     against the gamma maps."""
-    fx = as_fixture(w)
     nu, structure = fx.nu, fx.structure
     mu, bs, cs = structure.mu, fx.N.stack, fx.L.stack
     s_map = fx.s_map

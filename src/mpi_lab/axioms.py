@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .context import Fixture, as_fixture, what  # noqa: F401 (re-exports what)
+from .context import Fixture
 from .tensor import (
     LegWords,
-    Operator,
     adjoint,
     range_basis,
     rel_residual,
@@ -124,11 +123,13 @@ def lhs_norm_bounds(w: np.ndarray, norm2: float) -> dict[str, float]:
     ||W_ij||_2 = ||W||_2 and ||W_ij||_F = sqrt(n) ||W||_F.  m counts the
     paper's factors, before LegWords fuses a same-leg run such as
     W*_23 W_23 into E_23 (||E||_2 <= ||W||_2^2), so the bound holds for the
-    fused evaluation too.  ``norm2`` is ||W||_2, taken as infinite for a W
-    with a non-finite entry: then so is every bound, and no identity of
-    that W stops early."""
-    if not np.isfinite(norm2):
-        return dict.fromkeys(IDENTITY_WORDS, np.inf)
+    fused evaluation too.  ``norm2`` is ||W||_2, infinite for a W with a
+    non-finite entry.  No identity of such a W stops early: an inf entry
+    makes every bound inf, and a NaN entry makes it max(1, NaN) = 1 but
+    every block's partial gap NaN, which passes no stop test.  Each
+    identity has a word with a fused E or G factor, or whose leftmost
+    factor is applied to the whole block by one tensordot, and either
+    carries the NaN into every column of the block."""
     frob = math.sqrt(math.isqrt(len(w))) * np.linalg.norm(w)
     return {name: max(1.0, norm2 ** (len(left.split()) - 1) * frob)
             for name, (left, _) in IDENTITY_WORDS.items()}
@@ -204,7 +205,7 @@ def _evaluate(fx: Fixture, words: LegWords, names,
     return res, gaps, stops
 
 
-def check_mpi_axioms(w: Operator | Fixture) -> MpiVerdict:
+def check_mpi_axioms(fx: Fixture) -> MpiVerdict:
     """Full multiplicativity verdict at the context's tol: partial isometry
     plus mpi1-mpi4, with the derived residuals mpi5-mpi10 reported alongside.
 
@@ -217,7 +218,6 @@ def check_mpi_axioms(w: Operator | Fixture) -> MpiVerdict:
     that fails the axioms among them, is then evaluated on the same engine
     with the same early stop, so the residuals and ``lower_bounds`` of a
     failing W are those of evaluating all ten together."""
-    fx = as_fixture(w)
     m = fx.w.matrix
     gap_pi, res_pi = pi_gaps(m)
     words = LegWords(fx.three_leg, {"W": fx.w, "W*": fx.ws}, IDENTITY_WORDS)
@@ -242,13 +242,12 @@ def check_mpi_axioms(w: Operator | Fixture) -> MpiVerdict:
                       lower_bounds, bounds)
 
 
-def projection_residuals(w: Operator | Fixture) -> dict[str, float]:
+def projection_residuals(fx: Fixture) -> dict[str, float]:
     """E = W*W and G = WW* idempotent.
 
     E and G are self-adjoint for every W, and WE = W = GW restate
     W W* W = W (``MpiVerdict.pi_residual``), so neither is measured here.
     """
-    fx = as_fixture(w)
     e, g = fx.e.matrix, fx.g.matrix
     return {
         "E_idempotent": rel_residual(e @ e, e),
@@ -256,7 +255,7 @@ def projection_residuals(w: Operator | Fixture) -> dict[str, float]:
     }
 
 
-def assess_fullness(w: Operator | Fixture) -> FullnessVerdict:
+def assess_fullness(fx: Fixture) -> FullnessVerdict:
     """Evaluate both fullness readings on the slice algebras A and A-hat.
 
     The literal flags ask whether w -> (id (x) w)(W) (resp. the left
@@ -266,7 +265,6 @@ def assess_fullness(w: Operator | Fixture) -> FullnessVerdict:
     (the ranges of a basis sum to H) and trivial common kernel (so do
     those of the adjoint basis).
     """
-    fx = as_fixture(w)
     n = fx.n
 
     def acts_fully(stack):

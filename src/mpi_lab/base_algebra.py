@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .context import Fixture, as_fixture
+from .context import Fixture
 from .tensor import (
     PD_TOL,
     RESIDUAL_TOL,
@@ -75,13 +75,12 @@ class BaseAntiIso(SpanMap):
     inverse: SpanMap
 
 
-def base_spans(w: Operator | Fixture) -> dict[str, float]:
+def base_spans(fx: Fixture) -> dict[str, float]:
     """Residuals of the base spans, keyed by check id: [N, L] = 0 for the
     context and for its dual (N-hat and L-hat are the dual's N and L); each
     of the four spans closed under products; and L = L-hat.  E and G are
     self-adjoint, so each slice set is closed under *, and E lies in
     N (x) L (its minimal sums have their legs among its slices)."""
-    fx = as_fixture(w)
     res = {}
     for label, f in (("NL", fx), ("NhatLhat", fx.dual)):
         n, l = f.N.stack, f.L.stack
@@ -109,8 +108,7 @@ class KappaSolver:
     outside the solvable domain.
     """
 
-    def __init__(self, w: Operator | Fixture):
-        fx = as_fixture(w)
+    def __init__(self, fx: Fixture):
         self.n, self.e = fx.n, fx.e.matrix
         self._solver = LstsqSolver(self.e.reshape(self.n**3, self.n))
         self.nullity = self.n * self._solver.nullity
@@ -144,11 +142,10 @@ class KappaMap:
     antimultiplicativity: float
 
 
-def kappa_map(w: Operator | Fixture) -> KappaMap:
+def kappa_map(fx: Fixture) -> KappaMap:
     """kappa on the basis of the context's N and on the products of basis
     pairs, solved independently in one stacked solve, plus the
     anti-multiplicativity residual over the pairs whose three solves succeed."""
-    fx = as_fixture(w)
     solver, bs = fx.kappa_solver, fx.N.stack
     m = len(bs)
     vals, res = solver.solve_stack(np.concatenate([bs, pair_products(bs, bs)]))
@@ -176,7 +173,7 @@ def _hermitian_basis(sub: OperatorSubspace) -> np.ndarray:
     return (m + adjoint(m)) / 2.0  # exact Hermitization
 
 
-def find_distinguished_weight(w: Operator | Fixture) -> WeightData:
+def find_distinguished_weight(fx: Fixture) -> WeightData:
     """Solve (nu (x) id)(E) = 1 for a positive density D in the base span N.
 
     The dual weight on N-hat is the same construction on the dual
@@ -185,7 +182,6 @@ def find_distinguished_weight(w: Operator | Fixture) -> WeightData:
     nullity 0: N is *-closed, as E is, so its singular values are N's own
     (those of E's Schmidt span) and the solution is unique.
     """
-    fx = as_fixture(w)
     sub, e, n = fx.N, fx.e.matrix, fx.n
     herm = _hermitian_basis(sub)
     if not len(herm):
@@ -222,10 +218,9 @@ def modular_conjugate(weight: WeightData, z: complex, x: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def gamma_n_stack(w: Operator | Fixture, nu: WeightData, bs: np.ndarray) -> np.ndarray:
+def gamma_n_stack(fx: Fixture, nu: WeightData, bs: np.ndarray) -> np.ndarray:
     """gamma_N(b) = (nu (x) id)(E (b (x) 1)) for each matrix b of a stack:
     the left slice of E at the density b D."""
-    fx = as_fixture(w)
     return slice_matrix(fx.e.matrix, fx.n, fx.n, "left", bs @ nu.density.matrix)
 
 
@@ -239,12 +234,11 @@ class BaseStructure:
     gamma_l: np.ndarray  # gamma_L on the L basis, a stack
 
 
-def gamma_and_rtilde(w: Operator | Fixture) -> BaseStructure:
+def gamma_and_rtilde(fx: Fixture) -> BaseStructure:
     """Assemble, from the context's nu on N, the weight mu = nu o Rtilde^{-1}
     on L, Rtilde = gamma_N o sigma_{-i/2}, gamma_N on the N basis and
     gamma_L on the L basis; raises ValueError, naming Rtilde or mu, when
     Rtilde is not invertible between the base spans or mu is no weight."""
-    fx = as_fixture(w)
     nu, n_sub, l_sub = fx.nu, fx.N, fx.L
     gamma_vals = gamma_n_stack(fx, nu, n_sub.stack)
     # the values are left slices of E, so they lie in L; invertible
@@ -279,12 +273,11 @@ def gamma_and_rtilde(w: Operator | Fixture) -> BaseStructure:
 # ---------------------------------------------------------------------------
 
 
-def check_separability_triple(w: Operator | Fixture) -> dict[str, float]:
+def check_separability_triple(fx: Fixture) -> dict[str, float]:
     """Residuals for the weight/anti-isomorphism identities of the
     context's nu and base structure, gamma_N = kappa first, with the
     modular groups sampled at T_SAMPLES.  The checks that need a manageability pair (Q, Wtilde) are
     kappa_q_checks."""
-    fx = as_fixture(w)
     nu, structure = fx.nu, fx.structure
     mu, rtilde = structure.mu, structure.rtilde
     e, n = fx.e.matrix, fx.n
@@ -337,12 +330,11 @@ def check_separability_triple(w: Operator | Fixture) -> dict[str, float]:
     return res
 
 
-def kappa_q_checks(w: Operator | Fixture, q: Operator, wtilde: Operator) -> dict[str, float]:
+def kappa_q_checks(fx: Fixture, q: Operator, wtilde: Operator) -> dict[str, float]:
     """R_kappa = Q^{-1} kappa(.) Q is a *-anti-homomorphism with
     kappa = R_kappa o T for T = Q(.)Q^{-1}, and kappa has the slice
     formula through Wtilde Wtilde*.  kappa = T o R_kappa holds for every
     kappa by the definition of R_kappa, so it is not measured."""
-    fx = as_fixture(w)
     kap = fx.kappa
     qm, qinv = q.matrix, fx.q_data(q).power(-1)
 
@@ -377,12 +369,11 @@ def kappa_q_checks(w: Operator | Fixture, q: Operator, wtilde: Operator) -> dict
 # ---------------------------------------------------------------------------
 
 
-def c_star_bases(w: Operator | Fixture) -> dict[str, float]:
+def c_star_bases(fx: Fixture) -> dict[str, float]:
     """B = N and C = L (with B-hat = N-hat, C-hat = L-hat): the multiplier
     memberships of the base elements against A and A-hat, and E as a
     multiplier of B (x) C.  Rtilde maps onto C whenever it is built
     (gamma_and_rtilde), so its range is not measured."""
-    fx = as_fixture(w)
     b, c, bhat, chat = fx.N.stack, fx.L.stack, fx.dual.N.stack, fx.dual.L.stack
     a, ahat = fx.A.stack, fx.Ahat.stack
     pairs = kron_stack(b, c)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import corpus as cp
 from .report import reports_to_json
-from .runner import corpus_suite, run_suite
+from .runner import LEVELS, corpus_suite, run_suite
 from .tensor import Operator, RESIDUAL_TOL, space
 
 EXIT_OK = 0
@@ -203,11 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the check suite on an operator file")
     p_check.add_argument("operator", help="operator JSON file")
     p_check.add_argument("--q", help="positive operator JSON file for manageability")
-    p_check.add_argument(
-        "--level",
-        default="all",
-        choices=["axioms", "coalgebra", "base", "manageability", "antipode", "all"],
-    )
+    p_check.add_argument("--level", default="all", choices=[*LEVELS, "all"])
     p_check.set_defaults(func=cmd_check)
 
     p_gen = sub.add_parser("gen", help="generate a fixture operator file")

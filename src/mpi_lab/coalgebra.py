@@ -45,11 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import takes_bound
-from .context import Fixture, as_fixture
+from .context import Fixture
 from .tensor import (
     Fit,
     LegWords,
-    Operator,
     OperatorSubspace,
     chain,
     factor,
@@ -78,13 +77,12 @@ class CoalgebraReport:
     dims: dict[str, int]
 
 
-def leg_algebra(w: Operator | Fixture, side: str = "A") -> OperatorSubspace:
+def leg_algebra(fx: Fixture, side: str = "A") -> OperatorSubspace:
     """Span of the right (A) or left (A-hat) slices of W over all basis
     functionals, which keeps the slice stack's SVD for the antipode maps.
     The slices of W* span the dual context's A-hat and A, W-hat = Sigma W* Sigma."""
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
-    fx = as_fixture(w)
     return span_matrices(fx.leg_space, fx.right_slices if side == "A" else fx.left_slices)
 
 
@@ -100,13 +98,13 @@ def _comul_stack(fx: Fixture, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def coassociativity_residual(w: Operator | Fixture, bound: float = np.inf) -> float:
+def coassociativity_residual(fx: Fixture, bound: float = np.inf) -> float:
     """Max relative gap of (Delta (x) id)Delta(x) = (id (x) Delta)Delta(x)
     over the matrix units x = e_kl, which span every x: ``bound`` when
     ``takes_bound`` accepts it at the context's tol, else the exact maximum
     of ``_coassoc_residuals``, so a FAIL never rests on the bound.
 
-    The bound is ``check_mpi_axioms(w).bounds["coassociativity"]``.  With
+    The bound is ``check_mpi_axioms(fx).bounds["coassociativity"]``.  With
     U = W23 W12, V = W13 W23 and x3 = 1 (x) 1 (x) x the gap is
     D(x) = U* x3 U - V* x3 V.  Write D5 = W12 V - U (the mpi5 gap),
     D6 = E12 W13 - W13 G23 (mpi6, E = W*W, G = WW*) and Dpi = W W* W - W.
@@ -122,14 +120,13 @@ def coassociativity_residual(w: Operator | Fixture, bound: float = np.inf) -> fl
     holds for W-hat = Sigma W* Sigma: its mpi5, mpi6 and partial-isometry
     gaps are the adjoints of those of W (the mpi6 one negated) with legs
     1 and 3 exchanged, which keeps Frobenius norms, and ||W-hat||_2 = ||W||_2.
-    Called with W alone, it is the exact maximum."""
-    fx = as_fixture(w)
+    Called without a bound, it is the exact maximum."""
     if takes_bound(bound, fx):
         return float(bound)
     return float(np.max(_coassoc_residuals(fx)))
 
 
-def _coassoc_residuals(w: Operator | Fixture) -> np.ndarray:
+def _coassoc_residuals(fx: Fixture) -> np.ndarray:
     """Relative coassociativity gap for every matrix unit e_kl, as (n, n).
 
     Both sides are conjugations of 1 (x) 1 (x) e_kl by U = W23 W12 and
@@ -149,7 +146,6 @@ def _coassoc_residuals(w: Operator | Fixture) -> np.ndarray:
     runs it only when the bound from the axiom gaps does not decide the
     entry.
     """
-    fx = as_fixture(w)
     n, p, amb = fx.n, fx.n * fx.n, fx.three_leg
     u = chain(amb, (fx.w, [2, 3]), (fx.w, [1, 2])).matrix.reshape(p, n, -1)
     v = chain(amb, (fx.w, [1, 3]), (fx.w, [2, 3])).matrix.reshape(p, n, -1)
@@ -212,15 +208,15 @@ class TensorSquare:
     when an entry it reads does not come in below tol.  One per side,
     dropped when the side ends: the context stays at n^4."""
 
-    def __init__(self, w: Operator | Fixture):
-        self.fx = as_fixture(w)
-        self.space = self.fx.A
+    def __init__(self, fx: Fixture):
+        self.fx = fx
+        self.space = fx.A
         self.basis = self.space.stack
         d = len(self.basis)
-        self.ops = {"delta": _comul_stack(self.fx, self.basis), "E": self.fx.e.matrix[None]}
+        self.ops = {"delta": _comul_stack(fx, self.basis), "E": fx.e.matrix[None]}
         products = pair_products(self.basis, self.basis)  # e_p e_q at p * d + q
         self.mult = self.space.coordinates(products).reshape(d, d, d)
-        self.eps = np.sqrt(d) * self.fx.A.product_residual
+        self.eps = np.sqrt(d) * fx.A.product_residual
         self.units = {side: self._unit(products, side) for side in ("right", "left")}
         self._fits: dict[str, Fit] = {}
         self._dense: set[str] = set()
@@ -333,8 +329,8 @@ E_LEG_WORDS = {
 }
 
 
-def check_canonical_idempotent(w: Operator | Fixture | TensorSquare,
-                               bounds: dict[str, float] | None = None) -> CoalgebraReport:
+def check_canonical_idempotent(sq: TensorSquare,
+                               bounds: dict[str, float] | None = None) -> dict[str, float]:
     """Commuting legs of E, multiplier membership of E in A (x) A, Delta
     multiplicative on A, and the leg commutation identities with A and
     A-hat.  E = Delta(1) and Delta(x*) = Delta(x)* hold for every W by
@@ -342,7 +338,6 @@ def check_canonical_idempotent(w: Operator | Fixture | TensorSquare,
     ``bounds`` holds certified bounds on E_LEG_WORDS gaps
     (``MpiVerdict.bounds`` of this side's W): an E-leg entry whose bound
     ``takes_bound`` accepts reports it, and every other one is evaluated."""
-    sq = w if isinstance(w, TensorSquare) else TensorSquare(w)
     fx, bst = sq.fx, sq.basis
     e, g = fx.e.matrix, fx.g.matrix
     bounds = bounds or {}
@@ -364,7 +359,7 @@ def check_canonical_idempotent(w: Operator | Fixture | TensorSquare,
     res["commute_E_with_Ahat1"] = commutator(e, kron_stack(fx.Ahat.stack, eye))
     res["product_stability_A"] = fx.A.product_residual
     res["product_stability_Ahat"] = fx.Ahat.product_residual
-    return CoalgebraReport(res, {"A": fx.A.dim, "Ahat": fx.Ahat.dim})
+    return res
 
 
 def _span_fit(
@@ -384,8 +379,7 @@ def _span_fit(
     return max(SPAN_FLOOR, float(np.max(bound / np.maximum(1.0, scale), initial=0.0))), r
 
 
-def check_delta_range_and_density(w: Operator | Fixture | TensorSquare,
-                                  full: bool = True) -> CoalgebraReport:
+def check_delta_range_and_density(sq: TensorSquare, full: bool = True) -> CoalgebraReport:
     """Span equality Delta(A)(A (x) A) = E(A (x) A), the four multiplier
     memberships and the four density spans against A, in O(d n^6 + d^7).
     A left slice (w (x) id)(sum c_pq e_p (x) e_q) = sum w(e_p) c_pq e_q, with
@@ -395,7 +389,6 @@ def check_delta_range_and_density(w: Operator | Fixture | TensorSquare,
     spans equal A only under fullness: for a fixture that is not ``full``
     only their ranks are reported, from the fits at hand, and no family is
     refit for them."""
-    sq = w if isinstance(w, TensorSquare) else TensorSquare(w)
     d = len(sq.basis)
     res, dims = {}, {"A": d}
 
@@ -435,10 +428,9 @@ def check_delta_range_and_density(w: Operator | Fixture | TensorSquare,
     return CoalgebraReport(res, dims)
 
 
-def duality_consistency(w: Operator | Fixture) -> float:
+def duality_consistency(fx: Fixture) -> float:
     """The dual comultiplication against an independent evaluation of
     Delta-hat(x) = Sigma W(x (x) 1)W* Sigma, over the A-hat basis and 1."""
-    fx = as_fixture(w)
     n = fx.n
     xs = np.concatenate([fx.Ahat.stack, np.eye(n)[None]])
     direct = fx.w.matrix @ kron_stack(xs, np.eye(n)[None]) @ fx.ws.matrix

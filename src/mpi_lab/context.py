@@ -12,9 +12,9 @@ W-hat = Sigma W* Sigma, the right and left slices of W* are
 ``dual.left_slices`` and ``dual.right_slices``.  The dual shares ``tol``
 and the Q data: ``q_data(Q)`` is the eigendecomposition of Q, whose
 powers are every power of Q the checks take, Q^{-1} among them; the
-powers of Q^T are the transposes of those of Q.  Public checks
-accept an ``Operator`` (given a fresh context at RESIDUAL_TOL) or a
-context.  A context serves one suite run and holds nothing larger than
+powers of Q^T are the transposes of those of Q.  Every check takes
+the run's context, built once from W at the run's tol, and reads W from
+it.  A context serves one suite run and holds nothing larger than
 n^4 entries; three-leg matrices stay local to the checks that build
 them, and the A (x) A data (Delta of the A basis, d n^4 entries, and the
 coordinates of each family, d^4 each) to one side of the coalgebra level
@@ -173,8 +173,3 @@ class Fixture:
                 raise ValueError("Q must be a single-leg positive operator on W's leg")
             self._q_data[key] = PositiveEig(q.matrix, name="Q")
         return self._q_data[key]
-
-
-def as_fixture(w: Operator | Fixture) -> Fixture:
-    """The context itself, or a fresh one at RESIDUAL_TOL for a bare operator."""
-    return w if isinstance(w, Fixture) else Fixture(w)

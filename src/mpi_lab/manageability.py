@@ -23,7 +23,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .context import Fixture, as_fixture
+from .context import Fixture
 from .tensor import (
     T_SAMPLES,
     H,
@@ -77,11 +77,10 @@ class ManageabilityCertificate:
     passed: bool
 
 
-def build_wtilde(w: Operator | Fixture, q: Operator) -> Operator:
+def build_wtilde(fx: Fixture, q: Operator) -> Operator:
     """Partial transpose on leg 1 of (1 (x) Q^{-1}) W (1 (x) Q), living
     on Hbar (x) H: the unique bounded solution of the characterizing
     equation in finite dimension."""
-    fx = as_fixture(w)
     qinv = fx.q_data(q).power(-1)
     n = fx.n
     x = np.kron(np.eye(n), qinv) @ fx.w.matrix @ np.kron(np.eye(n), q.matrix)
@@ -107,10 +106,9 @@ def _grid_residual(w: Operator, qm: np.ndarray, qinv: np.ndarray, wt: Operator) 
     return rel_residual(lhs, rhs)
 
 
-def check_manageability(w: Operator | Fixture, q: Operator) -> ManageabilityCertificate:
+def check_manageability(fx: Fixture, q: Operator) -> ManageabilityCertificate:
     """Build Wtilde and evaluate the full manageability apparatus, judged
     at the context's tol."""
-    fx = as_fixture(w)
     qe = fx.q_data(q)
     wt = build_wtilde(fx, q)
     w = fx.w
@@ -137,26 +135,24 @@ def check_manageability(w: Operator | Fixture, q: Operator) -> ManageabilityCert
     return ManageabilityCertificate(q=q, wtilde=wt, residuals=res, passed=passed)
 
 
-def check_hash_identities(w: Operator | Fixture, wt: Operator) -> dict[str, float]:
+def check_hash_identities(fx: Fixture, wt: Operator) -> dict[str, float]:
     """The three composability identities on Hbar (x) Hbar (x) H."""
-    return _composability(as_fixture(w), wt, ("hash1", "hash2", "hash3"))
+    return _composability(fx, wt, ("hash1", "hash2", "hash3"))
 
 
-def dual_manageability(
-    w: Operator | Fixture, q: Operator, wt: Operator
-) -> tuple[ManageabilityCertificate, float]:
+def dual_manageability(fx: Fixture, q: Operator,
+                       wt: Operator) -> tuple[ManageabilityCertificate, float]:
     """Certificate for W-hat with the same Q and tol, plus the residual
     between the formula candidate (Sigma Wt* Sigma)^{T (x) T} and the
     direct construction (the certificate's Wtilde of W-hat)."""
-    cert = check_manageability(as_fixture(w).dual, q)
+    cert = check_manageability(fx.dual, q)
     candidate = transpose_op(swap_legs(wt.adj))
     return cert, rel_residual(candidate.matrix, cert.wtilde.matrix)
 
 
-def inclusion_consequences(w: Operator | Fixture, q: Operator) -> dict[str, float]:
+def inclusion_consequences(fx: Fixture, q: Operator) -> dict[str, float]:
     """(Q (x) Q)E = E(Q (x) Q)E and the same for G, consequences of the
     commutation condition."""
-    fx = as_fixture(w)
     e, g = fx.e.matrix, fx.g.matrix
     qq = np.kron(q.matrix, q.matrix)
     return {
@@ -165,7 +161,7 @@ def inclusion_consequences(w: Operator | Fixture, q: Operator) -> dict[str, floa
     }
 
 
-def suggest_q(w: Operator | Fixture) -> list[Operator]:
+def suggest_q(fx: Fixture) -> list[Operator]:
     """Heuristic Q candidates, at most MAX_Q_CANDIDATES: the identity, plus
     positive diagonal matrices whose log-diagonals solve the commutation
     constraint.
@@ -175,7 +171,6 @@ def suggest_q(w: Operator | Fixture) -> list[Operator]:
     constraint matrix parametrizes all valid diagonal candidates.
     The caller certifies each candidate via check_manageability.
     """
-    fx = as_fixture(w)
     n = fx.n
     leg_sp = fx.leg_space
     cands = [identity(leg_sp)]

@@ -131,7 +131,7 @@ def _coalgebra(run: _Run) -> bool:
                 coassociativity_residual(sfx, run.bounds.get("coassociativity", np.inf)))
         square = TensorSquare(sfx)  # this side's A (x) A data, shared by two checks
         e_bounds = run.bounds if side == "primal" else None
-        run.add(check_canonical_idempotent(square, e_bounds).residuals, suffix=f"_{side}")
+        run.add(check_canonical_idempotent(square, e_bounds), suffix=f"_{side}")
         # density spans are meaningful only under fullness; dims still reported
         rng = check_delta_range_and_density(square, run.full)
         del square

@@ -21,17 +21,17 @@ from mpi_lab.axioms import (
     assess_fullness,
     check_mpi_axioms,
     pi_gaps,
-    what,
 )
 from mpi_lab.base_algebra import base_spans, check_separability_triple
 from mpi_lab.coalgebra import (
+    TensorSquare,
     _comul_stack,
     check_canonical_idempotent,
     check_delta_range_and_density,
     coassociativity_residual,
     leg_algebra,
 )
-from mpi_lab.context import Fixture
+from mpi_lab.context import Fixture, what
 from mpi_lab.manageability import (
     build_wtilde,
     check_hash_identities,
@@ -76,16 +76,16 @@ def contexts(corpus_fixtures):
     return {name: Fixture(w) for name, w in corpus_fixtures.items()}
 
 
-def comultiplication_residuals(w, full: bool) -> dict[str, float]:
+def comultiplication_residuals(fx: Fixture, full: bool) -> dict[str, float]:
     """The criterion-2 comultiplication identity set; density equalities only when full."""
-    both = max(coassociativity_residual(w), coassociativity_residual(what(w)))
+    both = max(coassociativity_residual(fx), coassociativity_residual(fx.dual))
     res = {"coassociativity": both}
-    fx = Fixture(w)
     res["E_eq_delta_unit"] = rel_residual(_comul_stack(fx, np.eye(fx.n)[None])[0], fx.e.matrix)
-    can = check_canonical_idempotent(fx)
-    res["E_legs_commute"] = can.residuals["E_legs_commute"]
-    res["E_multiplier"] = can.residuals["E_multiplier"]
-    rng = check_delta_range_and_density(w)
+    sq = TensorSquare(fx)
+    can = check_canonical_idempotent(sq)
+    res["E_legs_commute"] = can["E_legs_commute"]
+    res["E_multiplier"] = can["E_multiplier"]
+    rng = check_delta_range_and_density(sq)
     for key in ("mult_a1_deltab", "mult_deltaa_1b", "mult_deltaa_b1", "mult_1a_deltab"):
         res[key] = rng.residuals[key]
     res["range_in_EA2"] = rng.residuals["range_in_EA2"]
@@ -100,13 +100,14 @@ def comultiplication_residuals(w, full: bool) -> dict[str, float]:
 class TestCriterion1MatrixUnitExample:
     def test_example_reproduction(self, w_example):
         assert pi_gaps(w_example.matrix)[1] < 1e-12
-        verdict = check_mpi_axioms(w_example)
+        fx = Fixture(w_example)
+        verdict = check_mpi_axioms(fx)
         assert verdict.passed
         assert all(r < 1e-12 for r in verdict.mpi_residuals.values())
-        alg_a = leg_algebra(w_example, "A")
+        alg_a = leg_algebra(fx, "A")
         assert alg_a.dim == 2
         assert alg_a.unital is False
-        alg_ahat = leg_algebra(w_example, "Ahat")
+        alg_ahat = leg_algebra(fx, "Ahat")
         assert alg_ahat.unital is True
         print("\nACCEPTANCE 1: PASS - example is a multiplicative partial "
               "isometry, A non-unital (dim 2), A-hat unital")
@@ -115,14 +116,15 @@ class TestCriterion1MatrixUnitExample:
 class TestCriterion2IdentityImplication:
     def test_corpus_direct(self, corpus_fixtures):
         for name, w in corpus_fixtures.items():
-            verdict = check_mpi_axioms(w)
+            fx = Fixture(w)
+            verdict = check_mpi_axioms(fx)
             assert all(r < 1e-11 for r in verdict.mpi_residuals.values()), name
             assert all(r < 1e-9 for r in verdict.derived_residuals.values()), name
             full = name in FULL_FIXTURES
-            res = comultiplication_residuals(w, full=full)
+            res = comultiplication_residuals(fx, full=full)
             assert max(res.values()) < 1e-9, (name, res)
             # mirrored statements for (A-hat, Delta-hat, E-hat)
-            res_dual = comultiplication_residuals(what(w), full=full)
+            res_dual = comultiplication_residuals(fx.dual, full=full)
             assert max(res_dual.values()) < 1e-9, (name, res_dual)
 
     def test_seeded_conjugations(self, corpus_fixtures):
@@ -133,11 +135,11 @@ class TestCriterion2IdentityImplication:
             n = w.space.legs[0].dim
             for _ in range(count):
                 u = corpus.random_unitary(n, rng)
-                wc = corpus.conjugate_fixture(w, u)
-                verdict = check_mpi_axioms(wc)
+                fx = Fixture(corpus.conjugate_fixture(w, u))
+                verdict = check_mpi_axioms(fx)
                 assert all(r < 1e-11 for r in verdict.mpi_residuals.values()), name
                 assert all(r < 1e-9 for r in verdict.derived_residuals.values()), name
-                res = comultiplication_residuals(wc, full=True)
+                res = comultiplication_residuals(fx, full=True)
                 assert max(res.values()) < 1e-9, (name, res)
                 total += 1
         assert total == 200
@@ -150,12 +152,12 @@ class TestCriterion2IdentityImplication:
         "families collapse to dim 1 (see decisions ledger)",
     )
     def test_density_dims_as_stated_on_example(self, w_example):
-        rng = check_delta_range_and_density(w_example)
+        rng = check_delta_range_and_density(TensorSquare(Fixture(w_example)))
         density = {k: v for k, v in rng.residuals.items() if k.startswith("density_")}
         assert max(density.values()) < 1e-9
 
     def test_density_dims_oracle_truth_on_example(self, w_example):
-        rng = check_delta_range_and_density(w_example)
+        rng = check_delta_range_and_density(TensorSquare(Fixture(w_example)))
         assert rng.dims["density_left_a1_db"] == 2
         assert rng.dims["density_right_da_1b"] == 1
         assert rng.dims["density_left_db_a1"] == 1
@@ -194,7 +196,7 @@ class TestCriterion3BaseStructure:
         "while L is the diagonal algebra (see decisions ledger)",
     )
     def test_L_eq_Lhat_as_stated_on_example(self, w_example):
-        assert base_spans(w_example)["L_eq_Lhat"] < 1e-10
+        assert base_spans(Fixture(w_example))["L_eq_Lhat"] < 1e-10
 
     def test_L_eq_Lhat_oracle_truth_on_example(self, w_example):
         fx = Fixture(w_example)
@@ -211,15 +213,16 @@ class TestCriterion4Manageability:
     def test_group_groupoid_fixtures_with_identity_q(self, corpus_fixtures):
         for name in FULL_FIXTURES:
             w = corpus_fixtures[name]
-            q = identity(space(w.space.legs[0].dim))
-            cert = check_manageability(w, q)
+            fx = Fixture(w)
+            q = identity(space(fx.n))
+            cert = check_manageability(fx, q)
             assert cert.residuals["cond1_commutation"] < 1e-10, name
             assert cert.residuals["cond3a"] < 1e-10, name
             assert cert.residuals["cond3b"] < 1e-10, name
             assert cert.passed, name
-            hashes = check_hash_identities(w, cert.wtilde)
+            hashes = check_hash_identities(fx, cert.wtilde)
             assert max(hashes.values()) < 1e-10, (name, hashes)
-            _, formula_gap = dual_manageability(w, q, cert.wtilde)
+            _, formula_gap = dual_manageability(fx, q, cert.wtilde)
             assert formula_gap < 1e-12, name
         print("\nACCEPTANCE 4: PASS - manageability certificates, "
               "composability identities, and the dual formula with Q = 1")
@@ -228,24 +231,24 @@ class TestCriterion4Manageability:
 class TestCriterion5Antipode:
     def test_antipode_suite(self, contexts):
         for name in FULL_FIXTURES:
-            w = contexts[name]
-            q = identity(space(w.n))
-            wt = build_wtilde(w, q)
-            ant = check_antipode(w, q, wt)
+            fx = contexts[name]
+            q = identity(space(fx.n))
+            wt = build_wtilde(fx, q)
+            ant = check_antipode(fx, q, wt)
             assert ant["polar_S_eq_RA_tau"] < 1e-9, name
             assert ant["S_antimultiplicative"] < 1e-9, name
             assert ant["S_star_involution"] < 1e-9, name
-            dua = check_duality(w, q, wt)
+            dua = check_duality(fx, q, wt)
             assert dua["W_transpose_Rhat_eq_Wtilde_star"] < 1e-9, name
             assert dua["wtilde_partial_isometry"] < 1e-9, name
-            base = check_base_restrictions(w, q)
+            base = check_base_restrictions(fx, q)
             assert base["tau_B_eq_sigma_nu_minus_t"] < 1e-9, name
             assert base["tau_C_eq_sigma_mu_t"] < 1e-9, name
         print("\nACCEPTANCE 5: PASS - polar decomposition, duality, and "
               "base restrictions of the antipode on certified fixtures")
 
     def test_z3_antipode_is_group_inversion(self, w_z3):
-        s_map = antipode_map(w_z3)
+        s_map = antipode_map(Fixture(w_z3))
         rng = np.random.default_rng(11)
         c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         expected = np.diag([c[0], c[2], c[1]])
@@ -260,17 +263,17 @@ class TestCriterion6MetamorphicAndNegative:
         trials = 0
         baselines = {}
         for name in names:
-            w = small_corpus[name]
-            v = check_mpi_axioms(w)
-            baselines[name] = (v.pi_residual < RESIDUAL_TOL, v.passed, assess_fullness(w))
+            fx = Fixture(small_corpus[name])
+            v = check_mpi_axioms(fx)
+            baselines[name] = (v.pi_residual < RESIDUAL_TOL, v.passed, assess_fullness(fx))
         while trials < 200:
             name = names[trials % len(names)]
             w = small_corpus[name]
             n = w.space.legs[0].dim
             u = corpus.random_unitary(n, rng)
-            wc = corpus.conjugate_fixture(w, u)
-            v = check_mpi_axioms(wc)
-            got = (v.pi_residual < RESIDUAL_TOL, v.passed, assess_fullness(wc))
+            fx = Fixture(corpus.conjugate_fixture(w, u))
+            v = check_mpi_axioms(fx)
+            got = (v.pi_residual < RESIDUAL_TOL, v.passed, assess_fullness(fx))
             assert got == baselines[name], (name, trials)
             trials += 1
         assert trials == 200
@@ -280,7 +283,7 @@ class TestCriterion6MetamorphicAndNegative:
             assert np.array_equal(what(what(w)).matrix, w.matrix)
 
     def test_flip_fails_mpi1(self):
-        verdict = check_mpi_axioms(flip(2))
+        verdict = check_mpi_axioms(Fixture(flip(2)))
         assert not verdict.passed
         assert verdict.mpi_residuals["mpi1"] > 1e-2
 

@@ -9,8 +9,7 @@ from mpi_lab.antipode import (
     extend,
     tau,
 )
-from mpi_lab.axioms import what
-from mpi_lab.context import Fixture, as_fixture
+from mpi_lab.context import Fixture, what
 from mpi_lab.manageability import build_wtilde
 from mpi_lab.tensor import (
     RESIDUAL_TOL,
@@ -27,10 +26,10 @@ from mpi_lab.tensor import (
 from word_references import _assemble
 
 
-def ra_map(w, wt):
+def ra_map(fx, wt):
     """R_A on the dual context's A-hat, spanned by the right slices of W*,
     as check_antipode builds it."""
-    return extend(as_fixture(w).dual.Ahat, all_right_slices(wt).transpose(0, 2, 1))
+    return extend(fx.dual.Ahat, all_right_slices(wt).transpose(0, 2, 1))
 
 
 def dual_maps(fx, wt):
@@ -52,14 +51,14 @@ def q_eye(n):
 class TestTau:
     def test_identity_q(self, w_example):
         a = unit(2, 1, 2)
-        got = tau(w_example, q_eye(2), 0.37 - 0.2j, a.matrix)
+        got = tau(Fixture(w_example), q_eye(2), 0.37 - 0.2j, a.matrix)
         np.testing.assert_allclose(got, a.matrix, atol=1e-12)
 
     def test_diagonal_q_real_t(self, w_example):
         q = Operator(space(2), np.diag([1.0, 2.0]))
         a = unit(2, 1, 2)
         t = 0.7
-        got = tau(w_example, q, t, a.matrix)
+        got = tau(Fixture(w_example), q, t, a.matrix)
         # tau_t(e12) = (q1/q2)^{2it} e12 = 2^{-2it} e12
         phase = np.exp(-2j * t * np.log(2.0))
         np.testing.assert_allclose(got, phase * a.matrix, atol=1e-12)
@@ -67,7 +66,7 @@ class TestTau:
     def test_diagonal_q_analytic_point(self, w_example):
         q = Operator(space(2), np.diag([1.0, 2.0]))
         a = unit(2, 1, 2)
-        got = tau(w_example, q, -0.5j, a.matrix)
+        got = tau(Fixture(w_example), q, -0.5j, a.matrix)
         # tau_{-i/2}(a) = Q a Q^{-1} = (1/2) e12
         np.testing.assert_allclose(got, 0.5 * a.matrix, atol=1e-12)
 
@@ -96,12 +95,12 @@ class TestAntipodeGenerators:
 
     def test_z2_self_inverse(self, w_z2):
         # every element of Z/2 is its own inverse, so S = id on A
-        s_map = antipode_map(w_z2)
+        s_map = antipode_map(Fixture(w_z2))
         bs = s_map.domain.stack
         np.testing.assert_allclose(s_map.apply(bs), bs, atol=1e-12)
 
     def test_assembled_s_z3_matches_inversion(self, w_z3):
-        s_map = antipode_map(w_z3)
+        s_map = antipode_map(Fixture(w_z3))
         assert s_map.inconsistency < 1e-12
         rng = np.random.default_rng(5)
         c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -113,24 +112,26 @@ class TestAntipodeGenerators:
 class TestUnitaryAntipode:
     def test_z2_equals_s(self, w_z2):
         # trivial scaling: R_A = S on generators
-        wt = build_wtilde(w_z2, q_eye(2))
-        ra = ra_map(w_z2, wt)
-        s_map = antipode_map(w_z2)
+        fx = Fixture(w_z2)
+        wt = build_wtilde(fx, q_eye(2))
+        ra = ra_map(fx, wt)
+        s_map = antipode_map(fx)
         a = all_right_slices(w_z2)
         np.testing.assert_allclose(ra.apply(a), s_map.apply(a), atol=1e-12)
 
     def test_identity_w(self):
-        w = identity(space(2, 2))
-        wt = build_wtilde(w, q_eye(2))
-        ra = ra_map(w, wt)
+        fx = Fixture(identity(space(2, 2)))
+        wt = build_wtilde(fx, q_eye(2))
+        ra = ra_map(fx, wt)
         x = np.array([[1.0, 2.0], [3.0, 4.0]]) * (1 / 5.0)
         # domain is span{1}: projection of x is (tr x / 2) * 1
         got = ra.apply(x[None])[0]
         np.testing.assert_allclose(got, np.trace(x) / 2 * np.eye(2))
 
     def test_z3_group_inversion(self, w_z3):
-        wt = build_wtilde(w_z3, q_eye(3))
-        ra = ra_map(w_z3, wt)
+        fx = Fixture(w_z3)
+        wt = build_wtilde(fx, q_eye(3))
+        ra = ra_map(fx, wt)
         assert ra.inconsistency < 1e-12
         c = np.array([1.0, 2.0, 3.0])
         got = ra.apply(np.diag(c)[None])[0]
@@ -142,23 +143,20 @@ class TestUnitaryAntipode:
 )
 class TestCheckAntipode:
     def test_all_residuals(self, corpus_fixtures, name):
-        w = corpus_fixtures[name]
-        n = w.space.legs[0].dim
-        wt = build_wtilde(w, q_eye(n))
-        res = check_antipode(w, q_eye(n), wt)
+        fx = Fixture(corpus_fixtures[name])
+        wt = build_wtilde(fx, q_eye(fx.n))
+        res = check_antipode(fx, q_eye(fx.n), wt)
         assert max(res.values()) < 1e-11, (name, res)
 
     def test_duality(self, corpus_fixtures, name):
-        w = corpus_fixtures[name]
-        n = w.space.legs[0].dim
-        wt = build_wtilde(w, q_eye(n))
-        res = check_duality(w, q_eye(n), wt)
+        fx = Fixture(corpus_fixtures[name])
+        wt = build_wtilde(fx, q_eye(fx.n))
+        res = check_duality(fx, q_eye(fx.n), wt)
         assert max(res.values()) < 1e-11, (name, res)
 
     def test_base_restrictions(self, corpus_fixtures, name):
-        w = corpus_fixtures[name]
-        n = w.space.legs[0].dim
-        res = check_base_restrictions(w, q_eye(n))
+        fx = Fixture(corpus_fixtures[name])
+        res = check_base_restrictions(fx, q_eye(fx.n))
         assert max(res.values()) < 1e-9, (name, res)
 
 
@@ -187,8 +185,9 @@ class TestDualAntipode:
             n = w.space.legs[0].dim
             e = (w.adj @ w).matrix
             assert np.linalg.norm(e - np.eye(n * n)) < 1e-12
-            s_map = antipode_map(w)
-            s_inv = extend(Fixture(w).dual.Ahat, all_right_slices(w))
+            fx = Fixture(w)
+            s_map = antipode_map(fx)
+            s_inv = extend(fx.dual.Ahat, all_right_slices(w))
             a = s_map.domain.stack
             lhs = adjoint(s_map.apply(adjoint(a)))
             assert np.all(np.linalg.norm(lhs - s_inv.apply(a), axis=(1, 2)) < 1e-10)
@@ -201,8 +200,9 @@ class TestAssemblyFromSliceStacks:
     @pytest.mark.parametrize("name", ["example", "group_z3", "pair_groupoid_2"])
     def test_matches_per_functional_pairs(self, corpus_fixtures, name):
         w = corpus_fixtures[name]
-        n = w.space.legs[0].dim
-        wt = build_wtilde(w, Operator(space(n), np.diag(np.arange(1.0, n + 1))))
+        fx = Fixture(w)
+        n = fx.n
+        wt = build_wtilde(fx, Operator(space(n), np.diag(np.arange(1.0, n + 1))))
         # densities of w_{e_a,e_b}, index a*n + b, and of their transposes
         fs = [np.outer(np.eye(n)[a], np.eye(n)[b]) for a, b in np.ndindex(n, n)]
 
@@ -213,7 +213,6 @@ class TestAssemblyFromSliceStacks:
         left = (slices(w.adj, "left", fs), slices(w, "left", fs))
         ra = (right[1], slices(wt, "right", fs).transpose(0, 2, 1))
         rahat = (left[1], slices(wt.adj, "left", [f.T for f in fs]))
-        fx = Fixture(w)
         shat_inv, rahat_map = dual_maps(fx, wt)
         for got, (ins, outs) in (
             (antipode_map(fx), right),
@@ -237,8 +236,8 @@ class TestWellDefinedness:
             if name == "example":
                 continue  # not full; antipode level is gated off for it
             n = w.space.legs[0].dim
-            wt = build_wtilde(w, q_eye(n))
             fx = Fixture(w)
+            wt = build_wtilde(fx, q_eye(n))
             for m in (fx.s_map, ra_map(fx, wt), fx.dual.s_map, *dual_maps(fx, wt)):
                 assert m.inconsistency <= RESIDUAL_TOL, name
                 assert m.inconsistency < 1e-11, name
@@ -250,8 +249,8 @@ class TestWellDefinedness:
         # of basis of that space changes: a random rotation of the null
         # columns of the inputs' own SVD leaves it as it is
         g = np.random.default_rng(30).standard_normal((4, 4))
-        wt = build_wtilde(w_pair2, Operator(space(4), g @ g.T + np.eye(4)))
         fx = Fixture(w_pair2)
+        wt = build_wtilde(fx, Operator(space(4), g @ g.T + np.eye(4)))
         ins, outs = rows(fx.dual.left_slices), rows(all_right_slices(wt).transpose(0, 2, 1))
         null = np.linalg.svd(ins)[0][:, fx.dual.Ahat.dim:]
         rotation = np.linalg.qr(np.random.default_rng(31).standard_normal((null.shape[1],) * 2))[0]

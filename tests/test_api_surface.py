@@ -25,7 +25,10 @@ one bound.  No src code but ``axioms.takes_bound`` compares a value with a
 tolerance, beyond ``TOL_COMPARISONS``, which says why each compares no
 upper bound: so one rule lets a bound pass an entry.  Every parameter
 default of a src function is passed by some call in src or ``bench/``,
-beyond ``UNPASSED_DEFAULTS``.
+beyond ``UNPASSED_DEFAULTS``.  No src annotation is a union of a context
+type (``CONTEXT_TYPES``) with another type but None, and no src code
+tests for one with ``isinstance``: each check takes the run's context,
+never a bare operator in its place.
 """
 
 import ast
@@ -362,9 +365,9 @@ def test_tol_guard_flags_a_check_with_its_own_tol(tmp_path):
         (tmp_path / path.name).write_text(path.read_text())
     coalgebra = tmp_path / "coalgebra.py"
     text = coalgebra.read_text()
-    assert "def check_canonical_idempotent(w" in text
-    coalgebra.write_text(text.replace("def check_canonical_idempotent(w",
-                                      "def check_canonical_idempotent(tol, w"))
+    assert "def check_canonical_idempotent(sq" in text
+    coalgebra.write_text(text.replace("def check_canonical_idempotent(sq",
+                                      "def check_canonical_idempotent(tol, sq"))
     assert [h for h in tol_holders(tmp_path) if h not in TOL_PARAMETERS] == [
         "coalgebra.check_canonical_idempotent"]
 
@@ -523,3 +526,67 @@ def test_default_guard_flags_a_parameter_no_call_passes(tmp_path):
     assert "def flip(n: int)" in text
     tensor.write_text(text.replace("def flip(n: int)", "def flip(n: int, flavor: str = H)"))
     assert unpassed_defaults(tmp_path) == ["tensor.flip: flavor"]
+
+
+#: the types a check takes its input as: the run's context, or one side's
+#: A (x) A data built from it
+CONTEXT_TYPES = {"Fixture", "TensorSquare"}
+
+
+def _unions(annotation: ast.AST):
+    """The type names of each union in an annotation (X | Y, Union[X, Y] or
+    Optional[X]), None left out; a string annotation is parsed first."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    for sub in ast.walk(annotation):
+        if (isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.BitOr)
+                or isinstance(sub, ast.Subscript) and set(references(sub.value)) & {
+                    "Union", "Optional"}):
+            yield set(references(sub)) - {"Union", "Optional", "typing"}
+
+
+def context_alternatives(src: Path) -> list[str]:
+    """"module:line" of each annotation under ``src`` with a union of one of
+    CONTEXT_TYPES and another type but None, and of each isinstance call
+    that tests for one of CONTEXT_TYPES."""
+    flagged = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.arg, ast.AnnAssign)):
+                annotation = node.annotation
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                annotation = node.returns
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                if set(references(node.args[-1])) & CONTEXT_TYPES:
+                    flagged.append(f"{path.stem}:{node.lineno}")
+                continue
+            else:
+                continue
+            if annotation is not None and any(
+                    names & CONTEXT_TYPES and len(names) > 1 for names in _unions(annotation)):
+                flagged.append(f"{path.stem}:{annotation.lineno}")
+    return flagged
+
+
+def test_every_check_takes_the_context():
+    flagged = context_alternatives(SRC)
+    assert not flagged, f"a second input type beside the run's context: {flagged}"
+
+
+def test_context_guard_flags_a_bare_operator_path(tmp_path):
+    # mutants that give one check back its bare-operator path: the union
+    # in its signature, and the isinstance test that would build a context
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    axioms = tmp_path / "axioms.py"
+    text = axioms.read_text()
+    check = "def check_mpi_axioms(fx: Fixture)"
+    assert check in text
+    for signature, body in (
+        ("def check_mpi_axioms(fx: Operator | Fixture)", ""),
+        ("def check_mpi_axioms(fx: Union[Operator, Fixture])", ""),
+        ("def check_mpi_axioms(fx)",
+         "\n\ndef _context(w):\n    return w if isinstance(w, Fixture) else Fixture(w)\n"),
+    ):
+        axioms.write_text(text.replace(check, signature) + body)
+        assert [f.split(":")[0] for f in context_alternatives(tmp_path)] == ["axioms"], signature

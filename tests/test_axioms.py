@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -10,15 +11,13 @@ from mpi_lab.axioms import (
     MPI_AXIOMS,
     assess_fullness,
     check_mpi_axioms,
-    lhs_norm_bounds,
     pi_gaps,
     projection_residuals,
-    what,
 )
 from mpi_lab.coalgebra import E_LEG_WORDS, _coassoc_residuals
-from mpi_lab.context import Fixture
+from mpi_lab.context import Fixture, what
 from mpi_lab.runner import run_suite
-from mpi_lab.tensor import RESIDUAL_TOL, Operator, embed, flip, identity, space, spectral_norm
+from mpi_lab.tensor import RESIDUAL_TOL, LegWords, Operator, embed, flip, identity, space
 from word_references import identity_sides, kron_word
 
 
@@ -50,17 +49,17 @@ class TestPartialIsometry:
 
 class TestMpiAxioms:
     def test_example_passes_exactly(self, w_example):
-        v = check_mpi_axioms(w_example)
+        v = check_mpi_axioms(Fixture(w_example))
         assert v.passed
         for name in MPI_AXIOMS:
             assert v.mpi_residuals[name] == 0.0
 
     def test_identity_operator(self):
-        v = check_mpi_axioms(identity(space(2, 2)))
+        v = check_mpi_axioms(Fixture(identity(space(2, 2))))
         assert v.passed
 
     def test_flip_fails_mpi1(self):
-        s = flip(2)
+        s = Fixture(flip(2))
         v = check_mpi_axioms(s)
         assert not v.passed
         assert v.mpi_residuals["mpi1"] > 0.1
@@ -94,24 +93,37 @@ class TestMpiAxioms:
         expected = np.kron(unit(2, 1), np.kron(unit(2, 2), unit(1, 1))) + np.kron(
             unit(2, 2), np.kron(unit(2, 2), unit(2, 2))
         )
-        lhs, rhs = identity_sides(w_example, "mpi1")
+        lhs, rhs = identity_sides(Fixture(w_example), "mpi1")
         np.testing.assert_allclose(lhs, expected)
         np.testing.assert_allclose(rhs, expected)
 
-    def test_non_finite_entry_stops_nothing_early(self, w_z2):
-        # ||W||_2 reads inf for a W with an inf entry, so every bound of
-        # lhs_norm_bounds is inf and no identity stops early; the report
+    def test_non_finite_entry_stops_nothing_early(self):
+        # one inf or NaN entry of Z_2 (one column block) or Z_6 (two), exact
+        # or perturbed, in a column of W that W_12 applies in the first or
+        # in the last block: every block's partial gap is NaN, so no
+        # identity stops early on any bound of lhs_norm_bounds; the report
         # carries null residuals and fails
-        m = w_z2.matrix.copy()
-        m[0, 0] = np.inf
-        w = Operator(w_z2.space, m)
-        assert lhs_norm_bounds(m, spectral_norm(m)) == dict.fromkeys(IDENTITY_WORDS, np.inf)
-        with np.errstate(invalid="ignore", over="ignore"):
-            verdict = check_mpi_axioms(w)
-            rep = json.loads(run_suite(w, level="axioms").to_json())
-        assert not verdict.passed and verdict.lower_bounds == ()
-        assert all(c == {"id": c["id"], "pass": False, "residual": None} for c in rep["checks"])
-        assert rep["overall"] == "fail"
+        for n, blocks in ((2, 1), (6, 2)):
+            base = corpus.group_mpu(corpus.cyclic_table(n))
+            noise = np.random.default_rng(n).standard_normal(base.matrix.shape)
+            for m0, col, value in itertools.product(
+                    (base.matrix, base.matrix + 1e-3 * noise), (0, n * n - 1), (np.inf, np.nan)):
+                m = m0.copy()
+                m[np.argmax(base.matrix[:, col]), col] = value
+                w = Operator(base.space, m)
+                fx = Fixture(w)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    words = LegWords(fx.three_leg, {"W": fx.w, "W*": fx.ws}, IDENTITY_WORDS)
+                    assert len(words.column_blocks) == blocks
+                    for cols in words.column_blocks:
+                        gaps = words.block_norms(cols, IDENTITY_WORDS)
+                        assert all(np.isnan(gap) for gap, _ in gaps.values()), (n, col, cols)
+                    verdict = check_mpi_axioms(fx)
+                    rep = json.loads(run_suite(w, level="axioms").to_json())
+                assert not verdict.passed and verdict.lower_bounds == ()
+                assert all(c == {"id": c["id"], "pass": False, "residual": None}
+                           for c in rep["checks"])
+                assert rep["overall"] == "fail"
 
     def test_traced_peak_on_z10(self):
         # the ten identities run on column blocks: the tracemalloc peak of
@@ -132,7 +144,7 @@ class TestMpiAxioms:
 
 class TestDerivedIdentities:
     def test_example_all_zero(self, w_example):
-        derived = check_mpi_axioms(w_example).derived_residuals
+        derived = check_mpi_axioms(Fixture(w_example)).derived_residuals
         # oracle below recomputes each side with plain embedded products
         amb = space(2, 2, 2)
         w12 = embed(w_example, [1, 2], amb).matrix
@@ -153,13 +165,13 @@ class TestDerivedIdentities:
             assert derived[name] == 0.0
 
     def test_identity_operator(self):
-        derived = check_mpi_axioms(identity(space(3, 3))).derived_residuals
+        derived = check_mpi_axioms(Fixture(identity(space(3, 3)))).derived_residuals
         assert all(v == 0.0 for v in derived.values())
 
     def test_z2_pentagon_by_basis_action(self, w_z2):
         # oracle: evaluate mpi5 on every basis vector from the group law
         n = 2
-        lhs, rhs = identity_sides(w_z2, "mpi5")
+        lhs, rhs = identity_sides(Fixture(w_z2), "mpi5")
         for g in range(n):
             for h in range(n):
                 for k in range(n):
@@ -170,7 +182,7 @@ class TestDerivedIdentities:
                     out[g * n * n + ((g + h) % n) * n + ((g + h + k) % n)] = 1.0
                     np.testing.assert_allclose(rhs @ vec, out)
                     np.testing.assert_allclose(lhs @ vec, out)
-        assert check_mpi_axioms(w_z2).derived_residuals["mpi5"] == 0.0
+        assert check_mpi_axioms(Fixture(w_z2)).derived_residuals["mpi5"] == 0.0
 
 
 class TestProjectionInvariants:
@@ -179,13 +191,13 @@ class TestProjectionInvariants:
         ["example", "group_z2", "group_z3", "pair_groupoid_2", "two_z2"],
     )
     def test_projections(self, corpus_fixtures, name):
-        res = projection_residuals(corpus_fixtures[name])
+        res = projection_residuals(Fixture(corpus_fixtures[name]))
         assert all(v < 1e-10 for v in res.values()), res
 
     def test_what_closure(self, corpus_fixtures):
         # if W passes, so does W-hat = Sigma W* Sigma
         for w in corpus_fixtures.values():
-            assert check_mpi_axioms(what(w)).passed
+            assert check_mpi_axioms(Fixture(w).dual).passed
 
     def test_double_dual_exact(self, corpus_fixtures):
         for w in corpus_fixtures.values():
@@ -194,7 +206,7 @@ class TestProjectionInvariants:
 
 class TestFullness:
     def test_example(self, w_example):
-        f = assess_fullness(w_example)
+        f = assess_fullness(Fixture(w_example))
         # A = span{e21, e22}: range is span{e2} only, but kernel is trivial
         assert not f.literal_right
         assert not f.nondeg_A_range
@@ -202,12 +214,12 @@ class TestFullness:
         assert f.nondeg_Ahat_range
 
     def test_identity_operator(self):
-        f = assess_fullness(identity(space(2, 2)))
+        f = assess_fullness(Fixture(identity(space(2, 2))))
         assert not f.literal_right and not f.literal_left
         assert f.right_slice_rank == 1  # slices are multiples of I
 
     def test_scalar_case(self):
-        f = assess_fullness(identity(space(1, 1)))
+        f = assess_fullness(Fixture(identity(space(1, 1))))
         assert f.literal_right and f.literal_left
         assert f.nondeg_A_range and f.nondeg_A_kernel
         assert f.nondeg_Ahat_range and f.nondeg_Ahat_kernel
@@ -218,14 +230,14 @@ class TestFullness:
 
         for w in corpus_fixtures.values():
             n = w.space.legs[0].dim
-            f = assess_fullness(w)
+            f = assess_fullness(Fixture(w))
             stack = all_left_slices(w).reshape(n * n, n * n)
             rank = np.linalg.matrix_rank(stack, tol=1e-10)
             assert f.literal_right == (rank == n * n)
 
     def test_groups_nondegenerate(self, w_z2, w_z3):
         for w in (w_z2, w_z3):
-            f = assess_fullness(w)
+            f = assess_fullness(Fixture(w))
             assert f.nondeg_A_range and f.nondeg_A_kernel
             assert f.nondeg_Ahat_range and f.nondeg_Ahat_kernel
 
@@ -237,11 +249,12 @@ class TestConjugationInvariance:
             n = w.space.legs[0].dim
             u = corpus.random_unitary(n, rng)
             wc = corpus.conjugate_fixture(w, u)
-            v0, v1 = check_mpi_axioms(w), check_mpi_axioms(wc)
+            fx0, fx1 = Fixture(w), Fixture(wc)
+            v0, v1 = check_mpi_axioms(fx0), check_mpi_axioms(fx1)
             assert v0.passed == v1.passed
             r0, r1 = pi_gaps(w.matrix)[1], pi_gaps(wc.matrix)[1]
             assert (r0 < RESIDUAL_TOL) == (r1 < RESIDUAL_TOL)
-            f0, f1 = assess_fullness(w), assess_fullness(wc)
+            f0, f1 = assess_fullness(fx0), assess_fullness(fx1)
             assert f0 == f1
 
 
@@ -306,5 +319,5 @@ class TestDependentBounds:
 
     def test_no_bound_for_a_failing_w(self, w_z3):
         w = Operator(w_z3.space, w_z3.matrix + 1e-3)
-        assert check_mpi_axioms(w).bounds == {}
+        assert check_mpi_axioms(Fixture(w)).bounds == {}
         assert check_mpi_axioms(Fixture(w, tol=1.0)).bounds != {}

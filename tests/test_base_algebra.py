@@ -59,7 +59,7 @@ class TestBaseSpans:
 
     def test_corpus_structure(self, corpus_fixtures):
         for name, w in corpus_fixtures.items():
-            spans = base_spans(w)
+            spans = base_spans(Fixture(w))
             if name == "example":  # L = Lhat needs fullness; see oracle above
                 del spans["L_eq_Lhat"]
             assert list(spans)[:2] == ["NL_commutation", "NhatLhat_commutation"], name
@@ -70,14 +70,14 @@ class TestKappa:
     def test_example_diagonal_fixed(self, w_example):
         # E(b (x) 1) = b1 e11 (x) e11 + b2 e22 (x) e22 = E(1 (x) b)
         b = np.diag([2.0, -0.5])
-        solver = KappaSolver(w_example)
+        solver = KappaSolver(Fixture(w_example))
         vals, res = solver.solve_stack(b[None])
         np.testing.assert_allclose(vals[0], b, atol=1e-12)
         assert res[0] < 1e-13
         assert solver.nullity == 0
 
     def test_z2_scalar(self, w_z2):
-        vals, res = KappaSolver(w_z2).solve_stack(3.0 * np.eye(2)[None])
+        vals, res = KappaSolver(Fixture(w_z2)).solve_stack(3.0 * np.eye(2)[None])
         np.testing.assert_allclose(vals[0], 3.0 * np.eye(2), atol=1e-12)
         assert res[0] < 1e-13
 
@@ -85,18 +85,19 @@ class TestKappa:
         # nullity 0: re-solving from a perturbed right-hand side target b
         # returns kappa-values that track b linearly, same solution each run
         b = np.diag([1.0, 2.0])[None]
-        solver = KappaSolver(w_example)
+        solver = KappaSolver(Fixture(w_example))
         v1, _ = solver.solve_stack(b)
-        v2, _ = KappaSolver(w_example).solve_stack(b)
+        v2, _ = KappaSolver(Fixture(w_example)).solve_stack(b)
         assert solver.nullity == 0
         np.testing.assert_allclose(v1, v2, atol=1e-10)
 
     def test_pair_groupoid_brute_force(self, w_pair2):
         # oracle: independent dense lstsq on the vectorized system
-        basis = Fixture(w_pair2).N.stack
+        fx = Fixture(w_pair2)
+        basis = fx.N.stack
         e = (w_pair2.adj @ w_pair2).matrix
         n = 4
-        vals, residuals = KappaSolver(w_pair2).solve_stack(basis)
+        vals, residuals = KappaSolver(fx).solve_stack(basis)
         for b, val, res in zip(basis, vals, residuals):
             assert res < 1e-10
             cols = []
@@ -123,7 +124,7 @@ class TestKappa:
             for l in range(n):
                 cols.append((e @ np.kron(np.eye(n), unit(n, m + 1, l + 1).matrix)).ravel())
         dense = np.array(cols).T
-        solver = KappaSolver(w)
+        solver = KappaSolver(Fixture(w))
         for b in (unit(2, 1, 1), unit(2, 1, 2), identity(space(2))):
             vals, res = solver.solve_stack(b.matrix[None])
             rhs = (e @ np.kron(b.matrix, np.eye(n))).ravel()
@@ -136,14 +137,14 @@ class TestKappa:
         for name, w in corpus_fixtures.items():
             if w.space.legs[0].dim > 4:
                 continue
-            kap = kappa_map(w)
+            kap = kappa_map(Fixture(w))
             assert max(kap.residuals) < 1e-10, name
             assert kap.antimultiplicativity < 1e-9, name
 
 
 class TestDistinguishedWeight:
     def test_example_trace(self, w_example):
-        nu = find_distinguished_weight(w_example)
+        nu = find_distinguished_weight(Fixture(w_example))
         assert nu.found
         np.testing.assert_allclose(nu.density.matrix, np.eye(2), atol=1e-10)
         for x in (unit(2, 1, 1), unit(2, 2, 2)):
@@ -151,24 +152,25 @@ class TestDistinguishedWeight:
 
     def test_z2_half_identity(self, w_z2):
         # E = I forces trace(D) = 1 inside N = span{I}
-        nu = find_distinguished_weight(w_z2)
+        nu = find_distinguished_weight(Fixture(w_z2))
         assert nu.found
         np.testing.assert_allclose(nu.density.matrix, np.eye(2) / 2.0, atol=1e-10)
 
     def test_trivial(self):
-        nu = find_distinguished_weight(identity(space(1, 1)))
+        nu = find_distinguished_weight(Fixture(identity(space(1, 1))))
         np.testing.assert_allclose(nu.density.matrix, np.eye(1), atol=1e-12)
 
     def test_pair2_quarter(self, w_pair2):
         # each unit has 2 outgoing arrows: D = diag(1/2)
-        nu = find_distinguished_weight(w_pair2)
+        nu = find_distinguished_weight(Fixture(w_pair2))
         assert nu.found
         np.testing.assert_allclose(nu.density.matrix, np.eye(4) / 2.0, atol=1e-10)
 
     def test_found_on_corpus_and_dual(self, corpus_fixtures):
         for name, w in corpus_fixtures.items():
+            fx = Fixture(w)
             for base in ("N", "Nhat"):
-                wd = find_distinguished_weight(w if base == "N" else Fixture(w).dual)
+                wd = find_distinguished_weight(fx if base == "N" else fx.dual)
                 if name == "example" and base == "Nhat":
                     # (nu-hat (x) id)(E-hat) = 1 is unsolvable here:
                     # E-hat = 1 (x) e22, so every slice is a multiple of e22
@@ -180,7 +182,7 @@ class TestDistinguishedWeight:
 
 class TestModularConjugate:
     def test_identity_density(self, w_example):
-        nu = find_distinguished_weight(w_example)
+        nu = find_distinguished_weight(Fixture(w_example))
         x = unit(2, 1, 2).matrix
         got = modular_conjugate(nu, -0.5j, x)
         np.testing.assert_allclose(got, x, atol=1e-12)
@@ -201,10 +203,11 @@ class TestModularConjugate:
 
 class TestGammaAndRtilde:
     def test_example_identity_chain(self, w_example):
-        st = gamma_and_rtilde(w_example)
+        fx = Fixture(w_example)
+        st = gamma_and_rtilde(fx)
         # gamma_N is the identity on the diagonal algebra, Rtilde likewise,
         # and mu = nu (density I)
-        bs = Fixture(w_example).N.stack
+        bs = fx.N.stack
         np.testing.assert_allclose(st.gamma_n, bs, atol=1e-10)
         np.testing.assert_allclose(st.mu.density.matrix, np.eye(2), atol=1e-10)
         np.testing.assert_allclose(st.rtilde.apply(bs), bs, atol=1e-10)
@@ -229,7 +232,7 @@ class TestGammaAndRtilde:
 
 class TestSeparabilityTriple:
     def test_example_all_zero(self, w_example):
-        res = check_separability_triple(w_example)
+        res = check_separability_triple(Fixture(w_example))
         assert max(res.values()) < 1e-9, res
 
     def test_z2_with_q(self, w_z2):
@@ -248,18 +251,19 @@ class TestSeparabilityTriple:
 
     def test_corpus(self, corpus_fixtures):
         for name, w in corpus_fixtures.items():
-            res = check_separability_triple(w)
+            res = check_separability_triple(Fixture(w))
             assert max(res.values()) < 1e-9, (name, res)
 
     def test_without_weight_names_the_reason(self, w_example):
         # the example's dual has no distinguished weight, so no base
         # structure: the checks that read one say why, and c_star_bases,
         # which reads none, reports the same entries as with one
-        dual = Fixture(w_example).dual
+        fx = Fixture(w_example)
+        dual = fx.dual
         assert dual.structure_reason == "no distinguished weight at tolerance"
         with pytest.raises(ValueError, match="no distinguished weight"):
             check_separability_triple(dual)
-        assert list(c_star_bases(dual)) == list(c_star_bases(w_example))
+        assert list(c_star_bases(dual)) == list(c_star_bases(fx))
 
     def test_indefinite_mu_names_mu(self):
         # candidate 19, a random rank-2 W at n = 2, has a weight nu whose
@@ -288,7 +292,7 @@ class TestCStarBases:
 
     def test_corpus_memberships(self, corpus_fixtures):
         for name, w in corpus_fixtures.items():
-            res = c_star_bases(w)
+            res = c_star_bases(Fixture(w))
             assert max(res.values()) < 1e-9, (name, res)
 
     def test_r_onto_c_sees_images_off_l(self, w_z3, monkeypatch):

@@ -14,6 +14,7 @@ from pathlib import Path
 import mpi_lab
 import mpi_lab.cli  # noqa: F401  (the trace rebinds names in every module)
 from mpi_lab import corpus
+from mpi_lab.context import Fixture
 from mpi_lab.runner import run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,7 +65,7 @@ def test_traced_exact_coassociativity_records_chain_bytes():
     w = corpus.group_mpu(corpus.cyclic_table(2))
     tracer = spans.Tracer()
     with tracer.installed():
-        mpi_lab.coalgebra.coassociativity_residual(w)
+        mpi_lab.coalgebra.coassociativity_residual(Fixture(w))
     assert tracer.self_times()["tensor.chain"][0] >= 1
     metrics = tracer.metrics({}, 1.0, 1.0, 0.5)
     assert metrics["tensor.chain.bytes"][0] > 0

@@ -27,6 +27,111 @@ def example_dict():
     return operator_to_dict(corpus.matrix_unit_example())
 
 
+def z_n_spec(n):
+    """Z_n as a one-unit groupoid spec, as `gen groupoid --spec` reads it:
+    arrow gi is the element i."""
+    ids = [f"g{i}" for i in range(n)]
+    return {
+        "units": ["g*"],
+        "arrows": [[a, "g*", "g*"] for a in ids],
+        "compose": [[ids[i], ids[j], ids[(i + j) % n]] for i in range(n) for j in range(n)],
+        "inverse": {ids[i]: ids[-i % n] for i in range(n)},
+    }
+
+
+def pair2_spec():
+    g = corpus.pair_groupoid(2)
+    return {
+        "units": list(g.units),
+        "arrows": [list(a) for a in g.arrows],
+        "compose": [[a, b, c] for (a, b), c in g.compose.items()],
+        "inverse": dict(g.inverse),
+    }
+
+
+def _set_composite(spec, g, h, gh):
+    spec["compose"] = [[a, b, gh if (a, b) == (g, h) else c] for a, b, c in spec["compose"]]
+    return spec
+
+
+def _drop_key(spec, key):
+    del spec[key]
+    return spec
+
+
+#: (spec, message) with exactly one violation each, so that the message
+#: does not depend on the order in which the validation visits the arrows.
+#: "g^-1 g != id" is left out: in a finite category an arrow with a right
+#: inverse has a two-sided one, so it fires only after another arrow has
+#: broken "g g^-1 = id", which fires first in some orders.
+BAD_SPECS = {
+    "duplicate_arrow": (
+        {**z_n_spec(2), "arrows": z_n_spec(2)["arrows"] * 2}, "duplicate arrow ids"),
+    "unknown_source": (
+        {**z_n_spec(2), "arrows": [["g0", "g*", "g*"], ["g1", "x", "g*"]]},
+        "arrow g1 has unknown source/target"),
+    "missing_composite": (
+        {**z_n_spec(2), "compose": z_n_spec(2)["compose"][:-1]},
+        "composition domain wrong at (g1, g1)"),
+    "composite_not_an_arrow": (
+        _set_composite(z_n_spec(2), "g1", "g1", "z"), "composite z is not an arrow"),
+    "source_target_broken": (
+        _set_composite(pair2_spec(), "u0>u1", "u1>u0", "u1>u1"),
+        "source/target broken at (u0>u1, u1>u0)"),
+    "not_associative": (
+        _set_composite(z_n_spec(3), "g1", "g1", "g0"), "composition not associative"),
+    "no_identity": (
+        {**z_n_spec(2), "compose": [[a, b, "g0"] for a, b, _ in z_n_spec(2)["compose"]]},
+        "unit g* lacks a unique identity arrow"),
+    "no_inverse": (
+        {**z_n_spec(2), "inverse": {"g0": "g0"}}, "arrow g1 lacks an inverse"),
+    "wrong_inverse": (
+        {**z_n_spec(3), "inverse": {"g0": "g0", "g1": "g1", "g2": "g1"}},
+        "g g^-1 != id at g1"),
+}
+
+
+class TestRefusedInput:
+    """Each outside input that the validation refuses, through cli.main:
+    exit 2 and the validation's message, and no file written."""
+
+    def refused(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.json"
+        extra = ["--out", str(out)] if argv[0] == "gen" else []
+        assert main(argv + extra) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("table, message", [
+        ([[0, 1], [0, 1]], "not a Latin square"),  # rows are permutations, columns not
+        ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], "no two-sided identity element"),
+    ])
+    def test_group_table(self, tmp_path, capsys, table, message):
+        path = write_json(tmp_path / "table.json", table)
+        self.refused(tmp_path, capsys, ["gen", "group", "--table", path], message)
+
+    @pytest.mark.parametrize("case", list(BAD_SPECS))
+    def test_groupoid_spec(self, tmp_path, capsys, case):
+        spec, message = BAD_SPECS[case]
+        path = write_json(tmp_path / "spec.json", spec)
+        self.refused(tmp_path, capsys, ["gen", "groupoid", "--spec", path],
+                     f"invalid groupoid spec {path}: {message}")
+
+    def test_groupoid_spec_without_compose(self, tmp_path, capsys):
+        path = write_json(tmp_path / "spec.json", _drop_key(z_n_spec(2), "compose"))
+        self.refused(tmp_path, capsys, ["gen", "groupoid", "--spec", path],
+                     f"invalid groupoid spec {path}: 'compose'")
+
+    def test_operator_without_matrix(self, tmp_path, capsys):
+        path = write_json(tmp_path / "w.json", _drop_key(example_dict(), "matrix"))
+        self.refused(tmp_path, capsys, ["check", path], f"{path}: missing key 'matrix'")
+
+    def test_operator_with_an_unknown_flavor(self, tmp_path, capsys):
+        path = write_json(tmp_path / "w.json", {**example_dict(), "flavors": ["H", "X"]})
+        self.refused(tmp_path, capsys, ["check", path],
+                     f"{path}: flavor must be 'H' or 'Hbar', got 'X'")
+
+
 class TestLoadOperator:
     def test_roundtrip_example(self, tmp_path, w_example):
         p = tmp_path / "w.json"
@@ -326,7 +431,7 @@ class TestRunSuiteContract:
         # the dual of the example has no distinguished weight; it is not
         # full, so nu_found is no entry but a property, the weight-dependent
         # checks are skipped with reasons, and the run still completes
-        from mpi_lab.axioms import what as dual_of
+        from mpi_lab.context import what as dual_of
 
         rep = run_suite(dual_of(w_example), level="all", fixture_id="example_dual")
         assert [e.check_id for e in rep.entries if not e.passed] == []

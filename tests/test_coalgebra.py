@@ -16,7 +16,7 @@ from mpi_lab.coalgebra import (
     _coassoc_residuals,
     _comul_stack,
 )
-from mpi_lab.context import Fixture, what
+from mpi_lab.context import Fixture
 from mpi_lab.runner import run_suite
 from mpi_lab.tensor import (
     RESIDUAL_TOL,
@@ -37,7 +37,7 @@ def unit(n, i, j):
 
 class TestLegAlgebra:
     def test_example_A(self, w_example):
-        alg = leg_algebra(w_example, "A")
+        alg = leg_algebra(Fixture(w_example), "A")
         assert alg.dim == 2
         assert not alg.unital
         assert alg.stack_residual(unit(2, 2, 1)[None]) < RESIDUAL_TOL
@@ -47,7 +47,7 @@ class TestLegAlgebra:
         assert not alg.star_closed
 
     def test_example_Ahat(self, w_example):
-        alg = leg_algebra(w_example, "Ahat")
+        alg = leg_algebra(Fixture(w_example), "Ahat")
         assert alg.unital
         res = alg.equals(
             # span{e11, e22}
@@ -61,7 +61,7 @@ class TestLegAlgebra:
         assert res < 1e-13
 
     def test_identity_w(self):
-        alg = leg_algebra(identity(space(2, 2)), "A")
+        alg = leg_algebra(Fixture(identity(space(2, 2))), "A")
         assert alg.dim == 1 and alg.unital
 
     def test_astar_is_adjoint_span(self, w_example):
@@ -108,7 +108,7 @@ class TestComul:
 
     def test_duality_consistency(self, corpus_fixtures):
         for w in corpus_fixtures.values():
-            assert duality_consistency(w) < 1e-12
+            assert duality_consistency(Fixture(w)) < 1e-12
 
     def test_duality_consistency_detects_dropped_flip(self, w_z3, monkeypatch):
         # W-hat is built once, in the fixture context; taking W* for it
@@ -116,7 +116,7 @@ class TestComul:
         from mpi_lab import context
 
         monkeypatch.setattr(context, "what", lambda v: v.adj)
-        assert duality_consistency(w_z3) > 1e-3
+        assert duality_consistency(Fixture(w_z3)) > 1e-3
 
 
 def entrywise_coassoc_residuals(w):
@@ -157,15 +157,16 @@ def generic_operator(seed=5):
 
 
 def assert_matches_reference(w):
-    for side in (w, what(w)):
-        want = entrywise_coassoc_residuals(side)
+    fx = Fixture(w)
+    for side in (fx, fx.dual):
+        want = entrywise_coassoc_residuals(side.w)
         np.testing.assert_allclose(_coassoc_residuals(side), want, rtol=0, atol=1e-14)
         assert abs(coassociativity_residual(side) - want.max()) < 1e-14
 
 
 class TestCoassociativity:
     def test_example_matrix_units(self, w_example):
-        assert coassociativity_residual(w_example) < 1e-14
+        assert coassociativity_residual(Fixture(w_example)) < 1e-14
 
     def test_example_oracle_direct_eight_by_eight(self, w_example):
         # oracle: plain kron products, no leg machinery
@@ -181,10 +182,10 @@ class TestCoassociativity:
                 assert np.linalg.norm(lhs - rhs) < 1e-14
 
     def test_identity_w(self):
-        assert coassociativity_residual(identity(space(2, 2))) < 1e-15
+        assert coassociativity_residual(Fixture(identity(space(2, 2)))) < 1e-15
 
     def test_z3_small_residual(self, w_z3):
-        assert coassociativity_residual(w_z3) < 1e-12
+        assert coassociativity_residual(Fixture(w_z3)) < 1e-12
 
     def test_matches_entrywise_reference(self, w_example, w_z3, w_pair2):
         for w in (w_example, w_z3, w_pair2, generic_unitary(), generic_operator()):
@@ -192,7 +193,7 @@ class TestCoassociativity:
 
     def test_detects_violation_like_reference(self):
         u = generic_unitary()
-        assert coassociativity_residual(u) > 1e-3
+        assert coassociativity_residual(Fixture(u)) > 1e-3
         assert_matches_reference(u)
 
     def test_dense_conjugated_fixtures_exact(self):
@@ -204,14 +205,14 @@ class TestCoassociativity:
             corpus.groupoid_mpi(corpus.pair_groupoid(3)),
         ):
             wc = corpus.conjugate_fixture(w, corpus.random_unitary(w.space.legs[0].dim, rng))
-            both = max(coassociativity_residual(wc), coassociativity_residual(what(wc)))
+            fx = Fixture(wc)
+            both = max(coassociativity_residual(fx), coassociativity_residual(fx.dual))
             assert both < 1e-13
             assert_matches_reference(wc)
 
     def test_both_sides(self, w_pair2):
-        assert max(
-            coassociativity_residual(w_pair2), coassociativity_residual(what(w_pair2))
-        ) < 1e-12
+        fx = Fixture(w_pair2)
+        assert max(coassociativity_residual(fx), coassociativity_residual(fx.dual)) < 1e-12
 
     def test_real_w_matches_complex_storage(self, monkeypatch):
         # a real W gives real U, V and R factors, whose conj() is the array
@@ -225,9 +226,10 @@ class TestCoassociativity:
             assert w.matrix.dtype == np.float64
             with monkeypatch.context() as patch:
                 complex_storage(patch)
-                want = _coassoc_residuals(Operator(space(n, n), m))
+                want = _coassoc_residuals(Fixture(Operator(space(n, n), m)))
             assert want.max() > 0.1
-            np.testing.assert_allclose(_coassoc_residuals(w), want, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(_coassoc_residuals(Fixture(w)), want,
+                                       rtol=1e-12, atol=1e-14)
 
     def test_traced_peak_on_z10(self):
         # chain fills U and V from column blocks in W's dtype, float64 for
@@ -240,7 +242,7 @@ class TestCoassociativity:
         w = corpus.group_mpu(corpus.cyclic_table(10))
         tracemalloc.start()
         try:
-            coassociativity_residual(w)
+            coassociativity_residual(Fixture(w))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -303,9 +305,10 @@ class TestCoassociativityBound:
         # each carries its bound, which must cover the exact residual of
         # W and of W-hat alike
         for name, w in bound_cases(w_z4, w_pair2).items():
-            beta = check_mpi_axioms(Fixture(w, tol=np.inf)).bounds["coassociativity"]
+            fx = Fixture(w, tol=np.inf)
+            beta = check_mpi_axioms(fx).bounds["coassociativity"]
             assert math.isfinite(beta), name
-            for side in (w, what(w)):
+            for side in (fx, fx.dual):
                 assert _coassoc_residuals(side).max() <= beta, name
 
     def test_mpi6_term_is_needed(self, w_pair2):
@@ -315,8 +318,9 @@ class TestCoassociativityBound:
         w = Operator(w_pair2.space, w_pair2.matrix @ np.kron(p, np.eye(4)))
         gaps = absolute_gaps(w)
         assert gaps["pi"] == gaps["mpi5"] == 0.0 < gaps["mpi6"]
-        assert _coassoc_residuals(what(w)).max() == pytest.approx(1.0)
-        assert check_mpi_axioms(Fixture(w, tol=np.inf)).bounds["coassociativity"] >= 1.0
+        loose = Fixture(w, tol=np.inf)
+        assert _coassoc_residuals(loose.dual).max() == pytest.approx(1.0)
+        assert check_mpi_axioms(loose).bounds["coassociativity"] >= 1.0
 
     def test_dual_has_the_same_gaps(self, w_z4):
         w = perturbed(w_z4, 1e-3, 11)
@@ -329,10 +333,11 @@ class TestCoassociativityBound:
             pytest.approx(check_mpi_axioms(loose).bounds["coassociativity"], rel=1e-10))
 
     def test_bound_below_tol_is_the_entry(self, w_z3):
-        exact = _coassoc_residuals(w_z3).max()
-        assert coassociativity_residual(Fixture(w_z3, tol=1e-9), 1e-12) == 1e-12
+        fx = Fixture(w_z3, tol=1e-9)
+        exact = _coassoc_residuals(fx).max()
+        assert coassociativity_residual(fx, 1e-12) == 1e-12
         for bound in (1e-9, 1e-3, math.inf, math.nan):
-            assert coassociativity_residual(Fixture(w_z3, tol=1e-9), bound) == exact
+            assert coassociativity_residual(fx, bound) == exact
 
     def test_escalates_when_bound_reaches_tol(self, w_z3):
         # a tol between the worst axiom residual and the bound: the axioms
@@ -341,12 +346,13 @@ class TestCoassociativityBound:
         v = check_mpi_axioms(Fixture(w, tol=np.inf))
         worst = max(v.pi_residual, *v.mpi_residuals.values())
         tol = math.sqrt(worst * v.bounds["coassociativity"])
-        at_tol = check_mpi_axioms(Fixture(w, tol=tol))
+        fx = Fixture(w, tol=tol)
+        at_tol = check_mpi_axioms(fx)
         assert at_tol.passed and tol <= at_tol.bounds["coassociativity"] < math.inf
         rep = run_suite(w, level="coalgebra", tol=tol)
         res = {e.check_id: e.residual for e in rep.entries}
-        for side, sw in (("primal", w), ("dual", what(w))):
-            assert res[f"coassociativity_{side}"] == _coassoc_residuals(sw).max()
+        for side, sfx in (("primal", fx), ("dual", fx.dual)):
+            assert res[f"coassociativity_{side}"] == _coassoc_residuals(sfx).max()
             assert res[f"coassociativity_{side}"] < at_tol.bounds["coassociativity"]
 
     def test_escalates_when_mpi5_or_mpi6_stopped_early(self, w_z3, monkeypatch):
@@ -356,12 +362,13 @@ class TestCoassociativityBound:
         monkeypatch.setattr(tensor, "BLOCK_ENTRIES", 7 * 27)
         monkeypatch.setattr(axioms, "FAIL_MARGIN", 0.0)
         w = perturbed(w_z3, 1e-12, 2)
-        v = check_mpi_axioms(w)
+        fx = Fixture(w)
+        v = check_mpi_axioms(fx)
         assert v.passed and {"mpi5", "mpi6"} <= set(v.lower_bounds)
         assert "coassociativity" not in v.bounds
         res = {e.check_id: e.residual for e in run_suite(w, level="coalgebra").entries}
-        for side, sw in (("primal", w), ("dual", what(w))):
-            assert res[f"coassociativity_{side}"] == _coassoc_residuals(sw).max()
+        for side, sfx in (("primal", fx), ("dual", fx.dual)):
+            assert res[f"coassociativity_{side}"] == _coassoc_residuals(sfx).max()
 
     @pytest.mark.parametrize("stopped", ["mpi1", "mpi2", "mpi3", "mpi4"])
     def test_no_bound_when_an_axiom_stopped_early(self, w_z3, monkeypatch, stopped):
@@ -376,10 +383,10 @@ class TestCoassociativityBound:
         monkeypatch.setattr(axioms, "lhs_norm_bounds", lambda m, s: {
             name: b if name == stopped else math.inf for name, b in norm_bounds(m, s).items()})
         w = perturbed(w_z3, 1e-12, 2)
-        v = check_mpi_axioms(w)
+        fx = Fixture(w)
+        v = check_mpi_axioms(fx)
         assert v.passed and v.lower_bounds == (stopped,)
         assert v.bounds == {}
-        fx = Fixture(w)
         exact = LegWords(fx.three_leg, {"W": fx.w, "W*": fx.ws, "E": fx.e},
                          {**IDENTITY_WORDS, **E_LEG_WORDS}).residuals()
         for name in axioms.DERIVED_IDENTITIES:
@@ -387,8 +394,8 @@ class TestCoassociativityBound:
         res = {e.check_id: e.residual for e in run_suite(w, level="coalgebra").entries}
         for name in E_LEG_WORDS:
             assert res[f"{name}_primal"] == exact[name], name
-        for side, sw in (("primal", w), ("dual", what(w))):
-            assert res[f"coassociativity_{side}"] == _coassoc_residuals(sw).max()
+        for side, sfx in (("primal", fx), ("dual", fx.dual)):
+            assert res[f"coassociativity_{side}"] == _coassoc_residuals(sfx).max()
 
 
 def w13_embed(two_leg_matrix):
@@ -417,16 +424,16 @@ class TestCanonicalIdempotent:
         assert not refits()
 
     def test_example_all_zero(self, w_example):
-        rep = check_canonical_idempotent(w_example)
-        assert max(rep.residuals.values()) < 1e-13, rep.residuals
+        res = check_canonical_idempotent(TensorSquare(Fixture(w_example)))
+        assert max(res.values()) < 1e-13, res
 
     def test_identity_w(self):
-        rep = check_canonical_idempotent(identity(space(2, 2)))
-        assert max(rep.residuals.values()) < 1e-14
+        res = check_canonical_idempotent(TensorSquare(Fixture(identity(space(2, 2)))))
+        assert max(res.values()) < 1e-14
 
     def test_pair_groupoid(self, w_pair2):
-        rep = check_canonical_idempotent(w_pair2)
-        assert max(rep.residuals.values()) < 1e-11, rep.residuals
+        res = check_canonical_idempotent(TensorSquare(Fixture(w_pair2)))
+        assert max(res.values()) < 1e-11, res
 
     def test_e_legs_oracle(self, w_z2):
         # direct evaluation of (E (x) 1)(1 (x) E) vs W12*W23*W23W12
@@ -460,7 +467,7 @@ class TestCanonicalIdempotent:
             "E_legs_commute": rel(e1 @ e2, e2 @ e1),
             "E_legs_product_form": rel(e1 @ e2, form),
         }
-        got = check_canonical_idempotent(w).residuals
+        got = check_canonical_idempotent(TensorSquare(Fixture(w)))
         for key, ref in want.items():
             assert ref > 0.1, (key, ref)
             np.testing.assert_allclose(got[key], ref, rtol=1e-12, err_msg=key)
@@ -475,7 +482,7 @@ class TestCanonicalIdempotent:
         fx.A, fx.Ahat, fx.e, fx.g  # built before tracing: they belong to the context
         tracemalloc.start()
         try:
-            check_canonical_idempotent(fx)
+            check_canonical_idempotent(TensorSquare(fx))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -489,7 +496,7 @@ class TestRangeAndDensity:
         # Delta(e21) kills A (x) A from the right: span{e22}, dim 1.  The
         # fixture is not full, so the density statement does not apply; the
         # frozen dims below are the oracle values, not dim A across the board.
-        rep = check_delta_range_and_density(w_example)
+        rep = check_delta_range_and_density(TensorSquare(Fixture(w_example)))
         non_density = {
             k: v for k, v in rep.residuals.items() if not k.startswith("density_")
         }
@@ -519,13 +526,13 @@ class TestRangeAndDensity:
         assert rank == 1
 
     def test_identity_w(self):
-        rep = check_delta_range_and_density(identity(space(2, 2)))
+        rep = check_delta_range_and_density(TensorSquare(Fixture(identity(space(2, 2)))))
         assert max(rep.residuals.values()) < 1e-13
         assert rep.dims["A"] == 1
         assert rep.dims["density_left_a1_db"] == 1
 
     def test_z2_density_dims(self, w_z2):
-        rep = check_delta_range_and_density(w_z2)
+        rep = check_delta_range_and_density(TensorSquare(Fixture(w_z2)))
         assert max(rep.residuals.values()) < 1e-12
         assert rep.dims["A"] == 2
         assert all(
@@ -535,7 +542,7 @@ class TestRangeAndDensity:
         )
 
     def test_pair_groupoid(self, w_pair2):
-        rep = check_delta_range_and_density(w_pair2)
+        rep = check_delta_range_and_density(TensorSquare(Fixture(w_pair2)))
         assert max(rep.residuals.values()) < 1e-11, rep.residuals
 
     def test_traced_peak_on_z8(self):
@@ -548,7 +555,7 @@ class TestRangeAndDensity:
         fx.A, fx.e  # built before tracing: they belong to the context
         tracemalloc.start()
         try:
-            check_delta_range_and_density(fx)
+            check_delta_range_and_density(TensorSquare(fx))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

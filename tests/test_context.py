@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from mpi_lab.antipode import check_antipode, check_duality
-from mpi_lab.axioms import assess_fullness, check_mpi_axioms, projection_residuals
-from mpi_lab.base_algebra import base_spans, check_separability_triple
-from mpi_lab.coalgebra import (
-    check_canonical_idempotent,
-    check_delta_range_and_density,
-    duality_consistency,
-)
-from mpi_lab.context import Fixture, as_fixture, what
-from mpi_lab.manageability import build_wtilde, check_hash_identities, check_manageability
+from mpi_lab.context import Fixture, what
 from mpi_lab.tensor import Operator, identity, space
 
 
@@ -58,11 +49,6 @@ class TestFixture:
         for p in (fx.e.matrix, fx.g.matrix):
             np.testing.assert_allclose(p, p.conj().T, atol=1e-12)
 
-    def test_as_fixture_passes_context_through(self, w_z3):
-        fx = Fixture(w_z3)
-        assert as_fixture(fx) is fx
-        assert as_fixture(w_z3) is not fx
-
     def test_q_data_shared_with_dual(self, w_z3):
         fx = Fixture(w_z3)
         q = identity(space(3))
@@ -72,25 +58,3 @@ class TestFixture:
         with pytest.raises(ValueError):
             Fixture(w_z3).q_data(identity(space(2)))
 
-
-@pytest.mark.parametrize("name", ["example", "pair_groupoid_2", "z3_plus_trivial"])
-def test_operator_and_context_give_identical_results(corpus_fixtures, name):
-    w = corpus_fixtures[name]
-    fx = Fixture(w)
-    q = identity(space(w.space.legs[0].dim))
-    wt = build_wtilde(w, q)
-    for check, args in (
-        (projection_residuals, ()),
-        (check_canonical_idempotent, ()),
-        (check_delta_range_and_density, ()),
-        (duality_consistency, ()),
-        (base_spans, ()),
-        (check_separability_triple, ()),
-        (check_hash_identities, (wt,)),
-        (check_antipode, (q, wt)),
-        (check_duality, (q, wt)),
-    ):
-        assert check(w, *args) == check(fx, *args), check.__name__
-    assert check_mpi_axioms(w) == check_mpi_axioms(fx)
-    assert assess_fullness(w) == assess_fullness(fx)
-    assert check_manageability(w, q).residuals == check_manageability(fx, q).residuals

@@ -3,6 +3,7 @@ import pytest
 
 from mpi_lab import corpus
 from mpi_lab.axioms import check_mpi_axioms, pi_gaps
+from mpi_lab.context import Fixture
 from mpi_lab.runner import builtin_corpus
 from mpi_lab.tensor import Operator, space
 
@@ -42,7 +43,7 @@ class TestGroupOperators:
                 np.testing.assert_array_equal(w_z2.matrix @ vec, out)
 
     def test_z3_axiom_residuals_zero(self, w_z3):
-        v = check_mpi_axioms(w_z3)
+        v = check_mpi_axioms(Fixture(w_z3))
         assert all(r == 0.0 for r in v.mpi_residuals.values())
 
     def test_invalid_table_rejected(self):
@@ -65,12 +66,12 @@ class TestGeneratorOutputsAreMpis:
     # multiplicativity axioms of every output are checked here
     @pytest.mark.parametrize("name", list(BUILTIN))
     def test_builtin_corpus(self, name):
-        verdict = check_mpi_axioms(BUILTIN[name])
+        verdict = check_mpi_axioms(Fixture(BUILTIN[name]))
         assert verdict.passed, verdict
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_cyclic_groups(self, k):
-        verdict = check_mpi_axioms(corpus.group_mpu(corpus.cyclic_table(k)))
+        verdict = check_mpi_axioms(Fixture(corpus.group_mpu(corpus.cyclic_table(k))))
         assert verdict.passed, verdict
 
 
@@ -143,7 +144,7 @@ class TestGroupoidOperators:
 
         from word_references import identity_sides
 
-        lhs, rhs = identity_sides(w_pair2, "mpi1")
+        lhs, rhs = identity_sides(Fixture(w_pair2), "mpi1")
         for a in ids:
             for b in ids:
                 for c in ids:
@@ -162,6 +163,11 @@ class TestGroupoidOperators:
         assert np.linalg.norm(e @ e - e) < 1e-14
         assert not np.allclose(e, np.eye(16))
 
+    def test_disjoint_union_refuses_shared_ids(self):
+        a = corpus.group_as_groupoid(corpus.cyclic_table(2), tag="a")
+        with pytest.raises(ValueError, match=r"ids must be disjoint, shared: \['a0', 'a1'\]"):
+            corpus.disjoint_union(a, a)
+
     def test_generator_entries_are_binary(self, corpus_fixtures):
         for w in corpus_fixtures.values():
             m = w.matrix
@@ -179,7 +185,7 @@ class TestConjugation:
     def test_swap_conjugation_keeps_verdicts(self, w_example):
         u = Operator(space(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
         wc = corpus.conjugate_fixture(w_example, u)
-        assert check_mpi_axioms(wc).passed == check_mpi_axioms(w_example).passed
+        assert check_mpi_axioms(Fixture(wc)).passed == check_mpi_axioms(Fixture(w_example)).passed
 
     def test_nonunitary_rejected(self, w_example):
         u = Operator(space(2), np.diag([1.0, 2.0]))

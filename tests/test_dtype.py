@@ -30,9 +30,9 @@ def level_entries(m, q):
                       **verdict.derived_residuals, **axioms.projection_residuals(fx)}}
     coalg = {}
     for side, sfx in (("primal", fx), ("dual", fx.dual)):
-        coalg[f"coassociativity_{side}"] = coalgebra.coassociativity_residual(sfx.w)
+        coalg[f"coassociativity_{side}"] = coalgebra.coassociativity_residual(sfx)
         square = coalgebra.TensorSquare(sfx)
-        for res in (coalgebra.check_canonical_idempotent(square).residuals,
+        for res in (coalgebra.check_canonical_idempotent(square),
                     coalgebra.check_delta_range_and_density(square, True).residuals):
             coalg.update({f"{key}_{side}": value for key, value in res.items()})
     out["coalgebra"] = coalg

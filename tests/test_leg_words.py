@@ -26,7 +26,7 @@ from mpi_lab.axioms import (
     check_mpi_axioms,
     lhs_norm_bounds,
 )
-from mpi_lab.coalgebra import E_LEG_WORDS, check_canonical_idempotent
+from mpi_lab.coalgebra import E_LEG_WORDS, TensorSquare, check_canonical_idempotent
 from mpi_lab.context import Fixture
 from mpi_lab.manageability import (
     COMPOSABILITY_WORDS,
@@ -133,7 +133,7 @@ class TestAgainstDense:
         for name in DERIVED_IDENTITIES:
             assert derived[name] == pytest.approx(want[name], rel=1e-12), name
         want_e = dense_residuals(amb, e_ops, e_legs)
-        can = check_canonical_idempotent(fx).residuals
+        can = check_canonical_idempotent(TensorSquare(fx))
         for name in E_LEG_WORDS:
             assert can[name] == pytest.approx(want_e[name], rel=1e-12), name
         q = Operator(space(3), np.diag([1.0, 2.0, 0.5]))
@@ -146,7 +146,7 @@ class TestAgainstDense:
     def test_axioms_in_one_block_are_exact(self):
         # n = 3 fits one block: nothing stops early, every residual is exact
         w = dense_candidate(3, 3)
-        v = check_mpi_axioms(w)
+        v = check_mpi_axioms(Fixture(w))
         want = dense_residuals(*word_sets(w)[0])
         assert v.lower_bounds == () and not v.passed
         for name, value in {**v.mpi_residuals, **v.derived_residuals}.items():
@@ -328,7 +328,7 @@ class TestEarlyFail:
     @pytest.mark.usefixtures("row_blocks")
     def test_lower_bounds_below_dense_residuals(self):
         w = dense_candidate(3, 6)
-        v = check_mpi_axioms(w)
+        v = check_mpi_axioms(Fixture(w))
         want = dense_residuals(*word_sets(w)[0])
         got = {**v.mpi_residuals, **v.derived_residuals}
         assert set(v.lower_bounds) == set(IDENTITY_WORDS)
@@ -342,10 +342,9 @@ class TestEarlyFail:
         w = corpus.group_mpu(corpus.cyclic_table(8))
         m = np.array(w.matrix)
         m[63, 63] += 1e-6
-        bad = Operator(w.space, m)
-        v = check_mpi_axioms(bad)
+        fx = Fixture(Operator(w.space, m))
+        v = check_mpi_axioms(fx)
         assert not v.passed
-        fx = Fixture(bad)
         ops = {"W": fx.w, "W*": fx.ws}
         failing = [name for name in IDENTITY_WORDS
                    if {**v.mpi_residuals, **v.derived_residuals}[name] >= RESIDUAL_TOL]
@@ -368,10 +367,9 @@ class TestEarlyFail:
         # perturbed as the reject workload perturbs them: every early-FAIL
         # residual lies in (FAIL_MARGIN tol, dense residual], every other
         # one is the dense residual
-        bad = reject_style(base, eps)
-        v = check_mpi_axioms(bad)
+        fx = Fixture(reject_style(base, eps))
+        v = check_mpi_axioms(fx)
         assert not v.passed
-        fx = Fixture(bad)
         want = dense_residuals(fx.three_leg, {"W": fx.w, "W*": fx.ws}, IDENTITY_WORDS,
                                evaluate=chain_word)
         got = {**v.mpi_residuals, **v.derived_residuals}
@@ -454,7 +452,7 @@ class TestBoundedWork:
     def test_passing_w_evaluates_only_the_axiom_words(self, evaluated):
         z4 = corpus.group_mpu(corpus.cyclic_table(4))
         w = corpus.conjugate_fixture(z4, corpus.random_unitary(4, np.random.default_rng(5)))
-        v = check_mpi_axioms(w)
+        v = check_mpi_axioms(Fixture(w))
         assert v.passed and v.lower_bounds == ()
         axiom_words = {word for name in MPI_AXIOMS for word in IDENTITY_WORDS[name]}
         assert len(axiom_words) == 8
@@ -484,7 +482,7 @@ class TestBoundedWork:
         else:
             bad = reject_style(base, eps)
         want, stopped = joint_evaluation(bad)
-        v = check_mpi_axioms(bad)
+        v = check_mpi_axioms(Fixture(bad))
         assert not v.passed and v.bounds == {}
         assert {**v.mpi_residuals, **v.derived_residuals} == want
         assert list(v.lower_bounds) == stopped

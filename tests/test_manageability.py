@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mpi_lab.context import Fixture
 from mpi_lab.manageability import (
+    MAX_Q_CANDIDATES,
     build_wtilde,
     check_hash_identities,
     check_manageability,
@@ -31,7 +33,7 @@ def q2():
 class TestBuildWtilde:
     def test_example_reshuffle(self, w_example, q2):
         # hand reshuffle of the two entries: Wt = e12- (x) e11 + e22- (x) e22
-        wt = build_wtilde(w_example, q2)
+        wt = build_wtilde(Fixture(w_example), q2)
         expected = np.kron(unit(2, 1, 2), unit(2, 1, 1)) + np.kron(
             unit(2, 2, 2), unit(2, 2, 2)
         )
@@ -40,14 +42,13 @@ class TestBuildWtilde:
         assert wt.space.legs[1].flavor == "H"
 
     def test_identity(self):
-        w = identity(space(2, 2))
-        wt = build_wtilde(w, identity(space(2)))
+        wt = build_wtilde(Fixture(identity(space(2, 2))), identity(space(2)))
         np.testing.assert_allclose(wt.matrix, np.eye(4), atol=1e-15)
 
     def test_z2_translation_form(self, w_z2, q2):
         # Wt = sum_g e_gg- (x) L_g: same 0/1 coefficients as W under the
         # bar identification (diagonal first-leg entries are symmetric)
-        wt = build_wtilde(w_z2, q2)
+        wt = build_wtilde(Fixture(w_z2), q2)
         expected = np.zeros((4, 4))
         for g in range(2):
             for h in range(2):
@@ -60,7 +61,7 @@ class TestBuildWtilde:
         # the grid identity hold by definition whenever Q is positive; check
         # with a non-identity Q
         q = Operator(space(4), np.diag([1.0, 2.0, 0.5, 1.5]))
-        wt = build_wtilde(w_pair2, q)
+        wt = build_wtilde(Fixture(w_pair2), q)
         n = 4
         eye = np.eye(n)
         qm = q.matrix
@@ -82,26 +83,27 @@ class TestBuildWtilde:
         assert worst < 1e-11
 
     def test_rejects_bad_q(self, w_example):
+        fx = Fixture(w_example)
         with pytest.raises(ValueError):
-            build_wtilde(w_example, Operator(space(2), np.diag([1.0, -1.0])))
+            build_wtilde(fx, Operator(space(2), np.diag([1.0, -1.0])))
         with pytest.raises(ValueError):
-            build_wtilde(w_example, Operator(space(2), unit(2, 1, 2)))
+            build_wtilde(fx, Operator(space(2), unit(2, 1, 2)))
 
 
 class TestCertificate:
     def test_z2(self, w_z2, q2):
-        cert = check_manageability(w_z2, q2)
+        cert = check_manageability(Fixture(w_z2), q2)
         assert cert.passed
         assert all(r < 1e-12 for r in cert.residuals.values())
 
     def test_identity_trivial(self):
-        cert = check_manageability(identity(space(2, 2)), identity(space(2)))
+        cert = check_manageability(Fixture(identity(space(2, 2))), identity(space(2)))
         assert cert.passed
 
     def test_example_certifies_with_identity(self, w_example, q2):
         # the 2x2 matrix-unit fixture turns out to be manageable with Q = 1
         # (recorded outcome of the certificate run; not claimed anywhere)
-        cert = check_manageability(w_example, q2)
+        cert = check_manageability(Fixture(w_example), q2)
         assert cert.passed
         assert all(r < 1e-12 for r in cert.residuals.values())
 
@@ -109,38 +111,39 @@ class TestCertificate:
         for name, w in corpus_fixtures.items():
             if name == "pair_groupoid_3":
                 continue  # covered in acceptance (slower grid)
-            q = identity(space(w.space.legs[0].dim))
-            cert = check_manageability(w, q)
+            fx = Fixture(w)
+            q = identity(space(fx.n))
+            cert = check_manageability(fx, q)
             assert cert.passed, (name, cert.residuals)
-            cons = inclusion_consequences(w, q)
+            cons = inclusion_consequences(fx, q)
             assert max(cons.values()) < 1e-12
 
     def test_flip_fails(self):
         from mpi_lab.tensor import flip
 
-        cert = check_manageability(flip(2), identity(space(2)))
+        cert = check_manageability(Fixture(flip(2)), identity(space(2)))
         assert not cert.passed
 
 
 class TestHashIdentities:
     @pytest.mark.parametrize("name", ["group_z2", "group_z3", "two_z2"])
     def test_corpus(self, corpus_fixtures, name):
-        w = corpus_fixtures[name]
-        q = identity(space(w.space.legs[0].dim))
-        wt = build_wtilde(w, q)
-        res = check_hash_identities(w, wt)
+        fx = Fixture(corpus_fixtures[name])
+        q = identity(space(fx.n))
+        wt = build_wtilde(fx, q)
+        res = check_hash_identities(fx, wt)
         assert max(res.values()) < 1e-11, (name, res)
 
     def test_identity_all_zero(self):
-        w = identity(space(2, 2))
+        fx = Fixture(identity(space(2, 2)))
         q = identity(space(2))
-        res = check_hash_identities(w, build_wtilde(w, q))
+        res = check_hash_identities(fx, build_wtilde(fx, q))
         assert max(res.values()) < 1e-14
 
     def test_slice_identity_oracle_z2(self, w_z2, q2):
         # independent check of the slice/transpose identity by direct pairing:
         # (id (x) w_{v,u})(W)^T entry (a,b) = <W(e_b (x) v), e_a-bar-pair...>
-        wt = build_wtilde(w_z2, q2)
+        wt = build_wtilde(Fixture(w_z2), q2)
         rng = np.random.default_rng(3)
         v = rng.standard_normal(2)
         u = rng.standard_normal(2)
@@ -155,17 +158,17 @@ class TestHashIdentities:
 class TestDualManageability:
     @pytest.mark.parametrize("name", ["group_z2", "group_z3", "pair_groupoid_2"])
     def test_formula_matches_construction(self, corpus_fixtures, name):
-        w = corpus_fixtures[name]
-        q = identity(space(w.space.legs[0].dim))
-        wt = build_wtilde(w, q)
-        cert, formula_res = dual_manageability(w, q, wt)
+        fx = Fixture(corpus_fixtures[name])
+        q = identity(space(fx.n))
+        wt = build_wtilde(fx, q)
+        cert, formula_res = dual_manageability(fx, q, wt)
         assert cert.passed
         assert formula_res < 1e-12
 
     def test_identity(self):
-        w = identity(space(2, 2))
+        fx = Fixture(identity(space(2, 2)))
         q = identity(space(2))
-        cert, res = dual_manageability(w, q, build_wtilde(w, q))
+        cert, res = dual_manageability(fx, q, build_wtilde(fx, q))
         assert cert.passed and res == 0.0
 
 
@@ -176,7 +179,7 @@ class TestTypedLegSafety:
         from mpi_lab.tensor import LegMismatchError, TensorSpace, embed, transpose_op
         from mpi_lab.tensor import LegSpec, HBAR
 
-        wt = build_wtilde(w_z2, q2)
+        wt = build_wtilde(Fixture(w_z2), q2)
         h = LegSpec(2, "H")
         hb = LegSpec(2, HBAR)
         with pytest.raises(LegMismatchError):
@@ -192,23 +195,23 @@ class TestTypedLegSafety:
 
 class TestSuggestQ:
     def test_z2_contains_identity(self, w_z2):
-        cands = suggest_q(w_z2)
+        fx = Fixture(w_z2)
+        cands = suggest_q(fx)
         assert any(
             np.allclose(c.matrix, np.eye(2)) for c in cands
         )
-        verdicts = [check_manageability(w_z2, c).passed for c in cands]
+        verdicts = [check_manageability(fx, c).passed for c in cands]
         assert any(verdicts)
 
     def test_identity_w(self):
-        cands = suggest_q(identity(space(2, 2)))
+        cands = suggest_q(Fixture(identity(space(2, 2))))
         assert np.allclose(cands[0].matrix, np.eye(2))
 
     def test_example_candidates_recorded(self, w_example):
-        cands = suggest_q(w_example)
+        fx = Fixture(w_example)
+        cands = suggest_q(fx)
         assert np.allclose(cands[0].matrix, np.eye(2))
-        outcomes = {
-            i: check_manageability(w_example, c).passed for i, c in enumerate(cands)
-        }
+        outcomes = {i: check_manageability(fx, c).passed for i, c in enumerate(cands)}
         # identity certifies for this fixture
         assert outcomes[0]
 
@@ -241,14 +244,25 @@ class TestSuggestQ:
 
         for name in ("example", "pair_groupoid_2", "two_z2", "z3_plus_trivial"):
             w = corpus_fixtures[name]
-            got = [c.matrix for c in suggest_q(w)]
+            got = [c.matrix for c in suggest_q(Fixture(w))]
             want = loop_candidates(w)
             assert len(got) == len(want), name
             for g, h in zip(got, want):
                 np.testing.assert_array_equal(g, h)
 
+    def test_candidates_capped(self):
+        # the zero W on C^4 (x) C^4 constrains nothing: its 4 null directions
+        # give 1 + 2 * 4 candidates, of which the first MAX_Q_CANDIDATES stay
+        cands = suggest_q(Fixture(Operator(space(4, 4), np.zeros((16, 16)))))
+        assert len(cands) == MAX_Q_CANDIDATES == 8
+        np.testing.assert_array_equal(cands[0].matrix, np.eye(4))
+        for c in cands:
+            d = np.diag(c.matrix)
+            np.testing.assert_array_equal(c.matrix, np.diag(d))
+            assert np.all(d > 0)
+
     def test_candidates_satisfy_cond1(self, w_pair2):
-        for c in suggest_q(w_pair2):
+        for c in suggest_q(Fixture(w_pair2)):
             qq = np.kron(c.matrix, c.matrix)
             assert (
                 np.linalg.norm(w_pair2.matrix @ qq - qq @ w_pair2.matrix) < 1e-9

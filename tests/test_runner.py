@@ -38,6 +38,11 @@ def test_corpus_check_ids_and_verdicts_pinned():
         assert got[fixture]["skips"] == want["skips"], fixture
 
 
+def test_unknown_level_refused(w_z2):
+    with pytest.raises(ValueError, match="unknown level 'coalgebras'"):
+        run_suite(w_z2, level="coalgebras")
+
+
 def test_every_axioms_entry_can_fail():
     # no axioms-level entry holds for every W: each one fails on a dense
     # random W
@@ -134,7 +139,7 @@ def test_dual_certificate_judged_at_the_context_tolerance():
     p, q = near_z3(), tensor.identity(tensor.space(3))
     for t in (1e-3, tensor.RESIDUAL_TOL, np.inf):
         assert Fixture(p, t).dual.tol == t
-    wt = build_wtilde(p, q)
+    wt = build_wtilde(Fixture(p), q)
     passed = {t: dual_manageability(Fixture(p, t), q, wt)[0].passed
               for t in (1e-3, tensor.RESIDUAL_TOL)}
     assert passed == {1e-3: True, tensor.RESIDUAL_TOL: False}
@@ -339,8 +344,8 @@ def test_density_spans_of_a_fixture_not_full_refit_nothing(w_example, monkeypatc
     squares = []
 
     class Recorded(coalgebra.TensorSquare):
-        def __init__(self, w):
-            super().__init__(w)
+        def __init__(self, fx):
+            super().__init__(fx)
             squares.append(self)
 
     monkeypatch.setattr(runner, "TensorSquare", Recorded)

@@ -267,8 +267,8 @@ def test_separability_triple_against_loop(pair2, mutant, wrong_q):
     ref["sigma_mu_conjugation"] = sig
     ref["rtilde_star"] = star_preservation(rt, n_basis)
     ref["rtilde_antimultiplicative"] = antimultiplicativity(rt, n_basis)
-    ref.update(_kappa_q_reference(mutant, wrong_q, build_wtilde(pair2, wrong_q)))
     wt = build_wtilde(pair2, wrong_q)
+    ref.update(_kappa_q_reference(mutant, wrong_q, wt))
     got = {**check_separability_triple(mutant), **kappa_q_checks(mutant, wrong_q, wt)}
     assert_matches(got, ref, min_large=11)
 
@@ -458,7 +458,7 @@ def test_leg_algebra_against_loop():
     x, y = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
     e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     w = Operator(space(2, 2), np.kron(x, e11) + np.kron(y, e22))
-    sub = leg_algebra(w, "A")
+    sub = leg_algebra(Fixture(w), "A")
     got = {"unit": sub.stack_residual(np.eye(2)[None]),
            "star": sub.stack_residual(adjoint(sub.stack)), "prod": sub.product_residual}
     ref = {
@@ -597,7 +597,7 @@ def test_range_and_density_against_dense_in_A2(pair2, monkeypatch):
                 _without_flip(monkeypatch, corpus.conjugate_fixture(example, u))]
     large = set()
     for fx in fixtures:
-        got = check_delta_range_and_density(fx)
+        got = check_delta_range_and_density(TensorSquare(fx))
         ref, ref_dims = range_and_density_dense(fx)
         assert got.dims == ref_dims
         assert list(got.residuals) == list(ref)
@@ -624,7 +624,7 @@ def test_range_and_density_bound_dense_off_A2(pair2, case):
     name, dim = case.split("_")
     w = pair2.w if name == "pair2" else identity(space(3, 3))
     fx = _generic_a(w, int(dim), seed=int(dim))
-    got = check_delta_range_and_density(fx)
+    got = check_delta_range_and_density(TensorSquare(fx))
     ref, ref_dims = range_and_density_dense(fx)
     assert list(got.residuals) == list(ref)
     for key, value in ref.items():
@@ -652,7 +652,7 @@ def test_range_bound_carries_E_off_A2():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     fx.__dict__["e"] = Operator(space(3, 3), m / np.linalg.norm(m, 2))
-    got = check_delta_range_and_density(fx).residuals
+    got = check_delta_range_and_density(TensorSquare(fx)).residuals
     ref, _ = range_and_density_dense(fx)
     assert ref["range_in_EA2"] > 0.1
     for key in ("range_in_EA2", "EA2_in_range"):
@@ -691,8 +691,8 @@ def dense_family(fx, key):
 class DenseSquare(TensorSquare):
     """A TensorSquare whose every family is the d^2-member reference."""
 
-    def __init__(self, w):
-        super().__init__(w)
+    def __init__(self, fx):
+        super().__init__(fx)
         self._dense = set(FAMILIES)
 
     def family(self, key):
@@ -703,7 +703,7 @@ def coalgebra_entries(square):
     """E_multiplier and the range and density entries of one side, at the
     tol of its context."""
     return {
-        "E_multiplier": check_canonical_idempotent(square).residuals["E_multiplier"],
+        "E_multiplier": check_canonical_idempotent(square)["E_multiplier"],
         **check_delta_range_and_density(square).residuals,
     }
 
@@ -816,7 +816,7 @@ def test_unit_residual_term_is_needed(monkeypatch):
     ref = max(dense_family(fx, k).membership for k in ("E_bc", "bc_E"))
     unit = TensorSquare._unit
     monkeypatch.setattr(TensorSquare, "_unit", lambda self, p, side: (unit(self, p, side)[0], 0.0))
-    got = check_canonical_idempotent(TensorSquare(fx)).residuals["E_multiplier"]
+    got = check_canonical_idempotent(TensorSquare(fx))["E_multiplier"]
     assert got < 1e-12 < 0.1 < ref
 
 
@@ -824,7 +824,7 @@ def test_example_escalates_and_passes(w_example):
     # A = span{e21, e22} has the left unit e22 and no right unit: the three
     # families with A factors on the left are refit member by member, and
     # every membership and range entry passes
-    square = TensorSquare(w_example)
+    square = TensorSquare(Fixture(w_example))
     got = coalgebra_entries(square)
     assert {"a1_deltab", "1a_deltab", "bc_E"} <= square._dense
     kept = {k: v for k, v in got.items() if not k.startswith("density_")}
@@ -870,7 +870,7 @@ def test_delta_homomorphism_against_difference():
         for b, db in zip(bst, deltas) for c, dc in zip(bst, deltas)
     )
     assert ref > 0.1
-    got = check_canonical_idempotent(fx).residuals["delta_homomorphism"]
+    got = check_canonical_idempotent(TensorSquare(fx))["delta_homomorphism"]
     np.testing.assert_allclose(got, ref, rtol=1e-10)
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from mpi_lab import tensor
 from mpi_lab.antipode import AssembledMap
 from mpi_lab.axioms import IDENTITY_WORDS
-from mpi_lab.context import as_fixture
 from mpi_lab.tensor import (
     RANK_TOL,
     LegWords,
@@ -84,10 +83,9 @@ def engine_word(ambient, ops, word):
     return out
 
 
-def identity_sides(w, name):
-    """Left and right side of one of the ten leg identities, as the
-    engine's matrices."""
-    fx = as_fixture(w)
+def identity_sides(fx, name):
+    """Left and right side of one of the ten leg identities of the context
+    fx, as the engine's matrices."""
     ops = {"W": fx.w, "W*": fx.ws}
     return tuple(engine_word(fx.three_leg, ops, word) for word in IDENTITY_WORDS[name])
 
@@ -109,11 +107,10 @@ def _assemble(sp, ins, outs):
     return AssembledMap(domain, coeffs.T, float(gap))
 
 
-def dual_antipode_maps(w, wtilde):
+def dual_antipode_maps(fx, wtilde):
     """(S-hat^{-1}, R_Ahat) on span A-hat, assembled from the left slices
-    y of W: S-hat^{-1} sends them to those of W*, R_Ahat to the
-    transposed-functional left slices of Wt*."""
-    fx = as_fixture(w)
+    y of the context's W: S-hat^{-1} sends them to those of W*, R_Ahat to
+    the transposed-functional left slices of Wt*."""
     y_star, y = fx.dual.right_slices, fx.left_slices
     wt_star = transpose_grid(all_left_slices(wtilde.adj))  # w^T = w_{e_b,e_a}
     return _assemble(fx.leg_space, y, y_star), _assemble(fx.leg_space, y, wt_star)
