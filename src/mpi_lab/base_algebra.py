@@ -19,7 +19,6 @@ import numpy as np
 from .context import Fixture
 from .tensor import (
     PD_TOL,
-    RESIDUAL_TOL,
     T_SAMPLES,
     LstsqSolver,
     Operator,
@@ -138,7 +137,6 @@ class KappaMap:
     residuals: np.ndarray
     product_values: np.ndarray
     product_residuals: np.ndarray
-    nullity: int
     antimultiplicativity: float
 
 
@@ -149,10 +147,10 @@ def kappa_map(fx: Fixture) -> KappaMap:
     solver, bs = fx.kappa_solver, fx.N.stack
     m = len(bs)
     vals, res = solver.solve_stack(np.concatenate([bs, pair_products(bs, bs)]))
-    solved = res[:m] < RESIDUAL_TOL
-    ok = (res[m:] < RESIDUAL_TOL) & np.repeat(solved, m) & np.tile(solved, m)
+    solved = res[:m] < fx.tol
+    ok = (res[m:] < fx.tol) & np.repeat(solved, m) & np.tile(solved, m)
     anti = max_gap(vals[m:][ok], reversed_products(vals[:m], vals[:m])[ok])
-    return KappaMap(vals[:m], res[:m], vals[m:], res[m:], solver.nullity, anti)
+    return KappaMap(vals[:m], res[:m], vals[m:], res[m:], anti)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +346,10 @@ def kappa_q_checks(fx: Fixture, q: Operator, wtilde: Operator) -> dict[str, floa
     vals, residuals = fx.kappa_solver.solve_stack(
         np.concatenate([adjoint(bs), qm @ bs @ qinv, all_right_slices(fx.e)])
     )
-    solved = residuals < RESIDUAL_TOL
+    solved = residuals < fx.tol
     v_adj, v_tb, v_e = vals[:m], vals[m : 2 * m], vals[2 * m :]
     ok_adj, ok_tb, ok_e = solved[:m], solved[m : 2 * m], solved[2 * m :]
-    ok_prod = kap.product_residuals < RESIDUAL_TOL
+    ok_prod = kap.product_residuals < fx.tol
     res: dict[str, float] = {}
     res["rkappa_star"] = max_gap(rk(v_adj)[ok_adj], adjoint(rk(v))[ok_adj])
     res["rkappa_antimultiplicative"] = max_gap(

@@ -32,15 +32,14 @@ class CheckReport:
     #: level -> wall time in ms, for each level that ran
     level_ms: dict[str, float] = field(default_factory=dict)
 
-    def add(self, check_id: str, residual: float, tol: float | None = None,
-            passed: bool | None = None) -> CheckEntry:
+    def add(self, check_id: str, residual: float, passed: bool | None = None) -> CheckEntry:
         if any(e.check_id == check_id for e in self.entries):
             raise ValueError(f"duplicate check id {check_id!r}")
         residual = float(residual)
         if residual < 0.0:
             raise ValueError(f"residual for {check_id} is negative")
         if passed is None:
-            passed = residual < (self.tolerance if tol is None else tol)
+            passed = residual < self.tolerance
         # a non-finite residual (overflow) is a failed check, never a pass
         passed = bool(passed) and math.isfinite(residual)
         entry = CheckEntry(check_id, passed, residual)

@@ -72,9 +72,9 @@ class _Run:
     bounds: dict = field(default_factory=dict)
     cert: ManageabilityCertificate | None = None
 
-    def add(self, results: dict, prefix: str = "", suffix: str = "", **kw):
+    def add(self, results: dict, prefix: str = "", suffix: str = ""):
         for key, val in results.items():
-            self.rep.add(f"{prefix}{key}{suffix}", val, **kw)
+            self.rep.add(f"{prefix}{key}{suffix}", val)
 
     def skip_from(self, level: str, reason: str) -> None:
         """Skip ``level`` and every later level this run wants."""
@@ -157,9 +157,9 @@ def _base(run: _Run) -> bool:
     run.add_if_full("L_eq_Lhat", l_res)
     if not run.full:
         rep.skip("base", "L = L-hat requires fullness; residual in properties")
-    rep.add("kappa_solves", max(fx.kappa.residuals), tol=1e-10)
+    rep.add("kappa_solves", max(fx.kappa.residuals))
     rep.add("kappa_antimultiplicative", fx.kappa.antimultiplicativity)
-    rep.properties["kappa_nullity"] = fx.kappa.nullity
+    rep.properties["kappa_nullity"] = fx.kappa_solver.nullity
     # a weight passes iff found, whatever tol; W <-> W-hat exchanges nu and
     # nu-hat and keeps fullness, so both are judged under fullness alone
     run.add_if_full("nu_found", fx.nu.normalization_residual, fx.nu.found)
@@ -202,10 +202,10 @@ def _manageability(run: _Run) -> bool:
     run.cert = cert
     q, wt = cert.q, cert.wtilde
     run.add(cert.residuals, prefix="manageability_")
-    run.add(check_hash_identities(fx, wt), tol=1e-10)
+    run.add(check_hash_identities(fx, wt))
     dual_cert, formula_gap = dual_manageability(fx, q, wt)
     rep.add("dual_certificate", max(dual_cert.residuals.values()))
-    rep.add("dual_wtilde_formula", formula_gap, tol=1e-12)
+    rep.add("dual_wtilde_formula", formula_gap)
     run.add(inclusion_consequences(fx, q))
     if fx.structure_reason is None:
         run.add(kappa_q_checks(fx, q, wt))

@@ -492,8 +492,6 @@ def chain(ambient: TensorSpace, *factors: tuple[Operator, Sequence[int]]) -> Ope
     """Product of embedded operators, right-to-left: chain(sp, (A,[1,2]), (B,[2,3]))
     is embed(A,[1,2]) @ embed(B,[2,3]).  Filled from the column blocks of
     LegWords, so the product is the only matrix of the ambient space formed."""
-    if not factors:
-        return identity(ambient)
     for op, legs in factors:  # before the legs are spelled as digits
         _check_embedding(op, legs, ambient)
     ops = {f"X{chr(97 + i)}": op for i, (op, _) in enumerate(factors)}

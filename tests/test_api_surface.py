@@ -28,7 +28,9 @@ default of a src function is passed by some call in src or ``bench/``,
 beyond ``UNPASSED_DEFAULTS``.  No src annotation is a union of a context
 type (``CONTEXT_TYPES``) with another type but None, and no src code
 tests for one with ``isinstance``: each check takes the run's context,
-never a bare operator in its place.
+never a bare operator in its place.  No src code reads the default
+tolerance ``RESIDUAL_TOL`` beyond ``DEFAULT_TOL_READERS``, which says why
+each reads it: every entry is judged at the run's tol, ``fx.tol``.
 """
 
 import ast
@@ -324,8 +326,6 @@ TOL_PARAMETERS: dict[str, str] = {
     "context.Fixture.__init__": "builds the context, which carries the run's tolerance",
     "runner.run_suite": "builds the context of its run at tol",
     "runner.corpus_suite": "builds every corpus fixture's context through run_suite",
-    "report.CheckReport.add": "the per-entry overrides 1e-10 and 1e-12 of the "
-    "report's tolerance",
 }
 
 
@@ -424,6 +424,10 @@ TOL_COMPARISONS: dict[str, str] = {
     "report.CheckReport.add": "each entry's verdict on the value it reports; an "
     "entry that reports a bound has passed takes_bound already",
     "cli._tol": "refuses a --tol that is not finite and > 0",
+    "base_algebra.kappa_map": "the exact solve residuals that choose the solved "
+    "right-hand sides, at the tol kappa_solves is judged at",
+    "base_algebra.kappa_q_checks": "the exact solve residuals that choose the solved "
+    "right-hand sides, at the tol kappa_solves is judged at",
 }
 #: the one function that lets a certified upper bound decide an entry
 BOUND_RULE = "axioms.takes_bound"
@@ -431,15 +435,16 @@ BOUND_RULE = "axioms.takes_bound"
 
 def tol_comparisons(src: Path) -> list[str]:
     """"module.qualname" of the innermost function enclosing each
-    comparison under ``src`` that reads ``tol`` as a name or an attribute,
-    ``BOUND_RULE`` aside."""
+    comparison under ``src`` that reads ``tol`` or ``tolerance`` (the
+    report's) as a name or an attribute, ``BOUND_RULE`` aside."""
     flagged = []
     for path in sorted(src.glob("*.py")):
         tree, owner = _parse(path), {}
         for qualname, node in functions(tree):  # an inner function overrides its outer
             owner.update(dict.fromkeys(map(id, ast.walk(node)), f"{path.stem}.{qualname}"))
         flagged += [owner.get(id(sub), path.stem) for sub in ast.walk(tree)
-                    if isinstance(sub, ast.Compare) and "tol" in references(sub)]
+                    if isinstance(sub, ast.Compare)
+                    and {"tol", "tolerance"} & set(references(sub))]
     return [f for f in dict.fromkeys(flagged) if f != BOUND_RULE]
 
 
@@ -590,3 +595,58 @@ def test_context_guard_flags_a_bare_operator_path(tmp_path):
     ):
         axioms.write_text(text.replace(check, signature) + body)
         assert [f.split(":")[0] for f in context_alternatives(tmp_path)] == ["axioms"], signature
+
+
+#: the default residual tolerance, which no check may read in place of fx.tol
+DEFAULT_TOL = "RESIDUAL_TOL"
+#: "module.qualname" of each src function that reads DEFAULT_TOL -> why
+DEFAULT_TOL_READERS: dict[str, str] = {
+    "context.Fixture.__init__": "the default tol of a context",
+    "runner.run_suite": "the default tol of a run",
+    "runner.corpus_suite": "the default tol of the corpus runs",
+    "cli.build_parser": "the default of --tol",
+    "corpus.conjugate_fixture": "refuses a u that is not unitary, an input "
+    "check made before any context exists",
+    "tensor.OperatorSubspace.unital": "describes a span that RANK_TOL cuts, so it "
+    "follows the rank cutoff, not the run's tol",
+    "tensor.OperatorSubspace.star_closed": "describes a span that RANK_TOL cuts, so "
+    "it follows the rank cutoff, not the run's tol",
+}
+
+
+def default_tol_readers(src: Path) -> list[str]:
+    """"module.qualname" of the innermost function enclosing each read of
+    ``DEFAULT_TOL`` under ``src``, as a name or an attribute (its
+    definition and imports aside), or the module for a read outside every
+    function."""
+    flagged = []
+    for path in sorted(src.glob("*.py")):
+        tree, owner = _parse(path), {}
+        for qualname, node in functions(tree):  # an inner function overrides its outer
+            owner.update(dict.fromkeys(map(id, ast.walk(node)), f"{path.stem}.{qualname}"))
+        flagged += [owner.get(id(sub), path.stem) for sub in ast.walk(tree)
+                    if isinstance(sub, ast.Name) and sub.id == DEFAULT_TOL
+                    and isinstance(sub.ctx, ast.Load)
+                    or isinstance(sub, ast.Attribute) and sub.attr == DEFAULT_TOL]
+    return list(dict.fromkeys(flagged))
+
+
+def test_every_entry_is_judged_at_the_run_tol():
+    found = default_tol_readers(SRC)
+    assert [f for f in found if f not in DEFAULT_TOL_READERS] == [], (
+        f"{DEFAULT_TOL} read outside the allow-list")
+    assert sorted(DEFAULT_TOL_READERS) == sorted(found), "stale allow-list entries"
+
+
+def test_default_tol_guard_flags_a_fixed_mask(tmp_path):
+    # a mutant whose kappa_map chooses its solved right-hand sides at the
+    # default tolerance again, whatever the run's tol
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    base = tmp_path / "base_algebra.py"
+    text = base.read_text()
+    mask = "solved = res[:m] < fx.tol"
+    assert mask in text
+    base.write_text(text.replace(mask, "solved = res[:m] < RESIDUAL_TOL"))
+    assert [f for f in default_tol_readers(tmp_path) if f not in DEFAULT_TOL_READERS] == [
+        "base_algebra.kappa_map"]

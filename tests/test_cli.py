@@ -59,11 +59,7 @@ def _drop_key(spec, key):
     return spec
 
 
-#: (spec, message) with exactly one violation each, so that the message
-#: does not depend on the order in which the validation visits the arrows.
-#: "g^-1 g != id" is left out: in a finite category an arrow with a right
-#: inverse has a two-sided one, so it fires only after another arrow has
-#: broken "g g^-1 = id", which fires first in some orders.
+#: (spec, message) with exactly one violation each
 BAD_SPECS = {
     "duplicate_arrow": (
         {**z_n_spec(2), "arrows": z_n_spec(2)["arrows"] * 2}, "duplicate arrow ids"),
@@ -130,6 +126,49 @@ class TestRefusedInput:
         path = write_json(tmp_path / "w.json", {**example_dict(), "flavors": ["H", "X"]})
         self.refused(tmp_path, capsys, ["check", path],
                      f"{path}: flavor must be 'H' or 'Hbar', got 'X'")
+
+
+def retract_spec():
+    """The category with a retract, given as a groupoid: g: s -> t and
+    r: t -> s with g r = 1t and r g = e, an idempotent that is not 1s.
+    g and r are each other's inverses, e its own, so r and e both break
+    g g^-1 = id."""
+    arrows = [["1s", "s", "s"], ["1t", "t", "t"], ["g", "s", "t"], ["r", "t", "s"],
+              ["e", "s", "s"]]
+    table = {("g", "r"): "1t", ("r", "g"): "e", ("e", "e"): "e", ("g", "e"): "g",
+             ("e", "r"): "r"}
+    src = {a: s for a, s, _ in arrows}
+    tgt = {a: t for a, _, t in arrows}
+    compose = []
+    for a, _, _ in arrows:
+        for b, _, _ in arrows:
+            if src[a] == tgt[b]:
+                ab = a if b in ("1s", "1t") else b if a in ("1s", "1t") else table[(a, b)]
+                compose.append([a, b, ab])
+    return {"units": ["s", "t"], "arrows": arrows, "compose": compose,
+            "inverse": {"1s": "1s", "1t": "1t", "g": "r", "r": "g", "e": "e"}}
+
+
+def test_refused_spec_message_follows_the_spec_alone(tmp_path):
+    # the validation visits the arrows in the spec's order, never in a set's,
+    # which follows the hash seed: the first arrow to break g g^-1 = id is r
+    import os
+    import subprocess
+    import sys
+
+    path = write_json(tmp_path / "spec.json", retract_spec())
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "mpi_lab", "gen", "groupoid", "--spec", path,
+             "--out", str(tmp_path / f"w{seed}.json")],
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        for seed in range(6)
+    ]
+    errors = [run.communicate(timeout=120)[1] for run in runs]
+    assert [run.returncode for run in runs] == [EXIT_INPUT_ERROR] * 6
+    assert set(errors) == {f"error: invalid groupoid spec {path}: g g^-1 != id at r\n"}
 
 
 class TestLoadOperator:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from mpi_lab.axioms import IDENTITY_WORDS
 from mpi_lab.context import Fixture
 from mpi_lab.manageability import (
+    COMPOSABILITY_WORDS,
     MAX_Q_CANDIDATES,
     build_wtilde,
     check_hash_identities,
@@ -12,11 +14,18 @@ from mpi_lab.manageability import (
     suggest_q,
 )
 from mpi_lab.tensor import (
+    H,
     HBAR,
+    LegSpec,
+    LegWords,
     Operator,
+    TensorSpace,
     identity,
     space,
+    transpose_op,
 )
+
+from test_coalgebra import perturbed
 
 
 def unit(n, i, j):
@@ -153,6 +162,38 @@ class TestHashIdentities:
         lhs = slice_matrix(wt.matrix, 2, 2, "right", f)  # Q = 1
         rhs = slice_matrix(w_z2.matrix, 2, 2, "right", f).T
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    #: the axiom each hash identity restates at Q = 1: Wtilde is then the
+    #: leg-1 partial transpose of W, and the leg-12 partial transpose, which
+    #: permutes entries, maps the mpi2 (mpi4) gap onto the hash1 (hash2) gap
+    RESTATED = {"hash1": "mpi2", "hash2": "mpi4"}
+
+    @staticmethod
+    def frobenius_gaps(words):
+        """||L - R||_F of each pair of a LegWords engine, summed from its
+        column blocks."""
+        sums = {name: 0.0 for name in words.pairs}
+        for cols in words.column_blocks:
+            for name, (gap, _) in words.block_norms(cols, words.pairs).items():
+                sums[name] += gap
+        return {name: np.sqrt(gap) for name, gap in sums.items()}
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-3, 0.3])
+    def test_hash_gaps_are_the_axiom_gaps_at_q_one(self, corpus_fixtures, eps):
+        # only the gaps: the residuals divide by ||L||, which differs
+        for i, (name, w) in enumerate(corpus_fixtures.items()):
+            fx = Fixture(perturbed(w, eps, i))
+            wt = build_wtilde(fx, identity(space(fx.n)))
+            wtop = transpose_op(fx.w)
+            ops = {"W": fx.w, "W*": fx.ws, "Wt": wt, "Wt*": wt.adj, "WT": wtop,
+                   "WT*": wtop.adj}
+            amb = TensorSpace(tuple(LegSpec(fx.n, f) for f in (HBAR, HBAR, H)))
+            hashes = self.frobenius_gaps(LegWords(
+                amb, ops, {h: COMPOSABILITY_WORDS[h][1:] for h in self.RESTATED}))
+            axioms = self.frobenius_gaps(LegWords(
+                fx.three_leg, ops, {m: IDENTITY_WORDS[m] for m in self.RESTATED.values()}))
+            for h, m in self.RESTATED.items():
+                assert hashes[h] == pytest.approx(axioms[m], rel=1e-8), (name, h)
 
 
 class TestDualManageability:

@@ -16,6 +16,8 @@ from mpi_lab.context import Fixture
 from mpi_lab.manageability import build_wtilde, dual_manageability
 from mpi_lab.runner import builtin_corpus, corpus_suite, run_suite
 
+from test_coalgebra import perturbed
+
 # Ordered check ids with pass flags, and ordered skips, of every corpus
 # report for seed 7, recorded before the runner was rebuilt on the
 # fixture context.  No residuals are stored, so the file holds at any
@@ -149,15 +151,41 @@ def test_dual_certificate_judged_at_the_context_tolerance():
     strict=True,
     raises=AssertionError,
     reason="span ranks are cut at RANK_TOL whatever the run's tolerance, so "
-    "a perturbation that passes the axioms at a loose tol turns A into M_3",
+    "a perturbation that passes the axioms at tol, loose or the default, "
+    "widens A: Z_3 at tol 1e-3 into M_3, pair_groupoid_2 at 1e-9 to dim 8",
 )
-def test_loose_tolerance_checks_the_same_algebra():
-    # Z_3 within 1e-6 of an MPI passes every axiom at tol = 1e-3; the leg
-    # algebra it is judged on should then be Z_3's, of dimension 3
-    p = near_z3()
-    if not check_mpi_axioms(Fixture(p, 1e-3)).passed:  # not an AssertionError: a real failure
-        pytest.fail("the perturbed Z_3 no longer passes the axioms at tol 1e-3")
-    assert run_suite(p, tol=1e-3).properties["coalgebra_dims_primal"]["A"] == 3
+@pytest.mark.parametrize("near, tol, dim_a", [
+    (near_z3, 1e-3, 3),
+    (lambda: perturbed(BUILTIN["pair_groupoid_2"], 2e-10, 402), tensor.RESIDUAL_TOL, 4),
+], ids=["group_z3_at_1e-3", "pair_groupoid_2_at_the_default_tol"])
+def test_loose_tolerance_checks_the_same_algebra(near, tol, dim_a):
+    # W near an MPI passes every axiom at tol; the leg algebra it is judged
+    # on should then be the MPI's
+    p = near()
+    if not check_mpi_axioms(Fixture(p, tol)).passed:  # not an AssertionError: a real failure
+        pytest.fail(f"the perturbed W no longer passes the axioms at tol {tol}")
+    assert run_suite(p, tol=tol).properties["coalgebra_dims_primal"]["A"] == dim_a
+
+
+#: the kappa solves and the hash identities, whose gaps near an MPI are of
+#: the axioms' size (at Q = 1 hash1 and hash2 restate mpi2 and mpi4)
+RESTATEMENTS = {"kappa_solves", "hash1", "hash2", "hash3"}
+
+
+def test_no_report_fails_a_restatement_alone():
+    # each small corpus fixture perturbed by 5e-11, 1e-10 and 2e-10 relative,
+    # at the default tol: every entry is judged at the run's tol, so these
+    # fail only beside an entry that is no restatement
+    alone = []
+    for i, (name, w) in enumerate(BUILTIN.items()):
+        if w.space.legs[0].dim > 4:
+            continue
+        for j, eps in enumerate((5e-11, 1e-10, 2e-10)):
+            rep = run_suite(perturbed(w, eps, 100 * i + j), fixture_id=name)
+            failed = {e.check_id for e in rep.entries if not e.passed}
+            if failed and failed <= RESTATEMENTS:
+                alone.append((name, eps, sorted(failed)))
+    assert alone == []
 
 
 @pytest.mark.parametrize("name", list(BUILTIN))
