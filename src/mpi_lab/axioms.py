@@ -14,8 +14,9 @@ lower bound on the full residual, above FAIL_MARGIN * tol, and its id is
 listed in ``MpiVerdict.lower_bounds``.  When the axioms pass with every
 block summed, ``dependent_bounds`` turns their exact Frobenius gaps,
 that of W W* W = W and ||W||_2 into certified bounds on mpi5-mpi10, on
-the primal E-leg identities of the coalgebra level and on every
-coassociativity residual (``MpiVerdict.bounds``).  An entry takes its
+the E-leg identities of the coalgebra level on both sides, on every
+coassociativity residual and on hash1 and hash2 of the manageability
+level (``MpiVerdict.bounds``).  An entry takes its
 bound when ``takes_bound`` says the bound decides it; every other
 derived identity is evaluated on the same engine, so a PASS may rest on
 a bound and a FAIL never does.
@@ -50,9 +51,10 @@ class MpiVerdict:
     #: ids whose residual is a certified lower bound (an early FAIL)
     lower_bounds: tuple[str, ...] = ()
     #: ``dependent_bounds``: a certified bound on the gap of each identity
-    #: that follows from the axioms and on every coassociativity residual
-    #: of W and of W-hat; empty unless the verdict passed with mpi1-mpi4
-    #: summed over every block
+    #: that follows from the axioms, on the E-leg gaps of W and of W-hat,
+    #: on every coassociativity residual of both and, per unit kappa(Q), on
+    #: the hash1 and hash2 gaps; empty unless the verdict passed with
+    #: mpi1-mpi4 summed over every block
     bounds: dict[str, float] = field(default_factory=dict)
 
 
@@ -162,7 +164,14 @@ def dependent_bounds(gaps: AxiomGaps) -> dict[str, float]:
       mpi10: -W23 D8* - D1 W*13 (W12 W*23 W*13 = W*23 W12 - D8*),
       E_legs_commute:      E12 E23 - E23 E12 = D3* W12 - W*12 D3,
       E_legs_product_form: E12 E23 - W*12 E23 W12 = -W*12 D3,
-    and ||X Y||_F <= ||X||_2 ||Y||_F bounds each term.  A relative
+    and ||X Y||_F <= ||X||_2 ||Y||_F bounds each term.  W-hat = Sigma W* Sigma
+    has E-hat = Sigma G Sigma and the same s, and its mpi3 gap is -D4* with
+    legs 1 and 3 exchanged, so the ``_dual`` E-leg bounds take g4 for g3.
+    With Wtilde the leg-1 partial transpose of (1 (x) Q^-1) W (1 (x) Q), the
+    hash1 and hash2 gaps are T12(Q3^-1 D2 Q3) and T12(Q3^-1 D4 Q3), T12 the
+    partial transpose on legs 1 and 2 (it reverses the order of the factors
+    on those legs and permutes entries); so they are at most kappa(Q) g2 and
+    kappa(Q) g4, and their bounds here are per unit kappa(Q).  A relative
     residual, the gap over max(1, ||L||_F), is at most its gap.  The
     coassociativity bound is beta of ``coalgebra.coassociativity_residual``
     on the bounds of mpi5 and mpi6, as beta grows with both gaps."""
@@ -178,6 +187,9 @@ def dependent_bounds(gaps: AxiomGaps) -> dict[str, float]:
     b["mpi10"] = s * b["mpi8"] + s * g1
     b["E_legs_commute"] = 2.0 * s * g3
     b["E_legs_product_form"] = s * g3
+    b["E_legs_commute_dual"] = 2.0 * s * g4
+    b["E_legs_product_form_dual"] = s * g4
+    b["hash1"], b["hash2"] = g2, g4
     b["coassociativity"] = s**3 * (p + b["mpi6"] + 2.0 * b["mpi5"]) + b["mpi5"] ** 2
     return {name: float(value) for name, value in b.items()}
 

@@ -29,8 +29,9 @@ bounds from the axiom gaps: so those bounds and ||W||_2 bound every
 matrix unit's residual (``MpiVerdict.bounds["coassociativity"]``; the
 derivation is at ``coassociativity_residual``).  W-hat has the same
 three gaps and the same ||W||_2, so one bound serves both sides.  The
-E-leg gaps of W are products with the mpi3 gap, bounded alike; those of
-W-hat are evaluated, as they check W-hat's own construction.  Only a
+E-leg gaps of W are products with the mpi3 gap, bounded alike, and those
+of W-hat with W-hat's mpi3 gap, which is W's mpi4 gap with legs 1 and 3
+exchanged; W-hat itself is ``context.what``, Sigma W* Sigma.  Only a
 bound that ``axioms.takes_bound`` rejects sends an entry to the exact
 evaluation: for coassociativity over all matrix units at once, in O(n^8),
 from QR-reduced blocks of the three-leg products, so no difference of
@@ -335,9 +336,10 @@ def check_canonical_idempotent(sq: TensorSquare,
     multiplicative on A, and the leg commutation identities with A and
     A-hat.  E = Delta(1) and Delta(x*) = Delta(x)* hold for every W by
     the definition Delta(x) = W*(1 (x) x)W, so they are not measured.
-    ``bounds`` holds certified bounds on E_LEG_WORDS gaps
-    (``MpiVerdict.bounds`` of this side's W): an E-leg entry whose bound
-    ``takes_bound`` accepts reports it, and every other one is evaluated."""
+    ``bounds`` holds certified bounds on E_LEG_WORDS gaps (W's
+    ``MpiVerdict.bounds``, its ``_dual`` ones on W-hat's side): an E-leg
+    entry whose bound ``takes_bound`` accepts reports it, and every other
+    one is evaluated."""
     fx, bst = sq.fx, sq.basis
     e, g = fx.e.matrix, fx.g.matrix
     bounds = bounds or {}

@@ -23,6 +23,7 @@ from itertools import groupby
 
 import numpy as np
 
+from .axioms import takes_bound
 from .context import Fixture
 from .tensor import (
     T_SAMPLES,
@@ -135,9 +136,20 @@ def check_manageability(fx: Fixture, q: Operator) -> ManageabilityCertificate:
     return ManageabilityCertificate(q=q, wtilde=wt, residuals=res, passed=passed)
 
 
-def check_hash_identities(fx: Fixture, wt: Operator) -> dict[str, float]:
-    """The three composability identities on Hbar (x) Hbar (x) H."""
-    return _composability(fx, wt, ("hash1", "hash2", "hash3"))
+def check_hash_identities(fx: Fixture, q: Operator, wt: Operator,
+                          bounds: dict[str, float] | None = None) -> dict[str, float]:
+    """The three composability identities on Hbar (x) Hbar (x) H.  The gaps
+    of hash1 and hash2 are at most kappa(Q) = lambda_max/lambda_min times
+    ``bounds`` (``MpiVerdict.bounds``; derived at ``axioms.dependent_bounds``):
+    an entry whose bound ``takes_bound`` accepts reports it, and every other
+    one, hash3 among them, is evaluated."""
+    vals = fx.q_data(q).vals
+    kappa = vals.max() / vals.min()
+    names, bounds = ("hash1", "hash2", "hash3"), bounds or {}
+    bound = {name: float(kappa * bounds.get(name, np.inf)) for name in names}
+    exact = _composability(fx, wt, tuple(name for name in names
+                                         if not takes_bound(bound[name], fx)))
+    return {name: exact.get(name, bound[name]) for name in names}
 
 
 def dual_manageability(fx: Fixture, q: Operator,

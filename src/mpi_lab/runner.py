@@ -126,11 +126,12 @@ def _coalgebra(run: _Run) -> bool:
         }
     for side, sfx in (("primal", fx), ("dual", fx.dual)):
         # W-hat has the coassociativity gaps of W, so that bound serves both
-        # sides; the E-leg bounds serve W alone
+        # sides; its E-leg gaps are W's with g4 for g3, the "_dual" bounds
         rep.add(f"coassociativity_{side}",
                 coassociativity_residual(sfx, run.bounds.get("coassociativity", np.inf)))
         square = TensorSquare(sfx)  # this side's A (x) A data, shared by two checks
-        e_bounds = run.bounds if side == "primal" else None
+        e_bounds = run.bounds if side == "primal" else {
+            k.removesuffix("_dual"): b for k, b in run.bounds.items() if k.endswith("_dual")}
         run.add(check_canonical_idempotent(square, e_bounds), suffix=f"_{side}")
         # density spans are meaningful only under fullness; dims still reported
         rng = check_delta_range_and_density(square, run.full)
@@ -202,7 +203,7 @@ def _manageability(run: _Run) -> bool:
     run.cert = cert
     q, wt = cert.q, cert.wtilde
     run.add(cert.residuals, prefix="manageability_")
-    run.add(check_hash_identities(fx, wt))
+    run.add(check_hash_identities(fx, q, wt, run.bounds))
     dual_cert, formula_gap = dual_manageability(fx, q, wt)
     rep.add("dual_certificate", max(dual_cert.residuals.values()))
     rep.add("dual_wtilde_formula", formula_gap)

@@ -334,8 +334,9 @@ class LegWords:
     W_12 W_13 W_23 costs n^8: per block, mpi1-mpi4 take 8 starts and 2
     tensordots, mpi5-mpi10 12 and 3, the E-leg words 4 and 1, and each
     composability pair 2 starts, plus 1 tensordot for hash1 and hash3.  A
-    passing W evaluates only mpi1-mpi4; the rest of the ten and the E-leg
-    words of W then take bounds (``axioms.dependent_bounds``).
+    passing W evaluates of these only mpi1-mpi4, cond3a, cond3b and hash3;
+    the rest of the ten, the E-leg words of W and of W-hat, hash1 and hash2
+    then take bounds (``axioms.dependent_bounds``).
     ``block`` evaluates one word right to left, and ``block_norms`` gives
     ||(L - R)_S||^2 and ||L_S||^2 per pair from those blocks, with L - R
     formed, so no difference of squared norms is taken; summed over

@@ -220,7 +220,7 @@ class TestCriterion4Manageability:
             assert cert.residuals["cond3a"] < 1e-10, name
             assert cert.residuals["cond3b"] < 1e-10, name
             assert cert.passed, name
-            hashes = check_hash_identities(fx, cert.wtilde)
+            hashes = check_hash_identities(fx, q, cert.wtilde)
             assert max(hashes.values()) < 1e-10, (name, hashes)
             _, formula_gap = dual_manageability(fx, q, cert.wtilde)
             assert formula_gap < 1e-12, name

@@ -16,8 +16,20 @@ from mpi_lab.axioms import (
 )
 from mpi_lab.coalgebra import E_LEG_WORDS, _coassoc_residuals
 from mpi_lab.context import Fixture, what
+from mpi_lab.manageability import COMPOSABILITY_WORDS, build_wtilde, check_hash_identities
 from mpi_lab.runner import run_suite
-from mpi_lab.tensor import RESIDUAL_TOL, LegWords, Operator, embed, flip, identity, space
+from mpi_lab.tensor import (
+    RESIDUAL_TOL,
+    LegSpec,
+    LegWords,
+    Operator,
+    TensorSpace,
+    embed,
+    flip,
+    identity,
+    space,
+    transpose_op,
+)
 from word_references import identity_sides, kron_word
 
 
@@ -292,10 +304,38 @@ def bound_candidates():
 BOUND_CANDIDATES = bound_candidates()
 
 
+def hash_gaps(fx, wt):
+    """Frobenius gaps of hash1 and hash2 for W and its Wtilde, each side a
+    dense matrix."""
+    wtop = transpose_op(fx.w)
+    ops = {"Wt": wt, "Wt*": wt.adj, "WT": wtop, "WT*": wtop.adj}
+    out = {}
+    for key in ("hash1", "hash2"):
+        flavors, left, right = COMPOSABILITY_WORDS[key]
+        amb = TensorSpace(tuple(LegSpec(fx.n, f) for f in flavors))
+        out[key] = np.linalg.norm(kron_word(amb, ops, left) - kron_word(amb, ops, right))
+    return out
+
+
+def random_positive_q(n, kappa, rng):
+    """A positive Q on C^n with eigenvalues spread from 1 to kappa, in a
+    random eigenbasis."""
+    u = corpus.random_unitary(n, rng).matrix
+    m = (u * np.geomspace(1.0, kappa, n)) @ u.conj().T
+    return Operator(space(n), (m + m.conj().T) / 2)
+
+
+def covers(value, bound):
+    # the product-form bounds are tight: allow the dense evaluation's
+    # rounding, which the program's FAIL_MARGIN covers
+    return value <= bound * (1.0 + 1e-12) + 1e-13
+
+
 class TestDependentBounds:
     """axioms.dependent_bounds against the exact gaps: every identity that
     takes a bound, each side a dense matrix (word_references.kron_word),
-    and the exact coassociativity maximum of W and of W-hat."""
+    the E-leg gaps of W-hat, hash1 and hash2 at Q = 1 and at Q != 1, and
+    the exact coassociativity maximum of W and of W-hat."""
 
     @pytest.mark.parametrize("name", list(BOUND_CANDIDATES))
     def test_bounds_cover_the_exact_gaps(self, name):
@@ -304,18 +344,42 @@ class TestDependentBounds:
         # verdict carries its bounds
         bounds = check_mpi_axioms(Fixture(w, tol=np.inf)).bounds
         words = {**{k: IDENTITY_WORDS[k] for k in DERIVED_IDENTITIES}, **E_LEG_WORDS}
-        assert sorted(bounds) == sorted([*words, "coassociativity"])
+        dual_words = {f"{k}_dual": pair for k, pair in E_LEG_WORDS.items()}
+        assert sorted(bounds) == sorted([*words, *dual_words, "hash1", "hash2",
+                                         "coassociativity"])
         fx = Fixture(w)
-        ops = {"W": fx.w, "W*": fx.ws, "E": fx.e}
-        exact = {key: np.linalg.norm(kron_word(fx.three_leg, ops, left)
-                                     - kron_word(fx.three_leg, ops, right))
-                 for key, (left, right) in words.items()}
+        exact = {}
+        for sfx, table in ((fx, words), (fx.dual, dual_words)):
+            ops = {"W": sfx.w, "W*": sfx.ws, "E": sfx.e}
+            exact.update((key, np.linalg.norm(kron_word(fx.three_leg, ops, left)
+                                              - kron_word(fx.three_leg, ops, right)))
+                         for key, (left, right) in table.items())
+        # at Q = 1, kappa(Q) = 1
+        exact.update(hash_gaps(fx, build_wtilde(fx, identity(fx.leg_space))))
         exact["coassociativity"] = max(_coassoc_residuals(fx).max(),
                                        _coassoc_residuals(fx.dual).max())
         for key, value in exact.items():
-            # the product-form bound is tight: allow the dense evaluation's
-            # rounding, which the program's FAIL_MARGIN covers
-            assert value <= bounds[key] * (1.0 + 1e-12) + 1e-13, (key, value / bounds[key])
+            assert covers(value, bounds[key]), (key, value / bounds[key])
+
+    @pytest.mark.parametrize("kappa", [2.0, 6.0, 40.0])
+    def test_hash_entries_cover_the_gaps_at_q_not_one(self, kappa):
+        # the entries check_hash_identities reports from the bounds (at
+        # tol = inf every finite bound decides) cover the exact gaps for a
+        # random positive Q of condition number kappa; on some candidate a
+        # gap exceeds its bound per unit kappa(Q), so the factor is needed
+        per_unit = []
+        for i, (name, w) in enumerate(BOUND_CANDIDATES.items()):
+            fx = Fixture(w, tol=np.inf)
+            q = random_positive_q(fx.n, kappa, np.random.default_rng(i))
+            wt = build_wtilde(fx, q)
+            bounds = check_mpi_axioms(fx).bounds
+            got = check_hash_identities(fx, q, wt, bounds)
+            for key, gap in hash_gaps(fx, wt).items():
+                assert got[key] == pytest.approx(kappa * bounds[key], rel=1e-10), (name, key)
+                assert covers(gap, got[key]), (name, key, gap / got[key])
+                if bounds[key] > 0.0:
+                    per_unit.append(gap / bounds[key])
+        assert max(per_unit) > 1.0
 
     def test_no_bound_for_a_failing_w(self, w_z3):
         w = Operator(w_z3.space, w_z3.matrix + 1e-3)

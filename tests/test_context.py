@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from mpi_lab import context, corpus
 from mpi_lab.context import Fixture, what
 from mpi_lab.tensor import Operator, identity, space
 
@@ -58,3 +61,40 @@ class TestFixture:
         with pytest.raises(ValueError):
             Fixture(w_z3).q_data(identity(space(2)))
 
+
+
+def sigma_w_star_sigma(m):
+    """Sigma W* Sigma by numpy alone: the conjugate transpose of W, its two
+    legs then exchanged on rows and on columns."""
+    n = math.isqrt(len(m))
+    return m.conj().T.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+
+
+def dual_mismatches(ws):
+    """Names whose context's W-hat is not Sigma W* Sigma bit for bit."""
+    out = []
+    for name, w in ws.items():
+        got, want = Fixture(w).dual.w.matrix, sigma_w_star_sigma(w.matrix)
+        if not (got.dtype == want.dtype and np.array_equal(got, want)):
+            out.append(name)
+    return out
+
+
+class TestWhat:
+    """W-hat is built in one place, ``context.what``.  The dual entries that
+    take their bounds from W's own axiom gaps (coassociativity and the E-leg
+    identities of W-hat) cannot see a wrong W-hat, so it is compared here
+    with an independent Sigma W* Sigma."""
+
+    @pytest.fixture
+    def candidates(self, corpus_fixtures):
+        pair2 = corpus_fixtures["pair_groupoid_2"]
+        u = corpus.random_unitary(4, np.random.default_rng(30))
+        return {**corpus_fixtures, "pair_groupoid_2_conj": corpus.conjugate_fixture(pair2, u)}
+
+    def test_dual_is_sigma_w_star_sigma(self, candidates):
+        assert dual_mismatches(candidates) == []
+
+    def test_w_star_for_w_hat_is_caught(self, candidates, monkeypatch):
+        monkeypatch.setattr(context, "what", lambda v: v.adj)
+        assert dual_mismatches(candidates) == list(candidates)

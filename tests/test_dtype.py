@@ -43,7 +43,7 @@ def level_entries(m, q):
     wt = manageability.build_wtilde(fx, q)
     dual_cert, formula_gap = manageability.dual_manageability(fx, q, wt)
     manage = {**manageability.check_manageability(fx, q).residuals,
-              **manageability.check_hash_identities(fx, wt),
+              **manageability.check_hash_identities(fx, q, wt),
               **{f"dual_{k}": v for k, v in dual_cert.residuals.items()},
               "dual_wtilde_formula": formula_gap,
               **manageability.inclusion_consequences(fx, q)}

@@ -137,7 +137,7 @@ class TestAgainstDense:
         for name in E_LEG_WORDS:
             assert can[name] == pytest.approx(want_e[name], rel=1e-12), name
         q = Operator(space(3), np.diag([1.0, 2.0, 0.5]))
-        got = {**check_hash_identities(fx, build_wtilde(fx, q)),
+        got = {**check_hash_identities(fx, q, build_wtilde(fx, q)),
                **check_manageability(fx, q).residuals}
         for ambient, ops, pairs in word_sets(w)[2:]:
             for name, value in dense_residuals(ambient, ops, pairs).items():
@@ -449,25 +449,54 @@ class TestBoundedWork:
         monkeypatch.setattr(LegWords, "block", recorded)
         return seen
 
+    #: the words whose entries a passing W takes from its bounds beyond
+    #: mpi5-mpi10: the E-leg words of both sides, hash1 and hash2
+    BOUNDED_WORDS = {word for pair in (*E_LEG_WORDS.values(), COMPOSABILITY_WORDS["hash1"][1:],
+                                       COMPOSABILITY_WORDS["hash2"][1:]) for word in pair}
+
     def test_passing_w_evaluates_only_the_axiom_words(self, evaluated):
         z4 = corpus.group_mpu(corpus.cyclic_table(4))
-        w = corpus.conjugate_fixture(z4, corpus.random_unitary(4, np.random.default_rng(5)))
-        v = check_mpi_axioms(Fixture(w))
-        assert v.passed and v.lower_bounds == ()
+        z4_conj = corpus.conjugate_fixture(z4, corpus.random_unitary(4, np.random.default_rng(5)))
         axiom_words = {word for name in MPI_AXIOMS for word in IDENTITY_WORDS[name]}
         assert len(axiom_words) == 8
-        assert [words for words in evaluated.values()] == [axiom_words]
-        for name in DERIVED_IDENTITIES:
-            assert v.derived_residuals[name] == v.bounds[name] < RESIDUAL_TOL / FAIL_MARGIN, name
-        # the coalgebra level: the primal E-leg entries are the bounds, and
-        # one engine, the dual side's, evaluates E-leg words
+        for w in (z4_conj, corpus.groupoid_mpi(corpus.pair_groupoid(2))):
+            evaluated.clear()
+            v = check_mpi_axioms(Fixture(w))
+            assert v.passed and v.lower_bounds == ()
+            assert [words for words in evaluated.values()] == [axiom_words]
+            for name in DERIVED_IDENTITIES:
+                assert v.derived_residuals[name] == v.bounds[name] < RESIDUAL_TOL / FAIL_MARGIN
+            # the later levels at the certified Q = 1: the E-leg entries of
+            # both sides, hash1 and hash2 are their bounds, and no engine
+            # evaluates their words; hash3 is evaluated
+            evaluated.clear()
+            rep = run_suite(w, level="manageability")
+            assert rep.properties["q_candidates"]["tested"] == 1
+            res = {e.check_id: e.residual for e in rep.entries}
+            seen = set().union(*evaluated.values())
+            assert not seen & self.BOUNDED_WORDS
+            assert set(COMPOSABILITY_WORDS["hash3"][1:]) <= seen
+            for name in E_LEG_WORDS:
+                assert res[f"{name}_primal"] == v.bounds[name], name
+                assert res[f"{name}_dual"] == v.bounds[f"{name}_dual"], name
+            for name in ("hash1", "hash2"):
+                assert res[name] == v.bounds[name], name
+
+    def test_undecided_bounds_evaluate_the_words(self, evaluated):
+        # a tol above every residual the axioms and the certificate of
+        # Q = 1 read, but below FAIL_MARGIN times each bound: W passes and
+        # is managed at Q = 1, no bound decides, and every bounded word is
+        # evaluated
+        w = reject_style("group_z4", 1e-6)
+        loose = Fixture(w, tol=np.inf)
+        v = check_mpi_axioms(loose)
+        cert = check_manageability(loose, Operator(loose.leg_space, np.eye(4)))
+        tol = 1.5 * max(v.pi_residual, *v.mpi_residuals.values(), *cert.residuals.values())
+        assert FAIL_MARGIN * min(v.bounds.values()) >= tol
         evaluated.clear()
-        rep = run_suite(w, level="coalgebra")
-        res = {e.check_id: e.residual for e in rep.entries}
-        e_words = {word for pair in E_LEG_WORDS.values() for word in pair}
-        assert [words & e_words for words in evaluated.values() if words & e_words] == [e_words]
-        for name in E_LEG_WORDS:
-            assert res[f"{name}_primal"] == v.bounds[name], name
+        rep = run_suite(w, level="manageability", tol=tol)
+        assert rep.properties["q_candidates"]["tested"] == 1
+        assert self.BOUNDED_WORDS <= set().union(*evaluated.values())
 
     @pytest.mark.parametrize("base, eps", [
         *((base, eps) for base in ("group_z4", "Z_8", "pair_groupoid_3", "Z_10")

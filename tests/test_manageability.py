@@ -140,13 +140,13 @@ class TestHashIdentities:
         fx = Fixture(corpus_fixtures[name])
         q = identity(space(fx.n))
         wt = build_wtilde(fx, q)
-        res = check_hash_identities(fx, wt)
+        res = check_hash_identities(fx, q, wt)
         assert max(res.values()) < 1e-11, (name, res)
 
     def test_identity_all_zero(self):
         fx = Fixture(identity(space(2, 2)))
         q = identity(space(2))
-        res = check_hash_identities(fx, build_wtilde(fx, q))
+        res = check_hash_identities(fx, q, build_wtilde(fx, q))
         assert max(res.values()) < 1e-14
 
     def test_slice_identity_oracle_z2(self, w_z2, q2):

@@ -92,13 +92,29 @@ def test_every_span_and_antipode_entry_can_fail():
 
 def test_what_without_the_flip_fails_a_report(w_pair2, monkeypatch):
     # W-hat is built in one place, the fixture context, and no entry
-    # compares it with an independent Sigma W* Sigma; taking W* for it
-    # still fails entries of the coalgebra, manageability and antipode
-    # levels
+    # compares it with an independent Sigma W* Sigma (test_context.py's
+    # TestWhat does); the dual E-leg entries take W's own bounds, yet
+    # taking W* for W-hat still fails entries of the manageability and
+    # antipode levels
     monkeypatch.setattr(context, "what", lambda v: v.adj)
     rep = run_suite(w_pair2)
     failed = {e.check_id for e in rep.entries if not e.passed}
-    assert {"E_legs_product_form_dual", "dual_certificate", "antipode_S_well_defined"} <= failed
+    assert {"dual_certificate", "antipode_S_well_defined"} <= failed
+
+
+def test_every_bound_is_an_entry():
+    # a passing W whose bounds are not 0, at the certified Q = 1 (kappa 1):
+    # each bound that the axioms hand on is the residual of the entry it
+    # bounds, on W's side where the entry has one, so no bound goes unread
+    z4 = corpus.group_mpu(corpus.cyclic_table(4))
+    w = corpus.conjugate_fixture(z4, corpus.random_unitary(4, np.random.default_rng(5)))
+    bounds = check_mpi_axioms(Fixture(w)).bounds
+    rep = run_suite(w)
+    assert rep.overall_pass and rep.properties["q_candidates"]["tested"] == 1
+    res = {e.check_id: e.residual for e in rep.entries}
+    assert min(bounds.values()) > 0.0
+    for key, bound in bounds.items():
+        assert res.get(key, res.get(f"{key}_primal")) == bound, key
 
 
 BUILTIN = builtin_corpus()
@@ -317,11 +333,11 @@ def test_shared_quantities_computed_once(w_pair2, calls):
     # then E(b (x) c) and (b (x) c)E in B (x) C
     assert first["TensorSquare"] == 2
     # one leg-word engine per ambient space that a check evaluates words
-    # on: the axioms of W; the E-leg words of W-hat, which has no axiom
-    # bounds (W's E-leg entries take theirs, so W builds none); per side
-    # of the manageability level, one for cond3a and one for cond3b; and
-    # one for hash1-hash3, which share their space
-    assert first["LegWords"] == 7
+    # on: the axioms of W; per side of the manageability level, one for
+    # cond3a and one for cond3b; and one for hash3.  The E-leg entries of
+    # W and of W-hat, hash1 and hash2 take their bounds from the axiom
+    # gaps, so neither side of the coalgebra level builds one
+    assert first["LegWords"] == 6
     assert first["tensor_fit"] == 12 + 2
     # each slice stack is factored once: fullness and the five antipode
     # maps read the SVDs of the four leg algebras, and no span of Rtilde's
