@@ -16,7 +16,8 @@ block summed, ``dependent_bounds`` turns their exact Frobenius gaps,
 that of W W* W = W and ||W||_2 into certified bounds on mpi5-mpi10, on
 the E-leg identities of the coalgebra level on both sides, on every
 coassociativity residual and on hash1 and hash2 of the manageability
-level (``MpiVerdict.bounds``).  An entry takes its
+level, and into what the homomorphism bound of both coalgebra sides and
+W-hat's cond3a and cond3b bounds read (``MpiVerdict.bounds``).  An entry takes its
 bound when ``takes_bound`` says the bound decides it; every other
 derived identity is evaluated on the same engine, so a PASS may rest on
 a bound and a FAIL never does.
@@ -53,23 +54,27 @@ class MpiVerdict:
     #: ``dependent_bounds``: a certified bound on the gap of each identity
     #: that follows from the axioms, on the E-leg gaps of W and of W-hat,
     #: on every coassociativity residual of both and, per unit kappa(Q), on
-    #: the hash1 and hash2 gaps; empty unless the verdict passed with
-    #: mpi1-mpi4 summed over every block
+    #: the hash1 and hash2 gaps; and the terms and coefficients from which
+    #: the delta_homomorphism and W-hat's cond3a and cond3b bounds are
+    #: formed; empty unless the verdict passed with mpi1-mpi4 summed over
+    #: every block
     bounds: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class AxiomGaps:
     """What the dependent identities are bounded from: the exact Frobenius
-    gaps of mpi1-mpi4, p = sqrt(n) ||W W* W - W||_F (the gap of
-    W W* W = W on any two of three legs) and s = ||W||_2.  Only
-    ``dependent_bounds`` reads it, so each dependent identity has one bound."""
+    gaps of mpi1-mpi4 and of W W* W = W, sqrt(n) (so that the latter gap on
+    any two of three legs is sqrt(n) ||W W* W - W||_F) and s = ||W||_2.
+    Only ``dependent_bounds`` reads it, so each dependent identity has one
+    bound."""
 
     gap1: float
     gap2: float
     gap3: float
     gap4: float
     gap_pi: float
+    sqrt_n: float
     norm2: float
 
 
@@ -174,9 +179,19 @@ def dependent_bounds(gaps: AxiomGaps) -> dict[str, float]:
     kappa(Q) g4, and their bounds here are per unit kappa(Q).  A relative
     residual, the gap over max(1, ||L||_F), is at most its gap.  The
     coassociativity bound is beta of ``coalgebra.coassociativity_residual``
-    on the bounds of mpi5 and mpi6, as beta grows with both gaps."""
+    on the bounds of mpi5 and mpi6, as beta grows with both gaps.
+    Delta(b)Delta(c) - Delta(bc) = W*(1 (x) b)[G, 1 (x) c]W + W*(1 (x) bc) Dpi,
+    so on an HS-orthonormal basis of A (||b||_2, ||bc||_2 <= 1) the
+    delta_homomorphism gap is at most s^2 max_c ||[G, 1 (x) c]||_F + s ||Dpi||_F:
+    "delta_homomorphism" is the second term and
+    "delta_homomorphism_per_commutator" the coefficient s^2, which
+    ``coalgebra.check_canonical_idempotent`` combines with its commutators.
+    W-hat has the same s and ||Dpi||_F, so they serve both sides.
+    "dual_cond3_per_wtilde_gap" is s^2 = ||W-hat^T||_2^2, the share of
+    W-hat's W^T factors in the move of W-hat's cond3a and cond3b per unit
+    sqrt(n) ||D||_F (``manageability.dual_manageability``)."""
     g1, g2, g3, g4 = gaps.gap1, gaps.gap2, gaps.gap3, gaps.gap4
-    p, s = gaps.gap_pi, gaps.norm2
+    p, s = gaps.sqrt_n * gaps.gap_pi, gaps.norm2
     b = {
         "mpi5": s * (p + min(g1 + g3, g2 + g4)),
         "mpi6": s * (g1 + g2),
@@ -190,6 +205,9 @@ def dependent_bounds(gaps: AxiomGaps) -> dict[str, float]:
     b["E_legs_commute_dual"] = 2.0 * s * g4
     b["E_legs_product_form_dual"] = s * g4
     b["hash1"], b["hash2"] = g2, g4
+    b["delta_homomorphism"] = s * gaps.gap_pi
+    b["delta_homomorphism_per_commutator"] = s**2
+    b["dual_cond3_per_wtilde_gap"] = s**2
     b["coassociativity"] = s**3 * (p + b["mpi6"] + 2.0 * b["mpi5"]) + b["mpi5"] ** 2
     return {name: float(value) for name, value in b.items()}
 
@@ -240,7 +258,7 @@ def check_mpi_axioms(fx: Fixture) -> MpiVerdict:
     bounds = {}
     if passed and not stops:
         bounds = dependent_bounds(AxiomGaps(*(gaps[name] for name in MPI_AXIOMS),
-                                            math.sqrt(fx.n) * gap_pi, norm2))
+                                            gap_pi, math.sqrt(fx.n), norm2))
     res.update((name, bounds[name]) for name in DERIVED_IDENTITIES
                if takes_bound(bounds.get(name, math.inf), fx))
     derived, _, more_stops = _evaluate(

@@ -81,7 +81,10 @@ def operator_from_dict(data: dict, origin: str = "<data>") -> Operator:
                 or not all(type(x) in (int, float) for x in cell)  # bool is an int
             ):
                 raise InputError(f"{origin}: entry [{i}][{j}] must be [re, im]")
-            out[i, j] = complex(cell[0], cell[1])
+            try:
+                out[i, j] = complex(cell[0], cell[1])
+            except OverflowError as exc:  # an integer beyond float range
+                raise InputError(f"{origin}: entry [{i}][{j}] is out of float range") from exc
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise InputError(f"{origin}: non-finite entries")
     try:
@@ -102,9 +105,19 @@ def operator_to_dict(op: Operator) -> dict:
 
 
 def save_operator(op: Operator, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(operator_to_dict(op), fh)
-        fh.write("\n")
+    _write(path, json.dumps(operator_to_dict(op)))
+
+
+def _write(path: str, text: str) -> None:
+    """text, ending in a newline, to the file path; an unwritable path is
+    an input error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+            if not text.endswith("\n"):
+                fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def load_groupoid_spec(path: str) -> cp.GroupoidSpec:
@@ -141,10 +154,7 @@ def _tol(args) -> float:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        _write(out_path, text)
     else:
         print(text)
 

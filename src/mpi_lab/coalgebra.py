@@ -21,7 +21,8 @@ So every entry bounds the exact distance from above.  An entry whose
 bound ``axioms.takes_bound`` rejects is taken again from the d^2-member
 fits of the families it reads, whose coordinates and distances are exact
 (O(d^2 n^6)): a PASS may rest on a bound, a FAIL does not.
-Coassociativity and the primal E-leg identities follow the same rule.
+Coassociativity, the E-leg identities and the homomorphism entry follow
+the same rule.
 The coassociativity gap for x is D(x) = U* x3 U - V* x3 V, with
 U = W23 W12 and V = W13 W23, and D(x) is a sum of terms each carrying the
 gap of mpi5, of mpi6 or of W W* W = W, which ``axioms.dependent_bounds``
@@ -41,6 +42,7 @@ level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,7 +341,12 @@ def check_canonical_idempotent(sq: TensorSquare,
     ``bounds`` holds certified bounds on E_LEG_WORDS gaps (W's
     ``MpiVerdict.bounds``, its ``_dual`` ones on W-hat's side): an E-leg
     entry whose bound ``takes_bound`` accepts reports it, and every other
-    one is evaluated."""
+    one is evaluated.  The homomorphism entry is at most
+    bounds["delta_homomorphism"] plus bounds["delta_homomorphism_per_commutator"]
+    times the largest ||[G, 1 (x) c]||_F over A's basis, which the
+    commute_G_with_1A entry forms (``axioms.dependent_bounds``); it reports
+    that bound when ``takes_bound`` accepts it, and ``_homomorphism_gap``
+    otherwise."""
     fx, bst = sq.fx, sq.basis
     e, g = fx.e.matrix, fx.g.matrix
     bounds = bounds or {}
@@ -348,17 +355,27 @@ def check_canonical_idempotent(sq: TensorSquare,
     ops = {"W": fx.w, "W*": fx.ws, "E": fx.e}
     exact = LegWords(fx.three_leg, ops, rest).residuals() if rest else {}
     res = {name: exact[name] if name in rest else bounds[name] for name in E_LEG_WORDS}
-
-    res["delta_homomorphism"] = _homomorphism_gap(fx, bst)
-    res["E_multiplier"] = max(sq.membership("E_bc"), sq.membership("bc_E"))
     eye = np.eye(fx.n)[None]
 
-    def commutator(m: np.ndarray, xs: np.ndarray) -> float:
-        # one member at a time: n^4 entries live, not the stack's
-        return max((max_gap(x @ m, m @ x) for x in xs[:, None]), default=0.0)
+    def commutator(m: np.ndarray, xs: np.ndarray) -> tuple[float, float]:
+        """The largest relative gap of x m = m x over the stack xs, and the
+        largest ||[m, x]||_F; one member at a time: n^4 entries live, not
+        the stack's.  Each norm is taken over one row, as ``max_gap`` takes
+        it, so the relative gap has its bits."""
+        gaps = np.zeros((len(xs), 2))
+        for row, x in zip(gaps, xs[:, None]):
+            lhs = x @ m
+            row[1] = np.linalg.norm(rows(lhs - m @ x), axis=1)[0]
+            row[0] = row[1] / max(1.0, np.linalg.norm(rows(lhs), axis=1)[0])
+        return tuple(map(float, gaps.max(axis=0, initial=0.0)))
 
-    res["commute_G_with_1A"] = commutator(g, kron_stack(eye, bst))
-    res["commute_E_with_Ahat1"] = commutator(e, kron_stack(fx.Ahat.stack, eye))
+    g_relative, g_commutator = commutator(g, kron_stack(eye, bst))
+    hom = (bounds.get("delta_homomorphism", math.inf)
+           + bounds.get("delta_homomorphism_per_commutator", math.inf) * g_commutator)
+    res["delta_homomorphism"] = hom if takes_bound(hom, fx) else _homomorphism_gap(fx, bst)
+    res["E_multiplier"] = max(sq.membership("E_bc"), sq.membership("bc_E"))
+    res["commute_G_with_1A"] = g_relative
+    res["commute_E_with_Ahat1"] = commutator(e, kron_stack(fx.Ahat.stack, eye))[0]
     res["product_stability_A"] = fx.A.product_residual
     res["product_stability_Ahat"] = fx.Ahat.product_residual
     return res

@@ -6,6 +6,10 @@ it is the partial transpose on the first leg of (1 (x) Q^{-1}) W (1 (x) Q).
 The certificate evaluates the commutation condition, both composability
 identities on the typed three-leg spaces, the alternative
 characterization over the basis grid, and the Q^{it} covariances.
+W-hat's certificate (``dual_manageability``) evaluates the same, but
+takes its composability identities from W's, which they mirror up to the
+gap between W-hat's Wtilde and the formula candidate, whenever that
+bound decides them; hash1 and hash2 take bounds from the axiom gaps.
 
 ``build_wtilde`` solves the characterizing pairing, so that pairing, and
 the slice/transpose identity
@@ -18,6 +22,7 @@ measured here; tests check the construction against both
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -36,6 +41,8 @@ from .tensor import (
     factor,
     identity,
     rel_residual,
+    relative,
+    spectral_norm,
     swap_legs,
     transpose_op,
 )
@@ -55,7 +62,8 @@ COMPOSABILITY_WORDS = {
 }
 
 
-def _composability(fx: Fixture, wt: Operator, names: tuple[str, ...]) -> dict[str, float]:
+def _composability(fx: Fixture, wt: Operator, names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """``LegWords.norms`` of the named identities."""
     wtop = transpose_op(fx.w)
     ops = {"W": fx.w, "W*": fx.ws, "Wt": wt, "Wt*": wt.adj, "WT": wtop, "WT*": wtop.adj}
     out = {}
@@ -64,7 +72,7 @@ def _composability(fx: Fixture, wt: Operator, names: tuple[str, ...]) -> dict[st
     for flavors, group in groupby(names, key=lambda name: COMPOSABILITY_WORDS[name][0]):
         amb = TensorSpace(tuple(LegSpec(fx.n, f) for f in flavors))
         pairs = {name: COMPOSABILITY_WORDS[name][1:] for name in group}
-        out.update(LegWords(amb, ops, pairs).residuals())
+        out.update(LegWords(amb, ops, pairs).norms())
     return out
 
 
@@ -76,6 +84,9 @@ class ManageabilityCertificate:
     wtilde: Operator
     residuals: dict[str, float]
     passed: bool
+    #: (||L - R||_F, ||R||_F) of cond3a and cond3b, which bound W-hat's
+    #: (``dual_manageability``)
+    cond3_gaps: dict[str, tuple[float, float]]
 
 
 def build_wtilde(fx: Fixture, q: Operator) -> Operator:
@@ -107,15 +118,14 @@ def _grid_residual(w: Operator, qm: np.ndarray, qinv: np.ndarray, wt: Operator) 
     return rel_residual(lhs, rhs)
 
 
-def check_manageability(fx: Fixture, q: Operator) -> ManageabilityCertificate:
-    """Build Wtilde and evaluate the full manageability apparatus, judged
-    at the context's tol."""
+def _residuals(fx: Fixture, q: Operator, wt: Operator,
+               cond3: dict[str, float]) -> dict[str, float]:
+    """The certificate's residuals for Wtilde wt of Q, cond3a and cond3b as
+    given."""
     qe = fx.q_data(q)
-    wt = build_wtilde(fx, q)
     w = fx.w
     qq = np.kron(q.matrix, q.matrix)
-    res = {"cond1_commutation": rel_residual(w.matrix @ qq, qq @ w.matrix)}
-    res.update(_composability(fx, wt, ("cond3a", "cond3b")))
+    res = {"cond1_commutation": rel_residual(w.matrix @ qq, qq @ w.matrix), **cond3}
     res["alt_characterization"] = _grid_residual(w, q.matrix, qe.power(-1), wt)
 
     qit_w = 0.0
@@ -132,8 +142,19 @@ def check_manageability(fx: Fixture, q: Operator) -> ManageabilityCertificate:
         qit_wt = max(qit_wt, rel_residual(lhs_wt, wt.matrix))
     res["qit_covariance_W"] = qit_w
     res["qit_covariance_Wtilde"] = qit_wt
+    return res
+
+
+def check_manageability(fx: Fixture, q: Operator) -> ManageabilityCertificate:
+    """Build Wtilde and evaluate the full manageability apparatus, judged
+    at the context's tol."""
+    wt = build_wtilde(fx, q)
+    norms = _composability(fx, wt, ("cond3a", "cond3b"))
+    res = _residuals(fx, q, wt, relative(norms))
     passed = all(r < fx.tol for r in res.values())
-    return ManageabilityCertificate(q=q, wtilde=wt, residuals=res, passed=passed)
+    return ManageabilityCertificate(q=q, wtilde=wt, residuals=res, passed=passed,
+                                    cond3_gaps={name: (float(gap), float(rhs))
+                                                for name, (gap, _, rhs) in norms.items()})
 
 
 def check_hash_identities(fx: Fixture, q: Operator, wt: Operator,
@@ -147,19 +168,50 @@ def check_hash_identities(fx: Fixture, q: Operator, wt: Operator,
     kappa = vals.max() / vals.min()
     names, bounds = ("hash1", "hash2", "hash3"), bounds or {}
     bound = {name: float(kappa * bounds.get(name, np.inf)) for name in names}
-    exact = _composability(fx, wt, tuple(name for name in names
-                                         if not takes_bound(bound[name], fx)))
+    exact = relative(_composability(fx, wt, tuple(name for name in names
+                                                  if not takes_bound(bound[name], fx))))
     return {name: exact.get(name, bound[name]) for name in names}
 
 
-def dual_manageability(fx: Fixture, q: Operator,
-                       wt: Operator) -> tuple[ManageabilityCertificate, float]:
-    """Certificate for W-hat with the same Q and tol, plus the residual
-    between the formula candidate (Sigma Wt* Sigma)^{T (x) T} and the
-    direct construction (the certificate's Wtilde of W-hat)."""
-    cert = check_manageability(fx.dual, q)
-    candidate = transpose_op(swap_legs(wt.adj))
-    return cert, rel_residual(candidate.matrix, cert.wtilde.matrix)
+def dual_manageability(fx: Fixture, cert: ManageabilityCertificate,
+                       bounds: dict[str, float] | None = None) -> tuple[dict[str, float], float]:
+    """The certificate's residuals for W-hat with W's Q (``cert.q``), and
+    the residual between the formula candidate C = (Sigma Wt* Sigma)^{T (x) T}
+    and the direct construction of W-hat's Wtilde.
+
+    cond3a and cond3b of W-hat follow from W's.  W-hat^T = Sigma conj(W) Sigma
+    and C = Sigma conj(Wt) Sigma, so with C for W-hat's Wtilde each word of
+    W-hat's cond3a is the entrywise conjugate of a word of W's cond3b with
+    legs 1 and 3 exchanged, its left word of W's right one and the other way
+    round, and so for cond3b and cond3a: the gap is W's (``cert.cond3_gaps``)
+    and the left norm W's right norm.  W-hat's Wtilde is C + D,
+    D = 0 under cond1, and ||D||_F is the formula gap taken here.  A word
+    with three factors X changes by at most sum ||X - Y||_F ||other||_2 when
+    Y = C stands for X, with ||D_ij||_F = sqrt(n) ||D||_F, ||W-hat^T||_2 = s
+    = ||W||_2, ||C||_2 = t = ||Wt||_2 and ||C + D||_2 <= t' = t + ||D||_F; so
+    each gap moves by at most sqrt(n) ||D||_F (s^2 + t^2 + t t' + t'^2), the
+    left norm too, and the residual is at most
+    (g + that) / max(1, ||R|| - that).  ``bounds`` is ``MpiVerdict.bounds``,
+    whose ``dual_cond3_per_wtilde_gap`` is s^2.  An identity whose bound
+    ``takes_bound`` accepts reports it, and every other one is evaluated on
+    W-hat.  cond1, the alternative characterization and the covariances are
+    evaluated on W-hat."""
+    q, wt, dual = cert.q, cert.wtilde, fx.dual
+    wt_hat = build_wtilde(dual, q)
+    candidate = transpose_op(swap_legs(wt.adj)).matrix
+    gap = float(np.linalg.norm(candidate - wt_hat.matrix))
+    s2 = (bounds or {}).get("dual_cond3_per_wtilde_gap", math.inf)
+    t = float(spectral_norm(wt.matrix))
+    t1 = t + gap
+    move = math.sqrt(fx.n) * gap * (s2 + t * t + t * t1 + t1 * t1)
+    bound = {}
+    for name, primal in (("cond3a", "cond3b"), ("cond3b", "cond3a")):
+        g, rhs = cert.cond3_gaps[primal]
+        bound[name] = (g + move) / max(1.0, rhs - move)
+    exact = relative(_composability(dual, wt_hat, tuple(name for name in bound
+                                                        if not takes_bound(bound[name], fx))))
+    res = _residuals(dual, q, wt_hat, {name: exact.get(name, bound[name]) for name in bound})
+    return res, gap / max(1.0, float(np.linalg.norm(candidate)))
 
 
 def inclusion_consequences(fx: Fixture, q: Operator) -> dict[str, float]:

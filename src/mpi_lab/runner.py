@@ -125,13 +125,14 @@ def _coalgebra(run: _Run) -> bool:
             "star_closed": alg.star_closed,
         }
     for side, sfx in (("primal", fx), ("dual", fx.dual)):
-        # W-hat has the coassociativity gaps of W, so that bound serves both
-        # sides; its E-leg gaps are W's with g4 for g3, the "_dual" bounds
+        # W-hat has the coassociativity gaps of W, its ||W||_2 and its
+        # W W* W = W gap, so those bounds serve both sides; its E-leg gaps
+        # are W's with g4 for g3, the "_dual" bounds
         rep.add(f"coassociativity_{side}",
                 coassociativity_residual(sfx, run.bounds.get("coassociativity", np.inf)))
         square = TensorSquare(sfx)  # this side's A (x) A data, shared by two checks
-        e_bounds = run.bounds if side == "primal" else {
-            k.removesuffix("_dual"): b for k, b in run.bounds.items() if k.endswith("_dual")}
+        e_bounds = run.bounds if side == "primal" else {**run.bounds, **{
+            k.removesuffix("_dual"): b for k, b in run.bounds.items() if k.endswith("_dual")}}
         run.add(check_canonical_idempotent(square, e_bounds), suffix=f"_{side}")
         # density spans are meaningful only under fullness; dims still reported
         rng = check_delta_range_and_density(square, run.full)
@@ -204,8 +205,8 @@ def _manageability(run: _Run) -> bool:
     q, wt = cert.q, cert.wtilde
     run.add(cert.residuals, prefix="manageability_")
     run.add(check_hash_identities(fx, q, wt, run.bounds))
-    dual_cert, formula_gap = dual_manageability(fx, q, wt)
-    rep.add("dual_certificate", max(dual_cert.residuals.values()))
+    dual_res, formula_gap = dual_manageability(fx, cert, run.bounds)
+    rep.add("dual_certificate", max(dual_res.values()))
     rep.add("dual_wtilde_formula", formula_gap)
     run.add(inclusion_consequences(fx, q))
     if fx.structure_reason is None:

@@ -334,14 +334,16 @@ class LegWords:
     W_12 W_13 W_23 costs n^8: per block, mpi1-mpi4 take 8 starts and 2
     tensordots, mpi5-mpi10 12 and 3, the E-leg words 4 and 1, and each
     composability pair 2 starts, plus 1 tensordot for hash1 and hash3.  A
-    passing W evaluates of these only mpi1-mpi4, cond3a, cond3b and hash3;
-    the rest of the ten, the E-leg words of W and of W-hat, hash1 and hash2
-    then take bounds (``axioms.dependent_bounds``).
+    passing W evaluates of these only mpi1-mpi4 and W's cond3a, cond3b and
+    hash3; the rest of the ten, the E-leg words of W and of W-hat, hash1
+    and hash2 then take bounds (``axioms.dependent_bounds``), and W-hat's
+    cond3a and cond3b bounds from W's (``manageability.dual_manageability``).
     ``block`` evaluates one word right to left, and ``block_norms`` gives
     ||(L - R)_S||^2 and ||L_S||^2 per pair from those blocks, with L - R
     formed, so no difference of squared norms is taken; summed over
     ``column_blocks`` they give ``residuals``, the relative Frobenius gaps
-    of rel_residual.  A partial sum over some blocks is a lower bound on
+    of rel_residual, and with ||R_S||^2 summed too ``norms``, the norms
+    that W-hat's bounds read.  A partial sum over some blocks is a lower bound on
     ||L - R||^2, which ``axioms.check_mpi_axioms`` uses to stop a failing
     identity early.
     """
@@ -373,14 +375,18 @@ class LegWords:
                 self._tensors[names] = m.reshape(ops[names[0]].space.dims * 2)
             yield names, legs
 
+    def norms(self) -> dict[str, np.ndarray]:
+        """[||L - R||, ||L||, ||R||] of every pair, over all columns."""
+        sums = {name: np.zeros(3) for name in self.pairs}
+        for cols in self.column_blocks:
+            for name, pair in self.pairs.items():
+                lhs, rhs = (self.block(w, cols) for w in pair)
+                sums[name] += [_sqnorm(lhs - rhs), _sqnorm(lhs), _sqnorm(rhs)]
+        return {name: np.sqrt(sq) for name, sq in sums.items()}
+
     def residuals(self) -> dict[str, float]:
         """||L - R|| / max(1, ||L||) of every pair, over all columns."""
-        sums = {name: np.zeros(2) for name in self.pairs}
-        for cols in self.column_blocks:
-            for name, norms in self.block_norms(cols, self.pairs).items():
-                sums[name] += norms
-        return {name: float(np.sqrt(gap) / max(1.0, np.sqrt(lhs)))
-                for name, (gap, lhs) in sums.items()}
+        return relative(self.norms())
 
     def block_norms(self, cols: range, names) -> dict[str, np.ndarray]:
         """[||(L - R)_S||^2, ||L_S||^2] of each named pair on the columns S."""
@@ -415,6 +421,11 @@ class LegWords:
         for p in rest:
             block = np.multiply.outer(block, np.eye(self.dims[p - 1])[:, ranges[p - 1]])
         return block.transpose(perm).reshape(self.dims + (len(cols),))
+
+
+def relative(norms: dict[str, np.ndarray]) -> dict[str, float]:
+    """||L - R|| / max(1, ||L||) of each pair from its ``LegWords.norms``."""
+    return {name: float(gap / max(1.0, lhs)) for name, (gap, lhs, _) in norms.items()}
 
 
 def _start_plan(factors: tuple, nlegs: int) -> tuple:

@@ -222,7 +222,7 @@ class TestCriterion4Manageability:
             assert cert.passed, name
             hashes = check_hash_identities(fx, q, cert.wtilde)
             assert max(hashes.values()) < 1e-10, (name, hashes)
-            _, formula_gap = dual_manageability(fx, q, cert.wtilde)
+            _, formula_gap = dual_manageability(fx, cert)
             assert formula_gap < 1e-12, name
         print("\nACCEPTANCE 4: PASS - manageability certificates, "
               "composability identities, and the dual formula with Q = 1")

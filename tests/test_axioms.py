@@ -325,6 +325,13 @@ def random_positive_q(n, kappa, rng):
     return Operator(space(n), (m + m.conj().T) / 2)
 
 
+#: the bound keys that are no entry's bound alone: the term of the
+#: delta_homomorphism bound that does not depend on the commutators, and
+#: the coefficients that the later levels multiply their own norms by
+PER_UNIT = ("delta_homomorphism", "delta_homomorphism_per_commutator",
+            "dual_cond3_per_wtilde_gap")
+
+
 def covers(value, bound):
     # the product-form bounds are tight: allow the dense evaluation's
     # rounding, which the program's FAIL_MARGIN covers
@@ -346,7 +353,7 @@ class TestDependentBounds:
         words = {**{k: IDENTITY_WORDS[k] for k in DERIVED_IDENTITIES}, **E_LEG_WORDS}
         dual_words = {f"{k}_dual": pair for k, pair in E_LEG_WORDS.items()}
         assert sorted(bounds) == sorted([*words, *dual_words, "hash1", "hash2",
-                                         "coassociativity"])
+                                         "coassociativity", *PER_UNIT])
         fx = Fixture(w)
         exact = {}
         for sfx, table in ((fx, words), (fx.dual, dual_words)):
@@ -360,6 +367,20 @@ class TestDependentBounds:
                                        _coassoc_residuals(fx.dual).max())
         for key, value in exact.items():
             assert covers(value, bounds[key]), (key, value / bounds[key])
+
+    @pytest.mark.parametrize("name", list(BOUND_CANDIDATES))
+    def test_bound_coefficients(self, name):
+        # the keys that later levels combine with quantities of their own
+        # (coalgebra.check_canonical_idempotent, manageability.dual_manageability)
+        # are s ||W W* W - W||_F and s^2, s = ||W||_2, each from numpy here
+        m = BOUND_CANDIDATES[name].matrix
+        bounds = check_mpi_axioms(Fixture(BOUND_CANDIDATES[name], tol=np.inf)).bounds
+        s = np.linalg.svd(m, compute_uv=False)[0]
+        want = {"delta_homomorphism": s * np.linalg.norm(m @ m.conj().T @ m - m),
+                "delta_homomorphism_per_commutator": s * s, "dual_cond3_per_wtilde_gap": s * s}
+        assert sorted(want) == sorted(PER_UNIT)
+        for key, value in want.items():
+            assert bounds[key] == pytest.approx(value, rel=1e-12, abs=1e-300), key
 
     @pytest.mark.parametrize("kappa", [2.0, 6.0, 40.0])
     def test_hash_entries_cover_the_gaps_at_q_not_one(self, kappa):

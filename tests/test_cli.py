@@ -122,6 +122,19 @@ class TestRefusedInput:
         path = write_json(tmp_path / "w.json", _drop_key(example_dict(), "matrix"))
         self.refused(tmp_path, capsys, ["check", path], f"{path}: missing key 'matrix'")
 
+    @pytest.mark.parametrize("command", ["check", "suite", "gen"])
+    def test_unwritable_out(self, tmp_path, capsys, w_z2, command):
+        # exit 1 would read as a failed check: an --out that cannot be
+        # written is an input error
+        out = tmp_path / "missing" / "out.txt"
+        wp = tmp_path / "w.json"
+        save_operator(w_z2, str(wp))
+        argv = {"check": ["check", str(wp)], "suite": ["suite", "--corpus"],
+                "gen": ["gen", "example"]}[command]
+        assert main(argv + ["--out", str(out)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
     def test_operator_with_an_unknown_flavor(self, tmp_path, capsys):
         path = write_json(tmp_path / "w.json", {**example_dict(), "flavors": ["H", "X"]})
         self.refused(tmp_path, capsys, ["check", path],
@@ -222,6 +235,18 @@ class TestLoadOperator:
         p = write_json(tmp_path / "w.json", data)
         with pytest.raises(InputError):
             load_operator(p)
+
+    @pytest.mark.parametrize("cell", [[10**400, 0], [0, -(10**400)]])
+    def test_integer_beyond_float_range(self, tmp_path, capsys, cell):
+        # complex() raises OverflowError on such an integer; the entry is
+        # refused by its position, exit 2 through cli.main
+        data = example_dict()
+        data["matrix"][1][2] = cell
+        p = write_json(tmp_path / "w.json", data)
+        with pytest.raises(InputError, match=r"entry \[1\]\[2\] is out of float range"):
+            load_operator(p)
+        assert main(["check", p]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {p}: entry [1][2] is out of float range\n"
 
 
 class TestCommands:

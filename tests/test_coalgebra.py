@@ -15,6 +15,7 @@ from mpi_lab.coalgebra import (
     leg_algebra,
     _coassoc_residuals,
     _comul_stack,
+    _homomorphism_gap,
 )
 from mpi_lab.context import Fixture
 from mpi_lab.runner import run_suite
@@ -487,6 +488,89 @@ class TestCanonicalIdempotent:
         finally:
             tracemalloc.stop()
         assert peak < 34 * 2**20, peak / 2**20
+
+
+def homomorphism_cases():
+    """(name, W, the unperturbed fixture's W): example, Z_3,
+    pair_groupoid(2) and pair_groupoid(3), each perturbed by 1e-7, 1e-4 and
+    0.1, and each scaled by 0.5 and 1.1 (an MPI times c, whose G commutes
+    with 1 (x) A, so that its whole gap is the W W* W - W term)."""
+    bases = {"example": corpus.matrix_unit_example(),
+             "z3": corpus.group_mpu(corpus.cyclic_table(3)),
+             "pair2": corpus.groupoid_mpi(corpus.pair_groupoid(2)),
+             "pair3": corpus.groupoid_mpi(corpus.pair_groupoid(3))}
+    for i, (name, w0) in enumerate(bases.items()):
+        for j, eps in enumerate((1e-7, 1e-4, 0.1)):
+            yield f"{name}+{eps:g}", perturbed(w0, eps, 10 * i + j), w0
+        for c in (0.5, 1.1):
+            yield f"{name}*{c:g}", Operator(w0.space, c * w0.matrix), w0
+
+
+def commutator_norms(fx, basis):
+    """||[G, 1 (x) c]||_F for each c of a basis, G = W W*, dense."""
+    g = fx.g.matrix
+    return [np.linalg.norm(x @ g - g @ x) for x in np.kron(np.eye(fx.n), basis)]
+
+
+def homomorphism_bound(bounds, fx, basis):
+    """The delta_homomorphism bound from MpiVerdict.bounds and the dense
+    commutators with 1 (x) A over ``basis``."""
+    return (bounds["delta_homomorphism"]
+            + bounds["delta_homomorphism_per_commutator"]
+            * max(commutator_norms(fx, basis), default=0.0))
+
+
+class TestHomomorphismBound:
+    """Delta(b)Delta(c) - Delta(bc) = W*(1 (x) b)[G, 1 (x) c]W + W*(1 (x) bc)(W W* W - W),
+    so on an HS-orthonormal basis of A the entry is at most
+    s^2 max_c ||[G, 1 (x) c]||_F + s ||W W* W - W||_F, s = ||W||_2, on W's
+    side and, with W-hat's G and basis, on W-hat's."""
+
+    @pytest.mark.parametrize("name, w, w0", list(homomorphism_cases()),
+                             ids=[case[0] for case in homomorphism_cases()])
+    def test_bound_covers_the_gap(self, name, w, w0):
+        # A's basis from the unperturbed fixture and from W's own A; the
+        # own basis of a perturbed pair_groupoid(3) is all of M_9 (81
+        # members, 1.1 s a side), so it takes the unperturbed basis only
+        bounds = check_mpi_axioms(Fixture(w, tol=np.inf)).bounds
+        fx, fx0 = Fixture(w), Fixture(w0)
+        for sfx, sfx0 in ((fx, fx0), (fx.dual, fx0.dual)):
+            own = sfx.A.stack if sfx.A.dim <= 16 else None
+            for basis in (sfx0.A.stack, own):
+                if basis is None:
+                    continue
+                gap = _homomorphism_gap(sfx, basis)
+                assert gap <= homomorphism_bound(bounds, sfx, basis) * (1 + 1e-12) + 1e-13, name
+
+    def test_the_pi_term_is_needed(self):
+        # an MPI times 0.5 has G commuting with 1 (x) A, so only the
+        # W W* W - W term carries its gap
+        w0 = corpus.groupoid_mpi(corpus.pair_groupoid(2))
+        fx = Fixture(Operator(w0.space, 0.5 * w0.matrix))
+        assert max(commutator_norms(fx, fx.A.stack)) < 1e-15
+        assert _homomorphism_gap(fx, fx.A.stack) > 0.1
+
+    @pytest.mark.parametrize("name", ["z3+1e-07", "pair2+0.0001", "example+0.1", "z3*1.1"])
+    def test_entry_is_the_bound(self, name):
+        # at tol = inf every finite bound decides: the entry of each side is
+        # the bound on that side's own basis, from W's s and W W* W - W gap
+        w = next(case[1] for case in homomorphism_cases() if case[0] == name)
+        fx = Fixture(w, tol=np.inf)
+        bounds = check_mpi_axioms(fx).bounds
+        for sfx in (fx, fx.dual):
+            got = check_canonical_idempotent(TensorSquare(sfx), bounds)["delta_homomorphism"]
+            assert got == pytest.approx(homomorphism_bound(bounds, sfx, sfx.A.stack),
+                                        rel=1e-12), name
+
+    def test_undecided_bound_evaluates_the_gap(self, monkeypatch):
+        # without bounds, or with one that does not come in FAIL_MARGIN
+        # below tol, the entry is the exact gap
+        w = perturbed(corpus.group_mpu(corpus.cyclic_table(3)), 1e-4, 3)
+        fx = Fixture(w)
+        bounds = check_mpi_axioms(Fixture(w, tol=np.inf)).bounds
+        want = _homomorphism_gap(fx, fx.A.stack)
+        for b in (None, bounds):
+            assert check_canonical_idempotent(TensorSquare(fx), b)["delta_homomorphism"] == want
 
 
 class TestRangeAndDensity:

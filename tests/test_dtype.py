@@ -40,11 +40,12 @@ def level_entries(m, q):
             "kappa_solves": max(fx.kappa.residuals),
             "kappa_antimultiplicative": fx.kappa.antimultiplicativity,
             "nu": fx.nu.normalization_residual, "nuhat": fx.dual.nu.normalization_residual}
-    wt = manageability.build_wtilde(fx, q)
-    dual_cert, formula_gap = manageability.dual_manageability(fx, q, wt)
-    manage = {**manageability.check_manageability(fx, q).residuals,
+    cert = manageability.check_manageability(fx, q)
+    wt = cert.wtilde
+    dual_res, formula_gap = manageability.dual_manageability(fx, cert)
+    manage = {**cert.residuals,
               **manageability.check_hash_identities(fx, q, wt),
-              **{f"dual_{k}": v for k, v in dual_cert.residuals.items()},
+              **{f"dual_{k}": v for k, v in dual_res.items()},
               "dual_wtilde_formula": formula_gap,
               **manageability.inclusion_consequences(fx, q)}
     anti = {**antipode.check_antipode(fx, q, wt), **antipode.check_duality(fx, q, wt)}

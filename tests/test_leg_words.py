@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mpi_lab import axioms, corpus, tensor
+from mpi_lab import axioms, coalgebra, corpus, tensor
 from mpi_lab.axioms import (
     DERIVED_IDENTITIES,
     FAIL_MARGIN,
@@ -33,6 +33,7 @@ from mpi_lab.manageability import (
     build_wtilde,
     check_hash_identities,
     check_manageability,
+    suggest_q,
 )
 from mpi_lab.runner import run_suite
 from mpi_lab.tensor import (
@@ -449,12 +450,32 @@ class TestBoundedWork:
         monkeypatch.setattr(LegWords, "block", recorded)
         return seen
 
+    @pytest.fixture
+    def homomorphisms(self, monkeypatch):
+        """The contexts coalgebra._homomorphism_gap was called on."""
+        calls = []
+        gap = coalgebra._homomorphism_gap
+
+        def counted(fx, basis):
+            calls.append(fx)
+            return gap(fx, basis)
+
+        monkeypatch.setattr(coalgebra, "_homomorphism_gap", counted)
+        return calls
+
     #: the words whose entries a passing W takes from its bounds beyond
     #: mpi5-mpi10: the E-leg words of both sides, hash1 and hash2
     BOUNDED_WORDS = {word for pair in (*E_LEG_WORDS.values(), COMPOSABILITY_WORDS["hash1"][1:],
                                        COMPOSABILITY_WORDS["hash2"][1:]) for word in pair}
 
-    def test_passing_w_evaluates_only_the_axiom_words(self, evaluated):
+    @staticmethod
+    def cond3_engines(evaluated):
+        """cond3a and cond3b -> the number of engines that evaluated the
+        identity's words: W's, and W-hat's when its bound did not decide."""
+        return {name: sum(set(COMPOSABILITY_WORDS[name][1:]) <= words
+                          for words in evaluated.values()) for name in ("cond3a", "cond3b")}
+
+    def test_passing_w_evaluates_only_the_axiom_words(self, evaluated, homomorphisms):
         z4 = corpus.group_mpu(corpus.cyclic_table(4))
         z4_conj = corpus.conjugate_fixture(z4, corpus.random_unitary(4, np.random.default_rng(5)))
         axiom_words = {word for name in MPI_AXIOMS for word in IDENTITY_WORDS[name]}
@@ -468,25 +489,45 @@ class TestBoundedWork:
                 assert v.derived_residuals[name] == v.bounds[name] < RESIDUAL_TOL / FAIL_MARGIN
             # the later levels at the certified Q = 1: the E-leg entries of
             # both sides, hash1 and hash2 are their bounds, and no engine
-            # evaluates their words; hash3 is evaluated
+            # evaluates their words; hash3 is evaluated.  W-hat's cond3a and
+            # cond3b come from W's, and neither side's delta_homomorphism
+            # evaluates its gap
             evaluated.clear()
             rep = run_suite(w, level="manageability")
+            assert rep.overall_pass
             assert rep.properties["q_candidates"]["tested"] == 1
             res = {e.check_id: e.residual for e in rep.entries}
             seen = set().union(*evaluated.values())
             assert not seen & self.BOUNDED_WORDS
             assert set(COMPOSABILITY_WORDS["hash3"][1:]) <= seen
+            assert self.cond3_engines(evaluated) == {"cond3a": 1, "cond3b": 1}
+            assert homomorphisms == []
             for name in E_LEG_WORDS:
                 assert res[f"{name}_primal"] == v.bounds[name], name
                 assert res[f"{name}_dual"] == v.bounds[f"{name}_dual"], name
             for name in ("hash1", "hash2"):
                 assert res[name] == v.bounds[name], name
 
-    def test_undecided_bounds_evaluate_the_words(self, evaluated):
+    def test_passing_w_at_q_not_one(self, evaluated, homomorphisms):
+        # pair_groupoid_2 at a certified Q != 1: W-hat's Wtilde is
+        # Sigma conj(Wt) Sigma up to rounding, so its cond3a and cond3b
+        # take their bounds as at Q = 1
+        w = corpus.groupoid_mpi(corpus.pair_groupoid(2))
+        q = suggest_q(Fixture(w))[1]
+        assert not np.allclose(q.matrix, np.eye(4))
+        rep = run_suite(w, q, level="manageability")
+        assert rep.overall_pass and rep.properties["q_source"] == "supplied"
+        seen = set().union(*evaluated.values())
+        assert not seen & self.BOUNDED_WORDS
+        assert self.cond3_engines(evaluated) == {"cond3a": 1, "cond3b": 1}
+        assert homomorphisms == []
+
+    def test_undecided_bounds_evaluate_the_words(self, evaluated, homomorphisms):
         # a tol above every residual the axioms and the certificate of
         # Q = 1 read, but below FAIL_MARGIN times each bound: W passes and
         # is managed at Q = 1, no bound decides, and every bounded word is
-        # evaluated
+        # evaluated, W-hat's cond3a and cond3b and both sides'
+        # homomorphism gaps among them
         w = reject_style("group_z4", 1e-6)
         loose = Fixture(w, tol=np.inf)
         v = check_mpi_axioms(loose)
@@ -497,6 +538,8 @@ class TestBoundedWork:
         rep = run_suite(w, level="manageability", tol=tol)
         assert rep.properties["q_candidates"]["tested"] == 1
         assert self.BOUNDED_WORDS <= set().union(*evaluated.values())
+        assert self.cond3_engines(evaluated) == {"cond3a": 2, "cond3b": 2}
+        assert len(homomorphisms) == 2
 
     @pytest.mark.parametrize("base, eps", [
         *((base, eps) for base in ("group_z4", "Z_8", "pair_groupoid_3", "Z_10")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mpi_lab.axioms import IDENTITY_WORDS
+from mpi_lab import corpus
+from mpi_lab.axioms import IDENTITY_WORDS, check_mpi_axioms, takes_bound
 from mpi_lab.context import Fixture
 from mpi_lab.manageability import (
     COMPOSABILITY_WORDS,
@@ -26,6 +27,7 @@ from mpi_lab.tensor import (
 )
 
 from test_coalgebra import perturbed
+from word_references import kron_word
 
 
 def unit(n, i, j):
@@ -201,16 +203,15 @@ class TestDualManageability:
     def test_formula_matches_construction(self, corpus_fixtures, name):
         fx = Fixture(corpus_fixtures[name])
         q = identity(space(fx.n))
-        wt = build_wtilde(fx, q)
-        cert, formula_res = dual_manageability(fx, q, wt)
-        assert cert.passed
+        res, formula_res = dual_manageability(fx, check_manageability(fx, q))
+        assert max(res.values()) < fx.tol
         assert formula_res < 1e-12
 
     def test_identity(self):
         fx = Fixture(identity(space(2, 2)))
         q = identity(space(2))
-        cert, res = dual_manageability(fx, q, build_wtilde(fx, q))
-        assert cert.passed and res == 0.0
+        res, formula_res = dual_manageability(fx, check_manageability(fx, q))
+        assert max(res.values()) < fx.tol and formula_res == 0.0
 
 
 class TestTypedLegSafety:
@@ -308,3 +309,115 @@ class TestSuggestQ:
             assert (
                 np.linalg.norm(w_pair2.matrix @ qq - qq @ w_pair2.matrix) < 1e-9
             )
+
+
+#: W-hat's composability identity -> W's identity with the same gap
+DUAL_COND3 = {"cond3a": "cond3b", "cond3b": "cond3a"}
+
+
+def dense_norms(fx, q, name):
+    """(||L - R||_F, ||L||_F, ||R||_F) of a composability identity of the
+    context fx with Wtilde of Q, each side a dense matrix."""
+    wt, wtop = build_wtilde(fx, q), transpose_op(fx.w)
+    ops = {"W": fx.w, "W*": fx.ws, "Wt": wt, "Wt*": wt.adj, "WT": wtop, "WT*": wtop.adj}
+    flavors, left, right = COMPOSABILITY_WORDS[name]
+    amb = TensorSpace(tuple(LegSpec(fx.n, f) for f in flavors))
+    lhs, rhs = kron_word(amb, ops, left), kron_word(amb, ops, right)
+    return np.linalg.norm(lhs - rhs), np.linalg.norm(lhs), np.linalg.norm(rhs)
+
+
+def commuting_case(n, kappa, kind, seed):
+    """(W, Q): Q positive with eigenvalues geomspace(1, kappa, n) in a random
+    eigenbasis, W a random complex operator that commutes with Q (x) Q
+    ("exact"), that one plus a complex Gaussian of relative size eps
+    ("1e-10" to "0.01"), or a generic complex W ("generic")."""
+    rng = np.random.default_rng(seed)
+    lam = np.geomspace(1.0, kappa, n)
+    u = corpus.random_unitary(n, rng).matrix
+    qm = (u * lam) @ u.conj().T
+    # blocks of equal eigenvalue products of Q (x) Q, in its eigenbasis
+    logs = np.log(np.kron(lam, lam))
+    mask = np.abs(logs[:, None] - logs[None, :]) < 1e-9
+    z = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    uu = np.kron(u, u)
+    m = uu @ (z * mask) @ uu.conj().T
+    if kind == "generic":
+        m = z
+    elif kind != "exact":
+        noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+        m = m + float(kind) * np.linalg.norm(m) / np.linalg.norm(noise) * noise
+    return Operator(space(n, n), m), Operator(space(n), (qm + qm.conj().T) / 2)
+
+
+DUAL_CASES = {f"n{n}_k{kappa:g}_{kind}": commuting_case(n, kappa, kind, 100 * n + i)
+              for n in (2, 3) for i, kappa in enumerate((1.0, 2.0, 6.0, 40.0))
+              for kind in ("exact", "1e-10", "1e-06", "0.01", "generic")}
+
+
+class TestDualComposabilityBound:
+    """W-hat's cond3a and cond3b from W's cond3b and cond3a
+    (``dual_manageability``): with C = Sigma conj(Wt) Sigma for W-hat's
+    Wtilde the gaps agree and W-hat's left norm is W's right norm, and
+    W-hat's Wtilde differs from C by the formula gap D, which moves each
+    by at most sqrt(n) ||D||_F (s^2 + t^2 + t t' + t'^2)."""
+
+    @pytest.mark.parametrize("name", list(DUAL_CASES))
+    def test_bounds_cover_the_dense_residuals(self, name):
+        # at tol = inf every finite bound decides, so the dual residuals
+        # are the bounds; each is at least W-hat's dense residual
+        w, q = DUAL_CASES[name]
+        fx = Fixture(w, tol=np.inf)
+        bounds = check_mpi_axioms(fx).bounds
+        res, _ = dual_manageability(fx, check_manageability(fx, q), bounds)
+        for key in DUAL_COND3:
+            gap, lhs, _ = dense_norms(fx.dual, q, key)
+            assert gap / max(1.0, lhs) <= res[key] * (1 + 1e-12) + 1e-13, (name, key)
+
+    @pytest.mark.parametrize("name", [k for k in DUAL_CASES if k.endswith("_exact")])
+    def test_dual_words_mirror_the_primal(self, name):
+        # W commutes with Q (x) Q, so W-hat's Wtilde is C: W-hat's cond3a
+        # has the gap of W's cond3b and the left norm of its right side,
+        # and the other way round
+        w, q = DUAL_CASES[name]
+        fx = Fixture(w)
+        for key, primal in DUAL_COND3.items():
+            gap, lhs, _ = dense_norms(fx.dual, q, key)
+            pgap, _, prhs = dense_norms(fx, q, primal)
+            assert gap == pytest.approx(pgap, rel=1e-9) and lhs == pytest.approx(prhs, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["n2_k6_0.01", "n3_k40_0.01", "n3_k2_generic", "n3_k40_1e-06"])
+    def test_entries_are_the_stated_bound(self, name):
+        # the bound from dense ingredients: W's gap and right norm, s and
+        # t from numpy's SVD, D from Sigma conj(Wt) Sigma and W-hat's Wtilde
+        w, q = DUAL_CASES[name]
+        fx = Fixture(w, tol=np.inf)
+        res, _ = dual_manageability(fx, check_manageability(fx, q), check_mpi_axioms(fx).bounds)
+        wt = build_wtilde(fx, q).matrix
+        d = np.linalg.norm(wt.reshape((fx.n,) * 4).transpose(1, 0, 3, 2).reshape(wt.shape).conj()
+                           - build_wtilde(fx.dual, q).matrix)
+        s, t = (np.linalg.svd(m, compute_uv=False)[0] for m in (w.matrix, wt))
+        move = np.sqrt(fx.n) * d * (s * s + t * t + t * (t + d) + (t + d) ** 2)
+        assert move > 1e-3, name
+        for key, primal in DUAL_COND3.items():
+            gap, _, rhs = dense_norms(fx, q, primal)
+            want = (gap + move) / max(1.0, rhs - move)
+            assert res[key] == pytest.approx(want, rel=1e-9), (name, key)
+
+    def test_dual_wtilde_formula_can_fail(self):
+        # on random complex W with Q = diag(linspace(1, 2, n)) the formula
+        # gap reads at least 0.1; there (a)'s bound does not decide at the
+        # default tol, and W-hat's certificate is evaluated as
+        # check_manageability(fx.dual, q) evaluates it, bit for bit
+        for n in (2, 3):
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                m = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+                fx = Fixture(Operator(space(n, n), m))
+                q = Operator(space(n), np.diag(np.linspace(1.0, 2.0, n)))
+                bounds = check_mpi_axioms(Fixture(fx.w, tol=np.inf)).bounds
+                res, formula_gap = dual_manageability(fx, check_manageability(fx, q), bounds)
+                assert formula_gap >= 0.1, (n, seed, formula_gap)
+                at_inf, _ = dual_manageability(Fixture(fx.w, tol=np.inf),
+                                               check_manageability(fx, q), bounds)
+                assert all(not takes_bound(at_inf[key], fx) for key in DUAL_COND3)
+                assert res == check_manageability(fx.dual, q).residuals, (n, seed)

@@ -10,13 +10,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpi_lab import antipode, base_algebra, coalgebra, context, corpus, runner, tensor
+from mpi_lab import (
+    antipode,
+    base_algebra,
+    coalgebra,
+    context,
+    corpus,
+    manageability,
+    runner,
+    tensor,
+)
 from mpi_lab.axioms import check_mpi_axioms
 from mpi_lab.context import Fixture
-from mpi_lab.manageability import build_wtilde, dual_manageability
+from mpi_lab.manageability import build_wtilde, check_manageability, dual_manageability
 from mpi_lab.runner import builtin_corpus, corpus_suite, run_suite
 
-from test_coalgebra import perturbed
+from test_coalgebra import homomorphism_bound, perturbed
 
 # Ordered check ids with pass flags, and ordered skips, of every corpus
 # report for seed 7, recorded before the runner was rebuilt on the
@@ -105,14 +114,23 @@ def test_what_without_the_flip_fails_a_report(w_pair2, monkeypatch):
 def test_every_bound_is_an_entry():
     # a passing W whose bounds are not 0, at the certified Q = 1 (kappa 1):
     # each bound that the axioms hand on is the residual of the entry it
-    # bounds, on W's side where the entry has one, so no bound goes unread
+    # bounds, on W's side where the entry has one, so no bound goes unread.
+    # delta_homomorphism adds its per-commutator coefficient times the
+    # largest ||[G, 1 (x) c]||_F over A's basis; the coefficient of W-hat's
+    # cond3a and cond3b multiplies the formula gap, 0 at Q = 1, and
+    # tests/test_manageability.py::TestDualComposabilityBound reads it
     z4 = corpus.group_mpu(corpus.cyclic_table(4))
     w = corpus.conjugate_fixture(z4, corpus.random_unitary(4, np.random.default_rng(5)))
-    bounds = check_mpi_axioms(Fixture(w)).bounds
+    fx = Fixture(w)
+    bounds = check_mpi_axioms(fx).bounds
     rep = run_suite(w)
     assert rep.overall_pass and rep.properties["q_candidates"]["tested"] == 1
     res = {e.check_id: e.residual for e in rep.entries}
     assert min(bounds.values()) > 0.0
+    hom = homomorphism_bound(bounds, fx, fx.A.stack)
+    assert res["delta_homomorphism_primal"] == pytest.approx(hom, rel=1e-12)
+    del bounds["delta_homomorphism"], bounds["delta_homomorphism_per_commutator"]
+    assert bounds.pop("dual_cond3_per_wtilde_gap") == pytest.approx(1.0)
     for key, bound in bounds.items():
         assert res.get(key, res.get(f"{key}_primal")) == bound, key
 
@@ -153,14 +171,17 @@ def near_z3():
 def test_dual_certificate_judged_at_the_context_tolerance():
     # the dual context inherits the tolerance, so the certificate of W-hat
     # is judged at the run's tol: near Z_3 with Q = 1 its largest residual
-    # is about 2e-6, which passes at tol = 1e-3 and fails at RESIDUAL_TOL
+    # is about 2e-6, which passes at tol = 1e-3 (where the axioms pass and
+    # W-hat's cond3a and cond3b take their bounds) and fails at
+    # RESIDUAL_TOL (where there are no bounds and every word is evaluated)
     p, q = near_z3(), tensor.identity(tensor.space(3))
     for t in (1e-3, tensor.RESIDUAL_TOL, np.inf):
         assert Fixture(p, t).dual.tol == t
-    wt = build_wtilde(Fixture(p), q)
-    passed = {t: dual_manageability(Fixture(p, t), q, wt)[0].passed
-              for t in (1e-3, tensor.RESIDUAL_TOL)}
-    assert passed == {1e-3: True, tensor.RESIDUAL_TOL: False}
+    cert = check_manageability(Fixture(p), q)
+    largest = {t: max(dual_manageability(Fixture(p, t), cert,
+                                         check_mpi_axioms(Fixture(p, t)).bounds)[0].values())
+               for t in (1e-3, tensor.RESIDUAL_TOL)}
+    assert 1e-6 < largest[1e-3] < 1e-3 and largest[tensor.RESIDUAL_TOL] > 1e-6
 
 
 @pytest.mark.xfail(
@@ -252,6 +273,31 @@ def test_duality_relation(name):
                 == {e.check_id for e in rep_hat.entries if not e.passed})
 
 
+def verdict_shape(rep):
+    """The ids with their pass flags, and the skips, of a report."""
+    return [(e.check_id, e.passed) for e in rep.entries], rep.skips
+
+
+@pytest.mark.parametrize("name", ["pair_groupoid_2", "pair_groupoid_3", "two_z2",
+                                  "z3_plus_trivial"])
+def test_q_freedom(name):
+    # Q is not unique where the commutant of A and A-hat is not trivial
+    # (Soltan-Woronowicz): every diagonal candidate of suggest_q certifies
+    # on these fixtures, and a run with any of them supplied gives the
+    # ids, pass flags and skips of the run that certifies Q = 1 itself.
+    # So the Q != 1 paths of the manageability and antipode levels run on
+    # passing W; a runner that drops the supplied Q reports it suggested
+    w = BUILTIN[name]
+    fx = Fixture(w)
+    candidates = [q for q in manageability.suggest_q(fx) if check_manageability(fx, q).passed]
+    assert len(candidates) == len(manageability.suggest_q(fx)) >= 5
+    want = verdict_shape(run_suite(w))
+    for i, q in enumerate(candidates):
+        rep = run_suite(w, q)
+        assert rep.properties["q_source"] == "supplied", (name, i)
+        assert verdict_shape(rep) == want, (name, i)
+
+
 COUNTED = (
     (base_algebra, "base_spans"),
     (base_algebra, "check_separability_triple"),
@@ -333,17 +379,19 @@ def test_shared_quantities_computed_once(w_pair2, calls):
     # then E(b (x) c) and (b (x) c)E in B (x) C
     assert first["TensorSquare"] == 2
     # one leg-word engine per ambient space that a check evaluates words
-    # on: the axioms of W; per side of the manageability level, one for
-    # cond3a and one for cond3b; and one for hash3.  The E-leg entries of
-    # W and of W-hat, hash1 and hash2 take their bounds from the axiom
-    # gaps, so neither side of the coalgebra level builds one
-    assert first["LegWords"] == 6
+    # on: the axioms of W; one for cond3a and one for cond3b of W; and one
+    # for hash3.  The E-leg entries of W and of W-hat, hash1 and hash2 take
+    # their bounds from the axiom gaps, and W-hat's cond3a and cond3b from
+    # W's, so neither side of the coalgebra level builds one, nor W-hat's
+    # certificate
+    assert first["LegWords"] == 4
     assert first["tensor_fit"] == 12 + 2
     # each slice stack is factored once: fullness and the five antipode
     # maps read the SVDs of the four leg algebras, and no span of Rtilde's
-    # images is taken; 6 of the SVDs are spectral norms, ||W||_2 in the
-    # axioms and one in each antipode map
-    assert first["svd"] == 46
+    # images is taken; 7 of the SVDs are spectral norms, ||W||_2 in the
+    # axioms, ||Wtilde||_2 in the bounds on W-hat's cond3a and cond3b, and
+    # one in each antipode map
+    assert first["svd"] == 47
     # nothing survives the call: a second run on the same W does it all again
     calls.clear()
     run_suite(w_pair2, level="all")
