@@ -3,10 +3,12 @@
 Wtilde on Hbar (x) H is pinned down entrywise by the characterizing
 pairing <W(xi (x) v), eta (x) u> = <Wt(eta-bar (x) Q^{-1}v), xi-bar (x) Qu>:
 it is the partial transpose on the first leg of (1 (x) Q^{-1}) W (1 (x) Q).
-The certificate evaluates the commutation condition, both composability
-identities on the typed three-leg spaces, the alternative
-characterization over the basis grid, and the Q^{it} covariances.
-W-hat's certificate (``dual_manageability``) evaluates the same, but
+The certificate evaluates what manageability asks of (W, Q): that W
+commutes with Q (x) Q (cond1), and the two composability identities on
+the typed three-leg spaces (cond3a, cond3b).  The alternative
+characterization and the Q^{it} covariances of W and Wtilde restate cond1,
+as does cond1 on W-hat, so none is evaluated (README, "statements that
+hold for every input").  W-hat's certificate (``dual_manageability``)
 takes its composability identities from W's, which they mirror up to the
 gap between W-hat's Wtilde and the formula candidate, whenever that
 bound decides them; hash1 and hash2 take bounds from the axiom gaps.
@@ -31,7 +33,6 @@ import numpy as np
 from .axioms import takes_bound
 from .context import Fixture
 from .tensor import (
-    T_SAMPLES,
     H,
     HBAR,
     LegSpec,
@@ -104,53 +105,14 @@ def build_wtilde(fx: Fixture, q: Operator) -> Operator:
     return Operator(sp, wt)
 
 
-def _grid_residual(w: Operator, qm: np.ndarray, qinv: np.ndarray, wt: Operator) -> float:
-    """Relative gap of the alternative characterization
-    <W(xi (x) v), eta (x) u> = <Wt(Q^{-T}eta- (x) v), Q^T xi- (x) u>
-    for xi, eta, v, u running over the standard basis (where the
-    conjugation map fixes the coordinates).  All n^4 pairings are
-    evaluated at once; the left side is just W's entry grid.
-    """
-    n = w.space.legs[0].dim
-    lhs = w.matrix.reshape(n, n, n, n)  # [eta, u, xi, v]
-    t = wt.matrix.reshape(n, n, n, n)
-    rhs = np.einsum("aubv,ax,be->euxv", t, qm.T.conj(), qinv.T, optimize=True)
-    return rel_residual(lhs, rhs)
-
-
-def _residuals(fx: Fixture, q: Operator, wt: Operator,
-               cond3: dict[str, float]) -> dict[str, float]:
-    """The certificate's residuals for Wtilde wt of Q, cond3a and cond3b as
-    given."""
-    qe = fx.q_data(q)
-    w = fx.w
-    qq = np.kron(q.matrix, q.matrix)
-    res = {"cond1_commutation": rel_residual(w.matrix @ qq, qq @ w.matrix), **cond3}
-    res["alt_characterization"] = _grid_residual(w, q.matrix, qe.power(-1), wt)
-
-    qit_w = 0.0
-    qit_wt = 0.0
-    for t in T_SAMPLES:
-        qt = qe.power(1j * t)
-        qmt = qe.power(-1j * t)
-        qq_t = np.kron(qt, qt)
-        qq_mt = np.kron(qmt, qmt)
-        qit_w = max(qit_w, rel_residual(qq_t @ w.matrix @ qq_mt, w.matrix))
-        # ([Q^T]^{-it} (x) Q^{it}) Wt ([Q^T]^{it} (x) Q^{-it}) = Wt, where
-        # [Q^T]^z = [Q^z]^T for a positive Q
-        lhs_wt = np.kron(qmt.T, qt) @ wt.matrix @ np.kron(qt.T, qmt)
-        qit_wt = max(qit_wt, rel_residual(lhs_wt, wt.matrix))
-    res["qit_covariance_W"] = qit_w
-    res["qit_covariance_Wtilde"] = qit_wt
-    return res
-
-
 def check_manageability(fx: Fixture, q: Operator) -> ManageabilityCertificate:
-    """Build Wtilde and evaluate the full manageability apparatus, judged
-    at the context's tol."""
+    """Build Wtilde and evaluate the certificate, cond1 and cond3a/cond3b,
+    judged at the context's tol."""
     wt = build_wtilde(fx, q)
     norms = _composability(fx, wt, ("cond3a", "cond3b"))
-    res = _residuals(fx, q, wt, relative(norms))
+    qq = np.kron(q.matrix, q.matrix)
+    res = {"cond1_commutation": rel_residual(fx.w.matrix @ qq, qq @ fx.w.matrix),
+           **relative(norms)}
     passed = all(r < fx.tol for r in res.values())
     return ManageabilityCertificate(q=q, wtilde=wt, residuals=res, passed=passed,
                                     cond3_gaps={name: (float(gap), float(rhs))
@@ -175,9 +137,9 @@ def check_hash_identities(fx: Fixture, q: Operator, wt: Operator,
 
 def dual_manageability(fx: Fixture, cert: ManageabilityCertificate,
                        bounds: dict[str, float] | None = None) -> tuple[dict[str, float], float]:
-    """The certificate's residuals for W-hat with W's Q (``cert.q``), and
-    the residual between the formula candidate C = (Sigma Wt* Sigma)^{T (x) T}
-    and the direct construction of W-hat's Wtilde.
+    """W-hat's cond3a and cond3b with W's Q (``cert.q``), and the residual
+    between the formula candidate C = (Sigma Wt* Sigma)^{T (x) T} and the
+    direct construction of W-hat's Wtilde.
 
     cond3a and cond3b of W-hat follow from W's.  W-hat^T = Sigma conj(W) Sigma
     and C = Sigma conj(Wt) Sigma, so with C for W-hat's Wtilde each word of
@@ -194,14 +156,15 @@ def dual_manageability(fx: Fixture, cert: ManageabilityCertificate,
     (g + that) / max(1, ||R|| - that).  ``bounds`` is ``MpiVerdict.bounds``,
     whose ``dual_cond3_per_wtilde_gap`` is s^2.  An identity whose bound
     ``takes_bound`` accepts reports it, and every other one is evaluated on
-    W-hat.  cond1, the alternative characterization and the covariances are
-    evaluated on W-hat."""
+    W-hat.  At D = 0 the move is 0 whatever t is, so t is taken only when
+    D is not 0.  W-hat's cond1 gap is W's, since Sigma commutes with
+    Q (x) Q, and is not evaluated (README)."""
     q, wt, dual = cert.q, cert.wtilde, fx.dual
     wt_hat = build_wtilde(dual, q)
     candidate = transpose_op(swap_legs(wt.adj)).matrix
     gap = float(np.linalg.norm(candidate - wt_hat.matrix))
     s2 = (bounds or {}).get("dual_cond3_per_wtilde_gap", math.inf)
-    t = float(spectral_norm(wt.matrix))
+    t = float(spectral_norm(wt.matrix)) if gap else 0.0
     t1 = t + gap
     move = math.sqrt(fx.n) * gap * (s2 + t * t + t * t1 + t1 * t1)
     bound = {}
@@ -210,8 +173,8 @@ def dual_manageability(fx: Fixture, cert: ManageabilityCertificate,
         bound[name] = (g + move) / max(1.0, rhs - move)
     exact = relative(_composability(dual, wt_hat, tuple(name for name in bound
                                                         if not takes_bound(bound[name], fx))))
-    res = _residuals(dual, q, wt_hat, {name: exact.get(name, bound[name]) for name in bound})
-    return res, gap / max(1.0, float(np.linalg.norm(candidate)))
+    return ({name: exact.get(name, bound[name]) for name in bound},
+            gap / max(1.0, float(np.linalg.norm(candidate))))
 
 
 def inclusion_consequences(fx: Fixture, q: Operator) -> dict[str, float]:

@@ -3,7 +3,7 @@ import pytest
 
 from mpi_lab import corpus
 from mpi_lab.axioms import IDENTITY_WORDS, check_mpi_axioms, takes_bound
-from mpi_lab.context import Fixture
+from mpi_lab.context import Fixture, what
 from mpi_lab.manageability import (
     COMPOSABILITY_WORDS,
     MAX_Q_CANDIDATES,
@@ -22,6 +22,7 @@ from mpi_lab.tensor import (
     Operator,
     TensorSpace,
     identity,
+    T_SAMPLES,
     space,
     transpose_op,
 )
@@ -120,8 +121,6 @@ class TestCertificate:
 
     def test_group_groupoid_corpus(self, corpus_fixtures):
         for name, w in corpus_fixtures.items():
-            if name == "pair_groupoid_3":
-                continue  # covered in acceptance (slower grid)
             fx = Fixture(w)
             q = identity(space(fx.n))
             cert = check_manageability(fx, q)
@@ -349,7 +348,7 @@ def commuting_case(n, kappa, kind, seed):
     return Operator(space(n, n), m), Operator(space(n), (qm + qm.conj().T) / 2)
 
 
-DUAL_CASES = {f"n{n}_k{kappa:g}_{kind}": commuting_case(n, kappa, kind, 100 * n + i)
+Q_CASES = {f"n{n}_k{kappa:g}_{kind}": commuting_case(n, kappa, kind, 100 * n + i)
               for n in (2, 3) for i, kappa in enumerate((1.0, 2.0, 6.0, 40.0))
               for kind in ("exact", "1e-10", "1e-06", "0.01", "generic")}
 
@@ -361,11 +360,11 @@ class TestDualComposabilityBound:
     W-hat's Wtilde differs from C by the formula gap D, which moves each
     by at most sqrt(n) ||D||_F (s^2 + t^2 + t t' + t'^2)."""
 
-    @pytest.mark.parametrize("name", list(DUAL_CASES))
+    @pytest.mark.parametrize("name", list(Q_CASES))
     def test_bounds_cover_the_dense_residuals(self, name):
         # at tol = inf every finite bound decides, so the dual residuals
         # are the bounds; each is at least W-hat's dense residual
-        w, q = DUAL_CASES[name]
+        w, q = Q_CASES[name]
         fx = Fixture(w, tol=np.inf)
         bounds = check_mpi_axioms(fx).bounds
         res, _ = dual_manageability(fx, check_manageability(fx, q), bounds)
@@ -373,12 +372,12 @@ class TestDualComposabilityBound:
             gap, lhs, _ = dense_norms(fx.dual, q, key)
             assert gap / max(1.0, lhs) <= res[key] * (1 + 1e-12) + 1e-13, (name, key)
 
-    @pytest.mark.parametrize("name", [k for k in DUAL_CASES if k.endswith("_exact")])
+    @pytest.mark.parametrize("name", [k for k in Q_CASES if k.endswith("_exact")])
     def test_dual_words_mirror_the_primal(self, name):
         # W commutes with Q (x) Q, so W-hat's Wtilde is C: W-hat's cond3a
         # has the gap of W's cond3b and the left norm of its right side,
         # and the other way round
-        w, q = DUAL_CASES[name]
+        w, q = Q_CASES[name]
         fx = Fixture(w)
         for key, primal in DUAL_COND3.items():
             gap, lhs, _ = dense_norms(fx.dual, q, key)
@@ -389,7 +388,7 @@ class TestDualComposabilityBound:
     def test_entries_are_the_stated_bound(self, name):
         # the bound from dense ingredients: W's gap and right norm, s and
         # t from numpy's SVD, D from Sigma conj(Wt) Sigma and W-hat's Wtilde
-        w, q = DUAL_CASES[name]
+        w, q = Q_CASES[name]
         fx = Fixture(w, tol=np.inf)
         res, _ = dual_manageability(fx, check_manageability(fx, q), check_mpi_axioms(fx).bounds)
         wt = build_wtilde(fx, q).matrix
@@ -420,4 +419,122 @@ class TestDualComposabilityBound:
                 at_inf, _ = dual_manageability(Fixture(fx.w, tol=np.inf),
                                                check_manageability(fx, q), bounds)
                 assert all(not takes_bound(at_inf[key], fx) for key in DUAL_COND3)
-                assert res == check_manageability(fx.dual, q).residuals, (n, seed)
+                dual = check_manageability(fx.dual, q).residuals
+                assert res == {key: dual[key] for key in DUAL_COND3}, (n, seed)
+
+
+def restatement_gaps(w, q):
+    """||L - R||_F of each restatement of cond1 that the certificate does
+    not evaluate, from its dense formula: the alternative characterization
+    <W(xi (x) v), eta (x) u> = <Wt(Q^{-T}eta- (x) v), Q^T xi- (x) u> over
+    the basis grid, and, at each t of T_SAMPLES, the covariances
+    X^{it} W X^{-it} = W of W and
+    ([Q^T]^{-it} (x) Q^{it}) Wt ([Q^T]^{it} (x) Q^{-it}) = Wt of Wtilde,
+    X = Q (x) Q.  Also the alternative characterization's right side, as
+    an operator on H (x) H, and ||Wt||_F."""
+    n = q.matrix.shape[0]
+    vals, vecs = np.linalg.eigh(q.matrix)
+
+    def power(z):
+        return (vecs * vals.astype(complex) ** z) @ vecs.conj().T
+
+    wm, wt = w.matrix, build_wtilde(Fixture(w), q).matrix
+    rhs = np.einsum("aubv,ax,be->euxv", wt.reshape((n,) * 4), q.matrix.T.conj(),
+                    power(-1).T, optimize=True).reshape(wm.shape)
+    cov_w, cov_wt = [], []
+    for t in T_SAMPLES:
+        qt, qmt = power(1j * t), power(-1j * t)
+        cov_w.append(np.linalg.norm(np.kron(qt, qt) @ wm @ np.kron(qmt, qmt) - wm))
+        cov_wt.append(np.linalg.norm(np.kron(qmt.T, qt) @ wt @ np.kron(qt.T, qmt) - wt))
+    gaps = {"alt_characterization": np.linalg.norm(wm - rhs),
+            "qit_covariance_W": np.array(cov_w), "qit_covariance_Wtilde": np.array(cov_wt)}
+    return gaps, rhs, np.linalg.norm(wt)
+
+
+def scaled(q):
+    """Q and Q / kappa(Q): the restatements are invariant under Q -> cQ and
+    ||[W, X]||_F scales by c^2, so a bound that drops 1 / lambda_min(Q)^2
+    fails on the second."""
+    vals = np.linalg.eigvalsh(q.matrix)
+    return q, Operator(q.space, vals[0] / vals[-1] * q.matrix)
+
+
+def scaled_cases(name):
+    """The case's W and W-hat, each with both of ``scaled(Q)``."""
+    w, q = Q_CASES[name]
+    return [(side, qs) for side in (w, what(w)) for qs in scaled(q)]
+
+
+def commutator(w, q):
+    x = np.kron(q.matrix, q.matrix)
+    return w.matrix @ x - x @ w.matrix, x
+
+
+class TestCond1Restatements:
+    """The alternative characterization and the Q^{it} covariances of W and
+    Wtilde restate cond1, and so do cond1 and the three on W-hat (README,
+    "statements that hold for every input"): each gap is at most a constant
+    of Q times ||[W, X]||_F, X = Q (x) Q.  Each bound carries a rounding
+    allowance of 1e-13 ||W||_F, the most an exactly commuting W reads."""
+
+    @staticmethod
+    def allowance(w):
+        return 1e-13 * max(1.0, np.linalg.norm(w.matrix))
+
+    @pytest.mark.parametrize("name", list(Q_CASES))
+    def test_alt_characterization(self, name):
+        # its right side is X^{-1} W X, so the gap is ||X^{-1}[X, W]||_F
+        for w, q in scaled_cases(name):
+            gaps, rhs, _ = restatement_gaps(w, q)
+            comm, x = commutator(w, q)
+            lam = np.linalg.eigvalsh(q.matrix)[0]
+            want = np.linalg.solve(x, w.matrix @ x)
+            assert np.linalg.norm(rhs - want) <= 1e-13 * max(1.0, np.linalg.norm(want)), name
+            bound = np.linalg.norm(comm) / lam**2
+            assert gaps["alt_characterization"] <= bound + self.allowance(w), name
+
+    @pytest.mark.parametrize("name", list(Q_CASES))
+    def test_covariance_of_w(self, name):
+        # in X's eigenbasis an entry changes by |(mu_i/mu_j)^{it} - 1|
+        # <= |t| |mu_i - mu_j| / lambda_min(X), and lambda_min(X) =
+        # lambda_min(Q)^2
+        for w, q in scaled_cases(name):
+            gaps, _, _ = restatement_gaps(w, q)
+            lam = np.linalg.eigvalsh(q.matrix)[0]
+            bound = np.abs(T_SAMPLES) / lam**2 * np.linalg.norm(commutator(w, q)[0])
+            assert np.all(gaps["qit_covariance_W"] <= bound + self.allowance(w)), name
+
+    @pytest.mark.parametrize("name", list(Q_CASES))
+    def test_covariance_of_wtilde(self, name):
+        # Wtilde is the leg-1 partial transpose of (1 (x) Q^{-1}) W (1 (x) Q),
+        # which permutes entries, so at each t the gap is at most kappa(Q)
+        # times W's
+        for w, q in scaled_cases(name):
+            gaps, _, _ = restatement_gaps(w, q)
+            vals = np.linalg.eigvalsh(q.matrix)
+            bound = vals[-1] / vals[0] * gaps["qit_covariance_W"]
+            assert np.all(gaps["qit_covariance_Wtilde"] <= bound + self.allowance(w)), name
+
+    @pytest.mark.parametrize("name", list(Q_CASES))
+    def test_what_has_the_cond1_gap_of_w(self, name):
+        # Sigma X Sigma = X, so [W-hat, X] = -Sigma [W, X]* Sigma, whose
+        # Frobenius norm is W's gap
+        w, q0 = Q_CASES[name]
+        for q in scaled(q0):
+            comm, x = commutator(w, q)
+            comm_hat, _ = commutator(what(w), q)
+            atol = 1e-15 * np.linalg.norm(w.matrix) * np.linalg.norm(x)
+            np.testing.assert_allclose(comm_hat, -what(Operator(w.space, comm)).matrix,
+                                       rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("name", [k for k in Q_CASES if k.endswith("_exact")])
+    def test_exactly_commuting_w_reads_zero(self, name):
+        # each restatement's residual, ||L - R||_F / max(1, ||L||_F), and
+        # cond1's, on W and W-hat
+        for w, q in scaled_cases(name):
+            gaps, _, wt_norm = restatement_gaps(w, q)
+            norm = max(1.0, np.linalg.norm(w.matrix))
+            assert gaps["alt_characterization"] / norm <= 1e-13, name
+            assert gaps["qit_covariance_W"].max() / norm <= 1e-13, name
+            assert gaps["qit_covariance_Wtilde"].max() / max(1.0, wt_norm) <= 1e-13, name
+            assert check_manageability(Fixture(w), q).residuals["cond1_commutation"] <= 1e-13
