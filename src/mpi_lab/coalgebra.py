@@ -3,7 +3,8 @@
 A and A-hat are the spans of the right/left slices of W; the
 comultiplications are Delta(x) = W*(1 (x) x)W and
 Delta-hat(x) = Sigma W (x (x) 1) W* Sigma.  E = W*W is Delta(1) by
-definition and is checked to be a multiplier of A (x) A.  The multiplier,
+definition and is checked to be a multiplier of A (x) A.  Each side
+states only its own (A, Delta, G): A-hat's on W-hat's side.  The multiplier,
 range and density statements, read as exact span equalities (the only
 faithful finite-dimensional reading of the norm-density statements),
 are decided in coordinates on the HS-orthonormal basis e_p (x) e_q of
@@ -335,9 +336,12 @@ E_LEG_WORDS = {
 def check_canonical_idempotent(sq: TensorSquare,
                                bounds: dict[str, float] | None = None) -> dict[str, float]:
     """Commuting legs of E, multiplier membership of E in A (x) A, Delta
-    multiplicative on A, and the leg commutation identities with A and
-    A-hat.  E = Delta(1) and Delta(x*) = Delta(x)* hold for every W by
-    the definition Delta(x) = W*(1 (x) x)W, so they are not measured.
+    multiplicative on A, G commuting with 1 (x) A, and A closed under
+    products.  E = Delta(1) and Delta(x*) = Delta(x)* hold for every W by
+    the definition Delta(x) = W*(1 (x) x)W, and A-hat's two statements
+    (E commuting with A-hat (x) 1, A-hat closed under products) are W-hat's
+    side's last two, as G-hat = Sigma E Sigma and W-hat's A is the adjoint
+    span of A-hat (README), so none of these is measured here.
     ``bounds`` holds certified bounds on E_LEG_WORDS gaps (W's
     ``MpiVerdict.bounds``, its ``_dual`` ones on W-hat's side): an E-leg
     entry whose bound ``takes_bound`` accepts reports it, and every other
@@ -347,37 +351,28 @@ def check_canonical_idempotent(sq: TensorSquare,
     commute_G_with_1A entry forms (``axioms.dependent_bounds``); it reports
     that bound when ``takes_bound`` accepts it, and ``_homomorphism_gap``
     otherwise."""
-    fx, bst = sq.fx, sq.basis
-    e, g = fx.e.matrix, fx.g.matrix
+    fx, bst, g = sq.fx, sq.basis, sq.fx.g.matrix
     bounds = bounds or {}
     rest = {name: pair for name, pair in E_LEG_WORDS.items()
             if not takes_bound(bounds.get(name, np.inf), fx)}
     ops = {"W": fx.w, "W*": fx.ws, "E": fx.e}
     exact = LegWords(fx.three_leg, ops, rest).residuals() if rest else {}
     res = {name: exact[name] if name in rest else bounds[name] for name in E_LEG_WORDS}
-    eye = np.eye(fx.n)[None]
-
-    def commutator(m: np.ndarray, xs: np.ndarray) -> tuple[float, float]:
-        """The largest relative gap of x m = m x over the stack xs, and the
-        largest ||[m, x]||_F; one member at a time: n^4 entries live, not
-        the stack's.  Each norm is taken over one row, as ``max_gap`` takes
-        it, so the relative gap has its bits."""
-        gaps = np.zeros((len(xs), 2))
-        for row, x in zip(gaps, xs[:, None]):
-            lhs = x @ m
-            row[1] = np.linalg.norm(rows(lhs - m @ x), axis=1)[0]
-            row[0] = row[1] / max(1.0, np.linalg.norm(rows(lhs), axis=1)[0])
-        return tuple(map(float, gaps.max(axis=0, initial=0.0)))
-
-    g_relative, g_commutator = commutator(g, kron_stack(eye, bst))
+    # the largest relative gap of x G = G x and ||[G, x]||_F over x = 1 (x) c,
+    # one member at a time (n^4 entries live); each norm is taken over one
+    # row, as ``max_gap`` takes it, so the relative gap has its bits
+    gaps = np.zeros((len(bst), 2))
+    for row, x in zip(gaps, kron_stack(np.eye(fx.n)[None], bst)[:, None]):
+        lhs = x @ g
+        row[1] = np.linalg.norm(rows(lhs - g @ x), axis=1)[0]
+        row[0] = row[1] / max(1.0, np.linalg.norm(rows(lhs), axis=1)[0])
+    g_relative, g_commutator = map(float, gaps.max(axis=0, initial=0.0))
     hom = (bounds.get("delta_homomorphism", math.inf)
            + bounds.get("delta_homomorphism_per_commutator", math.inf) * g_commutator)
     res["delta_homomorphism"] = hom if takes_bound(hom, fx) else _homomorphism_gap(fx, bst)
     res["E_multiplier"] = max(sq.membership("E_bc"), sq.membership("bc_E"))
     res["commute_G_with_1A"] = g_relative
-    res["commute_E_with_Ahat1"] = commutator(e, kron_stack(fx.Ahat.stack, eye))[0]
     res["product_stability_A"] = fx.A.product_residual
-    res["product_stability_Ahat"] = fx.Ahat.product_residual
     return res
 
 

@@ -490,6 +490,116 @@ class TestCanonicalIdempotent:
         assert peak < 34 * 2**20, peak / 2**20
 
 
+def skewed_candidates():
+    """Two seeded candidates that are not MPIs, with O(1) gaps: W = sqrt(E)
+    for a positive E close to 1 (x) 1 (n = 3), and pair_groupoid(2) skewed
+    by four unitaries (n = 4)."""
+    def gauss(rng, n):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    rng = np.random.default_rng(5)
+    x, y = gauss(rng, 3), gauss(rng, 3)
+    e = np.eye(9) + 0.1 * (np.kron(x, y) + np.kron(x.conj().T, y.conj().T))
+    vals, vecs = np.linalg.eigh(e)
+    assert vals.min() > 0.05
+    rng = np.random.default_rng(7)
+    u1, u2, u3, u4 = (corpus.random_unitary(4, rng).matrix for _ in range(4))
+    pair = corpus.groupoid_mpi(corpus.pair_groupoid(2)).matrix
+    return {"sqrt_E": Operator(space(3, 3), (vecs * np.sqrt(vals)) @ vecs.conj().T),
+            "pair2_skewed": Operator(space(4, 4), np.kron(u1, u2) @ pair @ np.kron(u3, u4))}
+
+
+RESTATEMENT_CASES = {**skewed_candidates(), "example": corpus.matrix_unit_example(),
+                     "z3+1e-3": perturbed(corpus.group_mpu(corpus.cyclic_table(3)), 1e-3, 0)}
+
+
+def commutator_rows(m, xs, leg):
+    """Rows [m, x (x) 1] (leg 0) or [m, 1 (x) x] (leg 1) over a stack xs."""
+    eye = np.eye(len(xs[0]))[None]
+    ys = np.kron(xs, eye) if leg == 0 else np.kron(eye, xs)
+    return (m @ ys - ys @ m).reshape(len(xs), -1)
+
+
+def product_rows(alg):
+    """Rows P_perp(b_i b_j) over the pairs of the span's basis."""
+    prods = np.einsum("iab,jbc->ijac", alg.stack, alg.stack).reshape(alg.dim**2, -1)
+    return prods - alg.coordinates(prods) @ alg.basis_matrix
+
+
+class TestDualSideStatesAhat:
+    """W-hat = Sigma W* Sigma: W-hat's right slices are the adjoints of W's
+    left slices, so W-hat's A is the adjoint span of A-hat, and
+    G-hat = Sigma E Sigma.  So [G-hat, 1 (x) y*] = Sigma [E, y (x) 1]* Sigma,
+    and P_{S*}(x) = P_S(x*)*: on W-hat's side commute_G_with_1A and
+    product_stability_A state A-hat's two statements, and W-hat's A-hat
+    side (E-hat = Sigma G Sigma, A-hat-hat = A*) A's.  The entries are
+    maxima over LAPACK's bases, so each is compared through its basis-free
+    form: the spectral norm of the commutator rows, sup over the unit ball
+    of the span, and the Hilbert-Schmidt sum of the product gaps.  The
+    reference is A-hat's statement evaluated on W's side, as
+    commute_E_with_Ahat1 and product_stability_Ahat were."""
+
+    @pytest.mark.parametrize("name", list(RESTATEMENT_CASES))
+    def test_slices_of_what_are_adjoint_slices(self, name):
+        fx = Fixture(RESTATEMENT_CASES[name])
+        n = fx.n
+        ab_ba = np.arange(n * n).reshape(n, n).T.ravel()  # (a, b) -> (b, a)
+        adjoint = np.conj(np.swapaxes(fx.left_slices, 1, 2))[ab_ba]
+        np.testing.assert_array_equal(fx.dual.right_slices, adjoint)
+        adjoint = np.conj(np.swapaxes(fx.right_slices, 1, 2))[ab_ba]
+        np.testing.assert_array_equal(fx.dual.left_slices, adjoint)
+
+    @pytest.mark.parametrize("name", list(RESTATEMENT_CASES))
+    def test_commutators_agree(self, name):
+        fx = Fixture(RESTATEMENT_CASES[name])
+        d = fx.dual
+        for got, ref in (
+            (commutator_rows(d.g.matrix, d.A.stack, 1), commutator_rows(fx.e.matrix, fx.Ahat.stack, 0)),
+            (commutator_rows(d.e.matrix, d.Ahat.stack, 0), commutator_rows(fx.g.matrix, fx.A.stack, 1)),
+        ):
+            np.testing.assert_allclose(np.linalg.norm(got, 2), np.linalg.norm(ref, 2),
+                                       rtol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("name", list(RESTATEMENT_CASES))
+    def test_product_gaps_agree(self, name):
+        fx = Fixture(RESTATEMENT_CASES[name])
+        for got, ref in ((fx.dual.A, fx.Ahat), (fx.dual.Ahat, fx.A)):
+            np.testing.assert_allclose(np.linalg.norm(product_rows(got)),
+                                       np.linalg.norm(product_rows(ref)),
+                                       rtol=1e-12, atol=1e-13, err_msg=name)
+
+    def test_reference_values(self):
+        # the O(1) values the two cases above compare, on W-hat's side
+        for name, want in (("sqrt_E", 2.34003612766526), ("pair2_skewed", 1.8931608516787)):
+            d = Fixture(RESTATEMENT_CASES[name]).dual
+            got = np.linalg.norm(commutator_rows(d.g.matrix, d.A.stack, 1), 2)
+            assert got == pytest.approx(want, rel=1e-12), name
+        d = Fixture(RESTATEMENT_CASES["pair2_skewed"]).dual
+        assert np.linalg.norm(product_rows(d.A)) == pytest.approx(1.74778291827539, rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(RESTATEMENT_CASES))
+    def test_kept_entries_within_the_basis_factor(self, name):
+        # on any orthonormal basis, the largest member's gap is at most the
+        # basis-free form and at least 1/sqrt(d) (commutators) or 1/d
+        # (products, whose relative gaps are absolute: ||b_i b_j||_F <= 1)
+        # of it; so W-hat's entry and A-hat's statement on W's side, each on
+        # its own side's basis, differ by at most that factor
+        fx = Fixture(RESTATEMENT_CASES[name])
+        got = check_canonical_idempotent(TensorSquare(fx.dual))["product_stability_A"]
+        dim = fx.Ahat.dim
+        for alg in (fx.dual.A, fx.Ahat):
+            gaps = np.linalg.norm(product_rows(alg), axis=1)
+            form = np.linalg.norm(gaps)
+            assert gaps.max() <= form * (1 + 1e-12) and form <= dim * gaps.max() * (1 + 1e-12) + 1e-13
+        ref = fx.Ahat.product_residual
+        assert got == fx.dual.A.product_residual
+        assert got <= dim * ref * (1 + 1e-12) + 1e-13 and ref <= dim * got * (1 + 1e-12) + 1e-13
+        for rows_ in (commutator_rows(fx.dual.g.matrix, fx.dual.A.stack, 1),
+                      commutator_rows(fx.e.matrix, fx.Ahat.stack, 0)):
+            largest, form = np.linalg.norm(rows_, axis=1).max(), np.linalg.norm(rows_, 2)
+            assert largest <= form * (1 + 1e-12) and form <= np.sqrt(dim) * largest * (1 + 1e-12)
+
+
 def homomorphism_cases():
     """(name, W, the unperturbed fixture's W): example, Z_3,
     pair_groupoid(2) and pair_groupoid(3), each perturbed by 1e-7, 1e-4 and

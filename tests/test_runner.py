@@ -25,7 +25,7 @@ from mpi_lab.context import Fixture
 from mpi_lab.manageability import build_wtilde, check_manageability, dual_manageability
 from mpi_lab.runner import builtin_corpus, corpus_suite, run_suite
 
-from test_coalgebra import homomorphism_bound, perturbed
+from test_coalgebra import homomorphism_bound, perturbed, skewed_candidates
 
 # Ordered check ids with pass flags, and ordered skips, of every corpus
 # report for seed 7, recorded before the runner was rebuilt on the
@@ -65,38 +65,32 @@ def test_every_axioms_entry_can_fail():
 
 
 def test_every_span_and_antipode_entry_can_fail():
-    # no entry of base_spans, c_star_bases, check_antipode or check_duality
-    # holds for every W: each one exceeds 0.1 on one of two candidates that
-    # are not MPIs, W = sqrt(E) for a positive E close to 1 (x) 1, and
-    # pair_groupoid(2) skewed by four unitaries, each with a random
-    # positive Q
-    def gauss(rng, n):
-        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-    rng = np.random.default_rng(5)
-    x, y = gauss(rng, 3), gauss(rng, 3)
-    e = np.eye(9) + 0.1 * (np.kron(x, y) + np.kron(x.conj().T, y.conj().T))
-    vals, vecs = np.linalg.eigh(e)
-    assert vals.min() > 0.05
-    rng = np.random.default_rng(7)
-    u1, u2, u3, u4 = (corpus.random_unitary(4, rng).matrix for _ in range(4))
-    pair = corpus.groupoid_mpi(corpus.pair_groupoid(2)).matrix
-    candidates = (
-        ((vecs * np.sqrt(vals)) @ vecs.conj().T, 3),
-        (np.kron(u1, u2) @ pair @ np.kron(u3, u4), 4),
-    )
+    # no entry of base_spans, c_star_bases, check_antipode, check_duality
+    # or of the coalgebra level on either side holds for every W: each one
+    # exceeds 0.1 on one of two candidates that are not MPIs, W = sqrt(E)
+    # for a positive E close to 1 (x) 1, and pair_groupoid(2) skewed by four
+    # unitaries, each with a random positive Q.  The coalgebra checks run
+    # without bounds, so their bounded entries take their exact paths
     largest = Counter()
-    for i, (m, n) in enumerate(candidates):
-        fx = Fixture(tensor.Operator(tensor.space(n, n), m))
-        z = gauss(np.random.default_rng(11 + i), n)
+    for i, w in enumerate(skewed_candidates().values()):
+        fx = Fixture(w)
+        n, rng = fx.n, np.random.default_rng(11 + i)
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         q = tensor.Operator(tensor.space(n), z @ z.conj().T + np.eye(n))
         wt = build_wtilde(fx, q)
-        for res in (base_algebra.base_spans(fx), base_algebra.c_star_bases(fx),
-                    antipode.check_antipode(fx, q, wt), antipode.check_duality(fx, q, wt)):
+        results = [base_algebra.base_spans(fx), base_algebra.c_star_bases(fx),
+                   antipode.check_antipode(fx, q, wt), antipode.check_duality(fx, q, wt)]
+        for side, sfx in (("primal", fx), ("dual", fx.dual)):
+            square = coalgebra.TensorSquare(sfx)
+            res = {"coassociativity": coalgebra.coassociativity_residual(sfx),
+                   **coalgebra.check_canonical_idempotent(square),
+                   **coalgebra.check_delta_range_and_density(square).residuals}
+            results.append({f"{key}_{side}": value for key, value in res.items()})
+        for res in results:
             for key, value in res.items():
                 largest[key] = max(largest[key], value)
     assert {k: v for k, v in largest.items() if not v > 0.1} == {}
-    assert len(largest) == 35
+    assert len(largest) == 69
 
 
 def test_what_without_the_flip_fails_a_report(w_pair2, monkeypatch):
@@ -397,6 +391,14 @@ def test_shared_quantities_computed_once(w_pair2, calls):
     calls.clear()
     run_suite(w_pair2, level="all")
     assert dict(calls) == first
+
+
+def test_dual_ahat_first_read_by_the_antipode_level(w_pair2, calls):
+    # each side of the coalgebra level reads its own A only, A-hat's
+    # statements being W-hat's side's: a run that stops before the antipode
+    # level builds A and A-hat of W and A of W-hat, and no A-hat of W-hat
+    run_suite(w_pair2, level="manageability")
+    assert calls["leg_algebra"] == 3
 
 
 def test_failing_axioms_factor_nothing(calls):
