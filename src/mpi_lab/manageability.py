@@ -136,10 +136,12 @@ def check_hash_identities(fx: Fixture, q: Operator, wt: Operator,
 
 
 def dual_manageability(fx: Fixture, cert: ManageabilityCertificate,
-                       bounds: dict[str, float] | None = None) -> tuple[dict[str, float], float]:
-    """W-hat's cond3a and cond3b with W's Q (``cert.q``), and the residual
+                       bounds: dict[str, float] | None = None
+                       ) -> tuple[dict[str, float], float, Operator]:
+    """W-hat's cond3a and cond3b with W's Q (``cert.q``), the residual
     between the formula candidate C = (Sigma Wt* Sigma)^{T (x) T} and the
-    direct construction of W-hat's Wtilde.
+    direct construction of W-hat's Wtilde, and that Wtilde, which W-hat's
+    antipode level reads.
 
     cond3a and cond3b of W-hat follow from W's.  W-hat^T = Sigma conj(W) Sigma
     and C = Sigma conj(Wt) Sigma, so with C for W-hat's Wtilde each word of
@@ -174,7 +176,7 @@ def dual_manageability(fx: Fixture, cert: ManageabilityCertificate,
     exact = relative(_composability(dual, wt_hat, tuple(name for name in bound
                                                         if not takes_bound(bound[name], fx))))
     return ({name: exact.get(name, bound[name]) for name in bound},
-            gap / max(1.0, float(np.linalg.norm(candidate))))
+            gap / max(1.0, float(np.linalg.norm(candidate))), wt_hat)
 
 
 def inclusion_consequences(fx: Fixture, q: Operator) -> dict[str, float]:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .axioms import assess_fullness, check_mpi_axioms, projection_residuals
+from .axioms import assess_fullness, check_mpi_axioms, pi_gaps, projection_residuals
 from .antipode import check_antipode, check_base_restrictions, check_duality
 from .base_algebra import (
     base_spans,
@@ -71,6 +71,8 @@ class _Run:
     #: MpiVerdict.bounds: certified bounds on what follows from the axioms
     bounds: dict = field(default_factory=dict)
     cert: ManageabilityCertificate | None = None
+    #: W-hat's Wtilde for the certified Q, built by dual_manageability
+    wtilde_hat: Operator | None = None
 
     def add(self, results: dict, prefix: str = "", suffix: str = ""):
         for key, val in results.items():
@@ -205,7 +207,7 @@ def _manageability(run: _Run) -> bool:
     q, wt = cert.q, cert.wtilde
     run.add(cert.residuals, prefix="manageability_")
     run.add(check_hash_identities(fx, q, wt, run.bounds))
-    dual_res, formula_gap = dual_manageability(fx, cert, run.bounds)
+    dual_res, formula_gap, run.wtilde_hat = dual_manageability(fx, cert, run.bounds)
     rep.add("dual_certificate", max(dual_res.values()))
     rep.add("dual_wtilde_formula", formula_gap)
     run.add(inclusion_consequences(fx, q))
@@ -226,8 +228,9 @@ def _antipode(run: _Run) -> bool:
         )
         return False
     q, wt = cert.q, cert.wtilde
-    run.add(check_antipode(fx, q, wt), prefix="antipode_")
-    run.add(check_duality(fx, q, wt), prefix="duality_")
+    run.add(check_antipode(fx, q, wt), prefix="antipode_", suffix="_primal")
+    run.add(check_duality(fx, q, run.wtilde_hat), prefix="antipode_", suffix="_dual")
+    rep.add("antipode_wtilde_partial_isometry", pi_gaps(wt.matrix)[1])
     if fx.structure_reason is None:
         run.add(check_base_restrictions(fx, q), prefix="base_restriction_")
     else:

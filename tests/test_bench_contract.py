@@ -49,7 +49,8 @@ def test_traced_suite_records_spans_and_bytes():
     calls = tracer.self_times()
     assert calls["runner.run_suite"][0] == 1
     for name in ("axioms.check_mpi_axioms", "base_algebra.kappa_map",
-                 "antipode.check_antipode", "coalgebra.coassociativity_residual"):
+                 "antipode.check_antipode", "antipode.check_duality",
+                 "coalgebra.coassociativity_residual"):
         assert calls[name][0] >= 1, name
     assert tracer.operators_constructed > 0
     metrics = tracer.metrics({"group_z2": rep.to_dict()}, 1.0, 1.0, 0.5)

@@ -326,7 +326,7 @@ class TestCommands:
         rep = json.loads((tmp_path / "rep.json").read_text())
         assert rep["properties"]["q_source"] == "supplied"
         ids = [c["id"] for c in rep["checks"]]
-        assert "antipode_polar_S_eq_RA_tau" in ids
+        assert {"antipode_polar_S_eq_RA_tau_primal", "antipode_polar_S_eq_RA_tau_dual"} <= set(ids)
 
     def test_supplied_q_that_fails_the_certificate(self, tmp_path, w_z2):
         # Q = diag(1, 2) does not commute with Z_2's W: the entries that

@@ -42,13 +42,16 @@ def level_entries(m, q):
             "nu": fx.nu.normalization_residual, "nuhat": fx.dual.nu.normalization_residual}
     cert = manageability.check_manageability(fx, q)
     wt = cert.wtilde
-    dual_res, formula_gap = manageability.dual_manageability(fx, cert)
+    dual_res, formula_gap, wt_hat = manageability.dual_manageability(fx, cert)
     manage = {**cert.residuals,
               **manageability.check_hash_identities(fx, q, wt),
               **{f"dual_{k}": v for k, v in dual_res.items()},
               "dual_wtilde_formula": formula_gap,
               **manageability.inclusion_consequences(fx, q)}
-    anti = {**antipode.check_antipode(fx, q, wt), **antipode.check_duality(fx, q, wt)}
+    anti = {"wtilde_partial_isometry": axioms.pi_gaps(wt.matrix)[1]}
+    for side, res in (("primal", antipode.check_antipode(fx, q, wt)),
+                      ("dual", antipode.check_duality(fx, q, wt_hat))):
+        anti.update({f"{key}_{side}": value for key, value in res.items()})
     if fx.structure_reason is None:
         base.update(base_algebra.check_separability_triple(fx))
         manage.update(base_algebra.kappa_q_checks(fx, q, wt))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mpi_lab import corpus
+from mpi_lab.antipode import tau
 from mpi_lab.axioms import IDENTITY_WORDS, check_mpi_axioms, takes_bound
 from mpi_lab.context import Fixture, what
 from mpi_lab.manageability import (
@@ -21,7 +22,9 @@ from mpi_lab.tensor import (
     LegWords,
     Operator,
     TensorSpace,
+    all_right_slices,
     identity,
+    max_gap,
     T_SAMPLES,
     space,
     transpose_op,
@@ -202,15 +205,17 @@ class TestDualManageability:
     def test_formula_matches_construction(self, corpus_fixtures, name):
         fx = Fixture(corpus_fixtures[name])
         q = identity(space(fx.n))
-        res, formula_res = dual_manageability(fx, check_manageability(fx, q))
+        res, formula_res, _ = dual_manageability(fx, check_manageability(fx, q))
         assert max(res.values()) < fx.tol
         assert formula_res < 1e-12
 
     def test_identity(self):
         fx = Fixture(identity(space(2, 2)))
         q = identity(space(2))
-        res, formula_res = dual_manageability(fx, check_manageability(fx, q))
+        res, formula_res, wt_hat = dual_manageability(fx, check_manageability(fx, q))
         assert max(res.values()) < fx.tol and formula_res == 0.0
+        # W-hat's Wtilde, as W-hat's antipode level reads it
+        np.testing.assert_array_equal(wt_hat.matrix, build_wtilde(fx.dual, q).matrix)
 
 
 class TestTypedLegSafety:
@@ -367,7 +372,7 @@ class TestDualComposabilityBound:
         w, q = Q_CASES[name]
         fx = Fixture(w, tol=np.inf)
         bounds = check_mpi_axioms(fx).bounds
-        res, _ = dual_manageability(fx, check_manageability(fx, q), bounds)
+        res, _, _ = dual_manageability(fx, check_manageability(fx, q), bounds)
         for key in DUAL_COND3:
             gap, lhs, _ = dense_norms(fx.dual, q, key)
             assert gap / max(1.0, lhs) <= res[key] * (1 + 1e-12) + 1e-13, (name, key)
@@ -390,7 +395,7 @@ class TestDualComposabilityBound:
         # t from numpy's SVD, D from Sigma conj(Wt) Sigma and W-hat's Wtilde
         w, q = Q_CASES[name]
         fx = Fixture(w, tol=np.inf)
-        res, _ = dual_manageability(fx, check_manageability(fx, q), check_mpi_axioms(fx).bounds)
+        res, _, _ = dual_manageability(fx, check_manageability(fx, q), check_mpi_axioms(fx).bounds)
         wt = build_wtilde(fx, q).matrix
         d = np.linalg.norm(wt.reshape((fx.n,) * 4).transpose(1, 0, 3, 2).reshape(wt.shape).conj()
                            - build_wtilde(fx.dual, q).matrix)
@@ -414,9 +419,9 @@ class TestDualComposabilityBound:
                 fx = Fixture(Operator(space(n, n), m))
                 q = Operator(space(n), np.diag(np.linspace(1.0, 2.0, n)))
                 bounds = check_mpi_axioms(Fixture(fx.w, tol=np.inf)).bounds
-                res, formula_gap = dual_manageability(fx, check_manageability(fx, q), bounds)
+                res, formula_gap, _ = dual_manageability(fx, check_manageability(fx, q), bounds)
                 assert formula_gap >= 0.1, (n, seed, formula_gap)
-                at_inf, _ = dual_manageability(Fixture(fx.w, tol=np.inf),
+                at_inf, _, _ = dual_manageability(Fixture(fx.w, tol=np.inf),
                                                check_manageability(fx, q), bounds)
                 assert all(not takes_bound(at_inf[key], fx) for key in DUAL_COND3)
                 dual = check_manageability(fx.dual, q).residuals
@@ -471,11 +476,12 @@ def commutator(w, q):
 
 
 class TestCond1Restatements:
-    """The alternative characterization and the Q^{it} covariances of W and
-    Wtilde restate cond1, and so do cond1 and the three on W-hat (README,
-    "statements that hold for every input"): each gap is at most a constant
-    of Q times ||[W, X]||_F, X = Q (x) Q.  Each bound carries a rounding
-    allowance of 1e-13 ||W||_F, the most an exactly commuting W reads."""
+    """The alternative characterization, the Q^{it} covariances of W and
+    Wtilde and the tau-slice identity restate cond1, and so do cond1 and
+    the four on W-hat (README, "statements that hold for every input"):
+    each gap is at most a constant of Q times ||[W, X]||_F, X = Q (x) Q.
+    Each bound carries a rounding allowance of 1e-13 ||W||_F, the most an
+    exactly commuting W reads."""
 
     @staticmethod
     def allowance(w):
@@ -515,6 +521,42 @@ class TestCond1Restatements:
             bound = vals[-1] / vals[0] * gaps["qit_covariance_W"]
             assert np.all(gaps["qit_covariance_Wtilde"] <= bound + self.allowance(w)), name
 
+    @staticmethod
+    def tau_slice_gap(w, q):
+        """The deleted tau_slice_identity entry, max_gap of tau_{-i/2}(a) =
+        Q a Q^{-1} over the generators a against the transposed slices of
+        Wtilde at the same functionals, and ||[W, X]||_F / lambda_min(Q)^2."""
+        fx = Fixture(w)
+        tau_a = tau(fx, q, -0.5j, fx.right_slices)
+        wt_slices = all_right_slices(build_wtilde(fx, q)).transpose(0, 2, 1)
+        comm, _ = commutator(w, q)
+        lam = np.linalg.eigvalsh(q.matrix)[0]
+        return max_gap(tau_a, wt_slices), np.linalg.norm(comm) / lam**2
+
+    @pytest.mark.parametrize("name", list(Q_CASES))
+    def test_tau_slice_identity(self, name):
+        # tau_{-i/2}(a) - [slice of Wtilde]^T is the same slice of
+        # (Q (x) 1) W (Q^{-1} (x) 1) - (1 (x) Q^{-1}) W (1 (x) Q)
+        # = (1 (x) Q^{-1}) [X, W] (Q^{-1} (x) 1), the dense reference here,
+        # so the gap is at most ||[W, X]||_F / lambda_min(Q)^2
+        for w, q in scaled_cases(name):
+            fx = Fixture(w)
+            eye, qinv = np.eye(fx.n), np.linalg.inv(q.matrix)
+            diff = (tau(fx, q, -0.5j, fx.right_slices)
+                    - all_right_slices(build_wtilde(fx, q)).transpose(0, 2, 1))
+            comm, _ = commutator(w, q)
+            dense = np.kron(eye, qinv) @ -comm @ np.kron(qinv, eye)
+            np.testing.assert_allclose(diff, all_right_slices(Operator(w.space, dense)), rtol=0,
+                                       atol=self.allowance(w) * np.linalg.cond(q.matrix))
+            gap, bound = self.tau_slice_gap(w, q)
+            assert gap <= bound + self.allowance(w), name
+
+    def test_tau_slice_bound_needs_lambda_min(self):
+        # the bound without 1 / lambda_min(Q)^2 fails on Q / kappa(Q)
+        assert any(gap > lam2_bound * np.linalg.eigvalsh(q.matrix)[0] ** 2 + self.allowance(w)
+                   for name in Q_CASES for w, q in scaled_cases(name)
+                   for gap, lam2_bound in [self.tau_slice_gap(w, q)])
+
     @pytest.mark.parametrize("name", list(Q_CASES))
     def test_what_has_the_cond1_gap_of_w(self, name):
         # Sigma X Sigma = X, so [W-hat, X] = -Sigma [W, X]* Sigma, whose
@@ -537,4 +579,5 @@ class TestCond1Restatements:
             assert gaps["alt_characterization"] / norm <= 1e-13, name
             assert gaps["qit_covariance_W"].max() / norm <= 1e-13, name
             assert gaps["qit_covariance_Wtilde"].max() / max(1.0, wt_norm) <= 1e-13, name
+            assert self.tau_slice_gap(w, q)[0] <= 1e-13, name
             assert check_manageability(Fixture(w), q).residuals["cond1_commutation"] <= 1e-13

@@ -20,7 +20,7 @@ from mpi_lab import (
     runner,
     tensor,
 )
-from mpi_lab.axioms import check_mpi_axioms
+from mpi_lab.axioms import check_mpi_axioms, pi_gaps
 from mpi_lab.context import Fixture
 from mpi_lab.manageability import build_wtilde, check_manageability, dual_manageability
 from mpi_lab.runner import builtin_corpus, corpus_suite, run_suite
@@ -65,12 +65,13 @@ def test_every_axioms_entry_can_fail():
 
 
 def test_every_span_and_antipode_entry_can_fail():
-    # no entry of base_spans, c_star_bases, check_antipode, check_duality
-    # or of the coalgebra level on either side holds for every W: each one
-    # exceeds 0.1 on one of two candidates that are not MPIs, W = sqrt(E)
-    # for a positive E close to 1 (x) 1, and pair_groupoid(2) skewed by four
-    # unitaries, each with a random positive Q.  The coalgebra checks run
-    # without bounds, so their bounded entries take their exact paths
+    # no entry of base_spans, c_star_bases, of the coalgebra and antipode
+    # levels on either side, or wtilde_partial_isometry holds for every W:
+    # each one exceeds 0.1 on one of two candidates that are not MPIs,
+    # W = sqrt(E) for a positive E close to 1 (x) 1, and pair_groupoid(2)
+    # skewed by four unitaries, each with a random positive Q and each
+    # side's Wtilde for it.  The coalgebra checks run without bounds, so
+    # their bounded entries take their exact paths
     largest = Counter()
     for i, w in enumerate(skewed_candidates().values()):
         fx = Fixture(w)
@@ -79,18 +80,19 @@ def test_every_span_and_antipode_entry_can_fail():
         q = tensor.Operator(tensor.space(n), z @ z.conj().T + np.eye(n))
         wt = build_wtilde(fx, q)
         results = [base_algebra.base_spans(fx), base_algebra.c_star_bases(fx),
-                   antipode.check_antipode(fx, q, wt), antipode.check_duality(fx, q, wt)]
+                   {"wtilde_partial_isometry": pi_gaps(wt.matrix)[1]}]
         for side, sfx in (("primal", fx), ("dual", fx.dual)):
             square = coalgebra.TensorSquare(sfx)
             res = {"coassociativity": coalgebra.coassociativity_residual(sfx),
                    **coalgebra.check_canonical_idempotent(square),
-                   **coalgebra.check_delta_range_and_density(square).residuals}
+                   **coalgebra.check_delta_range_and_density(square).residuals,
+                   **antipode.check_antipode(sfx, q, build_wtilde(sfx, q))}
             results.append({f"{key}_{side}": value for key, value in res.items()})
         for res in results:
             for key, value in res.items():
                 largest[key] = max(largest[key], value)
     assert {k: v for k, v in largest.items() if not v > 0.1} == {}
-    assert len(largest) == 69
+    assert len(largest) == 72
 
 
 def test_what_without_the_flip_fails_a_report(w_pair2, monkeypatch):
@@ -102,7 +104,7 @@ def test_what_without_the_flip_fails_a_report(w_pair2, monkeypatch):
     monkeypatch.setattr(context, "what", lambda v: v.adj)
     rep = run_suite(w_pair2)
     failed = {e.check_id for e in rep.entries if not e.passed}
-    assert {"dual_certificate", "antipode_S_well_defined"} <= failed
+    assert {"dual_certificate", "antipode_S_well_defined_primal"} <= failed
 
 
 def test_every_bound_is_an_entry():
@@ -299,6 +301,7 @@ COUNTED = (
     (base_algebra, "gamma_n_stack"),
     (antipode, "antipode_map"),
     (coalgebra, "leg_algebra"),
+    (manageability, "build_wtilde"),
     (tensor, "span_matrices"),
     (tensor, "tensor_fit"),
 )
@@ -355,6 +358,9 @@ def test_shared_quantities_computed_once(w_pair2, calls):
     assert first["base_spans"] == 1
     # S of W, and S-hat as the antipode of the dual context
     assert first["antipode_map"] == 2
+    # Wtilde of W for the certificate, and of W-hat for W-hat's certificate,
+    # which hands it on to W-hat's antipode level
+    assert first["build_wtilde"] == 2
     assert first["check_separability_triple"] == 1
     # gamma_N of N's basis and of sigma_{-i/2} of it in the base structure,
     # which the polar, S_B and anti-multiplicativity entries read; of the
@@ -380,13 +386,14 @@ def test_shared_quantities_computed_once(w_pair2, calls):
     # certificate
     assert first["LegWords"] == 4
     assert first["tensor_fit"] == 12 + 2
-    # each slice stack is factored once: fullness and the five antipode
-    # maps read the SVDs of the four leg algebras, and no span of Rtilde's
-    # images is taken; 6 of the SVDs are spectral norms, ||W||_2 in the
-    # axioms and one in each antipode map.  ||Wtilde||_2 enters the bounds
-    # on W-hat's cond3a and cond3b only through the formula gap D, which
-    # is 0 here, so it is not taken
-    assert first["svd"] == 46
+    # each slice stack is factored once: fullness and the four antipode
+    # maps, S and R_A of each side, read the SVDs of the four leg algebras,
+    # and no span of Rtilde's images is taken; 5 of the SVDs are spectral
+    # norms, ||W||_2 in the axioms and one in each antipode map (S-hat^{-1},
+    # a fifth map, went with the dual-only entries).  ||Wtilde||_2 enters
+    # the bounds on W-hat's cond3a and cond3b only through the formula gap
+    # D, which is 0 here, so it is not taken
+    assert first["svd"] == 45
     # nothing survives the call: a second run on the same W does it all again
     calls.clear()
     run_suite(w_pair2, level="all")

@@ -10,7 +10,7 @@ basis of a (x) b, dim a * dim b rows of n^4 entries, against which the
 leg-wise ``tensor.tensor_fit`` is compared.  ``_assemble`` builds a
 linear map from its generator pairs through its own SVD of the inputs,
 the reference for ``antipode.extend`` on the context's leg algebras;
-``dual_antipode_maps`` gives S-hat^{-1} and R_Ahat through it.
+``w_transpose_rhat`` assembles W^{T (x) Rhat} with R_Ahat through it.
 ``complex_storage`` stores every matrix as complex128, the reference for
 the float64 storage of exactly real matrices.
 """
@@ -107,10 +107,18 @@ def _assemble(sp, ins, outs):
     return AssembledMap(domain, coeffs.T, float(gap))
 
 
-def dual_antipode_maps(fx, wtilde):
-    """(S-hat^{-1}, R_Ahat) on span A-hat, assembled from the left slices
-    y of the context's W: S-hat^{-1} sends them to those of W*, R_Ahat to
-    the transposed-functional left slices of Wt*."""
-    y_star, y = fx.dual.right_slices, fx.left_slices
+def w_transpose_rhat(fx, wtilde):
+    """W^{T (x) Rhat}: W expanded over the first-leg matrix units e_ij, each
+    block W_ij = (w_{e_i,e_j} (x) id)(W) pushed through R_Ahat and each unit
+    transposed, so R_Ahat(W_ij) lands at e_ji.  R_Ahat is assembled on span
+    A-hat, sending the left slices of W to the transposed-functional left
+    slices of Wt*; the paper's identity is W^{T (x) Rhat} = Wt*."""
+    n = fx.n
     wt_star = transpose_grid(all_left_slices(wtilde.adj))  # w^T = w_{e_b,e_a}
-    return _assemble(fx.leg_space, y, y_star), _assemble(fx.leg_space, y, wt_star)
+    rahat = _assemble(fx.leg_space, fx.left_slices, wt_star)
+    t = fx.w.tensor()
+    out = np.zeros((n, n, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            out[j, :, i, :] += rahat.apply(t[i, :, j, :][None])[0]
+    return out.reshape(n * n, n * n)
